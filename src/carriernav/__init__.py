@@ -16,8 +16,6 @@ from .bench import (
 )
 from .features import (
     DEFAULT_EMBEDDING_DIM,
-    EncoderOracle,
-    HashingEncoder,
     cosine_similarity,
     embed_text,
 )
@@ -31,6 +29,7 @@ from .graph import (
     assign_carried,
     build_crsg,
     carrying_predicate,
+    nearest_carrier,
     query_target,
     select_carrier_candidates,
 )

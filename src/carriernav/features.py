@@ -3,8 +3,7 @@
 The default embedder is a hashed bag-of-words: tokens are hashed into a
 fixed number of buckets, counts are accumulated, and the vector is
 L2-normalized.  It is fully deterministic across processes and platforms,
-which the benchmark layer relies on.  Real encoder backends can be plugged
-in through the :class:`EncoderOracle` interface.
+which the benchmark layer relies on.
 """
 
 from __future__ import annotations
@@ -82,41 +81,6 @@ def strip_image_prefix(token: str) -> str:
     if token.startswith(IMAGE_TOKEN_PREFIX):
         return token[len(IMAGE_TOKEN_PREFIX):]
     return token
-
-
-class EncoderOracle:
-    """Interface for text/image feature backends.
-
-    ``encode_text`` maps a natural-language descriptor to a feature vector;
-    ``encode_query_image`` maps an opaque image token.  Both must return
-    vectors of the same dimension for one scene.
-    """
-
-    def encode_text(self, text: str) -> np.ndarray:
-        raise NotImplementedError
-
-    def encode_query_image(self, image_token: str) -> np.ndarray:
-        raise NotImplementedError
-
-
-class HashingEncoder(EncoderOracle):
-    """Default deterministic encoder backed by :func:`embed_text`.
-
-    Image tokens are treated as underscore-joined descriptions, so
-    ``img:red_alarm_clock`` lands in the same bucket pattern as the text
-    "red alarm clock".
-    """
-
-    def __init__(self, dim: int = DEFAULT_EMBEDDING_DIM):
-        if dim <= 0:
-            raise ValueError(f"embedding dim must be positive, got {dim}")
-        self.dim = dim
-
-    def encode_text(self, text: str) -> np.ndarray:
-        return embed_text(text, self.dim)
-
-    def encode_query_image(self, image_token: str) -> np.ndarray:
-        return embed_text(strip_image_prefix(image_token), self.dim)
 
 
 def load_feature_table(path: str) -> Dict[str, np.ndarray]:

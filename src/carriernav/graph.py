@@ -74,7 +74,6 @@ class CrsgConfig:
 class CarrierNode:
     object: ObjectInstance
     carried: Dict[str, ObjectInstance] = field(default_factory=dict)
-    explored_flag: bool = False
 
     @property
     def id(self) -> str:
@@ -263,32 +262,42 @@ def carrying_predicate(carrier: ObjectInstance, obj: ObjectInstance, config: Crs
     return True
 
 
+def nearest_carrier(
+    obj, candidates: Iterable[ObjectInstance], config: CrsgConfig
+) -> Optional[str]:
+    """Id of the candidate ``obj`` rests on, or None.
+
+    When several candidates satisfy the carrying predicate the object
+    belongs to the one with the nearest centroid (3-D Euclidean), ties
+    broken by smaller id.  ``obj`` is never its own carrier.
+    """
+    best: Optional[Tuple[float, str]] = None
+    for carrier in candidates:
+        if carrier.id == obj.id or not carrying_predicate(carrier, obj, config):
+            continue
+        key = (float(np.linalg.norm(obj.centroid - carrier.centroid)), carrier.id)
+        if best is None or key < best:
+            best = key
+    return best[1] if best else None
+
+
 def assign_carried(
     carriers: Sequence[ObjectInstance],
     others: Sequence[ObjectInstance],
     config: CrsgConfig,
 ) -> Tuple[Dict[str, List[ObjectInstance]], List[ObjectInstance]]:
-    """Attach each object to at most one satisfying carrier.
+    """Attach each object to its :func:`nearest_carrier`, if any.
 
-    When several carriers satisfy the predicate the object goes to the one
-    with the nearest centroid (3-D Euclidean), ties broken by smaller
-    carrier id.  Unattached objects come back as orphans.
+    Unattached objects come back as orphans.
     """
     carried: Dict[str, List[ObjectInstance]] = {c.id: [] for c in carriers}
     orphans: List[ObjectInstance] = []
     for obj in others:
-        best: Optional[Tuple[float, str]] = None
-        for carrier in carriers:
-            if not carrying_predicate(carrier, obj, config):
-                continue
-            dist = float(np.linalg.norm(obj.centroid - carrier.centroid))
-            key = (dist, carrier.id)
-            if best is None or key < best:
-                best = key
-        if best is None:
+        cid = nearest_carrier(obj, carriers, config)
+        if cid is None:
             orphans.append(obj)
         else:
-            carried[best[1]].append(obj)
+            carried[cid].append(obj)
     return carried, orphans
 
 

@@ -33,7 +33,7 @@ from .graph import (
     CrsgConfig,
     Query,
     QueryError,
-    carrying_predicate,
+    nearest_carrier,
     query_target,
 )
 from .priors import CarrierPriorOracle, CarrierSummary, KeywordPriorOracle, OracleError
@@ -185,8 +185,6 @@ def init_state(
     navigate straight to it.  A target with no believed carrier (parked as
     missing after an update) starts with an empty candidate set.
     """
-    for node in crsg.carriers.values():
-        node.explored_flag = False
     unexplored = sorted(crsg.carriers)
 
     if target.id in crsg.carriers or target.id in crsg.orphan_objects:
@@ -287,19 +285,6 @@ class TransitionInputs:
     ct_star: Dict[str, CandidateTarget]
 
 
-def _home_carrier(obs: Observation, crsg: Crsg) -> Optional[str]:
-    """Which graph carrier the observed object currently rests on."""
-    shim = SimpleNamespace(box=obs.observed_box, centroid=obs.centroid)
-    best: Optional[Tuple[float, str]] = None
-    for cid, node in crsg.carriers.items():
-        if not carrying_predicate(node.object, shim, CrsgConfig()):
-            continue
-        key = (float(np.linalg.norm(obs.centroid - node.object.centroid)), cid)
-        if best is None or key < best:
-            best = key
-    return best[1] if best else None
-
-
 def collect_transition_inputs(
     observations: Iterable[Observation],
     crsg: Crsg,
@@ -320,6 +305,7 @@ def collect_transition_inputs(
       and its depth are kept.
     """
     obs_list = sorted(observations, key=lambda o: o.object_id)
+    carriers = [node.object for node in crsg.carriers.values()]
 
     observed_carriers: Set[str] = set()
     item_obs: List[Tuple[Observation, Optional[str]]] = []
@@ -328,7 +314,10 @@ def collect_transition_inputs(
         if cid is not None:
             observed_carriers.add(cid)
         else:
-            item_obs.append((obs, _home_carrier(obs, crsg)))
+            # which graph carrier the observed object currently rests on
+            seen = SimpleNamespace(id=obs.object_id, box=obs.observed_box,
+                                   centroid=obs.centroid)
+            item_obs.append((obs, nearest_carrier(seen, carriers, crsg_cfg)))
 
     unexplored = set(state.unexplored)
     similar_on: Dict[str, float] = {}
@@ -419,7 +408,6 @@ def confirmation_scores(
     target: ObjectInstance,
     query: Query,
     prior: CarrierPriorOracle,
-    config: PolicyConfig,
     beta: float,
 ) -> List[Tuple[float, Observation]]:
     """Score each carried object against the target at arm's length.
@@ -450,17 +438,21 @@ def confirm_target(
     query: Query,
     prior: CarrierPriorOracle,
     config: PolicyConfig,
-    beta: Optional[float] = None,
-) -> bool:
-    """True when some carried object's combined score exceeds sigma2.
+    variant: VariantSpec = VARIANTS["ours"],
+) -> Optional[Observation]:
+    """The best-scoring carried object when its score exceeds sigma2, else None.
 
-    Precondition: ``observations`` is the full carried set of the carrier
-    being checked.  An empty carrier never confirms.
+    Scores blend text and image per :func:`effective_beta`; equal scores
+    break to the smaller object id.  Precondition: ``observations`` is the
+    full carried set of the carrier being checked.  An empty carrier never
+    confirms.
     """
-    if beta is None:
-        beta = config.beta if query.image is not None else 0.0
-    scores = confirmation_scores(observations, target, query, prior, config, beta)
-    return bool(scores) and max(s for s, _ in scores) > config.sigma2
+    beta = effective_beta(query, config, variant)
+    scores = confirmation_scores(observations, target, query, prior, beta)
+    if not scores:
+        return None
+    score, best = min(scores, key=lambda item: (-item[0], item[1].object_id))
+    return best if score > config.sigma2 else None
 
 
 @dataclass(frozen=True)
@@ -520,6 +512,19 @@ def apply_observation_updates(
         if not diff.empty:
             updated.append(cid)
     return updated
+
+
+def _distance_from(world: GridWorld, pose: Pose) -> Callable[[Sequence[float]], float]:
+    """Path distance from ``pose``; the field is fetched on first use only."""
+    dist_field = None
+
+    def distance(point: Sequence[float]) -> float:
+        nonlocal dist_field
+        if dist_field is None:
+            dist_field = world.distance_field(pose.position)
+        return dist_field.to_point(point)
+
+    return distance
 
 
 def run_task(
@@ -602,10 +607,9 @@ def run_task(
     cr0 = len(state.unexplored)
     confirmed_id: Optional[str] = None
     while True:
-        dist_field = world.distance_field(state.pose.position)
         action = decide(
             state, crsg, policy_cfg, prior, task.query.descriptor,
-            dist_field.to_point, variant, rng,
+            _distance_from(world, state.pose), variant, rng,
         )
         if action.kind == "stop":
             trace.append(_trace_line(state.step, action.label(), state.pose,
@@ -635,17 +639,14 @@ def run_task(
         traveled += log.length
         leg_len = log.length
 
-        arrival_carrier = action.carrier_id
-        crsg.carriers[arrival_carrier].explored_flag = True
-        carried_obs = world.carried_observations(arrival_carrier, world.robot, crsg_cfg)
+        carried_obs = world.carried_observations(action.carrier_id, world.robot, crsg_cfg)
         merged: Dict[str, Observation] = dict(log.observations)
         for obs in carried_obs:
             merged.setdefault(obs.object_id, obs)
 
-        beta = effective_beta(task.query, policy_cfg, variant)
-        scores = confirmation_scores(carried_obs, target_obj, task.query, prior,
-                                     policy_cfg, beta)
-        confirmed = bool(scores) and max(s for s, _ in scores) > policy_cfg.sigma2
+        best = confirm_target(carried_obs, target_obj, task.query, prior,
+                              policy_cfg, variant)
+        confirmed = best is not None
         inputs = collect_transition_inputs(
             merged.values(), crsg, state, target_obj, policy_cfg, match_cfg, crsg_cfg
         )
@@ -653,7 +654,6 @@ def run_task(
             apply_observation_updates(world, crsg, merged, match_cfg, crsg_cfg)
 
         if confirmed:
-            best = min(scores, key=lambda item: (-item[0], item[1].object_id))[1]
             confirmed_id = best.object_id
             try:
                 approach, _ = world.shortest_path(world.robot.position, best.centroid[:2])

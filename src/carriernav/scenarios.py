@@ -25,7 +25,7 @@ import copy
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from random import Random
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -321,15 +321,12 @@ def _validate_reachable(scene: SceneMap, start: Pose) -> bool:
         world = GridWorld(scene, start_pose=start)
     except Exception:
         return False
-    for oid in sorted(scene.objects):
-        obj = scene.objects[oid]
-        if obj.box.min[2] > 0.05:
-            continue
-        try:
-            world.shortest_path(start.position, obj.centroid[:2])
-        except Exception:
-            return False
-    return True
+    dist_field = world.distance_field(start.position)
+    return not any(
+        math.isinf(dist_field.to_point(obj.centroid[:2]))
+        for obj in scene.objects.values()
+        if obj.box.min[2] <= 0.05
+    )
 
 
 def _jitter(rng: Random, magnitude: float) -> float:
@@ -620,29 +617,45 @@ def load_scenario(path: str) -> Scenario:
     header = tree.get("header", {})
     if header.get("version") != 1:
         raise ScenarioError(f"{path}: unsupported scenario version")
-    scene_path = p.parent / tree["scene_file"]
-    with open(scene_path) as fh:
-        scene = scene_from_dict(json.load(fh))
-    sp = tree["start_pose"]
-    start = Pose(np.array(sp["position"], dtype=np.float64),
-                 heading=float(sp.get("heading", 0.0)))
-    sensor = SensorConfig(**tree.get("sensor", {}))
-    policy = PolicyConfig(**tree.get("policy", {}))
-    crsg_cfg = CrsgConfig(**tree.get("crsg", {}))
-    match = MatchConfig(**tree.get("match", {}))
-    events = [EventSpec(trigger=e["trigger"], kind=e["kind"],
-                        object_id=e["object_id"],
-                        target_carrier_id=e.get("target_carrier_id"),
-                        spot_index=e.get("spot_index", 0))
-              for e in tree.get("events", [])]
-    tasks = [TaskSpec(query_text=t.get("query_text"),
-                      ground_truth_id=t["ground_truth_id"],
-                      carrier_text=t.get("carrier_text"),
-                      image=t.get("image"))
-             for t in tree["tasks"]]
+    try:
+        scene_path = p.parent / tree["scene_file"]
+        sp = tree["start_pose"]
+        start = Pose(np.array(sp["position"], dtype=np.float64),
+                     heading=float(sp.get("heading", 0.0)))
+        events = [EventSpec(trigger=e["trigger"], kind=e["kind"],
+                            object_id=e["object_id"],
+                            target_carrier_id=e.get("target_carrier_id"),
+                            spot_index=e.get("spot_index", 0))
+                  for e in tree.get("events", [])]
+        tasks = [TaskSpec(query_text=t.get("query_text"),
+                          ground_truth_id=t["ground_truth_id"],
+                          carrier_text=t.get("carrier_text"),
+                          image=t.get("image"))
+                 for t in tree["tasks"]]
+    except KeyError as exc:
+        raise ScenarioError(f"{path}: missing key {exc}") from None
     if not tasks:
         raise ScenarioError(f"{path}: scenario has no tasks")
+    sensor = _config(SensorConfig, tree, "sensor", path)
+    policy = _config(PolicyConfig, tree, "policy", path)
+    crsg_cfg = _config(CrsgConfig, tree, "crsg", path)
+    match = _config(MatchConfig, tree, "match", path)
+    with open(scene_path) as fh:
+        scene = scene_from_dict(json.load(fh))
+    for t in tasks:
+        if t.ground_truth_id not in scene.objects:
+            raise ScenarioError(
+                f"{path}: ground_truth_id {t.ground_truth_id!r} is not in the scene")
     return Scenario(name=header.get("name", p.stem), mode=header.get("mode", "mixed"),
                     seed=str(header.get("seed", "")), scene=scene, start_pose=start,
                     sensor=sensor, policy=policy, crsg=crsg_cfg, match=match,
                     events=events, tasks=tasks)
+
+
+def _config(cls, tree: dict, key: str, path: str):
+    """Build config dataclass ``cls`` from ``tree[key]``, rejecting unknown keys."""
+    values = tree.get(key, {})
+    unknown = sorted(set(values) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ScenarioError(f"{path}: unknown {key} keys {unknown}")
+    return cls(**values)

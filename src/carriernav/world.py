@@ -2,15 +2,15 @@
 
 The world owns a private deep copy of its scene, so ground-truth changes
 (displaced objects, additions, removals) never leak into the belief graph
-a robot carries around.  Planning runs on an 8-connected occupancy grid
-with unit/diagonal step costs; sensing is a radius + field-of-view model
-with optional wall occlusion.
+a robot carries around.  Planning runs one Dijkstra search per pose on an
+8-connected occupancy grid with unit/diagonal step costs; paths and
+distance fields both come from that search.  Sensing is a radius +
+field-of-view model with optional wall occlusion.
 """
 
 from __future__ import annotations
 
 import copy
-import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -19,12 +19,16 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .graph import CrsgConfig, carrying_predicate, geometric_carrier_filter
+from .graph import CrsgConfig, carrying_predicate, geometric_carrier_filter, nearest_carrier
 from .scene import Box3, ObjectInstance, SceneMap
 
 SQRT2 = math.sqrt(2.0)
 
 Cell = Tuple[int, int]
+
+# Path walk-back tie-break order: axis steps first, then diagonals.
+STEP_ORDER: Tuple[Cell, ...] = ((1, 0), (-1, 0), (0, 1), (0, -1),
+                                (1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 class WorldError(ValueError):
@@ -130,6 +134,7 @@ class GridWorld:
             raise WorldError(f"robot start cell {start_cell} is blocked")
 
         self._graph_cache: Optional[tuple] = None
+        self._search_memo: Optional[Tuple[Cell, np.ndarray]] = None
         self._centroid_cache: Optional[tuple] = None
 
     # ----- grid geometry -------------------------------------------------
@@ -199,69 +204,42 @@ class GridWorld:
 
     # ----- planning -------------------------------------------------------
 
-    def _neighbors(self, cell: Cell) -> Iterable[Tuple[Cell, bool]]:
-        ix, iy = cell
-        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1),
-                       (1, 1), (1, -1), (-1, 1), (-1, -1)):
-            nx, ny = ix + dx, iy + dy
-            if not self.is_free((nx, ny)):
-                continue
-            diagonal = dx != 0 and dy != 0
-            if diagonal:
-                # no corner cutting: both orthogonal cells must be free
-                if not (self.is_free((ix + dx, iy)) and self.is_free((ix, iy + dy))):
-                    continue
-            yield (nx, ny), diagonal
-
     def shortest_path(self, start: Sequence[float], goal: Sequence[float]) -> Tuple[List[Cell], float]:
-        """A* between grid cells; returns (cells incl. endpoints, length m).
+        """Length-optimal path; returns (cells incl. endpoints, length m).
 
-        Step cost is the resolution for axis moves and sqrt(2) times it for
-        diagonals; the Euclidean heuristic is admissible, so returned paths
-        are length-optimal.  Length is reconstructed from step counts so it
-        is exactly symmetric.
+        The path is walked back over the distance field from ``start``:
+        from the goal, each step goes to the first neighbour in
+        ``STEP_ORDER`` that the movement rule allows and whose distance
+        plus the step cost equals the current cell's distance (within
+        1e-9 * resolution).  Length is reconstructed from the (axis,
+        diagonal) step counts so it is exactly symmetric.
         """
-        start_cell = self.snap_free_cell(start)
+        start_cell, dist = self._search(start)
         goal_cell = self.snap_free_cell(goal)
-        if start_cell == goal_cell:
-            return [start_cell], 0.0
-
-        def h(cell: Cell) -> float:
-            return math.hypot(cell[0] - goal_cell[0], cell[1] - goal_cell[1])
-
-        g: Dict[Cell, float] = {start_cell: 0.0}
-        parent: Dict[Cell, Cell] = {}
-        counter = 0
-        openq: List[Tuple[float, int, Cell]] = [(h(start_cell), counter, start_cell)]
-        closed = set()
-        while openq:
-            f, _, cell = heapq.heappop(openq)
-            if cell in closed:
-                continue
-            if cell == goal_cell:
-                break
-            closed.add(cell)
-            for (ncell, diagonal) in self._neighbors(cell):
-                if ncell in closed:
-                    continue
-                ng = g[cell] + (SQRT2 if diagonal else 1.0)
-                if ng < g.get(ncell, math.inf):
-                    g[ncell] = ng
-                    parent[ncell] = cell
-                    counter += 1
-                    heapq.heappush(openq, (ng + h(ncell), counter, ncell))
-        if goal_cell not in g:
+        index = self._free_graph()[1]
+        if math.isinf(dist[index[goal_cell[1], goal_cell[0]]]):
             raise UnreachableGoalError(f"no path from {start_cell} to {goal_cell}")
-
+        tol = 1e-9 * self.resolution
         path = [goal_cell]
+        n_diag = 0
         while path[-1] != start_cell:
-            path.append(parent[path[-1]])
+            ix, iy = path[-1]
+            here = dist[index[iy, ix]]
+            for dx, dy in STEP_ORDER:
+                diagonal = dx != 0 and dy != 0
+                if not self.is_free((ix + dx, iy + dy)):
+                    continue
+                # no corner cutting: both orthogonal cells must be free
+                if diagonal and not (self.is_free((ix + dx, iy)) and self.is_free((ix, iy + dy))):
+                    continue
+                step = (SQRT2 if diagonal else 1.0) * self.resolution
+                if abs(dist[index[iy + dy, ix + dx]] + step - here) <= tol:
+                    path.append((ix + dx, iy + dy))
+                    n_diag += diagonal
+                    break
+            else:
+                raise WorldError(f"distance field has no predecessor for {path[-1]}")
         path.reverse()
-        n_diag = sum(
-            1
-            for a, b in zip(path, path[1:])
-            if a[0] != b[0] and a[1] != b[1]
-        )
         n_axis = len(path) - 1 - n_diag
         length = (n_axis + n_diag * SQRT2) * self.resolution
         return path, length
@@ -309,13 +287,25 @@ class GridWorld:
         self._graph_cache = (graph, index)
         return self._graph_cache
 
+    def _search(self, start: Sequence[float]) -> Tuple[Cell, np.ndarray]:
+        """(source cell, distance per free-cell index) from ``start``.
+
+        One Dijkstra search per source cell, memoised for the latest
+        source.  The occupancy grid never changes after ``__init__``, so a
+        memoised field never goes stale.  The memo holds raw arrays, not a
+        ``DistanceField``, which would point back at this world.
+        """
+        source = self.snap_free_cell(start)
+        if self._search_memo is None or self._search_memo[0] != source:
+            graph, index = self._free_graph()
+            dist = dijkstra(graph, directed=False, indices=int(index[source[1], source[0]]))
+            self._search_memo = (source, dist)
+        return self._search_memo
+
     def distance_field(self, start: Sequence[float]) -> "DistanceField":
         """Geodesic distance from ``start`` to every free cell (meters)."""
-        graph, index = self._free_graph()
-        start_cell = self.snap_free_cell(start)
-        src = int(index[start_cell[1], start_cell[0]])
-        dist = dijkstra(graph, directed=False, indices=src)
-        return DistanceField(self, index, dist)
+        _, dist = self._search(start)
+        return DistanceField(self, self._free_graph()[1], dist)
 
     # ----- sensing --------------------------------------------------------
 
@@ -444,24 +434,12 @@ class GridWorld:
         """
         carrier = self.object(carrier_id)
         bases = geometric_carrier_filter(list(self.scene.objects.values()), config)
-        out = []
-        for obj in self.scene.objects.values():
-            if obj.id == carrier_id:
-                continue
-            if not carrying_predicate(carrier, obj, config):
-                continue
-            best: Optional[Tuple[float, str]] = None
-            for other in bases:
-                if other.id == obj.id:
-                    continue
-                if not carrying_predicate(other, obj, config):
-                    continue
-                key = (float(np.linalg.norm(obj.centroid - other.centroid)), other.id)
-                if best is None or key < best:
-                    best = key
-            if best is not None and best[1] == carrier_id:
-                out.append(obj.id)
-        return sorted(out)
+        # the direct predicate test is a cheap reject before the full scan
+        return sorted(
+            oid for oid, obj in self.scene.objects.items()
+            if carrying_predicate(carrier, obj, config)
+            and nearest_carrier(obj, bases, config) == carrier_id
+        )
 
     def carried_observations(self, carrier_id: str, pose: Pose, config: CrsgConfig) -> List[Observation]:
         """Full view of a carrier's current occupants, granted at its side."""

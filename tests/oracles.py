@@ -3,7 +3,7 @@
 Everything here is written in the plainest possible style from the public
 contracts, avoiding the package's own helpers wherever the helper is the
 thing under test: path lengths come from a textbook Dijkstra instead of
-the A* planner, similarities from exact token counts instead of hashed
+the package's scipy search, similarities from exact token counts instead of hashed
 vectors, and the carried relation from a quadratic scan instead of the
 construction funnel.  A bug would have to be made twice to go unnoticed.
 """

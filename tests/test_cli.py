@@ -133,6 +133,38 @@ class TestRunEpisode:
         assert main(["run-episode", "--scenario", str(tmp_path / "x.json")]) == 1
 
 
+def _drop_scene_file(tree):
+    del tree["scene_file"]
+
+
+def _drop_tasks(tree):
+    del tree["tasks"]
+
+
+def _event_without_kind(tree):
+    tree["events"] = [{"trigger": "before-episode", "object_id": "cup_0"}]
+
+
+def _unknown_config_key(tree):
+    tree["policy"]["omega3"] = 1.0
+
+
+def _unknown_ground_truth(tree):
+    tree["tasks"][0]["ground_truth_id"] = "ghost_0"
+
+
+@pytest.mark.parametrize("defect", [_drop_scene_file, _drop_tasks, _event_without_kind,
+                                    _unknown_config_key, _unknown_ground_truth])
+def test_malformed_scenario_is_bad_input(scenario_dir, tmp_path, capsys, defect):
+    tree = json.loads((scenario_dir / "scenario_0000.json").read_text())
+    tree["scene_file"] = str(scenario_dir / tree["scene_file"])
+    defect(tree)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(tree))
+    assert main(["run-episode", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 class TestRunSuite:
     def test_directory_input(self, scenario_dir, tmp_path, capsys):
         out = tmp_path / "res"

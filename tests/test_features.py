@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from carriernav.features import (
     DEFAULT_EMBEDDING_DIM,
-    HashingEncoder,
     bucket_collisions,
     cosine_similarity,
     embed_text,
@@ -150,15 +149,6 @@ def test_strip_image_prefix():
     assert strip_image_prefix("img:red_cup") == "red_cup"
     assert strip_image_prefix("red cup") == "red cup"
     assert strip_image_prefix("img:") == ""
-
-
-def test_hashing_encoder_image_tokens_match_text():
-    enc = HashingEncoder()
-    img = enc.encode_query_image("img:red_alarm_clock")
-    txt = enc.encode_text("red alarm clock")
-    assert np.allclose(img, txt)
-    with pytest.raises(ValueError):
-        HashingEncoder(dim=-1)
 
 
 def test_feature_table_round_trip(tmp_path):

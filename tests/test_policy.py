@@ -33,6 +33,7 @@ from carriernav.scene import scene_from_dict
 from carriernav.update import MatchConfig
 from carriernav.world import DisplacementEvent, GridWorld, Pose
 
+import oracles
 from test_update import obs_of
 from conftest import item_on, obj_dict, scene_dict, table_dict
 
@@ -314,6 +315,31 @@ class TestTransitionInputs:
         assert inputs.ct_star["cup_0"].d_tilde == 0.0
 
 
+@pytest.mark.parametrize("z_gap_max", [0.05, 0.15])
+def test_carrying_rule_follows_the_callers_config(z_gap_max):
+    # a cup hovering 10 cm above a table: carried only when the config's
+    # resting gap allows it, and graph, world and policy must all agree
+    cfg = CrsgConfig(z_gap_max=z_gap_max)
+    table = table_dict("table_0", 2.0, 2.0)
+    cup = item_on("cup_0", ["red cup", "red cup", "cup"], table)
+    for key in ("min", "max"):
+        cup["box"][key][2] += 0.10
+    cup["centroid"][2] += 0.10
+    scene = scene_from_dict(scene_dict([table, cup], width=32, height=24))
+    _, relation, _ = oracles.brute_force_relation(scene, cfg)
+    expected = {cid for cid, held in relation.items() if "cup_0" in held}
+    assert expected == ({"table_0"} if z_gap_max > 0.10 else set())
+
+    crsg = build_crsg(scene, cfg)
+    assert {crsg.carrier_of("cup_0")} - {None} == expected
+    world = GridWorld(scene, start_pose=Pose([0.5, 0.5]))
+    assert world.ground_truth_carried("table_0", cfg) == (["cup_0"] if expected else [])
+    state = NavState(pose=world.robot, unexplored=["table_0"], candidates={})
+    inputs = collect_transition_inputs([obs_of(world.object("cup_0"), depth=1.0)], crsg,
+                                       state, world.object("cup_0"), CFG, MatchConfig(), cfg)
+    assert {c.carrier_id for c in inputs.ct_new.values()} == expected
+
+
 class TestTransition:
     def base_state(self):
         cand = CandidateTarget("cup_0", "table_0", 0.95, 1.0, 0.0, [2.0, 2.0, 0.8])
@@ -389,8 +415,9 @@ class TestConfirmation:
         world, crsg = world_and_graph
         target = crsg.find("cup_0")
         obs = [obs_of(world.object("cup_0"), depth=0.5)]
-        assert confirm_target(obs, target, Query(text="red cup"),
+        best = confirm_target(obs, target, Query(text="red cup"),
                               KeywordPriorOracle(), CFG)
+        assert best is obs[0]
 
     def test_admitted_distractor_fails_confirmation(self, world_and_graph):
         # the sigma1/sigma2 gap: similar enough to walk to, not enough to stop at
@@ -402,25 +429,39 @@ class TestConfirmation:
                         "extents": [0.08, 0.08, 0.12]}), CrsgConfig())
         obs = [obs_of(world.object("cup_9"), depth=0.5)]
         scores = confirmation_scores(obs, target, Query(text="red cup"),
-                                     KeywordPriorOracle(), CFG, beta=0.0)
+                                     KeywordPriorOracle(), beta=0.0)
         assert scores[0][0] == pytest.approx(9.0 / 13.0)
         assert CFG.sigma1 < scores[0][0] < CFG.sigma2
-        assert not confirm_target(obs, target, Query(text="red cup"),
-                                  KeywordPriorOracle(), CFG)
+        assert confirm_target(obs, target, Query(text="red cup"),
+                              KeywordPriorOracle(), CFG) is None
+
+    def test_best_scoring_object_is_returned(self, world_and_graph):
+        # a look-alike sharing the carrier must not be the one confirmed
+        world, crsg = world_and_graph
+        target = crsg.find("cup_0")
+        world.apply_displacement(DisplacementEvent(
+            kind="add", target_carrier_id="table_0",
+            new_object={"id": "beaker_0", "captions": ["blue cup", "blue cup", "cup"],
+                        "extents": [0.08, 0.08, 0.12]}), CrsgConfig())
+        obs = [obs_of(world.object(oid), depth=0.5) for oid in ("beaker_0", "cup_0")]
+        best = confirm_target(obs, target, Query(text="red cup"),
+                              KeywordPriorOracle(), CFG)
+        assert best.object_id == "cup_0"
 
     def test_image_route_blends_prior_comparison(self, world_and_graph):
         world, crsg = world_and_graph
         target = crsg.find("cup_0")
         obs = [obs_of(world.object("cup_0"), depth=0.5)]
         q = Query(image="img:red_cup")
-        assert confirm_target(obs, target, q, KeywordPriorOracle(), CFG)
+        assert confirm_target(obs, target, q, KeywordPriorOracle(), CFG) is obs[0]
         # beta=1: pure caption-vs-descriptor comparison, still over sigma2
-        assert confirm_target(obs, target, q, KeywordPriorOracle(), CFG, beta=1.0)
+        assert confirm_target(obs, target, q, KeywordPriorOracle(), CFG,
+                              VARIANTS["ours-LLM"]) is obs[0]
 
     def test_empty_carrier_never_confirms(self, world_and_graph):
         world, crsg = world_and_graph
-        assert not confirm_target([], crsg.find("cup_0"), Query(text="red cup"),
-                                  KeywordPriorOracle(), CFG)
+        assert confirm_target([], crsg.find("cup_0"), Query(text="red cup"),
+                              KeywordPriorOracle(), CFG) is None
 
 
 def test_trace_line_format():
@@ -508,6 +549,36 @@ class TestRunTask:
         assert r.actions
         for line in r.actions:
             assert pattern.match(line), line
+
+    def test_one_search_per_pose(self, monkeypatch):
+        # the shortest baseline, the initial candidate distance, the ranking
+        # and the leg path share one search; the Stop step runs none
+        import carriernav.world as world_mod
+        searches = []
+        real = world_mod.dijkstra
+
+        def counting(*args, **kwargs):
+            searches.append(kwargs["indices"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(world_mod, "dijkstra", counting)
+        world = GridWorld(policy_scene(), start_pose=Pose([5.0, 4.5]))
+        crsg = build_crsg(policy_scene(), CrsgConfig())
+        world.apply_displacement(DisplacementEvent(
+            kind="move", object_id="cup_0", target_carrier_id="table_1"), CrsgConfig())
+        poses = {world.cell_of(world.robot.position)}
+        real_travel = world.travel
+
+        def travel(path, sensor):
+            log = real_travel(path, sensor)
+            poses.add(world.cell_of(world.robot.position))
+            return log
+
+        monkeypatch.setattr(world, "travel", travel)
+        r = run_task(world, crsg, self.task(), rng=Random(0))
+        assert r.success and r.action_count >= 3
+        assert 0 < len(searches) <= len(poses)
+        assert len(set(searches)) == len(searches)
 
     def test_variants_share_the_success_on_accurate_beliefs(self, world_and_graph):
         world, crsg = world_and_graph

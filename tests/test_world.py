@@ -10,6 +10,7 @@ import pytest
 from carriernav.graph import CrsgConfig
 from carriernav.scene import scene_from_dict
 from carriernav.world import (
+    STEP_ORDER,
     DisplacementError,
     DisplacementEvent,
     GridWorld,
@@ -148,22 +149,62 @@ class TestPlanning:
                 continue
             assert l_ab == pytest.approx(l_ba, abs=1e-12)
 
-    def test_distance_field_agrees_with_planner(self):
-        w = random_world(Random("world/field"), p_block=0.25)
-        start = w.cell_center(w.snap_free_cell([0.5, 0.5]))
-        field = w.distance_field(start)
+    def test_distance_field_matches_independent_dijkstra(self):
+        rng = Random("world/field")
+        for _ in range(3):
+            w = random_world(rng, p_block=0.25)
+            occ = [[bool(w.occupancy[iy, ix]) for ix in range(w.width)]
+                   for iy in range(w.height)]
+            free = [(ix, iy) for ix in range(w.width) for iy in range(w.height)
+                    if w.is_free((ix, iy))]
+            start = rng.choice(free)
+            field = w.distance_field(w.cell_center(start))
+            for goal in rng.sample(free, 12):
+                expected = oracles.dijkstra_grid_length(occ, w.resolution, start, goal)
+                if math.isinf(expected):
+                    assert math.isinf(field.to_cell(goal))
+                else:
+                    assert field.to_cell(goal) == pytest.approx(expected, abs=1e-9)
+
+    def test_tie_break_on_an_open_grid(self):
+        # (0,0) -> (4,2) has six optimal paths (two diagonals, two axis
+        # steps in any order).  Walking back from the goal, the first
+        # STEP_ORDER neighbour on a shortest path wins, so axis steps
+        # (tried first) end up next to the goal.
+        w = empty_world(width=8, height=8)
+        a, b = w.cell_center((0, 0)), w.cell_center((4, 2))
+        assert w.shortest_path(a, b)[0] == [(0, 0), (1, 1), (2, 2), (3, 2), (4, 2)]
+        assert w.shortest_path(b, a)[0] == [(4, 2), (3, 1), (2, 0), (1, 0), (0, 0)]
+
+    def test_tie_break_rule_against_oracle_distances(self):
+        # the written rule, re-run on oracle distances, gives the same paths
+        rng = Random("world/tiebreak")
+        w = random_world(rng, p_block=0.2)
+        occ = [[bool(w.occupancy[iy, ix]) for ix in range(w.width)]
+               for iy in range(w.height)]
         free = [(ix, iy) for ix in range(w.width) for iy in range(w.height)
                 if w.is_free((ix, iy))]
-        rng = Random(1)
-        for _ in range(8):
-            goal = rng.choice(free)
-            d_field = field.to_cell(goal)
-            try:
-                _, d_astar = w.shortest_path(start, w.cell_center(goal))
-            except UnreachableGoalError:
-                assert math.isinf(d_field)
+
+        def allowed(a, b):
+            dx, dy = b[0] - a[0], b[1] - a[1]
+            return w.is_free(b) and (dx == 0 or dy == 0 or (
+                w.is_free((a[0] + dx, a[1])) and w.is_free((a[0], a[1] + dy))))
+
+        for _ in range(4):
+            start, goal = rng.choice(free), rng.choice(free)
+            dist = lambda c: oracles.dijkstra_grid_length(occ, 1.0, start, c)
+            if math.isinf(dist(goal)):
                 continue
-            assert d_field == pytest.approx(d_astar, abs=1e-9)
+            expected = [goal]
+            while expected[-1] != start:
+                here = expected[-1]
+                expected.append(next(
+                    (here[0] + dx, here[1] + dy) for dx, dy in STEP_ORDER
+                    if allowed(here, (here[0] + dx, here[1] + dy))
+                    and abs(dist((here[0] + dx, here[1] + dy)) + math.hypot(dx, dy)
+                            - dist(here)) < 1e-9))
+            path, _ = w.shortest_path(w.cell_center(start), w.cell_center(goal))
+            assert path == expected[::-1]
 
     def test_distance_field_blocked_cell_is_inf(self):
         w = empty_world(blocked=[(2, 2)])
