@@ -20,17 +20,16 @@ import multiprocessing
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .graph import CrsgConfig, build_crsg
 from .policy import (
     EpisodeResult,
-    PolicyConfig,
-    Task,
     VARIANTS,
     VariantSpec,
     apply_observation_updates,
     run_task,
+    sense_leg,
 )
 from .priors import CarrierPriorOracle, KeywordPriorOracle
 from .scenarios import Scenario, load_scenario
@@ -145,9 +144,10 @@ def full_coverage_tour(
 ) -> List[str]:
     """Visit every carrier in id order, reconciling the graph at each stop.
 
-    Returns the ids visited.  After the tour the graph's carried relation
-    matches the live world exactly, because every carrier was granted a
-    full carried view at its side.
+    Each stop is one :func:`~carriernav.policy.sense_leg` step, the same
+    sensing an episode leg runs.  Returns the ids visited.  After the tour
+    the graph's carried relation matches the live world exactly, because
+    every carrier was granted a full carried view at its side.
     """
     sensor = sensor or SensorConfig()
     match = match or MatchConfig()
@@ -160,11 +160,8 @@ def full_coverage_tour(
                                           node.object.centroid[:2])
         except UnreachableGoalError:
             raise BenchError(f"carrier {cid} unreachable during coverage tour")
-        log = world.travel(path, sensor)
-        merged = dict(log.observations)
-        for obs in world.carried_observations(cid, world.robot, crsg_cfg):
-            merged.setdefault(obs.object_id, obs)
-        apply_observation_updates(world, crsg, merged, match, crsg_cfg)
+        leg = sense_leg(world, crsg, path, sensor, match, crsg_cfg, cid)
+        apply_observation_updates(world, crsg, leg, match, crsg_cfg)
         visited.append(cid)
     return visited
 

@@ -8,9 +8,8 @@ which the benchmark layer relies on.
 
 from __future__ import annotations
 
-import json
 import re
-from typing import Dict, Iterable, List
+from typing import List
 
 import numpy as np
 
@@ -81,44 +80,3 @@ def strip_image_prefix(token: str) -> str:
     if token.startswith(IMAGE_TOKEN_PREFIX):
         return token[len(IMAGE_TOKEN_PREFIX):]
     return token
-
-
-def load_feature_table(path: str) -> Dict[str, np.ndarray]:
-    """Read an ``id -> vector`` JSON table (same numeric format as scenes)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ValueError("feature table must be a JSON object of id -> vector")
-    table: Dict[str, np.ndarray] = {}
-    dims = set()
-    for key, values in raw.items():
-        vec = np.asarray(values, dtype=np.float64)
-        if vec.ndim != 1:
-            raise ValueError(f"feature for {key!r} is not a flat vector")
-        if not np.all(np.isfinite(vec)):
-            raise ValueError(f"feature for {key!r} has non-finite entries")
-        dims.add(vec.shape[0])
-        table[key] = vec
-    if len(dims) > 1:
-        raise ValueError(f"inconsistent feature dimensions in table: {sorted(dims)}")
-    return table
-
-
-def save_feature_table(table: Dict[str, np.ndarray], path: str) -> None:
-    payload = {key: [float(x) for x in np.asarray(vec)] for key, vec in table.items()}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def bucket_collisions(words: Iterable[str], dim: int = DEFAULT_EMBEDDING_DIM) -> List[tuple]:
-    """Return word pairs sharing a hash bucket.  Used to vet vocabularies."""
-    seen: Dict[int, str] = {}
-    collisions = []
-    for word in words:
-        b = token_bucket(word, dim)
-        if b in seen and seen[b] != word:
-            collisions.append((seen[b], word))
-        else:
-            seen[b] = word
-    return collisions

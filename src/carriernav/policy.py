@@ -20,10 +20,8 @@ set, so an episode takes at most |carriers| + 1 actions.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field, replace
-from types import SimpleNamespace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -40,6 +38,7 @@ from .priors import CarrierPriorOracle, CarrierSummary, KeywordPriorOracle, Orac
 from .scene import ObjectInstance
 from .update import MatchConfig, apply_update, match_carrier, reconcile_carried
 from .world import (
+    Cell,
     GridWorld,
     Observation,
     Pose,
@@ -279,6 +278,36 @@ def decide(
 
 
 @dataclass
+class Leg:
+    """What one leg sensed, each sighting matched to the graph once."""
+
+    length: float
+    observations: Dict[str, Observation]  # first sighting per id, carrier view merged in
+    matches: Dict[str, Optional[str]]     # object id -> matched graph carrier, or None
+    carried: List[Observation]            # the visited carrier's full view
+
+
+def sense_leg(world: GridWorld, crsg: Crsg, path: Sequence[Cell], sensor_cfg: SensorConfig,
+              match_cfg: MatchConfig, crsg_cfg: CrsgConfig,
+              carrier_id: Optional[str] = None) -> Leg:
+    """Travel ``path``, take ``carrier_id``'s full view (if given) and match.
+
+    Travel sightings win over the carrier view for the same object, so an
+    object keeps the depth of its first sighting.  Updates never change
+    the graph's carriers, so the matches stay valid for the whole leg.
+    """
+    log = world.travel(path, sensor_cfg)
+    carried = (world.carried_observations(carrier_id, world.robot, crsg_cfg)
+               if carrier_id is not None else [])
+    observations = dict(log.observations)
+    for obs in carried:
+        observations.setdefault(obs.object_id, obs)
+    matches = {oid: match_carrier(observations[oid], crsg, match_cfg)
+               for oid in sorted(observations)}
+    return Leg(log.length, observations, matches, carried)
+
+
+@dataclass
 class TransitionInputs:
     cr_observed: Set[str]
     ct_new: Dict[str, CandidateTarget]
@@ -286,15 +315,14 @@ class TransitionInputs:
 
 
 def collect_transition_inputs(
-    observations: Iterable[Observation],
+    leg: Leg,
     crsg: Crsg,
     state: NavState,
     target: ObjectInstance,
     policy_cfg: PolicyConfig,
-    match_cfg: MatchConfig,
     crsg_cfg: CrsgConfig,
 ) -> TransitionInputs:
-    """Derive the transition sets from one leg's observations.
+    """Derive the transition sets from one leg's matched sightings.
 
     - carriers seen with nothing target-like on them become ``cr_observed``
       (they are pruned without a visit);
@@ -304,20 +332,17 @@ def collect_transition_inputs(
       differs (the old belief was stale); otherwise the first sighting
       and its depth are kept.
     """
-    obs_list = sorted(observations, key=lambda o: o.object_id)
     carriers = [node.object for node in crsg.carriers.values()]
 
     observed_carriers: Set[str] = set()
     item_obs: List[Tuple[Observation, Optional[str]]] = []
-    for obs in obs_list:
-        cid = match_carrier(obs, crsg, match_cfg)
+    for oid in sorted(leg.observations):
+        obs, cid = leg.observations[oid], leg.matches[oid]
         if cid is not None:
             observed_carriers.add(cid)
         else:
             # which graph carrier the observed object currently rests on
-            seen = SimpleNamespace(id=obs.object_id, box=obs.observed_box,
-                                   centroid=obs.centroid)
-            item_obs.append((obs, nearest_carrier(seen, carriers, crsg_cfg)))
+            item_obs.append((obs, nearest_carrier(obs.object, carriers, crsg_cfg)))
 
     unexplored = set(state.unexplored)
     similar_on: Dict[str, float] = {}
@@ -325,10 +350,10 @@ def collect_transition_inputs(
     for obs, home in item_obs:
         if home is None:
             continue
-        if is_zero_feature(obs.text_feature) or is_zero_feature(target.text_feature):
+        if is_zero_feature(obs.object.text_feature) or is_zero_feature(target.text_feature):
             ss = 0.0
         else:
-            ss = cosine_similarity(obs.text_feature, target.text_feature)
+            ss = cosine_similarity(obs.object.text_feature, target.text_feature)
         similar_on[home] = max(similar_on.get(home, -math.inf), ss)
         if home not in unexplored or ss <= policy_cfg.sigma1:
             continue
@@ -341,7 +366,7 @@ def collect_transition_inputs(
             ss=ss,
             d=math.inf,
             d_tilde=obs.mean_depth,
-            position=obs.centroid.copy(),
+            position=obs.object.centroid.copy(),
         )
 
     cr_observed = {
@@ -419,13 +444,12 @@ def confirmation_scores(
     image_ref = query.image if query.image is not None else query.text
     out = []
     for obs in sorted(observations, key=lambda o: o.object_id):
-        if is_zero_feature(obs.text_feature) or is_zero_feature(target.text_feature):
+        if is_zero_feature(obs.object.text_feature) or is_zero_feature(target.text_feature):
             text_sim = 0.0
         else:
-            text_sim = cosine_similarity(obs.text_feature, target.text_feature)
+            text_sim = cosine_similarity(obs.object.text_feature, target.text_feature)
         if beta > 0.0:
-            candidate_token = obs.observed_captions[0] if obs.observed_captions else obs.object_id
-            image_score = prior.compare_images(candidate_token, image_ref)
+            image_score = prior.compare_images(obs.object.captions[0], image_ref)
         else:
             image_score = 0.0
         out.append(((1.0 - beta) * text_sim + beta * image_score, obs))
@@ -468,7 +492,6 @@ class EpisodeResult:
     traveled: float
     shortest: float
     actions: List[str] = field(default_factory=list)
-    wall_time: float = 0.0
 
     @property
     def action_count(self) -> int:
@@ -487,27 +510,24 @@ def _trace_line(t: int, label: str, pose: Pose, n_cr: int, n_ct: int,
 def apply_observation_updates(
     world: GridWorld,
     crsg: Crsg,
-    observations: Dict[str, Observation],
+    leg: Leg,
     match_cfg: MatchConfig,
     crsg_cfg: CrsgConfig,
 ) -> List[str]:
-    """Reconcile every fully observed carrier against ground truth.
+    """Reconcile every fully observed carrier of ``leg`` against ground truth.
 
-    A carrier counts as fully observed when it was seen and every object
-    currently resting on it was seen too; partial views never reconcile,
-    so they can never remove entries.  Returns the carrier ids updated.
+    A carrier counts as fully observed when a sighting matched it and every
+    object currently resting on it was seen too; partial views never
+    reconcile, so they can never remove entries.  Returns the carrier ids
+    updated.
     """
-    observed_carriers = set()
-    for obs in observations.values():
-        cid = match_carrier(obs, crsg, match_cfg)
-        if cid is not None:
-            observed_carriers.add(cid)
+    seen = leg.observations
     updated = []
-    for cid in sorted(observed_carriers):
+    for cid in sorted({c for c in leg.matches.values() if c is not None}):
         gt_ids = world.ground_truth_carried(cid, crsg_cfg)
-        if any(gid not in observations for gid in gt_ids):
+        if any(gid not in seen for gid in gt_ids):
             continue
-        diff = reconcile_carried(cid, [observations[g] for g in gt_ids], crsg, match_cfg)
+        diff = reconcile_carried(cid, [seen[g] for g in gt_ids], crsg, match_cfg)
         apply_update(crsg, diff)
         if not diff.empty:
             updated.append(cid)
@@ -555,20 +575,13 @@ def run_task(
     crsg_cfg = crsg_cfg or CrsgConfig()
     prior = prior or KeywordPriorOracle()
 
-    t_start = time.perf_counter()
     start_pose = world.robot.copy()
     trace: List[str] = []
     traveled = 0.0
 
     def finish(success: bool, shortest: float) -> EpisodeResult:
-        return EpisodeResult(
-            task_index=task_index,
-            success=success,
-            traveled=traveled,
-            shortest=shortest,
-            actions=trace,
-            wall_time=time.perf_counter() - t_start,
-        )
+        return EpisodeResult(task_index=task_index, success=success, traveled=traveled,
+                             shortest=shortest, actions=trace)
 
     try:
         target_obj, score = query_target(crsg, task.query)
@@ -591,12 +604,12 @@ def run_task(
             path, _ = world.shortest_path(world.robot.position, dest[:2])
         except UnreachableGoalError:
             return finish(False, shortest)
-        log = world.travel(path, sensor_cfg)
-        traveled += log.length
+        leg = sense_leg(world, crsg, path, sensor_cfg, match_cfg, crsg_cfg)
+        traveled += leg.length
         if variant.update_graph:
-            apply_observation_updates(world, crsg, log.observations, match_cfg, crsg_cfg)
+            apply_observation_updates(world, crsg, leg, match_cfg, crsg_cfg)
         trace.append(_trace_line(0, f"Direct({target_obj.id})", world.robot,
-                                 len(state.unexplored), 0, math.nan, log.length))
+                                 len(state.unexplored), 0, math.nan, leg.length))
         success = (
             target_obj.id == gt_id
             and world.has_object(gt_id)
@@ -635,28 +648,22 @@ def run_task(
                                      action.priority, 0.0))
             continue
 
-        log = world.travel(path, sensor_cfg)
-        traveled += log.length
-        leg_len = log.length
+        leg = sense_leg(world, crsg, path, sensor_cfg, match_cfg, crsg_cfg,
+                        action.carrier_id)
+        traveled += leg.length
+        leg_len = leg.length
 
-        carried_obs = world.carried_observations(action.carrier_id, world.robot, crsg_cfg)
-        merged: Dict[str, Observation] = dict(log.observations)
-        for obs in carried_obs:
-            merged.setdefault(obs.object_id, obs)
-
-        best = confirm_target(carried_obs, target_obj, task.query, prior,
+        best = confirm_target(leg.carried, target_obj, task.query, prior,
                               policy_cfg, variant)
         confirmed = best is not None
-        inputs = collect_transition_inputs(
-            merged.values(), crsg, state, target_obj, policy_cfg, match_cfg, crsg_cfg
-        )
+        inputs = collect_transition_inputs(leg, crsg, state, target_obj, policy_cfg, crsg_cfg)
         if variant.update_graph:
-            apply_observation_updates(world, crsg, merged, match_cfg, crsg_cfg)
+            apply_observation_updates(world, crsg, leg, match_cfg, crsg_cfg)
 
         if confirmed:
             confirmed_id = best.object_id
             try:
-                approach, _ = world.shortest_path(world.robot.position, best.centroid[:2])
+                approach, _ = world.shortest_path(world.robot.position, best.object.centroid[:2])
                 alog = world.travel(approach, sensor_cfg)
                 traveled += alog.length
                 leg_len += alog.length

@@ -21,19 +21,18 @@ is byte-identical.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
-import os
-from dataclasses import asdict, dataclass, field, fields
+import sys
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from random import Random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .graph import CrsgConfig
-from .policy import PolicyConfig, Task
+from .graph import CrsgConfig, Query
+from .policy import PolicyConfig, PolicyError, Task
 from .priors import AFFINITY_RANKINGS
 from .scene import SceneMap, scene_from_dict
 from .update import MatchConfig
@@ -246,6 +245,9 @@ class EventSpec:
             d["target_carrier_id"] = self.target_carrier_id
         return d
 
+    def __post_init__(self):
+        self.to_displacement()  # a valid displacement or a DisplacementError
+
     def to_displacement(self) -> DisplacementEvent:
         return DisplacementEvent(kind=self.kind, object_id=self.object_id,
                                  target_carrier_id=self.target_carrier_id)
@@ -266,9 +268,10 @@ class TaskSpec:
             d["image"] = self.image
         return d
 
-    def to_task(self) -> Task:
-        from .graph import Query
+    def __post_init__(self):
+        self.to_task()  # exactly one of query_text and image, or a QueryError
 
+    def to_task(self) -> Task:
         return Task(
             query=Query(text=self.query_text, image=self.image,
                         carrier_text=self.carrier_text),
@@ -609,53 +612,109 @@ def generate_scenarios(mode: str, count: int, seed: int,
     return scenarios
 
 
+@dataclass
+class _FileHeader:
+    version: int
+    name: Optional[str] = None
+    mode: str = "mixed"
+    seed: Union[str, int] = ""
+
+
+@dataclass
+class _FilePose:
+    position: List[float]
+    heading: float = 0.0
+
+    def __post_init__(self):
+        if len(self.position) != 2:
+            raise ValueError("position must be [x, y]")
+
+
+@dataclass
+class _ScenarioFile:
+    """A scenario file's top level, as :func:`_record` reads it."""
+
+    header: _FileHeader
+    scene_file: str
+    start_pose: _FilePose
+    tasks: List[TaskSpec]
+    events: List[EventSpec] = field(default_factory=list)
+    sensor: SensorConfig = field(default_factory=SensorConfig)
+    policy: PolicyConfig = field(default_factory=PolicyConfig)
+    crsg: CrsgConfig = field(default_factory=CrsgConfig)
+    match: MatchConfig = field(default_factory=MatchConfig)
+
+
 def load_scenario(path: str) -> Scenario:
-    """Load a scenario JSON; the scene file resolves relative to it."""
+    """Load a scenario JSON; the scene file resolves relative to it.
+
+    Any defect of the scenario file raises ``ScenarioError``: a missing or
+    unknown key, a wrong JSON type, a value that fails its config's,
+    event's or task's own check, or a ``ground_truth_id`` the scene lacks.
+    """
     p = Path(path)
     with open(p) as fh:
-        tree = json.load(fh)
-    header = tree.get("header", {})
-    if header.get("version") != 1:
+        top = _record(_ScenarioFile, json.load(fh), "scenario", path)
+    if top.header.version != 1:
         raise ScenarioError(f"{path}: unsupported scenario version")
-    try:
-        scene_path = p.parent / tree["scene_file"]
-        sp = tree["start_pose"]
-        start = Pose(np.array(sp["position"], dtype=np.float64),
-                     heading=float(sp.get("heading", 0.0)))
-        events = [EventSpec(trigger=e["trigger"], kind=e["kind"],
-                            object_id=e["object_id"],
-                            target_carrier_id=e.get("target_carrier_id"),
-                            spot_index=e.get("spot_index", 0))
-                  for e in tree.get("events", [])]
-        tasks = [TaskSpec(query_text=t.get("query_text"),
-                          ground_truth_id=t["ground_truth_id"],
-                          carrier_text=t.get("carrier_text"),
-                          image=t.get("image"))
-                 for t in tree["tasks"]]
-    except KeyError as exc:
-        raise ScenarioError(f"{path}: missing key {exc}") from None
-    if not tasks:
+    if not top.tasks:
         raise ScenarioError(f"{path}: scenario has no tasks")
-    sensor = _config(SensorConfig, tree, "sensor", path)
-    policy = _config(PolicyConfig, tree, "policy", path)
-    crsg_cfg = _config(CrsgConfig, tree, "crsg", path)
-    match = _config(MatchConfig, tree, "match", path)
-    with open(scene_path) as fh:
-        scene = scene_from_dict(json.load(fh))
-    for t in tasks:
+    try:
+        with open(p.parent / top.scene_file) as fh:
+            scene = scene_from_dict(json.load(fh))
+    except OSError as exc:
+        raise ScenarioError(f"{path}: cannot read the scene file: {exc}") from None
+    for t in top.tasks:
         if t.ground_truth_id not in scene.objects:
             raise ScenarioError(
                 f"{path}: ground_truth_id {t.ground_truth_id!r} is not in the scene")
-    return Scenario(name=header.get("name", p.stem), mode=header.get("mode", "mixed"),
-                    seed=str(header.get("seed", "")), scene=scene, start_pose=start,
-                    sensor=sensor, policy=policy, crsg=crsg_cfg, match=match,
-                    events=events, tasks=tasks)
+    header, pose = top.header, top.start_pose
+    return Scenario(name=header.name if header.name is not None else p.stem,
+                    mode=header.mode, seed=str(header.seed), scene=scene,
+                    start_pose=Pose(np.array(pose.position, dtype=np.float64),
+                                    heading=float(pose.heading)),
+                    sensor=top.sensor, policy=top.policy, crsg=top.crsg,
+                    match=top.match, events=top.events, tasks=top.tasks)
 
 
-def _config(cls, tree: dict, key: str, path: str):
-    """Build config dataclass ``cls`` from ``tree[key]``, rejecting unknown keys."""
-    values = tree.get(key, {})
-    unknown = sorted(set(values) - {f.name for f in fields(cls)})
+def _record(cls, value, what: str, path: str):
+    """Dataclass ``cls`` read from the JSON object ``value``, or a ScenarioError.
+
+    Each value is read as its field's annotation: a dataclass from an
+    object, ``List[X]`` from a list, a scalar only from its own JSON type
+    (booleans are not numbers; numbers must be finite).
+    """
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{path}: {what} must be an object, not {value!r}")
+    hints = get_type_hints(cls)
+    unknown = sorted(set(value) - set(hints))
     if unknown:
-        raise ScenarioError(f"{path}: unknown {key} keys {unknown}")
-    return cls(**values)
+        raise ScenarioError(f"{path}: unknown {what} keys {unknown}")
+    missing = [f.name for f in fields(cls) if f.name not in value
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ScenarioError(f"{path}: {what} is missing keys {missing}")
+    kwargs = {k: _read(v, hints[k], f"{what}.{k}", path) for k, v in value.items()}
+    try:
+        return cls(**kwargs)
+    except (ValueError, PolicyError) as exc:
+        raise ScenarioError(f"{path}: {what}: {exc}") from None
+
+
+def _read(value, hint, what: str, path: str):
+    if is_dataclass(hint):
+        return _record(hint, value, what, path)
+    if get_origin(hint) is list:
+        if isinstance(value, list):
+            return [_read(v, get_args(hint)[0], f"{what}[{i}]", path) for i, v in enumerate(value)]
+    elif any(_is_scalar(value, h) for h in get_args(hint) or (hint,)):
+        return value
+    raise ScenarioError(f"{path}: {what} has the wrong type: {value!r}")
+
+
+def _is_scalar(value, hint) -> bool:
+    if isinstance(value, bool) or hint is bool:
+        return isinstance(value, bool) and hint is bool
+    if hint is float:  # any finite JSON number
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, hint)

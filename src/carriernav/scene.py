@@ -118,10 +118,6 @@ class ObjectInstance:
                 f"object {self.id!r} centroid {self.centroid.tolist()} outside its box"
             )
 
-    @property
-    def primary_caption(self) -> str:
-        return self.captions[0]
-
     def to_dict(self) -> dict:
         out = {
             "id": self.id,

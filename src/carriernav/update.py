@@ -1,17 +1,19 @@
 """Belief-graph adaptation from observations.
 
 Carriers are static, so an observed carrier is matched back to its graph
-node by geometry and feature similarity.  Carried sets are reconciled only
-for carriers the robot has fully observed: matched objects are kept,
-unmatched observations are added (re-homing an object known elsewhere in
-the graph), and unmatched graph entries are removed.  Partial views must
-never trigger removals, which is why reconciliation is gated on a full
-observation certificate upstream.
+node by geometry and feature similarity; updates never change the graph's
+carriers, so one match per sighting serves a whole leg.  Carried sets are
+reconciled only for carriers the robot has fully observed: matched objects
+are kept, unmatched observations are added (re-homing an object known
+elsewhere in the graph), and unmatched graph entries are removed.  An
+observation is already a private snapshot of the sighted object, so an
+addition stores it as is.  Partial views must never trigger removals,
+which is why reconciliation is gated on a full observation certificate
+upstream.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -19,7 +21,6 @@ import numpy as np
 
 from .features import cosine_similarity, is_zero_feature
 from .graph import Crsg
-from .scene import ObjectInstance
 from .world import Observation
 
 
@@ -83,17 +84,18 @@ def match_carrier(obs: Observation, crsg: Crsg, config: MatchConfig) -> Optional
     similarity.  Among qualifying carriers the nearest center wins, ties
     broken by smaller id.
     """
+    seen = obs.object
     best: Optional[Tuple[float, str]] = None
     for cid, node in crsg.carriers.items():
-        dist = float(np.linalg.norm(obs.centroid - node.object.centroid))
+        dist = float(np.linalg.norm(seen.centroid - node.object.centroid))
         if dist > config.max_center_dist:
             continue
-        if not _sizes_compatible(obs.observed_box.extents, node.object.box.extents,
+        if not _sizes_compatible(seen.box.extents, node.object.box.extents,
                                  config.max_size_ratio_dev):
             continue
-        if not _feature_gate(obs.text_feature, node.object.text_feature, config.min_text_sim):
+        if not _feature_gate(seen.text_feature, node.object.text_feature, config.min_text_sim):
             continue
-        if not _feature_gate(obs.visual_feature, node.object.visual_feature, config.min_visual_sim):
+        if not _feature_gate(seen.visual_feature, node.object.visual_feature, config.min_visual_sim):
             continue
         key = (dist, cid)
         if best is None or key < best:
@@ -122,16 +124,17 @@ def reconcile_carried(
 
     pairs = []
     for obs in observations:
+        seen = obs.object
         for eid, entry in entries.items():
-            dist = float(np.linalg.norm(obs.centroid - entry.centroid))
+            dist = float(np.linalg.norm(seen.centroid - entry.centroid))
             if dist > config.carried_match_center_dist:
                 continue
-            if not _sizes_compatible(obs.observed_box.extents, entry.box.extents,
+            if not _sizes_compatible(seen.box.extents, entry.box.extents,
                                      config.max_size_ratio_dev):
                 continue
-            if not _feature_gate(obs.text_feature, entry.text_feature, config.min_text_sim):
+            if not _feature_gate(seen.text_feature, entry.text_feature, config.min_text_sim):
                 continue
-            pairs.append((dist, obs.object_id, eid))
+            pairs.append((dist, seen.id, eid))
     pairs.sort()
 
     matched_obs: Dict[str, str] = {}
@@ -153,32 +156,13 @@ def reconcile_carried(
     return diff
 
 
-def _instance_from_observation(obs: Observation, template: Optional[ObjectInstance]) -> ObjectInstance:
-    if template is not None:
-        return dataclasses.replace(
-            template,
-            box=obs.observed_box,
-            centroid=obs.centroid.copy(),
-            captions=list(obs.observed_captions),
-            text_feature=obs.text_feature.copy(),
-            visual_feature=obs.visual_feature.copy(),
-        )
-    return ObjectInstance(
-        id=obs.object_id,
-        captions=list(obs.observed_captions),
-        box=obs.observed_box,
-        centroid=obs.centroid.copy(),
-        text_feature=obs.text_feature.copy(),
-        visual_feature=obs.visual_feature.copy(),
-    )
-
-
 def apply_update(crsg: Crsg, diff: CarriedDiff) -> None:
     """Apply a carried-set diff to the graph in place.
 
     Added observations whose id is already known anywhere in the graph are
     re-homed (their old edge is dropped); unknown ids become new carried
-    nodes.  Removed entries are parked in the graph's missing set so their
+    nodes.  Either way the node stores the observation's snapshot.
+    Removed entries are parked in the graph's missing set so their
     identity survives until re-observed.  Applying the same diff twice is
     a no-op.
     """
@@ -197,10 +181,8 @@ def apply_update(crsg: Crsg, diff: CarriedDiff) -> None:
         if obs.object_id in crsg.carriers:
             # carriers are static; never convert one into a carried object
             continue
-        known = crsg.find(obs.object_id)
-        if known is not None:
-            crsg.detach(obs.object_id)
-        node.carried[obs.object_id] = _instance_from_observation(obs, known)
+        crsg.detach(obs.object_id)
+        node.carried[obs.object_id] = obs.object
 
     after = set(node.carried)
     if before != after:

@@ -1,11 +1,13 @@
 """Deterministic 2-D grid world: planning, sensing, displacement.
 
-The world owns a private deep copy of its scene, so ground-truth changes
-(displaced objects, additions, removals) never leak into the belief graph
-a robot carries around.  Planning runs one Dijkstra search per pose on an
+The world owns private copies of its scene's objects (it never changes the
+grid or rooms), so ground-truth changes (displaced objects, additions,
+removals) never leak into the parsed scene or the belief graph a robot
+carries around.  Planning runs one Dijkstra search per pose on an
 8-connected occupancy grid with unit/diagonal step costs; paths and
 distance fields both come from that search.  Sensing is a radius +
-field-of-view model with optional wall occlusion.
+field-of-view model with optional wall occlusion; an ``Observation`` is a
+copied snapshot of the sighted object plus its depth.
 """
 
 from __future__ import annotations
@@ -72,13 +74,14 @@ class SensorConfig:
 
 @dataclass
 class Observation:
-    object_id: str
-    observed_box: Box3
-    observed_captions: List[str]
-    text_feature: np.ndarray
-    visual_feature: np.ndarray
-    centroid: np.ndarray
+    """One sighting: a snapshot of the object as seen, and its depth."""
+
+    object: ObjectInstance
     mean_depth: float
+
+    @property
+    def object_id(self) -> str:
+        return self.object.id
 
 
 @dataclass
@@ -107,7 +110,6 @@ class DisplacementEvent:
 
 @dataclass
 class TravelLog:
-    samples: List[Tuple[Pose, List[Observation]]]
     observations: Dict[str, Observation]  # first sighting per object id
     length: float
 
@@ -116,7 +118,8 @@ class GridWorld:
     """Simulator state: occupancy grid, object ground truth, robot pose."""
 
     def __init__(self, scene: SceneMap, start_pose: Optional[Pose] = None):
-        self.scene = copy.deepcopy(scene)
+        self.scene = copy.copy(scene)
+        self.scene.objects = copy.deepcopy(scene.objects)
         grid = self.scene.grid
         self.resolution = float(grid.resolution)
         self.width = int(grid.width)
@@ -181,8 +184,9 @@ class GridWorld:
                 key = (d, ix, iy)
                 if best is None or key < best:
                     best = key
-            # extra rings after the first hit cover center-distance skew
-            if best is not None and ring > best[0] / self.resolution + 2:
+            # every cell of ring r lies at least (r - 0.5) * resolution
+            # from the point, so no later ring can match or beat ``best``
+            if best is not None and ring >= best[0] / self.resolution:
                 break
         if best is None:
             raise WorldError("no free cell in grid")
@@ -368,15 +372,14 @@ class GridWorld:
         return out
 
     def _observation_of(self, obj: ObjectInstance, depth: float) -> Observation:
-        return Observation(
-            object_id=obj.id,
-            observed_box=Box3(obj.box.min.copy(), obj.box.max.copy()),
-            observed_captions=list(obj.captions),
-            text_feature=obj.text_feature.copy(),
-            visual_feature=obj.visual_feature.copy(),
-            centroid=obj.centroid.copy(),
-            mean_depth=depth,
-        )
+        # a shallow copy skips re-validation; every mutable field is replaced
+        snap = copy.copy(obj)
+        snap.box = Box3(obj.box.min.copy(), obj.box.max.copy())
+        snap.captions = list(obj.captions)
+        snap.centroid = obj.centroid.copy()
+        snap.text_feature = obj.text_feature.copy()
+        snap.visual_feature = obj.visual_feature.copy()
+        return Observation(snap, depth)
 
     def travel(self, path: Sequence[Cell], sensor: SensorConfig) -> TravelLog:
         """Advance cell-by-cell along ``path``, observing at every cell.
@@ -386,9 +389,8 @@ class GridWorld:
         trajectory and moves nothing.
         """
         if len(path) == 0:
-            return TravelLog(samples=[], observations={}, length=0.0)
+            return TravelLog(observations={}, length=0.0)
         seen: Dict[str, Observation] = {}
-        samples: List[Tuple[Pose, List[Observation]]] = []
         heading = self.robot.heading
         n_axis = n_diag = 0
         for i, cell in enumerate(path):
@@ -400,16 +402,11 @@ class GridWorld:
                     n_diag += 1
                 else:
                     n_axis += 1
-            pose = Pose(self.cell_center(cell), heading)
-            fresh = []
-            for obs in self.observe(pose, sensor):
-                if obs.object_id not in seen:
-                    seen[obs.object_id] = obs
-                    fresh.append(obs)
-            samples.append((pose, fresh))
+            for obs in self.observe(Pose(self.cell_center(cell), heading), sensor):
+                seen.setdefault(obs.object_id, obs)
         self.robot = Pose(self.cell_center(path[-1]), heading)
         length = (n_axis + n_diag * SQRT2) * self.resolution
-        return TravelLog(samples=samples, observations=seen, length=length)
+        return TravelLog(observations=seen, length=length)
 
     # ----- ground truth ---------------------------------------------------
 

@@ -16,6 +16,8 @@ import re
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
+
 _WORD_RE = re.compile(r"[a-z0-9]+")
 
 # Furniture words the prior accepts, frozen here on purpose: if the
@@ -105,6 +107,38 @@ def dijkstra_grid_length(occupancy, resolution: float, start, goal) -> float:
                     dist[(nx, ny)] = nd
                     heapq.heappush(heap, (nd, (nx, ny)))
     return math.inf
+
+
+def snap_free_cell_rings(occupancy, origin, resolution: float, point):
+    """Nearest free cell to ``point`` by center distance, ties by (ix, iy).
+
+    The square-ring search the planner used before its early stop: rings
+    around the point's (clamped) cell grow until two full rings past the
+    first hit, far beyond where a nearer cell could still appear.
+    occupancy is indexed [iy][ix] and truthy means blocked.
+    """
+    height = len(occupancy)
+    width = len(occupancy[0])
+    target = np.asarray(point[:2], dtype=np.float64)
+    cx = min(max(int(math.floor((target[0] - origin[0]) / resolution)), 0), width - 1)
+    cy = min(max(int(math.floor((target[1] - origin[1]) / resolution)), 0), height - 1)
+    best = None
+    for ring in range(max(width, height)):
+        cells = {(cx + d, cy + e) for d in range(-ring, ring + 1) for e in (-ring, ring)}
+        cells |= {(cx + e, cy + d) for d in range(-ring, ring + 1) for e in (-ring, ring)}
+        for ix, iy in cells:
+            if not (0 <= ix < width and 0 <= iy < height) or occupancy[iy][ix]:
+                continue
+            center = np.array([origin[0] + (ix + 0.5) * resolution,
+                               origin[1] + (iy + 0.5) * resolution])
+            key = (float(np.linalg.norm(center - target)), ix, iy)
+            if best is None or key < best:
+                best = key
+        if best is not None and ring > best[0] / resolution + 2:
+            break
+    if best is None:
+        raise ValueError("no free cell in grid")
+    return (best[1], best[2])
 
 
 # --- carried relation, from raw geometry

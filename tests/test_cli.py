@@ -5,6 +5,7 @@ import json
 import pytest
 
 from carriernav.cli import main
+from carriernav.scenarios import ScenarioError, load_scenario
 
 from conftest import golden_scene_dict
 
@@ -153,14 +154,40 @@ def _unknown_ground_truth(tree):
     tree["tasks"][0]["ground_truth_id"] = "ghost_0"
 
 
+def _config_fails_its_own_check(tree):
+    tree["policy"]["sigma1"] = tree["policy"]["sigma2"] + 0.1
+
+
+def _list_as_root(tree):
+    return [tree]
+
+
+def _sensor_not_an_object(tree):
+    tree["sensor"] = 5
+
+
+def _sensor_radius_not_a_number(tree):
+    tree["sensor"] = {"radius": "big"}
+
+
+def _task_without_query(tree):
+    tree["tasks"][0]["query_text"] = None
+    tree["tasks"][0].pop("image", None)
+
+
 @pytest.mark.parametrize("defect", [_drop_scene_file, _drop_tasks, _event_without_kind,
-                                    _unknown_config_key, _unknown_ground_truth])
+                                    _unknown_config_key, _unknown_ground_truth,
+                                    _config_fails_its_own_check, _list_as_root,
+                                    _sensor_not_an_object, _sensor_radius_not_a_number,
+                                    _task_without_query])
 def test_malformed_scenario_is_bad_input(scenario_dir, tmp_path, capsys, defect):
     tree = json.loads((scenario_dir / "scenario_0000.json").read_text())
     tree["scene_file"] = str(scenario_dir / tree["scene_file"])
-    defect(tree)
+    tree = defect(tree) or tree
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(tree))
+    with pytest.raises(ScenarioError):
+        load_scenario(str(path))
     assert main(["run-episode", "--scenario", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error:")
 

@@ -9,12 +9,9 @@ from hypothesis import strategies as st
 
 from carriernav.features import (
     DEFAULT_EMBEDDING_DIM,
-    bucket_collisions,
     cosine_similarity,
     embed_text,
     is_zero_feature,
-    load_feature_table,
-    save_feature_table,
     strip_image_prefix,
     token_bucket,
     tokenize,
@@ -59,7 +56,6 @@ def test_generator_vocabulary_is_collision_free():
     """
     vocab = set(ATTRIBUTES) | set(CARRIER_KINDS) | set(ITEM_KINDS)
     vocab |= set(tokenize(DEFAULT_CARRIER_REFERENCE))
-    assert bucket_collisions(sorted(vocab), DEFAULT_EMBEDDING_DIM) == []
     buckets = {w: token_bucket(w, DEFAULT_EMBEDDING_DIM) for w in vocab}
     assert len(set(buckets.values())) == len(vocab)
 
@@ -149,23 +145,3 @@ def test_strip_image_prefix():
     assert strip_image_prefix("img:red_cup") == "red_cup"
     assert strip_image_prefix("red cup") == "red cup"
     assert strip_image_prefix("img:") == ""
-
-
-def test_feature_table_round_trip(tmp_path):
-    table = {
-        "cup_0": embed_text("red cup"),
-        "table_0": embed_text("brown table"),
-    }
-    path = tmp_path / "features.json"
-    save_feature_table(table, str(path))
-    loaded = load_feature_table(str(path))
-    assert sorted(loaded) == ["cup_0", "table_0"]
-    for key in table:
-        assert np.array_equal(loaded[key], table[key])
-
-
-def test_feature_table_rejects_ragged_dims(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"a": [1.0, 0.0], "b": [1.0, 0.0, 0.0]}')
-    with pytest.raises(ValueError):
-        load_feature_table(str(path))

@@ -13,6 +13,7 @@ from carriernav.graph import CrsgConfig, Query, build_crsg
 from carriernav.policy import (
     VARIANTS,
     CandidateTarget,
+    Leg,
     NavState,
     PolicyConfig,
     PolicyError,
@@ -30,7 +31,7 @@ from carriernav.policy import (
 )
 from carriernav.priors import CarrierPriorOracle, KeywordPriorOracle, OracleError
 from carriernav.scene import scene_from_dict
-from carriernav.update import MatchConfig
+from carriernav.update import MatchConfig, match_carrier
 from carriernav.world import DisplacementEvent, GridWorld, Pose
 
 import oracles
@@ -38,6 +39,13 @@ from test_update import obs_of
 from conftest import item_on, obj_dict, scene_dict, table_dict
 
 CFG = PolicyConfig()
+
+
+def leg_of(observations, crsg, match_cfg=MatchConfig()):
+    """A leg that sensed ``observations``, each matched as ``sense_leg`` does."""
+    by_id = {o.object_id: o for o in observations}
+    matches = {oid: match_carrier(o, crsg, match_cfg) for oid, o in by_id.items()}
+    return Leg(0.0, by_id, matches, [])
 
 
 class TestPriority:
@@ -253,8 +261,8 @@ class TestTransitionInputs:
         world, crsg = world_and_graph
         state = self.make_state(crsg, world)
         obs = [obs_of(world.object("table_1"), depth=2.0)]
-        inputs = collect_transition_inputs(obs, crsg, state, crsg.find("cup_0"),
-                                           CFG, MatchConfig(), CrsgConfig())
+        inputs = collect_transition_inputs(leg_of(obs, crsg), crsg, state, crsg.find("cup_0"),
+                                           CFG, CrsgConfig())
         assert inputs.cr_observed == {"table_1"}
         assert inputs.ct_new == {}
         assert "cup_0" in inputs.ct_star  # candidate elsewhere survives
@@ -268,8 +276,8 @@ class TestTransitionInputs:
                         "extents": [0.08, 0.08, 0.12]}), CrsgConfig())
         obs = [obs_of(world.object("table_1"), depth=2.0),
                obs_of(world.object("cup_9"), depth=2.1)]
-        inputs = collect_transition_inputs(obs, crsg, state, crsg.find("cup_0"),
-                                           CFG, MatchConfig(), CrsgConfig())
+        inputs = collect_transition_inputs(leg_of(obs, crsg), crsg, state, crsg.find("cup_0"),
+                                           CFG, CrsgConfig())
         # blue cup vs red cup: 9/13 = 0.69 > sigma1, so table_1 stays live
         assert inputs.cr_observed == set()
         assert "cup_9" in inputs.ct_new
@@ -287,8 +295,8 @@ class TestTransitionInputs:
                         "extents": [0.2, 0.2, 0.35]}), CrsgConfig())
         obs = [obs_of(world.object("table_1"), depth=2.0),
                obs_of(world.object("plant_9"), depth=2.1)]
-        inputs = collect_transition_inputs(obs, crsg, state, crsg.find("cup_0"),
-                                           CFG, MatchConfig(), CrsgConfig())
+        inputs = collect_transition_inputs(leg_of(obs, crsg), crsg, state, crsg.find("cup_0"),
+                                           CFG, CrsgConfig())
         assert inputs.cr_observed == {"table_1"}
         assert inputs.ct_new == {}
 
@@ -298,8 +306,8 @@ class TestTransitionInputs:
         world.apply_displacement(DisplacementEvent(
             kind="move", object_id="cup_0", target_carrier_id="table_1"), CrsgConfig())
         obs = [obs_of(world.object("cup_0"), depth=1.7)]
-        inputs = collect_transition_inputs(obs, crsg, state, crsg.find("cup_0"),
-                                           CFG, MatchConfig(), CrsgConfig())
+        inputs = collect_transition_inputs(leg_of(obs, crsg), crsg, state, crsg.find("cup_0"),
+                                           CFG, CrsgConfig())
         assert "cup_0" in inputs.ct_new
         assert inputs.ct_new["cup_0"].carrier_id == "table_1"
         assert inputs.ct_new["cup_0"].d_tilde == pytest.approx(1.7)
@@ -308,8 +316,8 @@ class TestTransitionInputs:
         world, crsg = world_and_graph
         state = self.make_state(crsg, world)
         obs = [obs_of(world.object("cup_0"), depth=1.2)]
-        inputs = collect_transition_inputs(obs, crsg, state, crsg.find("cup_0"),
-                                           CFG, MatchConfig(), CrsgConfig())
+        inputs = collect_transition_inputs(leg_of(obs, crsg), crsg, state, crsg.find("cup_0"),
+                                           CFG, CrsgConfig())
         # already a candidate on the same carrier: nothing new
         assert inputs.ct_new == {}
         assert inputs.ct_star["cup_0"].d_tilde == 0.0
@@ -335,8 +343,8 @@ def test_carrying_rule_follows_the_callers_config(z_gap_max):
     world = GridWorld(scene, start_pose=Pose([0.5, 0.5]))
     assert world.ground_truth_carried("table_0", cfg) == (["cup_0"] if expected else [])
     state = NavState(pose=world.robot, unexplored=["table_0"], candidates={})
-    inputs = collect_transition_inputs([obs_of(world.object("cup_0"), depth=1.0)], crsg,
-                                       state, world.object("cup_0"), CFG, MatchConfig(), cfg)
+    inputs = collect_transition_inputs(leg_of([obs_of(world.object("cup_0"), depth=1.0)], crsg),
+                                       crsg, state, world.object("cup_0"), CFG, cfg)
     assert {c.carrier_id for c in inputs.ct_new.values()} == expected
 
 
@@ -579,6 +587,52 @@ class TestRunTask:
         assert r.success and r.action_count >= 3
         assert 0 < len(searches) <= len(poses)
         assert len(set(searches)) == len(searches)
+
+    def test_one_match_per_sighting_per_leg(self, monkeypatch):
+        # a leg's sightings are its travel's first sightings plus the visited
+        # carrier's full view; transition and update share one match of each
+        import carriernav.policy as policy_mod
+        events = []
+        real_match = policy_mod.match_carrier
+
+        def counting(obs, crsg, config):
+            events.append(("match", obs.object_id))
+            return real_match(obs, crsg, config)
+
+        monkeypatch.setattr(policy_mod, "match_carrier", counting)
+        world = GridWorld(policy_scene(), start_pose=Pose([5.0, 4.5]))
+        crsg = build_crsg(policy_scene(), CrsgConfig())
+        world.apply_displacement(DisplacementEvent(
+            kind="move", object_id="cup_0", target_carrier_id="table_1"), CrsgConfig())
+        real_travel, real_view = world.travel, world.carried_observations
+
+        def travel(path, sensor):
+            log = real_travel(path, sensor)
+            events.append(("leg", set(log.observations)))
+            return log
+
+        def view(carrier_id, pose, config):
+            seen = real_view(carrier_id, pose, config)
+            events[-1][1].update(o.object_id for o in seen)
+            return seen
+
+        monkeypatch.setattr(world, "travel", travel)
+        monkeypatch.setattr(world, "carried_observations", view)
+        r = run_task(world, crsg, self.task(), rng=Random(0))
+        assert r.success and r.action_count >= 3
+
+        legs = []
+        for kind, payload in events:
+            if kind == "leg":
+                legs.append((payload, []))
+            else:
+                legs[-1][1].append(payload)
+        sensed = [(seen, matched) for seen, matched in legs if matched]
+        # every action leg matched; only the final approach is a bare move
+        assert len(sensed) == r.action_count - 1
+        assert all(not matched for _, matched in legs[len(sensed):])
+        for seen, matched in sensed:
+            assert sorted(matched) == sorted(seen)
 
     def test_variants_share_the_success_on_accurate_beliefs(self, world_and_graph):
         world, crsg = world_and_graph

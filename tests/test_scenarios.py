@@ -4,6 +4,8 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carriernav.graph import CrsgConfig, build_crsg
 from carriernav.scenarios import (
@@ -200,3 +202,61 @@ def test_task_queries_resolve_on_the_belief_graph():
             obj, score = query_target(crsg, Query(text=t.query_text))
             assert obj.id == t.ground_truth_id
             assert score > 0.9
+
+
+def _json_type(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    return {str: "string", list: "array", dict: "object"}[type(value)]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=5,
+)
+
+
+@pytest.fixture(scope="module")
+def scenario_tree(tmp_path_factory):
+    d = tmp_path_factory.mktemp("swap")
+    generate_scenarios("single", 1, 3, out_dir=str(d))
+    tree = json.loads((d / "scenario_0000.json").read_text())
+    tree["scene_file"] = str(d / tree["scene_file"])
+    return tree, d
+
+
+def _swap_sites(tree):
+    """Every top-level key, and every key one level inside a top-level
+    object or inside the first task and event."""
+    sites = [(key,) for key in sorted(tree)]
+    for key in sorted(tree):
+        inner = tree[key][0] if key in ("tasks", "events") else tree[key]
+        index = (0,) if key in ("tasks", "events") else ()
+        if isinstance(inner, dict):
+            sites += [(key,) + index + (sub,) for sub in sorted(inner)]
+    return sites
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_value_of_another_json_type_is_loaded_or_rejected(scenario_tree, data):
+    tree, d = scenario_tree
+    site = data.draw(st.sampled_from(_swap_sites(tree)))
+    mutated = json.loads(json.dumps(tree))
+    parent = mutated
+    for step in site[:-1]:
+        parent = parent[step]
+    old = parent[site[-1]]
+    parent[site[-1]] = data.draw(JSON_VALUES.filter(lambda v: _json_type(v) != _json_type(old)))
+    path = d / "mutated.json"
+    path.write_text(json.dumps(mutated))
+    try:
+        load_scenario(str(path))
+    except ScenarioError:
+        pass

@@ -5,7 +5,7 @@ import pytest
 
 from carriernav.features import embed_text
 from carriernav.graph import CrsgConfig, build_crsg
-from carriernav.scene import Box3, scene_from_dict
+from carriernav.scene import Box3, ObjectInstance, scene_from_dict
 from carriernav.update import (
     CarriedDiff,
     MatchConfig,
@@ -26,15 +26,9 @@ def obs_of(obj, depth=1.0, shift=(0.0, 0.0, 0.0), scale=1.0, captions=None):
     box = Box3(center - half, center + half)
     caps = list(captions) if captions is not None else list(obj.captions)
     feat = embed_text(" ".join(caps), obj.text_feature.shape[0])
-    return Observation(
-        object_id=obj.id,
-        observed_box=box,
-        observed_captions=caps,
-        text_feature=feat,
-        visual_feature=feat.copy(),
-        centroid=center,
-        mean_depth=depth,
-    )
+    seen = ObjectInstance(id=obj.id, captions=caps, box=box, centroid=center,
+                          text_feature=feat, visual_feature=feat.copy())
+    return Observation(seen, mean_depth=depth)
 
 
 @pytest.fixture
@@ -146,8 +140,7 @@ class TestReconcile:
         scene, crsg, cfg = setting
         near = obs_of(scene.objects["cup_a"], shift=(0.05, 0.0, 0.0))
         far = obs_of(scene.objects["cup_a"], shift=(0.25, 0.0, 0.0))
-        far.object_id = "cup_ghost"
-        far.observed_captions = ["red cup", "red cup", "cup"]
+        far.object.id = "cup_ghost"
         diff = reconcile_carried("table_0", [near, far,
                                              obs_of(scene.objects["cup_b"])], crsg, cfg)
         # both observations could match cup_a; the nearer one takes it

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from carriernav.graph import CrsgConfig
+from carriernav.scenarios import MODES, build_scenario
 from carriernav.scene import scene_from_dict
 from carriernav.world import (
     STEP_ORDER,
@@ -66,6 +67,30 @@ class TestGridGeometry:
         assert w.snap_free_cell([0.625, 0.625]) == (1, 2)
         # already free: identity
         assert w.snap_free_cell([0.875, 0.625]) == (3, 2)
+
+    @pytest.mark.parametrize("resolution", [0.25, 0.05])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_snap_free_cell_matches_the_ring_search(self, mode, resolution):
+        sc = build_scenario(mode, 0, 5, resolution)
+        w = GridWorld(sc.scene, start_pose=sc.start_pose)
+        rng = Random(f"{mode}/{resolution}")
+        lo = w.origin
+        hi = w.origin + resolution * np.array([w.width, w.height])
+        points = [obj.centroid[:2] for obj in sc.scene.objects.values()]
+        points += [lo + rng.random() * (hi - lo) for _ in range(40)]
+        # on cell edges and corners, where center distances tie
+        points += [lo + resolution * np.array([rng.randrange(w.width + 1),
+                                               rng.randrange(w.height + 1)])
+                   for _ in range(20)]
+        # beyond the grid on every side and corner, near and far
+        mid = (lo + hi) / 2.0
+        for pad in (0.3 * resolution, 1.0):
+            for x in (lo[0] - pad, mid[0], hi[0] + pad):
+                for y in (lo[1] - pad, mid[1], hi[1] + pad):
+                    points.append(np.array([x, y]))
+        for point in points:
+            assert w.snap_free_cell(point) == oracles.snap_free_cell_rings(
+                w.occupancy, w.origin, resolution, point), point
 
     def test_blocked_start_pose_rejected(self):
         with pytest.raises(WorldError):
@@ -256,12 +281,20 @@ class TestSensing:
         w = sensing_world()
         obs = {o.object_id: o for o in w.observe(Pose([2.0, 3.5]), SensorConfig())}
         cup = obs["cup_0"]
-        assert cup.observed_captions == ["red cup", "red cup", "cup"]
+        truth = w.object("cup_0")
+        assert cup.object is not truth
+        assert cup.object.captions == ["red cup", "red cup", "cup"]
         assert cup.mean_depth == pytest.approx(
-            float(np.linalg.norm(cup.centroid[:2] - np.array([2.0, 3.5]))))
-        # payload is a copy: mutating it must not touch ground truth
-        cup.centroid[0] += 99.0
-        assert w.object("cup_0").centroid[0] < 10.0
+            float(np.linalg.norm(cup.object.centroid[:2] - np.array([2.0, 3.5]))))
+        # the snapshot is a copy: mutating any of it must not touch ground truth
+        before = truth.to_dict()
+        cup.object.centroid[0] += 99.0
+        cup.object.box.min[0] -= 1.0
+        cup.object.box.max[2] += 1.0
+        cup.object.captions.append("mug")
+        cup.object.text_feature[:] = 0.0
+        cup.object.visual_feature[:] = 0.0
+        assert truth.to_dict() == before
 
     def test_sensor_config_validation(self):
         with pytest.raises(WorldError):
@@ -274,18 +307,26 @@ class TestTravel:
     def test_travel_moves_robot_and_measures(self):
         w = sensing_world()
         path, length = w.shortest_path(w.robot.position, [5.0, 2.0])
+        sensed = []
+        observe = w.observe
+        w.observe = lambda pose, sensor: sensed.append(pose.position.copy()) or observe(pose, sensor)
         log = w.travel(path, SensorConfig())
         assert log.length == pytest.approx(length)
         assert np.allclose(w.robot.position, w.cell_center(path[-1]))
-        assert len(log.samples) == len(path)
+        # one observation per path cell, taken at the cell's center
+        assert np.allclose(sensed, [w.cell_center(c) for c in path])
 
     def test_travel_dedupes_observations(self):
         w = sensing_world()
         path, _ = w.shortest_path(w.robot.position, [5.0, 2.0])
+        first = {}
+        for cell in path:  # the full-circle sensor ignores heading
+            for obs in w.observe(Pose(w.cell_center(cell)), SensorConfig()):
+                first.setdefault(obs.object_id, obs.mean_depth)
         log = w.travel(path, SensorConfig())
         assert sorted(log.observations) == ["cup_0", "cup_far", "table_0"]
-        fresh_ids = [o.object_id for _, fresh in log.samples for o in fresh]
-        assert sorted(fresh_ids) == ["cup_0", "cup_far", "table_0"]  # once each
+        # each object keeps its first sighting's depth
+        assert {oid: o.mean_depth for oid, o in log.observations.items()} == first
 
     def test_empty_path_is_a_noop(self):
         w = sensing_world()
