@@ -534,19 +534,6 @@ def apply_observation_updates(
     return updated
 
 
-def _distance_from(world: GridWorld, pose: Pose) -> Callable[[Sequence[float]], float]:
-    """Path distance from ``pose``; the field is fetched on first use only."""
-    dist_field = None
-
-    def distance(point: Sequence[float]) -> float:
-        nonlocal dist_field
-        if dist_field is None:
-            dist_field = world.distance_field(pose.position)
-        return dist_field.to_point(point)
-
-    return distance
-
-
 def run_task(
     world: GridWorld,
     crsg: Crsg,
@@ -622,7 +609,7 @@ def run_task(
     while True:
         action = decide(
             state, crsg, policy_cfg, prior, task.query.descriptor,
-            _distance_from(world, state.pose), variant, rng,
+            world.distance_field(state.pose.position).to_point, variant, rng,
         )
         if action.kind == "stop":
             trace.append(_trace_line(state.step, action.label(), state.pose,

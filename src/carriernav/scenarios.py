@@ -21,6 +21,7 @@ is byte-identical.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -650,7 +651,8 @@ def load_scenario(path: str) -> Scenario:
 
     Any defect of the scenario file raises ``ScenarioError``: a missing or
     unknown key, a wrong JSON type, a value that fails its config's,
-    event's or task's own check, or a ``ground_truth_id`` the scene lacks.
+    event's or task's own check, or a ``ground_truth_id`` or event object
+    id that the scene lacks.
     """
     p = Path(path)
     with open(p) as fh:
@@ -668,6 +670,10 @@ def load_scenario(path: str) -> Scenario:
         if t.ground_truth_id not in scene.objects:
             raise ScenarioError(
                 f"{path}: ground_truth_id {t.ground_truth_id!r} is not in the scene")
+    for e in top.events:
+        for key, oid in (("object_id", e.object_id), ("target_carrier_id", e.target_carrier_id)):
+            if oid is not None and oid not in scene.objects:
+                raise ScenarioError(f"{path}: event {key} {oid!r} is not in the scene")
     header, pose = top.header, top.start_pose
     return Scenario(name=header.name if header.name is not None else p.stem,
                     mode=header.mode, seed=str(header.seed), scene=scene,
@@ -686,7 +692,7 @@ def _record(cls, value, what: str, path: str):
     """
     if not isinstance(value, dict):
         raise ScenarioError(f"{path}: {what} must be an object, not {value!r}")
-    hints = get_type_hints(cls)
+    hints = _type_hints(cls)
     unknown = sorted(set(value) - set(hints))
     if unknown:
         raise ScenarioError(f"{path}: unknown {what} keys {unknown}")
@@ -699,6 +705,12 @@ def _record(cls, value, what: str, path: str):
         return cls(**kwargs)
     except (ValueError, PolicyError) as exc:
         raise ScenarioError(f"{path}: {what}: {exc}") from None
+
+
+@functools.cache
+def _type_hints(cls) -> dict:
+    """The field annotations of dataclass ``cls``, resolved once per class."""
+    return get_type_hints(cls)
 
 
 def _read(value, hint, what: str, path: str):

@@ -3,11 +3,14 @@
 The world owns private copies of its scene's objects (it never changes the
 grid or rooms), so ground-truth changes (displaced objects, additions,
 removals) never leak into the parsed scene or the belief graph a robot
-carries around.  Planning runs one Dijkstra search per pose on an
-8-connected occupancy grid with unit/diagonal step costs; paths and
-distance fields both come from that search.  Sensing is a radius +
-field-of-view model with optional wall occlusion; an ``Observation`` is a
-copied snapshot of the sighted object plus its depth.
+carries around.  Planning runs Dijkstra searches over one symmetric
+8-connected graph of the free cells, with unit/diagonal step costs.  The
+searches are bounded: each stops at the distance its caller reads, and a
+farther read from the same pose searches again with a larger limit, so
+every distance read is exact.  Paths and distance fields both read the
+latest pose's search.  Sensing is a radius + field-of-view model with
+optional wall occlusion; an ``Observation`` is a copied snapshot of the
+sighted object plus its depth.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Container, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -137,7 +140,7 @@ class GridWorld:
             raise WorldError(f"robot start cell {start_cell} is blocked")
 
         self._graph_cache: Optional[tuple] = None
-        self._search_memo: Optional[Tuple[Cell, np.ndarray]] = None
+        self._search_memo: Optional[Tuple[Cell, float, np.ndarray]] = None
         self._centroid_cache: Optional[tuple] = None
 
     # ----- grid geometry -------------------------------------------------
@@ -216,10 +219,12 @@ class GridWorld:
         ``STEP_ORDER`` that the movement rule allows and whose distance
         plus the step cost equals the current cell's distance (within
         1e-9 * resolution).  Length is reconstructed from the (axis,
-        diagonal) step counts so it is exactly symmetric.
+        diagonal) step counts so it is exactly symmetric.  The search
+        only has to reach the goal: every cell of the walk is nearer.
         """
-        start_cell, dist = self._search(start)
+        start_cell = self.snap_free_cell(start)
         goal_cell = self.snap_free_cell(goal)
+        dist = self._search(start_cell, goal_cell)
         index = self._free_graph()[1]
         if math.isinf(dist[index[goal_cell[1], goal_cell[0]]]):
             raise UnreachableGoalError(f"no path from {start_cell} to {goal_cell}")
@@ -248,68 +253,84 @@ class GridWorld:
         length = (n_axis + n_diag * SQRT2) * self.resolution
         return path, length
 
-    def _free_graph(self):
-        if self._graph_cache is not None:
-            return self._graph_cache
-        free = ~self.occupancy
-        index = np.full(self.occupancy.shape, -1, dtype=np.int64)
-        index[free] = np.arange(int(free.sum()))
-        rows, cols, weights = [], [], []
-        for dx, dy in ((1, 0), (0, 1), (1, 1), (1, -1)):
-            src_free = free.copy()
-            dst_free = np.roll(np.roll(free, -dy, axis=0), -dx, axis=1)
-            # mask wrap-around rows/cols introduced by roll
-            if dx > 0:
-                src_free[:, -dx:] = False
-            if dy > 0:
-                src_free[-dy:, :] = False
-            if dy < 0:
-                src_free[:-dy, :] = False
-            ok = src_free & dst_free
-            if dx != 0 and dy != 0:
-                ortho_x = np.roll(free, -dx, axis=1)
-                if dx > 0:
-                    ortho_x[:, -dx:] = False
-                ortho_y = np.roll(free, -dy, axis=0)
-                if dy > 0:
-                    ortho_y[-dy:, :] = False
-                if dy < 0:
-                    ortho_y[:-dy, :] = False
-                ok &= ortho_x & ortho_y
-            src_idx = index[ok]
-            dst_iy, dst_ix = np.nonzero(ok)
-            dst_idx = index[dst_iy + dy, dst_ix + dx]
-            w = (SQRT2 if dx != 0 and dy != 0 else 1.0) * self.resolution
-            rows.append(src_idx)
-            cols.append(dst_idx)
-            weights.append(np.full(src_idx.shape, w))
-        rows = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
-        cols = np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64)
-        weights = np.concatenate(weights) if weights else np.zeros(0)
-        n = int((~self.occupancy).sum())
-        graph = csr_matrix((weights, (rows, cols)), shape=(n, n))
-        self._graph_cache = (graph, index)
+    def _free_graph(self) -> Tuple[csr_matrix, np.ndarray]:
+        """(symmetric 8-neighbour graph over the free cells, free-cell index).
+
+        ``index[iy, ix]`` is a free cell's row, or -1 for a blocked cell.
+        Row i lists cell i's neighbours in ``STEP_ORDER``, weighted by the
+        step length; a diagonal step needs both orthogonal cells free (no
+        corner cutting).  Built once: the grid never changes.
+        """
+        if self._graph_cache is None:
+            free = ~self.occupancy
+            h, w = free.shape
+            n = int(free.sum())
+            index = np.full(free.shape, -1, dtype=np.int32)
+            index[free] = np.arange(n, dtype=np.int32)
+            # a one-cell blocked border makes every neighbour a slice view
+            pad_free = np.pad(free, 1)
+            pad_index = np.pad(index, 1, constant_values=-1)
+
+            def shifted(a: np.ndarray, dx: int, dy: int) -> np.ndarray:
+                return a[1 + dy:1 + dy + h, 1 + dx:1 + dx + w]
+
+            cols = np.empty((n, len(STEP_ORDER)), dtype=np.int32)
+            for k, (dx, dy) in enumerate(STEP_ORDER):
+                nbr = shifted(pad_index, dx, dy)[free]
+                if dx != 0 and dy != 0:
+                    corner_ok = shifted(pad_free, dx, 0) & shifted(pad_free, 0, dy)
+                    nbr[~corner_ok[free]] = -1
+                cols[:, k] = nbr
+            edge = cols >= 0
+            step = np.array([(SQRT2 if dx != 0 and dy != 0 else 1.0) * self.resolution
+                             for dx, dy in STEP_ORDER])
+            indptr = np.zeros(n + 1, dtype=np.int32)
+            np.cumsum(edge.sum(axis=1), out=indptr[1:])
+            graph = csr_matrix((np.broadcast_to(step, cols.shape)[edge], cols[edge], indptr),
+                               shape=(n, n))
+            self._graph_cache = (graph, index)
         return self._graph_cache
 
-    def _search(self, start: Sequence[float]) -> Tuple[Cell, np.ndarray]:
-        """(source cell, distance per free-cell index) from ``start``.
+    def _octile(self, a: Cell, b: Cell) -> float:
+        """Obstacle-free 8-connected distance (m): a lower bound on the geodesic."""
+        dx, dy = abs(a[0] - b[0]), abs(a[1] - b[1])
+        return (abs(dx - dy) + SQRT2 * min(dx, dy)) * self.resolution
 
-        One Dijkstra search per source cell, memoised for the latest
-        source.  The occupancy grid never changes after ``__init__``, so a
-        memoised field never goes stale.  The memo holds raw arrays, not a
-        ``DistanceField``, which would point back at this world.
+    def _search(self, source: Cell, cell: Cell) -> np.ndarray:
+        """Distance (m) per free-cell index from ``source``, exact at the
+        free ``cell`` and at every cell nearer than it; inf beyond the limit.
+
+        Searches are bounded: Dijkstra with ``limit=L`` gives the exact
+        distance of every cell at or below L and inf for the rest.  The
+        memo keeps ``(source, limit, dist)`` of the latest search.  A read
+        the memo cannot answer (another source, or inf under a finite
+        limit) searches again from ``source`` with the limit
+        ``max(2 * limit, 2 * octile(source, cell))`` plus a 1e-9 relative
+        margin, until the cell is reached.  Once the limit reaches the
+        octile distance to the grid's farthest corner, the search is
+        unbounded, so only an inf under an unbounded search means
+        "unreachable".  The grid never changes after ``__init__``, so the
+        memo never goes stale.
         """
-        source = self.snap_free_cell(start)
-        if self._search_memo is None or self._search_memo[0] != source:
-            graph, index = self._free_graph()
-            dist = dijkstra(graph, directed=False, indices=int(index[source[1], source[0]]))
-            self._search_memo = (source, dist)
-        return self._search_memo
+        graph, index = self._free_graph()
+        target = index[cell[1], cell[0]]
+        memo = self._search_memo
+        limit, dist = (0.0, None) if memo is None or memo[0] != source else memo[1:]
+        farthest_corner = (0 if 2 * source[0] >= self.width else self.width - 1,
+                           0 if 2 * source[1] >= self.height else self.height - 1)
+        while dist is None or (math.isinf(dist[target]) and not math.isinf(limit)):
+            limit = max(2.0 * limit, 2.0 * self._octile(source, cell)) * (1.0 + 1e-9)
+            if limit >= self._octile(source, farthest_corner):
+                limit = math.inf
+            dist = dijkstra(graph, directed=True, indices=int(index[source[1], source[0]]),
+                            limit=limit)
+            self._search_memo = (source, limit, dist)
+        return dist
 
     def distance_field(self, start: Sequence[float]) -> "DistanceField":
-        """Geodesic distance from ``start`` to every free cell (meters)."""
-        _, dist = self._search(start)
-        return DistanceField(self, self._free_graph()[1], dist)
+        """Geodesic distance from ``start`` to every free cell (meters),
+        searched only as far as the cells read."""
+        return DistanceField(self, self.snap_free_cell(start))
 
     # ----- sensing --------------------------------------------------------
 
@@ -343,8 +364,10 @@ class GridWorld:
                 err += dx
                 y += sy
 
-    def observe(self, pose: Pose, sensor: SensorConfig) -> List[Observation]:
-        """Objects within radius and field of view, sorted by id."""
+    def observe(self, pose: Pose, sensor: SensorConfig,
+                skip: Container[str] = ()) -> List[Observation]:
+        """Objects within radius and field of view, sorted by id; objects
+        whose id is in ``skip`` are left out before any snapshot is made."""
         ids, centroids = self._centroids()
         if not ids:
             return []
@@ -360,6 +383,8 @@ class GridWorld:
         robot_cell = self.cell_of(pose.position)
         for i in np.nonzero(mask)[0]:
             oid = ids[int(i)]
+            if oid in skip:
+                continue
             obj = self.scene.objects[oid]
             if sensor.occlusion:
                 try:
@@ -385,8 +410,9 @@ class GridWorld:
         """Advance cell-by-cell along ``path``, observing at every cell.
 
         Observations are deduplicated per object id, keeping the first
-        sighting (and its depth).  A zero-length path produces an empty
-        trajectory and moves nothing.
+        sighting (and its depth): each cell's ``observe`` skips the ids
+        already seen.  A zero-length path produces an empty trajectory and
+        moves nothing.
         """
         if len(path) == 0:
             return TravelLog(observations={}, length=0.0)
@@ -402,8 +428,8 @@ class GridWorld:
                     n_diag += 1
                 else:
                     n_axis += 1
-            for obs in self.observe(Pose(self.cell_center(cell), heading), sensor):
-                seen.setdefault(obs.object_id, obs)
+            for obs in self.observe(Pose(self.cell_center(cell), heading), sensor, seen):
+                seen[obs.object_id] = obs
         self.robot = Pose(self.cell_center(path[-1]), heading)
         length = (n_axis + n_diag * SQRT2) * self.resolution
         return TravelLog(observations=seen, length=length)
@@ -555,19 +581,22 @@ class GridWorld:
 
 
 class DistanceField:
-    """Read-only geodesic distances from one source over the free cells."""
+    """Read-only geodesic distances from one source cell over the free cells.
 
-    def __init__(self, world: GridWorld, index: np.ndarray, dist: np.ndarray):
+    A view: each read goes through the world's search memo, which extends
+    the bounded search from the source only as far as the cell read.
+    """
+
+    def __init__(self, world: GridWorld, source: Cell):
         self._world = world
-        self._index = index
-        self._dist = dist
+        self._source = source
 
     def to_point(self, point: Sequence[float]) -> float:
-        cell = self._world.snap_free_cell(point)
-        return float(self._dist[self._index[cell[1], cell[0]]])
+        return self.to_cell(self._world.snap_free_cell(point))
 
     def to_cell(self, cell: Cell) -> float:
-        idx = self._index[cell[1], cell[0]]
-        if idx < 0:
+        world = self._world
+        if not world.is_free(cell):
             return math.inf
-        return float(self._dist[idx])
+        index = world._free_graph()[1]
+        return float(world._search(self._source, cell)[index[cell[1], cell[0]]])

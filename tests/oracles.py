@@ -3,7 +3,9 @@
 Everything here is written in the plainest possible style from the public
 contracts, avoiding the package's own helpers wherever the helper is the
 thing under test: path lengths come from a textbook Dijkstra instead of
-the package's scipy search, similarities from exact token counts instead of hashed
+the package's scipy search, distance fields from one unbounded search over
+the planner's former one-direction graph instead of bounded searches over
+its symmetric one, similarities from exact token counts instead of hashed
 vectors, and the carried relation from a quadratic scan instead of the
 construction funnel.  A bug would have to be made twice to go unnoticed.
 """
@@ -17,6 +19,8 @@ from collections import Counter
 from fractions import Fraction
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 
@@ -107,6 +111,58 @@ def dijkstra_grid_length(occupancy, resolution: float, start, goal) -> float:
                     dist[(nx, ny)] = nd
                     heapq.heappush(heap, (nd, (nx, ny)))
     return math.inf
+
+
+def one_direction_graph(occupancy, resolution: float):
+    """(free-cell graph holding each 8-neighbour edge once, free-cell index).
+
+    The planner's graph before it held both directions: four forward
+    directions built with ``np.roll``, searched with ``directed=False``.
+    occupancy is a boolean [iy, ix] array, True meaning blocked.
+    """
+    free = ~np.asarray(occupancy, dtype=bool)
+    index = np.full(free.shape, -1, dtype=np.int64)
+    index[free] = np.arange(int(free.sum()))
+    rows, cols, weights = [], [], []
+    for dx, dy in ((1, 0), (0, 1), (1, 1), (1, -1)):
+        src_free = free.copy()
+        dst_free = np.roll(np.roll(free, -dy, axis=0), -dx, axis=1)
+        # mask wrap-around rows/cols introduced by roll
+        if dx > 0:
+            src_free[:, -dx:] = False
+        if dy > 0:
+            src_free[-dy:, :] = False
+        if dy < 0:
+            src_free[:-dy, :] = False
+        ok = src_free & dst_free
+        if dx != 0 and dy != 0:
+            ortho_x = np.roll(free, -dx, axis=1)
+            if dx > 0:
+                ortho_x[:, -dx:] = False
+            ortho_y = np.roll(free, -dy, axis=0)
+            if dy > 0:
+                ortho_y[-dy:, :] = False
+            if dy < 0:
+                ortho_y[:-dy, :] = False
+            ok &= ortho_x & ortho_y
+        src_idx = index[ok]
+        dst_iy, dst_ix = np.nonzero(ok)
+        dst_idx = index[dst_iy + dy, dst_ix + dx]
+        w = (math.sqrt(2.0) if dx != 0 and dy != 0 else 1.0) * resolution
+        rows.append(src_idx)
+        cols.append(dst_idx)
+        weights.append(np.full(src_idx.shape, w))
+    n = int(free.sum())
+    graph = csr_matrix((np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
+                       shape=(n, n))
+    return graph, index
+
+
+def full_grid_distances(occupancy, resolution: float, source):
+    """Distance (m) from free cell ``source`` to every free cell (by index),
+    from one unbounded undirected search over ``one_direction_graph``."""
+    graph, index = one_direction_graph(occupancy, resolution)
+    return dijkstra(graph, directed=False, indices=int(index[source[1], source[0]])), index
 
 
 def snap_free_cell_rings(occupancy, origin, resolution: float, point):

@@ -175,11 +175,20 @@ def _task_without_query(tree):
     tree["tasks"][0].pop("image", None)
 
 
+def _event_moves_an_unknown_object(tree):
+    tree["events"][0]["object_id"] = "ghost_0"
+
+
+def _event_targets_an_unknown_carrier(tree):
+    tree["events"][0]["target_carrier_id"] = "ghost_table"
+
+
 @pytest.mark.parametrize("defect", [_drop_scene_file, _drop_tasks, _event_without_kind,
                                     _unknown_config_key, _unknown_ground_truth,
                                     _config_fails_its_own_check, _list_as_root,
                                     _sensor_not_an_object, _sensor_radius_not_a_number,
-                                    _task_without_query])
+                                    _task_without_query, _event_moves_an_unknown_object,
+                                    _event_targets_an_unknown_carrier])
 def test_malformed_scenario_is_bad_input(scenario_dir, tmp_path, capsys, defect):
     tree = json.loads((scenario_dir / "scenario_0000.json").read_text())
     tree["scene_file"] = str(scenario_dir / tree["scene_file"])

@@ -560,13 +560,15 @@ class TestRunTask:
 
     def test_one_search_per_pose(self, monkeypatch):
         # the shortest baseline, the initial candidate distance, the ranking
-        # and the leg path share one search; the Stop step runs none
+        # and the leg path read one pose's search, which only grows (a
+        # strictly larger limit) when a read lies beyond it; the Stop step
+        # reads nothing
         import carriernav.world as world_mod
         searches = []
         real = world_mod.dijkstra
 
         def counting(*args, **kwargs):
-            searches.append(kwargs["indices"])
+            searches.append((kwargs["indices"], kwargs["limit"]))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(world_mod, "dijkstra", counting)
@@ -585,8 +587,18 @@ class TestRunTask:
         monkeypatch.setattr(world, "travel", travel)
         r = run_task(world, crsg, self.task(), rng=Random(0))
         assert r.success and r.action_count >= 3
-        assert 0 < len(searches) <= len(poses)
-        assert len(set(searches)) == len(searches)
+        runs = []  # consecutive searches from one source
+        for source, limit in searches:
+            if runs and runs[-1][0] == source:
+                runs[-1][1].append(limit)
+            else:
+                runs.append((source, [limit]))
+        assert 0 < len(runs) <= len(poses)
+        # a pose's searches are never split by another pose's
+        assert len({source for source, _ in runs}) == len(runs)
+        for _, limits in runs:
+            assert all(a < b for a, b in zip(limits, limits[1:]))
+            assert sum(math.isinf(x) for x in limits) <= 1
 
     def test_one_match_per_sighting_per_leg(self, monkeypatch):
         # a leg's sightings are its travel's first sightings plus the visited

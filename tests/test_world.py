@@ -97,6 +97,47 @@ class TestGridGeometry:
             empty_world(blocked=[(0, 0)], start=Pose([0.125, 0.125]))
 
 
+def walk_back(w, dist, start, goal):
+    """The written tie-break rule re-run on ``dist`` (cell -> meters): from
+    the goal, step to the first allowed ``STEP_ORDER`` neighbour whose
+    distance plus the step equals the current cell's.  Start to goal."""
+    def allowed(a, b):
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        return w.is_free(b) and (dx == 0 or dy == 0 or (
+            w.is_free((a[0] + dx, a[1])) and w.is_free((a[0], a[1] + dy))))
+
+    path = [goal]
+    while path[-1] != start:
+        here = path[-1]
+        path.append(next(
+            (here[0] + dx, here[1] + dy) for dx, dy in STEP_ORDER
+            if allowed(here, (here[0] + dx, here[1] + dy))
+            and abs(dist((here[0] + dx, here[1] + dy)) + math.hypot(dx, dy) * w.resolution
+                    - dist(here)) <= 1e-9 * w.resolution))
+    return path[::-1]
+
+
+def pocketed_world(mode, resolution):
+    """A generated world plus a walled-in 3x3 pocket around the free cell
+    farthest from the start, so some free cells are unreachable."""
+    sc = build_scenario(mode, 0, 5, resolution)
+    w = GridWorld(sc.scene, start_pose=sc.start_pose)
+    start = w.snap_free_cell(w.robot.position)
+    full, index = oracles.full_grid_distances(w.occupancy, resolution, start)
+    iy, ix = (int(v) for v in np.argwhere(index == int(np.argmax(full)))[0])
+    tree = sc.scene.to_dict()
+    tree["grid"]["blocked_cells"] += [
+        [ix + dx, iy + dy] for dx in range(-2, 3) for dy in range(-2, 3)
+        if max(abs(dx), abs(dy)) == 2 and 0 <= ix + dx < w.width and 0 <= iy + dy < w.height]
+    return GridWorld(scene_from_dict(tree), start_pose=sc.start_pose)
+
+
+def sample_cells(rng, mask, k):
+    """k distinct (ix, iy) cells where the [iy, ix] ``mask`` holds."""
+    cells = np.argwhere(mask)
+    return [(int(cells[i][1]), int(cells[i][0])) for i in rng.sample(range(len(cells)), k)]
+
+
 class TestPlanning:
     def test_trivial_and_straight_paths(self):
         w = empty_world()
@@ -210,32 +251,130 @@ class TestPlanning:
         free = [(ix, iy) for ix in range(w.width) for iy in range(w.height)
                 if w.is_free((ix, iy))]
 
-        def allowed(a, b):
-            dx, dy = b[0] - a[0], b[1] - a[1]
-            return w.is_free(b) and (dx == 0 or dy == 0 or (
-                w.is_free((a[0] + dx, a[1])) and w.is_free((a[0], a[1] + dy))))
-
         for _ in range(4):
             start, goal = rng.choice(free), rng.choice(free)
-            dist = lambda c: oracles.dijkstra_grid_length(occ, 1.0, start, c)
+            dist = lambda c: oracles.dijkstra_grid_length(occ, w.resolution, start, c)
             if math.isinf(dist(goal)):
                 continue
-            expected = [goal]
-            while expected[-1] != start:
-                here = expected[-1]
-                expected.append(next(
-                    (here[0] + dx, here[1] + dy) for dx, dy in STEP_ORDER
-                    if allowed(here, (here[0] + dx, here[1] + dy))
-                    and abs(dist((here[0] + dx, here[1] + dy)) + math.hypot(dx, dy)
-                            - dist(here)) < 1e-9))
             path, _ = w.shortest_path(w.cell_center(start), w.cell_center(goal))
-            assert path == expected[::-1]
+            assert path == walk_back(w, dist, start, goal)
 
     def test_distance_field_blocked_cell_is_inf(self):
         w = empty_world(blocked=[(2, 2)])
         field = w.distance_field([0.125, 0.125])
         assert math.isinf(field.to_cell((2, 2)))
         assert field.to_point([0.125, 0.125]) == 0.0
+
+
+class TestBoundedSearch:
+    """Bounded searches against one unbounded undirected search over the
+    planner's former one-direction graph: every read must be bit-equal."""
+
+    @pytest.mark.parametrize("resolution", [0.25, 0.05])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_graph_is_the_former_graph_made_symmetric(self, mode, resolution):
+        w = pocketed_world(mode, resolution)
+        graph, index = w._free_graph()
+        old, old_index = oracles.one_direction_graph(w.occupancy, resolution)
+        assert np.array_equal(index, old_index)
+        assert graph.shape == old.shape
+        assert (graph != old + old.T).nnz == 0
+
+    @pytest.mark.parametrize("order", ["random", "near-first", "far-first"])
+    @pytest.mark.parametrize("resolution", [0.25, 0.05])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_bounded_reads_equal_the_full_search(self, mode, resolution, order):
+        # one source's reads are split by another's, so the memo changes
+        # source and a field reads on after a later source's search
+        w = pocketed_world(mode, resolution)
+        rng = Random(f"{mode}/{resolution}/{order}")
+        reads = []
+        for source in (w.snap_free_cell(w.robot.position), sample_cells(rng, ~w.occupancy, 1)[0]):
+            full, index = oracles.full_grid_distances(w.occupancy, resolution, source)
+            unreachable = (index >= 0) & np.isinf(full[index])
+            assert unreachable.any()  # the pocket
+            cells = (sample_cells(rng, ~w.occupancy, 40) + sample_cells(rng, unreachable, 2)
+                     + [source])
+            points = [w.cell_center(c) for c in cells]
+            points += [obj.centroid[:2] for obj in w.scene.objects.values()]
+            expected = []
+            for point in points:
+                ix, iy = w.snap_free_cell(point)
+                expected.append(full[index[iy, ix]])
+            # blocked cells have no distance
+            points += [None] * 5
+            cells = [None] * len(expected) + sample_cells(rng, w.occupancy, 5)
+            expected += [math.inf] * 5
+            order_key = {"random": lambda e: rng.random(),
+                         "near-first": lambda e: e, "far-first": lambda e: -e}[order]
+            ranked = sorted(zip(expected, points, cells), key=lambda t: order_key(t[0]))
+            reads.append((w.distance_field(w.cell_center(source)), ranked))
+        (field_a, reads_a), (field_b, reads_b) = reads
+        half = len(reads_a) // 2
+        for field, batch in ((field_a, reads_a[:half]), (field_b, reads_b),
+                             (field_a, reads_a[half:])):
+            for exp, point, cell in batch:
+                got = field.to_cell(cell) if point is None else field.to_point(point)
+                assert got == exp, (point, cell)
+
+    @pytest.mark.parametrize("resolution", [0.25, 0.05])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_bounded_paths_equal_the_full_search(self, mode, resolution):
+        w = pocketed_world(mode, resolution)
+        rng = Random(f"{mode}/{resolution}/paths")
+        start = w.snap_free_cell(w.robot.position)
+        full, index = oracles.full_grid_distances(w.occupancy, resolution, start)
+        dist = lambda c: full[index[c[1], c[0]]]
+        goals = [w.snap_free_cell(obj.centroid[:2]) for obj in w.scene.objects.values()]
+        goals += sample_cells(rng, ~w.occupancy, 6)
+        goals += sample_cells(rng, (index >= 0) & np.isinf(full[index]), 1)
+        rng.shuffle(goals)
+        for goal in goals:
+            if math.isinf(dist(goal)):
+                with pytest.raises(UnreachableGoalError):
+                    w.shortest_path(w.cell_center(start), w.cell_center(goal))
+                continue
+            path, length = w.shortest_path(w.cell_center(start), w.cell_center(goal))
+            assert path == walk_back(w, dist, start, goal)
+            assert length == pytest.approx(dist(goal), abs=1e-9)
+
+    def test_searches_stop_at_the_distance_read(self, monkeypatch):
+        import carriernav.world as world_mod
+        limits = []
+        real = world_mod.dijkstra
+        monkeypatch.setattr(world_mod, "dijkstra",
+                            lambda *a, **k: limits.append(k["limit"]) or real(*a, **k))
+        w = empty_world(width=64, height=64)
+        field = w.distance_field(w.cell_center((0, 0)))
+        assert field.to_cell((3, 0)) == 0.75
+        assert limits == [pytest.approx(2 * 0.75)]
+        assert math.isinf(w._search_memo[2][w._free_graph()[1][0, 10]])
+        assert field.to_cell((2, 1)) == pytest.approx(0.25 + SQRT2 * 0.25)
+        assert len(limits) == 1  # nearer than the limit: the memo answers
+        assert field.to_cell((10, 0)) == 2.5
+        assert limits[1] == pytest.approx(max(2 * limits[0], 2 * 2.5))
+        # twice the octile distance to (63, 63) covers the whole grid
+        assert field.to_cell((63, 63)) == pytest.approx(63 * SQRT2 * 0.25)
+        assert math.isinf(limits[2]) and len(limits) == 3
+        assert field.to_cell((0, 63)) == 63 * 0.25 and len(limits) == 3
+
+    def test_a_detour_grows_the_search_until_it_is_reached(self, monkeypatch):
+        # the cell right across a wall is 0.5 m away as the crow flies, but
+        # the way round the wall's end is far longer
+        import carriernav.world as world_mod
+        limits = []
+        real = world_mod.dijkstra
+        monkeypatch.setattr(world_mod, "dijkstra",
+                            lambda *a, **k: limits.append(k["limit"]) or real(*a, **k))
+        wall = [(5, iy) for iy in range(60)]
+        w = empty_world(width=64, height=64, blocked=wall)
+        occ = [[bool(w.occupancy[iy, ix]) for ix in range(w.width)] for iy in range(w.height)]
+        expected = oracles.dijkstra_grid_length(occ, w.resolution, (4, 0), (6, 0))
+        assert w.distance_field(w.cell_center((4, 0))).to_cell((6, 0)) == pytest.approx(
+            expected, abs=1e-9)
+        assert limits[0] == pytest.approx(1.0)
+        assert all(b == pytest.approx(2 * a) for a, b in zip(limits, limits[1:-1]))
+        assert math.isinf(limits[-1]) and limits[-2] < expected
 
 
 def sensing_world():
@@ -296,6 +435,18 @@ class TestSensing:
         cup.object.visual_feature[:] = 0.0
         assert truth.to_dict() == before
 
+    def test_skipped_ids_get_no_snapshot(self, monkeypatch):
+        w = sensing_world()
+        pose, sensor = Pose([2.0, 3.5]), SensorConfig(radius=25.0)
+        everything = [o.object_id for o in w.observe(pose, sensor)]
+        built = []
+        real = w._observation_of
+        monkeypatch.setattr(w, "_observation_of",
+                            lambda obj, depth: built.append(obj.id) or real(obj, depth))
+        rest = [o.object_id for o in w.observe(pose, sensor, {"cup_0"})]
+        assert rest == [oid for oid in everything if oid != "cup_0"]
+        assert built == rest
+
     def test_sensor_config_validation(self):
         with pytest.raises(WorldError):
             SensorConfig(radius=0.0)
@@ -309,7 +460,7 @@ class TestTravel:
         path, length = w.shortest_path(w.robot.position, [5.0, 2.0])
         sensed = []
         observe = w.observe
-        w.observe = lambda pose, sensor: sensed.append(pose.position.copy()) or observe(pose, sensor)
+        w.observe = lambda pose, sensor, skip: sensed.append(pose.position.copy()) or observe(pose, sensor, skip)
         log = w.travel(path, SensorConfig())
         assert log.length == pytest.approx(length)
         assert np.allclose(w.robot.position, w.cell_center(path[-1]))
@@ -323,8 +474,13 @@ class TestTravel:
         for cell in path:  # the full-circle sensor ignores heading
             for obs in w.observe(Pose(w.cell_center(cell)), SensorConfig()):
                 first.setdefault(obs.object_id, obs.mean_depth)
+        built = []
+        real = w._observation_of
+        w._observation_of = lambda obj, depth: built.append(obj.id) or real(obj, depth)
         log = w.travel(path, SensorConfig())
         assert sorted(log.observations) == ["cup_0", "cup_far", "table_0"]
+        # only first sightings are snapshotted
+        assert sorted(built) == sorted(log.observations)
         # each object keeps its first sighting's depth
         assert {oid: o.mean_depth for oid, o in log.observations.items()} == first
 
