@@ -35,7 +35,7 @@ import numpy as np
 from .graph import CrsgConfig, Query
 from .policy import PolicyConfig, PolicyError, Task
 from .priors import AFFINITY_RANKINGS
-from .scene import SceneMap, scene_from_dict
+from .scene import SceneError, SceneMap, scene_from_dict
 from .update import MatchConfig
 from .world import DisplacementEvent, GridWorld, Pose, SensorConfig
 
@@ -651,8 +651,9 @@ def load_scenario(path: str) -> Scenario:
 
     Any defect of the scenario file raises ``ScenarioError``: a missing or
     unknown key, a wrong JSON type, a value that fails its config's,
-    event's or task's own check, or a ``ground_truth_id`` or event object
-    id that the scene lacks.
+    event's or task's own check, a scene file that cannot be read or
+    parsed (its ``SceneError`` is the cause), or a ``ground_truth_id`` or
+    event object id that the scene lacks.
     """
     p = Path(path)
     with open(p) as fh:
@@ -664,8 +665,8 @@ def load_scenario(path: str) -> Scenario:
     try:
         with open(p.parent / top.scene_file) as fh:
             scene = scene_from_dict(json.load(fh))
-    except OSError as exc:
-        raise ScenarioError(f"{path}: cannot read the scene file: {exc}") from None
+    except (OSError, json.JSONDecodeError, SceneError) as exc:
+        raise ScenarioError(f"{path}: cannot load the scene file: {exc}") from exc
     for t in top.tasks:
         if t.ground_truth_id not in scene.objects:
             raise ScenarioError(

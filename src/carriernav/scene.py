@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -310,34 +312,94 @@ def _require(mapping: dict, key: str, ctx: str):
     return mapping[key]
 
 
-def _parse_object(raw: dict, feature_mode: str, dim: int) -> ObjectInstance:
-    oid = _require(raw, "id", "object")
-    captions = _require(raw, "captions", f"object {oid!r}")
-    if not isinstance(captions, list) or not all(isinstance(c, str) for c in captions):
-        raise SceneParseError(f"object {oid!r}: captions must be a list of strings")
-    box_raw = _require(raw, "box", f"object {oid!r}")
-    box = Box3(np.asarray(_require(box_raw, "min", f"object {oid!r} box")),
-               np.asarray(_require(box_raw, "max", f"object {oid!r} box")))
-    centroid = np.asarray(_require(raw, "centroid", f"object {oid!r}"), dtype=np.float64)
+# Typed readers for JSON values: each returns the value or raises
+# SceneParseError.  Booleans are not numbers, and numbers must be finite.
 
-    text_feature = raw.get("text_feature")
-    visual_feature = raw.get("visual_feature")
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise SceneParseError(f"{what} must be a JSON object, not {value!r}")
+    return value
+
+
+def _array(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise SceneParseError(f"{what} must be a JSON array, not {value!r}")
+    return value
+
+
+def _string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise SceneParseError(f"{what} must be a string, not {value!r}")
+    return value
+
+
+def _integer(value, what: str) -> int:
+    if type(value) is not int:
+        raise SceneParseError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+def _number(value, what: str) -> float:
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise SceneParseError(f"{what} must be a finite number, not {value!r}")
+    return float(value)
+
+
+def _numbers(value, what: str, length: Optional[int] = None) -> np.ndarray:
+    """An array of finite numbers, of ``length`` entries if given."""
+    if isinstance(value, list) and (length is None or len(value) == length):
+        kinds = set(map(type, value))
+        # an integer beyond the float range has no float64 value
+        if kinds <= {int, float} and (
+                int not in kinds or all(abs(v) <= sys.float_info.max for v in value)):
+            vec = np.array(value, dtype=np.float64)
+            if np.isfinite(vec).all():
+                return vec
+    size = "" if length is None else f"{length} "
+    raise SceneParseError(f"{what} must be an array of {size}finite numbers, not {value!r}")
+
+
+def _cells(value, what: str) -> list:
+    """An array of [ix, iy] integer pairs (checked in bulk: grids block
+    thousands of cells)."""
+    cells = _array(value, what)
+    if (set(map(type, cells)) <= {list} and set(map(len, cells)) <= {2}
+            and set(map(type, chain.from_iterable(cells))) <= {int}):
+        return cells
+    raise SceneParseError(f"{what} must be an array of [ix, iy] integer pairs")
+
+
+def _optional(read, value, what: str):
+    return None if value is None else read(value, what)
+
+
+def _parse_object(raw, feature_mode: str, dim: int) -> ObjectInstance:
+    raw = _object(raw, "object")
+    oid = _string(_require(raw, "id", "object"), "object id")
+    ctx = f"object {oid!r}"
+    captions = _require(raw, "captions", ctx)
+    if not isinstance(captions, list) or not all(isinstance(c, str) for c in captions):
+        raise SceneParseError(f"{ctx}: captions must be a list of strings")
+    box_raw = _object(_require(raw, "box", ctx), f"{ctx} box")
+    box = Box3(_numbers(_require(box_raw, "min", f"{ctx} box"), f"{ctx} box min", 3),
+               _numbers(_require(box_raw, "max", f"{ctx} box"), f"{ctx} box max", 3))
+    centroid = _numbers(_require(raw, "centroid", ctx), f"{ctx} centroid", 3)
+
+    text_feature = _optional(_numbers, raw.get("text_feature"), f"{ctx} text_feature")
+    visual_feature = _optional(_numbers, raw.get("visual_feature"), f"{ctx} visual_feature")
     if feature_mode == "embedded":
         if text_feature is None or visual_feature is None:
             raise SceneValidationError(
-                f"object {oid!r}: embedded feature mode requires stored features"
+                f"{ctx}: embedded feature mode requires stored features"
             )
-        text_vec = np.asarray(text_feature, dtype=np.float64)
-        visual_vec = np.asarray(visual_feature, dtype=np.float64)
+        text_vec, visual_vec = text_feature, visual_feature
     else:
         joined = " ".join(captions)
-        text_vec = embed_text(joined, dim) if text_feature is None else np.asarray(text_feature)
-        visual_vec = embed_text(joined, dim) if visual_feature is None else np.asarray(visual_feature)
+        text_vec = embed_text(joined, dim) if text_feature is None else text_feature
+        visual_vec = embed_text(joined, dim) if visual_feature is None else visual_feature
     for name, vec in (("text_feature", text_vec), ("visual_feature", visual_vec)):
-        if vec.ndim != 1 or vec.shape[0] != dim:
-            raise SceneValidationError(f"object {oid!r}: {name} has wrong dimension")
-        if not np.all(np.isfinite(vec)):
-            raise SceneValidationError(f"object {oid!r}: {name} has non-finite entries")
+        if vec.shape[0] != dim:
+            raise SceneValidationError(f"{ctx}: {name} has wrong dimension")
     return ObjectInstance(
         id=oid,
         captions=list(captions),
@@ -345,44 +407,54 @@ def _parse_object(raw: dict, feature_mode: str, dim: int) -> ObjectInstance:
         centroid=centroid,
         text_feature=text_vec,
         visual_feature=visual_vec,
-        room_id=raw.get("room_id"),
+        room_id=_optional(_string, raw.get("room_id"), f"{ctx} room_id"),
     )
 
 
 def scene_from_dict(tree: dict) -> SceneMap:
-    if not isinstance(tree, dict):
-        raise SceneParseError("scene root must be a JSON object")
-    header = _require(tree, "header", "scene")
+    """Scene from a parsed JSON tree.
+
+    A value of the wrong JSON type, a missing key or an unsupported
+    version raises ``SceneParseError``; content that breaks a scene
+    invariant raises ``SceneValidationError``.
+    """
+    tree = _object(tree, "scene root")
+    header = _object(_require(tree, "header", "scene"), "header")
     version = _require(header, "version", "header")
-    if version != 1:
+    if type(version) is not int or version != 1:
         raise SceneParseError(f"unsupported scene version {version!r}")
-    feature_mode = header.get("feature_mode", "synthesize")
+    feature_mode = _string(header.get("feature_mode", "synthesize"), "header feature_mode")
     if feature_mode not in ("embedded", "synthesize"):
         raise SceneParseError(f"unknown feature_mode {feature_mode!r}")
-    dim = int(header.get("embedding_dim", DEFAULT_EMBEDDING_DIM))
-    name = header.get("name", "scene")
+    dim = _integer(header.get("embedding_dim", DEFAULT_EMBEDDING_DIM), "header embedding_dim")
+    if dim <= 0:
+        raise SceneValidationError(f"embedding_dim must be positive, got {dim}")
+    name = _string(header.get("name", "scene"), "header name")
 
-    grid_raw = _require(tree, "grid", "scene")
+    grid_raw = _object(_require(tree, "grid", "scene"), "grid")
     grid = GridSpec(
-        resolution=float(grid_raw.get("resolution", DEFAULT_GRID_RESOLUTION)),
-        width=int(_require(grid_raw, "width", "grid")),
-        height=int(_require(grid_raw, "height", "grid")),
-        origin=np.asarray(grid_raw.get("origin", [0.0, 0.0]), dtype=np.float64),
-        blocked_cells=[tuple(c) for c in grid_raw.get("blocked_cells", [])],
+        resolution=_number(grid_raw.get("resolution", DEFAULT_GRID_RESOLUTION), "grid resolution"),
+        width=_integer(_require(grid_raw, "width", "grid"), "grid width"),
+        height=_integer(_require(grid_raw, "height", "grid"), "grid height"),
+        origin=_numbers(grid_raw.get("origin", [0.0, 0.0]), "grid origin", 2),
+        blocked_cells=_cells(grid_raw.get("blocked_cells", []), "grid blocked_cells"),
     )
 
     rooms = []
-    for raw_room in tree.get("rooms", []):
+    for raw_room in _array(tree.get("rooms", []), "rooms"):
+        raw_room = _object(raw_room, "room")
+        rid = _string(_require(raw_room, "id", "room"), "room id")
+        polygon = _array(_require(raw_room, "polygon", f"room {rid!r}"), f"room {rid!r} polygon")
         rooms.append(
             Room(
-                id=_require(raw_room, "id", "room"),
-                polygon=np.asarray(_require(raw_room, "polygon", "room")),
-                name=raw_room.get("name", ""),
+                id=rid,
+                polygon=np.array([_numbers(v, f"room {rid!r} vertex", 2) for v in polygon]),
+                name=_string(raw_room.get("name", ""), f"room {rid!r} name"),
             )
         )
 
     objects: Dict[str, ObjectInstance] = {}
-    for raw_obj in tree.get("objects", []):
+    for raw_obj in _array(tree.get("objects", []), "objects"):
         obj = _parse_object(raw_obj, feature_mode, dim)
         if obj.id in objects:
             raise SceneValidationError(f"duplicate object id {obj.id!r}")

@@ -11,13 +11,23 @@ every distance read is exact.  Paths and distance fields both read the
 latest pose's search.  Sensing is a radius + field-of-view model with
 optional wall occlusion; an ``Observation`` is a copied snapshot of the
 sighted object plus its depth.
+
+Each derived fact is computed once per change to its inputs, in memos that
+live and die with the world:
+
+* facts of the grid, which never changes: the free-cell graph, the latest
+  pose's search and the snap of every point asked for;
+* facts of the objects: their centroids (for sensing) and the carrying
+  relation per set of ``CrsgConfig`` values.  Objects change only in
+  ``apply_displacement``, which clears both when it returns or raises.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Container, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,6 +40,9 @@ from .scene import Box3, ObjectInstance, SceneMap
 SQRT2 = math.sqrt(2.0)
 
 Cell = Tuple[int, int]
+
+# The memo key of a carrying relation: the config's field values.
+_crsg_values = attrgetter(*(f.name for f in fields(CrsgConfig)))
 
 # Path walk-back tie-break order: axis steps first, then diagonals.
 STEP_ORDER: Tuple[Cell, ...] = ((1, 0), (-1, 0), (0, 1), (0, -1),
@@ -141,7 +154,9 @@ class GridWorld:
 
         self._graph_cache: Optional[tuple] = None
         self._search_memo: Optional[Tuple[Cell, float, np.ndarray]] = None
+        self._snap_memo: Dict[Tuple[float, float], Cell] = {}
         self._centroid_cache: Optional[tuple] = None
+        self._carried_memo: Dict[tuple, Dict[str, List[str]]] = {}
 
     # ----- grid geometry -------------------------------------------------
 
@@ -173,8 +188,17 @@ class GridWorld:
         return 0 <= ix < self.width and 0 <= iy < self.height and not self.occupancy[iy, ix]
 
     def snap_free_cell(self, point: Sequence[float]) -> Cell:
-        """Nearest free cell to ``point`` by center distance, ties by (ix, iy)."""
-        target = np.asarray(point[:2], dtype=np.float64)
+        """Nearest free cell to ``point`` by center distance, ties by (ix, iy).
+
+        Memoized per (x, y): the grid never changes.
+        """
+        key = (float(point[0]), float(point[1]))
+        cell = self._snap_memo.get(key)
+        if cell is None:
+            cell = self._snap_memo[key] = self._snap(np.array(key))
+        return cell
+
+    def _snap(self, target: np.ndarray) -> Cell:
         cx = min(max(int(math.floor((target[0] - self.origin[0]) / self.resolution)), 0), self.width - 1)
         cy = min(max(int(math.floor((target[1] - self.origin[1]) / self.resolution)), 0), self.height - 1)
         max_ring = max(self.width, self.height)
@@ -218,53 +242,63 @@ class GridWorld:
         from the goal, each step goes to the first neighbour in
         ``STEP_ORDER`` that the movement rule allows and whose distance
         plus the step cost equals the current cell's distance (within
-        1e-9 * resolution).  Length is reconstructed from the (axis,
-        diagonal) step counts so it is exactly symmetric.  The search
-        only has to reach the goal: every cell of the walk is nearer.
+        1e-9 * resolution).  The graph row of a cell lists exactly those
+        allowed neighbours, in ``STEP_ORDER``, so the walk reads rows.
+        Length is reconstructed from the (axis, diagonal) step counts so
+        it is exactly symmetric.  The search only has to reach the goal:
+        every cell of the walk is nearer.
         """
         start_cell = self.snap_free_cell(start)
         goal_cell = self.snap_free_cell(goal)
         dist = self._search(start_cell, goal_cell)
-        index = self._free_graph()[1]
-        if math.isinf(dist[index[goal_cell[1], goal_cell[0]]]):
+        graph, index, cells = self._free_graph()
+        source = int(index[start_cell[1], start_cell[0]])
+        i = int(index[goal_cell[1], goal_cell[0]])
+        if math.isinf(dist[i]):
             raise UnreachableGoalError(f"no path from {start_cell} to {goal_cell}")
+        # memoryviews read items as Python numbers, much faster than arrays
+        dist, indptr, nbrs, steps, cells = (
+            memoryview(a) for a in (dist, graph.indptr, graph.indices, graph.data, cells))
+
+        def cell(i: int) -> Cell:
+            iy, ix = divmod(cells[i], self.width)
+            return (ix, iy)
+
         tol = 1e-9 * self.resolution
-        path = [goal_cell]
+        walk = [i]
         n_diag = 0
-        while path[-1] != start_cell:
-            ix, iy = path[-1]
-            here = dist[index[iy, ix]]
-            for dx, dy in STEP_ORDER:
-                diagonal = dx != 0 and dy != 0
-                if not self.is_free((ix + dx, iy + dy)):
-                    continue
-                # no corner cutting: both orthogonal cells must be free
-                if diagonal and not (self.is_free((ix + dx, iy)) and self.is_free((ix, iy + dy))):
-                    continue
-                step = (SQRT2 if diagonal else 1.0) * self.resolution
-                if abs(dist[index[iy + dy, ix + dx]] + step - here) <= tol:
-                    path.append((ix + dx, iy + dy))
-                    n_diag += diagonal
+        while i != source:
+            here = dist[i]
+            for j in range(indptr[i], indptr[i + 1]):
+                if abs(dist[nbrs[j]] + steps[j] - here) <= tol:
+                    i = nbrs[j]
+                    walk.append(i)
+                    if steps[j] > self.resolution:
+                        n_diag += 1
                     break
             else:
-                raise WorldError(f"distance field has no predecessor for {path[-1]}")
-        path.reverse()
+                raise WorldError(f"distance field has no predecessor for {cell(i)}")
+        path = [cell(i) for i in reversed(walk)]
         n_axis = len(path) - 1 - n_diag
         length = (n_axis + n_diag * SQRT2) * self.resolution
         return path, length
 
-    def _free_graph(self) -> Tuple[csr_matrix, np.ndarray]:
-        """(symmetric 8-neighbour graph over the free cells, free-cell index).
+    def _free_graph(self) -> Tuple[csr_matrix, np.ndarray, np.ndarray]:
+        """(symmetric 8-neighbour graph over the free cells, free-cell
+        index, flat cell per row).
 
-        ``index[iy, ix]`` is a free cell's row, or -1 for a blocked cell.
-        Row i lists cell i's neighbours in ``STEP_ORDER``, weighted by the
-        step length; a diagonal step needs both orthogonal cells free (no
-        corner cutting).  Built once: the grid never changes.
+        ``index[iy, ix]`` is a free cell's row, or -1 for a blocked cell,
+        and ``cells[i]`` is row i's cell as ``iy * width + ix``.  Row i
+        lists cell i's neighbours in ``STEP_ORDER``, weighted by the step
+        length; a diagonal step needs both orthogonal cells free (no corner
+        cutting).  This is the one place the movement rule lives.  Built
+        once: the grid never changes.
         """
         if self._graph_cache is None:
             free = ~self.occupancy
             h, w = free.shape
             n = int(free.sum())
+            cells = np.flatnonzero(free).astype(np.int32)
             index = np.full(free.shape, -1, dtype=np.int32)
             index[free] = np.arange(n, dtype=np.int32)
             # a one-cell blocked border makes every neighbour a slice view
@@ -288,7 +322,7 @@ class GridWorld:
             np.cumsum(edge.sum(axis=1), out=indptr[1:])
             graph = csr_matrix((np.broadcast_to(step, cols.shape)[edge], cols[edge], indptr),
                                shape=(n, n))
-            self._graph_cache = (graph, index)
+            self._graph_cache = (graph, index, cells)
         return self._graph_cache
 
     def _octile(self, a: Cell, b: Cell) -> float:
@@ -312,7 +346,7 @@ class GridWorld:
         "unreachable".  The grid never changes after ``__init__``, so the
         memo never goes stale.
         """
-        graph, index = self._free_graph()
+        graph, index, _ = self._free_graph()
         target = index[cell[1], cell[0]]
         memo = self._search_memo
         limit, dist = (0.0, None) if memo is None or memo[0] != source else memo[1:]
@@ -453,16 +487,27 @@ class GridWorld:
 
         Exclusive like graph construction: an object counts for its nearest
         satisfying base only, and only furniture-scale ground-contact boxes
-        qualify as bases, so stacked items never capture each other.
+        qualify as bases, so stacked items never capture each other.  The
+        whole relation is built once per displacement and per set of
+        ``config`` values.
         """
-        carrier = self.object(carrier_id)
-        bases = geometric_carrier_filter(list(self.scene.objects.values()), config)
-        # the direct predicate test is a cheap reject before the full scan
-        return sorted(
-            oid for oid, obj in self.scene.objects.items()
-            if carrying_predicate(carrier, obj, config)
-            and nearest_carrier(obj, bases, config) == carrier_id
-        )
+        self.object(carrier_id)
+        key = _crsg_values(config)
+        relation = self._carried_memo.get(key)
+        if relation is None:
+            relation = self._carried_memo[key] = self._carried_relation(config)
+        return list(relation.get(carrier_id, ()))
+
+    def _carried_relation(self, config: CrsgConfig) -> Dict[str, List[str]]:
+        """Base id -> sorted ids of the objects whose nearest carrier it is."""
+        objects = self.scene.objects
+        bases = geometric_carrier_filter(list(objects.values()), config)
+        relation: Dict[str, List[str]] = {}
+        for oid in sorted(objects):
+            cid = nearest_carrier(objects[oid], bases, config)
+            if cid is not None:
+                relation.setdefault(cid, []).append(oid)
+        return relation
 
     def carried_observations(self, carrier_id: str, pose: Pose, config: CrsgConfig) -> List[Observation]:
         """Full view of a carrier's current occupants, granted at its side."""
@@ -488,21 +533,21 @@ class GridWorld:
                 f"object too large for carrier {carrier.id!r} footprint"
             )
         step = max(0.05, float(min(extents[0], extents[1])) / 2.0)
-        xs = np.arange(lo[0], hi[0] + 1e-9, step)
-        ys = np.arange(lo[1], hi[1] + 1e-9, step)
+        xs, ys = np.meshgrid(np.arange(lo[0], hi[0] + 1e-9, step),
+                             np.arange(lo[1], hi[1] + 1e-9, step), indexing="ij")
+        xs, ys = xs.ravel(), ys.ravel()
         center = carrier.centroid[:2]
-        spots = sorted(
-            ((float(np.hypot(x - center[0], y - center[1])), round(float(x), 6), round(float(y), 6))
-             for x in xs for y in ys),
-        )
+        # nearest the center first, ties by x then y
+        order = np.lexsort((ys, xs, np.hypot(xs - center[0], ys - center[1])))
         occupants = [
             self.scene.objects[oid]
             for oid in self.ground_truth_carried(carrier.id, config)
             if oid != skip_id
         ]
-        n = len(spots)
+        n = len(order)
         for k in range(n):
-            _, x, y = spots[(start_index + k) % n]
+            i = order[(start_index + k) % n]
+            x, y = round(float(xs[i]), 6), round(float(ys[i]), 6)
             box_min = np.array([x - half[0], y - half[1]])
             box_max = np.array([x + half[0], y + half[1]])
             clear = True
@@ -520,13 +565,21 @@ class GridWorld:
         """Mutate ground truth per the event; belief graphs are untouched.
 
         ``spot_index`` rotates the spiral scan so seeded callers can vary
-        placements deterministically.
+        placements deterministically.  This is the only place objects
+        change, so it clears the object memos when it returns or raises
+        (a rejected move has already re-seated its object).
         """
+        try:
+            self._displace(event, config, spot_index)
+        finally:
+            self._centroid_cache = None
+            self._carried_memo.clear()
+
+    def _displace(self, event: DisplacementEvent, config: CrsgConfig, spot_index: int) -> None:
         if event.kind == "remove":
             if event.object_id not in self.scene.objects:
                 raise DisplacementError(f"cannot remove unknown object {event.object_id!r}")
             del self.scene.objects[event.object_id]
-            self._centroid_cache = None
             return
 
         if event.kind == "move":
@@ -544,7 +597,6 @@ class GridWorld:
                 raise DisplacementError(
                     f"placement of {obj.id!r} on {carrier.id!r} violates the carrying predicate"
                 )
-            self._centroid_cache = None
             return
 
         # add
@@ -577,7 +629,6 @@ class GridWorld:
             visual_feature=embed_text(joined, dim),
         )
         self.scene.objects[oid] = obj
-        self._centroid_cache = None
 
 
 class DistanceField:

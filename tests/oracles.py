@@ -7,7 +7,9 @@ the package's scipy search, distance fields from one unbounded search over
 the planner's former one-direction graph instead of bounded searches over
 its symmetric one, similarities from exact token counts instead of hashed
 vectors, and the carried relation from a quadratic scan instead of the
-construction funnel.  A bug would have to be made twice to go unnoticed.
+construction funnel.  The world's memos are checked against the rules they
+replaced, computed afresh on every call.  A bug would have to be made twice
+to go unnoticed.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
+
+from carriernav.graph import carrying_predicate, geometric_carrier_filter, nearest_carrier
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 
@@ -288,6 +292,59 @@ def brute_force_relation(scene, cfg):
         else:
             relation[best[1]].add(oid)
     return carriers, relation, orphans
+
+
+# --- world ground truth, without memos
+
+
+def ground_truth_carried_per_call(world, carrier_id, cfg) -> list:
+    """Sorted ids resting on ``carrier_id``, scanned afresh: objects that
+    satisfy the carrying predicate with it and whose nearest satisfying
+    base it is.  The world's rule before it kept one relation per change."""
+    carrier = world.scene.objects[carrier_id]
+    bases = geometric_carrier_filter(list(world.scene.objects.values()), cfg)
+    return sorted(
+        oid for oid, obj in world.scene.objects.items()
+        if carrying_predicate(carrier, obj, cfg)
+        and nearest_carrier(obj, bases, cfg) == carrier_id
+    )
+
+
+def free_spot_sorted_tuples(world, carrier, extents, cfg, skip_id="", start_index=0):
+    """(x, y) of the first clear spot on ``carrier``, or None.
+
+    The placement scan before its one-sort rewrite: every spot of the
+    carrier top becomes a (center distance, rounded x, rounded y) tuple,
+    the tuples are sorted, and the scan starts at ``start_index`` (mod the
+    spot count) and takes the first spot whose box keeps a 2 cm margin
+    from every other occupant.  None when the object does not fit or no
+    spot is clear.
+    """
+    half = extents[:2] / 2.0
+    margin = 0.02
+    lo = carrier.box.min[:2] + half + margin
+    hi = carrier.box.max[:2] - half - margin
+    if np.any(hi < lo):
+        return None
+    step = max(0.05, float(min(extents[0], extents[1])) / 2.0)
+    xs = np.arange(lo[0], hi[0] + 1e-9, step)
+    ys = np.arange(lo[1], hi[1] + 1e-9, step)
+    center = carrier.centroid[:2]
+    spots = sorted(
+        (float(np.hypot(x - center[0], y - center[1])), round(float(x), 6), round(float(y), 6))
+        for x in xs for y in ys
+    )
+    occupants = [world.scene.objects[oid]
+                 for oid in ground_truth_carried_per_call(world, carrier.id, cfg)
+                 if oid != skip_id]
+    for k in range(len(spots)):
+        _, x, y = spots[(start_index + k) % len(spots)]
+        if all(not (x - half[0] < occ.box.max[0] + margin and x + half[0] > occ.box.min[0] - margin
+                    and y - half[1] < occ.box.max[1] + margin
+                    and y + half[1] > occ.box.min[1] - margin)
+               for occ in occupants):
+            return np.array([x, y])
+    return None
 
 
 # --- scoring

@@ -134,53 +134,76 @@ class TestRunEpisode:
         assert main(["run-episode", "--scenario", str(tmp_path / "x.json")]) == 1
 
 
-def _drop_scene_file(tree):
+def _drop_scene_file(tree, scene):
     del tree["scene_file"]
 
 
-def _drop_tasks(tree):
+def _drop_tasks(tree, scene):
     del tree["tasks"]
 
 
-def _event_without_kind(tree):
+def _event_without_kind(tree, scene):
     tree["events"] = [{"trigger": "before-episode", "object_id": "cup_0"}]
 
 
-def _unknown_config_key(tree):
+def _unknown_config_key(tree, scene):
     tree["policy"]["omega3"] = 1.0
 
 
-def _unknown_ground_truth(tree):
+def _unknown_ground_truth(tree, scene):
     tree["tasks"][0]["ground_truth_id"] = "ghost_0"
 
 
-def _config_fails_its_own_check(tree):
+def _config_fails_its_own_check(tree, scene):
     tree["policy"]["sigma1"] = tree["policy"]["sigma2"] + 0.1
 
 
-def _list_as_root(tree):
+def _list_as_root(tree, scene):
     return [tree]
 
 
-def _sensor_not_an_object(tree):
+def _sensor_not_an_object(tree, scene):
     tree["sensor"] = 5
 
 
-def _sensor_radius_not_a_number(tree):
+def _sensor_radius_not_a_number(tree, scene):
     tree["sensor"] = {"radius": "big"}
 
 
-def _task_without_query(tree):
+def _task_without_query(tree, scene):
     tree["tasks"][0]["query_text"] = None
     tree["tasks"][0].pop("image", None)
 
 
-def _event_moves_an_unknown_object(tree):
+def _event_moves_an_unknown_object(tree, scene):
     tree["events"][0]["object_id"] = "ghost_0"
 
 
-def _event_targets_an_unknown_carrier(tree):
+def _event_targets_an_unknown_carrier(tree, scene):
     tree["events"][0]["target_carrier_id"] = "ghost_table"
+
+
+# defects of the scene file a scenario names
+
+
+def _grid_not_an_object(tree, scene):
+    scene["grid"] = 5
+
+
+def _blocked_cell_of_one_number(tree, scene):
+    scene["grid"]["blocked_cells"] = [[1]]
+
+
+def _objects_not_an_array(tree, scene):
+    scene["objects"] = 3
+
+
+def _resolution_not_a_number(tree, scene):
+    scene["grid"]["resolution"] = float("nan")
+
+
+def _resolution_a_boolean(tree, scene):
+    scene["grid"]["resolution"] = True
 
 
 @pytest.mark.parametrize("defect", [_drop_scene_file, _drop_tasks, _event_without_kind,
@@ -188,11 +211,15 @@ def _event_targets_an_unknown_carrier(tree):
                                     _config_fails_its_own_check, _list_as_root,
                                     _sensor_not_an_object, _sensor_radius_not_a_number,
                                     _task_without_query, _event_moves_an_unknown_object,
-                                    _event_targets_an_unknown_carrier])
+                                    _event_targets_an_unknown_carrier, _grid_not_an_object,
+                                    _blocked_cell_of_one_number, _objects_not_an_array,
+                                    _resolution_not_a_number, _resolution_a_boolean])
 def test_malformed_scenario_is_bad_input(scenario_dir, tmp_path, capsys, defect):
     tree = json.loads((scenario_dir / "scenario_0000.json").read_text())
-    tree["scene_file"] = str(scenario_dir / tree["scene_file"])
-    tree = defect(tree) or tree
+    scene = json.loads((scenario_dir / tree["scene_file"]).read_text())
+    tree["scene_file"] = "scene.json"
+    tree = defect(tree, scene) or tree
+    (tmp_path / "scene.json").write_text(json.dumps(scene))
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(tree))
     with pytest.raises(ScenarioError):

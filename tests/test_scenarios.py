@@ -19,6 +19,7 @@ from carriernav.scenarios import (
     generate_scenarios,
     load_scenario,
 )
+from carriernav.scene import SceneError, scene_from_dict
 from carriernav.world import GridWorld
 
 
@@ -260,3 +261,38 @@ def test_a_value_of_another_json_type_is_loaded_or_rejected(scenario_tree, data)
         load_scenario(str(path))
     except ScenarioError:
         pass
+
+
+def _scene_sites(value, site=()):
+    """Every key of every object and the first entry of every array in a
+    scene tree, as paths from its root."""
+    if isinstance(value, dict):
+        items = sorted(value.items())
+    elif isinstance(value, list) and value:
+        items = [(0, value[0])]
+    else:
+        return []
+    sites = []
+    for key, inner in items:
+        sites.append(site + (key,))
+        sites += _scene_sites(inner, site + (key,))
+    return sites
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_scene_value_of_another_json_type_is_loaded_or_rejected(scenario_tree, data):
+    tree, _ = scenario_tree
+    with open(tree["scene_file"]) as fh:
+        scene = json.load(fh)
+    site = data.draw(st.sampled_from(_scene_sites(scene)))
+    parent = scene
+    for step in site[:-1]:
+        parent = parent[step]
+    old = parent[site[-1]]
+    parent[site[-1]] = data.draw(JSON_VALUES.filter(lambda v: _json_type(v) != _json_type(old)))
+    try:
+        scene_from_dict(scene)
+    except SceneError:
+        pass
+

@@ -88,6 +88,10 @@ class TestGridGeometry:
             for x in (lo[0] - pad, mid[0], hi[0] + pad):
                 for y in (lo[1] - pad, mid[1], hi[1] + pad):
                     points.append(np.array([x, y]))
+        # each point again, as a tuple, in interleaved order: the memo's
+        # repeats must answer as the search does
+        points += [tuple(float(v) for v in p) for p in points]
+        rng.shuffle(points)
         for point in points:
             assert w.snap_free_cell(point) == oracles.snap_free_cell_rings(
                 w.occupancy, w.origin, resolution, point), point
@@ -274,7 +278,7 @@ class TestBoundedSearch:
     @pytest.mark.parametrize("mode", MODES)
     def test_graph_is_the_former_graph_made_symmetric(self, mode, resolution):
         w = pocketed_world(mode, resolution)
-        graph, index = w._free_graph()
+        graph, index, _ = w._free_graph()
         old, old_index = oracles.one_direction_graph(w.occupancy, resolution)
         assert np.array_equal(index, old_index)
         assert graph.shape == old.shape
@@ -337,6 +341,7 @@ class TestBoundedSearch:
             path, length = w.shortest_path(w.cell_center(start), w.cell_center(goal))
             assert path == walk_back(w, dist, start, goal)
             assert length == pytest.approx(dist(goal), abs=1e-9)
+            assert type(length) is float and {type(v) for cell in path for v in cell} == {int}
 
     def test_searches_stop_at_the_distance_read(self, monkeypatch):
         import carriernav.world as world_mod
@@ -631,3 +636,92 @@ class TestDisplacement:
         w.apply_displacement(DisplacementEvent(kind="move", object_id="cup_0",
                                                target_carrier_id="table_1"), self.CFG)
         assert np.array_equal(scene.objects["cup_0"].centroid, original)
+
+
+class TestMemos:
+    """The world's memos against the rules they replaced, run afresh."""
+
+    def check_relation(self, w, cfg):
+        for cid in sorted(w.scene.objects):
+            assert w.ground_truth_carried(cid, cfg) == oracles.ground_truth_carried_per_call(
+                w, cid, cfg), cid
+
+    @pytest.mark.parametrize("resolution", [0.25, 0.05])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_carrying_relation_follows_every_displacement(self, mode, resolution):
+        sc = build_scenario(mode, 0, 5, resolution)
+        w = GridWorld(sc.scene, start_pose=sc.start_pose)
+        cfg = sc.crsg
+        carriers = sorted(oid for oid, obj in w.scene.objects.items()
+                          if oracles.geometric_base(obj, cfg))
+        items = [oid for cid in carriers for oid in w.ground_truth_carried(cid, cfg)]
+        events = [DisplacementEvent(kind="move", object_id=oid,
+                                    target_carrier_id=carriers[k % len(carriers)])
+                  for k, oid in enumerate(items)]
+        events += [DisplacementEvent(kind="add", target_carrier_id=cid,
+                                     new_object={"id": f"added_{k}", "captions": ["blue mug"]})
+                   for k, cid in enumerate(carriers)]
+        events += [DisplacementEvent(kind="remove", object_id=oid)
+                   for oid in items[::2] + ["added_0"]]
+        self.check_relation(w, cfg)
+        done = []
+        for k, event in enumerate(events):
+            try:
+                w.apply_displacement(event, cfg, spot_index=k % 4)
+                done.append(event.kind)
+            except DisplacementError:
+                pass  # a rejected move may already have re-seated its object
+            self.check_relation(w, cfg)
+        assert set(done) == {"move", "add", "remove"}
+
+    def test_carrying_relation_follows_the_config(self):
+        # a cup 10 cm above the table top rests on it only under the
+        # looser gap; the memo must answer for the config passed in
+        t0 = table_dict("table_0", 2.0, 2.0)
+        cup = obj_dict("cup_0", ["red cup"], 2.0, 2.0, 0.08, 0.08, 0.85, 0.12)
+        w = GridWorld(scene_from_dict(scene_dict([t0, cup], width=32, height=20)))
+        tight, loose = CrsgConfig(z_gap_max=0.05), CrsgConfig(z_gap_max=0.15)
+        for cfg, expected in ((tight, []), (loose, ["cup_0"]), (tight, []), (loose, ["cup_0"])):
+            assert w.ground_truth_carried("table_0", cfg) == expected
+            self.check_relation(w, cfg)
+        # the same config object, changed in place
+        tight.z_gap_max = 0.15
+        assert w.ground_truth_carried("table_0", tight) == ["cup_0"]
+
+    def test_a_rejected_move_still_changes_the_relation(self):
+        # a crate on the floor is a base holding a cup; moved onto a table
+        # it is re-seated, then rejected as too large to be carried, and
+        # it no longer holds the cup
+        cfg = CrsgConfig()
+        crate = obj_dict("crate_0", ["wooden crate"], 2.0, 2.0, 0.6, 0.5, 0.0, 0.3)
+        objs = [crate, table_dict("table_1", 5.0, 2.0), item_on("cup_0", ["red cup"], crate)]
+        w = GridWorld(scene_from_dict(scene_dict(objs, width=32, height=20)))
+        assert w.ground_truth_carried("crate_0", cfg) == ["cup_0"]
+        with pytest.raises(DisplacementError):
+            w.apply_displacement(DisplacementEvent(kind="move", object_id="crate_0",
+                                                   target_carrier_id="table_1"), cfg)
+        assert w.ground_truth_carried("crate_0", cfg) == []
+        self.check_relation(w, cfg)
+
+    @pytest.mark.parametrize("resolution", [0.25, 0.05])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_placements_equal_the_sorted_scan(self, mode, resolution):
+        sc = build_scenario(mode, 0, 5, resolution)
+        w = GridWorld(sc.scene, start_pose=sc.start_pose)
+        cfg = sc.crsg
+        carriers = [obj for obj in w.scene.objects.values() if oracles.geometric_base(obj, cfg)]
+        item = next(w.object(oid) for c in carriers for oid in w.ground_truth_carried(c.id, cfg))
+        for carrier in carriers:
+            for extents, skip_id in ((item.box.extents, item.id),
+                                     (np.array([0.1, 0.1, 0.12]), ""),
+                                     (np.array([0.45, 0.3, 0.2]), "")):
+                for k in range(4):
+                    expected = oracles.free_spot_sorted_tuples(w, carrier, extents, cfg,
+                                                               skip_id, k)
+                    if expected is None:
+                        with pytest.raises(DisplacementError):
+                            w._free_spot_on(carrier, extents, cfg, skip_id, k)
+                    else:
+                        got = w._free_spot_on(carrier, extents, cfg, skip_id, k)
+                        assert np.array_equal(got, expected), (carrier.id, extents, k)
+
