@@ -9,7 +9,7 @@ which the benchmark layer relies on.
 from __future__ import annotations
 
 import re
-from typing import List
+from typing import List, NamedTuple
 
 import numpy as np
 
@@ -56,6 +56,29 @@ def embed_text(text: str, dim: int = DEFAULT_EMBEDDING_DIM) -> np.ndarray:
     return vec / norm
 
 
+class Feature(NamedTuple):
+    """A feature vector with its L2 norm and zero-sentinel flag."""
+
+    vec: np.ndarray
+    norm: float
+    zero: bool
+
+    @classmethod
+    def of(cls, vec: np.ndarray) -> "Feature":
+        norm = float(np.linalg.norm(vec))
+        # a positive norm needs a non-zero entry; a zero one may have underflowed
+        return cls(vec, norm, norm == 0.0 and is_zero_feature(vec))
+
+
+def cosine(a: Feature, b: Feature) -> float:
+    """Cosine similarity from stored norms; both must be non-zero.
+
+    This is the one similarity rule: :func:`cosine_similarity` validates
+    its inputs and then applies it.
+    """
+    return float(np.dot(a.vec, b.vec) / (a.norm * b.norm))
+
+
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -65,15 +88,14 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
     if not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
         raise ValueError("feature vectors must be finite")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
+    fa, fb = Feature.of(a), Feature.of(b)
+    if fa.norm == 0.0 or fb.norm == 0.0:
         raise ValueError("cosine similarity undefined for zero-norm input")
-    return float(np.dot(a, b) / (na * nb))
+    return cosine(fa, fb)
 
 
 def is_zero_feature(vec: np.ndarray) -> bool:
-    return not np.any(np.asarray(vec))
+    return not np.asarray(vec).any()
 
 
 def strip_image_prefix(token: str) -> str:

@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .features import cosine_similarity, embed_text, is_zero_feature, strip_image_prefix
+from .features import Feature, cosine, embed_text, strip_image_prefix
 from .priors import CarrierPriorOracle, KeywordPriorOracle
 from .scene import ObjectInstance, Room, SceneMap, assign_rooms
 
@@ -191,16 +191,10 @@ def select_carrier_candidates(
     if not objects:
         return []
     dim = objects[0].text_feature.shape[0]
-    ref = embed_text(reference_text, dim)
-    if is_zero_feature(ref):
+    ref = Feature.of(embed_text(reference_text, dim))
+    if ref.zero:
         raise GraphError("carrier reference text produced an empty embedding")
-    kept = []
-    for obj in objects:
-        if is_zero_feature(obj.text_feature):
-            continue
-        if cosine_similarity(obj.text_feature, ref) > config.sigma:
-            kept.append(obj)
-    return kept
+    return [obj for obj in objects if not obj.text.zero and cosine(obj.text, ref) > config.sigma]
 
 
 def filter_by_prior(
@@ -356,14 +350,14 @@ class Query:
 
 
 def _best_match(
-    pool: Iterable[ObjectInstance], query_vec: np.ndarray, use_visual: bool
+    pool: Iterable[ObjectInstance], query: Feature, use_visual: bool
 ) -> Optional[Tuple[ObjectInstance, float]]:
     best: Optional[Tuple[float, str, ObjectInstance]] = None
     for obj in pool:
-        feat = obj.visual_feature if use_visual else obj.text_feature
-        if is_zero_feature(feat) or feat.shape != query_vec.shape:
+        feat = obj.visual if use_visual else obj.text
+        if feat.zero or feat.vec.shape != query.vec.shape:
             continue
-        score = cosine_similarity(feat, query_vec)
+        score = cosine(feat, query)
         key = (-score, obj.id)
         if best is None or key < (-best[0], best[1]):
             best = (score, obj.id, obj)
@@ -386,23 +380,23 @@ def query_target(crsg: Crsg, query: Query) -> Tuple[ObjectInstance, float]:
     dim = next(iter(all_objects.values())).text_feature.shape[0]
 
     use_visual = query.image is not None
-    query_vec = embed_text(
+    query_feat = Feature.of(embed_text(
         strip_image_prefix(query.image) if use_visual else query.text, dim
-    )
-    if is_zero_feature(query_vec):
+    ))
+    if query_feat.zero:
         raise QueryError(f"query descriptor {query.descriptor!r} has no usable tokens")
 
     if query.carrier_text is not None:
         if not crsg.carriers:
             raise QueryError("carrier-scoped query on a graph with no carriers")
-        carrier_vec = embed_text(query.carrier_text, dim)
-        if is_zero_feature(carrier_vec):
+        carrier_vec = Feature.of(embed_text(query.carrier_text, dim))
+        if carrier_vec.zero:
             raise QueryError(f"carrier descriptor {query.carrier_text!r} has no usable tokens")
         sims: Dict[str, float] = {}
         for cid, node in crsg.carriers.items():
-            if is_zero_feature(node.object.text_feature):
+            if node.object.text.zero:
                 continue
-            sims[cid] = cosine_similarity(node.object.text_feature, carrier_vec)
+            sims[cid] = cosine(node.object.text, carrier_vec)
         if not sims:
             raise QueryError("no carrier has a usable text feature")
         top = max(sims.values())
@@ -416,7 +410,7 @@ def query_target(crsg: Crsg, query: Query) -> Tuple[ObjectInstance, float]:
     else:
         pool = list(all_objects.values())
 
-    result = _best_match(pool, query_vec, use_visual)
+    result = _best_match(pool, query_feat, use_visual)
     if result is None:
         raise QueryError("no object has a usable feature for this query")
     if result[1] <= 0.0:

@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .features import cosine_similarity, is_zero_feature
+from .features import cosine
 from .graph import (
     Crsg,
     CrsgConfig,
@@ -350,10 +350,10 @@ def collect_transition_inputs(
     for obs, home in item_obs:
         if home is None:
             continue
-        if is_zero_feature(obs.object.text_feature) or is_zero_feature(target.text_feature):
+        if obs.object.text.zero or target.text.zero:
             ss = 0.0
         else:
-            ss = cosine_similarity(obs.object.text_feature, target.text_feature)
+            ss = cosine(obs.object.text, target.text)
         similar_on[home] = max(similar_on.get(home, -math.inf), ss)
         if home not in unexplored or ss <= policy_cfg.sigma1:
             continue
@@ -444,10 +444,10 @@ def confirmation_scores(
     image_ref = query.image if query.image is not None else query.text
     out = []
     for obs in sorted(observations, key=lambda o: o.object_id):
-        if is_zero_feature(obs.object.text_feature) or is_zero_feature(target.text_feature):
+        if obs.object.text.zero or target.text.zero:
             text_sim = 0.0
         else:
-            text_sim = cosine_similarity(obs.object.text_feature, target.text_feature)
+            text_sim = cosine(obs.object.text, target.text)
         if beta > 0.0:
             image_score = prior.compare_images(obs.object.captions[0], image_ref)
         else:

@@ -37,7 +37,7 @@ from .policy import PolicyConfig, PolicyError, Task
 from .priors import AFFINITY_RANKINGS
 from .scene import SceneError, SceneMap, scene_from_dict
 from .update import MatchConfig
-from .world import DisplacementEvent, GridWorld, Pose, SensorConfig
+from .world import DisplacementEvent, GridWorld, Pose, SensorConfig, WorldError
 
 
 class ScenarioError(ValueError):
@@ -323,7 +323,7 @@ def _validate_reachable(scene: SceneMap, start: Pose) -> bool:
     """Every carrier-sized object must be reachable from the start pose."""
     try:
         world = GridWorld(scene, start_pose=start)
-    except Exception:
+    except WorldError:
         return False
     dist_field = world.distance_field(start.position)
     return not any(
@@ -546,7 +546,7 @@ def _build_mixed(index: int, seed: str, rng: Random, resolution: float) -> Scena
                 try:
                     scratch.apply_displacement(spec.to_displacement(),
                                                crsg_cfg_draft, spot_index=spot)
-                except Exception:
+                except WorldError:
                     continue
                 events.append(spec)
                 break

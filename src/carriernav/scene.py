@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .features import embed_text, DEFAULT_EMBEDDING_DIM
+from .features import DEFAULT_EMBEDDING_DIM, Feature, embed_text
 
 # Objects whose centroid falls outside every room polygon get this room id.
 HALLWAY_ROOM_ID = "hallway"
@@ -38,44 +38,56 @@ class SceneValidationError(SceneError):
     """Well-formed file whose content violates a scene invariant."""
 
 
-@dataclass
+def _frozen(value) -> np.ndarray:
+    """``value`` as a read-only float64 array.
+
+    A float64 array is frozen in place, not copied: an object value takes
+    ownership of the arrays it is built from.
+    """
+    arr = np.asarray(value, dtype=np.float64)
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True)
 class Box3:
-    """Axis-aligned box, min/max corners in meters."""
+    """Axis-aligned box, min/max corners in meters.
+
+    A frozen value with read-only arrays; its geometry facts are computed
+    once, at construction.
+    """
 
     min: np.ndarray
     max: np.ndarray
+    extents: np.ndarray = field(init=False, repr=False, compare=False)
+    footprint_area: float = field(init=False, repr=False, compare=False)
+    height: float = field(init=False, repr=False, compare=False)
+    footprint_diagonal: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.min = np.asarray(self.min, dtype=np.float64)
-        self.max = np.asarray(self.max, dtype=np.float64)
-        if self.min.shape != (3,) or self.max.shape != (3,):
+        lo = np.asarray(self.min, dtype=np.float64)
+        hi = np.asarray(self.max, dtype=np.float64)
+        if lo.shape != (3,) or hi.shape != (3,):
             raise SceneValidationError("box corners must be 3-vectors")
-        if not (np.all(np.isfinite(self.min)) and np.all(np.isfinite(self.max))):
+        if not all(map(math.isfinite, lo.tolist() + hi.tolist())):
             raise SceneValidationError("box corners must be finite")
-        if np.any(self.max < self.min):
-            raise SceneValidationError(f"box max {self.max} below min {self.min}")
-
-    @property
-    def extents(self) -> np.ndarray:
-        return self.max - self.min
+        ext = hi - lo
+        ex, ey, ez = ext.tolist()
+        if min(ex, ey, ez) < 0.0:
+            raise SceneValidationError(f"box max {hi} below min {lo}")
+        for name, value in (
+            ("min", _frozen(lo)),
+            ("max", _frozen(hi)),
+            ("extents", _frozen(ext)),
+            ("footprint_area", ex * ey),
+            ("height", ez),
+            ("footprint_diagonal", math.hypot(ex, ey)),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def center(self) -> np.ndarray:
         return (self.min + self.max) / 2.0
-
-    @property
-    def footprint_area(self) -> float:
-        ext = self.extents
-        return float(ext[0] * ext[1])
-
-    @property
-    def height(self) -> float:
-        return float(self.extents[2])
-
-    @property
-    def footprint_diagonal(self) -> float:
-        ext = self.extents
-        return math.hypot(float(ext[0]), float(ext[1]))
 
     def xy_intersection_area(self, other: "Box3") -> float:
         dx = min(self.max[0], other.max[0]) - max(self.min[0], other.min[0])
@@ -85,8 +97,9 @@ class Box3:
         return float(dx * dy)
 
     def contains_point(self, point: np.ndarray, eps: float = _CENTROID_EPS) -> bool:
-        p = np.asarray(point, dtype=np.float64)
-        return bool(np.all(p >= self.min - eps) and np.all(p <= self.max + eps))
+        p = np.asarray(point, dtype=np.float64).tolist()
+        return all(lo - eps <= x <= hi + eps
+                   for x, lo, hi in zip(p, self.min.tolist(), self.max.tolist()))
 
     def to_dict(self) -> dict:
         return {
@@ -95,30 +108,63 @@ class Box3:
         }
 
 
-@dataclass
+def _feature(oid: str, name: str, value) -> Feature:
+    """A 1-D feature with its norm, which must be finite (so is every
+    entry), and positive unless the feature is all zeros: one entry of
+    1e-200 squares to 0."""
+    vec = np.asarray(value, dtype=np.float64)
+    if vec.ndim != 1:
+        raise SceneValidationError(f"object {oid!r} {name} must be a 1-D vector")
+    feat = Feature.of(vec)
+    if not math.isfinite(feat.norm) or (feat.norm == 0.0 and not feat.zero):
+        raise SceneValidationError(f"object {oid!r} {name} norm {feat.norm} is out of range")
+    _frozen(vec)
+    return feat
+
+
+@dataclass(frozen=True)
 class ObjectInstance:
+    """One scene object: a frozen value with read-only arrays, shared by the
+    scene, the world, the graph and every sighting.  A change is a new
+    instance (``dataclasses.replace``).
+
+    ``text``/``visual`` hold each feature with its norm and zero flag,
+    computed once, at construction.
+    """
+
     id: str
-    captions: List[str]
+    captions: Tuple[str, ...]
     box: Box3
     centroid: np.ndarray
     text_feature: np.ndarray
     visual_feature: np.ndarray
     room_id: Optional[str] = None
+    text: Feature = field(init=False, repr=False, compare=False)
+    visual: Feature = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.centroid = np.asarray(self.centroid, dtype=np.float64)
-        self.text_feature = np.asarray(self.text_feature, dtype=np.float64)
-        self.visual_feature = np.asarray(self.visual_feature, dtype=np.float64)
         if not self.id:
             raise SceneValidationError("object id must be non-empty")
         if not self.captions:
             raise SceneValidationError(f"object {self.id!r} has no captions")
-        if self.centroid.shape != (3,):
+        centroid = np.asarray(self.centroid, dtype=np.float64)
+        if centroid.shape != (3,):
             raise SceneValidationError(f"object {self.id!r} centroid must be a 3-vector")
-        if not self.box.contains_point(self.centroid):
+        if not self.box.contains_point(centroid):
             raise SceneValidationError(
-                f"object {self.id!r} centroid {self.centroid.tolist()} outside its box"
+                f"object {self.id!r} centroid {centroid.tolist()} outside its box"
             )
+        text = _feature(self.id, "text_feature", self.text_feature)
+        visual = _feature(self.id, "visual_feature", self.visual_feature)
+        for name, value in (
+            ("captions", tuple(self.captions)),
+            ("centroid", _frozen(centroid)),
+            ("text_feature", text.vec),
+            ("visual_feature", visual.vec),
+            ("text", text),
+            ("visual", visual),
+        ):
+            object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict:
         out = {
@@ -402,7 +448,7 @@ def _parse_object(raw, feature_mode: str, dim: int) -> ObjectInstance:
             raise SceneValidationError(f"{ctx}: {name} has wrong dimension")
     return ObjectInstance(
         id=oid,
-        captions=list(captions),
+        captions=tuple(captions),
         box=box,
         centroid=centroid,
         text_feature=text_vec,

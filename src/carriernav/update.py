@@ -6,10 +6,10 @@ carriers, so one match per sighting serves a whole leg.  Carried sets are
 reconciled only for carriers the robot has fully observed: matched objects
 are kept, unmatched observations are added (re-homing an object known
 elsewhere in the graph), and unmatched graph entries are removed.  An
-observation is already a private snapshot of the sighted object, so an
-addition stores it as is.  Partial views must never trigger removals,
-which is why reconciliation is gated on a full observation certificate
-upstream.
+observation holds the world's frozen instance of the sighted object, so an
+addition stores that instance as is.  Partial views must never trigger
+removals, which is why reconciliation is gated on a full observation
+certificate upstream.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .features import cosine_similarity, is_zero_feature
+from .features import Feature, cosine
 from .graph import Crsg
 from .world import Observation
 
@@ -68,13 +68,13 @@ def _sizes_compatible(a_ext: np.ndarray, b_ext: np.ndarray, dev: float) -> bool:
     return True
 
 
-def _feature_gate(obs_feat: np.ndarray, node_feat: np.ndarray, threshold: float) -> bool:
+def _feature_gate(seen: Feature, known: Feature, threshold: float) -> bool:
     # zero sentinel on either side: nothing to compare, gate passes
-    if is_zero_feature(obs_feat) or is_zero_feature(node_feat):
+    if seen.zero or known.zero:
         return True
-    if obs_feat.shape != node_feat.shape:
+    if seen.vec.shape != known.vec.shape:
         return False
-    return cosine_similarity(obs_feat, node_feat) >= threshold
+    return cosine(seen, known) >= threshold
 
 
 def match_carrier(obs: Observation, crsg: Crsg, config: MatchConfig) -> Optional[str]:
@@ -93,9 +93,9 @@ def match_carrier(obs: Observation, crsg: Crsg, config: MatchConfig) -> Optional
         if not _sizes_compatible(seen.box.extents, node.object.box.extents,
                                  config.max_size_ratio_dev):
             continue
-        if not _feature_gate(seen.text_feature, node.object.text_feature, config.min_text_sim):
+        if not _feature_gate(seen.text, node.object.text, config.min_text_sim):
             continue
-        if not _feature_gate(seen.visual_feature, node.object.visual_feature, config.min_visual_sim):
+        if not _feature_gate(seen.visual, node.object.visual, config.min_visual_sim):
             continue
         key = (dist, cid)
         if best is None or key < best:
@@ -132,7 +132,7 @@ def reconcile_carried(
             if not _sizes_compatible(seen.box.extents, entry.box.extents,
                                      config.max_size_ratio_dev):
                 continue
-            if not _feature_gate(seen.text_feature, entry.text_feature, config.min_text_sim):
+            if not _feature_gate(seen.text, entry.text, config.min_text_sim):
                 continue
             pairs.append((dist, seen.id, eid))
     pairs.sort()
@@ -161,7 +161,7 @@ def apply_update(crsg: Crsg, diff: CarriedDiff) -> None:
 
     Added observations whose id is already known anywhere in the graph are
     re-homed (their old edge is dropped); unknown ids become new carried
-    nodes.  Either way the node stores the observation's snapshot.
+    nodes.  Either way the node stores the observation's object instance.
     Removed entries are parked in the graph's missing set so their
     identity survives until re-observed.  Applying the same diff twice is
     a no-op.

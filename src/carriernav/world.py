@@ -1,16 +1,20 @@
 """Deterministic 2-D grid world: planning, sensing, displacement.
 
-The world owns private copies of its scene's objects (it never changes the
-grid or rooms), so ground-truth changes (displaced objects, additions,
-removals) never leak into the parsed scene or the belief graph a robot
-carries around.  Planning runs Dijkstra searches over one symmetric
-8-connected graph of the free cells, with unit/diagonal step costs.  The
-searches are bounded: each stops at the distance its caller reads, and a
-farther read from the same pose searches again with a larger limit, so
-every distance read is exact.  Paths and distance fields both read the
-latest pose's search.  Sensing is a radius + field-of-view model with
-optional wall occlusion; an ``Observation`` is a copied snapshot of the
-sighted object plus its depth.
+Objects are frozen values (``scene.ObjectInstance``), shared by the scene,
+the world, the belief graph and every sighting.  The world owns only its
+id -> object dict (it never changes the grid or rooms): a displacement
+stores a new instance there, so ground-truth changes (displaced objects,
+additions, removals) never leak into the parsed scene, the belief graph a
+robot carries around or an earlier sighting.
+
+Planning runs Dijkstra searches over one symmetric 8-connected graph of the
+free cells, with unit/diagonal step costs.  The searches are bounded: each
+stops at the distance its caller reads, and a farther read from the same
+pose searches again with a larger limit, so every distance read is exact.
+Paths and distance fields both read the latest pose's search.  Sensing is a
+radius + field-of-view model with optional wall occlusion; an
+``Observation`` is the sighted object, as the world held it at that moment,
+plus its depth.
 
 Each derived fact is computed once per change to its inputs, in memos that
 live and die with the world:
@@ -26,9 +30,9 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from operator import attrgetter
-from typing import Container, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Container, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -90,7 +94,8 @@ class SensorConfig:
 
 @dataclass
 class Observation:
-    """One sighting: a snapshot of the object as seen, and its depth."""
+    """One sighting: the world's object instance when it was seen, and its
+    depth.  Instances are frozen, so a later move never changes it."""
 
     object: ObjectInstance
     mean_depth: float
@@ -135,7 +140,7 @@ class GridWorld:
 
     def __init__(self, scene: SceneMap, start_pose: Optional[Pose] = None):
         self.scene = copy.copy(scene)
-        self.scene.objects = copy.deepcopy(scene.objects)
+        self.scene.objects = dict(scene.objects)
         grid = self.scene.grid
         self.resolution = float(grid.resolution)
         self.width = int(grid.width)
@@ -199,39 +204,40 @@ class GridWorld:
         return cell
 
     def _snap(self, target: np.ndarray) -> Cell:
-        cx = min(max(int(math.floor((target[0] - self.origin[0]) / self.resolution)), 0), self.width - 1)
-        cy = min(max(int(math.floor((target[1] - self.origin[1]) / self.resolution)), 0), self.height - 1)
-        max_ring = max(self.width, self.height)
-        best: Optional[Tuple[float, int, int]] = None
-        for ring in range(max_ring):
-            for ix, iy in self._ring_cells((cx, cy), ring):
-                if not self.is_free((ix, iy)):
-                    continue
-                d = float(np.linalg.norm(self.cell_center((ix, iy)) - target))
-                key = (d, ix, iy)
-                if best is None or key < best:
-                    best = key
-            # every cell of ring r lies at least (r - 0.5) * resolution
-            # from the point, so no later ring can match or beat ``best``
-            if best is not None and ring >= best[0] / self.resolution:
-                break
-        if best is None:
-            raise WorldError("no free cell in grid")
-        return (best[1], best[2])
+        """Search square windows around the point's (clamped) cell, doubling
+        the half-width r until the best free cell lies within r * resolution:
+        every cell outside the window is at least (r + 0.5) * resolution away.
 
-    def _ring_cells(self, center: Cell, ring: int) -> Iterable[Cell]:
-        cx, cy = center
-        if ring == 0:
-            yield (cx, cy)
-            return
-        for ix in range(cx - ring, cx + ring + 1):
-            for iy in (cy - ring, cy + ring):
-                if 0 <= ix < self.width and 0 <= iy < self.height:
-                    yield (ix, iy)
-        for iy in range(cy - ring + 1, cy + ring):
-            for ix in (cx - ring, cx + ring):
-                if 0 <= ix < self.width and 0 <= iy < self.height:
-                    yield (ix, iy)
+        Each window is one numpy pass.  ``np.linalg.norm`` of a 2-vector may
+        fuse its multiply-adds, so the vector form only shortlists the cells
+        within 1e-9 * resolution of the nearest, and the shortlist is
+        measured as one 2-vector each: the keys are bit-equal to a per-cell
+        scan's.
+        """
+        res = self.resolution
+        ox, oy = self.origin.tolist()
+        tx, ty = float(target[0]), float(target[1])
+        cx = min(max(int(math.floor((tx - ox) / res)), 0), self.width - 1)
+        cy = min(max(int(math.floor((ty - oy) / res)), 0), self.height - 1)
+        r = 1
+        while True:
+            x0, y0 = max(cx - r, 0), max(cy - r, 0)
+            x1, y1 = min(cx + r + 1, self.width), min(cy + r + 1, self.height)
+            jy, jx = np.nonzero(~self.occupancy[y0:y1, x0:x1])
+            whole = x1 - x0 == self.width and y1 - y0 == self.height
+            if jx.size:
+                # center minus point per axis, in the float operations of cell_center
+                dx = (ox + (np.arange(x0, x1) + 0.5) * res - tx)[jx]
+                dy = (oy + (np.arange(y0, y1) + 0.5) * res - ty)[jy]
+                near = np.hypot(dx, dy)
+                best = min((float(np.linalg.norm(np.array([dx[k], dy[k]]))),
+                            x0 + int(jx[k]), y0 + int(jy[k]))
+                           for k in np.flatnonzero(near <= near.min() + 1e-9 * res))
+                if whole or best[0] <= r * res:
+                    return (best[1], best[2])
+            elif whole:
+                raise WorldError("no free cell in grid")
+            r *= 2
 
     # ----- planning -------------------------------------------------------
 
@@ -401,7 +407,7 @@ class GridWorld:
     def observe(self, pose: Pose, sensor: SensorConfig,
                 skip: Container[str] = ()) -> List[Observation]:
         """Objects within radius and field of view, sorted by id; objects
-        whose id is in ``skip`` are left out before any snapshot is made."""
+        whose id is in ``skip`` are left out before any other test."""
         ids, centroids = self._centroids()
         if not ids:
             return []
@@ -427,18 +433,8 @@ class GridWorld:
                     continue
                 if not self._ray_clear(robot_cell, obj_cell):
                     continue
-            out.append(self._observation_of(obj, float(dists[i])))
+            out.append(Observation(obj, float(dists[i])))
         return out
-
-    def _observation_of(self, obj: ObjectInstance, depth: float) -> Observation:
-        # a shallow copy skips re-validation; every mutable field is replaced
-        snap = copy.copy(obj)
-        snap.box = Box3(obj.box.min.copy(), obj.box.max.copy())
-        snap.captions = list(obj.captions)
-        snap.centroid = obj.centroid.copy()
-        snap.text_feature = obj.text_feature.copy()
-        snap.visual_feature = obj.visual_feature.copy()
-        return Observation(snap, depth)
 
     def travel(self, path: Sequence[Cell], sensor: SensorConfig) -> TravelLog:
         """Advance cell-by-cell along ``path``, observing at every cell.
@@ -509,13 +505,26 @@ class GridWorld:
                 relation.setdefault(cid, []).append(oid)
         return relation
 
+    def _occupants(self, carrier: ObjectInstance, config: CrsgConfig) -> List[ObjectInstance]:
+        """The objects resting on ``carrier``: the carrying relation of
+        :meth:`_carried_relation` restricted to one base.  Only objects the
+        carrier satisfies the carrying predicate for can have it as their
+        nearest carrier, so only those pay a :func:`nearest_carrier` call."""
+        objects = self.scene.objects
+        held = [obj for obj in objects.values()
+                if obj.id != carrier.id and carrying_predicate(carrier, obj, config)]
+        if not held:
+            return []
+        bases = geometric_carrier_filter(list(objects.values()), config)
+        return [obj for obj in held if nearest_carrier(obj, bases, config) == carrier.id]
+
     def carried_observations(self, carrier_id: str, pose: Pose, config: CrsgConfig) -> List[Observation]:
         """Full view of a carrier's current occupants, granted at its side."""
         out = []
         for oid in self.ground_truth_carried(carrier_id, config):
             obj = self.scene.objects[oid]
             depth = float(np.linalg.norm(obj.centroid[:2] - pose.position))
-            out.append(self._observation_of(obj, depth))
+            out.append(Observation(obj, depth))
         return out
 
     # ----- displacement ---------------------------------------------------
@@ -539,11 +548,7 @@ class GridWorld:
         center = carrier.centroid[:2]
         # nearest the center first, ties by x then y
         order = np.lexsort((ys, xs, np.hypot(xs - center[0], ys - center[1])))
-        occupants = [
-            self.scene.objects[oid]
-            for oid in self.ground_truth_carried(carrier.id, config)
-            if oid != skip_id
-        ]
+        occupants = [obj for obj in self._occupants(carrier, config) if obj.id != skip_id]
         n = len(order)
         for k in range(n):
             i = order[(start_index + k) % n]
@@ -591,8 +596,9 @@ class GridWorld:
             zmin = float(carrier.box.max[2])
             new_min = np.array([xy[0] - extents[0] / 2.0, xy[1] - extents[1] / 2.0, zmin])
             new_max = new_min + extents
-            obj.box = Box3(new_min, new_max)
-            obj.centroid = (new_min + new_max) / 2.0
+            # stored before the check: a rejected move still re-seats it
+            obj = self.scene.objects[obj.id] = replace(
+                obj, box=Box3(new_min, new_max), centroid=(new_min + new_max) / 2.0)
             if not carrying_predicate(carrier, obj, config):
                 raise DisplacementError(
                     f"placement of {obj.id!r} on {carrier.id!r} violates the carrying predicate"
@@ -622,7 +628,7 @@ class GridWorld:
         dim = self.scene.embedding_dim
         obj = ObjectInstance(
             id=oid,
-            captions=list(captions),
+            captions=tuple(captions),
             box=Box3(new_min, new_max),
             centroid=(new_min + new_max) / 2.0,
             text_feature=embed_text(joined, dim),

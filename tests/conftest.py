@@ -1,3 +1,6 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
 from carriernav.graph import CrsgConfig, build_crsg
@@ -42,6 +45,23 @@ def item_on(oid, captions, carrier, dx=0.0, dy=0.0, ex=0.08, ey=0.08, h=0.12):
     cy = (carrier["box"]["min"][1] + carrier["box"]["max"][1]) / 2.0 + dy
     top = carrier["box"]["max"][2]
     return obj_dict(oid, captions, cx, cy, ex, ey, top, h)
+
+
+def assert_every_write_raises(obj):
+    """Every attribute assignment on an ObjectInstance and on its Box3
+    raises, and so does every write into one of their arrays or captions."""
+    for value in (obj, obj.box):
+        for name in [f.name for f in dataclasses.fields(value)] + ["not_a_field"]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, None)
+            attr = getattr(value, name, None)
+            if isinstance(attr, np.ndarray):
+                with pytest.raises(ValueError):
+                    attr[0] += 1.0
+    with pytest.raises(TypeError):
+        obj.captions[0] = "mug"
+    with pytest.raises(AttributeError):
+        obj.captions.append("mug")
 
 
 GOLDEN_OBJECTS = [

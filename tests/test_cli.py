@@ -79,6 +79,18 @@ class TestBuildGraph:
         bad.write_text("{not json")
         assert main(["build-graph", "--scene", str(bad)]) == 1
 
+    def test_underflowing_feature_is_a_typed_scene_error(self, tmp_path, capsys):
+        tree = golden_scene_dict()
+        feature = [0.0] * 256
+        feature[0] = 1e-200  # not zero, but its norm underflows to 0
+        tree["objects"][0]["text_feature"] = feature
+        bad = tmp_path / "underflow.json"
+        bad.write_text(json.dumps(tree))
+        assert main(["build-graph", "--scene", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: object 'table_0' text_feature norm")
+        assert "cosine" not in err
+
 
 class TestQuery:
     def test_carried_target(self, scene_file, capsys):

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from carriernav.features import (
     DEFAULT_EMBEDDING_DIM,
+    Feature,
+    cosine,
     cosine_similarity,
     embed_text,
     is_zero_feature,
@@ -139,6 +141,25 @@ def test_cosine_symmetric_and_bounded(words_a, words_b):
 def test_self_similarity_is_one(ws):
     v = embed_text(" ".join(ws))
     assert cosine_similarity(v, v) == pytest.approx(1.0, abs=1e-12)
+
+
+FINITE = st.floats(min_value=-1e100, max_value=1e100, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 64).flatmap(lambda n: st.tuples(st.lists(FINITE, min_size=n, max_size=n),
+                                                       st.lists(FINITE, min_size=n, max_size=n))))
+def test_stored_norm_cosine_is_bit_equal(pair):
+    a, b = (np.array(v) for v in pair)
+    fa, fb = Feature.of(a), Feature.of(b)
+    assert fa.zero == is_zero_feature(a) and fb.zero == is_zero_feature(b)
+    assert fa.norm == float(np.linalg.norm(a))
+    if fa.norm == 0.0 or fb.norm == 0.0:
+        with pytest.raises(ValueError):
+            cosine_similarity(a, b)
+    else:
+        # bit for bit, not approximately
+        assert cosine(fa, fb) == cosine_similarity(a, b)
 
 
 def test_strip_image_prefix():

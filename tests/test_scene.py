@@ -6,9 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from carriernav.features import embed_text, is_zero_feature
+from carriernav.scenarios import MODES, build_scenario
 from carriernav.scene import (
     Box3,
     GridSpec,
+    ObjectInstance,
     Room,
     SceneError,
     SceneParseError,
@@ -20,7 +23,7 @@ from carriernav.scene import (
     scene_from_dict,
 )
 
-from conftest import golden_scene_dict, obj_dict, scene_dict
+from conftest import assert_every_write_raises, golden_scene_dict, obj_dict, scene_dict
 
 
 class TestBox3:
@@ -56,6 +59,74 @@ class TestBox3:
             Box3([0, 0], [1, 1])
         with pytest.raises(SceneValidationError):
             Box3([0, 0, float("nan")], [1, 1, 1])
+
+
+def make_object(text_feature, visual_feature=None):
+    box = Box3(np.array([0.0, 0.0, 0.0]), np.array([0.1, 0.1, 0.1]))
+    return ObjectInstance(id="cup_0", captions=["red cup"], box=box,
+                          centroid=np.array([0.05, 0.05, 0.05]),
+                          text_feature=text_feature,
+                          visual_feature=(text_feature if visual_feature is None
+                                          else visual_feature))
+
+
+class TestObjectValue:
+    def test_every_write_raises(self, golden_scene):
+        for obj in golden_scene.objects.values():
+            assert_every_write_raises(obj)
+            assert isinstance(obj.captions, tuple)
+
+    def test_built_arrays_are_frozen_not_copied(self):
+        lo, hi = np.array([0.0, 0.0, 0.0]), np.array([0.1, 0.1, 0.1])
+        box = Box3(lo, hi)
+        assert box.min is lo and box.max is hi
+        assert not lo.flags.writeable and not box.extents.flags.writeable
+
+    @pytest.mark.parametrize("resolution", [0.25, 0.05])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_stored_facts_equal_the_old_properties(self, mode, resolution):
+        for index in range(3):
+            for obj in build_scenario(mode, index, 5, resolution).scene.objects.values():
+                box = obj.box
+                ext = box.max - box.min
+                assert np.array_equal(box.extents, ext)
+                assert box.footprint_area == float(ext[0] * ext[1])
+                assert box.height == float(ext[2])
+                assert box.footprint_diagonal == math.hypot(float(ext[0]), float(ext[1]))
+                for feat, vec in ((obj.text, obj.text_feature), (obj.visual, obj.visual_feature)):
+                    assert feat.vec is vec
+                    assert feat.norm == float(np.linalg.norm(vec))
+                    assert feat.zero == is_zero_feature(vec)
+
+    def test_zero_feature_is_flagged(self):
+        obj = make_object(embed_text("!!!"), embed_text("red cup"))
+        assert obj.text.zero and obj.text.norm == 0.0
+        assert not obj.visual.zero and obj.visual.norm == pytest.approx(1.0)
+
+    def test_underflowing_feature_is_rejected(self):
+        vec = np.zeros(256)
+        vec[3] = 1e-200  # not zero, but its squared norm underflows to 0
+        assert not is_zero_feature(vec) and float(np.linalg.norm(vec)) == 0.0
+        with pytest.raises(SceneValidationError, match="text_feature norm"):
+            make_object(vec, embed_text("red cup"))
+        with pytest.raises(SceneValidationError, match="visual_feature norm"):
+            make_object(embed_text("red cup"), vec.copy())
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1e200])
+    def test_non_finite_feature_or_norm_is_rejected(self, bad):
+        vec = embed_text("red cup").copy()
+        vec[0] = bad
+        with pytest.raises(SceneValidationError):
+            make_object(vec)
+
+    def test_underflowing_feature_in_a_scene_file(self):
+        tree = golden_scene_dict()
+        feature = [0.0] * 256
+        feature[7] = 1e-200
+        tree["objects"][1]["text_feature"] = feature
+        with pytest.raises(SceneValidationError, match="cup_0"):
+            scene_from_dict(tree)
 
 
 class TestPolygon:

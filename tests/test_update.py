@@ -1,5 +1,7 @@
 """Carrier matching, carried-set reconciliation and graph updates."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -140,7 +142,7 @@ class TestReconcile:
         scene, crsg, cfg = setting
         near = obs_of(scene.objects["cup_a"], shift=(0.05, 0.0, 0.0))
         far = obs_of(scene.objects["cup_a"], shift=(0.25, 0.0, 0.0))
-        far.object.id = "cup_ghost"
+        far = Observation(replace(far.object, id="cup_ghost"), far.mean_depth)
         diff = reconcile_carried("table_0", [near, far,
                                              obs_of(scene.objects["cup_b"])], crsg, cfg)
         # both observations could match cup_a; the nearer one takes it
@@ -173,7 +175,7 @@ class TestApplyUpdate:
         apply_update(crsg, diff)
         assert sorted(crsg.carriers["table_1"].carried) == ["phone_0"]
         entry = crsg.carriers["table_1"].carried["phone_0"]
-        assert entry.captions == ["black phone", "phone"]
+        assert entry.captions == ("black phone", "phone")
 
     def test_known_addition_rehomes(self, setting):
         scene, crsg, cfg = setting

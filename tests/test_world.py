@@ -22,7 +22,7 @@ from carriernav.world import (
 )
 
 import oracles
-from conftest import item_on, obj_dict, scene_dict, table_dict
+from conftest import assert_every_write_raises, item_on, obj_dict, scene_dict, table_dict
 
 SQRT2 = math.sqrt(2.0)
 
@@ -67,6 +67,22 @@ class TestGridGeometry:
         assert w.snap_free_cell([0.625, 0.625]) == (1, 2)
         # already free: identity
         assert w.snap_free_cell([0.875, 0.625]) == (3, 2)
+
+    @pytest.mark.parametrize("resolution", [0.25, 0.05, 0.3])
+    def test_snap_out_of_a_blocked_square_matches_the_ring_search(self, resolution):
+        # on a square's diagonals, free cells mirrored across the diagonal are
+        # equally near, up to the last bit of the norm: ties must break on
+        # the bits the per-cell scan computes
+        rng = Random(resolution)
+        for k in range(2, 8):
+            w = empty_world(blocked=[(ix, iy) for ix in range(5, 5 + k) for iy in range(5, 5 + k)],
+                            resolution=resolution)
+            lo, side = 5 * resolution, k * resolution
+            for _ in range(40):
+                t = rng.random() * side
+                for point in ([lo + t, lo + t], [lo + t, lo + side - t]):
+                    assert w.snap_free_cell(point) == oracles.snap_free_cell_rings(
+                        w.occupancy, w.origin, resolution, point), (k, point)
 
     @pytest.mark.parametrize("resolution", [0.25, 0.05])
     @pytest.mark.parametrize("mode", MODES)
@@ -426,27 +442,25 @@ class TestSensing:
         obs = {o.object_id: o for o in w.observe(Pose([2.0, 3.5]), SensorConfig())}
         cup = obs["cup_0"]
         truth = w.object("cup_0")
-        assert cup.object is not truth
-        assert cup.object.captions == ["red cup", "red cup", "cup"]
+        # the sighting shares the world's frozen instance
+        assert cup.object is truth
+        assert cup.object.captions == ("red cup", "red cup", "cup")
         assert cup.mean_depth == pytest.approx(
             float(np.linalg.norm(cup.object.centroid[:2] - np.array([2.0, 3.5]))))
-        # the snapshot is a copy: mutating any of it must not touch ground truth
+        # no write through the sighting can touch ground truth: every one raises
         before = truth.to_dict()
-        cup.object.centroid[0] += 99.0
-        cup.object.box.min[0] -= 1.0
-        cup.object.box.max[2] += 1.0
-        cup.object.captions.append("mug")
-        cup.object.text_feature[:] = 0.0
-        cup.object.visual_feature[:] = 0.0
+        assert_every_write_raises(cup.object)
         assert truth.to_dict() == before
 
     def test_skipped_ids_get_no_snapshot(self, monkeypatch):
         w = sensing_world()
         pose, sensor = Pose([2.0, 3.5]), SensorConfig(radius=25.0)
         everything = [o.object_id for o in w.observe(pose, sensor)]
+        # a skipped id gets no Observation built
+        import carriernav.world as world_mod
         built = []
-        real = w._observation_of
-        monkeypatch.setattr(w, "_observation_of",
+        real = world_mod.Observation
+        monkeypatch.setattr(world_mod, "Observation",
                             lambda obj, depth: built.append(obj.id) or real(obj, depth))
         rest = [o.object_id for o in w.observe(pose, sensor, {"cup_0"})]
         assert rest == [oid for oid in everything if oid != "cup_0"]
@@ -472,19 +486,21 @@ class TestTravel:
         # one observation per path cell, taken at the cell's center
         assert np.allclose(sensed, [w.cell_center(c) for c in path])
 
-    def test_travel_dedupes_observations(self):
+    def test_travel_dedupes_observations(self, monkeypatch):
         w = sensing_world()
         path, _ = w.shortest_path(w.robot.position, [5.0, 2.0])
         first = {}
         for cell in path:  # the full-circle sensor ignores heading
             for obs in w.observe(Pose(w.cell_center(cell)), SensorConfig()):
                 first.setdefault(obs.object_id, obs.mean_depth)
+        import carriernav.world as world_mod
         built = []
-        real = w._observation_of
-        w._observation_of = lambda obj, depth: built.append(obj.id) or real(obj, depth)
+        real = world_mod.Observation
+        monkeypatch.setattr(world_mod, "Observation",
+                            lambda obj, depth: built.append(obj.id) or real(obj, depth))
         log = w.travel(path, SensorConfig())
         assert sorted(log.observations) == ["cup_0", "cup_far", "table_0"]
-        # only first sightings are snapshotted
+        # only first sightings become Observations
         assert sorted(built) == sorted(log.observations)
         # each object keeps its first sighting's depth
         assert {oid: o.mean_depth for oid, o in log.observations.items()} == first
@@ -569,6 +585,23 @@ class TestDisplacement:
         assert w.ground_truth_carried("table_1", self.CFG) == ["cup_0"]
         cup = w.object("cup_0")
         assert cup.box.min[2] == pytest.approx(0.75)  # resting on the new top
+
+    def test_a_move_leaves_earlier_sightings_and_the_scene_alone(self):
+        w = self.two_table_world()
+        scene = w.scene
+        w = GridWorld(scene)
+        before = w.object("cup_0")
+        seen = {o.object_id: o for o in w.observe(Pose(before.centroid[:2]), SensorConfig())}
+        centroid, box_min = before.centroid.copy(), before.box.min.copy()
+        w.apply_displacement(DisplacementEvent(kind="move", object_id="cup_0",
+                                               target_carrier_id="table_1"), self.CFG)
+        moved = w.object("cup_0")
+        assert moved is not before and not np.array_equal(moved.centroid, centroid)
+        # the earlier sighting and the parsed scene keep the old instance
+        assert seen["cup_0"].object is before
+        assert scene.objects["cup_0"] is before
+        assert np.array_equal(seen["cup_0"].object.centroid, centroid)
+        assert np.array_equal(seen["cup_0"].object.box.min, box_min)
 
     def test_move_spot_index_varies_placement(self):
         w1 = self.two_table_world()
@@ -702,6 +735,21 @@ class TestMemos:
                                                    target_carrier_id="table_1"), cfg)
         assert w.ground_truth_carried("crate_0", cfg) == []
         self.check_relation(w, cfg)
+
+    def test_an_item_on_two_tops_blocks_spots_only_on_its_nearest_carrier(self):
+        t0 = table_dict("table_0", 2.0, 2.0)
+        t1 = table_dict("table_1", 2.6, 2.0)
+        cup = item_on("cup_0", ["red cup"], t1, dx=-0.15)  # on both tops
+        w = GridWorld(scene_from_dict(scene_dict([t0, t1, cup], width=32, height=20)))
+        cfg = CrsgConfig()
+        assert w.ground_truth_carried("table_0", cfg) == []
+        assert w.ground_truth_carried("table_1", cfg) == ["cup_0"]
+        extents = np.array([0.5, 0.5, 0.1])
+        for carrier in (w.object("table_0"), w.object("table_1")):
+            for k in range(6):
+                expected = oracles.free_spot_sorted_tuples(w, carrier, extents, cfg, "", k)
+                got = w._free_spot_on(carrier, extents, cfg, "", k)
+                assert np.array_equal(got, expected), (carrier.id, k)
 
     @pytest.mark.parametrize("resolution", [0.25, 0.05])
     @pytest.mark.parametrize("mode", MODES)
