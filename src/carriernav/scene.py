@@ -115,7 +115,8 @@ def _feature(oid: str, name: str, value) -> Feature:
     vec = np.asarray(value, dtype=np.float64)
     if vec.ndim != 1:
         raise SceneValidationError(f"object {oid!r} {name} must be a 1-D vector")
-    feat = Feature.of(vec)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        feat = Feature.of(vec)
     if not math.isfinite(feat.norm) or (feat.norm == 0.0 and not feat.zero):
         raise SceneValidationError(f"object {oid!r} {name} norm {feat.norm} is out of range")
     _frozen(vec)

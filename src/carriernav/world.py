@@ -11,8 +11,14 @@ Planning runs Dijkstra searches over one symmetric 8-connected graph of the
 free cells, with unit/diagonal step costs.  The searches are bounded: each
 stops at the distance its caller reads, and a farther read from the same
 pose searches again with a larger limit, so every distance read is exact.
-Paths and distance fields both read the latest pose's search.  Sensing is a
-radius + field-of-view model with optional wall occlusion; an
+Paths and distance fields both read the latest pose's search.
+
+Sensing is a radius + field-of-view model with optional wall occlusion.  A
+leg senses at the center of every path cell, facing the step to the next
+cell (the last cell keeps the last step's heading), and keeps the first
+sighting of each object: the first cell that sees it, and the depth from
+there.  One array pass over (path cells x objects) finds every first
+sighting of a leg, and ``observe`` is that pass for a single pose.  An
 ``Observation`` is the sighted object, as the world held it at that moment,
 plus its depth.
 
@@ -407,62 +413,83 @@ class GridWorld:
     def observe(self, pose: Pose, sensor: SensorConfig,
                 skip: Container[str] = ()) -> List[Observation]:
         """Objects within radius and field of view, sorted by id; objects
-        whose id is in ``skip`` are left out before any other test."""
-        ids, centroids = self._centroids()
-        if not ids:
-            return []
-        deltas = centroids - pose.position
-        dists = np.hypot(deltas[:, 0], deltas[:, 1])
-        mask = dists <= sensor.radius
-        if sensor.fov < 2.0 * math.pi - 1e-9:
-            angles = np.arctan2(deltas[:, 1], deltas[:, 0])
-            diff = np.abs((angles - pose.heading + math.pi) % (2.0 * math.pi) - math.pi)
-            # an object at zero distance is always in view
-            mask &= (diff <= sensor.fov / 2.0 + 1e-12) | (dists < 1e-12)
-        out = []
-        robot_cell = self.cell_of(pose.position)
-        for i in np.nonzero(mask)[0]:
-            oid = ids[int(i)]
-            if oid in skip:
-                continue
-            obj = self.scene.objects[oid]
-            if sensor.occlusion:
-                try:
-                    obj_cell = self.cell_of(obj.centroid[:2])
-                except WorldError:
-                    continue
-                if not self._ray_clear(robot_cell, obj_cell):
-                    continue
-            out.append(Observation(obj, float(dists[i])))
-        return out
+        whose id is in ``skip`` are left out before any ray is traced.  A
+        pose outside the grid raises :class:`WorldError`."""
+        return self._first_sightings(pose.position[None, :], [pose.heading],
+                                     [self.cell_of(pose.position)], sensor, skip)
 
     def travel(self, path: Sequence[Cell], sensor: SensorConfig) -> TravelLog:
-        """Advance cell-by-cell along ``path``, observing at every cell.
+        """Advance cell-by-cell along ``path``, sensing at every cell center.
 
-        Observations are deduplicated per object id, keeping the first
-        sighting (and its depth): each cell's ``observe`` skips the ids
-        already seen.  A zero-length path produces an empty trajectory and
+        Each object keeps its first sighting on the leg and that sighting's
+        depth.  The heading at a cell is that of the step to the next cell;
+        the last cell keeps the last step's heading (a one-cell path keeps
+        the robot's).  A zero-length path produces an empty trajectory and
         moves nothing.
         """
         if len(path) == 0:
             return TravelLog(observations={}, length=0.0)
-        seen: Dict[str, Observation] = {}
-        heading = self.robot.heading
-        n_axis = n_diag = 0
-        for i, cell in enumerate(path):
-            if i + 1 < len(path):
-                nxt = path[i + 1]
-                step = (nxt[0] - cell[0], nxt[1] - cell[1])
-                heading = math.atan2(step[1], step[0])
-                if step[0] != 0 and step[1] != 0:
-                    n_diag += 1
-                else:
-                    n_axis += 1
-            for obs in self.observe(Pose(self.cell_center(cell), heading), sensor, seen):
-                seen[obs.object_id] = obs
-        self.robot = Pose(self.cell_center(path[-1]), heading)
-        length = (n_axis + n_diag * SQRT2) * self.resolution
-        return TravelLog(observations=seen, length=length)
+        cells = np.asarray(path)
+        if np.any((cells < 0) | (cells >= (self.width, self.height))):
+            raise WorldError("path leaves the grid")
+        steps = np.diff(cells, axis=0).tolist()
+        headings = [math.atan2(dy, dx) for dx, dy in steps]
+        headings.append(headings[-1] if headings else self.robot.heading)
+        # cell centers in the float operations of cell_center
+        centers = self.origin + (cells + 0.5) * self.resolution
+        seen = self._first_sightings(centers, headings, path, sensor)
+        self.robot = Pose(self.cell_center(path[-1]), headings[-1])
+        n_diag = sum(1 for dx, dy in steps if dx != 0 and dy != 0)
+        length = (len(steps) - n_diag + n_diag * SQRT2) * self.resolution
+        return TravelLog(observations={obs.object_id: obs for obs in seen}, length=length)
+
+    def _first_sightings(self, positions: np.ndarray, headings: Sequence[float],
+                         cells: Sequence[Cell], sensor: SensorConfig,
+                         skip: Container[str] = ()) -> List[Observation]:
+        """The first sighting of each object from a sequence of poses, in the
+        order (pose, id): the one rule of what a pose sees.
+
+        ``positions`` (m, 2), ``headings`` and ``cells`` describe the poses.
+        An object is in view of a pose when its centroid lies within the
+        radius and, under a narrower field of view, within half the field
+        of the heading (an object at zero distance is always in view); with
+        occlusion, a Bresenham ray from the pose's cell to the centroid's
+        cell must also be clear, and an object whose centroid is off the
+        grid is never seen.  The depth is the distance from the first pose
+        that sees it.  All poses are tested in one (poses x objects) pass
+        whose centroid deltas keep one pose's (objects, 2) layout, so each
+        distance and angle takes the float operations, on the same strides,
+        of a pass for that pose alone.
+        """
+        ids, centroids = self._centroids()
+        if not ids:
+            return []
+        deltas = centroids - positions[:, None, :]
+        dists = np.hypot(deltas[..., 0], deltas[..., 1])
+        in_view = dists <= sensor.radius
+        if sensor.fov < 2.0 * math.pi - 1e-9:
+            angles = np.arctan2(deltas[..., 1], deltas[..., 0])
+            heading = np.asarray(headings, dtype=np.float64)[:, None]
+            diff = np.abs((angles - heading + math.pi) % (2.0 * math.pi) - math.pi)
+            in_view &= (diff <= sensor.fov / 2.0 + 1e-12) | (dists < 1e-12)
+        if skip:
+            in_view[:, [j for j, oid in enumerate(ids) if oid in skip]] = False
+        cols = np.flatnonzero(in_view.any(axis=0)).tolist()
+        objects = self.scene.objects
+        if sensor.occlusion:
+            firsts = []
+            for j in cols:
+                try:
+                    target = self.cell_of(objects[ids[j]].centroid[:2])
+                except WorldError:
+                    continue
+                for i in np.flatnonzero(in_view[:, j]).tolist():
+                    if self._ray_clear(tuple(cells[i]), target):
+                        firsts.append((i, j))
+                        break
+        else:
+            firsts = zip(in_view[:, cols].argmax(axis=0).tolist(), cols)
+        return [Observation(objects[ids[j]], float(dists[i, j])) for i, j in sorted(firsts)]
 
     # ----- ground truth ---------------------------------------------------
 

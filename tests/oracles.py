@@ -6,8 +6,9 @@ thing under test: path lengths come from a textbook Dijkstra instead of
 the package's scipy search, distance fields from one unbounded search over
 the planner's former one-direction graph instead of bounded searches over
 its symmetric one, similarities from exact token counts instead of hashed
-vectors, and the carried relation from a quadratic scan instead of the
-construction funnel.  The world's memos are checked against the rules they
+vectors, the carried relation from a quadratic scan instead of the
+construction funnel, and a leg's sightings one pose at a time instead of
+in one pass.  The world's memos are checked against the rules they
 replaced, computed afresh on every call.  A bug would have to be made twice
 to go unnoticed.
 """
@@ -25,6 +26,9 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from carriernav.graph import carrying_predicate, geometric_carrier_filter, nearest_carrier
+from carriernav.world import Observation, Pose, WorldError
+
+SQRT2 = math.sqrt(2.0)
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 
@@ -345,6 +349,71 @@ def free_spot_sorted_tuples(world, carrier, extents, cfg, skip_id="", start_inde
                for occ in occupants):
             return np.array([x, y])
     return None
+
+
+# --- sensing, one pose at a time
+
+
+def observe_per_cell(world, pose, sensor, skip=()):
+    """Sightings from one pose, sorted by id: the world's one-pose rule
+    before sensing became one pass per leg.  Radius by ``np.hypot`` of the
+    centroid deltas; under a field of view narrower than a full circle, the
+    bearing must lie within half of it of the heading unless the object is
+    at zero distance; under occlusion, a Bresenham ray from the pose's cell
+    to the centroid's cell must be clear, and an off-grid centroid is never
+    seen.  Ids in ``skip`` are left out."""
+    objects = world.scene.objects
+    ids = sorted(objects)
+    if not ids:
+        return []
+    centroids = np.array([objects[oid].centroid[:2] for oid in ids])
+    deltas = centroids - pose.position
+    dists = np.hypot(deltas[:, 0], deltas[:, 1])
+    mask = dists <= sensor.radius
+    if sensor.fov < 2.0 * math.pi - 1e-9:
+        angles = np.arctan2(deltas[:, 1], deltas[:, 0])
+        diff = np.abs((angles - pose.heading + math.pi) % (2.0 * math.pi) - math.pi)
+        mask &= (diff <= sensor.fov / 2.0 + 1e-12) | (dists < 1e-12)
+    out = []
+    robot_cell = world.cell_of(pose.position)
+    for i in np.nonzero(mask)[0]:
+        oid = ids[int(i)]
+        if oid in skip:
+            continue
+        obj = objects[oid]
+        if sensor.occlusion:
+            try:
+                obj_cell = world.cell_of(obj.centroid[:2])
+            except WorldError:
+                continue
+            if not world._ray_clear(robot_cell, obj_cell):
+                continue
+        out.append(Observation(obj, float(dists[i])))
+    return out
+
+
+def travel_per_cell(world, path, sensor):
+    """(first sightings by id, leg length, final pose) of ``path`` sensed one
+    cell at a time with :func:`observe_per_cell`, each cell skipping the ids
+    already seen; the heading at a cell is the step to the next one, and the
+    last cell keeps the last step's.  The world is left as it was."""
+    seen = {}
+    heading = world.robot.heading
+    position = world.robot.position
+    n_axis = n_diag = 0
+    for i, cell in enumerate(path):
+        if i + 1 < len(path):
+            nxt = path[i + 1]
+            step = (nxt[0] - cell[0], nxt[1] - cell[1])
+            heading = math.atan2(step[1], step[0])
+            if step[0] != 0 and step[1] != 0:
+                n_diag += 1
+            else:
+                n_axis += 1
+        position = world.cell_center(cell)
+        for obs in observe_per_cell(world, Pose(position, heading), sensor, seen):
+            seen[obs.object_id] = obs
+    return seen, (n_axis + n_diag * SQRT2) * world.resolution, Pose(position, heading)
 
 
 # --- scoring

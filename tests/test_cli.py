@@ -1,6 +1,7 @@
 """Command-line entry point: exit codes and printed output."""
 
 import json
+import warnings
 
 import pytest
 
@@ -90,6 +91,21 @@ class TestBuildGraph:
         err = capsys.readouterr().err
         assert err.startswith("error: object 'table_0' text_feature norm")
         assert "cosine" not in err
+
+    def test_overflowing_feature_prints_only_the_error(self, tmp_path, capsys):
+        tree = golden_scene_dict()
+        feature = [0.0] * 256
+        feature[0] = 1e200  # finite, but its squared norm overflows
+        tree["objects"][0]["text_feature"] = feature
+        bad = tmp_path / "overflow.json"
+        bad.write_text(json.dumps(tree))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["build-graph", "--scene", str(bad)]) == 1
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: object 'table_0' text_feature norm inf")
+        assert err.count("\n") == 1
 
 
 class TestQuery:

@@ -112,7 +112,6 @@ class TestObjectValue:
         with pytest.raises(SceneValidationError, match="visual_feature norm"):
             make_object(embed_text("red cup"), vec.copy())
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1e200])
     def test_non_finite_feature_or_norm_is_rejected(self, bad):
         vec = embed_text("red cup").copy()

@@ -2,14 +2,18 @@
 travel bookkeeping and ground-truth displacement."""
 
 import math
+from dataclasses import replace
 from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from carriernav.bench import run_sequence
 from carriernav.graph import CrsgConfig
 from carriernav.scenarios import MODES, build_scenario
-from carriernav.scene import scene_from_dict
+from carriernav.scene import Box3, scene_from_dict
 from carriernav.world import (
     STEP_ORDER,
     DisplacementError,
@@ -477,14 +481,9 @@ class TestTravel:
     def test_travel_moves_robot_and_measures(self):
         w = sensing_world()
         path, length = w.shortest_path(w.robot.position, [5.0, 2.0])
-        sensed = []
-        observe = w.observe
-        w.observe = lambda pose, sensor, skip: sensed.append(pose.position.copy()) or observe(pose, sensor, skip)
-        log = w.travel(path, SensorConfig())
+        log = assert_travel_matches_oracle(w, path, SensorConfig())
         assert log.length == pytest.approx(length)
         assert np.allclose(w.robot.position, w.cell_center(path[-1]))
-        # one observation per path cell, taken at the cell's center
-        assert np.allclose(sensed, [w.cell_center(c) for c in path])
 
     def test_travel_dedupes_observations(self, monkeypatch):
         w = sensing_world()
@@ -511,6 +510,173 @@ class TestTravel:
         log = w.travel([], SensorConfig())
         assert log.length == 0.0 and log.observations == {}
         assert np.array_equal(w.robot.position, before)
+
+
+SENSORS = {
+    "default": SensorConfig(),
+    "fov-half-pi": SensorConfig(fov=math.pi / 2),
+    "fov-third-pi": SensorConfig(fov=math.pi / 3),
+    "occlusion": SensorConfig(occlusion=True),
+    "radius-25": SensorConfig(radius=25.0),
+}
+
+
+def sightings(observations):
+    return [(o.object_id, o.mean_depth) for o in observations]
+
+
+def assert_travel_matches_oracle(w, path, sensor, travel=GridWorld.travel):
+    """``travel`` (by default the method as defined, even while a test
+    patches it) against the per-cell loop: the same ids in the same order,
+    bit-equal depths, the world's own instances, the same length and the
+    same final pose."""
+    expected, length, pose = oracles.travel_per_cell(w, path, sensor)
+    log = travel(w, path, sensor)
+    assert sightings(log.observations.values()) == sightings(expected.values())
+    assert all(log.observations[oid].object is obs.object for oid, obs in expected.items())
+    assert log.length == length
+    assert np.array_equal(w.robot.position, pose.position)
+    assert w.robot.heading == pose.heading
+    return log
+
+
+def assert_observe_matches_oracle(w, pose, sensor, skip=()):
+    got = w.observe(pose, sensor, skip)
+    assert sightings(got) == sightings(oracles.observe_per_cell(w, pose, sensor, skip))
+    return got
+
+
+def free_walk(w, rng, n):
+    """n cells from a random free cell, each a random free 8-neighbour of
+    the one before (corners may be cut: travel senses any cell sequence)."""
+    path = sample_cells(rng, ~w.occupancy, 1)
+    for _ in range(n - 1):
+        x, y = path[-1]
+        nbrs = [(x + dx, y + dy) for dx, dy in STEP_ORDER if w.is_free((x + dx, y + dy))]
+        if not nbrs:
+            break
+        path.append(rng.choice(nbrs))
+    return path
+
+
+class TestSweptSensing:
+    """One pass per leg against the per-cell loop it replaced."""
+
+    @pytest.mark.parametrize("sensor", SENSORS.values(), ids=SENSORS.keys())
+    @pytest.mark.parametrize("resolution", [0.25, 0.05])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_legs_equal_the_per_cell_loop(self, mode, resolution, sensor):
+        sc = build_scenario(mode, 0, 5, resolution)
+        w = GridWorld(sc.scene, start_pose=sc.start_pose)
+        rng = Random(f"{mode}/{resolution}")
+        legs = []
+        for a, b in zip(*[iter(sample_cells(rng, ~w.occupancy, 8))] * 2):
+            try:
+                legs.append(w.shortest_path(w.cell_center(a), w.cell_center(b))[0])
+            except UnreachableGoalError:
+                pass
+        legs += [free_walk(w, rng, 40) for _ in range(4)]
+        legs += [sample_cells(rng, ~w.occupancy, 1)]
+        assert len(legs) >= 6
+        for path in legs:
+            assert_travel_matches_oracle(w, path, sensor)
+
+    @pytest.mark.parametrize("resolution", [0.25, 0.05])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_episode_legs_equal_the_per_cell_loop(self, mode, resolution, monkeypatch):
+        # every leg an episode travels, sensed with every sensor from the
+        # same pose; the run itself goes on with the scenario's sensor
+        real = GridWorld.travel
+        legs = []
+
+        def checked(world, path, sensor):
+            for other in SENSORS.values():
+                before = world.robot.copy()
+                assert_travel_matches_oracle(world, path, other)
+                world.robot = before
+            legs.append(len(path))
+            return real(world, path, sensor)
+
+        monkeypatch.setattr(GridWorld, "travel", checked)
+        run_sequence(build_scenario(mode, 1, 3, resolution))
+        assert len(legs) >= 3 and max(legs) > 1
+
+    def test_skip_sets(self):
+        w = sensing_world()
+        sensor = SensorConfig(radius=25.0)
+        pose = Pose([2.0, 3.5], heading=1.0)
+        ids = sorted(w.scene.objects)
+        for k in range(len(ids) + 1):
+            for skip in ({*ids[:k]}, {*ids[k:]}, {"no_such_id"}):
+                got = assert_observe_matches_oracle(w, pose, sensor, skip)
+                assert [o.object_id for o in got] == [oid for oid in ids if oid not in skip]
+
+    def test_an_object_exactly_at_the_radius_is_seen(self):
+        # centers and centroid are exact binary fractions: the distance is 2.5
+        cup = obj_dict("cup_0", ["red cup"], 3.375, 0.625, 0.08, 0.08, 0.0, 0.12)
+        w = GridWorld(scene_from_dict(scene_dict([cup], width=28, height=20)),
+                      start_pose=Pose([0.125, 0.625]))
+        at = Pose(w.cell_center((3, 2)))
+        assert sightings(assert_observe_matches_oracle(w, at, SensorConfig())) == [("cup_0", 2.5)]
+        assert assert_observe_matches_oracle(w, at, SensorConfig(radius=2.4999)) == []
+        log = assert_travel_matches_oracle(w, [(ix, 2) for ix in range(8)], SensorConfig())
+        assert sightings(log.observations.values()) == [("cup_0", 2.5)]
+
+    def test_an_object_at_zero_distance_is_in_any_field_of_view(self):
+        cup = obj_dict("cup_0", ["red cup"], 0.875, 0.625, 0.08, 0.08, 0.0, 0.12)
+        w = GridWorld(scene_from_dict(scene_dict([cup], width=28, height=20)),
+                      start_pose=Pose([0.125, 0.625]))
+        narrow = SensorConfig(fov=math.pi / 3)
+        # heading west, away from the cup: seen only from its own cell
+        got = assert_observe_matches_oracle(w, Pose(w.cell_center((3, 2)), math.pi), narrow)
+        assert sightings(got) == [("cup_0", 0.0)]
+        assert assert_observe_matches_oracle(w, Pose(w.cell_center((2, 2)), math.pi), narrow) == []
+        log = assert_travel_matches_oracle(w, [(3, 2), (2, 2), (1, 2)], narrow)
+        assert sightings(log.observations.values()) == [("cup_0", 0.0)]
+
+    def test_an_off_grid_centroid_is_never_seen_under_occlusion(self):
+        w = sensing_world()
+        far = w.object("cup_far")
+        shift = np.array([3.0, 0.0, 0.0])  # to x = 8 m, east of the 7 m wide grid
+        w.scene.objects["cup_far"] = replace(far, box=Box3(far.box.min + shift, far.box.max + shift),
+                                             centroid=far.centroid + shift)
+        path = w.shortest_path(w.robot.position, [6.5, 2.0])[0]
+        for sensor, seen in ((SensorConfig(radius=25.0), True),
+                             (SensorConfig(radius=25.0, occlusion=True), False)):
+            got = assert_observe_matches_oracle(w, Pose([6.5, 2.0]), sensor)
+            assert ("cup_far" in [o.object_id for o in got]) is seen
+            log = assert_travel_matches_oracle(w, path, sensor)
+            assert ("cup_far" in log.observations) is seen
+
+    def test_a_pose_or_path_off_the_grid_raises(self):
+        w = sensing_world()
+        with pytest.raises(WorldError):
+            w.observe(Pose([-0.1, 2.0]), SensorConfig())
+        with pytest.raises(WorldError):
+            w.travel([(0, 0), (-1, 0)], SensorConfig())
+        with pytest.raises(WorldError):
+            w.travel([(w.width - 1, 0), (w.width, 0)], SensorConfig())
+
+
+@pytest.fixture(scope="module")
+def walled_world():
+    sc = build_scenario("mixed", 0, 5, 0.25)
+    return GridWorld(sc.scene, start_pose=sc.start_pose)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(0.0, 0.999), y=st.floats(0.0, 0.999),
+       heading=st.floats(-2 * math.pi, 2 * math.pi),
+       radius=st.sampled_from([0.5, 2.5, 25.0]),
+       fov=st.sampled_from([2 * math.pi, math.pi, math.pi / 2, math.pi / 3, 0.1]),
+       occlusion=st.booleans(), skip=st.sets(st.integers(0, 40), max_size=6))
+def test_observe_equals_the_per_cell_rule(walled_world, x, y, heading, radius, fov, occlusion,
+                                          skip):
+    w = walled_world
+    pose = Pose(w.origin + np.array([x * w.width, y * w.height]) * w.resolution, heading)
+    ids = sorted(w.scene.objects)
+    assert_observe_matches_oracle(w, pose, SensorConfig(radius, fov, occlusion),
+                                  {ids[k] for k in skip if k < len(ids)})
 
 
 class TestGroundTruth:
