@@ -325,9 +325,8 @@ def _validate_reachable(scene: SceneMap, start: Pose) -> bool:
         world = GridWorld(scene, start_pose=start)
     except WorldError:
         return False
-    dist_field = world.distance_field(start.position)
-    return not any(
-        math.isinf(dist_field.to_point(obj.centroid[:2]))
+    return all(
+        world.connected(start.position, obj.centroid[:2])
         for obj in scene.objects.values()
         if obj.box.min[2] <= 0.05
     )

@@ -10,8 +10,11 @@ robot carries around or an earlier sighting.
 Planning runs Dijkstra searches over one symmetric 8-connected graph of the
 free cells, with unit/diagonal step costs.  The searches are bounded: each
 stops at the distance its caller reads, and a farther read from the same
-pose searches again with a larger limit, so every distance read is exact.
-Paths and distance fields both read the latest pose's search.
+source searches again with a larger limit, so every distance read is exact.
+Each source cell keeps its own search for the world's lifetime, so paths
+and distance fields from a source already searched (a carrier the robot
+returns to) reuse it, and a leg whose ends share a cell searches nothing.
+Reachability alone reads the connected components of the same graph.
 
 Sensing is a radius + field-of-view model with optional wall occlusion.  A
 leg senses at the center of every path cell, facing the step to the next
@@ -25,8 +28,9 @@ plus its depth.
 Each derived fact is computed once per change to its inputs, in memos that
 live and die with the world:
 
-* facts of the grid, which never changes: the free-cell graph, the latest
-  pose's search and the snap of every point asked for;
+* facts of the grid, which never changes: the free-cell graph, its
+  connected components, each source's search and the snap of every point
+  asked for;
 * facts of the objects: their centroids (for sensing) and the carrying
   relation per set of ``CrsgConfig`` values.  Objects change only in
   ``apply_displacement``, which clears both when it returns or raises.
@@ -42,7 +46,7 @@ from typing import Container, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .graph import CrsgConfig, carrying_predicate, geometric_carrier_filter, nearest_carrier
 from .scene import Box3, ObjectInstance, SceneMap
@@ -57,6 +61,9 @@ _crsg_values = attrgetter(*(f.name for f in fields(CrsgConfig)))
 # Path walk-back tie-break order: axis steps first, then diagonals.
 STEP_ORDER: Tuple[Cell, ...] = ((1, 0), (-1, 0), (0, 1), (0, -1),
                                 (1, 1), (1, -1), (-1, 1), (-1, -1))
+# Step length in cells per STEP_ORDER slot.
+STEP_CELLS: Tuple[float, ...] = tuple(SQRT2 if dx != 0 and dy != 0 else 1.0
+                                      for dx, dy in STEP_ORDER)
 
 
 class WorldError(ValueError):
@@ -164,7 +171,8 @@ class GridWorld:
             raise WorldError(f"robot start cell {start_cell} is blocked")
 
         self._graph_cache: Optional[tuple] = None
-        self._search_memo: Optional[Tuple[Cell, float, np.ndarray]] = None
+        self._component_labels: Optional[np.ndarray] = None
+        self._searches: Dict[Cell, Tuple[float, np.ndarray]] = {}
         self._snap_memo: Dict[Tuple[float, float], Cell] = {}
         self._centroid_cache: Optional[tuple] = None
         self._carried_memo: Dict[tuple, Dict[str, List[str]]] = {}
@@ -250,18 +258,22 @@ class GridWorld:
     def shortest_path(self, start: Sequence[float], goal: Sequence[float]) -> Tuple[List[Cell], float]:
         """Length-optimal path; returns (cells incl. endpoints, length m).
 
-        The path is walked back over the distance field from ``start``:
-        from the goal, each step goes to the first neighbour in
-        ``STEP_ORDER`` that the movement rule allows and whose distance
-        plus the step cost equals the current cell's distance (within
-        1e-9 * resolution).  The graph row of a cell lists exactly those
-        allowed neighbours, in ``STEP_ORDER``, so the walk reads rows.
-        Length is reconstructed from the (axis, diagonal) step counts so
-        it is exactly symmetric.  The search only has to reach the goal:
-        every cell of the walk is nearer.
+        Ends that snap to one cell give that one cell and 0.0, with no
+        search.  Otherwise the path is walked back over the distance field
+        from ``start``: from the goal, each step goes to the first
+        neighbour in ``STEP_ORDER`` that the movement rule allows and whose
+        distance plus the step cost equals the current cell's distance
+        (within 1e-9 * resolution).  Slot k of a cell's graph row holds its
+        ``STEP_ORDER[k]`` neighbour, or the cell itself where the move is
+        not allowed, which never matches (the step cost is far above the
+        tolerance), so the walk reads rows.  Length is reconstructed from
+        the (axis, diagonal) step counts so it is exactly symmetric.  The
+        search only has to reach the goal: every cell of the walk is nearer.
         """
         start_cell = self.snap_free_cell(start)
         goal_cell = self.snap_free_cell(goal)
+        if start_cell == goal_cell:
+            return [start_cell], 0.0
         dist = self._search(start_cell, goal_cell)
         graph, index, cells = self._free_graph()
         source = int(index[start_cell[1], start_cell[0]])
@@ -269,23 +281,26 @@ class GridWorld:
         if math.isinf(dist[i]):
             raise UnreachableGoalError(f"no path from {start_cell} to {goal_cell}")
         # memoryviews read items as Python numbers, much faster than arrays
-        dist, indptr, nbrs, steps, cells = (
-            memoryview(a) for a in (dist, graph.indptr, graph.indices, graph.data, cells))
+        dist, nbrs, cells = (memoryview(a) for a in (dist, graph.indices, cells))
 
         def cell(i: int) -> Cell:
             iy, ix = divmod(cells[i], self.width)
             return (ix, iy)
 
+        steps = [c * self.resolution for c in STEP_CELLS]
+        slots = range(len(STEP_ORDER))
         tol = 1e-9 * self.resolution
         walk = [i]
         n_diag = 0
         while i != source:
             here = dist[i]
-            for j in range(indptr[i], indptr[i + 1]):
-                if abs(dist[nbrs[j]] + steps[j] - here) <= tol:
-                    i = nbrs[j]
+            row = i * len(STEP_ORDER)
+            for k in slots:
+                j = nbrs[row + k]
+                if abs(dist[j] + steps[k] - here) <= tol:
+                    i = j
                     walk.append(i)
-                    if steps[j] > self.resolution:
+                    if STEP_CELLS[k] != 1.0:
                         n_diag += 1
                     break
             else:
@@ -300,11 +315,13 @@ class GridWorld:
         index, flat cell per row).
 
         ``index[iy, ix]`` is a free cell's row, or -1 for a blocked cell,
-        and ``cells[i]`` is row i's cell as ``iy * width + ix``.  Row i
-        lists cell i's neighbours in ``STEP_ORDER``, weighted by the step
-        length; a diagonal step needs both orthogonal cells free (no corner
-        cutting).  This is the one place the movement rule lives.  Built
-        once: the grid never changes.
+        and ``cells[i]`` is row i's cell as ``iy * width + ix``.  Every row
+        has exactly one slot per ``STEP_ORDER`` move, in that order,
+        weighted by the step length.  A diagonal step needs both
+        orthogonal cells free (no corner cutting); a move the rule does not
+        allow points back at the row's own cell, a self-loop that no
+        search can relax.  This is the one place the movement rule lives.
+        Built once: the grid never changes.
         """
         if self._graph_cache is None:
             free = ~self.occupancy
@@ -320,22 +337,32 @@ class GridWorld:
             def shifted(a: np.ndarray, dx: int, dy: int) -> np.ndarray:
                 return a[1 + dy:1 + dy + h, 1 + dx:1 + dx + w]
 
-            cols = np.empty((n, len(STEP_ORDER)), dtype=np.int32)
+            slots = len(STEP_ORDER)
+            cols = np.empty((n, slots), dtype=np.int32)
             for k, (dx, dy) in enumerate(STEP_ORDER):
-                nbr = shifted(pad_index, dx, dy)[free]
+                allowed = shifted(pad_free, dx, dy)
                 if dx != 0 and dy != 0:
-                    corner_ok = shifted(pad_free, dx, 0) & shifted(pad_free, 0, dy)
-                    nbr[~corner_ok[free]] = -1
-                cols[:, k] = nbr
-            edge = cols >= 0
-            step = np.array([(SQRT2 if dx != 0 and dy != 0 else 1.0) * self.resolution
-                             for dx, dy in STEP_ORDER])
-            indptr = np.zeros(n + 1, dtype=np.int32)
-            np.cumsum(edge.sum(axis=1), out=indptr[1:])
-            graph = csr_matrix((np.broadcast_to(step, cols.shape)[edge], cols[edge], indptr),
-                               shape=(n, n))
+                    allowed = allowed & shifted(pad_free, dx, 0) & shifted(pad_free, 0, dy)
+                cols[:, k] = np.where(allowed, shifted(pad_index, dx, dy), index)[free]
+            steps = np.tile(np.array(STEP_CELLS) * self.resolution, n)
+            indptr = np.arange(0, slots * n + 1, slots, dtype=np.int32)
+            graph = csr_matrix((steps, cols.ravel(), indptr), shape=(n, n))
             self._graph_cache = (graph, index, cells)
         return self._graph_cache
+
+    def connected(self, a: Sequence[float], b: Sequence[float]) -> bool:
+        """Whether a free-cell path joins the free cells nearest ``a`` and
+        ``b``: one connected-component label lookup, no search.  The labels
+        are computed once: the grid never changes."""
+        graph, index, _ = self._free_graph()
+        if self._component_labels is None:
+            # the graph is symmetric, so its strong components are its
+            # components, found without the transpose a weak search builds
+            self._component_labels = connected_components(
+                graph, directed=True, connection="strong")[1]
+        labels = self._component_labels
+        (ax, ay), (bx, by) = self.snap_free_cell(a), self.snap_free_cell(b)
+        return bool(labels[index[ay, ax]] == labels[index[by, bx]])
 
     def _octile(self, a: Cell, b: Cell) -> float:
         """Obstacle-free 8-connected distance (m): a lower bound on the geodesic."""
@@ -347,30 +374,33 @@ class GridWorld:
         free ``cell`` and at every cell nearer than it; inf beyond the limit.
 
         Searches are bounded: Dijkstra with ``limit=L`` gives the exact
-        distance of every cell at or below L and inf for the rest.  The
-        memo keeps ``(source, limit, dist)`` of the latest search.  A read
-        the memo cannot answer (another source, or inf under a finite
-        limit) searches again from ``source`` with the limit
-        ``max(2 * limit, 2 * octile(source, cell))`` plus a 1e-9 relative
-        margin, until the cell is reached.  Once the limit reaches the
-        octile distance to the grid's farthest corner, the search is
-        unbounded, so only an inf under an unbounded search means
-        "unreachable".  The grid never changes after ``__init__``, so the
-        memo never goes stale.
+        distance of every cell at or below L and inf for the rest.  Each
+        source cell keeps ``(limit, dist)`` of its latest search for the
+        world's lifetime.  A read that finds no search from ``source``, or
+        inf under a finite limit, searches again from ``source`` with the
+        limit ``max(2 * limit, 1.25 * octile(source, cell))`` plus a 1e-9
+        relative margin (the first limit is 1.25 * octile), until the cell
+        is reached.  The octile distance is a lower bound, and 1.25 of it
+        settled the fewest cells of the factors tried on the generated
+        houses (1.1, 1.25, 1.5 and 2): a smaller factor misses detours
+        more often and searches again, a larger one settles area no read
+        needs.  Once the limit reaches the octile distance to the grid's
+        farthest corner, the search is unbounded, so only an inf under an
+        unbounded search means "unreachable".  The grid never changes
+        after ``__init__``, so no search goes stale.
         """
         graph, index, _ = self._free_graph()
         target = index[cell[1], cell[0]]
-        memo = self._search_memo
-        limit, dist = (0.0, None) if memo is None or memo[0] != source else memo[1:]
+        limit, dist = self._searches.get(source, (0.0, None))
         farthest_corner = (0 if 2 * source[0] >= self.width else self.width - 1,
                            0 if 2 * source[1] >= self.height else self.height - 1)
         while dist is None or (math.isinf(dist[target]) and not math.isinf(limit)):
-            limit = max(2.0 * limit, 2.0 * self._octile(source, cell)) * (1.0 + 1e-9)
+            limit = max(2.0 * limit, 1.25 * self._octile(source, cell)) * (1.0 + 1e-9)
             if limit >= self._octile(source, farthest_corner):
                 limit = math.inf
             dist = dijkstra(graph, directed=True, indices=int(index[source[1], source[0]]),
                             limit=limit)
-            self._search_memo = (source, limit, dist)
+            self._searches[source] = (limit, dist)
         return dist
 
     def distance_field(self, start: Sequence[float]) -> "DistanceField":
@@ -667,8 +697,8 @@ class GridWorld:
 class DistanceField:
     """Read-only geodesic distances from one source cell over the free cells.
 
-    A view: each read goes through the world's search memo, which extends
-    the bounded search from the source only as far as the cell read.
+    A view: each read goes through the source's search on the world, which
+    is extended only as far as the cell read.
     """
 
     def __init__(self, world: GridWorld, source: Cell):

@@ -5,7 +5,8 @@ contracts, avoiding the package's own helpers wherever the helper is the
 thing under test: path lengths come from a textbook Dijkstra instead of
 the package's scipy search, distance fields from one unbounded search over
 the planner's former one-direction graph instead of bounded searches over
-its symmetric one, similarities from exact token counts instead of hashed
+its symmetric one, reachability from that search instead of component
+labels, similarities from exact token counts instead of hashed
 vectors, the carried relation from a quadratic scan instead of the
 construction funnel, and a leg's sightings one pose at a time instead of
 in one pass.  The world's memos are checked against the rules they
@@ -26,7 +27,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from carriernav.graph import carrying_predicate, geometric_carrier_filter, nearest_carrier
-from carriernav.world import Observation, Pose, WorldError
+from carriernav.world import GridWorld, Observation, Pose, WorldError
 
 SQRT2 = math.sqrt(2.0)
 
@@ -171,6 +172,25 @@ def full_grid_distances(occupancy, resolution: float, source):
     from one unbounded undirected search over ``one_direction_graph``."""
     graph, index = one_direction_graph(occupancy, resolution)
     return dijkstra(graph, directed=False, indices=int(index[source[1], source[0]])), index
+
+
+def carriers_reachable_by_distance(scene, start) -> bool:
+    """The scenario generator's reachability rule before component labels:
+    every carrier-sized object (box bottom at most 0.05 m up) lies at a
+    finite distance from the start, each end snapped to its nearest free
+    cell, here by one unbounded search.  A blocked start is unreachable."""
+    try:
+        world = GridWorld(scene, start_pose=start)
+    except WorldError:
+        return False
+    dist, index = full_grid_distances(world.occupancy, world.resolution,
+                                      world.snap_free_cell(start.position))
+    for obj in scene.objects.values():
+        if obj.box.min[2] <= 0.05:
+            ix, iy = world.snap_free_cell(obj.centroid[:2])
+            if math.isinf(dist[index[iy, ix]]):
+                return False
+    return True
 
 
 def snap_free_cell_rings(occupancy, origin, resolution: float, point):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from collections import Counter
 from random import Random
 
 import pytest
@@ -125,6 +126,55 @@ class TestRunSequence:
         ours = run_sequence(sc, VARIANTS["ours"])
         frozen = run_sequence(sc, VARIANTS["no-update"])
         assert mean_spl(ours[1:]) > mean_spl(frozen[1:])
+
+
+class TestSearchBudget:
+    """Counts, not timings: over whole task sequences each world builds its
+    free-cell graph once, a leg whose ends share a cell searches nothing,
+    and no source is searched twice to one limit."""
+
+    @pytest.mark.parametrize("mode,index,resolution", [
+        ("single", 0, 0.05), ("probe", 0, 0.05), ("mixed", 0, 0.25), ("mixed", 1, 0.25)])
+    def test_each_search_is_paid_once(self, monkeypatch, mode, index, resolution):
+        import carriernav.world as world_mod
+        sc = build_scenario(mode, index, 7, resolution)
+        builds, built, searches, zero_legs = Counter(), [], [], []
+        alive = []  # worlds and graphs, so their ids stay unique
+        real_csr, real_dijkstra = world_mod.csr_matrix, world_mod.dijkstra
+        real_graph, real_path = GridWorld._free_graph, GridWorld.shortest_path
+
+        def free_graph(world):
+            alive.append(world)
+            before = len(built)
+            out = real_graph(world)
+            builds[id(world)] += len(built) - before
+            return out
+
+        def csr_matrix(*args, **kwargs):
+            built.append(args)
+            return real_csr(*args, **kwargs)
+
+        def dijkstra(graph, **kwargs):
+            alive.append(graph)
+            searches.append((id(graph), kwargs["indices"], kwargs["limit"]))
+            return real_dijkstra(graph, **kwargs)
+
+        def shortest_path(world, start, goal):
+            before = len(searches)
+            out = real_path(world, start, goal)
+            if world.snap_free_cell(start) == world.snap_free_cell(goal):
+                zero_legs.append(len(searches) - before)
+            return out
+
+        monkeypatch.setattr(world_mod, "csr_matrix", csr_matrix)
+        monkeypatch.setattr(world_mod, "dijkstra", dijkstra)
+        monkeypatch.setattr(GridWorld, "_free_graph", free_graph)
+        monkeypatch.setattr(GridWorld, "shortest_path", shortest_path)
+        for variant in VARIANTS.values():
+            run_sequence(sc, variant)
+        assert len(builds) == len(VARIANTS) and set(builds.values()) == {1}
+        assert zero_legs and set(zero_legs) == {0}
+        assert searches and len(set(searches)) == len(searches)
 
 
 class TestFullCoverageTour:

@@ -560,9 +560,9 @@ class TestRunTask:
 
     def test_one_search_per_pose(self, monkeypatch):
         # the shortest baseline, the initial candidate distance, the ranking
-        # and the leg path read one pose's search, which only grows (a
-        # strictly larger limit) when a read lies beyond it; the Stop step
-        # reads nothing
+        # and the leg path read one search per pose, which only grows (a
+        # strictly larger limit) when a read lies beyond it, even after
+        # other poses have searched; the Stop step reads nothing
         import carriernav.world as world_mod
         searches = []
         real = world_mod.dijkstra
@@ -587,18 +587,13 @@ class TestRunTask:
         monkeypatch.setattr(world, "travel", travel)
         r = run_task(world, crsg, self.task(), rng=Random(0))
         assert r.success and r.action_count >= 3
-        runs = []  # consecutive searches from one source
+        limits = {}  # source -> its searches' limits, in order
         for source, limit in searches:
-            if runs and runs[-1][0] == source:
-                runs[-1][1].append(limit)
-            else:
-                runs.append((source, [limit]))
-        assert 0 < len(runs) <= len(poses)
-        # a pose's searches are never split by another pose's
-        assert len({source for source, _ in runs}) == len(runs)
-        for _, limits in runs:
-            assert all(a < b for a, b in zip(limits, limits[1:]))
-            assert sum(math.isinf(x) for x in limits) <= 1
+            limits.setdefault(source, []).append(limit)
+        assert 0 < len(limits) <= len(poses)
+        for grown in limits.values():
+            assert all(a < b for a, b in zip(grown, grown[1:]))
+            assert sum(math.isinf(x) for x in grown) <= 1
 
     def test_one_match_per_sighting_per_leg(self, monkeypatch):
         # a leg's sightings are its travel's first sightings plus the visited

@@ -20,7 +20,10 @@ from carriernav.scenarios import (
     load_scenario,
 )
 from carriernav.scene import SceneError, scene_from_dict
-from carriernav.world import GridWorld
+from carriernav.world import GridWorld, Pose
+
+import carriernav.scenarios as scenarios_mod
+import oracles
 
 
 def test_modes_are_registered():
@@ -111,6 +114,47 @@ def test_carriers_reachable_from_start(mode, seed):
     for cid in crsg.carriers:
         world.shortest_path(sc.start_pose.position,
                             crsg.carriers[cid].object.centroid[:2])
+
+
+@pytest.mark.parametrize("resolution,count", [(0.25, 40), (0.05, 8)])
+@pytest.mark.parametrize("mode", MODES)
+def test_reachability_verdicts_equal_the_distance_rule(monkeypatch, mode, resolution, count):
+    # every layout the generator checks, rejected ones included
+    verdicts = []
+    real = scenarios_mod._validate_reachable
+
+    def both(scene, start):
+        got = real(scene, start)
+        verdicts.append((got, oracles.carriers_reachable_by_distance(scene, start)))
+        return got
+
+    monkeypatch.setattr(scenarios_mod, "_validate_reachable", both)
+    for index in range(count):
+        build_scenario(mode, index, 3, resolution)
+    assert len(verdicts) >= count
+    assert all(got == want for got, want in verdicts)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_reachability_verdicts_on_pocketed_worlds(mode):
+    # a start walled into a pocket reaches no carrier
+    sc = build_scenario(mode, 0, 5)
+    tree = sc.scene.to_dict()
+    world = GridWorld(sc.scene, start_pose=sc.start_pose)
+    ix, iy = world.snap_free_cell(sc.start_pose.position)
+    tree["grid"]["blocked_cells"] += [
+        [ix + dx, iy + dy] for dx in range(-2, 3) for dy in range(-2, 3)
+        if max(abs(dx), abs(dy)) == 2 and 0 <= ix + dx < world.width
+        and 0 <= iy + dy < world.height]
+    pocketed = scene_from_dict(tree)
+    carrier = next(obj for obj in sc.scene.objects.values() if obj.box.min[2] <= 0.05)
+    outside = Pose(world.cell_center(world.snap_free_cell(carrier.centroid[:2])))
+    verdicts = []
+    for start in (sc.start_pose, outside):
+        want = oracles.carriers_reachable_by_distance(pocketed, start)
+        assert scenarios_mod._validate_reachable(pocketed, start) == want
+        verdicts.append(want)
+    assert verdicts == [False, True]
 
 
 class TestSingleMode:

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from carriernav.bench import run_sequence
 from carriernav.graph import CrsgConfig
@@ -290,6 +292,16 @@ class TestPlanning:
         assert field.to_point([0.125, 0.125]) == 0.0
 
 
+def counting_searches(monkeypatch):
+    """(source row, limit) of every Dijkstra search the world runs."""
+    import carriernav.world as world_mod
+    searches = []
+    real = world_mod.dijkstra
+    monkeypatch.setattr(world_mod, "dijkstra", lambda *a, **k: searches.append(
+        (k["indices"], k["limit"])) or real(*a, **k))
+    return searches
+
+
 class TestBoundedSearch:
     """Bounded searches against one unbounded undirected search over the
     planner's former one-direction graph: every read must be bit-equal."""
@@ -298,22 +310,47 @@ class TestBoundedSearch:
     @pytest.mark.parametrize("mode", MODES)
     def test_graph_is_the_former_graph_made_symmetric(self, mode, resolution):
         w = pocketed_world(mode, resolution)
-        graph, index, _ = w._free_graph()
+        graph, index, cells = w._free_graph()
         old, old_index = oracles.one_direction_graph(w.occupancy, resolution)
         assert np.array_equal(index, old_index)
         assert graph.shape == old.shape
-        assert (graph != old + old.T).nnz == 0
+        n, width = graph.shape[0], len(STEP_ORDER)
+        rows = np.repeat(np.arange(n), width)
+        moves = rows != graph.indices
+        # the moves are both directions of every former edge
+        sym = old + old.T
+        assert (csr_matrix((graph.data[moves], (rows[moves], graph.indices[moves])),
+                           shape=graph.shape) != sym).nnz == 0
+        # every row has one slot per STEP_ORDER move, a self-loop where the
+        # move is not allowed
+        assert np.array_equal(graph.indptr, np.arange(0, width * n + 1, width))
+        iy, ix = np.divmod(cells.astype(np.int64), w.width)
+        for k, (dx, dy) in enumerate(STEP_ORDER):
+            nx, ny = ix + dx, iy + dy
+            nbr = np.full(n, -1)
+            inside = (nx >= 0) & (nx < w.width) & (ny >= 0) & (ny < w.height)
+            nbr[inside] = old_index[ny[inside], nx[inside]]
+            edge = nbr >= 0
+            edge[edge] = np.asarray(sym[np.flatnonzero(edge), nbr[edge]]).ravel() > 0
+            assert np.array_equal(graph.indices[k::width], np.where(edge, nbr, np.arange(n)))
+            assert np.all(graph.data[k::width] == math.hypot(dx, dy) * resolution)
+        # the self-loops join nothing: the components are the former graph's
+        n_got, got = connected_components(graph, directed=False)
+        n_old, want = connected_components(old, directed=False)
+        assert n_got == n_old > 1  # the pocket
+        assert len(set(zip(got.tolist(), want.tolist()))) == n_old
 
     @pytest.mark.parametrize("order", ["random", "near-first", "far-first"])
     @pytest.mark.parametrize("resolution", [0.25, 0.05])
     @pytest.mark.parametrize("mode", MODES)
     def test_bounded_reads_equal_the_full_search(self, mode, resolution, order):
-        # one source's reads are split by another's, so the memo changes
-        # source and a field reads on after a later source's search
+        # three sources' reads are interleaved and each source is revisited,
+        # so a field reads on after later sources have searched
         w = pocketed_world(mode, resolution)
         rng = Random(f"{mode}/{resolution}/{order}")
         reads = []
-        for source in (w.snap_free_cell(w.robot.position), sample_cells(rng, ~w.occupancy, 1)[0]):
+        sources = [w.snap_free_cell(w.robot.position)] + sample_cells(rng, ~w.occupancy, 2)
+        for source in sources:
             full, index = oracles.full_grid_distances(w.occupancy, resolution, source)
             unreachable = (index >= 0) & np.isinf(full[index])
             assert unreachable.any()  # the pocket
@@ -333,10 +370,11 @@ class TestBoundedSearch:
                          "near-first": lambda e: e, "far-first": lambda e: -e}[order]
             ranked = sorted(zip(expected, points, cells), key=lambda t: order_key(t[0]))
             reads.append((w.distance_field(w.cell_center(source)), ranked))
-        (field_a, reads_a), (field_b, reads_b) = reads
-        half = len(reads_a) // 2
-        for field, batch in ((field_a, reads_a[:half]), (field_b, reads_b),
-                             (field_a, reads_a[half:])):
+        (field_a, reads_a), (field_b, reads_b), (field_c, reads_c) = reads
+        third, half = len(reads_a) // 3, len(reads_b) // 2
+        for field, batch in ((field_a, reads_a[:third]), (field_b, reads_b[:half]),
+                             (field_c, reads_c), (field_a, reads_a[third:2 * third]),
+                             (field_b, reads_b[half:]), (field_a, reads_a[2 * third:])):
             for exp, point, cell in batch:
                 got = field.to_cell(cell) if point is None else field.to_point(point)
                 assert got == exp, (point, cell)
@@ -364,42 +402,124 @@ class TestBoundedSearch:
             assert type(length) is float and {type(v) for cell in path for v in cell} == {int}
 
     def test_searches_stop_at_the_distance_read(self, monkeypatch):
-        import carriernav.world as world_mod
-        limits = []
-        real = world_mod.dijkstra
-        monkeypatch.setattr(world_mod, "dijkstra",
-                            lambda *a, **k: limits.append(k["limit"]) or real(*a, **k))
+        searches = counting_searches(monkeypatch)
         w = empty_world(width=64, height=64)
         field = w.distance_field(w.cell_center((0, 0)))
         assert field.to_cell((3, 0)) == 0.75
-        assert limits == [pytest.approx(2 * 0.75)]
-        assert math.isinf(w._search_memo[2][w._free_graph()[1][0, 10]])
+        margin = 1.0 + 1e-9
+        # 1.25 times the octile distance read
+        assert searches == [(0, 1.25 * 0.75 * margin)]
+        assert math.isinf(w._searches[(0, 0)][1][w._free_graph()[1][0, 10]])
         assert field.to_cell((2, 1)) == pytest.approx(0.25 + SQRT2 * 0.25)
-        assert len(limits) == 1  # nearer than the limit: the memo answers
+        assert len(searches) == 1  # nearer than the limit: the search answers
         assert field.to_cell((10, 0)) == 2.5
-        assert limits[1] == pytest.approx(max(2 * limits[0], 2 * 2.5))
-        # twice the octile distance to (63, 63) covers the whole grid
+        # max(2 * limit, 1.25 * octile)
+        assert searches[1] == (0, 1.25 * 2.5 * margin)
+        # 1.25 times the octile distance to (63, 63) passes the farthest
+        # corner's octile distance: the search covers the whole grid
         assert field.to_cell((63, 63)) == pytest.approx(63 * SQRT2 * 0.25)
-        assert math.isinf(limits[2]) and len(limits) == 3
-        assert field.to_cell((0, 63)) == 63 * 0.25 and len(limits) == 3
+        assert searches[2] == (0, math.inf) and len(searches) == 3
+        assert field.to_cell((0, 63)) == 63 * 0.25 and len(searches) == 3
 
     def test_a_detour_grows_the_search_until_it_is_reached(self, monkeypatch):
         # the cell right across a wall is 0.5 m away as the crow flies, but
         # the way round the wall's end is far longer
-        import carriernav.world as world_mod
-        limits = []
-        real = world_mod.dijkstra
-        monkeypatch.setattr(world_mod, "dijkstra",
-                            lambda *a, **k: limits.append(k["limit"]) or real(*a, **k))
+        searches = counting_searches(monkeypatch)
         wall = [(5, iy) for iy in range(60)]
         w = empty_world(width=64, height=64, blocked=wall)
         occ = [[bool(w.occupancy[iy, ix]) for ix in range(w.width)] for iy in range(w.height)]
         expected = oracles.dijkstra_grid_length(occ, w.resolution, (4, 0), (6, 0))
         assert w.distance_field(w.cell_center((4, 0))).to_cell((6, 0)) == pytest.approx(
             expected, abs=1e-9)
-        assert limits[0] == pytest.approx(1.0)
-        assert all(b == pytest.approx(2 * a) for a, b in zip(limits, limits[1:-1]))
-        assert math.isinf(limits[-1]) and limits[-2] < expected
+        # 1.25 * 0.5 m first, then doubled until the octile distance to the
+        # farthest corner, (63, 63), is passed
+        corner = (4 + 59 * SQRT2) * 0.25
+        limits, limit = [], 0.0
+        while not math.isinf(limit):
+            limit = max(2.0 * limit, 1.25 * 0.5) * (1.0 + 1e-9)
+            limit = math.inf if limit >= corner else limit
+            limits.append(limit)
+        assert limits[:3] == [pytest.approx(0.625), pytest.approx(1.25), pytest.approx(2.5)]
+        assert limits[-2] < expected
+        assert searches == [(4, limit) for limit in limits]
+
+    def test_a_revisited_source_searches_no_more(self, monkeypatch):
+        # A -> B -> A: the revisit reads A's own search
+        searches = counting_searches(monkeypatch)
+        w = empty_world(width=64, height=64, blocked=[(5, iy) for iy in range(40)])
+        a, b = w.cell_center((0, 0)), w.cell_center((30, 30))
+        first = w.distance_field(a).to_cell((20, 10))
+        path, length = w.shortest_path(a, w.cell_center((12, 3)))
+        w.distance_field(b).to_cell((40, 50))
+        w.shortest_path(b, a)
+        n = len(searches)
+        assert {source for source, _ in searches} == {0, w._free_graph()[1][30, 30]}
+        assert w.distance_field(a).to_cell((20, 10)) == first
+        assert w.shortest_path(a, w.cell_center((12, 3))) == (path, length)
+        assert w.distance_field(a).to_cell((12, 3)) == pytest.approx(length, abs=1e-9)
+        assert len(searches) == n
+
+    def test_a_zero_length_leg_runs_no_search(self, monkeypatch):
+        searches = counting_searches(monkeypatch)
+        w = empty_world(blocked=[(2, 2)])
+        # two points of one cell, and a blocked cell's center, which snaps
+        # to its west neighbour
+        for start, goal in (([0.3, 0.3], [0.45, 0.26]), (w.cell_center((1, 2)),
+                                                         w.cell_center((2, 2)))):
+            path, length = w.shortest_path(start, goal)
+            cell = w.snap_free_cell(start)
+            assert path == [cell] and length == 0.0
+            assert type(length) is float and {type(v) for v in path[0]} == {int}
+        assert searches == []
+
+    @pytest.mark.parametrize("resolution", [0.25, 0.05])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_connected_equals_the_full_search(self, mode, resolution):
+        w = pocketed_world(mode, resolution)
+        rng = Random(f"{mode}/{resolution}/connected")
+        start = w.snap_free_cell(w.robot.position)
+        full, index = oracles.full_grid_distances(w.occupancy, resolution, start)
+        unreachable = (index >= 0) & np.isinf(full[index])
+        cells = sample_cells(rng, ~w.occupancy, 30) + sample_cells(rng, unreachable, 3)
+        for ix, iy in cells:
+            got = w.connected(w.robot.position, w.cell_center((ix, iy)))
+            assert got == (not math.isinf(full[index[iy, ix]]))
+            assert w.connected(w.cell_center((ix, iy)), w.robot.position) == got
+
+
+@st.composite
+def grids_and_reads(draw):
+    width, height = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+    cells = [(ix, iy) for iy in range(height) for ix in range(width)]
+    blocked = draw(st.sets(st.sampled_from(cells), max_size=len(cells) - 1))
+    free = [c for c in cells if c not in blocked]
+    sources = draw(st.lists(st.sampled_from(free), min_size=1, max_size=3))
+    reads = draw(st.lists(st.tuples(st.integers(0, len(sources) - 1), st.sampled_from(cells),
+                                    st.booleans()), min_size=1, max_size=25))
+    return width, height, sorted(blocked), sources, reads
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=grids_and_reads())
+def test_any_read_sequence_equals_the_full_search(case):
+    # distance reads and paths from a few sources, in any order, on any grid
+    width, height, blocked, sources, reads = case
+    w = empty_world(width=width, height=height, blocked=blocked)
+    fields = [w.distance_field(w.cell_center(s)) for s in sources]
+    fulls = [oracles.full_grid_distances(w.occupancy, w.resolution, s) for s in sources]
+    for k, cell, as_path in reads:
+        full, index = fulls[k]
+        want = math.inf if w.occupancy[cell[1], cell[0]] else full[index[cell[1], cell[0]]]
+        if not as_path:
+            assert fields[k].to_cell(cell) == want
+        elif math.isinf(want):
+            if not w.occupancy[cell[1], cell[0]]:
+                with pytest.raises(UnreachableGoalError):
+                    w.shortest_path(w.cell_center(sources[k]), w.cell_center(cell))
+        else:
+            path, length = w.shortest_path(w.cell_center(sources[k]), w.cell_center(cell))
+            assert path[0] == sources[k] and path[-1] == cell
+            assert length == pytest.approx(want, abs=1e-9)
 
 
 def sensing_world():
