@@ -7,13 +7,15 @@ multi-task sequences whose first i tasks all succeeded.
 
 ``run_suite`` executes a (scenario x variant) matrix, optionally across a
 process pool, and writes two artifacts: ``results.jsonl`` (one row per
-episode, sorted) and ``report.json`` (per-variant aggregates).  Neither
+episode, sorted) and ``report.json`` (per-variant aggregates and the name
+of the prior oracle that ran).  Neither
 file contains wall-clock times or other run-dependent values, so reruns
 with the same inputs are byte-identical regardless of worker count.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -182,20 +184,21 @@ def _episode_row(scenario_name: str, variant: str, r: EpisodeResult) -> dict:
     }
 
 
-def _run_job(job: Tuple[str, str]) -> List[dict]:
+def _run_job(prior: CarrierPriorOracle, job: Tuple[str, str]) -> List[dict]:
     scenario_path, variant_name = job
     scenario = load_scenario(scenario_path)
-    results = run_sequence(scenario, VARIANTS[variant_name])
+    results = run_sequence(scenario, VARIANTS[variant_name], prior=prior)
     return [_episode_row(scenario.name, variant_name, r) for r in results]
 
 
 @dataclass
 class SuiteReport:
     rows: List[dict]
+    oracle: str
     variants: Dict[str, dict] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {"episodes": len(self.rows), "variants": self.variants}
+        return {"episodes": len(self.rows), "oracle": self.oracle, "variants": self.variants}
 
 
 def _aggregate(rows: List[dict]) -> Dict[str, dict]:
@@ -230,12 +233,14 @@ def run_suite(
     variant_names: Sequence[str] = ("ours",),
     out_dir: Optional[str] = None,
     workers: int = 1,
+    prior: Optional[CarrierPriorOracle] = None,
 ) -> SuiteReport:
     """Run every (scenario, variant) pair and aggregate the results.
 
-    Jobs execute in sorted order (or across a process pool; the output is
-    identical either way).  With ``out_dir`` set, writes ``results.jsonl``
-    and ``report.json``.
+    Every episode consults ``prior`` (the keyword oracle if not given),
+    and the report records its ``name``.  Jobs execute in sorted order (or
+    across a process pool; the output is identical either way).  With
+    ``out_dir`` set, writes ``results.jsonl`` and ``report.json``.
     """
     for name in variant_names:
         if name not in VARIANTS:
@@ -246,15 +251,17 @@ def run_suite(
     if not jobs:
         raise BenchError("no scenarios to run")
 
+    prior = prior or KeywordPriorOracle()
+    run_job = functools.partial(_run_job, prior)
     if workers == 1:
-        chunks = [_run_job(job) for job in jobs]
+        chunks = [run_job(job) for job in jobs]
     else:
         with multiprocessing.Pool(processes=workers) as pool:
-            chunks = pool.map(_run_job, jobs, chunksize=1)
+            chunks = pool.map(run_job, jobs, chunksize=1)
 
     rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=lambda r: (r["scenario"], r["variant"], r["task_index"]))
-    report = SuiteReport(rows=rows, variants=_aggregate(rows))
+    report = SuiteReport(rows=rows, oracle=prior.name, variants=_aggregate(rows))
 
     if out_dir is not None:
         out = Path(out_dir)

@@ -2,6 +2,7 @@
 
 Exit codes: 0 success, 1 bad input (arguments, files, schemas), 2 runtime
 failure (no query match, unreachable goals, unexpected errors).
+Every subcommand uses the one prior oracle that ``oracle_from_env`` gives.
 """
 
 from __future__ import annotations
@@ -68,16 +69,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _cmd_gen_scenarios(args) -> int:
+def _cmd_gen_scenarios(args, prior) -> int:  # generation consults no oracle
     scenarios = generate_scenarios(args.mode, args.count, args.seed,
                                    out_dir=args.out)
     print(f"wrote {len(scenarios)} {args.mode} scenarios to {args.out}")
     return 0
 
 
-def _cmd_build_graph(args) -> int:
-    scene = load_scene(args.scene)
-    crsg = build_crsg(scene, prior=oracle_from_env())
+def _cmd_build_graph(args, prior) -> int:
+    crsg = build_crsg(load_scene(args.scene), prior=prior)
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(crsg.to_dict(), fh, sort_keys=True, indent=2)
@@ -88,9 +88,8 @@ def _cmd_build_graph(args) -> int:
     return 0
 
 
-def _cmd_query(args) -> int:
-    scene = load_scene(args.scene)
-    crsg = build_crsg(scene, prior=oracle_from_env())
+def _cmd_query(args, prior) -> int:
+    crsg = build_crsg(load_scene(args.scene), prior=prior)
     query = Query(text=args.text, image=args.image, carrier_text=args.carrier)
     obj, score = query_target(crsg, query)
     carrier = crsg.carrier_of(obj.id)
@@ -99,12 +98,11 @@ def _cmd_query(args) -> int:
     return 0
 
 
-def _cmd_run_episode(args) -> int:
+def _cmd_run_episode(args, prior) -> int:
     from .bench import mean_spl, run_sequence, spl, success_rate
 
     scenario = load_scenario(args.scenario)
-    results = run_sequence(scenario, VARIANTS[args.variant],
-                           prior=oracle_from_env())
+    results = run_sequence(scenario, VARIANTS[args.variant], prior=prior)
     for r in results:
         score = spl(r.success, r.shortest, r.traveled)
         print(f"task {r.task_index}: success={r.success} spl={score:.4f} "
@@ -117,7 +115,7 @@ def _cmd_run_episode(args) -> int:
     return 0
 
 
-def _cmd_run_suite(args) -> int:
+def _cmd_run_suite(args, prior) -> int:
     root = Path(args.scenarios)
     if root.is_dir():
         paths = sorted(str(p) for p in root.glob("scenario_*.json"))
@@ -131,7 +129,8 @@ def _cmd_run_suite(args) -> int:
     for v in variants:
         if v not in VARIANTS:
             raise CliError(f"unknown variant {v!r}; known: {sorted(VARIANTS)}")
-    report = run_suite(paths, variants, out_dir=args.out, workers=args.workers)
+    report = run_suite(paths, variants, out_dir=args.out, workers=args.workers,
+                       prior=prior)
     for name, agg in sorted(report.variants.items()):
         print(f"{name}: episodes={agg['episodes']} sr={agg['sr']:.4f} "
               f"spl={agg['spl']:.4f}")
@@ -152,7 +151,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, oracle_from_env())
     except QueryError as exc:  # before its ValueError bases: no-match is runtime
         print(f"no match: {exc}", file=sys.stderr)
         return 2

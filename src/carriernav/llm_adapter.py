@@ -35,6 +35,8 @@ class LlmPriorOracle(CarrierPriorOracle):
     degrades gracefully instead of crashing an episode.
     """
 
+    name = "llm"
+
     def __init__(self, endpoint: str, api_key: Optional[str] = None,
                  model: str = "default", timeout: float = 20.0):
         if not endpoint:

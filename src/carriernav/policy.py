@@ -174,7 +174,6 @@ def init_state(
     start: Pose,
     target: ObjectInstance,
     target_score: float,
-    world: GridWorld,
 ) -> NavState:
     """Initial state: all carriers unexplored, the resolved target as the
     sole candidate at its believed position.
@@ -197,15 +196,11 @@ def init_state(
     candidates: Dict[str, CandidateTarget] = {}
     carrier_id = crsg.carrier_of(target.id)
     if carrier_id is not None:
-        try:
-            _, d0 = world.shortest_path(start.position, target.centroid[:2])
-        except UnreachableGoalError:
-            d0 = math.inf
         candidates[target.id] = CandidateTarget(
             object_id=target.id,
             carrier_id=carrier_id,
             ss=target_score,
-            d=d0,
+            d=math.inf,  # decide() measures every candidate before reading d
             d_tilde=0.0,
             position=target.centroid.copy(),
         )
@@ -583,7 +578,7 @@ def run_task(
         except UnreachableGoalError:
             return finish(False, math.inf)
 
-    state = init_state(crsg, start_pose, target_obj, score, world)
+    state = init_state(crsg, start_pose, target_obj, score)
 
     if state.bypass_target is not None:
         dest = state.bypass_target.centroid

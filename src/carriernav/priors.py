@@ -58,7 +58,10 @@ DEFAULT_AFFINITY: Tuple[str, ...] = ("table", "desk", "shelf", "counter", "cabin
 
 
 class CarrierPriorOracle:
-    """Interface for commonsense priors used by graph building and policy."""
+    """Interface for commonsense priors used by graph building and policy;
+    a suite's ``report.json`` records the ``name`` of the one that ran."""
+
+    name = "custom"
 
     def is_carrier(self, captions: Sequence[str]) -> bool:
         raise NotImplementedError
@@ -81,6 +84,8 @@ class KeywordPriorOracle(CarrierPriorOracle):
     opaque tokens by hashed bag-of-words cosine, which lands in [0, 1]
     because the count vectors are non-negative.
     """
+
+    name = "keyword"
 
     def is_carrier(self, captions: Sequence[str]) -> bool:
         for caption in list(captions)[:3]:

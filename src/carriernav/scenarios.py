@@ -21,21 +21,20 @@ is byte-identical.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
-import sys
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from random import Random
-from typing import Dict, List, Optional, Sequence, Tuple, Union, get_args, get_origin, get_type_hints
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .graph import CrsgConfig, Query
 from .policy import PolicyConfig, PolicyError, Task
 from .priors import AFFINITY_RANKINGS
-from .scene import SceneError, SceneMap, scene_from_dict
+from .scene import (SceneError, SceneMap, SceneParseError, load_scene, read_record, save_scene,
+                    scene_from_dict)
 from .update import MatchConfig
 from .world import DisplacementEvent, GridWorld, Pose, SensorConfig, WorldError
 
@@ -603,9 +602,7 @@ def generate_scenarios(mode: str, count: int, seed: int,
         out.mkdir(parents=True, exist_ok=True)
         for i, sc in enumerate(scenarios):
             scene_file = f"scene_{i:04d}.json"
-            with open(out / scene_file, "w") as fh:
-                json.dump(sc.scene.to_dict(), fh, sort_keys=True, indent=2)
-                fh.write("\n")
+            save_scene(sc.scene, str(out / scene_file))
             with open(out / f"scenario_{i:04d}.json", "w") as fh:
                 json.dump(sc.to_dict(scene_file), fh, sort_keys=True, indent=2)
                 fh.write("\n")
@@ -622,17 +619,14 @@ class _FileHeader:
 
 @dataclass
 class _FilePose:
-    position: List[float]
+    position: Tuple[float, float]
     heading: float = 0.0
-
-    def __post_init__(self):
-        if len(self.position) != 2:
-            raise ValueError("position must be [x, y]")
 
 
 @dataclass
 class _ScenarioFile:
-    """A scenario file's top level, as :func:`_record` reads it."""
+    """A scenario file's top level, as :func:`~carriernav.scene.read_record`
+    reads it."""
 
     header: _FileHeader
     scene_file: str
@@ -648,23 +642,27 @@ class _ScenarioFile:
 def load_scenario(path: str) -> Scenario:
     """Load a scenario JSON; the scene file resolves relative to it.
 
-    Any defect of the scenario file raises ``ScenarioError``: a missing or
-    unknown key, a wrong JSON type, a value that fails its config's,
-    event's or task's own check, a scene file that cannot be read or
-    parsed (its ``SceneError`` is the cause), or a ``ground_truth_id`` or
-    event object id that the scene lacks.
+    Both files are read by ``scene.read_record``.  Any defect of the
+    scenario file raises ``ScenarioError``: invalid JSON, an unknown or
+    missing key, a wrong JSON type or a non-finite number, a value that
+    fails its config's, event's or task's own check (``PolicyConfig``'s
+    raises ``PolicyError``, the others a ``ValueError``), a scene file that
+    cannot be read or parsed (its ``SceneError`` is the cause), or a
+    ``ground_truth_id`` or event object id that the scene lacks.
     """
     p = Path(path)
-    with open(p) as fh:
-        top = _record(_ScenarioFile, json.load(fh), "scenario", path)
+    try:
+        with open(p) as fh:
+            top = read_record(_ScenarioFile, json.load(fh), "scenario")
+    except (json.JSONDecodeError, SceneParseError, PolicyError) as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
     if top.header.version != 1:
         raise ScenarioError(f"{path}: unsupported scenario version")
     if not top.tasks:
         raise ScenarioError(f"{path}: scenario has no tasks")
     try:
-        with open(p.parent / top.scene_file) as fh:
-            scene = scene_from_dict(json.load(fh))
-    except (OSError, json.JSONDecodeError, SceneError) as exc:
+        scene = load_scene(str(p.parent / top.scene_file))
+    except (OSError, SceneError) as exc:
         raise ScenarioError(f"{path}: cannot load the scene file: {exc}") from exc
     for t in top.tasks:
         if t.ground_truth_id not in scene.objects:
@@ -677,56 +675,6 @@ def load_scenario(path: str) -> Scenario:
     header, pose = top.header, top.start_pose
     return Scenario(name=header.name if header.name is not None else p.stem,
                     mode=header.mode, seed=str(header.seed), scene=scene,
-                    start_pose=Pose(np.array(pose.position, dtype=np.float64),
-                                    heading=float(pose.heading)),
+                    start_pose=Pose(pose.position, heading=float(pose.heading)),
                     sensor=top.sensor, policy=top.policy, crsg=top.crsg,
                     match=top.match, events=top.events, tasks=top.tasks)
-
-
-def _record(cls, value, what: str, path: str):
-    """Dataclass ``cls`` read from the JSON object ``value``, or a ScenarioError.
-
-    Each value is read as its field's annotation: a dataclass from an
-    object, ``List[X]`` from a list, a scalar only from its own JSON type
-    (booleans are not numbers; numbers must be finite).
-    """
-    if not isinstance(value, dict):
-        raise ScenarioError(f"{path}: {what} must be an object, not {value!r}")
-    hints = _type_hints(cls)
-    unknown = sorted(set(value) - set(hints))
-    if unknown:
-        raise ScenarioError(f"{path}: unknown {what} keys {unknown}")
-    missing = [f.name for f in fields(cls) if f.name not in value
-               and f.default is MISSING and f.default_factory is MISSING]
-    if missing:
-        raise ScenarioError(f"{path}: {what} is missing keys {missing}")
-    kwargs = {k: _read(v, hints[k], f"{what}.{k}", path) for k, v in value.items()}
-    try:
-        return cls(**kwargs)
-    except (ValueError, PolicyError) as exc:
-        raise ScenarioError(f"{path}: {what}: {exc}") from None
-
-
-@functools.cache
-def _type_hints(cls) -> dict:
-    """The field annotations of dataclass ``cls``, resolved once per class."""
-    return get_type_hints(cls)
-
-
-def _read(value, hint, what: str, path: str):
-    if is_dataclass(hint):
-        return _record(hint, value, what, path)
-    if get_origin(hint) is list:
-        if isinstance(value, list):
-            return [_read(v, get_args(hint)[0], f"{what}[{i}]", path) for i, v in enumerate(value)]
-    elif any(_is_scalar(value, h) for h in get_args(hint) or (hint,)):
-        return value
-    raise ScenarioError(f"{path}: {what} has the wrong type: {value!r}")
-
-
-def _is_scalar(value, hint) -> bool:
-    if isinstance(value, bool) or hint is bool:
-        return isinstance(value, bool) and hint is bool
-    if hint is float:  # any finite JSON number
-        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-    return isinstance(value, hint)

@@ -3,16 +3,21 @@
 A scene file is a JSON tree with a header, room polygons, object instances
 and occupancy-grid metadata.  Features are either embedded verbatim or
 synthesized from captions with the default embedder (``feature_mode``).
+The file is declared as record dataclasses (``_SceneFile`` and its parts)
+and read by ``read_record``, the one typed reader that scenario files use
+too: an unknown or missing key, a wrong JSON type or a non-finite number
+is a ``SceneParseError``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, List, Optional, Sequence, Tuple, Union, get_args, get_origin,
+                    get_type_hints)
 
 import numpy as np
 
@@ -31,7 +36,7 @@ class SceneError(ValueError):
 
 
 class SceneParseError(SceneError):
-    """Malformed file: bad JSON or missing required structure."""
+    """Malformed file: bad JSON, or a key or value that the format does not allow."""
 
 
 class SceneValidationError(SceneError):
@@ -248,19 +253,14 @@ class SceneMap:
     embedding_dim: int = DEFAULT_EMBEDDING_DIM
 
     def __post_init__(self):
-        dims = set()
-        for obj in self.objects.values():
-            dims.add(obj.text_feature.shape[0])
-            dims.add(obj.visual_feature.shape[0])
-        dims.discard(self.embedding_dim)
-        if dims:
-            raise SceneValidationError(
-                f"object feature dims {sorted(dims)} do not match header dim {self.embedding_dim}"
-            )
         room_ids = {room.id for room in self.rooms}
         if len(room_ids) != len(self.rooms):
             raise SceneValidationError("duplicate room ids")
         for obj in self.objects.values():
+            for name in ("text_feature", "visual_feature"):
+                if getattr(obj, name).shape[0] != self.embedding_dim:
+                    raise SceneValidationError(f"object {obj.id!r} {name} dimension is not "
+                                               f"the header's {self.embedding_dim}")
             if obj.room_id is not None and obj.room_id not in room_ids and obj.room_id != HALLWAY_ROOM_ID:
                 raise SceneValidationError(
                     f"object {obj.id!r} names unknown room {obj.room_id!r}"
@@ -353,166 +353,204 @@ def assign_rooms(objects: Sequence[ObjectInstance], rooms: Sequence[Room]) -> Di
     return out
 
 
-def _require(mapping: dict, key: str, ctx: str):
-    if key not in mapping:
-        raise SceneParseError(f"{ctx}: missing required key {key!r}")
-    return mapping[key]
+# The JSON types each scalar annotation reads from: booleans are not
+# numbers, and a float field takes any JSON number.
+_JSON_TYPES = {str: {str}, int: {int}, float: {int, float}, bool: {bool},
+               type(None): {type(None)}}
 
 
-# Typed readers for JSON values: each returns the value or raises
-# SceneParseError.  Booleans are not numbers, and numbers must be finite.
+def read_record(cls, value, what: str):
+    """Record dataclass ``cls`` read from the JSON object ``value``.
 
-def _object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise SceneParseError(f"{what} must be a JSON object, not {value!r}")
-    return value
-
-
-def _array(value, what: str) -> list:
-    if not isinstance(value, list):
-        raise SceneParseError(f"{what} must be a JSON array, not {value!r}")
-    return value
-
-
-def _string(value, what: str) -> str:
-    if not isinstance(value, str):
-        raise SceneParseError(f"{what} must be a string, not {value!r}")
-    return value
-
-
-def _integer(value, what: str) -> int:
-    if type(value) is not int:
-        raise SceneParseError(f"{what} must be an integer, not {value!r}")
-    return value
-
-
-def _number(value, what: str) -> float:
-    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-        raise SceneParseError(f"{what} must be a finite number, not {value!r}")
-    return float(value)
+    Every key must be a field, and every field without a default present.
+    A value is read as its field's annotation: a record from an object, a
+    ``List`` from an array, a fixed-length ``Tuple`` from an array of that
+    length, a ``Union`` (``Optional`` too) as its first member that reads
+    it, and a scalar only from its own JSON type (``_JSON_TYPES``), a number
+    only if finite.  Arrays of scalars are checked in bulk, and arrays of
+    numbers read as float64 arrays.  A defect, or a ``ValueError`` from the
+    record's own check, raises ``SceneParseError`` naming the value's path.
+    """
+    if type(value) is not dict:
+        raise SceneParseError(f"{what} must be an object, not {value!r}")
+    readers, required = _schema(cls)
+    if not value.keys() <= readers.keys():
+        raise SceneParseError(f"unknown {what} keys {sorted(value.keys() - readers.keys())}")
+    if not required <= value.keys():
+        raise SceneParseError(f"{what} is missing keys {sorted(required - value.keys())}")
+    kwargs = {k: readers[k](v, f"{what}.{k}") for k, v in value.items()}
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise SceneParseError(f"{what}: {exc}") from None
 
 
-def _numbers(value, what: str, length: Optional[int] = None) -> np.ndarray:
-    """An array of finite numbers, of ``length`` entries if given."""
-    if isinstance(value, list) and (length is None or len(value) == length):
-        kinds = set(map(type, value))
-        # an integer beyond the float range has no float64 value
-        if kinds <= {int, float} and (
-                int not in kinds or all(abs(v) <= sys.float_info.max for v in value)):
-            vec = np.array(value, dtype=np.float64)
-            if np.isfinite(vec).all():
-                return vec
-    size = "" if length is None else f"{length} "
-    raise SceneParseError(f"{what} must be an array of {size}finite numbers, not {value!r}")
+@functools.cache
+def _schema(cls) -> Tuple[Dict[str, Callable], set]:
+    """The reader of each field of record ``cls``, and its required fields,
+    built once per class."""
+    required = {f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING}
+    return {name: _reader(hint) for name, hint in get_type_hints(cls).items()}, required
 
 
-def _cells(value, what: str) -> list:
-    """An array of [ix, iy] integer pairs (checked in bulk: grids block
-    thousands of cells)."""
-    cells = _array(value, what)
-    if (set(map(type, cells)) <= {list} and set(map(len, cells)) <= {2}
-            and set(map(type, chain.from_iterable(cells))) <= {int}):
-        return cells
-    raise SceneParseError(f"{what} must be an array of [ix, iy] integer pairs")
+def _reader(hint) -> Callable:
+    """``read(value, what)`` for annotation ``hint``."""
+    if is_dataclass(hint):
+        return functools.partial(read_record, hint)
+    scalars = _scalar_array(hint)
+    if scalars is not None:
+        return functools.partial(_read_scalars, *scalars)
+    origin, args = get_origin(hint), get_args(hint)
+    readers = [_reader(h) for h in args]
+    if origin is Union:
+        return functools.partial(_read_union, readers)
+    if origin in (list, tuple):
+        return functools.partial(_read_array, readers, origin is tuple)
+    raise TypeError(f"no JSON reader for annotation {hint!r}")
 
 
-def _optional(read, value, what: str):
-    return None if value is None else read(value, what)
+def _scalar_array(hint) -> Optional[Tuple[type, tuple]]:
+    """``(scalar, lengths)`` when ``hint`` is a scalar or an array of one
+    scalar type (``List[S]``, a fixed-length ``Tuple[S, ..., S]``, or a list
+    or tuple of fixed-length tuples), with one length per level, ``None``
+    for a list's; ``None`` for any other hint."""
+    if hint in _JSON_TYPES:
+        return hint, ()
+    origin, args = get_origin(hint), get_args(hint)
+    inner = _scalar_array(args[0]) if origin in (list, tuple) and len(set(args)) == 1 else None
+    if inner is None or None in inner[1]:
+        return None
+    return inner[0], (len(args) if origin is tuple else None,) + inner[1]
 
 
-def _parse_object(raw, feature_mode: str, dim: int) -> ObjectInstance:
-    raw = _object(raw, "object")
-    oid = _string(_require(raw, "id", "object"), "object id")
-    ctx = f"object {oid!r}"
-    captions = _require(raw, "captions", ctx)
-    if not isinstance(captions, list) or not all(isinstance(c, str) for c in captions):
-        raise SceneParseError(f"{ctx}: captions must be a list of strings")
-    box_raw = _object(_require(raw, "box", ctx), f"{ctx} box")
-    box = Box3(_numbers(_require(box_raw, "min", f"{ctx} box"), f"{ctx} box min", 3),
-               _numbers(_require(box_raw, "max", f"{ctx} box"), f"{ctx} box max", 3))
-    centroid = _numbers(_require(raw, "centroid", ctx), f"{ctx} centroid", 3)
-
-    text_feature = _optional(_numbers, raw.get("text_feature"), f"{ctx} text_feature")
-    visual_feature = _optional(_numbers, raw.get("visual_feature"), f"{ctx} visual_feature")
-    if feature_mode == "embedded":
-        if text_feature is None or visual_feature is None:
-            raise SceneValidationError(
-                f"{ctx}: embedded feature mode requires stored features"
-            )
-        text_vec, visual_vec = text_feature, visual_feature
+def _read_scalars(scalar, lengths: tuple, value, what: str):
+    flat = [value]
+    for length in lengths:
+        if not (set(map(type, flat)) <= {list}
+                and (length is None or set(map(len, flat)) <= {length})):
+            break
+        flat = flat[0] if len(flat) == 1 else list(chain.from_iterable(flat))  # one list: no copy
     else:
-        joined = " ".join(captions)
-        text_vec = embed_text(joined, dim) if text_feature is None else text_feature
-        visual_vec = embed_text(joined, dim) if visual_feature is None else visual_feature
-    for name, vec in (("text_feature", text_vec), ("visual_feature", visual_vec)):
-        if vec.shape[0] != dim:
-            raise SceneValidationError(f"{ctx}: {name} has wrong dimension")
-    return ObjectInstance(
-        id=oid,
-        captions=tuple(captions),
-        box=box,
-        centroid=centroid,
-        text_feature=text_vec,
-        visual_feature=visual_vec,
-        room_id=_optional(_string, raw.get("room_id"), f"{ctx} room_id"),
-    )
+        try:
+            if set(map(type, flat)) <= _JSON_TYPES[scalar] and (
+                    scalar is not float or all(map(math.isfinite, flat))):
+                return np.array(value, dtype=np.float64) if scalar is float and lengths else value
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise SceneParseError(f"{what} has the wrong type: {value!r}")
+
+
+def _read_union(readers: list, value, what: str):
+    for read in readers[:-1]:
+        try:
+            return read(value, what)
+        except SceneParseError:
+            pass
+    return readers[-1](value, what)
+
+
+def _read_array(readers: list, fixed: bool, value, what: str) -> list:
+    if type(value) is not list or (fixed and len(value) != len(readers)):
+        raise SceneParseError(f"{what} has the wrong type: {value!r}")
+    return [read(v, f"{what}[{i}]")
+            for i, (read, v) in enumerate(zip(readers if fixed else readers * len(value), value))]
+
+
+@dataclass
+class _SceneHeader:
+    version: int
+    name: str = "scene"
+    feature_mode: str = "synthesize"
+    embedding_dim: int = DEFAULT_EMBEDDING_DIM
+
+
+@dataclass
+class _SceneGrid:
+    width: int
+    height: int
+    resolution: float = DEFAULT_GRID_RESOLUTION
+    origin: Tuple[float, float] = (0.0, 0.0)
+    blocked_cells: List[Tuple[int, int]] = field(default_factory=list)
+
+
+@dataclass
+class _SceneRoom:
+    id: str
+    polygon: List[Tuple[float, float]]
+    name: str = ""
+
+
+@dataclass
+class _SceneBox:
+    min: Tuple[float, float, float]
+    max: Tuple[float, float, float]
+
+
+@dataclass
+class _SceneObject:
+    id: str
+    captions: List[str]
+    box: _SceneBox
+    centroid: Tuple[float, float, float]
+    text_feature: Optional[List[float]] = None
+    visual_feature: Optional[List[float]] = None
+    room_id: Optional[str] = None
+
+
+@dataclass
+class _SceneFile:
+    """A scene file, as :func:`read_record` reads it."""
+
+    header: _SceneHeader
+    grid: _SceneGrid
+    rooms: List[_SceneRoom] = field(default_factory=list)
+    objects: List[_SceneObject] = field(default_factory=list)
+
+
+def _instance(raw: _SceneObject, feature_mode: str, dim: int) -> ObjectInstance:
+    features = {}
+    for name in ("text_feature", "visual_feature"):
+        vec = getattr(raw, name)
+        if vec is None and feature_mode == "embedded":
+            raise SceneValidationError(
+                f"object {raw.id!r}: embedded feature mode requires stored features")
+        features[name] = embed_text(" ".join(raw.captions), dim) if vec is None else vec
+    return ObjectInstance(id=raw.id, captions=tuple(raw.captions),
+                          box=Box3(raw.box.min, raw.box.max), centroid=raw.centroid,
+                          room_id=raw.room_id, **features)
 
 
 def scene_from_dict(tree: dict) -> SceneMap:
     """Scene from a parsed JSON tree.
 
-    A value of the wrong JSON type, a missing key or an unsupported
-    version raises ``SceneParseError``; content that breaks a scene
+    A file-shape defect (see :func:`read_record`) or an unsupported version
+    or feature mode raises ``SceneParseError``; content that breaks a scene
     invariant raises ``SceneValidationError``.
     """
-    tree = _object(tree, "scene root")
-    header = _object(_require(tree, "header", "scene"), "header")
-    version = _require(header, "version", "header")
-    if type(version) is not int or version != 1:
-        raise SceneParseError(f"unsupported scene version {version!r}")
-    feature_mode = _string(header.get("feature_mode", "synthesize"), "header feature_mode")
-    if feature_mode not in ("embedded", "synthesize"):
-        raise SceneParseError(f"unknown feature_mode {feature_mode!r}")
-    dim = _integer(header.get("embedding_dim", DEFAULT_EMBEDDING_DIM), "header embedding_dim")
+    top = read_record(_SceneFile, tree, "scene")
+    header, grid = top.header, top.grid
+    if header.version != 1:
+        raise SceneParseError(f"unsupported scene version {header.version!r}")
+    if header.feature_mode not in ("embedded", "synthesize"):
+        raise SceneParseError(f"unknown feature_mode {header.feature_mode!r}")
+    dim = header.embedding_dim
     if dim <= 0:
         raise SceneValidationError(f"embedding_dim must be positive, got {dim}")
-    name = _string(header.get("name", "scene"), "header name")
-
-    grid_raw = _object(_require(tree, "grid", "scene"), "grid")
-    grid = GridSpec(
-        resolution=_number(grid_raw.get("resolution", DEFAULT_GRID_RESOLUTION), "grid resolution"),
-        width=_integer(_require(grid_raw, "width", "grid"), "grid width"),
-        height=_integer(_require(grid_raw, "height", "grid"), "grid height"),
-        origin=_numbers(grid_raw.get("origin", [0.0, 0.0]), "grid origin", 2),
-        blocked_cells=_cells(grid_raw.get("blocked_cells", []), "grid blocked_cells"),
-    )
-
-    rooms = []
-    for raw_room in _array(tree.get("rooms", []), "rooms"):
-        raw_room = _object(raw_room, "room")
-        rid = _string(_require(raw_room, "id", "room"), "room id")
-        polygon = _array(_require(raw_room, "polygon", f"room {rid!r}"), f"room {rid!r} polygon")
-        rooms.append(
-            Room(
-                id=rid,
-                polygon=np.array([_numbers(v, f"room {rid!r} vertex", 2) for v in polygon]),
-                name=_string(raw_room.get("name", ""), f"room {rid!r} name"),
-            )
-        )
-
     objects: Dict[str, ObjectInstance] = {}
-    for raw_obj in _array(tree.get("objects", []), "objects"):
-        obj = _parse_object(raw_obj, feature_mode, dim)
+    for raw in top.objects:
+        obj = _instance(raw, header.feature_mode, dim)
         if obj.id in objects:
             raise SceneValidationError(f"duplicate object id {obj.id!r}")
         objects[obj.id] = obj
-
     return SceneMap(
-        name=name,
+        name=header.name,
         objects=objects,
-        rooms=rooms,
-        grid=grid,
-        feature_mode=feature_mode,
+        rooms=[Room(id=r.id, polygon=r.polygon, name=r.name) for r in top.rooms],
+        grid=GridSpec(resolution=float(grid.resolution), width=grid.width,
+                      height=grid.height, origin=grid.origin,
+                      blocked_cells=grid.blocked_cells),
+        feature_mode=header.feature_mode,
         embedding_dim=dim,
     )
 

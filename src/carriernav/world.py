@@ -710,6 +710,8 @@ class DistanceField:
 
     def to_cell(self, cell: Cell) -> float:
         world = self._world
+        if cell == self._source:  # no search, as for a zero-length shortest_path leg
+            return 0.0
         if not world.is_free(cell):
             return math.inf
         index = world._free_graph()[1]

@@ -20,6 +20,7 @@ from carriernav.bench import (
 )
 from carriernav.graph import build_crsg
 from carriernav.policy import VARIANTS, EpisodeResult
+from carriernav.priors import KeywordPriorOracle
 from carriernav.scenarios import build_scenario, generate_scenarios
 from carriernav.world import GridWorld
 
@@ -131,10 +132,12 @@ class TestRunSequence:
 class TestSearchBudget:
     """Counts, not timings: over whole task sequences each world builds its
     free-cell graph once, a leg whose ends share a cell searches nothing,
-    and no source is searched twice to one limit."""
+    a read of a source's own cell searches nothing (no search has limit
+    0), and no source is searched twice to one limit."""
 
     @pytest.mark.parametrize("mode,index,resolution", [
-        ("single", 0, 0.05), ("probe", 0, 0.05), ("mixed", 0, 0.25), ("mixed", 1, 0.25)])
+        ("single", 0, 0.05), ("probe", 0, 0.05), ("mixed", 0, 0.25), ("mixed", 1, 0.25),
+        ("mixed", 4, 0.25), ("probe", 0, 0.25)])
     def test_each_search_is_paid_once(self, monkeypatch, mode, index, resolution):
         import carriernav.world as world_mod
         sc = build_scenario(mode, index, 7, resolution)
@@ -175,6 +178,7 @@ class TestSearchBudget:
         assert len(builds) == len(VARIANTS) and set(builds.values()) == {1}
         assert zero_legs and set(zero_legs) == {0}
         assert searches and len(set(searches)) == len(searches)
+        assert [s for s in searches if s[2] == 0] == []
 
 
 class TestFullCoverageTour:
@@ -263,6 +267,22 @@ class TestRunSuite:
             blob = (out1 / name).read_bytes()
             assert (out2 / name).read_bytes() == blob
             assert (out4 / name).read_bytes() == blob
+        assert json.loads((out1 / "report.json").read_text())["oracle"] == "keyword"
+
+    def test_a_given_oracle_runs_and_is_recorded(self, suite_dir, tmp_path):
+        calls = []
+
+        class Stub(KeywordPriorOracle):
+            name = "stub"
+
+            def is_carrier(self, captions):
+                calls.append(captions)
+                return super().is_carrier(captions)
+
+        paths = scenario_paths(suite_dir)
+        run_suite(paths, variant_names=("ours",), out_dir=str(tmp_path), prior=Stub())
+        assert calls
+        assert json.loads((tmp_path / "report.json").read_text())["oracle"] == "stub"
 
     def test_no_timing_fields_leak(self, suite_dir, tmp_path):
         paths = scenario_paths(suite_dir)

@@ -5,7 +5,9 @@ import warnings
 
 import pytest
 
+from carriernav import cli
 from carriernav.cli import main
+from carriernav.priors import KeywordPriorOracle
 from carriernav.scenarios import ScenarioError, load_scenario
 
 from conftest import golden_scene_dict
@@ -286,3 +288,20 @@ class TestRunSuite:
     def test_bad_worker_count(self, scenario_dir, tmp_path, capsys):
         assert main(["run-suite", "--scenarios", str(scenario_dir),
                      "--workers", "0", "--out", str(tmp_path / "res")]) == 2
+
+    def test_runs_and_records_the_resolved_oracle(self, scenario_dir, tmp_path,
+                                                  monkeypatch, capsys):
+        class Stub(KeywordPriorOracle):
+            name = "stub"
+
+        resolved = []
+
+        def oracle_from_env():
+            resolved.append(Stub())
+            return resolved[-1]
+
+        monkeypatch.setattr(cli, "oracle_from_env", oracle_from_env)
+        out = tmp_path / "res"
+        assert main(["run-suite", "--scenarios", str(scenario_dir), "--out", str(out)]) == 0
+        assert len(resolved) == 1
+        assert json.loads((out / "report.json").read_text())["oracle"] == "stub"

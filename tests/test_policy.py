@@ -118,26 +118,24 @@ class TestInitState:
     def test_carried_target_seeds_one_candidate(self, world_and_graph):
         world, crsg = world_and_graph
         target = crsg.find("cup_0")
-        state = init_state(crsg, world.robot, target, 0.95, world)
+        state = init_state(crsg, world.robot, target, 0.95)
         assert state.unexplored == ["counter_0", "table_0", "table_1"]
         assert list(state.candidates) == ["cup_0"]
         cand = state.candidates["cup_0"]
         assert cand.carrier_id == "table_0"
         assert cand.ss == 0.95
         assert cand.d_tilde == 0.0
-        _, expected_d = world.shortest_path(world.robot.position, target.centroid[:2])
-        assert cand.d == pytest.approx(expected_d)
         assert state.bypass_target is None
 
     def test_carrier_target_bypasses_search(self, world_and_graph):
         world, crsg = world_and_graph
-        state = init_state(crsg, world.robot, crsg.carriers["table_1"].object, 1.0, world)
+        state = init_state(crsg, world.robot, crsg.carriers["table_1"].object, 1.0)
         assert state.bypass_target is not None
         assert state.candidates == {}
 
     def test_orphan_target_bypasses_search(self, world_and_graph):
         world, crsg = world_and_graph
-        state = init_state(crsg, world.robot, crsg.find("rug_0"), 1.0, world)
+        state = init_state(crsg, world.robot, crsg.find("rug_0"), 1.0)
         assert state.bypass_target is not None
 
     def test_state_rejects_candidates_on_explored_carriers(self):
@@ -255,7 +253,7 @@ class TestDecide:
 
 class TestTransitionInputs:
     def make_state(self, crsg, world, score=0.95):
-        return init_state(crsg, world.robot, crsg.find("cup_0"), score, world)
+        return init_state(crsg, world.robot, crsg.find("cup_0"), score)
 
     def test_bare_carrier_sighting_prunes_it(self, world_and_graph):
         world, crsg = world_and_graph

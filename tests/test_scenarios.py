@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carriernav.cli import main
 from carriernav.graph import CrsgConfig, build_crsg
 from carriernav.scenarios import (
     ATTRIBUTES,
@@ -19,7 +20,7 @@ from carriernav.scenarios import (
     generate_scenarios,
     load_scenario,
 )
-from carriernav.scene import SceneError, scene_from_dict
+from carriernav.scene import SceneError, SceneParseError, scene_from_dict
 from carriernav.world import GridWorld, Pose
 
 import carriernav.scenarios as scenarios_mod
@@ -340,3 +341,55 @@ def test_a_scene_value_of_another_json_type_is_loaded_or_rejected(scenario_tree,
     except SceneError:
         pass
 
+
+def _renamed(tree, site):
+    """A copy of ``tree`` whose key at ``site`` is renamed (an unknown key,
+    and a missing one where the key is required)."""
+    tree = json.loads(json.dumps(tree))
+    parent = tree
+    for step in site[:-1]:
+        parent = parent[step]
+    parent[site[-1] + "_x"] = parent.pop(site[-1])
+    return tree
+
+
+def test_a_renamed_scene_key_is_bad_input(scenario_tree, tmp_path, capsys):
+    tree, _ = scenario_tree
+    with open(tree["scene_file"]) as fh:
+        scene = json.load(fh)
+    scene["objects"][0]["room_id"] = scene["rooms"][0]["id"]  # every object key once
+    scene_from_dict(scene)
+    sites = [site for site in _scene_sites(scene) if isinstance(site[-1], str)]
+    assert len(sites) == 25
+    for site in sites:
+        mutated = _renamed(scene, site)
+        with pytest.raises(SceneParseError):
+            scene_from_dict(mutated)
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(mutated))
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(dict(tree, scene_file="scene.json")))
+        capsys.readouterr()
+        for argv in (["build-graph", "--scene", str(scene_path)],
+                     ["run-episode", "--scenario", str(scenario_path)]):
+            assert main(argv) == 1, (site, argv)
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1, (site, err)
+
+
+def test_a_renamed_scenario_key_is_bad_input(scenario_tree, tmp_path):
+    tree, _ = scenario_tree
+    sites = _swap_sites(tree)
+    assert len(sites) >= 40
+    for site in sites:
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(_renamed(tree, site)))
+        with pytest.raises(ScenarioError):
+            load_scenario(str(path))
+
+
+def test_a_scenario_file_that_is_not_json_is_a_scenario_error(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text("{not json")
+    with pytest.raises(ScenarioError):
+        load_scenario(str(path))

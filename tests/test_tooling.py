@@ -1,14 +1,22 @@
-"""The benchmark's per-layer trace must keep up with the program.
+"""Checks that tooling keeps up with the program.
 
 ``perfbench/layers.py`` wraps program functions by name and reports a name
 it cannot find as an absent span.  A refactor that drops or renames a
 traced function must fail here, not only move a benchmark counter.
+
+The scene and scenario files are read by one annotation-driven reader.  A
+field whose annotation that reader does not handle must fail here, not on
+a user's file.
 """
 
+import dataclasses
 import sys
 from pathlib import Path
+from typing import Union, get_args, get_origin, get_type_hints
 
 import carriernav  # noqa: F401  (loads every module the span table names)
+from carriernav.scene import _SceneFile, _schema
+from carriernav.scenarios import _ScenarioFile
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -17,3 +25,45 @@ import layers  # noqa: E402
 
 def test_every_traced_layer_exists():
     assert layers.Tracer().absent == []
+
+
+SCALARS = (str, int, float, bool)
+
+
+def _kind(hint):
+    """What the file reader must do with annotation ``hint``, or None."""
+    origin, args = get_origin(hint), get_args(hint)
+    if hint in SCALARS:
+        return "scalar"
+    if dataclasses.is_dataclass(hint):
+        return "record"
+    if origin is Union and len(args) == 2 and type(None) in args:
+        return "optional"
+    if origin is Union and all(a in SCALARS + (type(None),) for a in args):
+        return "union of scalars"
+    if origin is list and len(args) == 1:
+        return "list"
+    if origin is tuple and args and Ellipsis not in args:
+        return "fixed-length tuple"
+    return None
+
+
+def test_the_file_reader_handles_every_annotation():
+    seen, kinds, todo = set(), set(), [_SceneFile, _ScenarioFile]
+    while todo:
+        hint = todo.pop()
+        kind = _kind(hint)
+        assert kind is not None, f"the file reader has no rule for {hint!r}"
+        kinds.add(kind)
+        if kind == "record":
+            if hint in seen:
+                continue
+            seen.add(hint)
+            _schema(hint)  # builds every field's reader
+            todo += get_type_hints(hint).values()
+        elif kind != "union of scalars":
+            todo += [a for a in get_args(hint) if a is not type(None)]
+    assert {"SensorConfig", "PolicyConfig", "CrsgConfig", "MatchConfig", "TaskSpec",
+            "EventSpec", "_SceneObject", "_SceneBox", "_SceneGrid"} <= {c.__name__ for c in seen}
+    assert kinds == {"scalar", "record", "optional", "union of scalars", "list",
+                     "fixed-length tuple"}
