@@ -129,6 +129,8 @@ def _cmd_run_suite(args, prior) -> int:
     for v in variants:
         if v not in VARIANTS:
             raise CliError(f"unknown variant {v!r}; known: {sorted(VARIANTS)}")
+    if args.workers < 1:
+        raise CliError(f"--workers must be at least 1, got {args.workers}")
     report = run_suite(paths, variants, out_dir=args.out, workers=args.workers,
                        prior=prior)
     for name, agg in sorted(report.variants.items()):

@@ -11,10 +11,10 @@ Planning runs Dijkstra searches over one symmetric 8-connected graph of the
 free cells, with unit/diagonal step costs.  The searches are bounded: each
 stops at the distance its caller reads, and a farther read from the same
 source searches again with a larger limit, so every distance read is exact.
-Each source cell keeps its own search for the world's lifetime, so paths
-and distance fields from a source already searched (a carrier the robot
-returns to) reuse it, and a leg whose ends share a cell searches nothing.
-Reachability alone reads the connected components of the same graph.
+Each source cell keeps its own search, so paths and distance fields from a
+source already searched (a carrier the robot returns to) reuse it, and a
+leg whose ends share a cell searches nothing.  Reachability alone reads the
+connected components of the same graph.
 
 Sensing is a radius + field-of-view model with optional wall occlusion.  A
 leg senses at the center of every path cell, facing the step to the next
@@ -25,15 +25,26 @@ sighting of a leg, and ``observe`` is that pass for a single pose.  An
 ``Observation`` is the sighted object, as the world held it at that moment,
 plus its depth.
 
-Each derived fact is computed once per change to its inputs, in memos that
-live and die with the world:
+Each derived fact is computed once per change to its inputs:
 
-* facts of the grid, which never changes: the free-cell graph, its
-  connected components, each source's search and the snap of every point
-  asked for;
+* facts of the grid, which no world changes: the read-only occupancy, the
+  free-cell graph, its connected components, the snap of every point asked
+  for and each source's search.  They belong to the grid, not the world:
+  every world built on an equal grid (same resolution, origin and
+  occupancy, compared by content) shares one ``_GridFacts``, so the
+  worlds a task sequence builds in one house, one per variant, build one
+  graph and search each source once.  The module keeps the facts of the
+  last grid built only, and drops them when a world on another grid is
+  built, before that grid's graph exists; the worlds alive hold theirs.
+  Of the searches, a grid keeps the latest ``SEARCHES_PER_GRID`` sources
+  read.  Sharing cannot change a result: a snap and a component label are
+  pure functions of the grid, each search is exact at every cell it
+  reads whatever its limit, and a path's walk-back reads only cells
+  nearer than its goal;
 * facts of the objects: their centroids (for sensing) and the carrying
-  relation per set of ``CrsgConfig`` values.  Objects change only in
-  ``apply_displacement``, which clears both when it returns or raises.
+  relation per set of ``CrsgConfig`` values.  They live and die with the
+  world.  Objects change only in ``apply_displacement``, which clears both
+  when it returns or raises.
 """
 
 from __future__ import annotations
@@ -41,6 +52,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, fields, replace
+from itertools import chain
 from operator import attrgetter
 from typing import Container, Dict, List, Optional, Sequence, Tuple
 
@@ -148,6 +160,53 @@ class TravelLog:
     length: float
 
 
+# Sources whose searches one grid keeps, the least recently read dropped
+# first: a long run of scenarios in one house adds sources, and a field costs
+# 8 bytes per free cell.  The generated task sequences read at most 10 per
+# grid, so none of theirs is dropped.
+SEARCHES_PER_GRID = 16
+
+
+class _GridFacts:
+    """The facts of one occupancy grid, shared by every world built on an
+    equal grid.  Each is computed on its first read."""
+
+    def __init__(self, occupancy: np.ndarray, resolution: float, origin: np.ndarray):
+        self.occupancy = occupancy  # read-only
+        self.resolution = resolution
+        self.origin = origin.copy()
+        self.graph: Optional[Tuple[csr_matrix, np.ndarray, np.ndarray]] = None
+        self.labels: Optional[np.ndarray] = None
+        self.snaps: Dict[Tuple[float, float], Cell] = {}
+        # source -> (limit, dist), the least recently read first
+        self.searches: Dict[Cell, Tuple[float, np.ndarray]] = {}
+
+    def matches(self, occupancy: np.ndarray, resolution: float, origin: np.ndarray) -> bool:
+        """Whether these are the facts of the grid given, by content."""
+        return (self.resolution == resolution and np.array_equal(self.origin, origin)
+                and np.array_equal(self.occupancy, occupancy))
+
+
+_kept_grid: Optional[_GridFacts] = None
+
+
+def _grid_facts(occupancy: np.ndarray, resolution: float, origin: np.ndarray) -> _GridFacts:
+    """The kept facts if they describe this grid, else new facts that
+    replace them.  The new graph is built on the first read, so the last
+    grid's graph is gone by then unless a live world holds it."""
+    global _kept_grid
+    if _kept_grid is None or not _kept_grid.matches(occupancy, resolution, origin):
+        _kept_grid = _GridFacts(occupancy, resolution, origin)
+    return _kept_grid
+
+
+def release_grid_facts() -> None:
+    """Drop the kept grid's facts; the next world computes its own.  Worlds
+    alive keep the facts they share."""
+    global _kept_grid
+    _kept_grid = None
+
+
 class GridWorld:
     """Simulator state: occupancy grid, object ground truth, robot pose."""
 
@@ -159,9 +218,14 @@ class GridWorld:
         self.width = int(grid.width)
         self.height = int(grid.height)
         self.origin = np.asarray(grid.origin, dtype=np.float64)
-        self.occupancy = np.zeros((self.height, self.width), dtype=bool)
-        for ix, iy in grid.blocked_cells:
-            self.occupancy[iy, ix] = True
+        occupancy = np.zeros((self.height, self.width), dtype=bool)
+        # (ix, iy) pairs flattened, far faster than an array of tuples
+        blocked = np.fromiter(chain.from_iterable(grid.blocked_cells), dtype=np.intp,
+                              count=2 * len(grid.blocked_cells))
+        occupancy[blocked[1::2], blocked[0::2]] = True
+        occupancy.flags.writeable = False  # worlds share it
+        self._grid = _grid_facts(occupancy, self.resolution, self.origin)
+        self.occupancy = self._grid.occupancy
 
         if start_pose is None:
             start_pose = Pose(self._first_free_center())
@@ -170,10 +234,6 @@ class GridWorld:
         if self.occupancy[start_cell[1], start_cell[0]]:
             raise WorldError(f"robot start cell {start_cell} is blocked")
 
-        self._graph_cache: Optional[tuple] = None
-        self._component_labels: Optional[np.ndarray] = None
-        self._searches: Dict[Cell, Tuple[float, np.ndarray]] = {}
-        self._snap_memo: Dict[Tuple[float, float], Cell] = {}
         self._centroid_cache: Optional[tuple] = None
         self._carried_memo: Dict[tuple, Dict[str, List[str]]] = {}
 
@@ -209,12 +269,13 @@ class GridWorld:
     def snap_free_cell(self, point: Sequence[float]) -> Cell:
         """Nearest free cell to ``point`` by center distance, ties by (ix, iy).
 
-        Memoized per (x, y): the grid never changes.
+        Memoized per (x, y) on the grid's facts.
         """
         key = (float(point[0]), float(point[1]))
-        cell = self._snap_memo.get(key)
+        snaps = self._grid.snaps
+        cell = snaps.get(key)
         if cell is None:
-            cell = self._snap_memo[key] = self._snap(np.array(key))
+            cell = snaps[key] = self._snap(np.array(key))
         return cell
 
     def _snap(self, target: np.ndarray) -> Cell:
@@ -321,9 +382,10 @@ class GridWorld:
         orthogonal cells free (no corner cutting); a move the rule does not
         allow points back at the row's own cell, a self-loop that no
         search can relax.  This is the one place the movement rule lives.
-        Built once: the grid never changes.
+        Built once per grid.
         """
-        if self._graph_cache is None:
+        facts = self._grid
+        if facts.graph is None:
             free = ~self.occupancy
             h, w = free.shape
             n = int(free.sum())
@@ -347,20 +409,21 @@ class GridWorld:
             steps = np.tile(np.array(STEP_CELLS) * self.resolution, n)
             indptr = np.arange(0, slots * n + 1, slots, dtype=np.int32)
             graph = csr_matrix((steps, cols.ravel(), indptr), shape=(n, n))
-            self._graph_cache = (graph, index, cells)
-        return self._graph_cache
+            facts.graph = (graph, index, cells)
+        return facts.graph
 
     def connected(self, a: Sequence[float], b: Sequence[float]) -> bool:
         """Whether a free-cell path joins the free cells nearest ``a`` and
         ``b``: one connected-component label lookup, no search.  The labels
-        are computed once: the grid never changes."""
+        are computed once per grid."""
         graph, index, _ = self._free_graph()
-        if self._component_labels is None:
+        facts = self._grid
+        if facts.labels is None:
             # the graph is symmetric, so its strong components are its
             # components, found without the transpose a weak search builds
-            self._component_labels = connected_components(
+            facts.labels = connected_components(
                 graph, directed=True, connection="strong")[1]
-        labels = self._component_labels
+        labels = facts.labels
         (ax, ay), (bx, by) = self.snap_free_cell(a), self.snap_free_cell(b)
         return bool(labels[index[ay, ax]] == labels[index[by, bx]])
 
@@ -374,24 +437,30 @@ class GridWorld:
         free ``cell`` and at every cell nearer than it; inf beyond the limit.
 
         Searches are bounded: Dijkstra with ``limit=L`` gives the exact
-        distance of every cell at or below L and inf for the rest.  Each
-        source cell keeps ``(limit, dist)`` of its latest search for the
-        world's lifetime.  A read that finds no search from ``source``, or
-        inf under a finite limit, searches again from ``source`` with the
-        limit ``max(2 * limit, 1.25 * octile(source, cell))`` plus a 1e-9
-        relative margin (the first limit is 1.25 * octile), until the cell
-        is reached.  The octile distance is a lower bound, and 1.25 of it
-        settled the fewest cells of the factors tried on the generated
-        houses (1.1, 1.25, 1.5 and 2): a smaller factor misses detours
-        more often and searches again, a larger one settles area no read
-        needs.  Once the limit reaches the octile distance to the grid's
-        farthest corner, the search is unbounded, so only an inf under an
-        unbounded search means "unreachable".  The grid never changes
-        after ``__init__``, so no search goes stale.
+        distance of every cell at or below L and inf for the rest.  The
+        grid's facts keep ``(limit, dist)`` of each source cell's latest
+        search, for the latest ``SEARCHES_PER_GRID`` sources read; a read
+        from a dropped source searches anew.  A read that finds no search
+        from ``source``, or inf under a finite limit, searches again from
+        ``source`` with the limit ``max(2 * limit, 1.25 * octile(source,
+        cell))`` plus a 1e-9 relative margin (the first limit is 1.25 *
+        octile), until the cell is reached.  The octile distance is a lower
+        bound, and 1.25 of it settled the fewest cells of the factors tried
+        on the generated houses (1.1, 1.25, 1.5 and 2): a smaller factor
+        misses detours more often and searches again, a larger one settles
+        area no read needs.  Once the limit reaches the octile distance to
+        the grid's farthest corner, the search is unbounded, so only an inf
+        under an unbounded search means "unreachable".
+
+        No world changes its grid, so no search goes stale.  A search that
+        another world on the same grid grew further reads the same
+        distances: a cell's distance is its nearer neighbours' plus a
+        positive step, whatever the limit.
         """
         graph, index, _ = self._free_graph()
         target = index[cell[1], cell[0]]
-        limit, dist = self._searches.get(source, (0.0, None))
+        searches = self._grid.searches
+        limit, dist = searches.pop(source, (0.0, None))
         farthest_corner = (0 if 2 * source[0] >= self.width else self.width - 1,
                            0 if 2 * source[1] >= self.height else self.height - 1)
         while dist is None or (math.isinf(dist[target]) and not math.isinf(limit)):
@@ -400,7 +469,9 @@ class GridWorld:
                 limit = math.inf
             dist = dijkstra(graph, directed=True, indices=int(index[source[1], source[0]]),
                             limit=limit)
-            self._searches[source] = (limit, dist)
+        searches[source] = (limit, dist)  # now the most recently read
+        if len(searches) > SEARCHES_PER_GRID:
+            del searches[next(iter(searches))]
         return dist
 
     def distance_field(self, start: Sequence[float]) -> "DistanceField":

@@ -5,7 +5,14 @@ import pytest
 
 from carriernav.graph import CrsgConfig, build_crsg
 from carriernav.scene import scene_from_dict
-from carriernav.world import GridWorld, Pose
+from carriernav.world import GridWorld, Pose, release_grid_facts
+
+
+@pytest.fixture(autouse=True)
+def cold_grid_facts():
+    """Every test starts with no grid's facts kept, so the counts of graph
+    builds and searches a test reads do not depend on the tests before it."""
+    release_grid_facts()
 
 
 def scene_dict(objects, *, name="test", width=24, height=16, resolution=0.25,

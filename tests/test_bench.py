@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-from collections import Counter
 from random import Random
 
 import pytest
@@ -21,8 +20,8 @@ from carriernav.bench import (
 from carriernav.graph import build_crsg
 from carriernav.policy import VARIANTS, EpisodeResult
 from carriernav.priors import KeywordPriorOracle
-from carriernav.scenarios import build_scenario, generate_scenarios
-from carriernav.world import GridWorld
+from carriernav.scenarios import MODES, build_scenario, generate_scenarios
+from carriernav.world import GridWorld, release_grid_facts
 
 from oracles import spl_oracle
 
@@ -130,36 +129,31 @@ class TestRunSequence:
 
 
 class TestSearchBudget:
-    """Counts, not timings: over whole task sequences each world builds its
-    free-cell graph once, a leg whose ends share a cell searches nothing,
-    a read of a source's own cell searches nothing (no search has limit
-    0), and no source is searched twice to one limit."""
+    """Counts, not timings: the scenario's generation and the six variants'
+    task sequences share one grid, so they build its free-cell graph once
+    and search no source twice to one limit; a leg whose ends share a cell
+    searches nothing, and a read of a source's own cell searches nothing
+    (no search has limit 0)."""
 
     @pytest.mark.parametrize("mode,index,resolution", [
         ("single", 0, 0.05), ("probe", 0, 0.05), ("mixed", 0, 0.25), ("mixed", 1, 0.25),
         ("mixed", 4, 0.25), ("probe", 0, 0.25)])
     def test_each_search_is_paid_once(self, monkeypatch, mode, index, resolution):
         import carriernav.world as world_mod
-        sc = build_scenario(mode, index, 7, resolution)
-        builds, built, searches, zero_legs = Counter(), [], [], []
-        alive = []  # worlds and graphs, so their ids stay unique
+        built, searches, zero_legs, grids = [], [], [], set()
         real_csr, real_dijkstra = world_mod.csr_matrix, world_mod.dijkstra
-        real_graph, real_path = GridWorld._free_graph, GridWorld.shortest_path
+        real_init, real_path = GridWorld.__init__, GridWorld.shortest_path
 
-        def free_graph(world):
-            alive.append(world)
-            before = len(built)
-            out = real_graph(world)
-            builds[id(world)] += len(built) - before
-            return out
+        def init(world, *args, **kwargs):
+            real_init(world, *args, **kwargs)
+            grids.add(world._grid)
 
         def csr_matrix(*args, **kwargs):
             built.append(args)
             return real_csr(*args, **kwargs)
 
         def dijkstra(graph, **kwargs):
-            alive.append(graph)
-            searches.append((id(graph), kwargs["indices"], kwargs["limit"]))
+            searches.append((kwargs["indices"], kwargs["limit"]))
             return real_dijkstra(graph, **kwargs)
 
         def shortest_path(world, start, goal):
@@ -171,14 +165,37 @@ class TestSearchBudget:
 
         monkeypatch.setattr(world_mod, "csr_matrix", csr_matrix)
         monkeypatch.setattr(world_mod, "dijkstra", dijkstra)
-        monkeypatch.setattr(GridWorld, "_free_graph", free_graph)
+        monkeypatch.setattr(GridWorld, "__init__", init)
         monkeypatch.setattr(GridWorld, "shortest_path", shortest_path)
+        sc = build_scenario(mode, index, 7, resolution)
         for variant in VARIANTS.values():
             run_sequence(sc, variant)
-        assert len(builds) == len(VARIANTS) and set(builds.values()) == {1}
+        assert len(grids) == 1 and len(built) == 1
         assert zero_legs and set(zero_legs) == {0}
         assert searches and len(set(searches)) == len(searches)
-        assert [s for s in searches if s[2] == 0] == []
+        assert [s for s in searches if s[1] == 0] == []
+
+
+@pytest.mark.parametrize("resolution", [0.25, 0.05])
+@pytest.mark.parametrize("mode", MODES)
+def test_sequences_on_a_warm_grid_equal_cold_ones(mode, resolution):
+    # each variant run cold, then all six in a row on one grid's shared
+    # facts, and the first again on the warmest grid: the rows are equal
+    sc = build_scenario(mode, 1, 13, resolution)
+
+    def rows(variant):
+        return [(r.task_index, r.success, r.traveled, r.shortest, r.action_count, r.actions)
+                for r in run_sequence(sc, variant)]
+
+    cold = {}
+    for name, variant in VARIANTS.items():
+        release_grid_facts()
+        cold[name] = rows(variant)
+    release_grid_facts()
+    warm = {name: rows(variant) for name, variant in VARIANTS.items()}
+    assert warm == cold
+    first = next(iter(VARIANTS))
+    assert rows(VARIANTS[first]) == cold[first]
 
 
 class TestFullCoverageTour:

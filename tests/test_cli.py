@@ -286,8 +286,12 @@ class TestRunSuite:
                      "--out", str(tmp_path / "res")]) == 1
 
     def test_bad_worker_count(self, scenario_dir, tmp_path, capsys):
-        assert main(["run-suite", "--scenarios", str(scenario_dir),
-                     "--workers", "0", "--out", str(tmp_path / "res")]) == 2
+        for workers in ("0", "-2"):
+            assert main(["run-suite", "--scenarios", str(scenario_dir),
+                         "--workers", workers, "--out", str(tmp_path / "res")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1 and "--workers" in err
+        assert not (tmp_path / "res").exists()
 
     def test_runs_and_records_the_resolved_oracle(self, scenario_dir, tmp_path,
                                                   monkeypatch, capsys):

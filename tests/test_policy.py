@@ -560,7 +560,8 @@ class TestRunTask:
         # the shortest baseline, the initial candidate distance, the ranking
         # and the leg path read one search per pose, which only grows (a
         # strictly larger limit) when a read lies beyond it, even after
-        # other poses have searched; the Stop step reads nothing
+        # other poses have searched; the Stop step reads nothing.  The
+        # world's grid starts cold: no earlier world's search is reused
         import carriernav.world as world_mod
         searches = []
         real = world_mod.dijkstra
@@ -571,6 +572,7 @@ class TestRunTask:
 
         monkeypatch.setattr(world_mod, "dijkstra", counting)
         world = GridWorld(policy_scene(), start_pose=Pose([5.0, 4.5]))
+        assert world._grid.searches == {}
         crsg = build_crsg(policy_scene(), CrsgConfig())
         world.apply_displacement(DisplacementEvent(
             kind="move", object_id="cup_0", target_carrier_id="table_1"), CrsgConfig())

@@ -1,7 +1,9 @@
 """Simulator checks: planning against an independent Dijkstra, sensing,
 travel bookkeeping and ground-truth displacement."""
 
+import gc
 import math
+import weakref
 from dataclasses import replace
 from random import Random
 
@@ -17,6 +19,7 @@ from carriernav.graph import CrsgConfig
 from carriernav.scenarios import MODES, build_scenario
 from carriernav.scene import Box3, scene_from_dict
 from carriernav.world import (
+    SEARCHES_PER_GRID,
     STEP_ORDER,
     DisplacementError,
     DisplacementEvent,
@@ -25,6 +28,7 @@ from carriernav.world import (
     SensorConfig,
     UnreachableGoalError,
     WorldError,
+    release_grid_facts,
 )
 
 import oracles
@@ -121,6 +125,16 @@ class TestGridGeometry:
     def test_blocked_start_pose_rejected(self):
         with pytest.raises(WorldError):
             empty_world(blocked=[(0, 0)], start=Pose([0.125, 0.125]))
+
+    def test_occupancy_is_read_only(self):
+        # worlds on one grid share its occupancy array
+        w = empty_world(blocked=[(2, 3), (5, 1)])
+        assert w.occupancy[3, 2] and w.occupancy[1, 5] and w.occupancy.sum() == 2
+        with pytest.raises(ValueError):
+            w.occupancy[0, 0] = True
+        with pytest.raises(ValueError):
+            w.occupancy[3, 2] = False
+        assert not w.occupancy[0, 0] and w.occupancy[3, 2]
 
 
 def walk_back(w, dist, start, goal):
@@ -409,7 +423,7 @@ class TestBoundedSearch:
         margin = 1.0 + 1e-9
         # 1.25 times the octile distance read
         assert searches == [(0, 1.25 * 0.75 * margin)]
-        assert math.isinf(w._searches[(0, 0)][1][w._free_graph()[1][0, 10]])
+        assert math.isinf(w._grid.searches[(0, 0)][1][w._free_graph()[1][0, 10]])
         assert field.to_cell((2, 1)) == pytest.approx(0.25 + SQRT2 * 0.25)
         assert len(searches) == 1  # nearer than the limit: the search answers
         assert field.to_cell((10, 0)) == 2.5
@@ -520,6 +534,135 @@ def test_any_read_sequence_equals_the_full_search(case):
             path, length = w.shortest_path(w.cell_center(sources[k]), w.cell_center(cell))
             assert path[0] == sources[k] and path[-1] == cell
             assert length == pytest.approx(want, abs=1e-9)
+
+
+class TestSharedGridFacts:
+    """Worlds built on equal grids share one set of grid facts; worlds on
+    grids that differ in anything share none, and only the last grid's
+    facts outlive their worlds."""
+
+    BLOCKED = [(3, 2), (4, 2), (5, 2), (9, 7), (9, 8), (2, 10)]
+
+    def world(self, **kwargs):
+        args = dict(width=16, height=12, blocked=self.BLOCKED, resolution=0.25)
+        args.update(kwargs)
+        return empty_world(**args)
+
+    def test_equal_grids_share_one_graph(self):
+        a = self.world()
+        graph = a._free_graph()
+        # an equal grid from another scene object, its cells in another order
+        b = self.world(blocked=self.BLOCKED[::-1] + self.BLOCKED[:2])
+        reloaded = GridWorld(scene_from_dict(a.scene.to_dict()))
+        for w in (b, reloaded):
+            assert w._grid is a._grid and w._free_graph() is graph
+            assert w.occupancy is a.occupancy
+        a.distance_field(a.cell_center((0, 0))).to_cell((15, 11))
+        assert set(b._grid.searches) == {(0, 0)}
+        assert b.snap_free_cell(a.cell_center((4, 2))) == a.snap_free_cell(
+            a.cell_center((4, 2)))
+
+    @pytest.mark.parametrize("change", [
+        {"origin": (0.25, 0.0)}, {"resolution": 0.2}, {"blocked": BLOCKED + [(0, 11)]},
+        {"blocked": BLOCKED[1:]}, {"width": 17}])
+    def test_grids_that_differ_share_nothing(self, change):
+        a = self.world()
+        if "origin" in change:
+            tree = a.scene.to_dict()
+            tree["grid"]["origin"] = list(change["origin"])
+            b = GridWorld(scene_from_dict(tree))
+        else:
+            b = self.world(**change)
+        for w in (a, b):
+            w.shortest_path(w.cell_center((0, 0)), w.cell_center((12, 9)))
+        assert b._grid is not a._grid and b.occupancy is not a.occupancy
+        assert b._free_graph()[0] is not a._free_graph()[0]
+        assert b._grid.snaps is not a._grid.snaps
+        (_, dist_a), = a._grid.searches.values()
+        (_, dist_b), = b._grid.searches.values()
+        assert dist_b is not dist_a
+
+    def test_another_grid_frees_the_last_grids_facts(self):
+        a = self.world()
+        a.shortest_path(a.cell_center((0, 0)), a.cell_center((12, 9)))
+        graph = weakref.ref(a._free_graph()[0])
+        search = weakref.ref(next(iter(a._grid.searches.values()))[1])
+        del a
+        gc.collect()
+        # the last grid's facts outlive its worlds, for the next world on it
+        assert graph() is not None
+        b = self.world()
+        assert b._free_graph()[0] is graph()
+        other = self.world(blocked=self.BLOCKED[1:])
+        gc.collect()
+        assert graph() is not None  # b holds them
+        del b
+        gc.collect()
+        assert graph() is None and search() is None
+        assert self.world(blocked=self.BLOCKED[1:])._grid is other._grid
+        release_grid_facts()
+        assert self.world(blocked=self.BLOCKED[1:])._grid is not other._grid
+
+    @pytest.mark.parametrize("resolution", [0.25, 0.05])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_warm_reads_equal_cold_reads(self, mode, resolution):
+        # paths and distances from the start and from every carrier, in a
+        # world whose grid another world has searched in another order, to
+        # other limits, are bit-equal to those of a world on a cold grid
+        sc = build_scenario(mode, 0, 5, resolution)
+        points = [sc.start_pose.position] + [obj.centroid[:2]
+                                             for obj in sc.scene.objects.values()]
+        rng = Random(f"{mode}/{resolution}/warm")
+        pairs = [(points[rng.randrange(len(points))], points[rng.randrange(len(points))])
+                 for _ in range(40)]
+
+        def reads(w):
+            out = []
+            for a, b in pairs:
+                out.append(w.shortest_path(a, b))
+                out.append(w.distance_field(a).to_point(b))
+            return out
+
+        cold = reads(GridWorld(sc.scene, start_pose=sc.start_pose))
+        release_grid_facts()
+        warmer = GridWorld(sc.scene, start_pose=sc.start_pose)
+        for a, b in pairs[::-3]:  # a few reads, in another order
+            warmer.distance_field(b).to_point(a)
+        far_corner = warmer.cell_center((warmer.width - 1, warmer.height - 1))
+        warmer.distance_field(points[0]).to_point(far_corner)
+        warm = GridWorld(sc.scene, start_pose=sc.start_pose)
+        assert warm._grid is warmer._grid and warm._grid.searches
+        assert reads(warm) == cold
+
+    def test_the_searches_kept_are_capped_and_reads_stay_exact(self, monkeypatch):
+        searches = counting_searches(monkeypatch)
+        rng = Random("cap")
+        w = random_world(rng, width=20, height=16, p_block=0.2)
+        free = ~w.occupancy
+        sources = sample_cells(rng, free, SEARCHES_PER_GRID + 6)
+        fulls = {s: oracles.full_grid_distances(w.occupancy, w.resolution, s)
+                 for s in sources}
+        read = []
+        for order in (sources, sources[::-1]):
+            for source in order:
+                full, index = fulls[source]
+                for ix, iy in sample_cells(rng, free, 3):
+                    assert w.distance_field(w.cell_center(source)).to_cell(
+                        (ix, iy)) == full[index[iy, ix]]
+                    if not math.isinf(full[index[iy, ix]]):
+                        _, length = w.shortest_path(w.cell_center(source),
+                                                    w.cell_center((ix, iy)))
+                        assert length == pytest.approx(full[index[iy, ix]], abs=1e-9)
+                    assert len(w._grid.searches) <= SEARCHES_PER_GRID
+                read.append(source)
+        # the least recently read went first: the kept ones are the latest
+        assert list(w._grid.searches) == read[-SEARCHES_PER_GRID:]
+        # the first turn dropped the first sources read, so the second
+        # turn searches them again
+        index = w._free_graph()[1]
+        assert len({s for s, _ in searches}) == len(sources)
+        dropped = {int(index[iy, ix]) for ix, iy in sources[:6]}
+        assert sum(s in dropped for s, _ in searches) >= 2 * len(dropped)
 
 
 def sensing_world():
