@@ -35,6 +35,7 @@ from .policy import (
 )
 from .priors import CarrierPriorOracle, KeywordPriorOracle
 from .scenarios import Scenario, load_scenario
+from .scene import write_json
 from .update import MatchConfig
 from .world import GridWorld, SensorConfig, UnreachableGoalError
 
@@ -269,7 +270,5 @@ def run_suite(
         with open(out / "results.jsonl", "w") as fh:
             for row in rows:
                 fh.write(json.dumps(row, sort_keys=True) + "\n")
-        with open(out / "report.json", "w") as fh:
-            json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(str(out / "report.json"), report.to_dict())
     return report

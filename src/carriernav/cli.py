@@ -19,7 +19,7 @@ from .graph import GraphError, Query, QueryError, build_crsg, query_target
 from .llm_adapter import oracle_from_env
 from .policy import VARIANTS
 from .scenarios import MODES, ScenarioError, generate_scenarios, load_scenario
-from .scene import SceneError, load_scene
+from .scene import SceneError, load_scene, write_json
 
 
 class CliError(ValueError):
@@ -79,9 +79,7 @@ def _cmd_gen_scenarios(args, prior) -> int:  # generation consults no oracle
 def _cmd_build_graph(args, prior) -> int:
     crsg = build_crsg(load_scene(args.scene), prior=prior)
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(crsg.to_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(args.out, crsg.to_dict())
         print(f"graph written to {args.out}")
     if args.dump or not args.out:
         print(crsg.dump_text())

@@ -100,16 +100,6 @@ class Crsg:
                 return cid
         return None
 
-    def find(self, object_id: str) -> Optional[ObjectInstance]:
-        if object_id in self.carriers:
-            return self.carriers[object_id].object
-        for node in self.carriers.values():
-            if object_id in node.carried:
-                return node.carried[object_id]
-        if object_id in self.orphan_objects:
-            return self.orphan_objects[object_id]
-        return self.missing.get(object_id)
-
     def detach(self, object_id: str) -> Optional[ObjectInstance]:
         """Remove a non-carrier object from wherever it currently lives."""
         for node in self.carriers.values():

@@ -34,7 +34,7 @@ from .graph import CrsgConfig, Query
 from .policy import PolicyConfig, PolicyError, Task
 from .priors import AFFINITY_RANKINGS
 from .scene import (SceneError, SceneMap, SceneParseError, load_scene, read_record, save_scene,
-                    scene_from_dict)
+                    scene_from_dict, write_json)
 from .update import MatchConfig
 from .world import DisplacementEvent, GridWorld, Pose, SensorConfig, WorldError
 
@@ -603,9 +603,7 @@ def generate_scenarios(mode: str, count: int, seed: int,
         for i, sc in enumerate(scenarios):
             scene_file = f"scene_{i:04d}.json"
             save_scene(sc.scene, str(out / scene_file))
-            with open(out / f"scenario_{i:04d}.json", "w") as fh:
-                json.dump(sc.to_dict(scene_file), fh, sort_keys=True, indent=2)
-                fh.write("\n")
+            write_json(str(out / f"scenario_{i:04d}.json"), sc.to_dict(scene_file))
     return scenarios
 
 

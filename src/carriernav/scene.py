@@ -6,7 +6,8 @@ synthesized from captions with the default embedder (``feature_mode``).
 The file is declared as record dataclasses (``_SceneFile`` and its parts)
 and read by ``read_record``, the one typed reader that scenario files use
 too: an unknown or missing key, a wrong JSON type or a non-finite number
-is a ``SceneParseError``.
+is a ``SceneParseError``.  Every JSON file the package writes goes through
+``write_json``.
 """
 
 from __future__ import annotations
@@ -353,6 +354,46 @@ def assign_rooms(objects: Sequence[ObjectInstance], rooms: Sequence[Room]) -> Di
     return out
 
 
+def write_json(path: str, tree) -> None:
+    """Write ``tree`` as the JSON file at ``path``, ended by one newline.
+
+    Objects are laid out as ``json.dump(..., indent=2, sort_keys=True)``
+    lays them out, and so is an array that holds an object at any depth:
+    one item per line.  Every other value is one line from the C encoder,
+    so an array of numbers costs what its numbers cost.  The text is built
+    before the file is opened: a value the encoder refuses (NaN and inf
+    raise ``ValueError``) leaves no file and an existing one untouched.
+    """
+    text = _json_text(tree, "\n") + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _json_text(value, newline: str) -> str:
+    """``value`` as JSON, its nested lines starting with ``newline``."""
+    inner = newline + "  "
+    if isinstance(value, dict):
+        items = [f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+    if isinstance(value, (list, tuple)) and _holds_object(value):
+        return "[" + inner + ("," + inner).join(_json_text(v, inner) for v in value) + newline + "]"
+    return json.dumps(value, sort_keys=True, allow_nan=False)
+
+
+def _holds_object(items) -> bool:
+    """Whether array ``items`` holds an object at any depth, read one depth
+    at a time (a long array of numbers costs one ``set(map(type, ...))``)."""
+    while items:
+        types = set(map(type, items))
+        if any(issubclass(t, dict) for t in types):
+            return True
+        if not any(issubclass(t, (list, tuple)) for t in types):
+            return False
+        arrays = items if len(types) == 1 else [v for v in items if isinstance(v, (list, tuple))]
+        items = list(chain.from_iterable(arrays))
+    return False
+
+
 # The JSON types each scalar annotation reads from: booleans are not
 # numbers, and a float field takes any JSON number.
 _JSON_TYPES = {str: {str}, int: {int}, float: {int, float}, bool: {bool},
@@ -570,6 +611,4 @@ def save_scene(scene: SceneMap, path: str) -> None:
     Features are always written out; a re-load in ``synthesize`` mode
     recomputes identical vectors, so the round trip is exact either way.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scene.to_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, scene.to_dict())

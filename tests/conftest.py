@@ -15,6 +15,12 @@ def cold_grid_facts():
     release_grid_facts()
 
 
+def find_object(crsg, object_id):
+    """The graph's instance of ``object_id``, wherever the graph holds it,
+    or None."""
+    return crsg.all_objects().get(object_id)
+
+
 def scene_dict(objects, *, name="test", width=24, height=16, resolution=0.25,
                origin=(0.0, 0.0), blocked=(), rooms=None):
     """Minimal well-formed scene tree; objects already carry box/centroid."""

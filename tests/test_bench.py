@@ -301,6 +301,16 @@ class TestRunSuite:
         assert calls
         assert json.loads((tmp_path / "report.json").read_text())["oracle"] == "stub"
 
+    def test_artifact_layout(self, suite_dir, tmp_path):
+        """``results.jsonl`` is one compact sorted-key line per row, and
+        ``report.json`` loads to the tree the ``indent=2`` writer wrote."""
+        report = run_suite(scenario_paths(suite_dir), variant_names=("ours", "no-update"),
+                           out_dir=str(tmp_path))
+        assert (tmp_path / "results.jsonl").read_text() == "".join(
+            json.dumps(row, sort_keys=True) + "\n" for row in report.rows)
+        assert json.loads((tmp_path / "report.json").read_text()) == json.loads(
+            json.dumps(report.to_dict(), sort_keys=True, indent=2))
+
     def test_no_timing_fields_leak(self, suite_dir, tmp_path):
         paths = scenario_paths(suite_dir)
         out = tmp_path / "out"

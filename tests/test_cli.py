@@ -7,8 +7,10 @@ import pytest
 
 from carriernav import cli
 from carriernav.cli import main
+from carriernav.graph import build_crsg
 from carriernav.priors import KeywordPriorOracle
 from carriernav.scenarios import ScenarioError, load_scenario
+from carriernav.scene import load_scene
 
 from conftest import golden_scene_dict
 
@@ -73,6 +75,13 @@ class TestBuildGraph:
         tree = json.loads(out_file.read_text())
         assert [c["id"] for c in tree["carriers"]] == ["table_0"]
         assert tree["carriers"][0]["carried"] == ["cup_0"]
+
+    def test_out_loads_to_the_indent2_tree(self, scene_file, tmp_path, capsys):
+        out_file = tmp_path / "graph.json"
+        assert main(["build-graph", "--scene", scene_file, "--out", str(out_file)]) == 0
+        crsg = build_crsg(load_scene(scene_file), prior=KeywordPriorOracle())
+        assert json.loads(out_file.read_text()) == json.loads(
+            json.dumps(crsg.to_dict(), sort_keys=True, indent=2))
 
     def test_missing_scene_file(self, tmp_path, capsys):
         assert main(["build-graph", "--scene", str(tmp_path / "nope.json")]) == 1

@@ -24,7 +24,7 @@ from carriernav.priors import KeywordPriorOracle
 from carriernav.scene import scene_from_dict
 
 import oracles
-from conftest import golden_scene_dict, item_on, obj_dict, scene_dict, table_dict
+from conftest import find_object, golden_scene_dict, item_on, obj_dict, scene_dict, table_dict
 
 
 def make_scene(objects, **kw):
@@ -272,11 +272,11 @@ class TestBuild:
         assert tree["missing"] == []
 
     def test_detach_and_find(self, golden_graph):
-        assert golden_graph.find("cup_0").id == "cup_0"
+        assert find_object(golden_graph, "cup_0").id == "cup_0"
         moved = golden_graph.detach("cup_0")
         assert moved.id == "cup_0"
         assert golden_graph.carrier_of("cup_0") is None
-        assert golden_graph.find("cup_0") is None
+        assert find_object(golden_graph, "cup_0") is None
         assert golden_graph.detach("cup_0") is None
 
 

@@ -36,7 +36,7 @@ from carriernav.world import DisplacementEvent, GridWorld, Pose
 
 import oracles
 from test_update import obs_of
-from conftest import item_on, obj_dict, scene_dict, table_dict
+from conftest import find_object, item_on, obj_dict, scene_dict, table_dict
 
 CFG = PolicyConfig()
 
@@ -117,7 +117,7 @@ def world_and_graph():
 class TestInitState:
     def test_carried_target_seeds_one_candidate(self, world_and_graph):
         world, crsg = world_and_graph
-        target = crsg.find("cup_0")
+        target = find_object(crsg, "cup_0")
         state = init_state(crsg, world.robot, target, 0.95)
         assert state.unexplored == ["counter_0", "table_0", "table_1"]
         assert list(state.candidates) == ["cup_0"]
@@ -135,7 +135,7 @@ class TestInitState:
 
     def test_orphan_target_bypasses_search(self, world_and_graph):
         world, crsg = world_and_graph
-        state = init_state(crsg, world.robot, crsg.find("rug_0"), 1.0)
+        state = init_state(crsg, world.robot, find_object(crsg, "rug_0"), 1.0)
         assert state.bypass_target is not None
 
     def test_state_rejects_candidates_on_explored_carriers(self):
@@ -253,13 +253,13 @@ class TestDecide:
 
 class TestTransitionInputs:
     def make_state(self, crsg, world, score=0.95):
-        return init_state(crsg, world.robot, crsg.find("cup_0"), score)
+        return init_state(crsg, world.robot, find_object(crsg, "cup_0"), score)
 
     def test_bare_carrier_sighting_prunes_it(self, world_and_graph):
         world, crsg = world_and_graph
         state = self.make_state(crsg, world)
         obs = [obs_of(world.object("table_1"), depth=2.0)]
-        inputs = collect_transition_inputs(leg_of(obs, crsg), crsg, state, crsg.find("cup_0"),
+        inputs = collect_transition_inputs(leg_of(obs, crsg), crsg, state, find_object(crsg, "cup_0"),
                                            CFG, CrsgConfig())
         assert inputs.cr_observed == {"table_1"}
         assert inputs.ct_new == {}
@@ -274,7 +274,7 @@ class TestTransitionInputs:
                         "extents": [0.08, 0.08, 0.12]}), CrsgConfig())
         obs = [obs_of(world.object("table_1"), depth=2.0),
                obs_of(world.object("cup_9"), depth=2.1)]
-        inputs = collect_transition_inputs(leg_of(obs, crsg), crsg, state, crsg.find("cup_0"),
+        inputs = collect_transition_inputs(leg_of(obs, crsg), crsg, state, find_object(crsg, "cup_0"),
                                            CFG, CrsgConfig())
         # blue cup vs red cup: 9/13 = 0.69 > sigma1, so table_1 stays live
         assert inputs.cr_observed == set()
@@ -293,7 +293,7 @@ class TestTransitionInputs:
                         "extents": [0.2, 0.2, 0.35]}), CrsgConfig())
         obs = [obs_of(world.object("table_1"), depth=2.0),
                obs_of(world.object("plant_9"), depth=2.1)]
-        inputs = collect_transition_inputs(leg_of(obs, crsg), crsg, state, crsg.find("cup_0"),
+        inputs = collect_transition_inputs(leg_of(obs, crsg), crsg, state, find_object(crsg, "cup_0"),
                                            CFG, CrsgConfig())
         assert inputs.cr_observed == {"table_1"}
         assert inputs.ct_new == {}
@@ -304,7 +304,7 @@ class TestTransitionInputs:
         world.apply_displacement(DisplacementEvent(
             kind="move", object_id="cup_0", target_carrier_id="table_1"), CrsgConfig())
         obs = [obs_of(world.object("cup_0"), depth=1.7)]
-        inputs = collect_transition_inputs(leg_of(obs, crsg), crsg, state, crsg.find("cup_0"),
+        inputs = collect_transition_inputs(leg_of(obs, crsg), crsg, state, find_object(crsg, "cup_0"),
                                            CFG, CrsgConfig())
         assert "cup_0" in inputs.ct_new
         assert inputs.ct_new["cup_0"].carrier_id == "table_1"
@@ -314,7 +314,7 @@ class TestTransitionInputs:
         world, crsg = world_and_graph
         state = self.make_state(crsg, world)
         obs = [obs_of(world.object("cup_0"), depth=1.2)]
-        inputs = collect_transition_inputs(leg_of(obs, crsg), crsg, state, crsg.find("cup_0"),
+        inputs = collect_transition_inputs(leg_of(obs, crsg), crsg, state, find_object(crsg, "cup_0"),
                                            CFG, CrsgConfig())
         # already a candidate on the same carrier: nothing new
         assert inputs.ct_new == {}
@@ -419,7 +419,7 @@ class TestTransition:
 class TestConfirmation:
     def test_exact_match_confirms_on_text(self, world_and_graph):
         world, crsg = world_and_graph
-        target = crsg.find("cup_0")
+        target = find_object(crsg, "cup_0")
         obs = [obs_of(world.object("cup_0"), depth=0.5)]
         best = confirm_target(obs, target, Query(text="red cup"),
                               KeywordPriorOracle(), CFG)
@@ -428,7 +428,7 @@ class TestConfirmation:
     def test_admitted_distractor_fails_confirmation(self, world_and_graph):
         # the sigma1/sigma2 gap: similar enough to walk to, not enough to stop at
         world, crsg = world_and_graph
-        target = crsg.find("cup_0")
+        target = find_object(crsg, "cup_0")
         world.apply_displacement(DisplacementEvent(
             kind="add", target_carrier_id="table_1",
             new_object={"id": "cup_9", "captions": ["blue cup", "blue cup", "cup"],
@@ -444,7 +444,7 @@ class TestConfirmation:
     def test_best_scoring_object_is_returned(self, world_and_graph):
         # a look-alike sharing the carrier must not be the one confirmed
         world, crsg = world_and_graph
-        target = crsg.find("cup_0")
+        target = find_object(crsg, "cup_0")
         world.apply_displacement(DisplacementEvent(
             kind="add", target_carrier_id="table_0",
             new_object={"id": "beaker_0", "captions": ["blue cup", "blue cup", "cup"],
@@ -456,7 +456,7 @@ class TestConfirmation:
 
     def test_image_route_blends_prior_comparison(self, world_and_graph):
         world, crsg = world_and_graph
-        target = crsg.find("cup_0")
+        target = find_object(crsg, "cup_0")
         obs = [obs_of(world.object("cup_0"), depth=0.5)]
         q = Query(image="img:red_cup")
         assert confirm_target(obs, target, q, KeywordPriorOracle(), CFG) is obs[0]
@@ -466,7 +466,7 @@ class TestConfirmation:
 
     def test_empty_carrier_never_confirms(self, world_and_graph):
         world, crsg = world_and_graph
-        assert confirm_target([], crsg.find("cup_0"), Query(text="red cup"),
+        assert confirm_target([], find_object(crsg, "cup_0"), Query(text="red cup"),
                               KeywordPriorOracle(), CFG) is None
 
 

@@ -77,6 +77,41 @@ def test_load_round_trip(tmp_path):
     assert loaded.scene.to_dict() == original.scene.to_dict()
 
 
+def indent2_tree(tree):
+    """``tree`` as the ``json.dump(..., indent=2, sort_keys=True)`` writer
+    wrote it, read back."""
+    return json.loads(json.dumps(tree, sort_keys=True, indent=2))
+
+
+@pytest.mark.parametrize("resolution", [0.25, 0.05])
+@pytest.mark.parametrize("mode", MODES)
+def test_written_files_load_to_the_indent2_trees(tmp_path, mode, resolution):
+    built = generate_scenarios(mode, 2, 13, out_dir=str(tmp_path), resolution=resolution)
+    for i, sc in enumerate(built):
+        scene_file = f"scene_{i:04d}.json"
+        assert (json.loads((tmp_path / scene_file).read_text())
+                == indent2_tree(sc.scene.to_dict()))
+        assert (json.loads((tmp_path / f"scenario_{i:04d}.json").read_text())
+                == indent2_tree(sc.to_dict(scene_file)))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_files_in_the_old_layout_still_load(tmp_path, mode):
+    """A scene and scenario pair that the ``indent=2`` writer wrote loads
+    to the scenario that the current files load to."""
+    new, old = tmp_path / "new", tmp_path / "old"
+    built = generate_scenarios(mode, 1, 13, out_dir=str(new), resolution=0.05)[0]
+    old.mkdir()
+    for tree, name in ((built.scene.to_dict(), "scene_0000.json"),
+                       (built.to_dict("scene_0000.json"), "scenario_0000.json")):
+        (old / name).write_text(json.dumps(tree, sort_keys=True, indent=2) + "\n")
+    assert (old / "scene_0000.json").stat().st_size > (new / "scene_0000.json").stat().st_size
+    from_old = load_scenario(str(old / "scenario_0000.json"))
+    from_new = load_scenario(str(new / "scenario_0000.json"))
+    assert from_old.to_dict("scene_0000.json") == from_new.to_dict("scene_0000.json")
+    assert from_old.scene.to_dict() == from_new.scene.to_dict() == built.scene.to_dict()
+
+
 def test_load_rejects_wrong_version(tmp_path):
     generate_scenarios("single", 1, 9, out_dir=str(tmp_path))
     path = tmp_path / "scenario_0000.json"

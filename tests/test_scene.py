@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from carriernav.features import embed_text, is_zero_feature
 from carriernav.scenarios import MODES, build_scenario
@@ -21,6 +23,7 @@ from carriernav.scene import (
     point_in_polygon,
     save_scene,
     scene_from_dict,
+    write_json,
 )
 
 from conftest import assert_every_write_raises, golden_scene_dict, obj_dict, scene_dict
@@ -283,3 +286,89 @@ def test_self_intersecting_room_rejected():
                       "polygon": [[0, 0], [4, 4], [4, 0], [0, 4]]}]  # bowtie
     with pytest.raises(SceneValidationError):
         scene_from_dict(tree)
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                | st.integers(min_value=2**63, max_value=2**200)
+                | st.floats(allow_nan=False, allow_infinity=False) | st.text())
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=4), kids, max_size=4),
+    max_leaves=30)
+
+
+def holds_object(value) -> bool:
+    return isinstance(value, dict) or (isinstance(value, list) and any(map(holds_object, value)))
+
+
+def layout_oracle(tree) -> str:
+    """The text that ``write_json`` must write: ``json.dumps(indent=2,
+    sort_keys=True)``, except that an array holding no object is one line
+    from the compact encoder."""
+    flat = []
+
+    def tokens(value):
+        if isinstance(value, dict):
+            return {k: tokens(v) for k, v in value.items()}
+        if isinstance(value, list) and not any(map(holds_object, value)):
+            flat.append(value)
+            return f"\0flat-{len(flat) - 1}\0"
+        if isinstance(value, list):
+            return [tokens(v) for v in value]
+        return value
+
+    text = json.dumps(tokens(tree), indent=2, sort_keys=True)
+    for i, value in enumerate(flat):
+        text = text.replace(json.dumps(f"\0flat-{i}\0"), json.dumps(value, sort_keys=True))
+    return text + "\n"
+
+
+class TestWriteJson:
+    @settings(max_examples=300, deadline=None)
+    @given(tree=JSON_TREES)
+    @example(tree={})
+    @example(tree=[])
+    @example(tree={"a": [[{"b": [1, {"c": []}], "a": {}}], [], [[]]]})
+    @example(tree={"b": {"y": 1, "x": [{"k": None}]}, "a": [], "c": {}})
+    @example(tree={"\u00e9t\u00e9": ["\u65e5\u672c", "\U0001f600"], "z": "caf\u00e9"})
+    @example(tree={"x": [-0.0, 1e-300, 2**100, -(2**70), 5e-324, 1.7976931348623157e308]})
+    def test_any_tree(self, tree, tmp_path_factory):
+        path = tmp_path_factory.mktemp("json") / "tree.json"
+        write_json(str(path), tree)
+        text = path.read_text(encoding="utf-8")
+        assert json.loads(text) == tree
+        assert text == layout_oracle(tree)
+        assert text.endswith("\n") and not text.endswith("\n\n")
+
+        def sorted_pairs(pairs):
+            keys = [k for k, _ in pairs]
+            assert keys == sorted(keys)
+            return dict(pairs)
+
+        json.loads(text, object_pairs_hook=sorted_pairs)
+        again = path.with_name("again.json")
+        write_json(str(again), json.loads(text))
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_arrays_without_objects_take_one_line(self, tmp_path):
+        write_json(str(tmp_path / "t.json"), {"cells": [[0, 1], [2, 3]], "v": [0.5, -0.0]})
+        assert (tmp_path / "t.json").read_text() == (
+            '{\n  "cells": [[0, 1], [2, 3]],\n  "v": [0.5, -0.0]\n}\n')
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("place", [lambda v: v, lambda v: {"a": v},
+                                       lambda v: {"a": [1.0, v]}, lambda v: [{"b": [[v]]}]])
+    def test_non_finite_numbers_are_refused_before_writing(self, tmp_path, bad, place):
+        fresh, old = tmp_path / "fresh.json", tmp_path / "old.json"
+        old.write_bytes(b'{"kept": true}\n')
+        for path in (fresh, old):
+            with pytest.raises(ValueError):
+                write_json(str(path), place(bad))
+        assert not fresh.exists()
+        assert old.read_bytes() == b'{"kept": true}\n'
+
+    def test_scene_in_the_old_layout_still_loads(self, tmp_path):
+        scene = build_scenario("probe", 0, 3, resolution=0.05).scene
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(scene.to_dict(), sort_keys=True, indent=2) + "\n")
+        assert load_scene(str(old)).to_dict() == scene.to_dict()

@@ -7,8 +7,13 @@ traced function must fail here, not only move a benchmark counter.
 The scene and scenario files are read by one annotation-driven reader.  A
 field whose annotation that reader does not handle must fail here, not on
 a user's file.
+
+Every JSON file is written by ``scene.write_json``.  A writer that calls
+``json.dump`` or passes ``indent=`` brings back the pure-Python encoder and
+must fail here.
 """
 
+import ast
 import dataclasses
 import sys
 from pathlib import Path
@@ -18,7 +23,8 @@ import carriernav  # noqa: F401  (loads every module the span table names)
 from carriernav.scene import _SceneFile, _schema
 from carriernav.scenarios import _ScenarioFile
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import layers  # noqa: E402
 
@@ -67,3 +73,36 @@ def test_the_file_reader_handles_every_annotation():
             "EventSpec", "_SceneObject", "_SceneBox", "_SceneGrid"} <= {c.__name__ for c in seen}
     assert kinds == {"scalar", "record", "optional", "union of scalars", "list",
                      "fixed-length tuple"}
+
+
+def pure_encoder_calls(source: str) -> list:
+    """``(line, what)`` of each ``json.dump(`` call and ``indent=`` keyword
+    in module ``source`` outside the body of ``write_json``."""
+    tree = ast.parse(source)
+    allowed = {id(node) for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef) and fn.name == "write_json"
+               for node in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in allowed:
+            continue
+        func = node.func
+        if (isinstance(func, ast.Attribute) and func.attr == "dump"
+                and isinstance(func.value, ast.Name) and func.value.id == "json"):
+            found.append((node.lineno, "json.dump("))
+        found += [(node.lineno, "indent=") for kw in node.keywords if kw.arg == "indent"]
+    return found
+
+
+def test_every_json_file_is_written_by_write_json():
+    modules = sorted((ROOT / "src" / "carriernav").glob("*.py"))
+    assert len(modules) > 10
+    found = {p.name: pure_encoder_calls(p.read_text()) for p in modules}
+    assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+def test_the_writer_guard_sees_pure_encoder_calls():
+    source = ("import json\n"
+              "def write_json(path, tree):\n    json.dumps(tree, indent=2)\n"
+              "def save(fh, tree):\n    json.dump(tree, fh)\n    return json.dumps(tree, indent=1)\n")
+    assert pure_encoder_calls(source) == [(5, "json.dump("), (6, "indent=")]

@@ -18,7 +18,7 @@ from carriernav.update import (
 )
 from carriernav.world import Observation
 
-from conftest import item_on, obj_dict, scene_dict, table_dict
+from conftest import find_object, item_on, obj_dict, scene_dict, table_dict
 
 
 def obs_of(obj, depth=1.0, shift=(0.0, 0.0, 0.0), scale=1.0, captions=None):
@@ -162,7 +162,7 @@ class TestApplyUpdate:
         apply_update(crsg, diff)
         assert sorted(crsg.carriers["table_0"].carried) == ["cup_a"]
         assert sorted(crsg.missing) == ["cup_b"]
-        assert crsg.find("cup_b") is not None  # still queryable
+        assert find_object(crsg, "cup_b") is not None  # still queryable
         assert crsg.journal[-1]["removed"] == ["cup_b"]
 
     def test_unknown_addition_becomes_new_entry(self, setting):
