@@ -103,16 +103,16 @@ class _SceneDraft:
     resolution: float
     objects: List[dict] = field(default_factory=list)
     rooms: List[dict] = field(default_factory=list)
-    wall_cells: set = field(default_factory=set)
     used_ids: set = field(default_factory=set)
     used_item_tags: set = field(default_factory=set)
+    # (w, h) bool array over the grid, True at each wall cell; a draft
+    # starts walled in
+    walls: np.ndarray = field(init=False)
 
-    @property
-    def grid_shape(self) -> Tuple[int, int]:
-        return (
-            int(round(self.width_m / self.resolution)),
-            int(round(self.height_m / self.resolution)),
-        )
+    def __post_init__(self):
+        self.walls = np.ones((int(round(self.width_m / self.resolution)),
+                              int(round(self.height_m / self.resolution))), dtype=bool)
+        self.walls[1:-1, 1:-1] = False
 
     def fresh_id(self, kind: str) -> str:
         n = 0
@@ -122,41 +122,23 @@ class _SceneDraft:
         self.used_ids.add(oid)
         return oid
 
-    def add_boundary_walls(self):
-        w, h = self.grid_shape
-        for ix in range(w):
-            self.wall_cells.add((ix, 0))
-            self.wall_cells.add((ix, h - 1))
-        for iy in range(h):
-            self.wall_cells.add((0, iy))
-            self.wall_cells.add((w - 1, iy))
-
     def add_wall_segment(self, x0: float, y0: float, x1: float, y1: float,
                          door_at: Optional[float] = None, door_width: float = 1.0):
         """Axis-aligned wall with an optional door gap centered at door_at
         (a coordinate along the segment's long axis)."""
         res = self.resolution
-        w, h = self.grid_shape
+        w, h = self.walls.shape
         if abs(x1 - x0) < 1e-9:  # vertical
-            ix = min(max(int(x0 / res), 0), w - 1)
-            lo, hi = sorted((y0, y1))
-            iy0, iy1 = max(int(lo / res), 0), min(int(hi / res), h - 1)
-            for iy in range(iy0, iy1 + 1):
-                cy = (iy + 0.5) * res
-                if door_at is not None and abs(cy - door_at) <= door_width / 2.0:
-                    continue
-                self.wall_cells.add((ix, iy))
+            wall, along, size = self.walls[min(max(int(x0 / res), 0), w - 1)], (y0, y1), h
         elif abs(y1 - y0) < 1e-9:  # horizontal
-            iy = min(max(int(y0 / res), 0), h - 1)
-            lo, hi = sorted((x0, x1))
-            ix0, ix1 = max(int(lo / res), 0), min(int(hi / res), w - 1)
-            for ix in range(ix0, ix1 + 1):
-                cx = (ix + 0.5) * res
-                if door_at is not None and abs(cx - door_at) <= door_width / 2.0:
-                    continue
-                self.wall_cells.add((ix, iy))
+            wall, along, size = self.walls[:, min(max(int(y0 / res), 0), h - 1)], (x0, x1), w
         else:
             raise ScenarioError("walls must be axis-aligned")
+        lo, hi = sorted(along)
+        cells = np.arange(max(int(lo / res), 0), min(int(hi / res), size - 1) + 1)
+        if door_at is not None:
+            cells = cells[~(np.abs((cells + 0.5) * res - door_at) <= door_width / 2.0)]
+        wall[cells] = True
 
     def add_room(self, room_id: str, x0: float, y0: float, x1: float, y1: float):
         self.rooms.append({
@@ -193,24 +175,20 @@ class _SceneDraft:
         return oid
 
     def blocked_cells(self) -> List[List[int]]:
-        """Walls plus the footprint cells of every ground-contacting object."""
+        """Walls plus the footprint cells of every ground-contacting object,
+        as ``[ix, iy]`` pairs sorted by ``(ix, iy)``."""
         res = self.resolution
-        w, h = self.grid_shape
-        cells = set(self.wall_cells)
+        w, h = self.walls.shape
+        occ = self.walls.copy()
         for obj in self.objects:
-            if obj["box"]["min"][2] > 0.05:
-                continue
-            ix0 = int(obj["box"]["min"][0] / res)
-            ix1 = int(math.ceil(obj["box"]["max"][0] / res)) - 1
-            iy0 = int(obj["box"]["min"][1] / res)
-            iy1 = int(math.ceil(obj["box"]["max"][1] / res)) - 1
-            for ix in range(max(ix0, 0), min(ix1, w - 1) + 1):
-                for iy in range(max(iy0, 0), min(iy1, h - 1) + 1):
-                    cells.add((ix, iy))
-        return [list(c) for c in sorted(cells)]
+            lo, hi = obj["box"]["min"], obj["box"]["max"]
+            if lo[2] <= 0.05:  # clipped to the grid; a stop below 0 would count from the end
+                occ[max(int(lo[0] / res), 0):max(min(math.ceil(hi[0] / res), w), 0),
+                    max(int(lo[1] / res), 0):max(min(math.ceil(hi[1] / res), h), 0)] = True
+        return np.argwhere(occ).tolist()
 
     def to_scene_dict(self) -> dict:
-        w, h = self.grid_shape
+        w, h = self.walls.shape
         return {
             "header": {
                 "version": 1,
@@ -342,7 +320,6 @@ def _build_single(index: int, seed: str, rng: Random, resolution: float) -> Scen
     width, height = 20.0, 12.0
     draft = _SceneDraft(name=f"single_{index:04d}", width_m=width, height_m=height,
                         resolution=resolution)
-    draft.add_boundary_walls()
     draft.add_room("room_a", 0.0, 0.0, width, height)
 
     item_kind = ITEM_KINDS[rng.randrange(len(ITEM_KINDS))]
@@ -412,7 +389,6 @@ def _build_probe(index: int, seed: str, rng: Random, resolution: float) -> Scena
     width, height = 18.0, 10.0
     draft = _SceneDraft(name=f"probe_{index:04d}", width_m=width, height_m=height,
                         resolution=resolution)
-    draft.add_boundary_walls()
     draft.add_room("room_a", 0.0, 0.0, width, height)
 
     # six carriers of one kind so the rank oracle ties and explores in id
@@ -459,7 +435,6 @@ def _build_mixed(index: int, seed: str, rng: Random, resolution: float) -> Scena
     width, height = 14.0, 9.0
     draft = _SceneDraft(name=f"mixed_{index:04d}", width_m=width, height_m=height,
                         resolution=resolution)
-    draft.add_boundary_walls()
     split = 7.0
     draft.add_room("room_a", 0.0, 0.0, split, height)
     draft.add_room("room_b", split, 0.0, width, height)

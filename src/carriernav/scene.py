@@ -210,11 +210,16 @@ class Room:
 
 @dataclass
 class GridSpec:
+    """Occupancy-grid metadata.  ``blocked_cells``, ``(ix, iy)`` pairs in any
+    order and with repeats, is held as one read-only ``(n, 2)`` intp array
+    checked in bulk: a cell that is not a pair of integers inside the grid
+    (a float, bool or string among them) raises ``SceneValidationError``."""
+
     resolution: float = DEFAULT_GRID_RESOLUTION
     width: int = 0
     height: int = 0
     origin: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    blocked_cells: List[Tuple[int, int]] = field(default_factory=list)
+    blocked_cells: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), dtype=np.intp))
 
     def __post_init__(self):
         self.origin = np.asarray(self.origin, dtype=np.float64)
@@ -224,13 +229,21 @@ class GridSpec:
             raise SceneValidationError("grid width/height must be positive")
         if self.origin.shape != (2,):
             raise SceneValidationError("grid origin must be a 2-vector")
-        cells = []
-        for cell in self.blocked_cells:
-            ix, iy = int(cell[0]), int(cell[1])
-            if not (0 <= ix < self.width and 0 <= iy < self.height):
-                raise SceneValidationError(f"blocked cell {cell} out of bounds")
-            cells.append((ix, iy))
+        rows = self.blocked_cells
+        rows = rows.tolist() if isinstance(rows, np.ndarray) else list(rows)
+        cells = _cell_array(rows, self.width, self.height)
+        if cells is None:
+            bad = next(c for c in rows if _cell_array([c], self.width, self.height) is None)
+            raise SceneValidationError(f"blocked cell {bad!r} is not a pair of integers "
+                                       f"inside the {self.width}x{self.height} grid")
+        cells.setflags(write=False)
         self.blocked_cells = cells
+
+    def occupancy(self) -> np.ndarray:
+        """A new ``(height, width)`` bool array, True at each blocked cell."""
+        occ = np.zeros((int(self.height), int(self.width)), dtype=bool)
+        occ[self.blocked_cells[:, 1], self.blocked_cells[:, 0]] = True
+        return occ
 
     def to_dict(self) -> dict:
         return {
@@ -238,8 +251,24 @@ class GridSpec:
             "width": int(self.width),
             "height": int(self.height),
             "origin": [float(x) for x in self.origin],
-            "blocked_cells": [[ix, iy] for ix, iy in sorted(set(self.blocked_cells))],
+            # each blocked cell once, sorted by (ix, iy)
+            "blocked_cells": np.argwhere(self.occupancy().T).tolist(),
         }
+
+
+def _cell_array(rows: list, width: int, height: int) -> Optional[np.ndarray]:
+    """``rows`` as an ``(n, 2)`` intp array if each is a pair of integers
+    inside the grid, else ``None``; types are checked per type, not per cell."""
+    if not (set(map(type, rows)) <= {list, tuple} and set(map(len, rows)) <= {2}):
+        return None
+    flat = list(chain.from_iterable(rows))
+    if not all(issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, flat))):
+        return None
+    try:
+        arr = np.fromiter(flat, dtype=np.intp, count=len(flat)).reshape(-1, 2)
+    except OverflowError:  # beyond intp, so beyond any grid
+        return None
+    return arr if (arr >= 0).all() and (arr < (width, height)).all() else None
 
 
 @dataclass

@@ -52,7 +52,6 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, fields, replace
-from itertools import chain
 from operator import attrgetter
 from typing import Container, Dict, List, Optional, Sequence, Tuple
 
@@ -218,11 +217,7 @@ class GridWorld:
         self.width = int(grid.width)
         self.height = int(grid.height)
         self.origin = np.asarray(grid.origin, dtype=np.float64)
-        occupancy = np.zeros((self.height, self.width), dtype=bool)
-        # (ix, iy) pairs flattened, far faster than an array of tuples
-        blocked = np.fromiter(chain.from_iterable(grid.blocked_cells), dtype=np.intp,
-                              count=2 * len(grid.blocked_cells))
-        occupancy[blocked[1::2], blocked[0::2]] = True
+        occupancy = grid.occupancy()  # painted from the bulk-checked cell array
         occupancy.flags.writeable = False  # worlds share it
         self._grid = _grid_facts(occupancy, self.resolution, self.origin)
         self.occupancy = self._grid.occupancy

@@ -8,10 +8,11 @@ the planner's former one-direction graph instead of bounded searches over
 its symmetric one, reachability from that search instead of component
 labels, similarities from exact token counts instead of hashed
 vectors, the carried relation from a quadratic scan instead of the
-construction funnel, and a leg's sightings one pose at a time instead of
-in one pass.  The world's memos are checked against the rules they
-replaced, computed afresh on every call.  A bug would have to be made twice
-to go unnoticed.
+construction funnel, a leg's sightings one pose at a time instead of in
+one pass, and blocked cells from sets of tuples instead of painted
+arrays.  The world's memos are checked against the rules they replaced,
+computed afresh on every call.  A bug would have to be made twice to go
+unnoticed.
 """
 
 from __future__ import annotations
@@ -191,6 +192,54 @@ def carriers_reachable_by_distance(scene, start) -> bool:
             if math.isinf(dist[index[iy, ix]]):
                 return False
     return True
+
+
+def sorted_unique_cells(cells) -> list:
+    """Blocked cells as scene files list them, by the rule before cell
+    arrays: each ``(ix, iy)`` once, sorted, from a set of tuples."""
+    return [[ix, iy] for ix, iy in sorted(set((int(c[0]), int(c[1])) for c in cells))]
+
+
+def occupancy_per_cell(cells, width: int, height: int) -> np.ndarray:
+    """``(height, width)`` occupancy, blocked cells set one at a time."""
+    occ = np.zeros((height, width), dtype=bool)
+    for ix, iy in cells:
+        occ[iy, ix] = True
+    return occ
+
+
+def draft_blocked_cells(width_m: float, height_m: float, resolution: float,
+                        walls, objects) -> list:
+    """The scenario generator's blocked cells by its set-based rule before
+    painted occupancy.  Each cell is added to a set one at a time: the
+    grid's border cells, then the cells of each wall segment in ``walls``,
+    ``(x0, y0, x1, y1, door_at, door_width)`` as the draft got them, a door
+    gap skipping the cells whose center lies within ``door_width / 2`` of
+    ``door_at``, then the footprint of every object whose box bottom is at
+    most 0.05 m up, clipped to the grid."""
+    w, h = int(round(width_m / resolution)), int(round(height_m / resolution))
+    cells = {(ix, iy) for ix in range(w) for iy in (0, h - 1)}
+    cells.update((ix, iy) for ix in (0, w - 1) for iy in range(h))
+    for x0, y0, x1, y1, door_at, door_width in walls:
+        vertical = abs(x1 - x0) < 1e-9
+        fixed, along, size, length = (x0, (y0, y1), w, h) if vertical else (y0, (x0, x1), h, w)
+        at = min(max(int(fixed / resolution), 0), size - 1)
+        lo, hi = sorted(along)
+        for k in range(max(int(lo / resolution), 0), min(int(hi / resolution), length - 1) + 1):
+            center = (k + 0.5) * resolution
+            if door_at is not None and abs(center - door_at) <= door_width / 2.0:
+                continue
+            cells.add((at, k) if vertical else (k, at))
+    for obj in objects:
+        lo, hi = obj["box"]["min"], obj["box"]["max"]
+        if lo[2] > 0.05:
+            continue
+        for ix in range(max(int(lo[0] / resolution), 0),
+                        min(int(math.ceil(hi[0] / resolution)) - 1, w - 1) + 1):
+            for iy in range(max(int(lo[1] / resolution), 0),
+                            min(int(math.ceil(hi[1] / resolution)) - 1, h - 1) + 1):
+                cells.add((ix, iy))
+    return [list(c) for c in sorted(cells)]
 
 
 def snap_free_cell_rings(occupancy, origin, resolution: float, point):

@@ -233,6 +233,14 @@ def _blocked_cell_of_one_number(tree, scene):
     scene["grid"]["blocked_cells"] = [[1]]
 
 
+def _blocked_cell_beyond_any_grid(tree, scene):
+    scene["grid"]["blocked_cells"].append([10**30, 0])
+
+
+def _blocked_cell_outside_the_grid(tree, scene):
+    scene["grid"]["blocked_cells"].append([scene["grid"]["width"], 0])
+
+
 def _objects_not_an_array(tree, scene):
     scene["objects"] = 3
 
@@ -251,7 +259,8 @@ def _resolution_a_boolean(tree, scene):
                                     _sensor_not_an_object, _sensor_radius_not_a_number,
                                     _task_without_query, _event_moves_an_unknown_object,
                                     _event_targets_an_unknown_carrier, _grid_not_an_object,
-                                    _blocked_cell_of_one_number, _objects_not_an_array,
+                                    _blocked_cell_of_one_number, _blocked_cell_beyond_any_grid,
+                                    _blocked_cell_outside_the_grid, _objects_not_an_array,
                                     _resolution_not_a_number, _resolution_a_boolean])
 def test_malformed_scenario_is_bad_input(scenario_dir, tmp_path, capsys, defect):
     tree = json.loads((scenario_dir / "scenario_0000.json").read_text())

@@ -1,10 +1,11 @@
 """Scenario generator: determinism, mode shapes and replayability."""
 
+import hashlib
 import json
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carriernav.cli import main
@@ -65,6 +66,100 @@ def test_generation_to_disk_is_byte_identical(tmp_path):
     assert len(names) == 6  # a scene and a scenario file per index
     for name in names:
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+# sha256 over each file's name, a NUL byte and its bytes, in name order, of
+# generate_scenarios(mode, 2, 7, resolution=...): the scene and scenario
+# files that the generator and writer of this format version produce.
+GENERATED_SHA256 = {
+    ("mixed", 0.25): "3f1cd868c76f0194b9681540b4edc1c0c7b31a145c9643dead67b33e361e8675",
+    ("mixed", 0.05): "ff3a0b114bdcae43410851f99a1d1fc04cbd6cb6dc9795b35c015edb341203f0",
+    ("probe", 0.25): "a4830dbebd2f33a19d2e832c5391432d5f13bc6c3036f4e5609406907c9203c7",
+    ("probe", 0.05): "252964a9edf3e1bf24768456a63d8af1322185e19f7f6ad2ba50a9d43a0d04b5",
+    ("single", 0.25): "f6e7d6f8a92fd77b0e868badeb0ce5dd076af85e10b7cd43955322e29a89592b",
+    ("single", 0.05): "1e70e9fd3e7b6fb6a66a7f12300041205ae82bbd032dacc6aab0e871f42d750a",
+}
+
+
+@pytest.mark.parametrize("resolution", [0.25, 0.05])
+@pytest.mark.parametrize("mode", MODES)
+def test_generated_files_have_the_pinned_bytes(tmp_path, mode, resolution):
+    generate_scenarios(mode, 2, 7, out_dir=str(tmp_path), resolution=resolution)
+    digest = hashlib.sha256()
+    paths = sorted(tmp_path.iterdir())
+    assert [p.name for p in paths] == ["scenario_0000.json", "scenario_0001.json",
+                                       "scene_0000.json", "scene_0001.json"]
+    for p in paths:
+        digest.update(p.name.encode() + b"\0" + p.read_bytes())
+    assert digest.hexdigest() == GENERATED_SHA256[mode, resolution]
+
+
+class _RecordingDraft(scenarios_mod._SceneDraft):
+    """A generator draft that also keeps its wall segments in order, for
+    ``oracles.draft_blocked_cells``."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.wall_calls = []
+
+    def add_wall_segment(self, x0, y0, x1, y1, door_at=None, door_width=1.0):
+        self.wall_calls.append((x0, y0, x1, y1, door_at, door_width))
+        super().add_wall_segment(x0, y0, x1, y1, door_at, door_width)
+
+    def oracle_cells(self):
+        return oracles.draft_blocked_cells(self.width_m, self.height_m, self.resolution,
+                                           self.wall_calls, self.objects)
+
+
+@pytest.mark.parametrize("resolution", [0.25, 0.05])
+@pytest.mark.parametrize("mode", MODES)
+def test_generated_blocked_cells_equal_the_set_rule(monkeypatch, mode, resolution):
+    drafts = []
+
+    class Draft(_RecordingDraft):
+        def __post_init__(self):
+            super().__post_init__()
+            drafts.append(self)
+
+    monkeypatch.setattr(scenarios_mod, "_SceneDraft", Draft)
+    for seed in (3, 7, 19):
+        for index in range(2):
+            build_scenario(mode, index, seed, resolution)
+    assert len(drafts) >= 6  # rejected layouts too
+    for draft in drafts:
+        assert draft.blocked_cells() == draft.oracle_cells()
+    doors = [c for d in drafts for c in d.wall_calls if c[4] is not None]
+    assert bool(doors) == (mode == "mixed")
+
+
+_COORD = st.floats(-3.0, 9.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(resolution=st.sampled_from([0.25, 0.05, 0.3]),
+       size=st.tuples(st.floats(0.7, 6.0), st.floats(0.7, 6.0)),
+       walls=st.lists(st.tuples(st.booleans(), _COORD, _COORD, _COORD,
+                                st.none() | _COORD, st.floats(0.0, 3.0)), max_size=4),
+       boxes=st.lists(st.tuples(_COORD, _COORD, _COORD, _COORD,
+                                st.sampled_from([0.0, 0.05, 0.5])), max_size=5))
+# segments and footprints past every border and wholly outside the grid, and
+# door-gap edges exactly half a door width from its center
+@example(resolution=0.25, size=(2.0, 2.0),
+         walls=[(True, 1.0, -3.0, 9.0, 1.0, 0.25), (False, 1.0, -3.0, -1.0, None, 1.0)],
+         boxes=[(-1.0, -1.0, 0.6, 0.6, 0.0), (1.5, 1.5, 9.0, 9.0, 0.0),
+                (-3.0, 0.5, -0.5, 1.0, 0.0), (0.5, -3.0, 1.0, -0.5, 0.0),
+                (5.0, 0.0, 6.0, 1.0, 0.0)])
+def test_painted_blocked_cells_equal_the_set_rule(resolution, size, walls, boxes):
+    draft = _RecordingDraft(name="t", width_m=size[0], height_m=size[1], resolution=resolution)
+    for vertical, fixed, a, b, door_at, door_width in walls:
+        if vertical:
+            draft.add_wall_segment(fixed, a, fixed, b, door_at, door_width)
+        else:
+            draft.add_wall_segment(a, fixed, b, fixed, door_at, door_width)
+    for x0, y0, x1, y1, z in boxes:
+        draft.objects.append({"box": {"min": [min(x0, x1), min(y0, y1), z],
+                                      "max": [max(x0, x1), max(y0, y1), z + 0.5]}})
+    assert draft.blocked_cells() == draft.oracle_cells()
 
 
 def test_load_round_trip(tmp_path):

@@ -174,6 +174,47 @@ class TestGridSpec:
                         blocked_cells=[(3, 1), (1, 2), (3, 1)])
         assert spec.to_dict()["blocked_cells"] == [[1, 2], [3, 1]]
 
+    @pytest.mark.parametrize("cell", [
+        (4, 0), (0, 4), (-1, 0), (0, -1), (10**30, 0), (0, -10**30), (1,), (1, 2, 3),
+        (1.5, 0), (1.0, 0), (True, 0), (0, np.bool_(False)), ("1", 0), (None, 0),
+        5, "ab", None, {1, 2}, np.array([1, 2])])
+    def test_a_bad_cell_is_a_validation_error(self, cell):
+        # a pair of integers inside the grid, or refused: not truncated,
+        # and no raw numpy error
+        with pytest.raises(SceneValidationError):
+            GridSpec(resolution=0.25, width=4, height=4, blocked_cells=[(1, 1), cell])
+
+    @pytest.mark.parametrize("cells", [np.array([[1.5, 0.0]]), np.array([1, 2]),
+                                       np.array([[1, 4]]), np.array([[True, False]])])
+    def test_a_bad_cell_array_is_a_validation_error(self, cells):
+        with pytest.raises(SceneValidationError):
+            GridSpec(resolution=0.25, width=4, height=4, blocked_cells=cells)
+
+    def test_cells_of_any_integer_type_are_accepted(self):
+        spec = GridSpec(resolution=0.25, width=4, height=4,
+                        blocked_cells=[[3, 1], (np.int64(1), np.int32(2))])
+        assert spec.blocked_cells.tolist() == [[3, 1], [1, 2]]
+        again = GridSpec(resolution=0.25, width=4, height=4, blocked_cells=spec.blocked_cells)
+        assert again.blocked_cells.tolist() == [[3, 1], [1, 2]]
+
+    def test_blocked_cells_are_one_read_only_array(self):
+        spec = GridSpec(resolution=0.25, width=4, height=4, blocked_cells=[(3, 1), (1, 2)])
+        cells = spec.blocked_cells
+        assert cells.shape == (2, 2) and cells.dtype == np.intp
+        with pytest.raises(ValueError):
+            cells[0, 0] = 0
+        assert GridSpec(resolution=0.25, width=4, height=4).blocked_cells.shape == (0, 2)
+
+    @pytest.mark.parametrize("cell,error", [([10**30, 0], SceneValidationError),
+                                            ([4, 0], SceneValidationError),
+                                            ([1.5, 0], SceneParseError),
+                                            ([True, 0], SceneParseError)])
+    def test_a_bad_cell_in_a_scene_file_is_a_scene_error(self, cell, error):
+        tree = scene_dict([], width=4, height=4)
+        tree["grid"]["blocked_cells"] = [[1, 1], cell]
+        with pytest.raises(error):
+            scene_from_dict(json.loads(json.dumps(tree)))
+
 
 class TestParsing:
     def test_golden_scene_parses(self):

@@ -9,7 +9,7 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
@@ -135,6 +135,21 @@ class TestGridGeometry:
         with pytest.raises(ValueError):
             w.occupancy[3, 2] = False
         assert not w.occupancy[0, 0] and w.occupancy[3, 2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_blocked_cells_in_any_order_and_repeats_equal_the_set_rule(data):
+    width, height = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+    cells = data.draw(st.lists(st.tuples(st.integers(0, width - 1), st.integers(0, height - 1)),
+                               max_size=50))
+    cells += data.draw(st.lists(st.sampled_from(cells), max_size=5)) if cells else []
+    cells = data.draw(st.permutations(cells))
+    assume(len(set(cells)) < width * height)  # a world needs a free cell
+    scene = scene_from_dict(scene_dict([], width=width, height=height, blocked=cells))
+    assert scene.grid.to_dict()["blocked_cells"] == oracles.sorted_unique_cells(cells)
+    assert np.array_equal(GridWorld(scene).occupancy,
+                          oracles.occupancy_per_cell(cells, width, height))
 
 
 def walk_back(w, dist, start, goal):
