@@ -22,7 +22,7 @@ import multiprocessing
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .graph import CrsgConfig, build_crsg
 from .policy import (
@@ -185,11 +185,14 @@ def _episode_row(scenario_name: str, variant: str, r: EpisodeResult) -> dict:
     }
 
 
-def _run_job(prior: CarrierPriorOracle, job: Tuple[str, str]) -> List[dict]:
-    scenario_path, variant_name = job
+def _run_scenario(prior: CarrierPriorOracle, variant_names: Sequence[str],
+                  scenario_path: str) -> List[dict]:
+    """Every variant's rows on one loaded scenario, so the variants share
+    the scene's facts."""
     scenario = load_scenario(scenario_path)
-    results = run_sequence(scenario, VARIANTS[variant_name], prior=prior)
-    return [_episode_row(scenario.name, variant_name, r) for r in results]
+    return [_episode_row(scenario.name, name, r)
+            for name in variant_names
+            for r in run_sequence(scenario, VARIANTS[name], prior=prior)]
 
 
 @dataclass
@@ -239,26 +242,29 @@ def run_suite(
     """Run every (scenario, variant) pair and aggregate the results.
 
     Every episode consults ``prior`` (the keyword oracle if not given),
-    and the report records its ``name``.  Jobs execute in sorted order (or
-    across a process pool; the output is identical either way).  With
-    ``out_dir`` set, writes ``results.jsonl`` and ``report.json``.
+    and the report records its ``name``.  Each scenario file is loaded
+    once, and its variants run on it in sorted order; scenarios execute in
+    sorted order (or one per pool task across a process pool; the output
+    is identical either way).  With ``out_dir`` set, writes
+    ``results.jsonl`` and ``report.json``.
     """
     for name in variant_names:
         if name not in VARIANTS:
             raise BenchError(f"unknown variant {name!r}; known: {sorted(VARIANTS)}")
     if workers < 1:
         raise BenchError("workers must be >= 1")
-    jobs = sorted((str(p), v) for p in scenario_paths for v in sorted(set(variant_names)))
-    if not jobs:
+    paths = sorted(str(p) for p in scenario_paths)
+    variants = sorted(set(variant_names))
+    if not paths or not variants:
         raise BenchError("no scenarios to run")
 
     prior = prior or KeywordPriorOracle()
-    run_job = functools.partial(_run_job, prior)
+    run_scenario = functools.partial(_run_scenario, prior, variants)
     if workers == 1:
-        chunks = [run_job(job) for job in jobs]
+        chunks = [run_scenario(path) for path in paths]
     else:
         with multiprocessing.Pool(processes=workers) as pool:
-            chunks = pool.map(run_job, jobs, chunksize=1)
+            chunks = pool.map(run_scenario, paths, chunksize=1)
 
     rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=lambda r: (r["scenario"], r["variant"], r["task_index"]))

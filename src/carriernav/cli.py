@@ -87,6 +87,8 @@ def _cmd_build_graph(args, prior) -> int:
 
 
 def _cmd_query(args, prior) -> int:
+    if (args.text is None) == (args.image is None):
+        raise CliError("query needs exactly one of --text or --image")
     crsg = build_crsg(load_scene(args.scene), prior=prior)
     query = Query(text=args.text, image=args.image, carrier_text=args.carrier)
     obj, score = query_target(crsg, query)

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,6 +69,52 @@ class CrsgConfig:
         for name in ("ground_contact_eps", "z_gap_max"):
             if getattr(self, name) < 0:
                 raise GraphError(f"{name} must be non-negative")
+
+
+# A config's field values: the config part of every kept answer's key, so a
+# config changed in place asks anew.
+crsg_values = attrgetter(*(f.name for f in fields(CrsgConfig)))
+
+
+class _SceneFacts:
+    """Answers about the object instances of one scene, computed once and
+    shared by every world and graph built on it.  A key holds the
+    instances it asks about (hashed by identity) and the config values."""
+
+    def __init__(self, scene: SceneMap):
+        self.scene = scene
+        self.answers: Dict[tuple, object] = {}
+
+
+_kept_scene: Optional[_SceneFacts] = None
+_UNKNOWN = object()
+
+
+def keep_scene_facts(scene: SceneMap) -> None:
+    """Keep ``scene``'s facts: the kept ones if they are this scene's (the
+    same object), else new ones that replace them."""
+    global _kept_scene
+    if _kept_scene is None or _kept_scene.scene is not scene:
+        _kept_scene = _SceneFacts(scene)
+
+
+def release_scene_facts() -> None:
+    """Drop the kept scene's facts; answers are computed anew until a
+    world or graph is built again."""
+    global _kept_scene
+    _kept_scene = None
+
+
+def scene_answer(key: tuple, compute: Callable, *args):
+    """The kept answer for ``key``, else ``compute(*args)``, kept when it
+    returns.  With no scene's facts kept, nothing is kept."""
+    facts = _kept_scene
+    if facts is None:
+        return compute(*args)
+    answer = facts.answers.get(key, _UNKNOWN)
+    if answer is _UNKNOWN:
+        answer = facts.answers[key] = compute(*args)
+    return answer
 
 
 @dataclass
@@ -253,8 +300,17 @@ def nearest_carrier(
 
     When several candidates satisfy the carrying predicate the object
     belongs to the one with the nearest centroid (3-D Euclidean), ties
-    broken by smaller id.  ``obj`` is never its own carrier.
+    broken by smaller id.  ``obj`` is never its own carrier.  One answer
+    per (instance, candidate instances, config values) is kept with the
+    scene's facts.
     """
+    candidates = tuple(candidates)
+    return scene_answer(("carrier", obj, candidates, crsg_values(config)),
+                        _nearest_carrier, obj, candidates, config)
+
+
+def _nearest_carrier(obj, candidates: Tuple[ObjectInstance, ...],
+                     config: CrsgConfig) -> Optional[str]:
     best: Optional[Tuple[float, str]] = None
     for carrier in candidates:
         if carrier.id == obj.id or not carrying_predicate(carrier, obj, config):
@@ -274,6 +330,7 @@ def assign_carried(
 
     Unattached objects come back as orphans.
     """
+    carriers = tuple(carriers)
     carried: Dict[str, List[ObjectInstance]] = {c.id: [] for c in carriers}
     orphans: List[ObjectInstance] = []
     for obj in others:
@@ -293,6 +350,7 @@ def build_crsg(
     """Compose the full construction pipeline over a scene."""
     config = config or CrsgConfig()
     prior = prior or KeywordPriorOracle()
+    keep_scene_facts(scene)
 
     objects = list(scene.objects.values())
     candidates = select_carrier_candidates(objects, config.carrier_reference, config)

@@ -327,7 +327,7 @@ def collect_transition_inputs(
       differs (the old belief was stale); otherwise the first sighting
       and its depth are kept.
     """
-    carriers = [node.object for node in crsg.carriers.values()]
+    carriers = tuple(node.object for node in crsg.carriers.values())
 
     observed_carriers: Set[str] = set()
     item_obs: List[Tuple[Observation, Optional[str]]] = []

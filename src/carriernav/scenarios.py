@@ -620,8 +620,10 @@ def load_scenario(path: str) -> Scenario:
     missing key, a wrong JSON type or a non-finite number, a value that
     fails its config's, event's or task's own check (``PolicyConfig``'s
     raises ``PolicyError``, the others a ``ValueError``), a scene file that
-    cannot be read or parsed (its ``SceneError`` is the cause), or a
-    ``ground_truth_id`` or event object id that the scene lacks.
+    cannot be read or parsed (its ``SceneError`` is the cause), a
+    ``ground_truth_id`` or event object id that the scene lacks, or an
+    event trigger that never fires: anything but ``before-episode`` or
+    ``after-task-<k>`` with 1 <= k <= the number of tasks.
     """
     p = Path(path)
     try:
@@ -641,7 +643,11 @@ def load_scenario(path: str) -> Scenario:
         if t.ground_truth_id not in scene.objects:
             raise ScenarioError(
                 f"{path}: ground_truth_id {t.ground_truth_id!r} is not in the scene")
+    triggers = {"before-episode"} | {f"after-task-{k}" for k in range(1, len(top.tasks) + 1)}
     for e in top.events:
+        if e.trigger not in triggers:
+            raise ScenarioError(f"{path}: event trigger {e.trigger!r} never fires; expected "
+                                f"before-episode or after-task-<k>, 1 <= k <= {len(top.tasks)}")
         for key, oid in (("object_id", e.object_id), ("target_carrier_id", e.target_carrier_id)):
             if oid is not None and oid not in scene.objects:
                 raise ScenarioError(f"{path}: event {key} {oid!r} is not in the scene")

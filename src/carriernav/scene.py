@@ -129,11 +129,12 @@ def _feature(oid: str, name: str, value) -> Feature:
     return feat
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObjectInstance:
     """One scene object: a frozen value with read-only arrays, shared by the
     scene, the world, the graph and every sighting.  A change is a new
-    instance (``dataclasses.replace``).
+    instance (``dataclasses.replace``), so an instance is compared and
+    hashed by identity, as the keys of kept answers need.
 
     ``text``/``visual`` hold each feature with its norm and zero flag,
     computed once, at construction.

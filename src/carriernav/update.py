@@ -14,13 +14,14 @@ certificate upstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .features import Feature, cosine
-from .graph import Crsg
+from .graph import CarrierNode, Crsg, scene_answer
 from .world import Observation
 
 
@@ -42,6 +43,9 @@ class MatchConfig:
                 raise UpdateError(f"{name} must be positive")
         if not (0.0 <= self.max_size_ratio_dev < 1.0):
             raise UpdateError("max_size_ratio_dev must be in [0, 1)")
+
+
+_match_values = attrgetter(*(f.name for f in fields(MatchConfig)))
 
 
 @dataclass
@@ -82,11 +86,19 @@ def match_carrier(obs: Observation, crsg: Crsg, config: MatchConfig) -> Optional
 
     Gates: center distance, per-axis size ratio, text similarity, visual
     similarity.  Among qualifying carriers the nearest center wins, ties
-    broken by smaller id.
+    broken by smaller id.  One answer per (sighted instance, the graph's
+    carrier ids and instances, config values) is kept with the scene's
+    facts.
     """
-    seen = obs.object
+    seen, carriers = obs.object, crsg.carriers
+    key = ("match", seen, tuple(carriers), tuple(node.object for node in carriers.values()),
+           _match_values(config))
+    return scene_answer(key, _match_carrier, seen, carriers, config)
+
+
+def _match_carrier(seen, carriers: Dict[str, CarrierNode], config: MatchConfig) -> Optional[str]:
     best: Optional[Tuple[float, str]] = None
-    for cid, node in crsg.carriers.items():
+    for cid, node in carriers.items():
         dist = float(np.linalg.norm(seen.centroid - node.object.centroid))
         if dist > config.max_center_dist:
             continue

@@ -44,30 +44,42 @@ Each derived fact is computed once per change to its inputs:
 * facts of the objects: their centroids (for sensing) and the carrying
   relation per set of ``CrsgConfig`` values.  They live and die with the
   world.  Objects change only in ``apply_displacement``, which clears both
-  when it returns or raises.
+  when it returns or raises;
+* facts of the scene, which no variant's policy changes: the objects each
+  move makes, and the answers of ``graph.nearest_carrier`` and
+  ``update.match_carrier``.  They belong to the scene object, not the
+  world: every world and every graph built on the same ``SceneMap``
+  shares one ``graph._SceneFacts``, so the six variants' ``run_sequence``
+  calls on one scenario displace its objects once and ask each carrier
+  question once.  The module keeps the facts of the last scene built on
+  only, and drops them when a world or graph is built on another scene.
+  Sharing cannot change a result: objects are frozen and hashed by
+  identity, and each answer is kept under all its inputs (the instances
+  asked about: every object of the world a move starts from, or the
+  object and every candidate carrier; the event; the config values), so
+  it is a pure function of its key.  A move that is rejected (it still
+  re-seats its object) or raises is not kept, nor is an add, whose
+  payload is no key; a remove makes no new instance.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, fields, replace
-from operator import attrgetter
+from dataclasses import dataclass, replace
 from typing import Container, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from .graph import CrsgConfig, carrying_predicate, geometric_carrier_filter, nearest_carrier
+from .graph import (CrsgConfig, carrying_predicate, crsg_values, geometric_carrier_filter,
+                    keep_scene_facts, nearest_carrier, scene_answer)
 from .scene import Box3, ObjectInstance, SceneMap
 
 SQRT2 = math.sqrt(2.0)
 
 Cell = Tuple[int, int]
-
-# The memo key of a carrying relation: the config's field values.
-_crsg_values = attrgetter(*(f.name for f in fields(CrsgConfig)))
 
 # Path walk-back tie-break order: axis steps first, then diagonals.
 STEP_ORDER: Tuple[Cell, ...] = ((1, 0), (-1, 0), (0, 1), (0, -1),
@@ -210,6 +222,7 @@ class GridWorld:
     """Simulator state: occupancy grid, object ground truth, robot pose."""
 
     def __init__(self, scene: SceneMap, start_pose: Optional[Pose] = None):
+        keep_scene_facts(scene)
         self.scene = copy.copy(scene)
         self.scene.objects = dict(scene.objects)
         grid = self.scene.grid
@@ -611,7 +624,7 @@ class GridWorld:
         ``config`` values.
         """
         self.object(carrier_id)
-        key = _crsg_values(config)
+        key = crsg_values(config)
         relation = self._carried_memo.get(key)
         if relation is None:
             relation = self._carried_memo[key] = self._carried_relation(config)
@@ -620,7 +633,7 @@ class GridWorld:
     def _carried_relation(self, config: CrsgConfig) -> Dict[str, List[str]]:
         """Base id -> sorted ids of the objects whose nearest carrier it is."""
         objects = self.scene.objects
-        bases = geometric_carrier_filter(list(objects.values()), config)
+        bases = tuple(geometric_carrier_filter(list(objects.values()), config))
         relation: Dict[str, List[str]] = {}
         for oid in sorted(objects):
             cid = nearest_carrier(objects[oid], bases, config)
@@ -638,7 +651,7 @@ class GridWorld:
                 if obj.id != carrier.id and carrying_predicate(carrier, obj, config)]
         if not held:
             return []
-        bases = geometric_carrier_filter(list(objects.values()), config)
+        bases = tuple(geometric_carrier_filter(list(objects.values()), config))
         return [obj for obj in held if nearest_carrier(obj, bases, config) == carrier.id]
 
     def carried_observations(self, carrier_id: str, pose: Pose, config: CrsgConfig) -> List[Observation]:
@@ -703,6 +716,26 @@ class GridWorld:
             self._centroid_cache = None
             self._carried_memo.clear()
 
+    def _moved(self, event: DisplacementEvent, config: CrsgConfig,
+               spot_index: int) -> ObjectInstance:
+        """The moved object, re-seated on a free spot of the target carrier.
+        A placement the carrying predicate rejects still re-seats it."""
+        obj = self.object(event.object_id)
+        carrier = self.object(event.target_carrier_id)
+        extents = obj.box.extents
+        xy = self._free_spot_on(carrier, extents, config,
+                                skip_id=obj.id, start_index=spot_index)
+        zmin = float(carrier.box.max[2])
+        new_min = np.array([xy[0] - extents[0] / 2.0, xy[1] - extents[1] / 2.0, zmin])
+        new_max = new_min + extents
+        obj = replace(obj, box=Box3(new_min, new_max), centroid=(new_min + new_max) / 2.0)
+        if not carrying_predicate(carrier, obj, config):
+            self.scene.objects[obj.id] = obj
+            raise DisplacementError(
+                f"placement of {obj.id!r} on {carrier.id!r} violates the carrying predicate"
+            )
+        return obj
+
     def _displace(self, event: DisplacementEvent, config: CrsgConfig, spot_index: int) -> None:
         if event.kind == "remove":
             if event.object_id not in self.scene.objects:
@@ -711,21 +744,11 @@ class GridWorld:
             return
 
         if event.kind == "move":
-            obj = self.object(event.object_id)
-            carrier = self.object(event.target_carrier_id)
-            extents = obj.box.extents
-            xy = self._free_spot_on(carrier, extents, config,
-                                    skip_id=obj.id, start_index=spot_index)
-            zmin = float(carrier.box.max[2])
-            new_min = np.array([xy[0] - extents[0] / 2.0, xy[1] - extents[1] / 2.0, zmin])
-            new_max = new_min + extents
-            # stored before the check: a rejected move still re-seats it
-            obj = self.scene.objects[obj.id] = replace(
-                obj, box=Box3(new_min, new_max), centroid=(new_min + new_max) / 2.0)
-            if not carrying_predicate(carrier, obj, config):
-                raise DisplacementError(
-                    f"placement of {obj.id!r} on {carrier.id!r} violates the carrying predicate"
-                )
+            objects = self.scene.objects
+            # a move is a pure function of the world's objects and the event
+            key = ("move", tuple(objects.items()), event.object_id, event.target_carrier_id,
+                   spot_index, crsg_values(config))
+            objects[event.object_id] = scene_answer(key, self._moved, event, config, spot_index)
             return
 
         # add

@@ -3,16 +3,23 @@ import dataclasses
 import numpy as np
 import pytest
 
-from carriernav.graph import CrsgConfig, build_crsg
+from carriernav import graph
+from carriernav.graph import (CrsgConfig, build_crsg, carrying_predicate,
+                              release_scene_facts)
 from carriernav.scene import scene_from_dict
+from carriernav.update import MatchConfig
 from carriernav.world import GridWorld, Pose, release_grid_facts
+
+import oracles
 
 
 @pytest.fixture(autouse=True)
-def cold_grid_facts():
-    """Every test starts with no grid's facts kept, so the counts of graph
-    builds and searches a test reads do not depend on the tests before it."""
+def cold_facts():
+    """Every test starts with no grid's and no scene's facts kept, so the
+    counts of graph builds, searches and computed answers a test reads do
+    not depend on the tests before it."""
     release_grid_facts()
+    release_scene_facts()
 
 
 def find_object(crsg, object_id):
@@ -75,6 +82,32 @@ def assert_every_write_raises(obj):
         obj.captions[0] = "mug"
     with pytest.raises(AttributeError):
         obj.captions.append("mug")
+
+
+def assert_every_kept_answer_is_its_rule():
+    """Each answer the kept scene's facts hold equals the rule it replaced,
+    run afresh on the inputs its key holds."""
+    for key, answer in graph._kept_scene.answers.items():
+        kind = key[0]
+        if kind == "carrier":
+            _, obj, candidates, values = key
+            assert answer == oracles.nearest_carrier_per_call(obj, candidates,
+                                                              CrsgConfig(*values)), key
+        elif kind == "match":
+            _, seen, ids, objects, values = key
+            carriers = {cid: graph.CarrierNode(obj) for cid, obj in zip(ids, objects)}
+            assert answer == oracles.match_carrier_per_call(seen, carriers,
+                                                            MatchConfig(*values)), key
+        else:
+            assert kind == "move", key
+            _, items, object_id, target_id, spot_index, values = key
+            cfg, before = CrsgConfig(*values), dict(items)
+            box_min, box_max = oracles.moved_per_call(before, object_id, target_id,
+                                                      spot_index, cfg)
+            assert answer.id == object_id and answer.captions is before[object_id].captions
+            assert np.array_equal(answer.box.min, box_min)
+            assert np.array_equal(answer.box.max, box_max)
+            assert carrying_predicate(before[target_id], answer, cfg)
 
 
 GOLDEN_OBJECTS = [

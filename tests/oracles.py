@@ -10,9 +10,9 @@ labels, similarities from exact token counts instead of hashed
 vectors, the carried relation from a quadratic scan instead of the
 construction funnel, a leg's sightings one pose at a time instead of in
 one pass, and blocked cells from sets of tuples instead of painted
-arrays.  The world's memos are checked against the rules they replaced,
-computed afresh on every call.  A bug would have to be made twice to go
-unnoticed.
+arrays.  The memos of the world and of a scene's kept facts are checked
+against the rules they replaced, computed afresh on every call.  A bug
+would have to be made twice to go unnoticed.
 """
 
 from __future__ import annotations
@@ -22,12 +22,14 @@ import math
 import re
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from carriernav.graph import carrying_predicate, geometric_carrier_filter, nearest_carrier
+from carriernav.features import cosine
+from carriernav.graph import carrying_predicate, geometric_carrier_filter
 from carriernav.world import GridWorld, Observation, Pose, WorldError
 
 SQRT2 = math.sqrt(2.0)
@@ -367,7 +369,55 @@ def brute_force_relation(scene, cfg):
     return carriers, relation, orphans
 
 
-# --- world ground truth, without memos
+# --- world ground truth and carrier answers, without memos
+
+
+def nearest_carrier_per_call(obj, candidates, cfg):
+    """Id of the candidate with the nearest centroid among those ``obj``
+    rests on (ties to the smaller id), or None; never ``obj`` itself.
+    ``graph.nearest_carrier`` before it kept one answer per key."""
+    best = None
+    for carrier in candidates:
+        if carrier.id == obj.id or not carrying_predicate(carrier, obj, cfg):
+            continue
+        key = (float(np.linalg.norm(obj.centroid - carrier.centroid)), carrier.id)
+        if best is None or key < best:
+            best = key
+    return best[1] if best else None
+
+
+def match_carrier_per_call(seen, carriers, cfg):
+    """The graph carrier (an id -> ``CarrierNode`` dict) that sighting
+    ``seen`` matches, or None: within ``max_center_dist``, every extent
+    within the ratio tolerance, and both features at least as similar as
+    their thresholds (a zero feature on either side passes); nearest
+    center first, ties to the smaller id.  ``update.match_carrier``
+    before it kept one answer per key."""
+
+    def sizes_ok(a, b):
+        for ea, eb in zip(a.tolist(), b.tolist()):
+            if ea <= 0 or eb <= 0:
+                if abs(ea - eb) > 1e-9:
+                    return False
+            elif not 1.0 - cfg.max_size_ratio_dev <= ea / eb <= 1.0 + cfg.max_size_ratio_dev:
+                return False
+        return True
+
+    def similar(a, b, threshold):
+        if a.zero or b.zero:
+            return True
+        return a.vec.shape == b.vec.shape and cosine(a, b) >= threshold
+
+    best = None
+    for cid, node in carriers.items():
+        other = node.object
+        dist = float(np.linalg.norm(seen.centroid - other.centroid))
+        if (dist <= cfg.max_center_dist and sizes_ok(seen.box.extents, other.box.extents)
+                and similar(seen.text, other.text, cfg.min_text_sim)
+                and similar(seen.visual, other.visual, cfg.min_visual_sim)
+                and (best is None or (dist, cid) < best)):
+            best = (dist, cid)
+    return best[1] if best else None
 
 
 def ground_truth_carried_per_call(world, carrier_id, cfg) -> list:
@@ -379,7 +429,7 @@ def ground_truth_carried_per_call(world, carrier_id, cfg) -> list:
     return sorted(
         oid for oid, obj in world.scene.objects.items()
         if carrying_predicate(carrier, obj, cfg)
-        and nearest_carrier(obj, bases, cfg) == carrier_id
+        and nearest_carrier_per_call(obj, bases, cfg) == carrier_id
     )
 
 
@@ -418,6 +468,18 @@ def free_spot_sorted_tuples(world, carrier, extents, cfg, skip_id="", start_inde
                for occ in occupants):
             return np.array([x, y])
     return None
+
+
+def moved_per_call(objects, object_id, target_id, spot_index, cfg):
+    """(box min, box max) of a move onto ``target_id`` computed afresh from
+    the id -> instance dict ``objects``, by the placement scan above."""
+    world = SimpleNamespace(scene=SimpleNamespace(objects=objects))
+    obj, carrier = objects[object_id], objects[target_id]
+    ext = obj.box.extents
+    xy = free_spot_sorted_tuples(world, carrier, ext, cfg, skip_id=object_id,
+                                 start_index=spot_index)
+    new_min = np.array([xy[0] - ext[0] / 2.0, xy[1] - ext[1] / 2.0, float(carrier.box.max[2])])
+    return new_min, new_min + ext
 
 
 # --- sensing, one pose at a time

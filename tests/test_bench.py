@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+from collections import Counter
 from random import Random
 
 import pytest
 
+from carriernav import graph
 from carriernav.bench import (
     BenchError,
     episode_seed,
@@ -17,12 +19,13 @@ from carriernav.bench import (
     success_rate,
     tasks_sr,
 )
-from carriernav.graph import build_crsg
+from carriernav.graph import build_crsg, release_scene_facts
 from carriernav.policy import VARIANTS, EpisodeResult
 from carriernav.priors import KeywordPriorOracle
 from carriernav.scenarios import MODES, build_scenario, generate_scenarios
 from carriernav.world import GridWorld, release_grid_facts
 
+from conftest import assert_every_kept_answer_is_its_rule
 from oracles import spl_oracle
 
 
@@ -178,24 +181,35 @@ class TestSearchBudget:
 
 @pytest.mark.parametrize("resolution", [0.25, 0.05])
 @pytest.mark.parametrize("mode", MODES)
-def test_sequences_on_a_warm_grid_equal_cold_ones(mode, resolution):
-    # each variant run cold, then all six in a row on one grid's shared
-    # facts, and the first again on the warmest grid: the rows are equal
+def test_sequences_on_a_warm_grid_equal_cold_ones(mode, resolution, monkeypatch):
+    # each variant run cold (no grid's or scene's facts kept), then all six
+    # in a row sharing one grid's and one scene's facts, and the first
+    # again on the warmest facts: every result, actions included, is equal;
+    # the shared runs compute each move once, and every answer kept equals
+    # the rule it replaced
     sc = build_scenario(mode, 1, 13, resolution)
+    moves = []
+    move = GridWorld._moved
+    monkeypatch.setattr(GridWorld, "_moved", lambda w, *a: moves.append(a) or move(w, *a))
 
-    def rows(variant):
-        return [(r.task_index, r.success, r.traveled, r.shortest, r.action_count, r.actions)
-                for r in run_sequence(sc, variant)]
+    def release():
+        release_grid_facts()
+        release_scene_facts()
 
     cold = {}
     for name, variant in VARIANTS.items():
-        release_grid_facts()
-        cold[name] = rows(variant)
-    release_grid_facts()
-    warm = {name: rows(variant) for name, variant in VARIANTS.items()}
+        release()
+        cold[name] = run_sequence(sc, variant)
+    cold_moves = len(moves)
+    release()
+    warm = {name: run_sequence(sc, variant) for name, variant in VARIANTS.items()}
     assert warm == cold
     first = next(iter(VARIANTS))
-    assert rows(VARIANTS[first]) == cold[first]
+    assert run_sequence(sc, VARIANTS[first]) == cold[first]
+    kinds = Counter(key[0] for key in graph._kept_scene.answers)
+    assert kinds["carrier"] and kinds["match"] and kinds["move"]
+    assert cold_moves == len(VARIANTS) * kinds["move"] == len(VARIANTS) * (len(moves) - cold_moves)
+    assert_every_kept_answer_is_its_rule()
 
 
 class TestFullCoverageTour:

@@ -142,10 +142,12 @@ class TestQuery:
 
     def test_text_and_image_together(self, scene_file, capsys):
         assert main(["query", "--scene", scene_file, "--text", "red cup",
-                     "--image", "img:red_cup"]) == 2
+                     "--image", "img:red_cup"]) == 1
+        assert capsys.readouterr().err == "error: query needs exactly one of --text or --image\n"
 
     def test_neither_text_nor_image(self, scene_file, capsys):
-        assert main(["query", "--scene", scene_file]) == 2
+        assert main(["query", "--scene", scene_file]) == 1
+        assert capsys.readouterr().err == "error: query needs exactly one of --text or --image\n"
 
 
 class TestRunEpisode:
@@ -222,6 +224,18 @@ def _event_targets_an_unknown_carrier(tree, scene):
     tree["events"][0]["target_carrier_id"] = "ghost_table"
 
 
+def _trigger_that_is_no_trigger(tree, scene):
+    tree["events"][0]["trigger"] = "whenever"
+
+
+def _trigger_after_a_task_past_the_last(tree, scene):
+    tree["events"][0]["trigger"] = f"after-task-{len(tree['tasks']) + 1}"
+
+
+def _trigger_after_task_zero(tree, scene):
+    tree["events"][0]["trigger"] = "after-task-0"
+
+
 # defects of the scene file a scenario names
 
 
@@ -258,7 +272,10 @@ def _resolution_a_boolean(tree, scene):
                                     _config_fails_its_own_check, _list_as_root,
                                     _sensor_not_an_object, _sensor_radius_not_a_number,
                                     _task_without_query, _event_moves_an_unknown_object,
-                                    _event_targets_an_unknown_carrier, _grid_not_an_object,
+                                    _event_targets_an_unknown_carrier,
+                                    _trigger_that_is_no_trigger,
+                                    _trigger_after_a_task_past_the_last,
+                                    _trigger_after_task_zero, _grid_not_an_object,
                                     _blocked_cell_of_one_number, _blocked_cell_beyond_any_grid,
                                     _blocked_cell_outside_the_grid, _objects_not_an_array,
                                     _resolution_not_a_number, _resolution_a_boolean])

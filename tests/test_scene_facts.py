@@ -1,0 +1,225 @@
+"""The facts of a scene: moves and carrier answers shared by every world
+and graph built on one ``SceneMap``.  Each kept answer is checked against
+the rule it replaced (``tests/oracles.py``); whole task sequences sharing
+them are checked against cold ones in ``test_bench.py``."""
+
+import copy
+import gc
+import weakref
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from carriernav import graph
+from carriernav.graph import CrsgConfig, build_crsg, nearest_carrier, release_scene_facts
+from carriernav.scenarios import build_scenario
+from carriernav.scene import Box3, scene_from_dict
+from carriernav.update import MatchConfig, match_carrier
+from carriernav.world import DisplacementError, DisplacementEvent, GridWorld, Observation
+
+import oracles
+from conftest import (assert_every_kept_answer_is_its_rule, item_on, obj_dict, scene_dict,
+                      table_dict)
+
+
+def kept_answers():
+    return dict(graph._kept_scene.answers) if graph._kept_scene is not None else {}
+
+
+def cup_above_table_scene():
+    # a cup 10 cm above the table top rests on it only under the looser gap
+    t0 = table_dict("table_0", 2.0, 2.0)
+    cup = obj_dict("cup_0", ["red cup"], 2.0, 2.0, 0.08, 0.08, 0.85, 0.12)
+    return scene_from_dict(scene_dict([t0, cup], width=32, height=20))
+
+
+class TestKeys:
+    def test_carrier_answers_follow_a_config_changed_in_place(self):
+        scene = cup_above_table_scene()
+        build_crsg(scene)
+        table, cup = scene.objects["table_0"], scene.objects["cup_0"]
+        cfg = CrsgConfig(z_gap_max=0.05)
+        for gap, expected in ((0.05, None), (0.15, "table_0"), (0.05, None)):
+            cfg.z_gap_max = gap
+            assert nearest_carrier(cup, [table], cfg) == expected
+        assert len(kept_answers()) >= 2
+        assert_every_kept_answer_is_its_rule()
+
+    def test_match_answers_follow_a_config_changed_in_place(self):
+        scene = cup_above_table_scene()
+        crsg = build_crsg(scene)
+        table = scene.objects["table_0"]
+        step = np.array([0.4, 0.0, 0.0])
+        shifted = Observation(replace(table, box=Box3(table.box.min + step, table.box.max + step),
+                                      centroid=table.centroid + step), 1.0)
+        cfg = MatchConfig()
+        for dist, expected in ((0.5, "table_0"), (0.3, None), (0.45, "table_0")):
+            cfg.max_center_dist = dist
+            assert match_carrier(shifted, crsg, cfg) == expected
+        cfg.min_text_sim = 1.5  # above any cosine
+        assert match_carrier(shifted, crsg, cfg) is None
+        assert_every_kept_answer_is_its_rule()
+
+    def test_match_answers_follow_an_edited_carriers_dict(self):
+        t0, t1 = table_dict("table_0", 2.0, 2.0), table_dict("table_1", 2.3, 2.0)
+        scene = scene_from_dict(scene_dict([t0, t1], width=32, height=20))
+        crsg = build_crsg(scene)
+        seen = Observation(scene.objects["table_0"], 1.0)
+        cfg = MatchConfig()
+        assert match_carrier(seen, crsg, cfg) == "table_0"
+        node = crsg.carriers.pop("table_0")
+        assert match_carrier(seen, crsg, cfg) == "table_1"
+        # id table_0 now holds table_1's instance: a tie, to the smaller id
+        crsg.carriers["table_0"] = graph.CarrierNode(scene.objects["table_1"])
+        assert match_carrier(seen, crsg, cfg) == "table_0"
+        crsg.carriers.clear()
+        assert match_carrier(seen, crsg, cfg) is None
+        crsg.carriers["table_0"] = node
+        assert match_carrier(seen, crsg, cfg) == "table_0"
+        assert_every_kept_answer_is_its_rule()
+
+    def test_carrier_answers_follow_the_candidates(self):
+        t0, t1 = table_dict("table_0", 2.0, 2.0), table_dict("table_1", 3.1, 2.0)
+        cup = item_on("cup_0", ["red cup"], t0, dx=0.55)  # on both tops, as near to each
+        scene = scene_from_dict(scene_dict([t0, t1, cup], width=32, height=20))
+        build_crsg(scene)
+        objs, cfg = scene.objects, CrsgConfig()
+        table_0, table_1, cup = objs["table_0"], objs["table_1"], objs["cup_0"]
+        assert nearest_carrier(cup, [table_0, table_1], cfg) == "table_0"
+        assert nearest_carrier(cup, [table_1], cfg) == "table_1"
+        assert nearest_carrier(cup, (t for t in [table_1, table_0]), cfg) == "table_0"
+        assert nearest_carrier(cup, [], cfg) is None
+        assert_every_kept_answer_is_its_rule()
+
+    @pytest.mark.parametrize("change", ["move", "remove"])
+    def test_the_relation_follows_a_base_set_changed_by_a_move_or_remove(self, change):
+        # a small box on the floor is a base holding a cup; moved onto a
+        # table it is no base, and removed it is gone: the cup is carried
+        # by nothing either way
+        cfg = CrsgConfig()
+        box = obj_dict("box_0", ["cardboard box"], 2.0, 2.0, 0.35, 0.35, 0.0, 0.3)
+        objs = [box, table_dict("table_1", 5.0, 2.0), item_on("cup_0", ["red cup"], box)]
+        scene = scene_from_dict(scene_dict(objs, width=32, height=20))
+        worlds = [GridWorld(scene), GridWorld(scene)]
+        event = (DisplacementEvent(kind="move", object_id="box_0", target_carrier_id="table_1")
+                 if change == "move" else DisplacementEvent(kind="remove", object_id="box_0"))
+        for w in worlds:
+            assert w.ground_truth_carried("box_0", cfg) == ["cup_0"]
+            w.apply_displacement(event, cfg)
+            for cid in sorted(w.scene.objects):
+                assert w.ground_truth_carried(cid, cfg) == oracles.ground_truth_carried_per_call(
+                    w, cid, cfg), cid
+            assert "cup_0" not in sum((w.ground_truth_carried(cid, cfg)
+                                       for cid in w.scene.objects), [])
+        if change == "move":
+            assert worlds[1].object("box_0") is worlds[0].object("box_0")
+        assert_every_kept_answer_is_its_rule()
+
+
+class TestSharedMoves:
+    def scene(self):
+        t0 = table_dict("table_0", 2.0, 2.0)
+        objs = [t0, table_dict("table_1", 5.0, 2.0), item_on("cup_0", ["red cup"], t0)]
+        return scene_from_dict(scene_dict(objs, width=32, height=20))
+
+    def test_a_move_is_shared_only_on_equal_inputs(self):
+        scene, cfg = self.scene(), CrsgConfig()
+        move = DisplacementEvent(kind="move", object_id="cup_0", target_carrier_id="table_1")
+        a, b, c, d = (GridWorld(scene) for _ in range(4))
+        a.apply_displacement(move, cfg)
+        b.apply_displacement(move, cfg)
+        assert b.object("cup_0") is a.object("cup_0")
+        c.apply_displacement(move, cfg, spot_index=1)  # another spot
+        assert c.object("cup_0") is not a.object("cup_0")
+        d.apply_displacement(move, CrsgConfig(z_gap_max=0.1))  # another config
+        assert d.object("cup_0") is not a.object("cup_0")
+        # another world state: the cup moved back and on again is not the
+        # first move's input, so nothing is shared
+        back = DisplacementEvent(kind="move", object_id="cup_0", target_carrier_id="table_0")
+        for w in (a, b):
+            w.apply_displacement(back, cfg)
+            w.apply_displacement(move, cfg)
+        assert b.object("cup_0") is a.object("cup_0")
+        assert a.object("cup_0") is not c.object("cup_0")
+        assert sum(key[0] == "move" for key in kept_answers()) == 5
+        assert_every_kept_answer_is_its_rule()
+
+    def test_a_rejected_move_is_not_shared(self):
+        # a crate moved onto a table is re-seated, then rejected as too
+        # large to be carried: each world re-seats its own instance
+        cfg = CrsgConfig()
+        crate = obj_dict("crate_0", ["wooden crate"], 2.0, 2.0, 0.6, 0.5, 0.0, 0.3)
+        scene = scene_from_dict(scene_dict([crate, table_dict("table_1", 5.0, 2.0)],
+                                           width=32, height=20))
+        move = DisplacementEvent(kind="move", object_id="crate_0", target_carrier_id="table_1")
+        seated = []
+        for w in (GridWorld(scene), GridWorld(scene)):
+            with pytest.raises(DisplacementError):
+                w.apply_displacement(move, cfg)
+            seated.append(w.object("crate_0"))
+            assert seated[-1] is not scene.objects["crate_0"]
+        assert seated[1] is not seated[0]
+        assert np.array_equal(seated[1].box.min, seated[0].box.min)
+        assert not [key for key in kept_answers() if key[0] == "move"]
+
+    def test_add_and_remove_keep_nothing(self):
+        scene, cfg = self.scene(), CrsgConfig()
+        w = GridWorld(scene)
+        w.apply_displacement(DisplacementEvent(kind="remove", object_id="cup_0"), cfg)
+        w.apply_displacement(DisplacementEvent(kind="add", target_carrier_id="table_1",
+                                               new_object={"id": "mug_0"}), cfg)
+        assert not [key for key in kept_answers() if key[0] == "move"]
+
+
+class TestLifetime:
+    def scenes(self):
+        t0 = table_dict("table_0", 2.0, 2.0)
+        tree = scene_dict([t0, table_dict("table_1", 5.0, 2.0),
+                           item_on("cup_0", ["red cup"], t0)], width=32, height=20)
+        return scene_from_dict(tree), scene_from_dict(tree)
+
+    def warm(self, scene):
+        """A world on ``scene`` with a move made and answers kept; weak
+        references to the facts and to the moved instance."""
+        w = GridWorld(scene)
+        w.apply_displacement(DisplacementEvent(kind="move", object_id="cup_0",
+                                               target_carrier_id="table_1"), CrsgConfig())
+        w.ground_truth_carried("table_1", CrsgConfig())
+        assert kept_answers()
+        return weakref.ref(graph._kept_scene), weakref.ref(w.object("cup_0"))
+
+    @pytest.mark.parametrize("other", ["world", "graph", "copy", "generator", "release"])
+    def test_another_scene_frees_the_last_scenes_facts(self, other):
+        a, b = self.scenes()
+        facts, moved = self.warm(a)
+        gc.collect()
+        # the last scene's facts outlive its worlds, for the next world on it
+        assert facts() is not None and moved() is not None
+        GridWorld(a)
+        build_crsg(a)
+        assert graph._kept_scene is facts()
+        if other == "world":
+            GridWorld(b)
+        elif other == "graph":
+            build_crsg(b)
+        elif other == "copy":  # an equal scene is another scene
+            GridWorld(copy.copy(a))
+        elif other == "generator":
+            build_scenario("single", 0, 3)
+        else:
+            release_scene_facts()
+        gc.collect()
+        assert facts() is None and moved() is None
+
+    def test_a_live_world_does_not_hold_the_facts(self):
+        a, b = self.scenes()
+        w = GridWorld(a)
+        facts, _ = self.warm(a)
+        GridWorld(b)
+        gc.collect()
+        assert facts() is None
+        # the old world still works, and shares nothing with the new scene
+        w.apply_displacement(DisplacementEvent(kind="remove", object_id="cup_0"), CrsgConfig())
+        assert w.ground_truth_carried("table_0", CrsgConfig()) == []
+        assert graph._kept_scene.scene is b

@@ -2,7 +2,9 @@
 
 ``perfbench/layers.py`` wraps program functions by name and reports a name
 it cannot find as an absent span.  A refactor that drops or renames a
-traced function must fail here, not only move a benchmark counter.
+traced function must fail here, not only move a benchmark counter.  So must
+one that routes calls around a traced function (a memo outside it, say), so
+a run must record a call of every span that has a caller.
 
 The scene and scenario files are read by one annotation-driven reader.  A
 field whose annotation that reader does not handle must fail here, not on
@@ -20,8 +22,10 @@ from pathlib import Path
 from typing import Union, get_args, get_origin, get_type_hints
 
 import carriernav  # noqa: F401  (loads every module the span table names)
+from carriernav.bench import run_sequence
+from carriernav.policy import VARIANTS
 from carriernav.scene import _SceneFile, _schema
-from carriernav.scenarios import _ScenarioFile
+from carriernav.scenarios import _ScenarioFile, build_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -31,6 +35,19 @@ import layers  # noqa: E402
 
 def test_every_traced_layer_exists():
     assert layers.Tracer().absent == []
+
+
+def test_every_traced_layer_is_called():
+    # world.observe has no caller in the program, only tests and perfbench
+    sc = build_scenario("mixed", 0, 3)
+    tracer = layers.Tracer()
+    tracer.install(layers.RUN_SPANS)
+    try:
+        run_sequence(sc, VARIANTS["ours"])
+    finally:
+        tracer.uninstall()
+    called = {span[0] for span in tracer.spans}
+    assert [name for name in layers.RUN_SPANS if name not in called] == ["world.observe"]
 
 
 SCALARS = (str, int, float, bool)
