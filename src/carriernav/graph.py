@@ -78,8 +78,13 @@ crsg_values = attrgetter(*(f.name for f in fields(CrsgConfig)))
 
 class _SceneFacts:
     """Answers about the object instances of one scene, computed once and
-    shared by every world and graph built on it.  A key holds the
-    instances it asks about (hashed by identity) and the config values."""
+    shared by every world and graph built on it.  A key starts with its
+    kind and holds every input of the answer: the instances it asks about
+    (hashed by identity), anything else by value, and the config values.
+    The kinds: ``move``, ``leg`` and ``carried`` (a world's moves, legs
+    and carrying relation), ``carrier`` (:func:`nearest_carrier`),
+    ``match`` and ``reconcile`` (an update's carrier matches and
+    pairings) and ``rooms`` (the room assignment of :func:`build_crsg`)."""
 
     def __init__(self, scene: SceneMap):
         self.scene = scene
@@ -361,7 +366,11 @@ def build_crsg(
     others = [obj for obj in objects if obj.id not in carrier_ids]
     carried_map, orphans = assign_carried(carriers, others, config)
 
-    room_assignment = dict(assign_rooms(objects, scene.rooms))
+    # one room assignment per (instances, rooms) is kept with the scene's
+    # facts; rooms are mutable, so they are keyed by content
+    rooms = tuple((room.id, room.polygon.tobytes()) for room in scene.rooms)
+    room_assignment = dict(scene_answer(("rooms", tuple(objects), rooms),
+                                        assign_rooms, objects, scene.rooms))
     # Declared room ids win over the geometric assignment.
     for obj in objects:
         if obj.room_id is not None:

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .features import Feature, cosine
 from .graph import CarrierNode, Crsg, scene_answer
+from .scene import ObjectInstance
 from .world import Observation
 
 
@@ -127,35 +128,17 @@ def reconcile_carried(
     carrier.  Observations are matched to existing carried entries by
     center distance (within ``carried_match_center_dist``), compatible
     sizes and text similarity; matching is greedy nearest-first and
-    one-to-one.
+    one-to-one.  One pairing per (sighted instances in order, the carried
+    entries, config values) is kept with the scene's facts; the diff is
+    built from the caller's own observations.
     """
     if carrier_id not in crsg.carriers:
         raise UpdateError(f"unknown carrier {carrier_id!r}")
-    node = crsg.carriers[carrier_id]
-    entries = dict(node.carried)
-
-    pairs = []
-    for obs in observations:
-        seen = obs.object
-        for eid, entry in entries.items():
-            dist = float(np.linalg.norm(seen.centroid - entry.centroid))
-            if dist > config.carried_match_center_dist:
-                continue
-            if not _sizes_compatible(seen.box.extents, entry.box.extents,
-                                     config.max_size_ratio_dev):
-                continue
-            if not _feature_gate(seen.text, entry.text, config.min_text_sim):
-                continue
-            pairs.append((dist, seen.id, eid))
-    pairs.sort()
-
-    matched_obs: Dict[str, str] = {}
-    matched_entries = set()
-    for _, obs_id, eid in pairs:
-        if obs_id in matched_obs or eid in matched_entries:
-            continue
-        matched_obs[obs_id] = eid
-        matched_entries.add(eid)
+    entries = crsg.carriers[carrier_id].carried
+    seen = tuple(obs.object for obs in observations)
+    matched_obs, matched_entries = scene_answer(
+        ("reconcile", seen, tuple(entries.items()), _match_values(config)),
+        _pair, seen, entries, config)
 
     diff = CarriedDiff(carrier_id=carrier_id)
     for obs in observations:
@@ -166,6 +149,34 @@ def reconcile_carried(
     diff.removed = sorted(set(entries) - matched_entries)
     diff.kept = sorted(set(diff.kept))
     return diff
+
+
+def _pair(seen: Sequence[ObjectInstance], entries: Dict[str, ObjectInstance],
+          config: MatchConfig) -> Tuple[Dict[str, str], FrozenSet[str]]:
+    """(sighted id -> matched entry id, the matched entry ids): the greedy
+    nearest-first one-to-one pairing of sightings and carried entries."""
+    pairs = []
+    for obj in seen:
+        for eid, entry in entries.items():
+            dist = float(np.linalg.norm(obj.centroid - entry.centroid))
+            if dist > config.carried_match_center_dist:
+                continue
+            if not _sizes_compatible(obj.box.extents, entry.box.extents,
+                                     config.max_size_ratio_dev):
+                continue
+            if not _feature_gate(obj.text, entry.text, config.min_text_sim):
+                continue
+            pairs.append((dist, obj.id, eid))
+    pairs.sort()
+
+    matched_obs: Dict[str, str] = {}
+    matched_entries = set()
+    for _, obs_id, eid in pairs:
+        if obs_id in matched_obs or eid in matched_entries:
+            continue
+        matched_obs[obs_id] = eid
+        matched_entries.add(eid)
+    return matched_obs, frozenset(matched_entries)
 
 
 def apply_update(crsg: Crsg, diff: CarriedDiff) -> None:

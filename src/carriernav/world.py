@@ -11,10 +11,11 @@ Planning runs Dijkstra searches over one symmetric 8-connected graph of the
 free cells, with unit/diagonal step costs.  The searches are bounded: each
 stops at the distance its caller reads, and a farther read from the same
 source searches again with a larger limit, so every distance read is exact.
-Each source cell keeps its own search, so paths and distance fields from a
-source already searched (a carrier the robot returns to) reuse it, and a
-leg whose ends share a cell searches nothing.  Reachability alone reads the
-connected components of the same graph.
+Each source cell keeps its own search and the paths walked on it, so paths
+and distance fields from a source already searched (a carrier the robot
+returns to) reuse them, and a leg whose ends share a cell searches nothing.
+Reachability alone reads the connected components of the same graph.  A
+leg may only take the moves of that graph: ``travel`` refuses any other.
 
 Sensing is a radius + field-of-view model with optional wall occlusion.  A
 leg senses at the center of every path cell, facing the step to the next
@@ -29,7 +30,8 @@ Each derived fact is computed once per change to its inputs:
 
 * facts of the grid, which no world changes: the read-only occupancy, the
   free-cell graph, its connected components, the snap of every point asked
-  for and each source's search.  They belong to the grid, not the world:
+  for, each source's search and the paths walked on it.  They belong to the
+  grid, not the world:
   every world built on an equal grid (same resolution, origin and
   occupancy, compared by content) shares one ``_GridFacts``, so the
   worlds a task sequence builds in one house, one per variant, build one
@@ -37,29 +39,34 @@ Each derived fact is computed once per change to its inputs:
   last grid built only, and drops them when a world on another grid is
   built, before that grid's graph exists; the worlds alive hold theirs.
   Of the searches, a grid keeps the latest ``SEARCHES_PER_GRID`` sources
-  read.  Sharing cannot change a result: a snap and a component label are
-  pure functions of the grid, each search is exact at every cell it
-  reads whatever its limit, and a path's walk-back reads only cells
-  nearer than its goal;
-* facts of the objects: their centroids (for sensing) and the carrying
-  relation per set of ``CrsgConfig`` values.  They live and die with the
-  world.  Objects change only in ``apply_displacement``, which clears both
-  when it returns or raises;
+  read, and a path is kept with its source's search and dropped with it.
+  Sharing cannot change a result: a snap and a component label are pure
+  functions of the grid, each search is exact at every cell it reads
+  whatever its limit, and a path's walk-back reads only cells nearer than
+  its goal, so a kept path is the one any later search would give.  An
+  unreachable goal is not kept;
+* facts of the objects: their ``(id, instance)`` items (the objects part
+  of the keys below) and their centroids (for sensing).  They live and die
+  with the world.  Objects change only in ``apply_displacement``, which
+  clears both when it returns or raises;
 * facts of the scene, which no variant's policy changes: the objects each
-  move makes, and the answers of ``graph.nearest_carrier`` and
-  ``update.match_carrier``.  They belong to the scene object, not the
-  world: every world and every graph built on the same ``SceneMap``
-  shares one ``graph._SceneFacts``, so the six variants' ``run_sequence``
-  calls on one scenario displace its objects once and ask each carrier
-  question once.  The module keeps the facts of the last scene built on
-  only, and drops them when a world or graph is built on another scene.
-  Sharing cannot change a result: objects are frozen and hashed by
-  identity, and each answer is kept under all its inputs (the instances
-  asked about: every object of the world a move starts from, or the
-  object and every candidate carrier; the event; the config values), so
-  it is a pure function of its key.  A move that is rejected (it still
-  re-seats its object) or raises is not kept, nor is an add, whose
-  payload is no key; a remove makes no new instance.
+  move makes, each leg's sightings, length and final heading, the
+  carrying relation, the answers of ``graph.nearest_carrier`` and
+  ``update.match_carrier``, each pairing of ``update.reconcile_carried``
+  and the room assignment of ``graph.build_crsg``.  They belong to the
+  scene object, not the world: every world and every graph built on the
+  same ``SceneMap`` shares one ``graph._SceneFacts``, so the six variants'
+  ``run_sequence`` calls on one scenario displace its objects once, sense
+  each leg once and ask each carrier question once.  The module keeps the
+  facts of the last scene built on only, and drops them when a world or
+  graph is built on another scene.  Sharing cannot change a result:
+  objects are frozen and hashed by identity, and each answer is kept under
+  all its inputs (the instances asked about: every object of the world a
+  move or leg starts from, or the object and every candidate carrier; the
+  event, or the grid by content and the path's cells; the config values),
+  so it is a pure function of its key.  A move that is rejected (it still
+  re-seats its object) or raises is not kept, nor is a leg that raises, nor
+  an add, whose payload is no key; a remove makes no new instance.
 """
 
 from __future__ import annotations
@@ -128,10 +135,11 @@ class SensorConfig:
             raise WorldError(f"sensor fov must be in (0, 2*pi], got {self.fov}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Observation:
     """One sighting: the world's object instance when it was seen, and its
-    depth.  Instances are frozen, so a later move never changes it."""
+    depth.  Frozen, like the instance, so a later move never changes it and
+    worlds may share it."""
 
     object: ObjectInstance
     mean_depth: float
@@ -189,8 +197,11 @@ class _GridFacts:
         self.graph: Optional[Tuple[csr_matrix, np.ndarray, np.ndarray]] = None
         self.labels: Optional[np.ndarray] = None
         self.snaps: Dict[Tuple[float, float], Cell] = {}
-        # source -> (limit, dist), the least recently read first
-        self.searches: Dict[Cell, Tuple[float, np.ndarray]] = {}
+        # source -> (limit, dist, goal cell -> (path cells, length)), the
+        # least recently read first
+        self.searches: Dict[Cell, Tuple[float, np.ndarray, Dict[Cell, Tuple[tuple, float]]]] = {}
+        # the grid by content, in the keys of kept legs
+        self.key = (resolution, tuple(self.origin.tolist()), occupancy.shape, occupancy.tobytes())
 
     def matches(self, occupancy: np.ndarray, resolution: float, origin: np.ndarray) -> bool:
         """Whether these are the facts of the grid given, by content."""
@@ -243,7 +254,7 @@ class GridWorld:
             raise WorldError(f"robot start cell {start_cell} is blocked")
 
         self._centroid_cache: Optional[tuple] = None
-        self._carried_memo: Dict[tuple, Dict[str, List[str]]] = {}
+        self._items: Optional[tuple] = None
 
     # ----- grid geometry -------------------------------------------------
 
@@ -329,21 +340,36 @@ class GridWorld:
 
         Ends that snap to one cell give that one cell and 0.0, with no
         search.  Otherwise the path is walked back over the distance field
-        from ``start``: from the goal, each step goes to the first
-        neighbour in ``STEP_ORDER`` that the movement rule allows and whose
-        distance plus the step cost equals the current cell's distance
-        (within 1e-9 * resolution).  Slot k of a cell's graph row holds its
-        ``STEP_ORDER[k]`` neighbour, or the cell itself where the move is
-        not allowed, which never matches (the step cost is far above the
-        tolerance), so the walk reads rows.  Length is reconstructed from
-        the (axis, diagonal) step counts so it is exactly symmetric.  The
-        search only has to reach the goal: every cell of the walk is nearer.
+        from ``start`` (:meth:`_walk_back`) and kept with that search, as
+        the grid's facts keep paths; each read gets a new list.  An
+        unreachable goal raises on every read.
         """
         start_cell = self.snap_free_cell(start)
         goal_cell = self.snap_free_cell(goal)
         if start_cell == goal_cell:
             return [start_cell], 0.0
         dist = self._search(start_cell, goal_cell)
+        paths = self._grid.searches[start_cell][2]
+        kept = paths.get(goal_cell)
+        if kept is None:
+            kept = paths[goal_cell] = self._walk_back(dist, start_cell, goal_cell)
+        return list(kept[0]), kept[1]
+
+    def _walk_back(self, dist: np.ndarray, start_cell: Cell,
+                   goal_cell: Cell) -> Tuple[tuple, float]:
+        """(path cells, length) from ``start_cell`` to ``goal_cell`` over the
+        distance field ``dist`` from ``start_cell``.
+
+        From the goal, each step goes to the first neighbour in
+        ``STEP_ORDER`` that the movement rule allows and whose distance plus
+        the step cost equals the current cell's distance (within 1e-9 *
+        resolution).  Slot k of a cell's graph row holds its
+        ``STEP_ORDER[k]`` neighbour, or the cell itself where the move is
+        not allowed, which never matches (the step cost is far above the
+        tolerance), so the walk reads rows.  Length is reconstructed from
+        the (axis, diagonal) step counts so it is exactly symmetric.  The
+        search only has to reach the goal: every cell of the walk is nearer.
+        """
         graph, index, cells = self._free_graph()
         source = int(index[start_cell[1], start_cell[0]])
         i = int(index[goal_cell[1], goal_cell[0]])
@@ -374,7 +400,7 @@ class GridWorld:
                     break
             else:
                 raise WorldError(f"distance field has no predecessor for {cell(i)}")
-        path = [cell(i) for i in reversed(walk)]
+        path = tuple(cell(i) for i in reversed(walk))
         n_axis = len(path) - 1 - n_diag
         length = (n_axis + n_diag * SQRT2) * self.resolution
         return path, length
@@ -446,9 +472,10 @@ class GridWorld:
 
         Searches are bounded: Dijkstra with ``limit=L`` gives the exact
         distance of every cell at or below L and inf for the rest.  The
-        grid's facts keep ``(limit, dist)`` of each source cell's latest
-        search, for the latest ``SEARCHES_PER_GRID`` sources read; a read
-        from a dropped source searches anew.  A read that finds no search
+        grid's facts keep ``(limit, dist, paths)`` of each source cell's
+        latest search, for the latest ``SEARCHES_PER_GRID`` sources read; a
+        read from a dropped source searches anew, and its kept paths went
+        with it.  A read that finds no search
         from ``source``, or inf under a finite limit, searches again from
         ``source`` with the limit ``max(2 * limit, 1.25 * octile(source,
         cell))`` plus a 1e-9 relative margin (the first limit is 1.25 *
@@ -468,7 +495,7 @@ class GridWorld:
         graph, index, _ = self._free_graph()
         target = index[cell[1], cell[0]]
         searches = self._grid.searches
-        limit, dist = searches.pop(source, (0.0, None))
+        limit, dist, paths = searches.pop(source, None) or (0.0, None, {})
         farthest_corner = (0 if 2 * source[0] >= self.width else self.width - 1,
                            0 if 2 * source[1] >= self.height else self.height - 1)
         while dist is None or (math.isinf(dist[target]) and not math.isinf(limit)):
@@ -477,7 +504,7 @@ class GridWorld:
                 limit = math.inf
             dist = dijkstra(graph, directed=True, indices=int(index[source[1], source[0]]),
                             limit=limit)
-        searches[source] = (limit, dist)  # now the most recently read
+        searches[source] = (limit, dist, paths)  # now the most recently read
         if len(searches) > SEARCHES_PER_GRID:
             del searches[next(iter(searches))]
         return dist
@@ -488,6 +515,13 @@ class GridWorld:
         return DistanceField(self, self.snap_free_cell(start))
 
     # ----- sensing --------------------------------------------------------
+
+    def _objects(self) -> tuple:
+        """The world's ``(id, instance)`` items in order: the objects part of
+        the keys of kept answers, built once per displacement."""
+        if self._items is None:
+            self._items = tuple(self.scene.objects.items())
+        return self._items
 
     def _centroids(self):
         if self._centroid_cache is None:
@@ -534,23 +568,58 @@ class GridWorld:
         depth.  The heading at a cell is that of the step to the next cell;
         the last cell keeps the last step's heading (a one-cell path keeps
         the robot's).  A zero-length path produces an empty trajectory and
-        moves nothing.
+        moves nothing.  A path that is not a sequence of integer cells,
+        leaves the grid, enters a blocked cell or takes a step the movement
+        rule does not allow raises :class:`WorldError` and moves nothing.
+
+        One leg per (objects, grid, path cells, one-cell heading, sensor
+        values) is kept with the scene's facts: a kept leg only sets the
+        pose.
         """
         if len(path) == 0:
             return TravelLog(observations={}, length=0.0)
+        cells = tuple(map(tuple, path))
+        key = ("leg", self._objects(), self._grid.key, cells,
+               self.robot.heading if len(cells) == 1 else None,
+               sensor.radius, sensor.fov, sensor.occlusion)
+        seen, length, heading = scene_answer(key, self._leg, cells, sensor)
+        self.robot = Pose(self.cell_center(cells[-1]), heading)
+        return TravelLog(observations={obs.object_id: obs for obs in seen}, length=length)
+
+    def _leg(self, path: Tuple[Cell, ...], sensor: SensorConfig) -> Tuple[tuple, float, float]:
+        """(first sightings, length, final heading) of a leg along ``path``
+        from the robot's heading, after checking the path."""
         cells = np.asarray(path)
+        if cells.ndim != 2 or cells.shape[1] != 2 or cells.dtype.kind not in "iu":
+            raise WorldError("a path is a sequence of (ix, iy) integer cells")
         if np.any((cells < 0) | (cells >= (self.width, self.height))):
             raise WorldError("path leaves the grid")
+        self._check_moves(cells)
         steps = np.diff(cells, axis=0).tolist()
         headings = [math.atan2(dy, dx) for dx, dy in steps]
         headings.append(headings[-1] if headings else self.robot.heading)
         # cell centers in the float operations of cell_center
         centers = self.origin + (cells + 0.5) * self.resolution
         seen = self._first_sightings(centers, headings, path, sensor)
-        self.robot = Pose(self.cell_center(path[-1]), headings[-1])
         n_diag = sum(1 for dx, dy in steps if dx != 0 and dy != 0)
         length = (len(steps) - n_diag + n_diag * SQRT2) * self.resolution
-        return TravelLog(observations={obs.object_id: obs for obs in seen}, length=length)
+        return tuple(seen), length, headings[-1]
+
+    def _check_moves(self, cells: np.ndarray) -> None:
+        """Raise :class:`WorldError` unless every cell of the (n, 2) on-grid
+        ``cells`` is free and each step to the next is a move of its
+        ``_free_graph`` row.  A slot the rule does not allow holds the row's
+        own cell, so a step that stays in its cell matches no move."""
+        graph, index, _ = self._free_graph()
+        rows = index[cells[:, 1], cells[:, 0]]
+        if np.any(rows < 0):
+            raise WorldError(f"path cell {cells[np.argmax(rows < 0)].tolist()} is blocked")
+        slots = graph.indices.reshape(-1, len(STEP_ORDER))[rows[:-1]]
+        allowed = (slots == rows[1:, None]).any(axis=1) & (rows[1:] != rows[:-1])
+        if not allowed.all():
+            k = int(np.argmin(allowed))
+            raise WorldError(f"path step {cells[k].tolist()} -> {cells[k + 1].tolist()} "
+                             f"is not an allowed move")
 
     def _first_sightings(self, positions: np.ndarray, headings: Sequence[float],
                          cells: Sequence[Cell], sensor: SensorConfig,
@@ -619,15 +688,13 @@ class GridWorld:
 
         Exclusive like graph construction: an object counts for its nearest
         satisfying base only, and only furniture-scale ground-contact boxes
-        qualify as bases, so stacked items never capture each other.  The
-        whole relation is built once per displacement and per set of
-        ``config`` values.
+        qualify as bases, so stacked items never capture each other.  One
+        whole relation per (objects, ``config`` values) is kept with the
+        scene's facts.
         """
         self.object(carrier_id)
-        key = crsg_values(config)
-        relation = self._carried_memo.get(key)
-        if relation is None:
-            relation = self._carried_memo[key] = self._carried_relation(config)
+        relation = scene_answer(("carried", self._objects(), crsg_values(config)),
+                                self._carried_relation, config)
         return list(relation.get(carrier_id, ()))
 
     def _carried_relation(self, config: CrsgConfig) -> Dict[str, List[str]]:
@@ -714,7 +781,7 @@ class GridWorld:
             self._displace(event, config, spot_index)
         finally:
             self._centroid_cache = None
-            self._carried_memo.clear()
+            self._items = None
 
     def _moved(self, event: DisplacementEvent, config: CrsgConfig,
                spot_index: int) -> ObjectInstance:
@@ -744,11 +811,11 @@ class GridWorld:
             return
 
         if event.kind == "move":
-            objects = self.scene.objects
             # a move is a pure function of the world's objects and the event
-            key = ("move", tuple(objects.items()), event.object_id, event.target_carrier_id,
+            key = ("move", self._objects(), event.object_id, event.target_carrier_id,
                    spot_index, crsg_values(config))
-            objects[event.object_id] = scene_answer(key, self._moved, event, config, spot_index)
+            self.scene.objects[event.object_id] = scene_answer(key, self._moved, event, config,
+                                                               spot_index)
             return
 
         # add

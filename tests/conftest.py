@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,9 +7,9 @@ import pytest
 from carriernav import graph
 from carriernav.graph import (CrsgConfig, build_crsg, carrying_predicate,
                               release_scene_facts)
-from carriernav.scene import scene_from_dict
+from carriernav.scene import Room, assign_rooms, scene_from_dict
 from carriernav.update import MatchConfig
-from carriernav.world import GridWorld, Pose, release_grid_facts
+from carriernav.world import GridWorld, Pose, SensorConfig, release_grid_facts
 
 import oracles
 
@@ -84,30 +85,81 @@ def assert_every_write_raises(obj):
         obj.captions.append("mug")
 
 
+def _check_carrier(key, answer):
+    _, obj, candidates, values = key
+    assert answer == oracles.nearest_carrier_per_call(obj, candidates, CrsgConfig(*values))
+
+
+def _check_match(key, answer):
+    _, seen, ids, objects, values = key
+    carriers = {cid: graph.CarrierNode(obj) for cid, obj in zip(ids, objects)}
+    assert answer == oracles.match_carrier_per_call(seen, carriers, MatchConfig(*values))
+
+
+def _check_move(key, answer):
+    _, items, object_id, target_id, spot_index, values = key
+    cfg, before = CrsgConfig(*values), dict(items)
+    box_min, box_max = oracles.moved_per_call(before, object_id, target_id, spot_index, cfg)
+    assert answer.id == object_id and answer.captions is before[object_id].captions
+    assert np.array_equal(answer.box.min, box_min)
+    assert np.array_equal(answer.box.max, box_max)
+    assert carrying_predicate(before[target_id], answer, cfg)
+
+
+def _check_leg(key, answer):
+    # a world on the key's grid holding the key's objects, facing its heading
+    _, items, (resolution, origin, shape, occupancy), path, heading, *sensor = key
+    world = GridWorld.__new__(GridWorld)
+    world.resolution, world.origin = resolution, np.array(origin)
+    world.height, world.width = shape
+    world.occupancy = np.frombuffer(occupancy, dtype=bool).reshape(shape)
+    world.scene = SimpleNamespace(objects=dict(items))
+    world.robot = Pose(np.zeros(2), 0.0 if heading is None else heading)
+    expected, length, pose = oracles.travel_per_cell(world, path, SensorConfig(*sensor))
+    seen, got_length, got_heading = answer
+    assert [(o.object_id, o.mean_depth) for o in seen] == [
+        (o.object_id, o.mean_depth) for o in expected.values()]
+    assert all(o.object is expected[o.object_id].object for o in seen)
+    assert (got_length, got_heading) == (length, pose.heading)
+
+
+def _check_carried(key, answer):
+    _, items, values = key
+    cfg, objects = CrsgConfig(*values), dict(items)
+    bases = {oid for oid, obj in objects.items() if oracles.geometric_base(obj, cfg)}
+    _, relation, _ = oracles.brute_force_relation(SimpleNamespace(objects=objects), cfg, bases)
+    assert answer == {cid: sorted(held) for cid, held in relation.items() if held}
+
+
+def _check_reconcile(key, answer):
+    _, seen, entries, values = key
+    assert answer == oracles.reconcile_pairs_per_call(seen, dict(entries), MatchConfig(*values))
+
+
+def _check_rooms(key, answer):
+    _, objects, rooms = key
+    rooms = [Room(rid, np.frombuffer(polygon).reshape(-1, 2)) for rid, polygon in rooms]
+    assert answer == assign_rooms(objects, rooms)
+
+
+# kind of kept answer -> check of one answer against its rule
+KEPT_ANSWER_CHECKS = {
+    "carrier": _check_carrier,
+    "match": _check_match,
+    "move": _check_move,
+    "leg": _check_leg,
+    "carried": _check_carried,
+    "reconcile": _check_reconcile,
+    "rooms": _check_rooms,
+}
+
+
 def assert_every_kept_answer_is_its_rule():
     """Each answer the kept scene's facts hold equals the rule it replaced,
-    run afresh on the inputs its key holds."""
+    run afresh on the inputs its key holds.  A kind with no check fails."""
     for key, answer in graph._kept_scene.answers.items():
-        kind = key[0]
-        if kind == "carrier":
-            _, obj, candidates, values = key
-            assert answer == oracles.nearest_carrier_per_call(obj, candidates,
-                                                              CrsgConfig(*values)), key
-        elif kind == "match":
-            _, seen, ids, objects, values = key
-            carriers = {cid: graph.CarrierNode(obj) for cid, obj in zip(ids, objects)}
-            assert answer == oracles.match_carrier_per_call(seen, carriers,
-                                                            MatchConfig(*values)), key
-        else:
-            assert kind == "move", key
-            _, items, object_id, target_id, spot_index, values = key
-            cfg, before = CrsgConfig(*values), dict(items)
-            box_min, box_max = oracles.moved_per_call(before, object_id, target_id,
-                                                      spot_index, cfg)
-            assert answer.id == object_id and answer.captions is before[object_id].captions
-            assert np.array_equal(answer.box.min, box_min)
-            assert np.array_equal(answer.box.max, box_max)
-            assert carrying_predicate(before[target_id], answer, cfg)
+        assert key[0] in KEPT_ANSWER_CHECKS, key
+        KEPT_ANSWER_CHECKS[key[0]](key, answer)
 
 
 GOLDEN_OBJECTS = [

@@ -341,18 +341,24 @@ def funnel_carrier_ids(scene, cfg) -> set:
     return out
 
 
-def brute_force_relation(scene, cfg):
-    """(carrier ids, {carrier: carried id set}, orphan id set), exhaustively."""
-    carriers = funnel_carrier_ids(scene, cfg)
+def brute_force_relation(scene, cfg, carriers=None):
+    """(carrier ids, {carrier: carried id set}, orphan id set), exhaustively.
+
+    By default the carriers are the construction funnel's, and a carrier is
+    never carried, as in a graph.  Given ``carriers`` (the world's bases),
+    every object may rest on any carrier but itself, as in the world."""
+    carried_too = carriers is not None
+    if carriers is None:
+        carriers = funnel_carrier_ids(scene, cfg)
     relation = {cid: set() for cid in carriers}
     orphans = set()
     for oid, obj in scene.objects.items():
-        if oid in carriers:
+        if oid in carriers and not carried_too:
             continue
         best = None
         for cid in carriers:
             carrier = scene.objects[cid]
-            if not rests_on(carrier, obj, cfg):
+            if cid == oid or not rests_on(carrier, obj, cfg):
                 continue
             d = math.sqrt(
                 sum(
@@ -394,30 +400,63 @@ def match_carrier_per_call(seen, carriers, cfg):
     center first, ties to the smaller id.  ``update.match_carrier``
     before it kept one answer per key."""
 
-    def sizes_ok(a, b):
-        for ea, eb in zip(a.tolist(), b.tolist()):
-            if ea <= 0 or eb <= 0:
-                if abs(ea - eb) > 1e-9:
-                    return False
-            elif not 1.0 - cfg.max_size_ratio_dev <= ea / eb <= 1.0 + cfg.max_size_ratio_dev:
-                return False
-        return True
-
-    def similar(a, b, threshold):
-        if a.zero or b.zero:
-            return True
-        return a.vec.shape == b.vec.shape and cosine(a, b) >= threshold
-
     best = None
     for cid, node in carriers.items():
         other = node.object
         dist = float(np.linalg.norm(seen.centroid - other.centroid))
-        if (dist <= cfg.max_center_dist and sizes_ok(seen.box.extents, other.box.extents)
-                and similar(seen.text, other.text, cfg.min_text_sim)
-                and similar(seen.visual, other.visual, cfg.min_visual_sim)
+        if (dist <= cfg.max_center_dist and _sizes_ok(seen, other, cfg)
+                and _similar(seen.text, other.text, cfg.min_text_sim)
+                and _similar(seen.visual, other.visual, cfg.min_visual_sim)
                 and (best is None or (dist, cid) < best)):
             best = (dist, cid)
     return best[1] if best else None
+
+
+def _sizes_ok(a, b, cfg):
+    """Every extent of ``a`` within the ratio tolerance of ``b``'s; a zero
+    extent only matches a zero extent."""
+    for ea, eb in zip(a.box.extents.tolist(), b.box.extents.tolist()):
+        if ea <= 0 or eb <= 0:
+            if abs(ea - eb) > 1e-9:
+                return False
+        elif not 1.0 - cfg.max_size_ratio_dev <= ea / eb <= 1.0 + cfg.max_size_ratio_dev:
+            return False
+    return True
+
+
+def _similar(a, b, threshold):
+    """At least ``threshold`` similar; a zero feature on either side passes."""
+    if a.zero or b.zero:
+        return True
+    return a.vec.shape == b.vec.shape and cosine(a, b) >= threshold
+
+
+def reconcile_pairs_per_call(seen, entries, cfg):
+    """(sighted id -> entry id, frozenset of matched entry ids) pairing the
+    sighted instances ``seen`` with the id -> instance dict ``entries``:
+    among the pairs within ``carried_match_center_dist`` with compatible
+    sizes and similar text, the nearest pair whose sighting and entry are
+    both still free is taken, ties to the smaller sighted id, then entry
+    id, until none is left.  ``update.reconcile_carried`` before it kept
+    one pairing per key."""
+    matched, taken = {}, set()
+    while True:
+        best = None
+        for obj in seen:
+            if obj.id in matched:
+                continue
+            for eid, entry in entries.items():
+                if eid in taken:
+                    continue
+                dist = float(np.linalg.norm(obj.centroid - entry.centroid))
+                if (dist <= cfg.carried_match_center_dist and _sizes_ok(obj, entry, cfg)
+                        and _similar(obj.text, entry.text, cfg.min_text_sim)
+                        and (best is None or (dist, obj.id, eid) < best)):
+                    best = (dist, obj.id, eid)
+        if best is None:
+            return matched, frozenset(taken)
+        matched[best[1]] = best[2]
+        taken.add(best[2])
 
 
 def ground_truth_carried_per_call(world, carrier_id, cfg) -> list:

@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from carriernav import graph
+from carriernav import graph, update
 from carriernav.bench import (
     BenchError,
     episode_seed,
@@ -185,12 +185,17 @@ def test_sequences_on_a_warm_grid_equal_cold_ones(mode, resolution, monkeypatch)
     # each variant run cold (no grid's or scene's facts kept), then all six
     # in a row sharing one grid's and one scene's facts, and the first
     # again on the warmest facts: every result, actions included, is equal;
-    # the shared runs compute each move once, and every answer kept equals
-    # the rule it replaced
+    # the shared runs compute each move, leg and pairing once, the last
+    # run none, and every answer kept equals the rule it replaced
     sc = build_scenario(mode, 1, 13, resolution)
-    moves = []
-    move = GridWorld._moved
-    monkeypatch.setattr(GridWorld, "_moved", lambda w, *a: moves.append(a) or move(w, *a))
+    calls = {}
+    for owner, name in ((GridWorld, "_moved"), (GridWorld, "_first_sightings"),
+                        (update, "_pair")):
+        def counted(*a, _real=getattr(owner, name), _calls=calls.setdefault(name, [])):
+            _calls.append(a)
+            return _real(*a)
+        monkeypatch.setattr(owner, name, counted)
+    moves = calls["_moved"]
 
     def release():
         release_grid_facts()
@@ -202,13 +207,19 @@ def test_sequences_on_a_warm_grid_equal_cold_ones(mode, resolution, monkeypatch)
         cold[name] = run_sequence(sc, variant)
     cold_moves = len(moves)
     release()
+    before = {name: len(c) for name, c in calls.items()}
     warm = {name: run_sequence(sc, variant) for name, variant in VARIANTS.items()}
     assert warm == cold
+    in_warm = {name: len(c) - before[name] for name, c in calls.items()}
     first = next(iter(VARIANTS))
     assert run_sequence(sc, VARIANTS[first]) == cold[first]
+    assert {name: len(c) - before[name] for name, c in calls.items()} == in_warm
     kinds = Counter(key[0] for key in graph._kept_scene.answers)
-    assert kinds["carrier"] and kinds["match"] and kinds["move"]
-    assert cold_moves == len(VARIANTS) * kinds["move"] == len(VARIANTS) * (len(moves) - cold_moves)
+    assert all(kinds[kind] for kind in ("carrier", "match", "move", "leg", "carried", "rooms"))
+    assert cold_moves == len(VARIANTS) * kinds["move"] == len(VARIANTS) * in_warm["_moved"]
+    assert in_warm["_first_sightings"] == kinds["leg"]
+    assert in_warm["_pair"] == kinds["reconcile"]
+    assert before["_first_sightings"] > kinds["leg"]
     assert_every_kept_answer_is_its_rule()
 
 

@@ -1,22 +1,25 @@
-"""The facts of a scene: moves and carrier answers shared by every world
-and graph built on one ``SceneMap``.  Each kept answer is checked against
+"""The facts of a scene: moves, carrier answers, legs, the carrying
+relation, pairings and room assignments shared by every world and graph
+built on one ``SceneMap``.  Each kept answer is checked against
 the rule it replaced (``tests/oracles.py``); whole task sequences sharing
 them are checked against cold ones in ``test_bench.py``."""
 
 import copy
 import gc
+import math
 import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from carriernav import graph
+from carriernav import graph, update
 from carriernav.graph import CrsgConfig, build_crsg, nearest_carrier, release_scene_facts
 from carriernav.scenarios import build_scenario
-from carriernav.scene import Box3, scene_from_dict
-from carriernav.update import MatchConfig, match_carrier
-from carriernav.world import DisplacementError, DisplacementEvent, GridWorld, Observation
+from carriernav.scene import HALLWAY_ROOM_ID, Box3, scene_from_dict
+from carriernav.update import MatchConfig, match_carrier, reconcile_carried
+from carriernav.world import (DisplacementError, DisplacementEvent, GridWorld, Observation, Pose,
+                              SensorConfig)
 
 import oracles
 from conftest import (assert_every_kept_answer_is_its_rule, item_on, obj_dict, scene_dict,
@@ -223,3 +226,117 @@ class TestLifetime:
         w.apply_displacement(DisplacementEvent(kind="remove", object_id="cup_0"), CrsgConfig())
         assert w.ground_truth_carried("table_0", CrsgConfig()) == []
         assert graph._kept_scene.scene is b
+
+
+def counting(monkeypatch, owner, name):
+    """The argument tuples of every call of ``owner.name`` from now on."""
+    calls = []
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def two_tables_scene():
+    t0 = table_dict("table_0", 2.0, 2.0)
+    objs = [t0, table_dict("table_1", 5.0, 2.0), item_on("cup_0", ["red cup"], t0),
+            item_on("pen_0", ["black pen"], t0, dx=0.3)]
+    return scene_from_dict(scene_dict(objs, width=32, height=20))
+
+
+class TestSharedLegs:
+    def test_a_leg_is_shared_only_on_equal_inputs(self, monkeypatch):
+        legs = counting(monkeypatch, GridWorld, "_first_sightings")
+        scene, cfg = two_tables_scene(), CrsgConfig()
+        a, b = (GridWorld(scene, start_pose=Pose([0.5, 0.5])) for _ in range(2))
+        path = a.shortest_path(a.robot.position, [4.0, 0.5])[0]
+        first, second = a.travel(path, SensorConfig()), b.travel(path, SensorConfig())
+        assert len(legs) == 1 and "cup_0" in first.observations
+        assert second.observations == first.observations and second.length == first.length
+        assert np.array_equal(b.robot.position, a.robot.position)
+        assert b.robot.heading == a.robot.heading
+        b.travel(path, SensorConfig(radius=1.0))  # another sensor
+        b.travel(path[:-1], SensorConfig())  # another path
+        assert len(legs) == 3
+        # a one-cell leg keeps the robot's heading, which is then an input
+        narrow = SensorConfig(fov=math.pi / 2)
+        for w, heading in ((a, 0.0), (b, 0.0), (b, 1.0)):
+            w.robot = Pose(w.robot.position, heading)
+            w.travel([path[-1]], narrow)
+            assert w.robot.heading == heading
+        assert len(legs) == 5
+        # another world state: after a move the same path senses anew
+        b.apply_displacement(DisplacementEvent(kind="move", object_id="cup_0",
+                                               target_carrier_id="table_1"), cfg)
+        moved = b.travel(path, SensorConfig())
+        assert len(legs) == 6 and moved.observations["cup_0"].object is b.object("cup_0")
+        assert_every_kept_answer_is_its_rule()
+
+    def test_a_scene_copy_on_another_grid_shares_no_leg(self):
+        # the copy holds the same instances behind a wall: under occlusion
+        # each world sees through its own grid, though the copy's facts
+        # hold both worlds' legs
+        scene = two_tables_scene()
+        walled_scene = copy.copy(scene)
+        walled_scene.grid = replace(scene.grid, blocked_cells=[(ix, 6) for ix in range(32)])
+        plain = GridWorld(scene, start_pose=Pose([0.5, 0.5]))
+        walled = GridWorld(walled_scene, start_pose=Pose([0.5, 0.5]))
+        path, sensor = [(ix, 2) for ix in range(16)], SensorConfig(occlusion=True)
+        assert "cup_0" in plain.travel(path, sensor).observations
+        assert graph._kept_scene.scene is walled_scene
+        assert "cup_0" not in walled.travel(path, sensor).observations
+        assert sum(key[0] == "leg" for key in kept_answers()) == 2
+        assert_every_kept_answer_is_its_rule()
+
+    def test_the_relation_is_shared_only_on_equal_objects(self, monkeypatch):
+        relations = counting(monkeypatch, GridWorld, "_carried_relation")
+        scene, cfg = two_tables_scene(), CrsgConfig()
+        a, b = GridWorld(scene), GridWorld(scene)
+        for w in (a, b):
+            assert w.ground_truth_carried("table_0", cfg) == ["cup_0", "pen_0"]
+        assert len(relations) == 1
+        b.apply_displacement(DisplacementEvent(kind="move", object_id="cup_0",
+                                               target_carrier_id="table_1"), cfg)
+        assert b.ground_truth_carried("table_0", cfg) == ["pen_0"]
+        assert a.ground_truth_carried("table_0", cfg) == ["cup_0", "pen_0"]
+        assert len(relations) == 2
+        assert_every_kept_answer_is_its_rule()
+
+
+class TestSharedPairings:
+    def test_a_pairing_is_shared_and_each_diff_holds_its_callers_sightings(self, monkeypatch):
+        pairings = counting(monkeypatch, update, "_pair")
+        scene, cfg = two_tables_scene(), MatchConfig()
+        cup, pen = scene.objects["cup_0"], scene.objects["pen_0"]
+        diffs = []
+        for depth in (1.0, 2.0):
+            crsg = build_crsg(scene)
+            crsg.detach("pen_0")  # the graph has lost the pen
+            sightings = [Observation(cup, depth), Observation(pen, depth)]
+            diff = reconcile_carried("table_0", sightings, crsg, cfg)
+            assert diff.kept == ["cup_0"] and diff.removed == []
+            assert diff.added == [sightings[1]] and diff.added[0] is sightings[1]
+            diffs.append(diff)
+        assert len(pairings) == 1 and diffs[1].added[0].mean_depth == 2.0
+        # the config changed in place, then the carried entries edited
+        cfg.min_text_sim = 1.5  # above any cosine
+        diff = reconcile_carried("table_0", sightings, crsg, cfg)
+        assert (diff.kept, diff.removed, len(diff.added)) == ([], ["cup_0"], 2)
+        cfg.min_text_sim = MatchConfig().min_text_sim
+        crsg.carriers["table_0"].carried["pen_0"] = pen
+        diff = reconcile_carried("table_0", sightings, crsg, cfg)
+        assert (diff.kept, diff.removed, diff.added) == (["cup_0", "pen_0"], [], [])
+        assert len(pairings) == 3
+        assert_every_kept_answer_is_its_rule()
+
+
+class TestSharedRooms:
+    def test_rooms_follow_a_polygon_edited_in_place(self, monkeypatch):
+        assignments = counting(monkeypatch, graph, "assign_rooms")
+        scene = two_tables_scene()
+        for _ in range(2):
+            assert build_crsg(scene).room_assignment["table_0"] == "room_0"
+        assert len(assignments) == 1
+        scene.rooms[0].polygon *= 0.1  # a corner room the tables are outside of
+        assert build_crsg(scene).room_assignment["table_0"] == HALLWAY_ROOM_ID
+        assert len(assignments) == 2
+        assert_every_kept_answer_is_its_rule()

@@ -13,6 +13,10 @@ a user's file.
 Every JSON file is written by ``scene.write_json``.  A writer that calls
 ``json.dump`` or passes ``indent=`` brings back the pure-Python encoder and
 must fail here.
+
+Every answer a scene's facts keep is checked against the rule it replaced
+by ``conftest.assert_every_kept_answer_is_its_rule``, one check per kind of
+key.  A new kind of kept answer without its check must fail here.
 """
 
 import ast
@@ -26,6 +30,7 @@ from carriernav.bench import run_sequence
 from carriernav.policy import VARIANTS
 from carriernav.scene import _SceneFile, _schema
 from carriernav.scenarios import _ScenarioFile, build_scenario
+from conftest import KEPT_ANSWER_CHECKS
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -123,3 +128,51 @@ def test_the_writer_guard_sees_pure_encoder_calls():
               "def write_json(path, tree):\n    json.dumps(tree, indent=2)\n"
               "def save(fh, tree):\n    json.dump(tree, fh)\n    return json.dumps(tree, indent=1)\n")
     assert pure_encoder_calls(source) == [(5, "json.dump("), (6, "indent=")]
+
+
+def kept_answer_kinds(source: str) -> tuple:
+    """(kinds, lines): the kind, the leading string, of each key literal
+    that reaches a ``scene_answer(`` call in module ``source``, as its
+    first argument or through a name assigned in the same function, and
+    the line of each call whose key is neither."""
+    kinds, unresolved = set(), []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        assigned = {target.id: node.value for node in ast.walk(fn)
+                    if isinstance(node, ast.Assign) for target in node.targets
+                    if isinstance(target, ast.Name)}
+        for call in ast.walk(fn):
+            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id == "scene_answer"):
+                continue
+            key = call.args[0] if call.args else None
+            if isinstance(key, ast.Name):
+                key = assigned.get(key.id)
+            if (isinstance(key, ast.Tuple) and key.elts and isinstance(key.elts[0], ast.Constant)
+                    and isinstance(key.elts[0].value, str)):
+                kinds.add(key.elts[0].value)
+            else:
+                unresolved.append(call.lineno)
+    return kinds, unresolved
+
+
+def test_every_kind_of_kept_answer_has_its_check():
+    modules = sorted((ROOT / "src" / "carriernav").glob("*.py"))
+    kinds, unresolved = set(), {}
+    for path in modules:
+        found, lines = kept_answer_kinds(path.read_text())
+        kinds |= found
+        if lines:
+            unresolved[path.name] = lines
+    assert unresolved == {}
+    assert {"carrier", "match", "move", "leg", "carried", "reconcile", "rooms"} <= kinds
+    assert sorted(kinds - set(KEPT_ANSWER_CHECKS)) == []
+
+
+def test_the_kind_guard_sees_every_key_literal():
+    source = ("def a(x):\n    return scene_answer((\"one\", x), f, x)\n"
+              "def b(x):\n    key = (\"two\", x)\n    return scene_answer(key, f, x)\n"
+              "def c(key):\n    return scene_answer(key, f)\n"
+              "def d(x):\n    return other((\"three\", x))\n")
+    assert kept_answer_kinds(source) == ({"one", "two"}, [7])

@@ -4,7 +4,7 @@ travel bookkeeping and ground-truth displacement."""
 import gc
 import math
 import weakref
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from random import Random
 
 import numpy as np
@@ -32,7 +32,8 @@ from carriernav.world import (
 )
 
 import oracles
-from conftest import assert_every_write_raises, item_on, obj_dict, scene_dict, table_dict
+from conftest import (assert_every_kept_answer_is_its_rule, assert_every_write_raises, item_on,
+                      obj_dict, scene_dict, table_dict)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -593,8 +594,8 @@ class TestSharedGridFacts:
         assert b._grid is not a._grid and b.occupancy is not a.occupancy
         assert b._free_graph()[0] is not a._free_graph()[0]
         assert b._grid.snaps is not a._grid.snaps
-        (_, dist_a), = a._grid.searches.values()
-        (_, dist_b), = b._grid.searches.values()
+        (_, dist_a, _), = a._grid.searches.values()
+        (_, dist_b, _), = b._grid.searches.values()
         assert dist_b is not dist_a
 
     def test_another_grid_frees_the_last_grids_facts(self):
@@ -680,6 +681,55 @@ class TestSharedGridFacts:
         assert sum(s in dropped for s, _ in searches) >= 2 * len(dropped)
 
 
+    def test_the_paths_kept_never_outlive_their_search(self, monkeypatch):
+        searches = counting_searches(monkeypatch)
+        rng = Random("kept paths")
+        w = random_world(rng, width=20, height=16, p_block=0.15)
+        free = ~w.occupancy
+        sources = sample_cells(rng, free, SEARCHES_PER_GRID + 4)
+        goals = sample_cells(rng, free, 3)
+        reads = {}
+        for source in sources:
+            for goal in goals:
+                try:
+                    reads[source, goal] = w.shortest_path(w.cell_center(source),
+                                                          w.cell_center(goal))
+                except UnreachableGoalError:
+                    pass
+                kept = w._grid.searches
+                assert len(kept) <= SEARCHES_PER_GRID
+                # a path is kept only with its source's search, for a goal reached
+                for (start, end), path in reads.items():
+                    if start in kept and start != end:
+                        assert kept[start][2][end] == (tuple(path[0]), path[1])
+        assert len(reads) > 2 * SEARCHES_PER_GRID
+        dropped = [s for s in sources if s not in w._grid.searches]
+        assert dropped == sources[:4]
+        # a dropped source searches and walks anew, to the same path
+        n = len(searches)
+        goal = next(g for g in goals if (dropped[0], g) in reads and g != dropped[0])
+        assert w.shortest_path(w.cell_center(dropped[0]), w.cell_center(goal)) == reads[
+            dropped[0], goal]
+        assert len(searches) > n and goal in w._grid.searches[dropped[0]][2]
+
+    def test_a_kept_path_is_handed_out_as_a_fresh_list(self):
+        w = empty_world()
+        a, b = w.cell_center((0, 0)), w.cell_center((12, 9))
+        path, length = w.shortest_path(a, b)
+        path.append((99, 99))
+        again, again_length = w.shortest_path(a, b)
+        assert again == path[:-1] and again_length == length and again is not path
+
+    def test_an_unreachable_goal_is_not_kept(self, monkeypatch):
+        # a wall across the grid: every read raises, and none is kept
+        w = empty_world(blocked=[(8, iy) for iy in range(12)])
+        searches = counting_searches(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(UnreachableGoalError):
+                w.shortest_path(w.cell_center((0, 0)), w.cell_center((12, 9)))
+        assert w._grid.searches[(0, 0)][2] == {} and len(searches) == 1
+
+
 def sensing_world():
     table = table_dict("table_0", 2.0, 2.0)
     objs = [
@@ -733,6 +783,13 @@ class TestSensing:
         before = truth.to_dict()
         assert_every_write_raises(cup.object)
         assert truth.to_dict() == before
+
+    def test_an_observation_is_frozen(self):
+        # sightings are shared by every world on the scene, so none changes
+        obs = sensing_world().observe(Pose([2.0, 3.5]), SensorConfig())[0]
+        for name in ("object", "mean_depth"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(obs, name, None)
 
     def test_skipped_ids_get_no_snapshot(self, monkeypatch):
         w = sensing_world()
@@ -789,6 +846,37 @@ class TestTravel:
         assert log.length == 0.0 and log.observations == {}
         assert np.array_equal(w.robot.position, before)
 
+    @pytest.mark.parametrize("path", [
+        [(1, 1), (1, 1)],          # a repeated cell
+        [(1, 1), (6, 1)],          # a jump
+        [(1, 1), (2, 2), (2, 2)],  # a repeated cell after a step
+        [(4, 4), (4, 4)],          # a repeated cell whose row has a self slot
+        [(3, 3), (4, 4), (5, 5)],  # into a blocked cell
+        [(5, 5)],                  # a one-cell path on a blocked cell
+        [(4, 5), (5, 4)],          # a diagonal cutting the blocked corner (5, 5)
+        [(6, 5), (5, 6)],          # the same corner from the other side
+        [(1.0, 1.0), (2.0, 1.0)],  # cells that are not integers
+        [(1, 1, 0), (2, 1, 0)],    # cells that are not pairs
+    ])
+    def test_a_malformed_path_raises_and_moves_nothing(self, path):
+        scene = sensing_world().scene
+        tree = scene.to_dict()
+        tree["grid"]["blocked_cells"] = [[5, 5]]
+        w = GridWorld(scene_from_dict(tree), start_pose=Pose([2.0, 3.5]))
+        before = w.robot.copy()
+        with pytest.raises(WorldError):
+            w.travel(path, SensorConfig())
+        assert np.array_equal(w.robot.position, before.position)
+        assert w.robot.heading == before.heading
+
+    def test_the_cells_around_a_malformed_step_travel(self):
+        # the same cells as the malformed paths above, stepped one by one
+        w = sensing_world()
+        log = assert_travel_matches_oracle(w, [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1)],
+                                           SensorConfig())
+        assert log.length == 5 * 0.25
+        assert assert_travel_matches_oracle(w, [(1, 1)], SensorConfig()).length == 0.0
+
 
 SENSORS = {
     "default": SensorConfig(),
@@ -826,11 +914,13 @@ def assert_observe_matches_oracle(w, pose, sensor, skip=()):
 
 def free_walk(w, rng, n):
     """n cells from a random free cell, each a random free 8-neighbour of
-    the one before (corners may be cut: travel senses any cell sequence)."""
+    the one before whose diagonal step cuts no corner: the moves travel
+    accepts.  A walk may come back to a cell."""
     path = sample_cells(rng, ~w.occupancy, 1)
     for _ in range(n - 1):
         x, y = path[-1]
-        nbrs = [(x + dx, y + dy) for dx, dy in STEP_ORDER if w.is_free((x + dx, y + dy))]
+        nbrs = [(x + dx, y + dy) for dx, dy in STEP_ORDER
+                if w.is_free((x + dx, y + dy)) and w.is_free((x + dx, y)) and w.is_free((x, y + dy))]
         if not nbrs:
             break
         path.append(rng.choice(nbrs))
@@ -1150,6 +1240,7 @@ class TestMemos:
                 pass  # a rejected move may already have re-seated its object
             self.check_relation(w, cfg)
         assert set(done) == {"move", "add", "remove"}
+        assert_every_kept_answer_is_its_rule()
 
     def test_carrying_relation_follows_the_config(self):
         # a cup 10 cm above the table top rests on it only under the
