@@ -8,6 +8,7 @@ which the benchmark layer relies on.
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import List, NamedTuple
 
@@ -31,6 +32,7 @@ def tokenize(text: str) -> List[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
+@functools.cache  # a pure function: the memo holds only the vocabulary seen
 def token_bucket(token: str, dim: int) -> int:
     h = _FNV_OFFSET
     for byte in token.encode("utf-8"):

@@ -84,7 +84,9 @@ class _SceneFacts:
     The kinds: ``move``, ``leg`` and ``carried`` (a world's moves, legs
     and carrying relation), ``carrier`` (:func:`nearest_carrier`),
     ``match`` and ``reconcile`` (an update's carrier matches and
-    pairings) and ``rooms`` (the room assignment of :func:`build_crsg`)."""
+    pairings), ``rooms`` (the room assignment of :func:`build_crsg`) and
+    ``text`` (:func:`text_feature`: the carrier reference and each query's
+    descriptors)."""
 
     def __init__(self, scene: SceneMap):
         self.scene = scene
@@ -120,6 +122,18 @@ def scene_answer(key: tuple, compute: Callable, *args):
     if answer is _UNKNOWN:
         answer = facts.answers[key] = compute(*args)
     return answer
+
+
+def text_feature(text: str, dim: int) -> Feature:
+    """``text`` embedded at ``dim``, with a read-only vector.  One answer
+    per (text, dim) is kept with the scene's facts."""
+    return scene_answer(("text", text, dim), _text_feature, text, dim)
+
+
+def _text_feature(text: str, dim: int) -> Feature:
+    vec = embed_text(text, dim)
+    vec.setflags(write=False)
+    return Feature.of(vec)
 
 
 @dataclass
@@ -233,7 +247,7 @@ def select_carrier_candidates(
     if not objects:
         return []
     dim = objects[0].text_feature.shape[0]
-    ref = Feature.of(embed_text(reference_text, dim))
+    ref = text_feature(reference_text, dim)
     if ref.zero:
         raise GraphError("carrier reference text produced an empty embedding")
     return [obj for obj in objects if not obj.text.zero and cosine(obj.text, ref) > config.sigma]
@@ -260,7 +274,7 @@ def geometric_carrier_filter(
             continue
         if obj.box.height < config.min_height:
             continue
-        if float(obj.box.min[2]) > config.ground_contact_eps:
+        if obj.box.lo[2] > config.ground_contact_eps:
             continue
         kept.append(obj)
     return kept
@@ -272,28 +286,26 @@ def carrying_predicate(carrier: ObjectInstance, obj: ObjectInstance, config: Crs
     All four clauses must hold: small footprint, enough horizontal overlap,
     vertical contact (resting on the top face, or inside the carrier's
     upper half for shelf-like furniture), and a centroid close to the
-    carrier's own.
+    carrier's own.  It reads the boxes' corners and the centroids as
+    Python floats.
     """
-    if obj.box.footprint_area > config.max_carried_footprint:
+    box, carrier_box = obj.box, carrier.box
+    if box.footprint_area > config.max_carried_footprint:
         return False
 
-    overlap = carrier.box.xy_intersection_area(obj.box)
-    if overlap < config.overlap_rate * obj.box.footprint_area:
+    overlap = carrier_box.xy_intersection_area(box)
+    if overlap < config.overlap_rate * box.footprint_area:
         return False
 
-    gap = float(obj.box.min[2]) - float(carrier.box.max[2])
+    gap = box.lo[2] - carrier_box.hi[2]
     rests_on_top = 0.0 <= gap <= config.z_gap_max
-    carrier_mid_z = float(carrier.box.min[2]) + carrier.box.height / 2.0
-    inside_upper_half = (
-        float(obj.box.min[2]) < float(carrier.box.max[2])
-        and float(obj.box.max[2]) > carrier_mid_z
-    )
+    carrier_mid_z = carrier_box.lo[2] + carrier_box.height / 2.0
+    inside_upper_half = box.lo[2] < carrier_box.hi[2] and box.hi[2] > carrier_mid_z
     if not (rests_on_top or inside_upper_half):
         return False
 
-    dx = float(obj.centroid[0] - carrier.centroid[0])
-    dy = float(obj.centroid[1] - carrier.centroid[1])
-    if math.hypot(dx, dy) > carrier.box.footprint_diagonal / 2.0:
+    (ox, oy, _), (cx, cy, _) = obj.centroid.tolist(), carrier.centroid.tolist()
+    if math.hypot(ox - cx, oy - cy) > carrier_box.footprint_diagonal / 2.0:
         return False
     return True
 
@@ -437,16 +449,14 @@ def query_target(crsg: Crsg, query: Query) -> Tuple[ObjectInstance, float]:
     dim = next(iter(all_objects.values())).text_feature.shape[0]
 
     use_visual = query.image is not None
-    query_feat = Feature.of(embed_text(
-        strip_image_prefix(query.image) if use_visual else query.text, dim
-    ))
+    query_feat = text_feature(strip_image_prefix(query.image) if use_visual else query.text, dim)
     if query_feat.zero:
         raise QueryError(f"query descriptor {query.descriptor!r} has no usable tokens")
 
     if query.carrier_text is not None:
         if not crsg.carriers:
             raise QueryError("carrier-scoped query on a graph with no carriers")
-        carrier_vec = Feature.of(embed_text(query.carrier_text, dim))
+        carrier_vec = text_feature(query.carrier_text, dim)
         if carrier_vec.zero:
             raise QueryError(f"carrier descriptor {query.carrier_text!r} has no usable tokens")
         sims: Dict[str, float] = {}

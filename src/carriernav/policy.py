@@ -36,7 +36,7 @@ from .graph import (
 )
 from .priors import CarrierPriorOracle, CarrierSummary, KeywordPriorOracle, OracleError
 from .scene import ObjectInstance
-from .update import MatchConfig, apply_update, match_carrier, reconcile_carried
+from .update import MatchConfig, apply_update, graph_carriers, match_carrier, reconcile_carried
 from .world import (
     Cell,
     GridWorld,
@@ -297,7 +297,8 @@ def sense_leg(world: GridWorld, crsg: Crsg, path: Sequence[Cell], sensor_cfg: Se
     observations = dict(log.observations)
     for obs in carried:
         observations.setdefault(obs.object_id, obs)
-    matches = {oid: match_carrier(observations[oid], crsg, match_cfg)
+    carriers = graph_carriers(crsg)
+    matches = {oid: match_carrier(observations[oid], crsg, match_cfg, carriers)
                for oid in sorted(observations)}
     return Leg(log.length, observations, matches, carried)
 

@@ -60,11 +60,15 @@ class Box3:
     """Axis-aligned box, min/max corners in meters.
 
     A frozen value with read-only arrays; its geometry facts are computed
-    once, at construction.
+    once, at construction.  ``lo``/``hi`` are the corners as Python floats,
+    which the geometry predicates read (indexing the arrays makes a numpy
+    scalar per read; the arithmetic on either is the same).
     """
 
     min: np.ndarray
     max: np.ndarray
+    lo: Tuple[float, float, float] = field(init=False, repr=False, compare=False)
+    hi: Tuple[float, float, float] = field(init=False, repr=False, compare=False)
     extents: np.ndarray = field(init=False, repr=False, compare=False)
     footprint_area: float = field(init=False, repr=False, compare=False)
     height: float = field(init=False, repr=False, compare=False)
@@ -75,7 +79,8 @@ class Box3:
         hi = np.asarray(self.max, dtype=np.float64)
         if lo.shape != (3,) or hi.shape != (3,):
             raise SceneValidationError("box corners must be 3-vectors")
-        if not all(map(math.isfinite, lo.tolist() + hi.tolist())):
+        lo_xyz, hi_xyz = tuple(lo.tolist()), tuple(hi.tolist())
+        if not all(map(math.isfinite, lo_xyz + hi_xyz)):
             raise SceneValidationError("box corners must be finite")
         ext = hi - lo
         ex, ey, ez = ext.tolist()
@@ -84,6 +89,8 @@ class Box3:
         for name, value in (
             ("min", _frozen(lo)),
             ("max", _frozen(hi)),
+            ("lo", lo_xyz),
+            ("hi", hi_xyz),
             ("extents", _frozen(ext)),
             ("footprint_area", ex * ey),
             ("height", ez),
@@ -96,22 +103,18 @@ class Box3:
         return (self.min + self.max) / 2.0
 
     def xy_intersection_area(self, other: "Box3") -> float:
-        dx = min(self.max[0], other.max[0]) - max(self.min[0], other.min[0])
-        dy = min(self.max[1], other.max[1]) - max(self.min[1], other.min[1])
+        dx = min(self.hi[0], other.hi[0]) - max(self.lo[0], other.lo[0])
+        dy = min(self.hi[1], other.hi[1]) - max(self.lo[1], other.lo[1])
         if dx <= 0.0 or dy <= 0.0:
             return 0.0
-        return float(dx * dy)
+        return dx * dy
 
     def contains_point(self, point: np.ndarray, eps: float = _CENTROID_EPS) -> bool:
         p = np.asarray(point, dtype=np.float64).tolist()
-        return all(lo - eps <= x <= hi + eps
-                   for x, lo, hi in zip(p, self.min.tolist(), self.max.tolist()))
+        return all(lo - eps <= x <= hi + eps for x, lo, hi in zip(p, self.lo, self.hi))
 
     def to_dict(self) -> dict:
-        return {
-            "min": [float(x) for x in self.min],
-            "max": [float(x) for x in self.max],
-        }
+        return {"min": self.min.tolist(), "max": self.max.tolist()}
 
 
 def _feature(oid: str, name: str, value) -> Feature:
@@ -179,9 +182,9 @@ class ObjectInstance:
             "id": self.id,
             "captions": list(self.captions),
             "box": self.box.to_dict(),
-            "centroid": [float(x) for x in self.centroid],
-            "text_feature": [float(x) for x in self.text_feature],
-            "visual_feature": [float(x) for x in self.visual_feature],
+            "centroid": self.centroid.tolist(),
+            "text_feature": self.text_feature.tolist(),
+            "visual_feature": self.visual_feature.tolist(),
         }
         if self.room_id is not None:
             out["room_id"] = self.room_id
@@ -348,13 +351,20 @@ def _polygon_self_intersects(poly: np.ndarray) -> bool:
 
 def point_in_polygon(point: Sequence[float], polygon: np.ndarray) -> bool:
     """Even-odd ray casting; boundary points count as inside."""
-    x, y = float(point[0]), float(point[1])
-    poly = np.asarray(polygon, dtype=np.float64)
-    n = poly.shape[0]
+    return _in_polygon(float(point[0]), float(point[1]), _polygon_edges(polygon))
+
+
+def _polygon_edges(polygon: np.ndarray) -> list:
+    """Each edge of ``polygon`` as a pair of ``[x, y]`` Python-float
+    vertices, the last vertex joined back to the first."""
+    vertices = np.asarray(polygon, dtype=np.float64).tolist()
+    return list(zip(vertices, vertices[1:] + vertices[:1]))
+
+
+def _in_polygon(x: float, y: float, edges) -> bool:
+    """The ray-casting rule of :func:`point_in_polygon` over ``edges``."""
     inside = False
-    for i in range(n):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % n]
+    for (x1, y1), (x2, y2) in edges:
         # on-segment check keeps boundary objects assigned deterministically
         if min(x1, x2) - 1e-12 <= x <= max(x1, x2) + 1e-12:
             cross = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
@@ -373,14 +383,13 @@ def assign_rooms(objects: Sequence[ObjectInstance], rooms: Sequence[Room]) -> Di
     Rooms are assumed non-overlapping; objects outside every room get the
     ``hallway`` sentinel.  The assignment is total.
     """
+    # rooms are mutable, so each call reads their polygons afresh
+    room_edges = [(room.id, _polygon_edges(room.polygon)) for room in rooms]
     out: Dict[str, str] = {}
     for obj in objects:
-        assigned = HALLWAY_ROOM_ID
-        for room in rooms:
-            if point_in_polygon(obj.centroid[:2], room.polygon):
-                assigned = room.id
-                break
-        out[obj.id] = assigned
+        x, y, _ = obj.centroid.tolist()
+        out[obj.id] = next((rid for rid, edges in room_edges if _in_polygon(x, y, edges)),
+                           HALLWAY_ROOM_ID)
     return out
 
 

@@ -21,7 +21,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .features import Feature, cosine
-from .graph import CarrierNode, Crsg, scene_answer
+from .graph import Crsg, scene_answer
 from .scene import ObjectInstance
 from .world import Observation
 
@@ -82,33 +82,43 @@ def _feature_gate(seen: Feature, known: Feature, threshold: float) -> bool:
     return cosine(seen, known) >= threshold
 
 
-def match_carrier(obs: Observation, crsg: Crsg, config: MatchConfig) -> Optional[str]:
+def graph_carriers(crsg: Crsg) -> Tuple[Tuple[str, ...], Tuple[ObjectInstance, ...]]:
+    """The graph's carrier ids and their instances, in order: the graph's
+    part of a ``match`` key.  Updates never change a graph's carriers, so
+    one serves every match of a leg."""
+    return tuple(crsg.carriers), tuple(node.object for node in crsg.carriers.values())
+
+
+def match_carrier(obs: Observation, crsg: Crsg, config: MatchConfig,
+                  carriers: Optional[tuple] = None) -> Optional[str]:
     """Match an observation to a graph carrier, or None.
 
     Gates: center distance, per-axis size ratio, text similarity, visual
     similarity.  Among qualifying carriers the nearest center wins, ties
     broken by smaller id.  One answer per (sighted instance, the graph's
     carrier ids and instances, config values) is kept with the scene's
-    facts.
+    facts.  ``carriers`` is :func:`graph_carriers` of ``crsg``, built anew
+    when not given.
     """
-    seen, carriers = obs.object, crsg.carriers
-    key = ("match", seen, tuple(carriers), tuple(node.object for node in carriers.values()),
-           _match_values(config))
-    return scene_answer(key, _match_carrier, seen, carriers, config)
+    seen = obs.object
+    ids, objects = graph_carriers(crsg) if carriers is None else carriers
+    key = ("match", seen, ids, objects, _match_values(config))
+    return scene_answer(key, _match_carrier, seen, ids, objects, config)
 
 
-def _match_carrier(seen, carriers: Dict[str, CarrierNode], config: MatchConfig) -> Optional[str]:
+def _match_carrier(seen, ids: Sequence[str], objects: Sequence[ObjectInstance],
+                   config: MatchConfig) -> Optional[str]:
     best: Optional[Tuple[float, str]] = None
-    for cid, node in carriers.items():
-        dist = float(np.linalg.norm(seen.centroid - node.object.centroid))
+    for cid, carrier in zip(ids, objects):
+        dist = float(np.linalg.norm(seen.centroid - carrier.centroid))
         if dist > config.max_center_dist:
             continue
-        if not _sizes_compatible(seen.box.extents, node.object.box.extents,
+        if not _sizes_compatible(seen.box.extents, carrier.box.extents,
                                  config.max_size_ratio_dev):
             continue
-        if not _feature_gate(seen.text, node.object.text, config.min_text_sim):
+        if not _feature_gate(seen.text, carrier.text, config.min_text_sim):
             continue
-        if not _feature_gate(seen.visual, node.object.visual, config.min_visual_sim):
+        if not _feature_gate(seen.visual, carrier.visual, config.min_visual_sim):
             continue
         key = (dist, cid)
         if best is None or key < best:

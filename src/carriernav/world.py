@@ -52,12 +52,14 @@ Each derived fact is computed once per change to its inputs:
 * facts of the scene, which no variant's policy changes: the objects each
   move makes, each leg's sightings, length and final heading, the
   carrying relation, the answers of ``graph.nearest_carrier`` and
-  ``update.match_carrier``, each pairing of ``update.reconcile_carried``
-  and the room assignment of ``graph.build_crsg``.  They belong to the
-  scene object, not the world: every world and every graph built on the
-  same ``SceneMap`` shares one ``graph._SceneFacts``, so the six variants'
-  ``run_sequence`` calls on one scenario displace its objects once, sense
-  each leg once and ask each carrier question once.  The module keeps the
+  ``update.match_carrier``, each pairing of ``update.reconcile_carried``,
+  the room assignment of ``graph.build_crsg`` and each text that
+  ``graph.text_feature`` embeds (the carrier reference and each query's
+  descriptors).  They belong to the scene object, not the world: every
+  world and every graph built on the same ``SceneMap`` shares one
+  ``graph._SceneFacts``, so the six variants' ``run_sequence`` calls on
+  one scenario displace its objects once, sense each leg once, ask each
+  carrier question once and embed each text once.  The module keeps the
   facts of the last scene built on only, and drops them when a world or
   graph is built on another scene.  Sharing cannot change a result:
   objects are frozen and hashed by identity, and each answer is kept under

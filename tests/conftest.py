@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from carriernav import graph
+from carriernav.features import Feature, embed_text
 from carriernav.graph import (CrsgConfig, build_crsg, carrying_predicate,
                               release_scene_facts)
-from carriernav.scene import Room, assign_rooms, scene_from_dict
+from carriernav.scene import Room, scene_from_dict
 from carriernav.update import MatchConfig
 from carriernav.world import GridWorld, Pose, SensorConfig, release_grid_facts
 
@@ -139,7 +140,15 @@ def _check_reconcile(key, answer):
 def _check_rooms(key, answer):
     _, objects, rooms = key
     rooms = [Room(rid, np.frombuffer(polygon).reshape(-1, 2)) for rid, polygon in rooms]
-    assert answer == assign_rooms(objects, rooms)
+    assert answer == oracles.assign_rooms_numpy(objects, rooms)
+
+
+def _check_text(key, answer):
+    _, text, dim = key
+    fresh = Feature.of(embed_text(text, dim))
+    assert answer.vec.dtype == fresh.vec.dtype and answer.vec.shape == fresh.vec.shape
+    assert answer.vec.tobytes() == fresh.vec.tobytes()
+    assert (answer.norm, answer.zero) == (fresh.norm, fresh.zero)
 
 
 # kind of kept answer -> check of one answer against its rule
@@ -151,15 +160,39 @@ KEPT_ANSWER_CHECKS = {
     "carried": _check_carried,
     "reconcile": _check_reconcile,
     "rooms": _check_rooms,
+    "text": _check_text,
 }
+
+
+def writable_arrays(value) -> list:
+    """Every writable numpy array reachable from ``value`` through
+    containers, dataclass fields and named tuples."""
+    found, seen, todo = [], set(), [value]
+    while todo:
+        value = todo.pop()
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        if isinstance(value, np.ndarray):
+            if value.flags.writeable:
+                found.append(value)
+        elif isinstance(value, dict):
+            todo += [*value.keys(), *value.values()]
+        elif isinstance(value, (list, tuple, set, frozenset)):
+            todo += value
+        elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+            todo += [getattr(value, f.name) for f in dataclasses.fields(value)]
+    return found
 
 
 def assert_every_kept_answer_is_its_rule():
     """Each answer the kept scene's facts hold equals the rule it replaced,
-    run afresh on the inputs its key holds.  A kind with no check fails."""
+    run afresh on the inputs its key holds, and holds no writable array,
+    since every later reader shares it.  A kind with no check fails."""
     for key, answer in graph._kept_scene.answers.items():
         assert key[0] in KEPT_ANSWER_CHECKS, key
         KEPT_ANSWER_CHECKS[key[0]](key, answer)
+        assert writable_arrays(answer) == [], key
 
 
 GOLDEN_OBJECTS = [

@@ -9,8 +9,9 @@ its symmetric one, reachability from that search instead of component
 labels, similarities from exact token counts instead of hashed
 vectors, the carried relation from a quadratic scan instead of the
 construction funnel, a leg's sightings one pose at a time instead of in
-one pass, and blocked cells from sets of tuples instead of painted
-arrays.  The memos of the world and of a scene's kept facts are checked
+one pass, blocked cells from sets of tuples instead of painted
+arrays, and the geometry predicates on numpy scalars instead of
+Python floats.  The memos of the world and of a scene's kept facts are checked
 against the rules they replaced, computed afresh on every call.  A bug
 would have to be made twice to go unnoticed.
 """
@@ -306,6 +307,82 @@ def rests_on(carrier, obj, cfg) -> bool:
     dy = float(obj.centroid[1]) - float(carrier.centroid[1])
     half_diag = math.hypot(cmax[0] - cmin[0], cmax[1] - cmin[1]) / 2.0
     return math.hypot(dx, dy) <= half_diag
+
+
+# --- geometry predicates on numpy scalars, as the package computed them
+# before it read Python floats: each index of a corner or centroid array is
+# a numpy scalar, and the floats must give the same bits
+
+
+def xy_intersection_area_numpy(a, b) -> float:
+    """``Box3.xy_intersection_area`` of boxes ``a`` and ``b``."""
+    dx = min(a.max[0], b.max[0]) - max(a.min[0], b.min[0])
+    dy = min(a.max[1], b.max[1]) - max(a.min[1], b.min[1])
+    if dx <= 0.0 or dy <= 0.0:
+        return 0.0
+    return float(dx * dy)
+
+
+def carrying_predicate_numpy(carrier, obj, config) -> bool:
+    """``graph.carrying_predicate``."""
+    if obj.box.footprint_area > config.max_carried_footprint:
+        return False
+
+    overlap = xy_intersection_area_numpy(carrier.box, obj.box)
+    if overlap < config.overlap_rate * obj.box.footprint_area:
+        return False
+
+    gap = float(obj.box.min[2]) - float(carrier.box.max[2])
+    rests_on_top = 0.0 <= gap <= config.z_gap_max
+    carrier_mid_z = float(carrier.box.min[2]) + carrier.box.height / 2.0
+    inside_upper_half = (
+        float(obj.box.min[2]) < float(carrier.box.max[2])
+        and float(obj.box.max[2]) > carrier_mid_z
+    )
+    if not (rests_on_top or inside_upper_half):
+        return False
+
+    dx = float(obj.centroid[0] - carrier.centroid[0])
+    dy = float(obj.centroid[1] - carrier.centroid[1])
+    if math.hypot(dx, dy) > carrier.box.footprint_diagonal / 2.0:
+        return False
+    return True
+
+
+def point_in_polygon_numpy(point, polygon) -> bool:
+    """``scene.point_in_polygon``: even-odd ray casting; boundary points
+    count as inside."""
+    x, y = float(point[0]), float(point[1])
+    poly = np.asarray(polygon, dtype=np.float64)
+    n = poly.shape[0]
+    inside = False
+    for i in range(n):
+        x1, y1 = poly[i]
+        x2, y2 = poly[(i + 1) % n]
+        # on-segment check keeps boundary objects assigned deterministically
+        if min(x1, x2) - 1e-12 <= x <= max(x1, x2) + 1e-12:
+            cross = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
+            if abs(cross) < 1e-12 and min(y1, y2) - 1e-12 <= y <= max(y1, y2) + 1e-12:
+                return True
+        if (y1 > y) != (y2 > y):
+            x_at = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+            if x < x_at:
+                inside = not inside
+    return inside
+
+
+def assign_rooms_numpy(objects, rooms) -> dict:
+    """``scene.assign_rooms``: the first room whose polygon holds an
+    object's centroid, else the hallway."""
+    out = {}
+    for obj in objects:
+        assigned = "hallway"
+        for room in rooms:
+            if point_in_polygon_numpy(obj.centroid[:2], room.polygon):
+                assigned = room.id
+                break
+        out[obj.id] = assigned
+    return out
 
 
 def geometric_base(obj, cfg) -> bool:

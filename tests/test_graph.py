@@ -5,6 +5,8 @@ from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carriernav.graph import (
     DEFAULT_CARRIER_REFERENCE,
@@ -21,7 +23,7 @@ from carriernav.graph import (
     select_carrier_candidates,
 )
 from carriernav.priors import KeywordPriorOracle
-from carriernav.scene import scene_from_dict
+from carriernav.scene import Box3, ObjectInstance, scene_from_dict
 
 import oracles
 from conftest import find_object, golden_scene_dict, item_on, obj_dict, scene_dict, table_dict
@@ -145,6 +147,42 @@ class TestCarryingPredicate:
             if oid == "table_0":
                 continue
             assert carrying_predicate(carrier, obj, cfg) == oracles.rests_on(carrier, obj, cfg), oid
+
+
+# coordinates that make touching boxes, shared corners and signed zeros
+# likely, beside any float
+COORDS = (st.sampled_from([-1.0, -0.0, 0.0, 0.25, 0.5, 1.0])
+          | st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=True))
+
+
+@st.composite
+def instances(draw, oid, carrier=None):
+    """An instance on any box, its centroid anywhere in the box.  Given a
+    carrier, its bottom is at or below the carrier's top by a quarter of
+    the carrier's height at a time, plus a drawn gap."""
+    (x0, x1), (y0, y1) = (sorted([draw(COORDS), draw(COORDS)]) for _ in range(2))
+    z0 = draw(COORDS)
+    if carrier is not None:
+        depth = draw(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])) * carrier.box.height
+        z0 = carrier.box.hi[2] - depth + draw(st.sampled_from([-0.0, 0.0, 0.1, 0.15]) | COORDS)
+    z1 = z0 + draw(st.sampled_from([0.0, 0.1, 1.0]) | st.floats(0.0, 2.0))
+    box = Box3([x0, y0, z0], [x1, y1, z1])
+    f = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    feature = np.ones(4)
+    return ObjectInstance(oid, ("thing",), box, box.min + f * box.extents, feature, feature)
+
+
+class TestCarryingPredicateOnFloats:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_it_is_the_numpy_rule(self, data):
+        carrier = data.draw(instances("table_0"))
+        obj = data.draw(instances("cup_0", carrier))
+        cfg = CrsgConfig(overlap_rate=data.draw(st.sampled_from([0.25, 0.5, 1.0])),
+                         z_gap_max=data.draw(st.sampled_from([0.0, 0.15, 1.0])),
+                         max_carried_footprint=data.draw(st.sampled_from([0.25, 4.0, 100.0])))
+        assert (carrying_predicate(carrier, obj, cfg)
+                == oracles.carrying_predicate_numpy(carrier, obj, cfg))
 
 
 class TestAssignment:

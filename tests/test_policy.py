@@ -31,7 +31,7 @@ from carriernav.policy import (
 )
 from carriernav.priors import CarrierPriorOracle, KeywordPriorOracle, OracleError
 from carriernav.scene import scene_from_dict
-from carriernav.update import MatchConfig, match_carrier
+from carriernav.update import MatchConfig, graph_carriers, match_carrier
 from carriernav.world import DisplacementEvent, GridWorld, Pose
 
 import oracles
@@ -599,12 +599,13 @@ class TestRunTask:
         # a leg's sightings are its travel's first sightings plus the visited
         # carrier's full view; transition and update share one match of each
         import carriernav.policy as policy_mod
-        events = []
+        events, passed = [], []
         real_match = policy_mod.match_carrier
 
-        def counting(obs, crsg, config):
+        def counting(obs, crsg, config, carriers=None):
             events.append(("match", obs.object_id))
-            return real_match(obs, crsg, config)
+            passed.append(carriers)
+            return real_match(obs, crsg, config, carriers)
 
         monkeypatch.setattr(policy_mod, "match_carrier", counting)
         world = GridWorld(policy_scene(), start_pose=Pose([5.0, 4.5]))
@@ -640,6 +641,9 @@ class TestRunTask:
         assert all(not matched for _, matched in legs[len(sensed):])
         for seen, matched in sensed:
             assert sorted(matched) == sorted(seen)
+        # each leg builds the graph's part of the match keys once
+        assert len({id(carriers) for carriers in passed}) == len(sensed) < len(passed)
+        assert all(carriers == graph_carriers(crsg) for carriers in passed)
 
     def test_variants_share_the_success_on_accurate_beliefs(self, world_and_graph):
         world, crsg = world_and_graph

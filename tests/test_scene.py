@@ -2,6 +2,8 @@
 
 import json
 import math
+import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +28,23 @@ from carriernav.scene import (
     write_json,
 )
 
+import oracles
 from conftest import assert_every_write_raises, golden_scene_dict, obj_dict, scene_dict
+
+# coordinates that make shared corners, touching edges and signed zeros
+# likely, beside any float
+COORDS = (st.sampled_from([-1.0, -0.0, 0.0, 0.25, 0.5, 1.0, 2.0])
+          | st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=True))
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@st.composite
+def boxes(draw):
+    corners = [sorted([draw(COORDS), draw(COORDS)]) for _ in range(3)]
+    return Box3([lo for lo, _ in corners], [hi for _, hi in corners])
 
 
 class TestBox3:
@@ -48,6 +66,15 @@ class TestBox3:
         # touching edges do not count as overlap
         d = Box3([2, 0, 0], [4, 2, 1])
         assert a.xy_intersection_area(d) == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=boxes(), b=boxes())
+    @example(a=Box3([0, 0, 0], [2, 2, 1]), b=Box3([2, 0, 0], [4, 2, 1]))  # touching
+    @example(a=Box3([-0.0, -0.0, 0], [1, 1, 1]), b=Box3([-1, -1, 0], [0.0, 0.0, 1]))
+    def test_xy_intersection_is_the_numpy_rule(self, a, b):
+        area = a.xy_intersection_area(b)
+        assert type(area) is float
+        assert bits(area) == bits(oracles.xy_intersection_area_numpy(a, b))
 
     def test_contains_point(self):
         box = Box3([0, 0, 0], [1, 1, 1])
@@ -145,6 +172,36 @@ class TestPolygon:
         assert point_in_polygon([1.0, 3.0], poly)
         assert point_in_polygon([3.0, 1.0], poly)
         assert not point_in_polygon([3.0, 3.0], poly)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_point_in_polygon_is_the_numpy_rule(self, data):
+        # any polygon, and points at a vertex, on an edge and anywhere
+        n = data.draw(st.integers(3, 6))
+        poly = np.array([[data.draw(COORDS), data.draw(COORDS)] for _ in range(n)])
+        i = data.draw(st.integers(0, n - 1))
+        t = data.draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+        a, b = poly[i], poly[(i + 1) % n]
+        for point in (a, a + t * (b - a), [data.draw(COORDS), data.draw(COORDS)]):
+            assert point_in_polygon(point, poly) == oracles.point_in_polygon_numpy(point, poly)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_assign_rooms_is_the_numpy_rule(self, data):
+        # rectangles that may share edges and overlap; centroids anywhere,
+        # on their corners among them
+        rooms = []
+        for k in range(data.draw(st.integers(0, 3))):
+            (x0, x1), (y0, y1) = (sorted(data.draw(st.lists(COORDS, min_size=2, max_size=2,
+                                                            unique=True)))
+                                  for _ in range(2))
+            rooms.append(Room(f"r{k}", [[x0, y0], [x1, y0], [x1, y1], [x0, y1]]))
+        corners = [v for room in rooms for v in room.polygon.tolist()]
+        points = data.draw(st.lists(st.sampled_from(corners), max_size=4)) if corners else []
+        points += data.draw(st.lists(st.lists(COORDS, min_size=2, max_size=2), max_size=4))
+        objects = [SimpleNamespace(id=f"o{k}", centroid=np.array([x, y, 0.0]))
+                   for k, (x, y) in enumerate(points)]
+        assert assign_rooms(objects, rooms) == oracles.assign_rooms_numpy(objects, rooms)
 
     def test_assign_rooms_by_centroid(self):
         rooms = [
@@ -312,6 +369,39 @@ def test_save_load_round_trip(tmp_path):
     path2 = tmp_path / "scene2.json"
     save_scene(loaded, str(path2))
     assert path.read_bytes() == path2.read_bytes()
+
+
+def per_entry_floats(obj) -> dict:
+    """``ObjectInstance.to_dict`` converting each array entry with ``float``."""
+    out = {
+        "id": obj.id,
+        "captions": list(obj.captions),
+        "box": {"min": [float(x) for x in obj.box.min], "max": [float(x) for x in obj.box.max]},
+        "centroid": [float(x) for x in obj.centroid],
+        "text_feature": [float(x) for x in obj.text_feature],
+        "visual_feature": [float(x) for x in obj.visual_feature],
+    }
+    if obj.room_id is not None:
+        out["room_id"] = obj.room_id
+    return out
+
+
+def test_saved_arrays_are_their_per_entry_floats(tmp_path):
+    # signed zeros and subnormals in the features; 1e300 in the box and
+    # centroid, since a feature holding it has no finite norm
+    scene = scene_from_dict(golden_scene_dict())
+    feature = np.zeros(256)
+    feature[:4] = [1.0, -0.0, 5e-324, 2.2e-308]
+    box = Box3([-0.0, 0.0, 0.0], [1e300, 1.0, 0.5])
+    scene.objects["odd_0"] = ObjectInstance("odd_0", ("odd thing",), box, [1e299, 0.5, 0.25],
+                                            feature, -feature)
+    save_scene(scene, str(tmp_path / "scene.json"))
+    tree = scene.to_dict()
+    tree["objects"] = [per_entry_floats(obj) for obj in scene.objects.values()]
+    write_json(str(tmp_path / "expected.json"), tree)
+    text = (tmp_path / "scene.json").read_text()
+    assert text == (tmp_path / "expected.json").read_text()
+    assert all(v in text for v in ("-0.0", "5e-324", "2.2e-308", "1e+300", "1e+299"))
 
 
 def test_load_scene_bad_json(tmp_path):

@@ -1,6 +1,6 @@
 """The facts of a scene: moves, carrier answers, legs, the carrying
-relation, pairings and room assignments shared by every world and graph
-built on one ``SceneMap``.  Each kept answer is checked against
+relation, pairings, room assignments and embedded texts shared by every
+world and graph built on one ``SceneMap``.  Each kept answer is checked against
 the rule it replaced (``tests/oracles.py``); whole task sequences sharing
 them are checked against cold ones in ``test_bench.py``."""
 
@@ -14,7 +14,10 @@ import numpy as np
 import pytest
 
 from carriernav import graph, update
-from carriernav.graph import CrsgConfig, build_crsg, nearest_carrier, release_scene_facts
+from carriernav.bench import run_sequence
+from carriernav.graph import (DEFAULT_CARRIER_REFERENCE, CrsgConfig, Query, build_crsg,
+                              nearest_carrier, query_target, release_scene_facts)
+from carriernav.policy import VARIANTS
 from carriernav.scenarios import build_scenario
 from carriernav.scene import HALLWAY_ROOM_ID, Box3, scene_from_dict
 from carriernav.update import MatchConfig, match_carrier, reconcile_carried
@@ -340,3 +343,43 @@ class TestSharedRooms:
         assert build_crsg(scene).room_assignment["table_0"] == HALLWAY_ROOM_ID
         assert len(assignments) == 2
         assert_every_kept_answer_is_its_rule()
+
+
+class TestSharedTexts:
+    def test_the_six_variants_embed_each_text_once(self, monkeypatch):
+        texts = counting(monkeypatch, graph, "embed_text")
+        sc = build_scenario("mixed", 0, 3)
+        for name in sorted(VARIANTS):
+            run_sequence(sc, VARIANTS[name])
+        assert len(texts) > 1 and len(texts) == len(set(texts))
+        assert_every_kept_answer_is_its_rule()
+
+    def test_a_plain_and_a_scoped_query_embed_each_text_once(self, monkeypatch):
+        texts = counting(monkeypatch, graph, "embed_text")
+        scene = two_tables_scene()
+        crsg = build_crsg(scene)
+        assert query_target(crsg, Query(text="red cup"))[0].id == "cup_0"
+        assert query_target(crsg, Query(text="red cup", carrier_text="table"))[0].id == "cup_0"
+        build_crsg(scene)
+        assert texts == [(DEFAULT_CARRIER_REFERENCE, 256), ("red cup", 256), ("table", 256)]
+        assert_every_kept_answer_is_its_rule()
+
+    def test_a_changed_carrier_reference_is_asked_anew(self, monkeypatch):
+        texts = counting(monkeypatch, graph, "embed_text")
+        scene, cfg = two_tables_scene(), CrsgConfig()
+        build_crsg(scene, cfg)
+        cfg.carrier_reference = "cup pen"  # no table resembles it
+        assert build_crsg(scene, cfg).carriers == {}
+        assert texts == [(DEFAULT_CARRIER_REFERENCE, 256), ("cup pen", 256)]
+        assert_every_kept_answer_is_its_rule()
+
+    def test_another_scene_frees_the_kept_texts(self, monkeypatch):
+        texts = counting(monkeypatch, graph, "embed_text")
+        crsg = build_crsg(two_tables_scene())
+        query_target(crsg, Query(text="red cup"))
+        kept = weakref.ref(kept_answers()[("text", "red cup", 256)].vec)
+        build_crsg(two_tables_scene())
+        gc.collect()
+        assert kept() is None
+        query_target(crsg, Query(text="red cup"))
+        assert [text for text, _ in texts].count("red cup") == 2

@@ -16,7 +16,9 @@ must fail here.
 
 Every answer a scene's facts keep is checked against the rule it replaced
 by ``conftest.assert_every_kept_answer_is_its_rule``, one check per kind of
-key.  A new kind of kept answer without its check must fail here.
+key.  A new kind of kept answer without its check must fail here.  Every
+later reader shares a kept answer, so the check also fails on any writable
+array the answer holds.
 """
 
 import ast
@@ -25,12 +27,15 @@ import sys
 from pathlib import Path
 from typing import Union, get_args, get_origin, get_type_hints
 
+import numpy as np
+
 import carriernav  # noqa: F401  (loads every module the span table names)
 from carriernav.bench import run_sequence
+from carriernav.features import Feature
 from carriernav.policy import VARIANTS
-from carriernav.scene import _SceneFile, _schema
+from carriernav.scene import Room, _SceneFile, _schema
 from carriernav.scenarios import _ScenarioFile, build_scenario
-from conftest import KEPT_ANSWER_CHECKS
+from conftest import KEPT_ANSWER_CHECKS, writable_arrays
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -166,7 +171,7 @@ def test_every_kind_of_kept_answer_has_its_check():
         if lines:
             unresolved[path.name] = lines
     assert unresolved == {}
-    assert {"carrier", "match", "move", "leg", "carried", "reconcile", "rooms"} <= kinds
+    assert {"carrier", "match", "move", "leg", "carried", "reconcile", "rooms", "text"} <= kinds
     assert sorted(kinds - set(KEPT_ANSWER_CHECKS)) == []
 
 
@@ -176,3 +181,11 @@ def test_the_kind_guard_sees_every_key_literal():
               "def c(key):\n    return scene_answer(key, f)\n"
               "def d(x):\n    return other((\"three\", x))\n")
     assert kept_answer_kinds(source) == ({"one", "two"}, [7])
+
+
+def test_the_kept_answer_guard_sees_every_writable_array():
+    frozen, loose = np.zeros(2), np.ones(3)
+    frozen.setflags(write=False)
+    room = Room("r", [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])  # a dataclass, writable polygon
+    found = writable_arrays({"a": [(frozen, Feature.of(loose))], loose.tobytes(): [room]})
+    assert sorted(map(id, found)) == sorted([id(loose), id(room.polygon)])
