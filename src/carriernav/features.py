@@ -14,6 +14,8 @@ from typing import List, NamedTuple
 
 import numpy as np
 
+from . import facts
+
 DEFAULT_EMBEDDING_DIM = 256
 
 # FNV-1a 64-bit, fixed so bucket assignment never depends on the process.
@@ -70,6 +72,20 @@ class Feature(NamedTuple):
         norm = float(np.linalg.norm(vec))
         # a positive norm needs a non-zero entry; a zero one may have underflowed
         return cls(vec, norm, norm == 0.0 and is_zero_feature(vec))
+
+
+def text_feature(text: str, dim: int) -> Feature:
+    """``text`` embedded at ``dim``, with a read-only vector.  One answer
+    per (token sequence, dim) is kept with the scene's facts: an embedding
+    reads only the tokens, so texts that tokenize alike (an image token
+    and its caption) share it."""
+    return facts.answer(("text", tuple(tokenize(text)), dim), _text_feature, text, dim)
+
+
+def _text_feature(text: str, dim: int) -> Feature:
+    vec = embed_text(text, dim)
+    vec.setflags(write=False)
+    return Feature.of(vec)
 
 
 def cosine(a: Feature, b: Feature) -> float:

@@ -9,6 +9,8 @@ stage funnel over all scene objects:
 followed by an exclusive assignment of every remaining object to at most
 one carrier via a geometric carrying predicate.  Objects that are neither
 carriers nor carried are orphans (static clutter such as doors or rugs).
+Answers about a scene's instances are kept with the scene's facts
+(``carriernav.facts``).
 """
 
 from __future__ import annotations
@@ -16,12 +18,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
+from itertools import chain
 from operator import attrgetter
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .features import Feature, cosine, embed_text, strip_image_prefix
+from . import facts
+from .features import Feature, cosine, strip_image_prefix, text_feature
 from .priors import CarrierPriorOracle, KeywordPriorOracle
 from .scene import ObjectInstance, Room, SceneMap, assign_rooms
 
@@ -76,66 +80,6 @@ class CrsgConfig:
 crsg_values = attrgetter(*(f.name for f in fields(CrsgConfig)))
 
 
-class _SceneFacts:
-    """Answers about the object instances of one scene, computed once and
-    shared by every world and graph built on it.  A key starts with its
-    kind and holds every input of the answer: the instances it asks about
-    (hashed by identity), anything else by value, and the config values.
-    The kinds: ``move``, ``leg`` and ``carried`` (a world's moves, legs
-    and carrying relation), ``carrier`` (:func:`nearest_carrier`),
-    ``match`` and ``reconcile`` (an update's carrier matches and
-    pairings), ``rooms`` (the room assignment of :func:`build_crsg`) and
-    ``text`` (:func:`text_feature`: the carrier reference and each query's
-    descriptors)."""
-
-    def __init__(self, scene: SceneMap):
-        self.scene = scene
-        self.answers: Dict[tuple, object] = {}
-
-
-_kept_scene: Optional[_SceneFacts] = None
-_UNKNOWN = object()
-
-
-def keep_scene_facts(scene: SceneMap) -> None:
-    """Keep ``scene``'s facts: the kept ones if they are this scene's (the
-    same object), else new ones that replace them."""
-    global _kept_scene
-    if _kept_scene is None or _kept_scene.scene is not scene:
-        _kept_scene = _SceneFacts(scene)
-
-
-def release_scene_facts() -> None:
-    """Drop the kept scene's facts; answers are computed anew until a
-    world or graph is built again."""
-    global _kept_scene
-    _kept_scene = None
-
-
-def scene_answer(key: tuple, compute: Callable, *args):
-    """The kept answer for ``key``, else ``compute(*args)``, kept when it
-    returns.  With no scene's facts kept, nothing is kept."""
-    facts = _kept_scene
-    if facts is None:
-        return compute(*args)
-    answer = facts.answers.get(key, _UNKNOWN)
-    if answer is _UNKNOWN:
-        answer = facts.answers[key] = compute(*args)
-    return answer
-
-
-def text_feature(text: str, dim: int) -> Feature:
-    """``text`` embedded at ``dim``, with a read-only vector.  One answer
-    per (text, dim) is kept with the scene's facts."""
-    return scene_answer(("text", text, dim), _text_feature, text, dim)
-
-
-def _text_feature(text: str, dim: int) -> Feature:
-    vec = embed_text(text, dim)
-    vec.setflags(write=False)
-    return Feature.of(vec)
-
-
 @dataclass
 class CarrierNode:
     object: ObjectInstance
@@ -174,19 +118,6 @@ class Crsg:
         if object_id in self.orphan_objects:
             return self.orphan_objects.pop(object_id)
         return self.missing.pop(object_id, None)
-
-    def carried_objects(self) -> Dict[str, ObjectInstance]:
-        out: Dict[str, ObjectInstance] = {}
-        for node in self.carriers.values():
-            out.update(node.carried)
-        return out
-
-    def all_objects(self) -> Dict[str, ObjectInstance]:
-        out = {cid: node.object for cid, node in self.carriers.items()}
-        out.update(self.carried_objects())
-        out.update(self.orphan_objects)
-        out.update(self.missing)
-        return out
 
     def carried_relation(self) -> Dict[str, Tuple[str, ...]]:
         return {
@@ -322,7 +253,7 @@ def nearest_carrier(
     scene's facts.
     """
     candidates = tuple(candidates)
-    return scene_answer(("carrier", obj, candidates, crsg_values(config)),
+    return facts.answer(("carrier", obj, candidates, crsg_values(config)),
                         _nearest_carrier, obj, candidates, config)
 
 
@@ -367,7 +298,7 @@ def build_crsg(
     """Compose the full construction pipeline over a scene."""
     config = config or CrsgConfig()
     prior = prior or KeywordPriorOracle()
-    keep_scene_facts(scene)
+    facts.keep_scene(scene)
 
     objects = list(scene.objects.values())
     candidates = select_carrier_candidates(objects, config.carrier_reference, config)
@@ -381,7 +312,7 @@ def build_crsg(
     # one room assignment per (instances, rooms) is kept with the scene's
     # facts; rooms are mutable, so they are keyed by content
     rooms = tuple((room.id, room.polygon.tobytes()) for room in scene.rooms)
-    room_assignment = dict(scene_answer(("rooms", tuple(objects), rooms),
+    room_assignment = dict(facts.answer(("rooms", tuple(objects), rooms),
                                         assign_rooms, objects, scene.rooms))
     # Declared room ids win over the geometric assignment.
     for obj in objects:
@@ -442,11 +373,17 @@ def query_target(crsg: Crsg, query: Query) -> Tuple[ObjectInstance, float]:
     features.  With a carrier descriptor the candidate pool narrows to the
     objects carried by the maximally similar carrier(s); the carrier itself
     is never returned for a scoped query.  Ties break to the smaller id.
+    The graph's objects are read in the order carriers, the objects they
+    carry, orphans, missing objects; the first gives the feature dimension.
     """
-    all_objects = crsg.all_objects()
-    if not all_objects:
+    carriers = crsg.carriers.values()
+    everything = chain((node.object for node in carriers),
+                       (obj for node in carriers for obj in node.carried.values()),
+                       crsg.orphan_objects.values(), crsg.missing.values())
+    first = next(everything, None)
+    if first is None:
         raise QueryError("cannot query an empty graph")
-    dim = next(iter(all_objects.values())).text_feature.shape[0]
+    dim = first.text_feature.shape[0]
 
     use_visual = query.image is not None
     query_feat = text_feature(strip_image_prefix(query.image) if use_visual else query.text, dim)
@@ -475,7 +412,7 @@ def query_target(crsg: Crsg, query: Query) -> Tuple[ObjectInstance, float]:
                 f"carrier(s) matching {query.carrier_text!r} hold no objects"
             )
     else:
-        pool = list(all_objects.values())
+        pool = chain((first,), everything)
 
     result = _best_match(pool, query_feat, use_visual)
     if result is None:

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .features import embed_text, cosine_similarity, strip_image_prefix, tokenize
+from .features import (DEFAULT_EMBEDDING_DIM, cosine, strip_image_prefix, text_feature,
+                       tokenize)
 
 
 class OracleError(RuntimeError):
@@ -81,8 +82,9 @@ class KeywordPriorOracle(CarrierPriorOracle):
     ``is_carrier`` looks for furniture words in the first three captions.
     ``rank_carriers`` orders carriers by the affinity table for the first
     recognized item word in the descriptor.  ``compare_images`` scores two
-    opaque tokens by hashed bag-of-words cosine, which lands in [0, 1]
-    because the count vectors are non-negative.
+    opaque tokens by the cosine of their hashed bag-of-words text features
+    (``features.text_feature``), which lands in [0, 1] because the count
+    vectors are non-negative.
     """
 
     name = "keyword"
@@ -121,8 +123,8 @@ class KeywordPriorOracle(CarrierPriorOracle):
         return [s.id for s in sorted(carriers, key=key)]
 
     def compare_images(self, candidate_token: str, target_token: str) -> float:
-        a = embed_text(strip_image_prefix(candidate_token))
-        b = embed_text(strip_image_prefix(target_token))
-        if not a.any() or not b.any():
+        a = text_feature(strip_image_prefix(candidate_token), DEFAULT_EMBEDDING_DIM)
+        b = text_feature(strip_image_prefix(target_token), DEFAULT_EMBEDDING_DIM)
+        if a.zero or b.zero:
             return 0.0
-        return max(0.0, min(1.0, cosine_similarity(a, b)))
+        return max(0.0, min(1.0, cosine(a, b)))

@@ -20,8 +20,9 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import facts
 from .features import Feature, cosine
-from .graph import Crsg, scene_answer
+from .graph import Crsg
 from .scene import ObjectInstance
 from .world import Observation
 
@@ -103,7 +104,7 @@ def match_carrier(obs: Observation, crsg: Crsg, config: MatchConfig,
     seen = obs.object
     ids, objects = graph_carriers(crsg) if carriers is None else carriers
     key = ("match", seen, ids, objects, _match_values(config))
-    return scene_answer(key, _match_carrier, seen, ids, objects, config)
+    return facts.answer(key, _match_carrier, seen, ids, objects, config)
 
 
 def _match_carrier(seen, ids: Sequence[str], objects: Sequence[ObjectInstance],
@@ -146,7 +147,7 @@ def reconcile_carried(
         raise UpdateError(f"unknown carrier {carrier_id!r}")
     entries = crsg.carriers[carrier_id].carried
     seen = tuple(obs.object for obs in observations)
-    matched_obs, matched_entries = scene_answer(
+    matched_obs, matched_entries = facts.answer(
         ("reconcile", seen, tuple(entries.items()), _match_values(config)),
         _pair, seen, entries, config)
 

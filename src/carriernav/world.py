@@ -26,49 +26,12 @@ sighting of a leg, and ``observe`` is that pass for a single pose.  An
 ``Observation`` is the sighted object, as the world held it at that moment,
 plus its depth.
 
-Each derived fact is computed once per change to its inputs:
-
-* facts of the grid, which no world changes: the read-only occupancy, the
-  free-cell graph, its connected components, the snap of every point asked
-  for, each source's search and the paths walked on it.  They belong to the
-  grid, not the world:
-  every world built on an equal grid (same resolution, origin and
-  occupancy, compared by content) shares one ``_GridFacts``, so the
-  worlds a task sequence builds in one house, one per variant, build one
-  graph and search each source once.  The module keeps the facts of the
-  last grid built only, and drops them when a world on another grid is
-  built, before that grid's graph exists; the worlds alive hold theirs.
-  Of the searches, a grid keeps the latest ``SEARCHES_PER_GRID`` sources
-  read, and a path is kept with its source's search and dropped with it.
-  Sharing cannot change a result: a snap and a component label are pure
-  functions of the grid, each search is exact at every cell it reads
-  whatever its limit, and a path's walk-back reads only cells nearer than
-  its goal, so a kept path is the one any later search would give.  An
-  unreachable goal is not kept;
-* facts of the objects: their ``(id, instance)`` items (the objects part
-  of the keys below) and their centroids (for sensing).  They live and die
-  with the world.  Objects change only in ``apply_displacement``, which
-  clears both when it returns or raises;
-* facts of the scene, which no variant's policy changes: the objects each
-  move makes, each leg's sightings, length and final heading, the
-  carrying relation, the answers of ``graph.nearest_carrier`` and
-  ``update.match_carrier``, each pairing of ``update.reconcile_carried``,
-  the room assignment of ``graph.build_crsg`` and each text that
-  ``graph.text_feature`` embeds (the carrier reference and each query's
-  descriptors).  They belong to the scene object, not the world: every
-  world and every graph built on the same ``SceneMap`` shares one
-  ``graph._SceneFacts``, so the six variants' ``run_sequence`` calls on
-  one scenario displace its objects once, sense each leg once, ask each
-  carrier question once and embed each text once.  The module keeps the
-  facts of the last scene built on only, and drops them when a world or
-  graph is built on another scene.  Sharing cannot change a result:
-  objects are frozen and hashed by identity, and each answer is kept under
-  all its inputs (the instances asked about: every object of the world a
-  move or leg starts from, or the object and every candidate carrier; the
-  event, or the grid by content and the path's cells; the config values),
-  so it is a pure function of its key.  A move that is rejected (it still
-  re-seats its object) or raises is not kept, nor is a leg that raises, nor
-  an add, whose payload is no key; a remove makes no new instance.
+Each derived fact is computed once per change to its inputs.  The facts of
+the grid and of the scene are kept by ``carriernav.facts``, which says what
+is kept, how it is matched and when it is dropped.  The objects' ``(id,
+instance)`` items (the objects part of the keys of kept answers) and their
+centroids live and die with the world: ``apply_displacement``, the only
+place objects change, clears both when it returns or raises.
 """
 
 from __future__ import annotations
@@ -82,8 +45,10 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
+from . import facts
+from .features import embed_text
 from .graph import (CrsgConfig, carrying_predicate, crsg_values, geometric_carrier_filter,
-                    keep_scene_facts, nearest_carrier, scene_answer)
+                    nearest_carrier)
 from .scene import Box3, ObjectInstance, SceneMap
 
 SQRT2 = math.sqrt(2.0)
@@ -181,61 +146,11 @@ class TravelLog:
     length: float
 
 
-# Sources whose searches one grid keeps, the least recently read dropped
-# first: a long run of scenarios in one house adds sources, and a field costs
-# 8 bytes per free cell.  The generated task sequences read at most 10 per
-# grid, so none of theirs is dropped.
-SEARCHES_PER_GRID = 16
-
-
-class _GridFacts:
-    """The facts of one occupancy grid, shared by every world built on an
-    equal grid.  Each is computed on its first read."""
-
-    def __init__(self, occupancy: np.ndarray, resolution: float, origin: np.ndarray):
-        self.occupancy = occupancy  # read-only
-        self.resolution = resolution
-        self.origin = origin.copy()
-        self.graph: Optional[Tuple[csr_matrix, np.ndarray, np.ndarray]] = None
-        self.labels: Optional[np.ndarray] = None
-        self.snaps: Dict[Tuple[float, float], Cell] = {}
-        # source -> (limit, dist, goal cell -> (path cells, length)), the
-        # least recently read first
-        self.searches: Dict[Cell, Tuple[float, np.ndarray, Dict[Cell, Tuple[tuple, float]]]] = {}
-        # the grid by content, in the keys of kept legs
-        self.key = (resolution, tuple(self.origin.tolist()), occupancy.shape, occupancy.tobytes())
-
-    def matches(self, occupancy: np.ndarray, resolution: float, origin: np.ndarray) -> bool:
-        """Whether these are the facts of the grid given, by content."""
-        return (self.resolution == resolution and np.array_equal(self.origin, origin)
-                and np.array_equal(self.occupancy, occupancy))
-
-
-_kept_grid: Optional[_GridFacts] = None
-
-
-def _grid_facts(occupancy: np.ndarray, resolution: float, origin: np.ndarray) -> _GridFacts:
-    """The kept facts if they describe this grid, else new facts that
-    replace them.  The new graph is built on the first read, so the last
-    grid's graph is gone by then unless a live world holds it."""
-    global _kept_grid
-    if _kept_grid is None or not _kept_grid.matches(occupancy, resolution, origin):
-        _kept_grid = _GridFacts(occupancy, resolution, origin)
-    return _kept_grid
-
-
-def release_grid_facts() -> None:
-    """Drop the kept grid's facts; the next world computes its own.  Worlds
-    alive keep the facts they share."""
-    global _kept_grid
-    _kept_grid = None
-
-
 class GridWorld:
     """Simulator state: occupancy grid, object ground truth, robot pose."""
 
     def __init__(self, scene: SceneMap, start_pose: Optional[Pose] = None):
-        keep_scene_facts(scene)
+        facts.keep_scene(scene)
         self.scene = copy.copy(scene)
         self.scene.objects = dict(scene.objects)
         grid = self.scene.grid
@@ -245,7 +160,7 @@ class GridWorld:
         self.origin = np.asarray(grid.origin, dtype=np.float64)
         occupancy = grid.occupancy()  # painted from the bulk-checked cell array
         occupancy.flags.writeable = False  # worlds share it
-        self._grid = _grid_facts(occupancy, self.resolution, self.origin)
+        self._grid = facts.keep_grid(occupancy, self.resolution, self.origin)
         self.occupancy = self._grid.occupancy
 
         if start_pose is None:
@@ -420,8 +335,8 @@ class GridWorld:
         search can relax.  This is the one place the movement rule lives.
         Built once per grid.
         """
-        facts = self._grid
-        if facts.graph is None:
+        grid = self._grid
+        if grid.graph is None:
             free = ~self.occupancy
             h, w = free.shape
             n = int(free.sum())
@@ -445,21 +360,21 @@ class GridWorld:
             steps = np.tile(np.array(STEP_CELLS) * self.resolution, n)
             indptr = np.arange(0, slots * n + 1, slots, dtype=np.int32)
             graph = csr_matrix((steps, cols.ravel(), indptr), shape=(n, n))
-            facts.graph = (graph, index, cells)
-        return facts.graph
+            grid.graph = (graph, index, cells)
+        return grid.graph
 
     def connected(self, a: Sequence[float], b: Sequence[float]) -> bool:
         """Whether a free-cell path joins the free cells nearest ``a`` and
         ``b``: one connected-component label lookup, no search.  The labels
         are computed once per grid."""
         graph, index, _ = self._free_graph()
-        facts = self._grid
-        if facts.labels is None:
+        grid = self._grid
+        if grid.labels is None:
             # the graph is symmetric, so its strong components are its
             # components, found without the transpose a weak search builds
-            facts.labels = connected_components(
+            grid.labels = connected_components(
                 graph, directed=True, connection="strong")[1]
-        labels = facts.labels
+        labels = grid.labels
         (ax, ay), (bx, by) = self.snap_free_cell(a), self.snap_free_cell(b)
         return bool(labels[index[ay, ax]] == labels[index[by, bx]])
 
@@ -475,9 +390,9 @@ class GridWorld:
         Searches are bounded: Dijkstra with ``limit=L`` gives the exact
         distance of every cell at or below L and inf for the rest.  The
         grid's facts keep ``(limit, dist, paths)`` of each source cell's
-        latest search, for the latest ``SEARCHES_PER_GRID`` sources read; a
-        read from a dropped source searches anew, and its kept paths went
-        with it.  A read that finds no search
+        latest search, for the latest ``facts.SEARCHES_PER_GRID`` sources
+        read; a read from a dropped source searches anew, and its kept paths
+        went with it.  A read that finds no search
         from ``source``, or inf under a finite limit, searches again from
         ``source`` with the limit ``max(2 * limit, 1.25 * octile(source,
         cell))`` plus a 1e-9 relative margin (the first limit is 1.25 *
@@ -496,8 +411,7 @@ class GridWorld:
         """
         graph, index, _ = self._free_graph()
         target = index[cell[1], cell[0]]
-        searches = self._grid.searches
-        limit, dist, paths = searches.pop(source, None) or (0.0, None, {})
+        limit, dist, paths = self._grid.searches.get(source) or (0.0, None, {})
         farthest_corner = (0 if 2 * source[0] >= self.width else self.width - 1,
                            0 if 2 * source[1] >= self.height else self.height - 1)
         while dist is None or (math.isinf(dist[target]) and not math.isinf(limit)):
@@ -506,9 +420,7 @@ class GridWorld:
                 limit = math.inf
             dist = dijkstra(graph, directed=True, indices=int(index[source[1], source[0]]),
                             limit=limit)
-        searches[source] = (limit, dist, paths)  # now the most recently read
-        if len(searches) > SEARCHES_PER_GRID:
-            del searches[next(iter(searches))]
+        self._grid.keep_search(source, (limit, dist, paths))
         return dist
 
     def distance_field(self, start: Sequence[float]) -> "DistanceField":
@@ -584,7 +496,7 @@ class GridWorld:
         key = ("leg", self._objects(), self._grid.key, cells,
                self.robot.heading if len(cells) == 1 else None,
                sensor.radius, sensor.fov, sensor.occlusion)
-        seen, length, heading = scene_answer(key, self._leg, cells, sensor)
+        seen, length, heading = facts.answer(key, self._leg, cells, sensor)
         self.robot = Pose(self.cell_center(cells[-1]), heading)
         return TravelLog(observations={obs.object_id: obs for obs in seen}, length=length)
 
@@ -695,7 +607,7 @@ class GridWorld:
         scene's facts.
         """
         self.object(carrier_id)
-        relation = scene_answer(("carried", self._objects(), crsg_values(config)),
+        relation = facts.answer(("carried", self._objects(), crsg_values(config)),
                                 self._carried_relation, config)
         return list(relation.get(carrier_id, ()))
 
@@ -709,19 +621,6 @@ class GridWorld:
             if cid is not None:
                 relation.setdefault(cid, []).append(oid)
         return relation
-
-    def _occupants(self, carrier: ObjectInstance, config: CrsgConfig) -> List[ObjectInstance]:
-        """The objects resting on ``carrier``: the carrying relation of
-        :meth:`_carried_relation` restricted to one base.  Only objects the
-        carrier satisfies the carrying predicate for can have it as their
-        nearest carrier, so only those pay a :func:`nearest_carrier` call."""
-        objects = self.scene.objects
-        held = [obj for obj in objects.values()
-                if obj.id != carrier.id and carrying_predicate(carrier, obj, config)]
-        if not held:
-            return []
-        bases = tuple(geometric_carrier_filter(list(objects.values()), config))
-        return [obj for obj in held if nearest_carrier(obj, bases, config) == carrier.id]
 
     def carried_observations(self, carrier_id: str, pose: Pose, config: CrsgConfig) -> List[Observation]:
         """Full view of a carrier's current occupants, granted at its side."""
@@ -753,7 +652,8 @@ class GridWorld:
         center = carrier.centroid[:2]
         # nearest the center first, ties by x then y
         order = np.lexsort((ys, xs, np.hypot(xs - center[0], ys - center[1])))
-        occupants = [obj for obj in self._occupants(carrier, config) if obj.id != skip_id]
+        occupants = [self.scene.objects[oid] for oid in self.ground_truth_carried(carrier.id, config)
+                     if oid != skip_id]
         n = len(order)
         for k in range(n):
             i = order[(start_index + k) % n]
@@ -816,7 +716,7 @@ class GridWorld:
             # a move is a pure function of the world's objects and the event
             key = ("move", self._objects(), event.object_id, event.target_carrier_id,
                    spot_index, crsg_values(config))
-            self.scene.objects[event.object_id] = scene_answer(key, self._moved, event, config,
+            self.scene.objects[event.object_id] = facts.answer(key, self._moved, event, config,
                                                                spot_index)
             return
 
@@ -837,8 +737,6 @@ class GridWorld:
         new_min = np.array([xy[0] - extents[0] / 2.0, xy[1] - extents[1] / 2.0, zmin])
         new_max = new_min + extents
         captions = payload.get("captions") or [oid]
-        from .features import embed_text  # local import avoids cycle at module load
-
         joined = " ".join(captions)
         dim = self.scene.embedding_dim
         obj = ObjectInstance(

@@ -4,13 +4,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from carriernav import graph
+from carriernav import facts, graph
 from carriernav.features import Feature, embed_text
-from carriernav.graph import (CrsgConfig, build_crsg, carrying_predicate,
-                              release_scene_facts)
+from carriernav.graph import CrsgConfig, build_crsg, carrying_predicate
 from carriernav.scene import Room, scene_from_dict
 from carriernav.update import MatchConfig
-from carriernav.world import GridWorld, Pose, SensorConfig, release_grid_facts
+from carriernav.world import GridWorld, Pose, SensorConfig
 
 import oracles
 
@@ -20,14 +19,13 @@ def cold_facts():
     """Every test starts with no grid's and no scene's facts kept, so the
     counts of graph builds, searches and computed answers a test reads do
     not depend on the tests before it."""
-    release_grid_facts()
-    release_scene_facts()
+    facts.release_facts()
 
 
 def find_object(crsg, object_id):
     """The graph's instance of ``object_id``, wherever the graph holds it,
     or None."""
-    return crsg.all_objects().get(object_id)
+    return oracles.all_objects(crsg).get(object_id)
 
 
 def scene_dict(objects, *, name="test", width=24, height=16, resolution=0.25,
@@ -144,8 +142,8 @@ def _check_rooms(key, answer):
 
 
 def _check_text(key, answer):
-    _, text, dim = key
-    fresh = Feature.of(embed_text(text, dim))
+    _, tokens, dim = key
+    fresh = Feature.of(embed_text(" ".join(tokens), dim))
     assert answer.vec.dtype == fresh.vec.dtype and answer.vec.shape == fresh.vec.shape
     assert answer.vec.tobytes() == fresh.vec.tobytes()
     assert (answer.norm, answer.zero) == (fresh.norm, fresh.zero)
@@ -189,7 +187,7 @@ def assert_every_kept_answer_is_its_rule():
     """Each answer the kept scene's facts hold equals the rule it replaced,
     run afresh on the inputs its key holds, and holds no writable array,
     since every later reader shares it.  A kind with no check fails."""
-    for key, answer in graph._kept_scene.answers.items():
+    for key, answer in facts._scene.answers.items():
         assert key[0] in KEPT_ANSWER_CHECKS, key
         KEPT_ANSWER_CHECKS[key[0]](key, answer)
         assert writable_arrays(answer) == [], key

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from carriernav.features import cosine
+from carriernav.features import cosine, cosine_similarity, embed_text, strip_image_prefix
 from carriernav.graph import carrying_predicate, geometric_carrier_filter
 from carriernav.world import GridWorld, Observation, Pose, WorldError
 
@@ -534,6 +534,29 @@ def reconcile_pairs_per_call(seen, entries, cfg):
             return matched, frozenset(taken)
         matched[best[1]] = best[2]
         taken.add(best[2])
+
+
+def all_objects(crsg) -> dict:
+    """Id -> instance of every object in the graph: carriers, then the
+    objects they carry, orphans and missing objects.  The graph's former
+    ``all_objects``, whose values were an unscoped query's pool."""
+    out = {cid: node.object for cid, node in crsg.carriers.items()}
+    for node in crsg.carriers.values():
+        out.update(node.carried)
+    out.update(crsg.orphan_objects)
+    out.update(crsg.missing)
+    return out
+
+
+def compare_images_per_call(candidate_token: str, target_token: str) -> float:
+    """The keyword prior's image score before it read kept text features:
+    both tokens embedded afresh, 0 when either has no feature, else their
+    cosine clamped to [0, 1]."""
+    a = embed_text(strip_image_prefix(candidate_token))
+    b = embed_text(strip_image_prefix(target_token))
+    if not a.any() or not b.any():
+        return 0.0
+    return max(0.0, min(1.0, cosine_similarity(a, b)))
 
 
 def ground_truth_carried_per_call(world, carrier_id, cfg) -> list:

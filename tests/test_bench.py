@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from carriernav import graph, update
+from carriernav import facts, update
 from carriernav.bench import (
     BenchError,
     episode_seed,
@@ -19,11 +19,11 @@ from carriernav.bench import (
     success_rate,
     tasks_sr,
 )
-from carriernav.graph import build_crsg, release_scene_facts
+from carriernav.graph import build_crsg
 from carriernav.policy import VARIANTS, EpisodeResult
 from carriernav.priors import KeywordPriorOracle
 from carriernav.scenarios import MODES, build_scenario, generate_scenarios
-from carriernav.world import GridWorld, release_grid_facts
+from carriernav.world import GridWorld
 
 from conftest import assert_every_kept_answer_is_its_rule
 from oracles import spl_oracle
@@ -197,16 +197,12 @@ def test_sequences_on_a_warm_grid_equal_cold_ones(mode, resolution, monkeypatch)
         monkeypatch.setattr(owner, name, counted)
     moves = calls["_moved"]
 
-    def release():
-        release_grid_facts()
-        release_scene_facts()
-
     cold = {}
     for name, variant in VARIANTS.items():
-        release()
+        facts.release_facts()
         cold[name] = run_sequence(sc, variant)
     cold_moves = len(moves)
-    release()
+    facts.release_facts()
     before = {name: len(c) for name, c in calls.items()}
     warm = {name: run_sequence(sc, variant) for name, variant in VARIANTS.items()}
     assert warm == cold
@@ -214,7 +210,7 @@ def test_sequences_on_a_warm_grid_equal_cold_ones(mode, resolution, monkeypatch)
     first = next(iter(VARIANTS))
     assert run_sequence(sc, VARIANTS[first]) == cold[first]
     assert {name: len(c) - before[name] for name, c in calls.items()} == in_warm
-    kinds = Counter(key[0] for key in graph._kept_scene.answers)
+    kinds = Counter(key[0] for key in facts._scene.answers)
     assert all(kinds[kind] for kind in ("carrier", "match", "move", "leg", "carried", "rooms"))
     assert cold_moves == len(VARIANTS) * kinds["move"] == len(VARIANTS) * in_warm["_moved"]
     assert in_warm["_first_sightings"] == kinds["leg"]

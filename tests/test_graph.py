@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carriernav import graph
 from carriernav.graph import (
     DEFAULT_CARRIER_REFERENCE,
+    Crsg,
     CrsgConfig,
     GraphError,
     Query,
@@ -359,6 +361,46 @@ class TestQuery:
     def test_stopword_only_query_raises(self, golden_graph):
         with pytest.raises(QueryError):
             query_target(golden_graph, Query(text="!!!"))
+
+    def test_an_unscoped_pool_reads_the_graph_in_section_order(self, monkeypatch):
+        # carriers, the objects they carry, orphans, then missing objects:
+        # the order of the graph's former all_objects, kept in oracles
+        pools = []
+        real = graph._best_match
+
+        def best_match(pool, *args):
+            pools.append(list(pool))
+            return real(pools[-1], *args)
+
+        monkeypatch.setattr(graph, "_best_match", best_match)
+        t0, t1 = table_dict("table_0", 2.0, 2.0), table_dict("table_1", 4.0, 2.0)
+        scene = make_scene([t1, item_on("pen_0", ["black pen"], t1), t0,
+                            item_on("cup_1", ["blue cup"], t0, dx=0.3),
+                            item_on("cup_0", ["red cup"], t0),
+                            obj_dict("rug_0", ["green rug"], 1.0, 3.0, 1.0, 1.0, 0.0, 0.02)],
+                           width=32, height=20)
+        crsg = build_crsg(scene, CrsgConfig())
+        crsg.missing["cup_1"] = crsg.carriers["table_0"].carried.pop("cup_1")
+        lone = Crsg(building="b", rooms=[], carriers={}, orphan_objects={},
+                    room_assignment={}, missing={"cup_1": scene.objects["cup_1"]})
+        for g in (crsg, lone):
+            for query in (Query(text="red cup"), Query(image="img:blue_cup")):
+                query_target(g, query)
+                expected = list(oracles.all_objects(g).values())
+                assert [obj.id for obj in pools[-1]] == [obj.id for obj in expected]
+                assert all(a is b for a, b in zip(pools[-1], expected))
+        assert [obj.id for obj in pools[0]] == ["table_1", "table_0", "pen_0", "cup_0",
+                                                "rug_0", "cup_1"]
+        query_target(crsg, Query(text="red cup", carrier_text="table"))
+        assert len(pools) == 5 and {obj.id for obj in pools[-1]} == {"pen_0", "cup_0"}
+
+    def test_an_empty_graph_raises(self):
+        empty = Crsg(building="b", rooms=[], carriers={}, orphan_objects={}, room_assignment={})
+        assert oracles.all_objects(empty) == {}
+        for query in (Query(text="red cup"), Query(image="img:red_cup"),
+                      Query(text="red cup", carrier_text="table")):
+            with pytest.raises(QueryError, match="cannot query an empty graph"):
+                query_target(empty, query)
 
     def test_score_tie_breaks_to_smaller_id(self):
         scene = make_scene([

@@ -12,12 +12,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from carriernav import graph, update
+from carriernav import facts, features, graph, update
 from carriernav.bench import run_sequence
 from carriernav.graph import (DEFAULT_CARRIER_REFERENCE, CrsgConfig, Query, build_crsg,
-                              nearest_carrier, query_target, release_scene_facts)
+                              nearest_carrier, query_target)
+from carriernav.features import tokenize
 from carriernav.policy import VARIANTS
+from carriernav.priors import KeywordPriorOracle
 from carriernav.scenarios import build_scenario
 from carriernav.scene import HALLWAY_ROOM_ID, Box3, scene_from_dict
 from carriernav.update import MatchConfig, match_carrier, reconcile_carried
@@ -30,7 +34,7 @@ from conftest import (assert_every_kept_answer_is_its_rule, item_on, obj_dict, s
 
 
 def kept_answers():
-    return dict(graph._kept_scene.answers) if graph._kept_scene is not None else {}
+    return dict(facts._scene.answers) if facts._scene is not None else {}
 
 
 def cup_above_table_scene():
@@ -193,18 +197,18 @@ class TestLifetime:
                                                target_carrier_id="table_1"), CrsgConfig())
         w.ground_truth_carried("table_1", CrsgConfig())
         assert kept_answers()
-        return weakref.ref(graph._kept_scene), weakref.ref(w.object("cup_0"))
+        return weakref.ref(facts._scene), weakref.ref(w.object("cup_0"))
 
     @pytest.mark.parametrize("other", ["world", "graph", "copy", "generator", "release"])
     def test_another_scene_frees_the_last_scenes_facts(self, other):
         a, b = self.scenes()
-        facts, moved = self.warm(a)
+        kept, moved = self.warm(a)
         gc.collect()
         # the last scene's facts outlive its worlds, for the next world on it
-        assert facts() is not None and moved() is not None
+        assert kept() is not None and moved() is not None
         GridWorld(a)
         build_crsg(a)
-        assert graph._kept_scene is facts()
+        assert facts._scene is kept()
         if other == "world":
             GridWorld(b)
         elif other == "graph":
@@ -214,21 +218,47 @@ class TestLifetime:
         elif other == "generator":
             build_scenario("single", 0, 3)
         else:
-            release_scene_facts()
+            facts.release_facts()
         gc.collect()
-        assert facts() is None and moved() is None
+        assert kept() is None and moved() is None
+
+    def test_release_drops_both_slots_and_a_live_world_keeps_its_grid(self, monkeypatch):
+        import carriernav.world as world_mod
+        a, _ = self.scenes()
+        w = GridWorld(a)
+        ends = w.cell_center((0, 0)), w.cell_center((20, 10))
+        path = w.shortest_path(*ends)
+        kept, moved = self.warm(a)
+        grid = w._grid
+        assert facts._grid is grid and grid.searches
+        searches = []
+        real = world_mod.dijkstra
+        monkeypatch.setattr(world_mod, "dijkstra",
+                            lambda *args, **kw: searches.append(kw) or real(*args, **kw))
+        facts.release_facts()
+        gc.collect()
+        assert facts._grid is None and facts._scene is None
+        assert kept() is None and moved() is None
+        # the live world still reads the facts of its grid: no search
+        assert w._grid is grid and w.shortest_path(*ends) == path and searches == []
+        # the next world on the same grid and scene computes its own
+        fresh = GridWorld(a)
+        assert fresh._grid is not grid and fresh._grid.graph is None
+        assert facts._grid is fresh._grid and facts._scene.scene is a
+        assert kept_answers() == {}
+        assert fresh.shortest_path(*ends) == path and len(searches) == 1
 
     def test_a_live_world_does_not_hold_the_facts(self):
         a, b = self.scenes()
         w = GridWorld(a)
-        facts, _ = self.warm(a)
+        kept, _ = self.warm(a)
         GridWorld(b)
         gc.collect()
-        assert facts() is None
+        assert kept() is None
         # the old world still works, and shares nothing with the new scene
         w.apply_displacement(DisplacementEvent(kind="remove", object_id="cup_0"), CrsgConfig())
         assert w.ground_truth_carried("table_0", CrsgConfig()) == []
-        assert graph._kept_scene.scene is b
+        assert facts._scene.scene is b
 
 
 def counting(monkeypatch, owner, name):
@@ -285,7 +315,7 @@ class TestSharedLegs:
         walled = GridWorld(walled_scene, start_pose=Pose([0.5, 0.5]))
         path, sensor = [(ix, 2) for ix in range(16)], SensorConfig(occlusion=True)
         assert "cup_0" in plain.travel(path, sensor).observations
-        assert graph._kept_scene.scene is walled_scene
+        assert facts._scene.scene is walled_scene
         assert "cup_0" not in walled.travel(path, sensor).observations
         assert sum(key[0] == "leg" for key in kept_answers()) == 2
         assert_every_kept_answer_is_its_rule()
@@ -347,7 +377,7 @@ class TestSharedRooms:
 
 class TestSharedTexts:
     def test_the_six_variants_embed_each_text_once(self, monkeypatch):
-        texts = counting(monkeypatch, graph, "embed_text")
+        texts = counting(monkeypatch, features, "embed_text")
         sc = build_scenario("mixed", 0, 3)
         for name in sorted(VARIANTS):
             run_sequence(sc, VARIANTS[name])
@@ -355,7 +385,7 @@ class TestSharedTexts:
         assert_every_kept_answer_is_its_rule()
 
     def test_a_plain_and_a_scoped_query_embed_each_text_once(self, monkeypatch):
-        texts = counting(monkeypatch, graph, "embed_text")
+        texts = counting(monkeypatch, features, "embed_text")
         scene = two_tables_scene()
         crsg = build_crsg(scene)
         assert query_target(crsg, Query(text="red cup"))[0].id == "cup_0"
@@ -365,7 +395,7 @@ class TestSharedTexts:
         assert_every_kept_answer_is_its_rule()
 
     def test_a_changed_carrier_reference_is_asked_anew(self, monkeypatch):
-        texts = counting(monkeypatch, graph, "embed_text")
+        texts = counting(monkeypatch, features, "embed_text")
         scene, cfg = two_tables_scene(), CrsgConfig()
         build_crsg(scene, cfg)
         cfg.carrier_reference = "cup pen"  # no table resembles it
@@ -373,13 +403,66 @@ class TestSharedTexts:
         assert texts == [(DEFAULT_CARRIER_REFERENCE, 256), ("cup pen", 256)]
         assert_every_kept_answer_is_its_rule()
 
+    def test_an_image_token_and_its_caption_share_one_text(self, monkeypatch):
+        texts = counting(monkeypatch, features, "embed_text")
+        crsg = build_crsg(two_tables_scene())
+        by_image = query_target(crsg, Query(image="img:red_cup"))
+        by_text = query_target(crsg, Query(text="red cup"))
+        assert by_image[0].id == by_text[0].id == "cup_0"
+        assert texts == [(DEFAULT_CARRIER_REFERENCE, 256), ("red_cup", 256)]
+        assert [key for key in kept_answers() if key[0] == "text"] == [
+            ("text", tuple(tokenize(DEFAULT_CARRIER_REFERENCE)), 256),
+            ("text", ("red", "cup"), 256)]
+        assert_every_kept_answer_is_its_rule()
+
+    def test_a_second_image_comparison_embeds_nothing(self, monkeypatch):
+        texts = counting(monkeypatch, features, "embed_text")
+        prior = KeywordPriorOracle()
+        build_crsg(two_tables_scene())
+        n = len(texts)
+        score = prior.compare_images("img:red_alarm_clock", "img:red_cup")
+        assert len(texts) == n + 2 and 0.0 < score < 1.0
+        # the same tokens, spelled as captions or in the other order
+        assert prior.compare_images("red alarm clock", "Red cup") == score
+        assert prior.compare_images("img:red_cup", "img:red_alarm_clock") == score
+        assert len(texts) == n + 2
+        assert_every_kept_answer_is_its_rule()
+        # with no scene kept, each comparison embeds both tokens
+        facts.release_facts()
+        assert prior.compare_images("img:red_alarm_clock", "img:red_cup") == score
+        assert len(texts) == n + 4
+
     def test_another_scene_frees_the_kept_texts(self, monkeypatch):
-        texts = counting(monkeypatch, graph, "embed_text")
+        texts = counting(monkeypatch, features, "embed_text")
         crsg = build_crsg(two_tables_scene())
         query_target(crsg, Query(text="red cup"))
-        kept = weakref.ref(kept_answers()[("text", "red cup", 256)].vec)
+        kept = weakref.ref(kept_answers()[("text", ("red", "cup"), 256)].vec)
         build_crsg(two_tables_scene())
         gc.collect()
         assert kept() is None
         query_target(crsg, Query(text="red cup"))
         assert [text for text, _ in texts].count("red cup") == 2
+
+
+IMAGE_WORDS = ["red", "Red", "cup", "alarm", "clock", "table", "walrus", "7"]
+IMAGE_TOKENS = st.one_of(
+    st.tuples(st.sampled_from(["", "img:"]), st.sampled_from([" ", "_", "-"]),
+              st.lists(st.sampled_from(IMAGE_WORDS), max_size=4)).map(
+        lambda t: t[0] + t[1].join(t[2])),
+    st.text(alphabet="abIMG:_ !7", max_size=12))
+TEXT_SCENE = two_tables_scene()
+
+
+@settings(max_examples=150, deadline=None)
+@given(IMAGE_TOKENS, IMAGE_TOKENS, st.booleans())
+def test_image_scores_are_the_embedding_rule(candidate, target, kept):
+    # kept texts (answers shared across examples) or none: the score is
+    # the rule of two fresh embeddings, bit for bit
+    if kept:
+        facts.keep_scene(TEXT_SCENE)
+    else:
+        facts.release_facts()
+    got = KeywordPriorOracle().compare_images(candidate, target)
+    assert got.hex() == oracles.compare_images_per_call(candidate, target).hex()
+    if kept:
+        assert_every_kept_answer_is_its_rule()

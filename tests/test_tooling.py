@@ -135,11 +135,21 @@ def test_the_writer_guard_sees_pure_encoder_calls():
     assert pure_encoder_calls(source) == [(5, "json.dump("), (6, "indent=")]
 
 
+def is_answer_call(call: ast.Call) -> bool:
+    """Whether ``call`` asks the facts module for a kept answer:
+    ``facts.answer(...)`` or a bare ``answer(...)``."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id == "answer"
+    return (isinstance(func, ast.Attribute) and func.attr == "answer"
+            and isinstance(func.value, ast.Name) and func.value.id == "facts")
+
+
 def kept_answer_kinds(source: str) -> tuple:
     """(kinds, lines): the kind, the leading string, of each key literal
-    that reaches a ``scene_answer(`` call in module ``source``, as its
-    first argument or through a name assigned in the same function, and
-    the line of each call whose key is neither."""
+    that reaches a kept-answer call (:func:`is_answer_call`) in module
+    ``source``, as its first argument or through a name assigned in the
+    same function, and the line of each call whose key is neither."""
     kinds, unresolved = set(), []
     for fn in ast.walk(ast.parse(source)):
         if not isinstance(fn, ast.FunctionDef):
@@ -148,8 +158,7 @@ def kept_answer_kinds(source: str) -> tuple:
                     if isinstance(node, ast.Assign) for target in node.targets
                     if isinstance(target, ast.Name)}
         for call in ast.walk(fn):
-            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
-                    and call.func.id == "scene_answer"):
+            if not (isinstance(call, ast.Call) and is_answer_call(call)):
                 continue
             key = call.args[0] if call.args else None
             if isinstance(key, ast.Name):
@@ -176,11 +185,13 @@ def test_every_kind_of_kept_answer_has_its_check():
 
 
 def test_the_kind_guard_sees_every_key_literal():
-    source = ("def a(x):\n    return scene_answer((\"one\", x), f, x)\n"
-              "def b(x):\n    key = (\"two\", x)\n    return scene_answer(key, f, x)\n"
-              "def c(key):\n    return scene_answer(key, f)\n"
-              "def d(x):\n    return other((\"three\", x))\n")
-    assert kept_answer_kinds(source) == ({"one", "two"}, [7])
+    source = ("def a(x):\n    return facts.answer((\"one\", x), f, x)\n"
+              "def b(x):\n    key = (\"two\", x)\n    return answer(key, f, x)\n"
+              "def c(key):\n    return facts.answer(key, f)\n"
+              "def d(x):\n    return other((\"three\", x))\n"
+              "def e(x):\n    return cache.answer((\"four\", x), f, x)\n"
+              "def g(key):\n    return answer(key, f)\n")
+    assert kept_answer_kinds(source) == ({"one", "two"}, [7, 13])
 
 
 def test_the_kept_answer_guard_sees_every_writable_array():

@@ -15,11 +15,11 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from carriernav.bench import run_sequence
+from carriernav.facts import SEARCHES_PER_GRID, release_facts
 from carriernav.graph import CrsgConfig
 from carriernav.scenarios import MODES, build_scenario
 from carriernav.scene import Box3, scene_from_dict
 from carriernav.world import (
-    SEARCHES_PER_GRID,
     STEP_ORDER,
     DisplacementError,
     DisplacementEvent,
@@ -28,7 +28,6 @@ from carriernav.world import (
     SensorConfig,
     UnreachableGoalError,
     WorldError,
-    release_grid_facts,
 )
 
 import oracles
@@ -616,7 +615,7 @@ class TestSharedGridFacts:
         gc.collect()
         assert graph() is None and search() is None
         assert self.world(blocked=self.BLOCKED[1:])._grid is other._grid
-        release_grid_facts()
+        release_facts()
         assert self.world(blocked=self.BLOCKED[1:])._grid is not other._grid
 
     @pytest.mark.parametrize("resolution", [0.25, 0.05])
@@ -640,7 +639,7 @@ class TestSharedGridFacts:
             return out
 
         cold = reads(GridWorld(sc.scene, start_pose=sc.start_pose))
-        release_grid_facts()
+        release_facts()
         warmer = GridWorld(sc.scene, start_pose=sc.start_pose)
         for a, b in pairs[::-3]:  # a few reads, in another order
             warmer.distance_field(b).to_point(a)
