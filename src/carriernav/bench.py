@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import multiprocessing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -173,13 +174,15 @@ def full_coverage_tour(
 
 
 def _episode_row(scenario_name: str, variant: str, r: EpisodeResult) -> dict:
+    """One ``results.jsonl`` row; an unreachable target's infinite
+    ``shortest`` is ``None`` (JSON ``null``)."""
     return {
         "scenario": scenario_name,
         "variant": variant,
         "task_index": r.task_index,
         "success": r.success,
         "traveled": r.traveled,
-        "shortest": r.shortest,
+        "shortest": r.shortest if math.isfinite(r.shortest) else None,
         "spl": spl(r.success, r.shortest, r.traveled),
         "actions": r.action_count,
     }
@@ -219,7 +222,8 @@ def _aggregate(rows: List[dict]) -> Dict[str, dict]:
             seq = sorted(sequences[name], key=lambda r: r["task_index"])
             seq_results.append([
                 EpisodeResult(task_index=r["task_index"], success=r["success"],
-                              traveled=r["traveled"], shortest=r["shortest"])
+                              traveled=r["traveled"],
+                              shortest=math.inf if r["shortest"] is None else r["shortest"])
                 for r in seq
             ])
         flat = [r for seq in seq_results for r in seq]
@@ -275,6 +279,6 @@ def run_suite(
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "results.jsonl", "w") as fh:
             for row in rows:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+                fh.write(json.dumps(row, sort_keys=True, allow_nan=False) + "\n")
         write_json(str(out / "report.json"), report.to_dict())
     return report

@@ -33,14 +33,15 @@ the rules that keep and drop them.  It imports nothing from the package.
   each leg once, ask each carrier question once and embed each token
   sequence once.  The module keeps the facts of the last scene built on
   only, matched by identity, and drops them when a world or graph is built
-  on another scene.  Sharing cannot change a result: objects are frozen and
-  hashed by identity, and each answer is kept under all its inputs (the
-  instances asked about: every object of the world a move or leg starts
-  from, or the object and every candidate carrier; the event, or the grid
-  by content and the path's cells; the tokens; the config values), so it
-  is a pure function of its key.  A move that is rejected (it still
-  re-seats its object) or raises is not kept, nor is a leg that raises, nor
-  an add, whose payload is no key; a remove makes no new instance.
+  on another scene.  Sharing cannot change a result: objects and rooms are
+  frozen and hashed by identity, configs are frozen and hashed by value,
+  and each answer is kept under all its inputs (the instances asked about:
+  every object of the world a move or leg starts from, or the object and
+  every candidate carrier; the event, or the grid by content and the
+  path's cells; the tokens; the frozen configs and rooms), so it is a pure
+  function of its key.  A move that is rejected (it still re-seats its
+  object) or raises is not kept, nor is a leg that raises, nor an add,
+  whose payload is no key; a remove makes no new instance.
 
 :func:`release_facts` drops both: the next world computes its grid's facts
 anew, and answers are computed anew until a world or graph is built again.
@@ -88,7 +89,8 @@ class Scene:
     """The answers about the object instances of one scene.  A key is its
     kind (``move``, ``leg``, ``carried``, ``carrier``, ``match``,
     ``reconcile``, ``rooms`` or ``text``) and every input of the answer:
-    instances by identity, anything else by value, then config values."""
+    instances and rooms by identity, anything else by value, then the
+    frozen config."""
 
     def __init__(self, scene):
         self.scene = scene

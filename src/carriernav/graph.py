@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import chain
-from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,9 +50,11 @@ DEFAULT_CARRIER_REFERENCE = CARRIER_REFERENCE_PHRASE + " " + " ".join(
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class CrsgConfig:
-    """Thresholds for carrier selection and the carrying predicate."""
+    """Thresholds for carrier selection and the carrying predicate: a frozen
+    value, hashed by its fields, so it is the config part of every kept
+    answer's key."""
 
     sigma: float = 0.35                 # carrier-similarity threshold
     min_footprint_area: float = 0.10    # m^2
@@ -73,11 +74,6 @@ class CrsgConfig:
         for name in ("ground_contact_eps", "z_gap_max"):
             if getattr(self, name) < 0:
                 raise GraphError(f"{name} must be non-negative")
-
-
-# A config's field values: the config part of every kept answer's key, so a
-# config changed in place asks anew.
-crsg_values = attrgetter(*(f.name for f in fields(CrsgConfig)))
 
 
 @dataclass
@@ -249,11 +245,11 @@ def nearest_carrier(
     When several candidates satisfy the carrying predicate the object
     belongs to the one with the nearest centroid (3-D Euclidean), ties
     broken by smaller id.  ``obj`` is never its own carrier.  One answer
-    per (instance, candidate instances, config values) is kept with the
-    scene's facts.
+    per (instance, candidate instances, config) is kept with the scene's
+    facts.
     """
     candidates = tuple(candidates)
-    return facts.answer(("carrier", obj, candidates, crsg_values(config)),
+    return facts.answer(("carrier", obj, candidates, config),
                         _nearest_carrier, obj, candidates, config)
 
 
@@ -309,11 +305,10 @@ def build_crsg(
     others = [obj for obj in objects if obj.id not in carrier_ids]
     carried_map, orphans = assign_carried(carriers, others, config)
 
-    # one room assignment per (instances, rooms) is kept with the scene's
-    # facts; rooms are mutable, so they are keyed by content
-    rooms = tuple((room.id, room.polygon.tobytes()) for room in scene.rooms)
+    # one room assignment per (instances, rooms) is kept with the scene's facts
+    rooms = tuple(scene.rooms)
     room_assignment = dict(facts.answer(("rooms", tuple(objects), rooms),
-                                        assign_rooms, objects, scene.rooms))
+                                        assign_rooms, objects, rooms))
     # Declared room ids win over the geometric assignment.
     for obj in objects:
         if obj.room_id is not None:

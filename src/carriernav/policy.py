@@ -55,7 +55,7 @@ class PolicyError(RuntimeError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolicyConfig:
     """Priority weights and similarity thresholds.
 
@@ -187,7 +187,7 @@ def init_state(
 
     if target.id in crsg.carriers or target.id in crsg.orphan_objects:
         return NavState(
-            pose=start.copy(),
+            pose=start,
             unexplored=unexplored,
             candidates={},
             bypass_target=target,
@@ -202,9 +202,9 @@ def init_state(
             ss=target_score,
             d=math.inf,  # decide() measures every candidate before reading d
             d_tilde=0.0,
-            position=target.centroid.copy(),
+            position=target.centroid,
         )
-    return NavState(pose=start.copy(), unexplored=unexplored, candidates=candidates)
+    return NavState(pose=start, unexplored=unexplored, candidates=candidates)
 
 
 def decide(
@@ -362,7 +362,7 @@ def collect_transition_inputs(
             ss=ss,
             d=math.inf,
             d_tilde=obs.mean_depth,
-            position=obs.object.centroid.copy(),
+            position=obs.object.centroid,
         )
 
     cr_observed = {
@@ -416,7 +416,7 @@ def transition(
     }
 
     return NavState(
-        pose=new_pose.copy(),
+        pose=new_pose,
         unexplored=new_unexplored,
         candidates=candidates,
         found=confirmed,
@@ -558,7 +558,7 @@ def run_task(
     crsg_cfg = crsg_cfg or CrsgConfig()
     prior = prior or KeywordPriorOracle()
 
-    start_pose = world.robot.copy()
+    start_pose = world.robot
     trace: List[str] = []
     traveled = 0.0
 
@@ -575,7 +575,8 @@ def run_task(
     shortest = 0.0
     if world.has_object(gt_id):
         try:
-            _, shortest = world.shortest_path(start_pose.position, world.position_of(gt_id)[:2])
+            _, shortest = world.shortest_path(start_pose.position,
+                                               world.object(gt_id).centroid[:2])
         except UnreachableGoalError:
             return finish(False, math.inf)
 
@@ -596,7 +597,8 @@ def run_task(
         success = (
             target_obj.id == gt_id
             and world.has_object(gt_id)
-            and world.snap_free_cell(world.position_of(gt_id)[:2]) == world.cell_of(world.robot.position)
+            and world.snap_free_cell(world.object(gt_id).centroid[:2])
+            == world.cell_of(world.robot.position)
         )
         return finish(success, shortest)
 
@@ -605,7 +607,7 @@ def run_task(
     while True:
         action = decide(
             state, crsg, policy_cfg, prior, task.query.descriptor,
-            world.distance_field(state.pose.position).to_point, variant, rng,
+            world.distance_field(state.pose.position), variant, rng,
         )
         if action.kind == "stop":
             trace.append(_trace_line(state.step, action.label(), state.pose,

@@ -191,18 +191,22 @@ class ObjectInstance:
         return out
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Room:
+    """A frozen value with a read-only polygon, hashed by identity like
+    ``ObjectInstance``, so the rooms themselves key kept answers."""
+
     id: str
     polygon: np.ndarray  # (N, 2) vertices, simple polygon
     name: str = ""
 
     def __post_init__(self):
-        self.polygon = np.asarray(self.polygon, dtype=np.float64)
-        if self.polygon.ndim != 2 or self.polygon.shape[1] != 2 or self.polygon.shape[0] < 3:
+        polygon = _frozen(self.polygon)
+        if polygon.ndim != 2 or polygon.shape[1] != 2 or polygon.shape[0] < 3:
             raise SceneValidationError(f"room {self.id!r} polygon needs >= 3 2-D vertices")
-        if _polygon_self_intersects(self.polygon):
+        if _polygon_self_intersects(polygon):
             raise SceneValidationError(f"room {self.id!r} polygon self-intersects")
+        object.__setattr__(self, "polygon", polygon)
 
     def to_dict(self) -> dict:
         return {
@@ -383,7 +387,6 @@ def assign_rooms(objects: Sequence[ObjectInstance], rooms: Sequence[Room]) -> Di
     Rooms are assumed non-overlapping; objects outside every room get the
     ``hallway`` sentinel.  The assignment is total.
     """
-    # rooms are mutable, so each call reads their polygons afresh
     room_edges = [(room.id, _polygon_edges(room.polygon)) for room in rooms]
     out: Dict[str, str] = {}
     for obj in objects:

@@ -14,8 +14,7 @@ certificate upstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from operator import attrgetter
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,7 +30,7 @@ class UpdateError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class MatchConfig:
     max_center_dist: float = 0.5        # m, carrier matching
     max_size_ratio_dev: float = 0.3     # per-axis extent ratio tolerance
@@ -45,9 +44,6 @@ class MatchConfig:
                 raise UpdateError(f"{name} must be positive")
         if not (0.0 <= self.max_size_ratio_dev < 1.0):
             raise UpdateError("max_size_ratio_dev must be in [0, 1)")
-
-
-_match_values = attrgetter(*(f.name for f in fields(MatchConfig)))
 
 
 @dataclass
@@ -97,13 +93,13 @@ def match_carrier(obs: Observation, crsg: Crsg, config: MatchConfig,
     Gates: center distance, per-axis size ratio, text similarity, visual
     similarity.  Among qualifying carriers the nearest center wins, ties
     broken by smaller id.  One answer per (sighted instance, the graph's
-    carrier ids and instances, config values) is kept with the scene's
-    facts.  ``carriers`` is :func:`graph_carriers` of ``crsg``, built anew
-    when not given.
+    carrier ids and instances, config) is kept with the scene's facts.
+    ``carriers`` is :func:`graph_carriers` of ``crsg``, built anew when not
+    given.
     """
     seen = obs.object
     ids, objects = graph_carriers(crsg) if carriers is None else carriers
-    key = ("match", seen, ids, objects, _match_values(config))
+    key = ("match", seen, ids, objects, config)
     return facts.answer(key, _match_carrier, seen, ids, objects, config)
 
 
@@ -140,15 +136,15 @@ def reconcile_carried(
     center distance (within ``carried_match_center_dist``), compatible
     sizes and text similarity; matching is greedy nearest-first and
     one-to-one.  One pairing per (sighted instances in order, the carried
-    entries, config values) is kept with the scene's facts; the diff is
-    built from the caller's own observations.
+    entries, config) is kept with the scene's facts; the diff is built
+    from the caller's own observations.
     """
     if carrier_id not in crsg.carriers:
         raise UpdateError(f"unknown carrier {carrier_id!r}")
     entries = crsg.carriers[carrier_id].carried
     seen = tuple(obs.object for obs in observations)
     matched_obs, matched_entries = facts.answer(
-        ("reconcile", seen, tuple(entries.items()), _match_values(config)),
+        ("reconcile", seen, tuple(entries.items()), config),
         _pair, seen, entries, config)
 
     diff = CarriedDiff(carrier_id=carrier_id)

@@ -39,7 +39,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, replace
-from typing import Container, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Container, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -47,9 +47,8 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 
 from . import facts
 from .features import embed_text
-from .graph import (CrsgConfig, carrying_predicate, crsg_values, geometric_carrier_filter,
-                    nearest_carrier)
-from .scene import Box3, ObjectInstance, SceneMap
+from .graph import CrsgConfig, assign_carried, carrying_predicate, geometric_carrier_filter
+from .scene import Box3, ObjectInstance, SceneMap, _frozen
 
 SQRT2 = math.sqrt(2.0)
 
@@ -75,21 +74,22 @@ class DisplacementError(WorldError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Pose:
+    """A frozen value: a move is a new pose, so holders share poses.  The
+    position is the pose's own read-only copy of the array it is given."""
+
     position: np.ndarray  # (x, y) meters
     heading: float = 0.0  # radians
 
     def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=np.float64)
-        if self.position.shape != (2,):
+        position = _frozen(np.array(self.position, dtype=np.float64))
+        if position.shape != (2,):
             raise WorldError("pose position must be a 2-vector")
-
-    def copy(self) -> "Pose":
-        return Pose(self.position.copy(), self.heading)
+        object.__setattr__(self, "position", position)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SensorConfig:
     radius: float = 2.5
     fov: float = 2.0 * math.pi
@@ -165,7 +165,7 @@ class GridWorld:
 
         if start_pose is None:
             start_pose = Pose(self._first_free_center())
-        self.robot = start_pose.copy()
+        self.robot = start_pose
         start_cell = self.cell_of(self.robot.position)
         if self.occupancy[start_cell[1], start_cell[0]]:
             raise WorldError(f"robot start cell {start_cell} is blocked")
@@ -197,10 +197,6 @@ class GridWorld:
                 self.origin[1] + (iy + 0.5) * self.resolution,
             ]
         )
-
-    def is_free(self, cell: Cell) -> bool:
-        ix, iy = cell
-        return 0 <= ix < self.width and 0 <= iy < self.height and not self.occupancy[iy, ix]
 
     def snap_free_cell(self, point: Sequence[float]) -> Cell:
         """Nearest free cell to ``point`` by center distance, ties by (ix, iy).
@@ -423,10 +419,20 @@ class GridWorld:
         self._grid.keep_search(source, (limit, dist, paths))
         return dist
 
-    def distance_field(self, start: Sequence[float]) -> "DistanceField":
-        """Geodesic distance from ``start`` to every free cell (meters),
-        searched only as far as the cells read."""
-        return DistanceField(self, self.snap_free_cell(start))
+    def distance_field(self, start: Sequence[float]) -> Callable[[Sequence[float]], float]:
+        """Point -> geodesic distance (m) from the free cell nearest ``start``
+        to the free cell nearest the point, searched only as far as the
+        cells read."""
+        source = self.snap_free_cell(start)
+
+        def distance(point: Sequence[float]) -> float:
+            cell = self.snap_free_cell(point)
+            if cell == source:  # no search, as for a zero-length shortest_path leg
+                return 0.0
+            index = self._free_graph()[1]
+            return float(self._search(source, cell)[index[cell[1], cell[0]]])
+
+        return distance
 
     # ----- sensing --------------------------------------------------------
 
@@ -486,16 +492,14 @@ class GridWorld:
         leaves the grid, enters a blocked cell or takes a step the movement
         rule does not allow raises :class:`WorldError` and moves nothing.
 
-        One leg per (objects, grid, path cells, one-cell heading, sensor
-        values) is kept with the scene's facts: a kept leg only sets the
-        pose.
+        One leg per (objects, grid, path cells, one-cell heading, sensor)
+        is kept with the scene's facts: a kept leg only sets the pose.
         """
         if len(path) == 0:
             return TravelLog(observations={}, length=0.0)
         cells = tuple(map(tuple, path))
         key = ("leg", self._objects(), self._grid.key, cells,
-               self.robot.heading if len(cells) == 1 else None,
-               sensor.radius, sensor.fov, sensor.occlusion)
+               self.robot.heading if len(cells) == 1 else None, sensor)
         seen, length, heading = facts.answer(key, self._leg, cells, sensor)
         self.robot = Pose(self.cell_center(cells[-1]), heading)
         return TravelLog(observations={obs.object_id: obs for obs in seen}, length=length)
@@ -594,33 +598,28 @@ class GridWorld:
     def has_object(self, object_id: str) -> bool:
         return object_id in self.scene.objects
 
-    def position_of(self, object_id: str) -> np.ndarray:
-        return self.object(object_id).centroid.copy()
-
     def ground_truth_carried(self, carrier_id: str, config: CrsgConfig) -> List[str]:
         """Ids currently resting on ``carrier_id`` per the carrying predicate.
 
         Exclusive like graph construction: an object counts for its nearest
         satisfying base only, and only furniture-scale ground-contact boxes
         qualify as bases, so stacked items never capture each other.  One
-        whole relation per (objects, ``config`` values) is kept with the
-        scene's facts.
+        whole relation per (objects, ``config``) is kept with the scene's
+        facts.
         """
         self.object(carrier_id)
-        relation = facts.answer(("carried", self._objects(), crsg_values(config)),
+        relation = facts.answer(("carried", self._objects(), config),
                                 self._carried_relation, config)
         return list(relation.get(carrier_id, ()))
 
     def _carried_relation(self, config: CrsgConfig) -> Dict[str, List[str]]:
-        """Base id -> sorted ids of the objects whose nearest carrier it is."""
+        """Base id -> sorted ids of the objects whose nearest carrier it is:
+        ``graph.assign_carried`` over the bases and the objects in id order,
+        bases that hold nothing left out."""
         objects = self.scene.objects
-        bases = tuple(geometric_carrier_filter(list(objects.values()), config))
-        relation: Dict[str, List[str]] = {}
-        for oid in sorted(objects):
-            cid = nearest_carrier(objects[oid], bases, config)
-            if cid is not None:
-                relation.setdefault(cid, []).append(oid)
-        return relation
+        bases = geometric_carrier_filter(list(objects.values()), config)
+        carried, _ = assign_carried(bases, [objects[oid] for oid in sorted(objects)], config)
+        return {cid: [obj.id for obj in held] for cid, held in carried.items() if held}
 
     def carried_observations(self, carrier_id: str, pose: Pose, config: CrsgConfig) -> List[Observation]:
         """Full view of a carrier's current occupants, granted at its side."""
@@ -685,19 +684,24 @@ class GridWorld:
             self._centroid_cache = None
             self._items = None
 
+    def _seat(self, carrier: ObjectInstance, extents: np.ndarray, config: CrsgConfig,
+              spot_index: int, skip_id: str = "") -> Box3:
+        """The box of ``extents`` seated on a free spot of ``carrier``'s top:
+        the one seat rule of moves and adds."""
+        xy = self._free_spot_on(carrier, extents, config,
+                                skip_id=skip_id, start_index=spot_index)
+        zmin = float(carrier.box.max[2])
+        new_min = np.array([xy[0] - extents[0] / 2.0, xy[1] - extents[1] / 2.0, zmin])
+        return Box3(new_min, new_min + extents)
+
     def _moved(self, event: DisplacementEvent, config: CrsgConfig,
                spot_index: int) -> ObjectInstance:
         """The moved object, re-seated on a free spot of the target carrier.
         A placement the carrying predicate rejects still re-seats it."""
         obj = self.object(event.object_id)
         carrier = self.object(event.target_carrier_id)
-        extents = obj.box.extents
-        xy = self._free_spot_on(carrier, extents, config,
-                                skip_id=obj.id, start_index=spot_index)
-        zmin = float(carrier.box.max[2])
-        new_min = np.array([xy[0] - extents[0] / 2.0, xy[1] - extents[1] / 2.0, zmin])
-        new_max = new_min + extents
-        obj = replace(obj, box=Box3(new_min, new_max), centroid=(new_min + new_max) / 2.0)
+        box = self._seat(carrier, obj.box.extents, config, spot_index, skip_id=obj.id)
+        obj = replace(obj, box=box, centroid=box.center)
         if not carrying_predicate(carrier, obj, config):
             self.scene.objects[obj.id] = obj
             raise DisplacementError(
@@ -715,7 +719,7 @@ class GridWorld:
         if event.kind == "move":
             # a move is a pure function of the world's objects and the event
             key = ("move", self._objects(), event.object_id, event.target_carrier_id,
-                   spot_index, crsg_values(config))
+                   spot_index, config)
             self.scene.objects[event.object_id] = facts.answer(key, self._moved, event, config,
                                                                spot_index)
             return
@@ -732,43 +736,9 @@ class GridWorld:
             raise DisplacementError("add event needs target_carrier_id")
         carrier = self.object(carrier_id)
         extents = np.asarray(payload.get("extents", [0.1, 0.1, 0.12]), dtype=np.float64)
-        xy = self._free_spot_on(carrier, extents, config, start_index=spot_index)
-        zmin = float(carrier.box.max[2])
-        new_min = np.array([xy[0] - extents[0] / 2.0, xy[1] - extents[1] / 2.0, zmin])
-        new_max = new_min + extents
+        box = self._seat(carrier, extents, config, spot_index)
         captions = payload.get("captions") or [oid]
-        joined = " ".join(captions)
-        dim = self.scene.embedding_dim
-        obj = ObjectInstance(
-            id=oid,
-            captions=tuple(captions),
-            box=Box3(new_min, new_max),
-            centroid=(new_min + new_max) / 2.0,
-            text_feature=embed_text(joined, dim),
-            visual_feature=embed_text(joined, dim),
-        )
-        self.scene.objects[oid] = obj
-
-
-class DistanceField:
-    """Read-only geodesic distances from one source cell over the free cells.
-
-    A view: each read goes through the source's search on the world, which
-    is extended only as far as the cell read.
-    """
-
-    def __init__(self, world: GridWorld, source: Cell):
-        self._world = world
-        self._source = source
-
-    def to_point(self, point: Sequence[float]) -> float:
-        return self.to_cell(self._world.snap_free_cell(point))
-
-    def to_cell(self, cell: Cell) -> float:
-        world = self._world
-        if cell == self._source:  # no search, as for a zero-length shortest_path leg
-            return 0.0
-        if not world.is_free(cell):
-            return math.inf
-        index = world._free_graph()[1]
-        return float(world._search(self._source, cell)[index[cell[1], cell[0]]])
+        feature = embed_text(" ".join(captions), self.scene.embedding_dim)
+        self.scene.objects[oid] = ObjectInstance(
+            id=oid, captions=tuple(captions), box=box, centroid=box.center,
+            text_feature=feature, visual_feature=feature)

@@ -7,9 +7,8 @@ import pytest
 from carriernav import facts, graph
 from carriernav.features import Feature, embed_text
 from carriernav.graph import CrsgConfig, build_crsg, carrying_predicate
-from carriernav.scene import Room, scene_from_dict
-from carriernav.update import MatchConfig
-from carriernav.world import GridWorld, Pose, SensorConfig
+from carriernav.scene import scene_from_dict
+from carriernav.world import GridWorld, Pose
 
 import oracles
 
@@ -85,19 +84,19 @@ def assert_every_write_raises(obj):
 
 
 def _check_carrier(key, answer):
-    _, obj, candidates, values = key
-    assert answer == oracles.nearest_carrier_per_call(obj, candidates, CrsgConfig(*values))
+    _, obj, candidates, cfg = key
+    assert answer == oracles.nearest_carrier_per_call(obj, candidates, cfg)
 
 
 def _check_match(key, answer):
-    _, seen, ids, objects, values = key
+    _, seen, ids, objects, cfg = key
     carriers = {cid: graph.CarrierNode(obj) for cid, obj in zip(ids, objects)}
-    assert answer == oracles.match_carrier_per_call(seen, carriers, MatchConfig(*values))
+    assert answer == oracles.match_carrier_per_call(seen, carriers, cfg)
 
 
 def _check_move(key, answer):
-    _, items, object_id, target_id, spot_index, values = key
-    cfg, before = CrsgConfig(*values), dict(items)
+    _, items, object_id, target_id, spot_index, cfg = key
+    before = dict(items)
     box_min, box_max = oracles.moved_per_call(before, object_id, target_id, spot_index, cfg)
     assert answer.id == object_id and answer.captions is before[object_id].captions
     assert np.array_equal(answer.box.min, box_min)
@@ -107,14 +106,14 @@ def _check_move(key, answer):
 
 def _check_leg(key, answer):
     # a world on the key's grid holding the key's objects, facing its heading
-    _, items, (resolution, origin, shape, occupancy), path, heading, *sensor = key
+    _, items, (resolution, origin, shape, occupancy), path, heading, sensor = key
     world = GridWorld.__new__(GridWorld)
     world.resolution, world.origin = resolution, np.array(origin)
     world.height, world.width = shape
     world.occupancy = np.frombuffer(occupancy, dtype=bool).reshape(shape)
     world.scene = SimpleNamespace(objects=dict(items))
     world.robot = Pose(np.zeros(2), 0.0 if heading is None else heading)
-    expected, length, pose = oracles.travel_per_cell(world, path, SensorConfig(*sensor))
+    expected, length, pose = oracles.travel_per_cell(world, path, sensor)
     seen, got_length, got_heading = answer
     assert [(o.object_id, o.mean_depth) for o in seen] == [
         (o.object_id, o.mean_depth) for o in expected.values()]
@@ -123,21 +122,20 @@ def _check_leg(key, answer):
 
 
 def _check_carried(key, answer):
-    _, items, values = key
-    cfg, objects = CrsgConfig(*values), dict(items)
+    _, items, cfg = key
+    objects = dict(items)
     bases = {oid for oid, obj in objects.items() if oracles.geometric_base(obj, cfg)}
     _, relation, _ = oracles.brute_force_relation(SimpleNamespace(objects=objects), cfg, bases)
     assert answer == {cid: sorted(held) for cid, held in relation.items() if held}
 
 
 def _check_reconcile(key, answer):
-    _, seen, entries, values = key
-    assert answer == oracles.reconcile_pairs_per_call(seen, dict(entries), MatchConfig(*values))
+    _, seen, entries, cfg = key
+    assert answer == oracles.reconcile_pairs_per_call(seen, dict(entries), cfg)
 
 
 def _check_rooms(key, answer):
     _, objects, rooms = key
-    rooms = [Room(rid, np.frombuffer(polygon).reshape(-1, 2)) for rid, polygon in rooms]
     assert answer == oracles.assign_rooms_numpy(objects, rooms)
 
 

@@ -12,7 +12,7 @@ from carriernav.priors import KeywordPriorOracle
 from carriernav.scenarios import ScenarioError, load_scenario
 from carriernav.scene import load_scene
 
-from conftest import golden_scene_dict
+from conftest import golden_scene_dict, item_on, scene_dict, table_dict
 
 
 @pytest.fixture
@@ -344,3 +344,27 @@ class TestRunSuite:
         assert main(["run-suite", "--scenarios", str(scenario_dir), "--out", str(out)]) == 0
         assert len(resolved) == 1
         assert json.loads((out / "report.json").read_text())["oracle"] == "stub"
+
+    def test_a_walled_off_target_writes_a_null_shortest(self, scenario_dir, tmp_path, capsys):
+        # column 14 parts the start from table_1 and the cup on it
+        t1 = table_dict("table_1", 4.6, 2.0)
+        scene = scene_dict([table_dict("table_0", 1.6, 2.0), t1, item_on("cup_0", ["red cup"], t1)],
+                           blocked=[(14, iy) for iy in range(16)])
+        tree = json.loads((scenario_dir / "scenario_0000.json").read_text())
+        tree.update(scene_file="scene.json", events=[],
+                    start_pose={"position": [0.6, 0.6], "heading": 0.0},
+                    tasks=[{"query_text": "red cup", "ground_truth_id": "cup_0"}])
+        (tmp_path / "scene.json").write_text(json.dumps(scene))
+        (tmp_path / "scenario.json").write_text(json.dumps(tree))
+        out = tmp_path / "res"
+        assert main(["run-suite", "--scenarios", str(tmp_path / "scenario.json"),
+                     "--out", str(out)]) == 0
+
+        def no_constant(name):
+            raise ValueError(f"{name} is not JSON")
+
+        rows = [json.loads(line, parse_constant=no_constant)
+                for line in (out / "results.jsonl").read_text().splitlines()]
+        assert [(r["success"], r["shortest"], r["spl"]) for r in rows] == [(False, None, 0.0)]
+        report = json.loads((out / "report.json").read_text())["variants"]["ours"]
+        assert (report["sr"], report["spl"]) == (0.0, 0.0)

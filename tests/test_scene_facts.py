@@ -45,18 +45,18 @@ def cup_above_table_scene():
 
 
 class TestKeys:
-    def test_carrier_answers_follow_a_config_changed_in_place(self):
+    def test_carrier_answers_follow_a_replaced_config(self):
         scene = cup_above_table_scene()
         build_crsg(scene)
         table, cup = scene.objects["table_0"], scene.objects["cup_0"]
         cfg = CrsgConfig(z_gap_max=0.05)
         for gap, expected in ((0.05, None), (0.15, "table_0"), (0.05, None)):
-            cfg.z_gap_max = gap
+            cfg = replace(cfg, z_gap_max=gap)
             assert nearest_carrier(cup, [table], cfg) == expected
         assert len(kept_answers()) >= 2
         assert_every_kept_answer_is_its_rule()
 
-    def test_match_answers_follow_a_config_changed_in_place(self):
+    def test_match_answers_follow_a_replaced_config(self):
         scene = cup_above_table_scene()
         crsg = build_crsg(scene)
         table = scene.objects["table_0"]
@@ -65,9 +65,9 @@ class TestKeys:
                                       centroid=table.centroid + step), 1.0)
         cfg = MatchConfig()
         for dist, expected in ((0.5, "table_0"), (0.3, None), (0.45, "table_0")):
-            cfg.max_center_dist = dist
+            cfg = replace(cfg, max_center_dist=dist)
             assert match_carrier(shifted, crsg, cfg) == expected
-        cfg.min_text_sim = 1.5  # above any cosine
+        cfg = replace(cfg, min_text_sim=1.5)  # above any cosine
         assert match_carrier(shifted, crsg, cfg) is None
         assert_every_kept_answer_is_its_rule()
 
@@ -350,11 +350,10 @@ class TestSharedPairings:
             assert diff.added == [sightings[1]] and diff.added[0] is sightings[1]
             diffs.append(diff)
         assert len(pairings) == 1 and diffs[1].added[0].mean_depth == 2.0
-        # the config changed in place, then the carried entries edited
-        cfg.min_text_sim = 1.5  # above any cosine
-        diff = reconcile_carried("table_0", sightings, crsg, cfg)
+        # a replaced config, then the carried entries edited
+        strict = replace(cfg, min_text_sim=1.5)  # above any cosine
+        diff = reconcile_carried("table_0", sightings, crsg, strict)
         assert (diff.kept, diff.removed, len(diff.added)) == ([], ["cup_0"], 2)
-        cfg.min_text_sim = MatchConfig().min_text_sim
         crsg.carriers["table_0"].carried["pen_0"] = pen
         diff = reconcile_carried("table_0", sightings, crsg, cfg)
         assert (diff.kept, diff.removed, diff.added) == (["cup_0", "pen_0"], [], [])
@@ -363,13 +362,18 @@ class TestSharedPairings:
 
 
 class TestSharedRooms:
-    def test_rooms_follow_a_polygon_edited_in_place(self, monkeypatch):
+    def test_new_rooms_ask_anew_and_a_polygon_write_raises(self, monkeypatch):
         assignments = counting(monkeypatch, graph, "assign_rooms")
         scene = two_tables_scene()
         for _ in range(2):
             assert build_crsg(scene).room_assignment["table_0"] == "room_0"
+        scene.rooms = list(scene.rooms)  # the same rooms in another list
+        assert build_crsg(scene).room_assignment["table_0"] == "room_0"
         assert len(assignments) == 1
-        scene.rooms[0].polygon *= 0.1  # a corner room the tables are outside of
+        room = scene.rooms[0]
+        with pytest.raises(ValueError):
+            room.polygon *= 0.1
+        scene.rooms = [replace(room, polygon=room.polygon * 0.1)]  # a corner room
         assert build_crsg(scene).room_assignment["table_0"] == HALLWAY_ROOM_ID
         assert len(assignments) == 2
         assert_every_kept_answer_is_its_rule()
@@ -398,7 +402,7 @@ class TestSharedTexts:
         texts = counting(monkeypatch, features, "embed_text")
         scene, cfg = two_tables_scene(), CrsgConfig()
         build_crsg(scene, cfg)
-        cfg.carrier_reference = "cup pen"  # no table resembles it
+        cfg = replace(cfg, carrier_reference="cup pen")  # no table resembles it
         assert build_crsg(scene, cfg).carriers == {}
         assert texts == [(DEFAULT_CARRIER_REFERENCE, 256), ("cup pen", 256)]
         assert_every_kept_answer_is_its_rule()

@@ -19,6 +19,10 @@ by ``conftest.assert_every_kept_answer_is_its_rule``, one check per kind of
 key.  A new kind of kept answer without its check must fail here.  Every
 later reader shares a kept answer, so the check also fails on any writable
 array the answer holds.
+
+Kept-answer keys hold the configs and rooms themselves, and holders share
+poses without copying them.  A config, pose or room that can be changed in
+place must fail here.
 """
 
 import ast
@@ -28,6 +32,7 @@ from pathlib import Path
 from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
+import pytest
 
 import carriernav  # noqa: F401  (loads every module the span table names)
 from carriernav.bench import run_sequence
@@ -35,6 +40,7 @@ from carriernav.features import Feature
 from carriernav.policy import VARIANTS
 from carriernav.scene import Room, _SceneFile, _schema
 from carriernav.scenarios import _ScenarioFile, build_scenario
+from carriernav.world import Pose
 from conftest import KEPT_ANSWER_CHECKS, writable_arrays
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -194,9 +200,31 @@ def test_the_kind_guard_sees_every_key_literal():
     assert kept_answer_kinds(source) == ({"one", "two"}, [7, 13])
 
 
+@dataclasses.dataclass
+class Holder:
+    array: np.ndarray
+
+
 def test_the_kept_answer_guard_sees_every_writable_array():
-    frozen, loose = np.zeros(2), np.ones(3)
+    frozen, loose, held = np.zeros(2), np.ones(3), np.ones(2)
     frozen.setflags(write=False)
-    room = Room("r", [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])  # a dataclass, writable polygon
-    found = writable_arrays({"a": [(frozen, Feature.of(loose))], loose.tobytes(): [room]})
-    assert sorted(map(id, found)) == sorted([id(loose), id(room.polygon)])
+    found = writable_arrays({"a": [(frozen, Feature.of(loose))], loose.tobytes(): [Holder(held)]})
+    assert sorted(map(id, found)) == sorted([id(loose), id(held)])
+
+
+def test_configs_poses_and_rooms_are_frozen():
+    configs = [hint for hint in get_type_hints(_ScenarioFile).values()
+               if getattr(hint, "__name__", "").endswith("Config")]
+    assert {"SensorConfig", "PolicyConfig", "CrsgConfig", "MatchConfig"} <= {
+        c.__name__ for c in configs}
+    given = np.array([1.0, 2.0])
+    pose, room = Pose(given), Room("r", [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    assert pose.position is not given and given.flags.writeable  # the pose's own copy
+    for value in [config() for config in configs] + [pose, room]:
+        assert type(value).__dataclass_params__.frozen
+        for f in dataclasses.fields(value):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, f.name, getattr(value, f.name))
+    for array in (pose.position, room.polygon):
+        with pytest.raises(ValueError):
+            array[0] = 0.0

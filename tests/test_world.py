@@ -43,6 +43,12 @@ def empty_world(width=16, height=12, blocked=(), resolution=0.25, start=None):
     return GridWorld(scene, start_pose=start)
 
 
+def is_free(w, cell):
+    """Whether ``cell`` lies on ``w``'s grid and is not blocked."""
+    ix, iy = cell
+    return 0 <= ix < w.width and 0 <= iy < w.height and not w.occupancy[iy, ix]
+
+
 def random_world(rng: Random, width=18, height=14, p_block=0.3):
     blocked = [(ix, iy) for ix in range(width) for iy in range(height)
                if rng.random() < p_block]
@@ -158,8 +164,8 @@ def walk_back(w, dist, start, goal):
     distance plus the step equals the current cell's.  Start to goal."""
     def allowed(a, b):
         dx, dy = b[0] - a[0], b[1] - a[1]
-        return w.is_free(b) and (dx == 0 or dy == 0 or (
-            w.is_free((a[0] + dx, a[1])) and w.is_free((a[0], a[1] + dy))))
+        return is_free(w, b) and (dx == 0 or dy == 0 or (
+            is_free(w, (a[0] + dx, a[1])) and is_free(w, (a[0], a[1] + dy))))
 
     path = [goal]
     while path[-1] != start:
@@ -225,7 +231,7 @@ class TestPlanning:
             dx, dy = b[0] - a[0], b[1] - a[1]
             assert max(abs(dx), abs(dy)) == 1
             if dx != 0 and dy != 0:
-                assert w.is_free((a[0] + dx, a[1])) and w.is_free((a[0], a[1] + dy))
+                assert is_free(w, (a[0] + dx, a[1])) and is_free(w, (a[0], a[1] + dy))
 
     def test_unreachable_raises(self):
         # wall column splits the grid
@@ -241,7 +247,7 @@ class TestPlanning:
         occ = [[bool(w.occupancy[iy, ix]) for ix in range(w.width)]
                for iy in range(w.height)]
         free = [(ix, iy) for ix in range(w.width) for iy in range(w.height)
-                if w.is_free((ix, iy))]
+                if is_free(w, (ix, iy))]
         for _ in range(6):
             start = rng.choice(free)
             goal = rng.choice(free)
@@ -254,12 +260,12 @@ class TestPlanning:
             assert length == pytest.approx(expected, abs=1e-9)
             assert path[0] == start and path[-1] == goal
             for cell in path:
-                assert w.is_free(cell)
+                assert is_free(w, cell)
 
     def test_symmetric_lengths(self):
         w = random_world(Random("world/sym"))
         free = [(ix, iy) for ix in range(w.width) for iy in range(w.height)
-                if w.is_free((ix, iy))]
+                if is_free(w, (ix, iy))]
         rng = Random(0)
         for _ in range(5):
             a, b = rng.choice(free), rng.choice(free)
@@ -277,15 +283,15 @@ class TestPlanning:
             occ = [[bool(w.occupancy[iy, ix]) for ix in range(w.width)]
                    for iy in range(w.height)]
             free = [(ix, iy) for ix in range(w.width) for iy in range(w.height)
-                    if w.is_free((ix, iy))]
+                    if is_free(w, (ix, iy))]
             start = rng.choice(free)
             field = w.distance_field(w.cell_center(start))
             for goal in rng.sample(free, 12):
                 expected = oracles.dijkstra_grid_length(occ, w.resolution, start, goal)
                 if math.isinf(expected):
-                    assert math.isinf(field.to_cell(goal))
+                    assert math.isinf(field(w.cell_center(goal)))
                 else:
-                    assert field.to_cell(goal) == pytest.approx(expected, abs=1e-9)
+                    assert field(w.cell_center(goal)) == pytest.approx(expected, abs=1e-9)
 
     def test_tie_break_on_an_open_grid(self):
         # (0,0) -> (4,2) has six optimal paths (two diagonals, two axis
@@ -304,7 +310,7 @@ class TestPlanning:
         occ = [[bool(w.occupancy[iy, ix]) for ix in range(w.width)]
                for iy in range(w.height)]
         free = [(ix, iy) for ix in range(w.width) for iy in range(w.height)
-                if w.is_free((ix, iy))]
+                if is_free(w, (ix, iy))]
 
         for _ in range(4):
             start, goal = rng.choice(free), rng.choice(free)
@@ -313,12 +319,6 @@ class TestPlanning:
                 continue
             path, _ = w.shortest_path(w.cell_center(start), w.cell_center(goal))
             assert path == walk_back(w, dist, start, goal)
-
-    def test_distance_field_blocked_cell_is_inf(self):
-        w = empty_world(blocked=[(2, 2)])
-        field = w.distance_field([0.125, 0.125])
-        assert math.isinf(field.to_cell((2, 2)))
-        assert field.to_point([0.125, 0.125]) == 0.0
 
 
 def counting_searches(monkeypatch):
@@ -387,26 +387,23 @@ class TestBoundedSearch:
                      + [source])
             points = [w.cell_center(c) for c in cells]
             points += [obj.centroid[:2] for obj in w.scene.objects.values()]
+            # a blocked cell's center reads the free cell nearest it
+            points += [w.cell_center(c) for c in sample_cells(rng, w.occupancy, 5)]
             expected = []
             for point in points:
                 ix, iy = w.snap_free_cell(point)
                 expected.append(full[index[iy, ix]])
-            # blocked cells have no distance
-            points += [None] * 5
-            cells = [None] * len(expected) + sample_cells(rng, w.occupancy, 5)
-            expected += [math.inf] * 5
             order_key = {"random": lambda e: rng.random(),
                          "near-first": lambda e: e, "far-first": lambda e: -e}[order]
-            ranked = sorted(zip(expected, points, cells), key=lambda t: order_key(t[0]))
+            ranked = sorted(zip(expected, points), key=lambda t: order_key(t[0]))
             reads.append((w.distance_field(w.cell_center(source)), ranked))
         (field_a, reads_a), (field_b, reads_b), (field_c, reads_c) = reads
         third, half = len(reads_a) // 3, len(reads_b) // 2
         for field, batch in ((field_a, reads_a[:third]), (field_b, reads_b[:half]),
                              (field_c, reads_c), (field_a, reads_a[third:2 * third]),
                              (field_b, reads_b[half:]), (field_a, reads_a[2 * third:])):
-            for exp, point, cell in batch:
-                got = field.to_cell(cell) if point is None else field.to_point(point)
-                assert got == exp, (point, cell)
+            for exp, point in batch:
+                assert field(point) == exp, point
 
     @pytest.mark.parametrize("resolution", [0.25, 0.05])
     @pytest.mark.parametrize("mode", MODES)
@@ -434,21 +431,21 @@ class TestBoundedSearch:
         searches = counting_searches(monkeypatch)
         w = empty_world(width=64, height=64)
         field = w.distance_field(w.cell_center((0, 0)))
-        assert field.to_cell((3, 0)) == 0.75
+        assert field(w.cell_center((3, 0))) == 0.75
         margin = 1.0 + 1e-9
         # 1.25 times the octile distance read
         assert searches == [(0, 1.25 * 0.75 * margin)]
         assert math.isinf(w._grid.searches[(0, 0)][1][w._free_graph()[1][0, 10]])
-        assert field.to_cell((2, 1)) == pytest.approx(0.25 + SQRT2 * 0.25)
+        assert field(w.cell_center((2, 1))) == pytest.approx(0.25 + SQRT2 * 0.25)
         assert len(searches) == 1  # nearer than the limit: the search answers
-        assert field.to_cell((10, 0)) == 2.5
+        assert field(w.cell_center((10, 0))) == 2.5
         # max(2 * limit, 1.25 * octile)
         assert searches[1] == (0, 1.25 * 2.5 * margin)
         # 1.25 times the octile distance to (63, 63) passes the farthest
         # corner's octile distance: the search covers the whole grid
-        assert field.to_cell((63, 63)) == pytest.approx(63 * SQRT2 * 0.25)
+        assert field(w.cell_center((63, 63))) == pytest.approx(63 * SQRT2 * 0.25)
         assert searches[2] == (0, math.inf) and len(searches) == 3
-        assert field.to_cell((0, 63)) == 63 * 0.25 and len(searches) == 3
+        assert field(w.cell_center((0, 63))) == 63 * 0.25 and len(searches) == 3
 
     def test_a_detour_grows_the_search_until_it_is_reached(self, monkeypatch):
         # the cell right across a wall is 0.5 m away as the crow flies, but
@@ -458,7 +455,7 @@ class TestBoundedSearch:
         w = empty_world(width=64, height=64, blocked=wall)
         occ = [[bool(w.occupancy[iy, ix]) for ix in range(w.width)] for iy in range(w.height)]
         expected = oracles.dijkstra_grid_length(occ, w.resolution, (4, 0), (6, 0))
-        assert w.distance_field(w.cell_center((4, 0))).to_cell((6, 0)) == pytest.approx(
+        assert w.distance_field(w.cell_center((4, 0)))(w.cell_center((6, 0))) == pytest.approx(
             expected, abs=1e-9)
         # 1.25 * 0.5 m first, then doubled until the octile distance to the
         # farthest corner, (63, 63), is passed
@@ -477,15 +474,15 @@ class TestBoundedSearch:
         searches = counting_searches(monkeypatch)
         w = empty_world(width=64, height=64, blocked=[(5, iy) for iy in range(40)])
         a, b = w.cell_center((0, 0)), w.cell_center((30, 30))
-        first = w.distance_field(a).to_cell((20, 10))
+        first = w.distance_field(a)(w.cell_center((20, 10)))
         path, length = w.shortest_path(a, w.cell_center((12, 3)))
-        w.distance_field(b).to_cell((40, 50))
+        w.distance_field(b)(w.cell_center((40, 50)))
         w.shortest_path(b, a)
         n = len(searches)
         assert {source for source, _ in searches} == {0, w._free_graph()[1][30, 30]}
-        assert w.distance_field(a).to_cell((20, 10)) == first
+        assert w.distance_field(a)(w.cell_center((20, 10))) == first
         assert w.shortest_path(a, w.cell_center((12, 3))) == (path, length)
-        assert w.distance_field(a).to_cell((12, 3)) == pytest.approx(length, abs=1e-9)
+        assert w.distance_field(a)(w.cell_center((12, 3))) == pytest.approx(length, abs=1e-9)
         assert len(searches) == n
 
     def test_a_zero_length_leg_runs_no_search(self, monkeypatch):
@@ -538,16 +535,17 @@ def test_any_read_sequence_equals_the_full_search(case):
     fulls = [oracles.full_grid_distances(w.occupancy, w.resolution, s) for s in sources]
     for k, cell, as_path in reads:
         full, index = fulls[k]
-        want = math.inf if w.occupancy[cell[1], cell[0]] else full[index[cell[1], cell[0]]]
+        center = w.cell_center(cell)
+        ix, iy = w.snap_free_cell(center)  # a blocked cell's center reads a free neighbour
+        want = full[index[iy, ix]]
         if not as_path:
-            assert fields[k].to_cell(cell) == want
+            assert fields[k](center) == want
         elif math.isinf(want):
-            if not w.occupancy[cell[1], cell[0]]:
-                with pytest.raises(UnreachableGoalError):
-                    w.shortest_path(w.cell_center(sources[k]), w.cell_center(cell))
+            with pytest.raises(UnreachableGoalError):
+                w.shortest_path(w.cell_center(sources[k]), center)
         else:
-            path, length = w.shortest_path(w.cell_center(sources[k]), w.cell_center(cell))
-            assert path[0] == sources[k] and path[-1] == cell
+            path, length = w.shortest_path(w.cell_center(sources[k]), center)
+            assert path[0] == sources[k] and path[-1] == (ix, iy)
             assert length == pytest.approx(want, abs=1e-9)
 
 
@@ -572,7 +570,7 @@ class TestSharedGridFacts:
         for w in (b, reloaded):
             assert w._grid is a._grid and w._free_graph() is graph
             assert w.occupancy is a.occupancy
-        a.distance_field(a.cell_center((0, 0))).to_cell((15, 11))
+        a.distance_field(a.cell_center((0, 0)))(a.cell_center((15, 11)))
         assert set(b._grid.searches) == {(0, 0)}
         assert b.snap_free_cell(a.cell_center((4, 2))) == a.snap_free_cell(
             a.cell_center((4, 2)))
@@ -635,16 +633,16 @@ class TestSharedGridFacts:
             out = []
             for a, b in pairs:
                 out.append(w.shortest_path(a, b))
-                out.append(w.distance_field(a).to_point(b))
+                out.append(w.distance_field(a)(b))
             return out
 
         cold = reads(GridWorld(sc.scene, start_pose=sc.start_pose))
         release_facts()
         warmer = GridWorld(sc.scene, start_pose=sc.start_pose)
         for a, b in pairs[::-3]:  # a few reads, in another order
-            warmer.distance_field(b).to_point(a)
+            warmer.distance_field(b)(a)
         far_corner = warmer.cell_center((warmer.width - 1, warmer.height - 1))
-        warmer.distance_field(points[0]).to_point(far_corner)
+        warmer.distance_field(points[0])(far_corner)
         warm = GridWorld(sc.scene, start_pose=sc.start_pose)
         assert warm._grid is warmer._grid and warm._grid.searches
         assert reads(warm) == cold
@@ -662,8 +660,8 @@ class TestSharedGridFacts:
             for source in order:
                 full, index = fulls[source]
                 for ix, iy in sample_cells(rng, free, 3):
-                    assert w.distance_field(w.cell_center(source)).to_cell(
-                        (ix, iy)) == full[index[iy, ix]]
+                    assert w.distance_field(w.cell_center(source))(
+                        w.cell_center((ix, iy))) == full[index[iy, ix]]
                     if not math.isinf(full[index[iy, ix]]):
                         _, length = w.shortest_path(w.cell_center(source),
                                                     w.cell_center((ix, iy)))
@@ -862,7 +860,7 @@ class TestTravel:
         tree = scene.to_dict()
         tree["grid"]["blocked_cells"] = [[5, 5]]
         w = GridWorld(scene_from_dict(tree), start_pose=Pose([2.0, 3.5]))
-        before = w.robot.copy()
+        before = w.robot
         with pytest.raises(WorldError):
             w.travel(path, SensorConfig())
         assert np.array_equal(w.robot.position, before.position)
@@ -919,7 +917,7 @@ def free_walk(w, rng, n):
     for _ in range(n - 1):
         x, y = path[-1]
         nbrs = [(x + dx, y + dy) for dx, dy in STEP_ORDER
-                if w.is_free((x + dx, y + dy)) and w.is_free((x + dx, y)) and w.is_free((x, y + dy))]
+                if is_free(w, (x + dx, y + dy)) and is_free(w, (x + dx, y)) and is_free(w, (x, y + dy))]
         if not nbrs:
             break
         path.append(rng.choice(nbrs))
@@ -958,7 +956,7 @@ class TestSweptSensing:
 
         def checked(world, path, sensor):
             for other in SENSORS.values():
-                before = world.robot.copy()
+                before = world.robot
                 assert_travel_matches_oracle(world, path, other)
                 world.robot = before
             legs.append(len(path))
@@ -1251,9 +1249,8 @@ class TestMemos:
         for cfg, expected in ((tight, []), (loose, ["cup_0"]), (tight, []), (loose, ["cup_0"])):
             assert w.ground_truth_carried("table_0", cfg) == expected
             self.check_relation(w, cfg)
-        # the same config object, changed in place
-        tight.z_gap_max = 0.15
-        assert w.ground_truth_carried("table_0", tight) == ["cup_0"]
+        # a replaced config asks anew
+        assert w.ground_truth_carried("table_0", replace(tight, z_gap_max=0.15)) == ["cup_0"]
 
     def test_a_rejected_move_still_changes_the_relation(self):
         # a crate on the floor is a base holding a cup; moved onto a table
