@@ -4,13 +4,30 @@ The default embedder is a hashed bag-of-words: tokens are hashed into a
 fixed number of buckets, counts are accumulated, and the vector is
 L2-normalized.  It is fully deterministic across processes and platforms,
 which the benchmark layer relies on.
+
+Each :class:`Feature` knows its support: the bitmask of its non-zero
+buckets, bit ``i`` for entry ``i``.  The embedder sets a bit per token
+bucket as it counts; :meth:`Feature.of` reads the bits off a vector.  A
+vector with an entry whose sign bit is set (a negative entry or a
+``-0.0``), or whose norm is not finite, has every bit set.
+
+:func:`cosine` returns ``0.0`` with no dot product for two features that
+share no bucket when their norm product is positive.  Those are the dot
+rule's bits: every product in the dot is then ``+0.0`` (a finite
+non-negative entry times ``+0.0``), so the dot is ``+0.0`` in any
+summation order, and so is its quotient by a positive norm product.  With
+a sign bit a product could be ``-0.0``, and an infinite or NaN entry times
+zero is NaN; a norm product that is zero (a zero feature, or a norm whose
+squares underflowed) or NaN makes the quotient NaN or infinite.  Those
+cases are left to the dot rule.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import re
-from typing import List, NamedTuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -28,6 +45,9 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 # Prefix marking an opaque image token, e.g. "img:red_alarm_clock".
 IMAGE_TOKEN_PREFIX = "img:"
 
+# The support of a vector that may share a bucket with any other: every bit set.
+ALL_BUCKETS = -1
+
 
 def tokenize(text: str) -> List[str]:
     """Lowercase and split on non-alphanumeric runs."""
@@ -43,35 +63,54 @@ def token_bucket(token: str, dim: int) -> int:
     return h % dim
 
 
+def _embed(tokens: Sequence[str], dim: int) -> Tuple[np.ndarray, int]:
+    """(vector, support) of ``tokens``: each token's bucket counted and set
+    in the support in one pass, then the counts divided by their L2 norm.
+    The dot of a count vector with itself is exact, so its norm is the one
+    ``np.linalg.norm`` gives."""
+    if dim <= 0:
+        raise ValueError(f"embedding dim must be positive, got {dim}")
+    vec = np.zeros(dim, dtype=np.float64)
+    support = 0
+    for token in tokens:
+        bucket = token_bucket(token, dim)
+        vec[bucket] += 1.0
+        support |= 1 << bucket
+    if support:
+        vec /= math.sqrt(vec.dot(vec))
+    return vec, support
+
+
 def embed_text(text: str, dim: int = DEFAULT_EMBEDDING_DIM) -> np.ndarray:
     """Embed ``text`` as an L2-normalized hashed bag-of-words vector.
 
     Empty or tokenless input returns the all-zero sentinel vector; callers
     treat that as "no feature" rather than a valid direction.
     """
-    if dim <= 0:
-        raise ValueError(f"embedding dim must be positive, got {dim}")
-    vec = np.zeros(dim, dtype=np.float64)
-    for token in tokenize(text):
-        vec[token_bucket(token, dim)] += 1.0
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        return vec
-    return vec / norm
+    return _embed(tokenize(text), dim)[0]
 
 
 class Feature(NamedTuple):
-    """A feature vector with its L2 norm and zero-sentinel flag."""
+    """A feature vector with its L2 norm, zero-sentinel flag and support
+    (see the module docstring)."""
 
     vec: np.ndarray
     norm: float
     zero: bool
+    support: int
 
     @classmethod
     def of(cls, vec: np.ndarray) -> "Feature":
-        norm = float(np.linalg.norm(vec))
+        """The feature of a 1-D float64 ``vec``: its norm is the one
+        ``np.linalg.norm`` gives, the square root of its flat dot with itself."""
+        flat = vec.ravel(order="K")
+        norm = math.sqrt(flat.dot(flat))
+        if not math.isfinite(norm) or np.signbit(vec).any():
+            support = ALL_BUCKETS
+        else:
+            support = int.from_bytes(np.packbits(vec != 0, bitorder="little").tobytes(), "little")
         # a positive norm needs a non-zero entry; a zero one may have underflowed
-        return cls(vec, norm, norm == 0.0 and is_zero_feature(vec))
+        return cls(vec, norm, norm == 0.0 and is_zero_feature(vec), support)
 
 
 def text_feature(text: str, dim: int) -> Feature:
@@ -79,22 +118,29 @@ def text_feature(text: str, dim: int) -> Feature:
     per (token sequence, dim) is kept with the scene's facts: an embedding
     reads only the tokens, so texts that tokenize alike (an image token
     and its caption) share it."""
-    return facts.answer(("text", tuple(tokenize(text)), dim), _text_feature, text, dim)
+    tokens = tuple(tokenize(text))
+    return facts.answer(("text", tokens, dim), _text_feature, tokens, dim)
 
 
-def _text_feature(text: str, dim: int) -> Feature:
-    vec = embed_text(text, dim)
+def _text_feature(tokens: Tuple[str, ...], dim: int) -> Feature:
+    vec, support = _embed(tokens, dim)
     vec.setflags(write=False)
-    return Feature.of(vec)
+    return Feature(vec, math.sqrt(vec.dot(vec)), not support, support)
 
 
 def cosine(a: Feature, b: Feature) -> float:
-    """Cosine similarity from stored norms; both must be non-zero.
+    """Cosine similarity from stored norms; both must be non-zero and of
+    one dimension.  Two features that share no bucket have cosine ``+0.0``
+    with no dot product when their norm product is positive (see the
+    module docstring).
 
     This is the one similarity rule: :func:`cosine_similarity` validates
     its inputs and then applies it.
     """
-    return float(np.dot(a.vec, b.vec) / (a.norm * b.norm))
+    norms = a.norm * b.norm
+    if a.support & b.support or not norms > 0.0:
+        return float(np.dot(a.vec, b.vec) / norms)
+    return 0.0
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:

@@ -550,7 +550,9 @@ def run_task(
     to static furniture or runs the explore/goto loop until confirmation
     or exhaustion.  Success means the ground-truth target was reached and
     confirmed.  The world is mutated (robot pose); the graph is updated
-    from observations unless the variant disables that.
+    from observations unless the variant disables that.  A query that
+    resolves to nothing fails the task with its ground truth's path length
+    as ``shortest`` (inf when unreachable).
     """
     policy_cfg = policy_cfg or PolicyConfig()
     sensor_cfg = sensor_cfg or SensorConfig()
@@ -566,19 +568,31 @@ def run_task(
         return EpisodeResult(task_index=task_index, success=success, traveled=traveled,
                              shortest=shortest, actions=trace)
 
+    def shortest_to(object_id: str) -> float:
+        """Start-to-object path length: 0.0 for an object the world lacks,
+        inf for one it cannot reach."""
+        if not world.has_object(object_id):
+            return 0.0
+        try:
+            return world.shortest_path(start_pose.position,
+                                       world.object(object_id).centroid[:2])[1]
+        except UnreachableGoalError:
+            return math.inf
+
+    # a known target's length is read first, so a failed query reports it
+    gt_id = task.ground_truth_id
+    shortest = shortest_to(gt_id) if gt_id else 0.0
+    if math.isinf(shortest):
+        return finish(False, shortest)
     try:
         target_obj, score = query_target(crsg, task.query)
     except QueryError:
-        return finish(False, 0.0)
-
-    gt_id = task.ground_truth_id or target_obj.id
-    shortest = 0.0
-    if world.has_object(gt_id):
-        try:
-            _, shortest = world.shortest_path(start_pose.position,
-                                               world.object(gt_id).centroid[:2])
-        except UnreachableGoalError:
-            return finish(False, math.inf)
+        return finish(False, shortest)
+    if not gt_id:
+        gt_id = target_obj.id
+        shortest = shortest_to(gt_id)
+        if math.isinf(shortest):
+            return finish(False, shortest)
 
     state = init_state(crsg, start_pose, target_obj, score)
 

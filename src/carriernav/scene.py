@@ -221,7 +221,9 @@ class GridSpec:
     """Occupancy-grid metadata.  ``blocked_cells``, ``(ix, iy)`` pairs in any
     order and with repeats, is held as one read-only ``(n, 2)`` intp array
     checked in bulk: a cell that is not a pair of integers inside the grid
-    (a float, bool or string among them) raises ``SceneValidationError``."""
+    (a float, bool or string among them) raises ``SceneValidationError``.
+    An ``(n, 2)`` intp array, as the file reader gives, is made read-only
+    in place."""
 
     resolution: float = DEFAULT_GRID_RESOLUTION
     width: int = 0
@@ -237,10 +239,10 @@ class GridSpec:
             raise SceneValidationError("grid width/height must be positive")
         if self.origin.shape != (2,):
             raise SceneValidationError("grid origin must be a 2-vector")
-        rows = self.blocked_cells
-        rows = rows.tolist() if isinstance(rows, np.ndarray) else list(rows)
-        cells = _cell_array(rows, self.width, self.height)
+        cells = _cell_array(self.blocked_cells, self.width, self.height)
         if cells is None:
+            rows = self.blocked_cells
+            rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
             bad = next(c for c in rows if _cell_array([c], self.width, self.height) is None)
             raise SceneValidationError(f"blocked cell {bad!r} is not a pair of integers "
                                        f"inside the {self.width}x{self.height} grid")
@@ -264,19 +266,24 @@ class GridSpec:
         }
 
 
-def _cell_array(rows: list, width: int, height: int) -> Optional[np.ndarray]:
-    """``rows`` as an ``(n, 2)`` intp array if each is a pair of integers
-    inside the grid, else ``None``; types are checked per type, not per cell."""
-    if not (set(map(type, rows)) <= {list, tuple} and set(map(len, rows)) <= {2}):
-        return None
-    flat = list(chain.from_iterable(rows))
-    if not all(issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, flat))):
-        return None
-    try:
-        arr = np.fromiter(flat, dtype=np.intp, count=len(flat)).reshape(-1, 2)
-    except OverflowError:  # beyond intp, so beyond any grid
-        return None
-    return arr if (arr >= 0).all() and (arr < (width, height)).all() else None
+def _cell_array(cells, width: int, height: int) -> Optional[np.ndarray]:
+    """``cells`` as an ``(n, 2)`` intp array if each is a pair of integers
+    inside the grid, else ``None``.  Such an array, as the file reader gives
+    after checking its types, is only bounds-checked; the types of any
+    other cells are checked per type, not per cell."""
+    if not (isinstance(cells, np.ndarray) and cells.dtype == np.intp and cells.shape[1:] == (2,)):
+        rows = cells.tolist() if isinstance(cells, np.ndarray) else list(cells)
+        if not (set(map(type, rows)) <= {list, tuple} and set(map(len, rows)) <= {2}):
+            return None
+        flat = list(chain.from_iterable(rows))
+        types = set(map(type, flat))
+        if not all(issubclass(t, (int, np.integer)) and t is not bool for t in types):
+            return None
+        try:
+            cells = np.fromiter(flat, dtype=np.intp, count=len(flat)).reshape(-1, 2)
+        except OverflowError:  # beyond intp, so beyond any grid
+            return None
+    return cells if (cells >= 0).all() and (cells < (width, height)).all() else None
 
 
 @dataclass
@@ -450,9 +457,11 @@ def read_record(cls, value, what: str):
     ``List`` from an array, a fixed-length ``Tuple`` from an array of that
     length, a ``Union`` (``Optional`` too) as its first member that reads
     it, and a scalar only from its own JSON type (``_JSON_TYPES``), a number
-    only if finite.  Arrays of scalars are checked in bulk, and arrays of
-    numbers read as float64 arrays.  A defect, or a ``ValueError`` from the
-    record's own check, raises ``SceneParseError`` naming the value's path.
+    only if finite.  Arrays of scalars are checked in bulk; arrays of
+    numbers read as float64 arrays, and arrays of integers as intp arrays
+    (an integer beyond intp is a defect).  A defect, or a ``ValueError``
+    from the record's own check, raises ``SceneParseError`` naming the
+    value's path.
     """
     if type(value) is not dict:
         raise SceneParseError(f"{what} must be an object, not {value!r}")
@@ -518,8 +527,11 @@ def _read_scalars(scalar, lengths: tuple, value, what: str):
         try:
             if set(map(type, flat)) <= _JSON_TYPES[scalar] and (
                     scalar is not float or all(map(math.isfinite, flat))):
+                if scalar is int and lengths:
+                    shape = [-1 if n is None else n for n in lengths]
+                    return np.array(flat, dtype=np.intp).reshape(shape)
                 return np.array(value, dtype=np.float64) if scalar is float and lengths else value
-        except OverflowError:  # an integer beyond the float range
+        except OverflowError:  # an integer beyond the float range, or in an array beyond intp
             pass
     raise SceneParseError(f"{what} has the wrong type: {value!r}")
 

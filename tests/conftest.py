@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from carriernav import facts, graph
-from carriernav.features import Feature, embed_text
+from carriernav.features import Feature
 from carriernav.graph import CrsgConfig, build_crsg, carrying_predicate
 from carriernav.scene import scene_from_dict
 from carriernav.world import GridWorld, Pose
@@ -141,10 +141,11 @@ def _check_rooms(key, answer):
 
 def _check_text(key, answer):
     _, tokens, dim = key
-    fresh = Feature.of(embed_text(" ".join(tokens), dim))
+    fresh = Feature.of(oracles.embed_text_accumulating(" ".join(tokens), dim))
     assert answer.vec.dtype == fresh.vec.dtype and answer.vec.shape == fresh.vec.shape
     assert answer.vec.tobytes() == fresh.vec.tobytes()
-    assert (answer.norm, answer.zero) == (fresh.norm, fresh.zero)
+    assert (answer.norm.hex(), answer.zero) == (fresh.norm.hex(), fresh.zero)
+    assert answer.support == fresh.support == oracles.support_bits(fresh.vec)
 
 
 # kind of kept answer -> check of one answer against its rule

@@ -7,10 +7,12 @@ the package's scipy search, distance fields from one unbounded search over
 the planner's former one-direction graph instead of bounded searches over
 its symmetric one, reachability from that search instead of component
 labels, similarities from exact token counts instead of hashed
-vectors, the carried relation from a quadratic scan instead of the
-construction funnel, a leg's sightings one pose at a time instead of in
-one pass, blocked cells from sets of tuples instead of painted
-arrays, and the geometry predicates on numpy scalars instead of
+vectors, cosines from one dot product per call instead of bucket
+supports, embeddings from counts added into the vector one at a time
+instead of counted tokens, the carried relation from a quadratic scan
+instead of the construction funnel, a leg's sightings one pose at a
+time instead of in one pass, blocked cells from sets of tuples instead of
+painted arrays, and the geometry predicates on numpy scalars instead of
 Python floats.  The memos of the world and of a scene's kept facts are checked
 against the rules they replaced, computed afresh on every call.  A bug
 would have to be made twice to go unnoticed.
@@ -29,7 +31,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from carriernav.features import cosine, cosine_similarity, embed_text, strip_image_prefix
+from carriernav.features import (cosine, cosine_similarity, embed_text, strip_image_prefix,
+                                 token_bucket)
 from carriernav.graph import carrying_predicate, geometric_carrier_filter
 from carriernav.world import GridWorld, Observation, Pose, WorldError
 
@@ -79,6 +82,42 @@ def exact_bag_cosine_squared(text_a: str, text_b: str) -> Fraction:
     if na2 == 0 or nb2 == 0:
         return Fraction(0)
     return Fraction(dot * dot, na2 * nb2)
+
+
+# --- text features, by the rules before a feature knew its buckets
+
+
+def embed_text_accumulating(text: str, dim: int) -> np.ndarray:
+    """``features.embed_text`` before the token path: each token's count
+    added into the vector one at a time, then the vector divided by its
+    ``np.linalg.norm``; no token leaves the zero vector as it is."""
+    vec = np.zeros(dim, dtype=np.float64)
+    for token in words(text):
+        vec[token_bucket(token, dim)] += 1.0
+    norm = float(np.linalg.norm(vec))
+    return vec if norm == 0.0 else vec / norm
+
+
+def cosine_per_call_dot(a, b) -> float:
+    """``features.cosine`` before the support skip: the dot product of the
+    two features' vectors divided by their norm product, on every call."""
+    return float(np.dot(a.vec, b.vec) / (a.norm * b.norm))
+
+
+def support_bits(vec) -> int:
+    """The buckets ``vec`` may share with another vector: one bit per
+    entry that is not zero, set one at a time, or -1 (every bit) when an
+    entry has its sign bit set or the norm is not finite."""
+    vec = np.asarray(vec, dtype=np.float64)
+    if any(math.copysign(1.0, x) < 0 for x in vec.tolist()):
+        return -1
+    if not math.isfinite(float(np.linalg.norm(vec))):
+        return -1
+    bits = 0
+    for i, x in enumerate(vec.tolist()):
+        if x != 0.0:
+            bits |= 1 << i
+    return bits
 
 
 # --- grid path lengths

@@ -11,6 +11,7 @@ from carriernav.graph import build_crsg
 from carriernav.priors import KeywordPriorOracle
 from carriernav.scenarios import ScenarioError, load_scenario
 from carriernav.scene import load_scene
+from carriernav.world import GridWorld
 
 from conftest import golden_scene_dict, item_on, scene_dict, table_dict
 
@@ -216,6 +217,18 @@ def _task_without_query(tree, scene):
     tree["tasks"][0].pop("image", None)
 
 
+def _query_without_tokens(tree, scene):
+    tree["tasks"][0]["query_text"] = "?!"
+
+
+def _image_without_tokens(tree, scene):
+    tree["tasks"][0].update(query_text=None, image="img:--")
+
+
+def _carrier_without_tokens(tree, scene):
+    tree["tasks"][0]["carrier_text"] = ""
+
+
 def _event_moves_an_unknown_object(tree, scene):
     tree["events"][0]["object_id"] = "ghost_0"
 
@@ -271,7 +284,9 @@ def _resolution_a_boolean(tree, scene):
                                     _unknown_config_key, _unknown_ground_truth,
                                     _config_fails_its_own_check, _list_as_root,
                                     _sensor_not_an_object, _sensor_radius_not_a_number,
-                                    _task_without_query, _event_moves_an_unknown_object,
+                                    _task_without_query, _query_without_tokens,
+                                    _image_without_tokens, _carrier_without_tokens,
+                                    _event_moves_an_unknown_object,
                                     _event_targets_an_unknown_carrier,
                                     _trigger_that_is_no_trigger,
                                     _trigger_after_a_task_past_the_last,
@@ -344,6 +359,46 @@ class TestRunSuite:
         assert main(["run-suite", "--scenarios", str(scenario_dir), "--out", str(out)]) == 0
         assert len(resolved) == 1
         assert json.loads((out / "report.json").read_text())["oracle"] == "stub"
+
+    def test_a_query_without_tokens_is_bad_input(self, scenario_dir, tmp_path, capsys):
+        tree = json.loads((scenario_dir / "scenario_0000.json").read_text())
+        tree["scene_file"] = str(scenario_dir / tree["scene_file"])
+        tree["tasks"][0]["query_text"] = "?!"
+        (tmp_path / "scenario_0000.json").write_text(json.dumps(tree))
+        out = tmp_path / "res"
+        assert main(["run-suite", "--scenarios", str(tmp_path), "--out", str(out)]) == 1
+        assert "no usable tokens" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("walled", [False, True])
+    def test_a_query_that_matches_nothing_writes_the_path_length(self, scenario_dir, tmp_path,
+                                                                  capsys, walled):
+        # "walrus" shares no token with any object: the query fails at run
+        # time, and the row still reads the start-to-target length, or null
+        # when column 14 parts the start from the cup
+        t1 = table_dict("table_1", 4.6, 2.0)
+        scene = scene_dict([table_dict("table_0", 1.6, 2.0), t1, item_on("cup_0", ["red cup"], t1)],
+                           blocked=[(14, iy) for iy in range(16)] if walled else ())
+        tree = json.loads((scenario_dir / "scenario_0000.json").read_text())
+        tree.update(scene_file="scene.json", events=[],
+                    start_pose={"position": [0.6, 0.6], "heading": 0.0},
+                    tasks=[{"query_text": "walrus", "ground_truth_id": "cup_0"}])
+        (tmp_path / "scene.json").write_text(json.dumps(scene))
+        (tmp_path / "scenario.json").write_text(json.dumps(tree))
+        out = tmp_path / "res"
+        assert main(["run-suite", "--scenarios", str(tmp_path / "scenario.json"),
+                     "--out", str(out)]) == 0
+        rows = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
+        scenario = load_scenario(str(tmp_path / "scenario.json"))
+        world = GridWorld(scenario.scene, start_pose=scenario.start_pose)
+        if walled:
+            expected = None
+        else:
+            _, expected = world.shortest_path(scenario.start_pose.position,
+                                              world.object("cup_0").centroid[:2])
+            assert expected > 4.0
+        assert [(r["success"], r["shortest"], r["traveled"], r["actions"]) for r in rows] == [
+            (False, expected, 0.0, 0)]
 
     def test_a_walled_off_target_writes_a_null_shortest(self, scenario_dir, tmp_path, capsys):
         # column 14 parts the start from table_1 and the cup on it

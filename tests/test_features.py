@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carriernav import facts
 from carriernav.features import (
+    ALL_BUCKETS,
     DEFAULT_EMBEDDING_DIM,
     Feature,
     cosine,
@@ -15,13 +17,16 @@ from carriernav.features import (
     embed_text,
     is_zero_feature,
     strip_image_prefix,
+    text_feature,
     token_bucket,
     tokenize,
 )
 from carriernav.graph import DEFAULT_CARRIER_REFERENCE
 from carriernav.scenarios import ATTRIBUTES, CARRIER_KINDS, ITEM_KINDS
+from carriernav.scene import scene_from_dict
 
 import oracles
+from conftest import golden_scene_dict
 
 
 def fnv1a_bucket(token: str, dim: int) -> int:
@@ -166,3 +171,123 @@ def test_strip_image_prefix():
     assert strip_image_prefix("img:red_cup") == "red_cup"
     assert strip_image_prefix("red cup") == "red cup"
     assert strip_image_prefix("img:") == ""
+
+
+# The token path and the support skip, bit for bit against the rules they
+# replaced: the accumulating embedder and one dot product per cosine.
+# Small dimensions make buckets collide, so counts above one and shared
+# buckets are common.
+VOCAB = sorted(set(ATTRIBUTES) | set(CARRIER_KINDS) | set(ITEM_KINDS))
+TEXTS = st.one_of(st.lists(st.sampled_from(VOCAB), max_size=8).map(" ".join),
+                  st.text(alphabet="abcxyz019 _-!?ABC", max_size=24))
+DIMS = st.sampled_from([1, 2, 3, 7, 16, DEFAULT_EMBEDDING_DIM])
+TEXT_SCENE = scene_from_dict(golden_scene_dict())
+
+
+@settings(max_examples=300, deadline=None)
+@given(TEXTS, DIMS)
+def test_embed_text_is_the_accumulating_embedder(text, dim):
+    got, want = embed_text(text, dim), oracles.embed_text_accumulating(text, dim)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(TEXTS, DIMS, st.booleans())
+def test_text_feature_is_the_accumulating_embedder(text, dim, kept):
+    # kept answers shared across examples, or none
+    if kept:
+        facts.keep_scene(TEXT_SCENE)
+    else:
+        facts.release_facts()
+    got, want = text_feature(text, dim), oracles.embed_text_accumulating(text, dim)
+    assert got.vec.tobytes() == want.tobytes()
+    assert got.norm.hex() == float(np.linalg.norm(want)).hex()
+    assert got.zero == is_zero_feature(want)
+    assert got.support == oracles.support_bits(want)
+
+
+# Entries that test each part of the skip: zeros of both signs, negatives,
+# squares that underflow (so a non-zero vector can have a zero norm),
+# squares that overflow, and entries that are not finite.
+ENTRIES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.01, 100.0),
+                    st.floats(-100.0, -0.01),
+                    st.sampled_from([5e-324, 1e-200, 3e-162, 1e-160, 1e150, 1e160,
+                                     math.inf, -math.inf, math.nan]))
+ZEROS = st.sampled_from([0.0, 0.0, 0.0, -0.0])
+
+
+@st.composite
+def vector_pairs(draw):
+    """Two vectors of one length, each entry owned by one, both or neither
+    of them (a zero where not owned); half the pairs own no entry together."""
+    n = draw(st.integers(1, 8))
+    disjoint = draw(st.booleans())
+    a, b = [], []
+    for _ in range(n):
+        owner = draw(st.sampled_from(["a", "b", "neither"] if disjoint
+                                     else ["a", "b", "both", "neither"]))
+        a.append(draw(ENTRIES if owner in ("a", "both") else ZEROS))
+        b.append(draw(ENTRIES if owner in ("b", "both") else ZEROS))
+    return np.array(a), np.array(b)
+
+
+@settings(max_examples=400, deadline=None)
+@given(vector_pairs())
+def test_feature_of_is_the_norm_and_its_support(pair):
+    with np.errstate(all="ignore"):
+        for vec in pair:
+            feat = Feature.of(vec)
+            assert feat.norm.hex() == float(np.linalg.norm(vec)).hex()
+            assert feat.zero == (feat.norm == 0.0 and is_zero_feature(vec))
+            assert feat.support == oracles.support_bits(vec)
+
+
+@settings(max_examples=400, deadline=None)
+@given(vector_pairs())
+def test_cosine_is_the_per_call_dot(pair):
+    with np.errstate(all="ignore"):
+        fa, fb = (Feature.of(v) for v in pair)
+        assert cosine(fa, fb).hex() == oracles.cosine_per_call_dot(fa, fb).hex()
+        assert cosine(fb, fa).hex() == oracles.cosine_per_call_dot(fb, fa).hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(TEXTS, TEXTS, DIMS, st.booleans())
+def test_text_cosines_are_the_per_call_dot(text_a, text_b, dim, read_off):
+    # a kept text feature against one whose support is read off its vector,
+    # as a query meets a scene object, or two kept ones
+    facts.release_facts()
+    a = text_feature(text_a, dim)
+    b = text_feature(text_b, dim)
+    if read_off:
+        b = Feature.of(oracles.embed_text_accumulating(text_b, dim))
+    with np.errstate(all="ignore"):
+        assert cosine(a, b).hex() == oracles.cosine_per_call_dot(a, b).hex()
+
+
+def test_a_zero_norm_product_is_left_to_the_dot_rule():
+    # no shared bucket, but a norm of zero: the dot rule's 0/0 is NaN
+    tiny, one = Feature.of(np.array([1e-200, 0.0])), Feature.of(np.array([0.0, 1.0]))
+    assert tiny.norm == 0.0 and not tiny.zero and not tiny.support & one.support
+    zero = Feature.of(np.zeros(2))
+    with np.errstate(all="ignore"):
+        assert math.isnan(cosine(tiny, one)) and math.isnan(cosine(zero, one))
+    # the smallest positive norms still have a positive product
+    small = Feature.of(np.array([3e-162, 0.0]))
+    assert small.norm * Feature.of(np.array([0.0, 3e-162])).norm > 0.0
+
+
+def test_a_sign_bit_or_a_non_finite_entry_shares_every_bucket():
+    for vec in ([-0.0, 1.0], [-1.0, 0.0], [math.inf, 0.0], [math.nan, 0.0], [1e160, 0.0]):
+        with np.errstate(all="ignore"):
+            assert Feature.of(np.array(vec)).support == ALL_BUCKETS, vec
+    assert Feature.of(np.array([0.0, 2.0, 0.0, 1.0])).support == 0b1010
+
+
+def test_features_that_share_no_bucket_take_no_dot_product(monkeypatch):
+    cup, table, red = (text_feature(text, 256) for text in ("red cup", "table", "red"))
+    dots = []
+    real = np.dot
+    monkeypatch.setattr(np, "dot", lambda *a: dots.append(a) or real(*a))
+    assert cosine(cup, table) == 0.0 and dots == []
+    assert cosine(cup, red) == pytest.approx(math.sqrt(0.5)) and len(dots) == 1

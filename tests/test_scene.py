@@ -262,7 +262,11 @@ class TestGridSpec:
             cells[0, 0] = 0
         assert GridSpec(resolution=0.25, width=4, height=4).blocked_cells.shape == (0, 2)
 
-    @pytest.mark.parametrize("cell,error", [([10**30, 0], SceneValidationError),
+    # The file reader checks the types and reads the cells as one intp
+    # array, so a cell beyond intp is a parse error; GridSpec checks only
+    # the bounds of that array, so a cell outside the grid is a validation
+    # error.
+    @pytest.mark.parametrize("cell,error", [([10**30, 0], SceneParseError),
                                             ([4, 0], SceneValidationError),
                                             ([1.5, 0], SceneParseError),
                                             ([True, 0], SceneParseError)])

@@ -379,9 +379,14 @@ class TestSharedRooms:
         assert_every_kept_answer_is_its_rule()
 
 
+REFERENCE_TOKENS = tuple(tokenize(DEFAULT_CARRIER_REFERENCE))
+
+
 class TestSharedTexts:
+    # ``features._text_feature`` is the one embedding behind
+    # ``text_feature``: it embeds a kept answer's tokens
     def test_the_six_variants_embed_each_text_once(self, monkeypatch):
-        texts = counting(monkeypatch, features, "embed_text")
+        texts = counting(monkeypatch, features, "_text_feature")
         sc = build_scenario("mixed", 0, 3)
         for name in sorted(VARIANTS):
             run_sequence(sc, VARIANTS[name])
@@ -389,38 +394,38 @@ class TestSharedTexts:
         assert_every_kept_answer_is_its_rule()
 
     def test_a_plain_and_a_scoped_query_embed_each_text_once(self, monkeypatch):
-        texts = counting(monkeypatch, features, "embed_text")
+        texts = counting(monkeypatch, features, "_text_feature")
         scene = two_tables_scene()
         crsg = build_crsg(scene)
         assert query_target(crsg, Query(text="red cup"))[0].id == "cup_0"
         assert query_target(crsg, Query(text="red cup", carrier_text="table"))[0].id == "cup_0"
         build_crsg(scene)
-        assert texts == [(DEFAULT_CARRIER_REFERENCE, 256), ("red cup", 256), ("table", 256)]
+        assert texts == [(REFERENCE_TOKENS, 256), (("red", "cup"), 256), (("table",), 256)]
         assert_every_kept_answer_is_its_rule()
 
     def test_a_changed_carrier_reference_is_asked_anew(self, monkeypatch):
-        texts = counting(monkeypatch, features, "embed_text")
+        texts = counting(monkeypatch, features, "_text_feature")
         scene, cfg = two_tables_scene(), CrsgConfig()
         build_crsg(scene, cfg)
         cfg = replace(cfg, carrier_reference="cup pen")  # no table resembles it
         assert build_crsg(scene, cfg).carriers == {}
-        assert texts == [(DEFAULT_CARRIER_REFERENCE, 256), ("cup pen", 256)]
+        assert texts == [(REFERENCE_TOKENS, 256), (("cup", "pen"), 256)]
         assert_every_kept_answer_is_its_rule()
 
     def test_an_image_token_and_its_caption_share_one_text(self, monkeypatch):
-        texts = counting(monkeypatch, features, "embed_text")
+        texts = counting(monkeypatch, features, "_text_feature")
         crsg = build_crsg(two_tables_scene())
         by_image = query_target(crsg, Query(image="img:red_cup"))
         by_text = query_target(crsg, Query(text="red cup"))
         assert by_image[0].id == by_text[0].id == "cup_0"
-        assert texts == [(DEFAULT_CARRIER_REFERENCE, 256), ("red_cup", 256)]
+        assert texts == [(REFERENCE_TOKENS, 256), (("red", "cup"), 256)]
         assert [key for key in kept_answers() if key[0] == "text"] == [
-            ("text", tuple(tokenize(DEFAULT_CARRIER_REFERENCE)), 256),
+            ("text", REFERENCE_TOKENS, 256),
             ("text", ("red", "cup"), 256)]
         assert_every_kept_answer_is_its_rule()
 
     def test_a_second_image_comparison_embeds_nothing(self, monkeypatch):
-        texts = counting(monkeypatch, features, "embed_text")
+        texts = counting(monkeypatch, features, "_text_feature")
         prior = KeywordPriorOracle()
         build_crsg(two_tables_scene())
         n = len(texts)
@@ -437,7 +442,7 @@ class TestSharedTexts:
         assert len(texts) == n + 4
 
     def test_another_scene_frees_the_kept_texts(self, monkeypatch):
-        texts = counting(monkeypatch, features, "embed_text")
+        texts = counting(monkeypatch, features, "_text_feature")
         crsg = build_crsg(two_tables_scene())
         query_target(crsg, Query(text="red cup"))
         kept = weakref.ref(kept_answers()[("text", ("red", "cup"), 256)].vec)
@@ -445,7 +450,7 @@ class TestSharedTexts:
         gc.collect()
         assert kept() is None
         query_target(crsg, Query(text="red cup"))
-        assert [text for text, _ in texts].count("red cup") == 2
+        assert [tokens for tokens, _ in texts].count(("red", "cup")) == 2
 
 
 IMAGE_WORDS = ["red", "Red", "cup", "alarm", "clock", "table", "walrus", "7"]

@@ -23,6 +23,10 @@ array the answer holds.
 Kept-answer keys hold the configs and rooms themselves, and holders share
 poses without copying them.  A config, pose or room that can be changed in
 place must fail here.
+
+``features.cosine`` is the one similarity rule: it skips the dot product of
+two features that share no bucket.  A dot product of feature vectors
+anywhere else in the package bypasses that rule and must fail here.
 """
 
 import ast
@@ -228,3 +232,49 @@ def test_configs_poses_and_rooms_are_frozen():
     for array in (pose.position, room.polygon):
         with pytest.raises(ValueError):
             array[0] = 0.0
+
+
+def _is_feature_vector(node) -> bool:
+    """Whether expression ``node`` reads a feature's vector: a ``.vec``, or
+    a name or attribute ending in ``_feature`` (``obj.text_feature``)."""
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+    return name == "vec" or name.endswith("_feature")
+
+
+def feature_dot_products(source: str) -> list:
+    """Lines of each dot product of a feature vector in module ``source``:
+    ``np.dot(`` or ``.dot(`` with such an operand, or ``@`` with one."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "dot":
+            operands = list(node.args)
+            receiver = node.func.value
+            if not (isinstance(receiver, ast.Name) and receiver.id in ("np", "numpy")):
+                operands.append(receiver)  # x in x.dot(y)
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            operands = [node.left, node.right]
+        else:
+            continue
+        if any(map(_is_feature_vector, operands)):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_no_feature_dot_product_outside_features():
+    modules = sorted((ROOT / "src" / "carriernav").glob("*.py"))
+    assert len(modules) > 10
+    found = {p.name: feature_dot_products(p.read_text()) for p in modules
+             if p.name != "features.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_the_dot_guard_sees_feature_dot_products():
+    source = ("import numpy as np\n"
+              "def score(a, b, obj, q):\n"
+              "    s = np.dot(a.vec, b.vec) / (a.norm * b.norm)\n"
+              "    s += obj.text_feature.dot(q)\n"
+              "    s += q @ obj.visual_feature\n"
+              "    s += float(np.dot(q, text_feature))\n"
+              "    return s + np.dot(a, b) + (a @ b) + q.dot(a) + a.vec.sum()\n")
+    assert feature_dot_products(source) == [3, 4, 5, 6]
