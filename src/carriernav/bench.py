@@ -30,15 +30,14 @@ from .policy import (
     EpisodeResult,
     VARIANTS,
     VariantSpec,
-    apply_observation_updates,
     run_task,
-    sense_leg,
+    walk_leg,
 )
 from .priors import CarrierPriorOracle, KeywordPriorOracle
 from .scenarios import Scenario, load_scenario
 from .scene import write_json
 from .update import MatchConfig
-from .world import GridWorld, SensorConfig, UnreachableGoalError
+from .world import GridWorld, SensorConfig
 
 
 class BenchError(RuntimeError):
@@ -148,8 +147,8 @@ def full_coverage_tour(
 ) -> List[str]:
     """Visit every carrier in id order, reconciling the graph at each stop.
 
-    Each stop is one :func:`~carriernav.policy.sense_leg` step, the same
-    sensing an episode leg runs.  Returns the ids visited.  After the tour
+    Each stop is one :func:`~carriernav.policy.walk_leg`, the same leg an
+    episode walks.  Returns the ids visited.  After the tour
     the graph's carried relation matches the live world exactly, because
     every carrier was granted a full carried view at its side.
     """
@@ -158,14 +157,9 @@ def full_coverage_tour(
     crsg_cfg = crsg_cfg or CrsgConfig()
     visited = []
     for cid in sorted(crsg.carriers):
-        node = crsg.carriers[cid]
-        try:
-            path, _ = world.shortest_path(world.robot.position,
-                                          node.object.centroid[:2])
-        except UnreachableGoalError:
+        dest = crsg.carriers[cid].object.centroid
+        if walk_leg(world, crsg, dest, sensor, match, crsg_cfg, cid) is None:
             raise BenchError(f"carrier {cid} unreachable during coverage tour")
-        leg = sense_leg(world, crsg, path, sensor, match, crsg_cfg, cid)
-        apply_observation_updates(world, crsg, leg, match, crsg_cfg)
         visited.append(cid)
     return visited
 

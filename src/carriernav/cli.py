@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 bad input (arguments, files, schemas), 2 runtime
-failure (no query match, unreachable goals, unexpected errors).
+Exit codes: 0 success, 1 bad input (arguments, files, schemas, a query
+descriptor with no token), 2 runtime failure (no query match, unreachable
+goals, unexpected errors).
 Every subcommand uses the one prior oracle that ``oracle_from_env`` gives.
 """
 
@@ -89,8 +90,11 @@ def _cmd_build_graph(args, prior) -> int:
 def _cmd_query(args, prior) -> int:
     if (args.text is None) == (args.image is None):
         raise CliError("query needs exactly one of --text or --image")
+    try:
+        query = Query(text=args.text, image=args.image, carrier_text=args.carrier)
+    except QueryError as exc:  # a malformed query is bad input, not a failed match
+        raise CliError(str(exc)) from None
     crsg = build_crsg(load_scene(args.scene), prior=prior)
-    query = Query(text=args.text, image=args.image, carrier_text=args.carrier)
     obj, score = query_target(crsg, query)
     carrier = crsg.carrier_of(obj.id)
     where = f"on {carrier}" if carrier else "(not carried)"

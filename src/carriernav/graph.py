@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import facts
-from .features import Feature, cosine, strip_image_prefix, text_feature
+from .features import Feature, cosine, strip_image_prefix, text_feature, tokenize
 from .priors import CarrierPriorOracle, KeywordPriorOracle
 from .scene import ObjectInstance, Room, SceneMap, assign_rooms
 
@@ -329,7 +329,8 @@ def build_crsg(
 
 @dataclass(frozen=True)
 class Query:
-    """A navigation query: text or image token, optional carrier scoping."""
+    """A navigation query: text or image token, optional carrier scoping.
+    Each descriptor (an image token after ``img:``) needs a token."""
 
     text: Optional[str] = None
     image: Optional[str] = None
@@ -338,6 +339,10 @@ class Query:
     def __post_init__(self):
         if (self.text is None) == (self.image is None):
             raise QueryError("query needs exactly one of text or image")
+        if not tokenize(self.text if self.image is None else strip_image_prefix(self.image)):
+            raise QueryError(f"query descriptor {self.descriptor!r} has no usable tokens")
+        if self.carrier_text is not None and not tokenize(self.carrier_text):
+            raise QueryError(f"carrier descriptor {self.carrier_text!r} has no usable tokens")
 
     @property
     def descriptor(self) -> str:
@@ -382,15 +387,11 @@ def query_target(crsg: Crsg, query: Query) -> Tuple[ObjectInstance, float]:
 
     use_visual = query.image is not None
     query_feat = text_feature(strip_image_prefix(query.image) if use_visual else query.text, dim)
-    if query_feat.zero:
-        raise QueryError(f"query descriptor {query.descriptor!r} has no usable tokens")
 
     if query.carrier_text is not None:
         if not crsg.carriers:
             raise QueryError("carrier-scoped query on a graph with no carriers")
         carrier_vec = text_feature(query.carrier_text, dim)
-        if carrier_vec.zero:
-            raise QueryError(f"carrier descriptor {query.carrier_text!r} has no usable tokens")
         sims: Dict[str, float] = {}
         for cid, node in crsg.carriers.items():
             if node.object.text.zero:

@@ -38,7 +38,6 @@ from .priors import CarrierPriorOracle, CarrierSummary, KeywordPriorOracle, Orac
 from .scene import ObjectInstance
 from .update import MatchConfig, apply_update, graph_carriers, match_carrier, reconcile_carried
 from .world import (
-    Cell,
     GridWorld,
     Observation,
     Pose,
@@ -117,7 +116,6 @@ class NavState:
     unexplored: List[str]
     candidates: Dict[str, CandidateTarget]
     found: bool = False
-    step: int = 0
     bypass_target: Optional[ObjectInstance] = None
 
     def __post_init__(self):
@@ -282,15 +280,48 @@ class Leg:
     carried: List[Observation]            # the visited carrier's full view
 
 
-def sense_leg(world: GridWorld, crsg: Crsg, path: Sequence[Cell], sensor_cfg: SensorConfig,
-              match_cfg: MatchConfig, crsg_cfg: CrsgConfig,
-              carrier_id: Optional[str] = None) -> Leg:
-    """Travel ``path``, take ``carrier_id``'s full view (if given) and match.
+def apply_observation_updates(
+    world: GridWorld,
+    crsg: Crsg,
+    leg: Leg,
+    match_cfg: MatchConfig,
+    crsg_cfg: CrsgConfig,
+) -> List[str]:
+    """Reconcile every fully observed carrier of ``leg`` against ground truth.
 
+    A carrier counts as fully observed when a sighting matched it and every
+    object currently resting on it was seen too; partial views never
+    reconcile, so they can never remove entries.  Returns the carrier ids
+    updated.
+    """
+    seen = leg.observations
+    updated = []
+    for cid in sorted({c for c in leg.matches.values() if c is not None}):
+        gt_ids = world.ground_truth_carried(cid, crsg_cfg)
+        if any(gid not in seen for gid in gt_ids):
+            continue
+        diff = reconcile_carried(cid, [seen[g] for g in gt_ids], crsg, match_cfg)
+        apply_update(crsg, diff)
+        if not diff.empty:
+            updated.append(cid)
+    return updated
+
+
+def walk_leg(world: GridWorld, crsg: Crsg, dest: Sequence[float], sensor_cfg: SensorConfig,
+             match_cfg: MatchConfig, crsg_cfg: CrsgConfig,
+             carrier_id: Optional[str] = None, update: bool = True) -> Optional[Leg]:
+    """Walk from the robot's pose to ``dest``, take ``carrier_id``'s full
+    view (if given), match, and reconcile the graph when ``update`` is set.
+
+    Returns None, and moves nothing, when ``dest`` cannot be reached.
     Travel sightings win over the carrier view for the same object, so an
     object keeps the depth of its first sighting.  Updates never change
     the graph's carriers, so the matches stay valid for the whole leg.
     """
+    try:
+        path, _ = world.shortest_path(world.robot.position, dest[:2])
+    except UnreachableGoalError:
+        return None
     log = world.travel(path, sensor_cfg)
     carried = (world.carried_observations(carrier_id, world.robot, crsg_cfg)
                if carrier_id is not None else [])
@@ -300,7 +331,10 @@ def sense_leg(world: GridWorld, crsg: Crsg, path: Sequence[Cell], sensor_cfg: Se
     carriers = graph_carriers(crsg)
     matches = {oid: match_carrier(observations[oid], crsg, match_cfg, carriers)
                for oid in sorted(observations)}
-    return Leg(log.length, observations, matches, carried)
+    leg = Leg(log.length, observations, matches, carried)
+    if update:
+        apply_observation_updates(world, crsg, leg, match_cfg, crsg_cfg)
+    return leg
 
 
 @dataclass
@@ -420,7 +454,6 @@ def transition(
         unexplored=new_unexplored,
         candidates=candidates,
         found=confirmed,
-        step=state.step + 1,
     )
 
 
@@ -503,33 +536,6 @@ def _trace_line(t: int, label: str, pose: Pose, n_cr: int, n_ct: int,
     )
 
 
-def apply_observation_updates(
-    world: GridWorld,
-    crsg: Crsg,
-    leg: Leg,
-    match_cfg: MatchConfig,
-    crsg_cfg: CrsgConfig,
-) -> List[str]:
-    """Reconcile every fully observed carrier of ``leg`` against ground truth.
-
-    A carrier counts as fully observed when a sighting matched it and every
-    object currently resting on it was seen too; partial views never
-    reconcile, so they can never remove entries.  Returns the carrier ids
-    updated.
-    """
-    seen = leg.observations
-    updated = []
-    for cid in sorted({c for c in leg.matches.values() if c is not None}):
-        gt_ids = world.ground_truth_carried(cid, crsg_cfg)
-        if any(gid not in seen for gid in gt_ids):
-            continue
-        diff = reconcile_carried(cid, [seen[g] for g in gt_ids], crsg, match_cfg)
-        apply_update(crsg, diff)
-        if not diff.empty:
-            updated.append(cid)
-    return updated
-
-
 def run_task(
     world: GridWorld,
     crsg: Crsg,
@@ -596,18 +602,18 @@ def run_task(
 
     state = init_state(crsg, start_pose, target_obj, score)
 
+    def record(label: str, priority: float, leg_length: float) -> None:
+        # one line per action, at the robot's pose after it
+        trace.append(_trace_line(len(trace), label, world.robot, len(state.unexplored),
+                                 len(state.candidates), priority, leg_length))
+
     if state.bypass_target is not None:
-        dest = state.bypass_target.centroid
-        try:
-            path, _ = world.shortest_path(world.robot.position, dest[:2])
-        except UnreachableGoalError:
+        leg = walk_leg(world, crsg, state.bypass_target.centroid, sensor_cfg, match_cfg,
+                       crsg_cfg, update=variant.update_graph)
+        if leg is None:
             return finish(False, shortest)
-        leg = sense_leg(world, crsg, path, sensor_cfg, match_cfg, crsg_cfg)
         traveled += leg.length
-        if variant.update_graph:
-            apply_observation_updates(world, crsg, leg, match_cfg, crsg_cfg)
-        trace.append(_trace_line(0, f"Direct({target_obj.id})", world.robot,
-                                 len(state.unexplored), 0, math.nan, leg.length))
+        record(f"Direct({target_obj.id})", math.nan, leg.length)
         success = (
             target_obj.id == gt_id
             and world.has_object(gt_id)
@@ -617,50 +623,34 @@ def run_task(
         return finish(success, shortest)
 
     cr0 = len(state.unexplored)
-    confirmed_id: Optional[str] = None
+    best: Optional[Observation] = None  # the last leg's confirmed object
     while True:
         action = decide(
             state, crsg, policy_cfg, prior, task.query.descriptor,
             world.distance_field(state.pose.position), variant, rng,
         )
         if action.kind == "stop":
-            trace.append(_trace_line(state.step, action.label(), state.pose,
-                                     len(state.unexplored), len(state.candidates),
-                                     math.nan, 0.0))
+            record(action.label(), math.nan, 0.0)
             break
         if len(trace) >= cr0:
             raise PolicyError("action budget exceeded; transition failed to shrink CR")
 
-        dest = (
-            action.candidate.position
-            if action.kind == "goto"
-            else crsg.carriers[action.carrier_id].object.centroid
-        )
-        try:
-            path, _ = world.shortest_path(state.pose.position, dest[:2])
-        except UnreachableGoalError:
-            # unreachable destination: consume the action without moving
-            empty = TransitionInputs(set(), {}, dict(state.candidates))
-            state = transition(state, action, empty, False, state.pose)
-            trace.append(_trace_line(state.step - 1, action.label(), state.pose,
-                                     len(state.unexplored), len(state.candidates),
-                                     action.priority, 0.0))
-            continue
-
-        leg = sense_leg(world, crsg, path, sensor_cfg, match_cfg, crsg_cfg,
-                        action.carrier_id)
+        dest = (action.candidate.position if action.kind == "goto"
+                else crsg.carriers[action.carrier_id].object.centroid)
+        # An unreachable destination is an empty leg: the action is consumed
+        # without moving.  A leg reconciles before confirmation and the
+        # transition sets read the graph, which changes nothing: they read
+        # only its carrier instances, never a carried set, and updates never
+        # change those instances.
+        leg = walk_leg(world, crsg, dest, sensor_cfg, match_cfg, crsg_cfg,
+                       action.carrier_id, variant.update_graph) or Leg(0.0, {}, {}, [])
         traveled += leg.length
         leg_len = leg.length
 
         best = confirm_target(leg.carried, target_obj, task.query, prior,
                               policy_cfg, variant)
-        confirmed = best is not None
         inputs = collect_transition_inputs(leg, crsg, state, target_obj, policy_cfg, crsg_cfg)
-        if variant.update_graph:
-            apply_observation_updates(world, crsg, leg, match_cfg, crsg_cfg)
-
-        if confirmed:
-            confirmed_id = best.object_id
+        if best is not None:
             try:
                 approach, _ = world.shortest_path(world.robot.position, best.object.centroid[:2])
                 alog = world.travel(approach, sensor_cfg)
@@ -669,10 +659,8 @@ def run_task(
             except UnreachableGoalError:
                 pass
 
-        state = transition(state, action, inputs, confirmed, world.robot)
-        trace.append(_trace_line(state.step - 1, action.label(), state.pose,
-                                 len(state.unexplored), len(state.candidates),
-                                 action.priority, leg_len))
+        state = transition(state, action, inputs, best is not None, world.robot)
+        record(action.label(), action.priority, leg_len)
 
-    success = state.found and confirmed_id == gt_id
+    success = state.found and best.object_id == gt_id
     return finish(success, shortest)

@@ -30,8 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .features import strip_image_prefix, tokenize
-from .graph import CrsgConfig, Query, QueryError
+from .graph import CrsgConfig, Query
 from .policy import PolicyConfig, PolicyError, Task
 from .priors import AFFINITY_RANKINGS
 from .scene import (SceneError, SceneMap, SceneParseError, load_scene, read_record, save_scene,
@@ -248,11 +247,7 @@ class TaskSpec:
         return d
 
     def __post_init__(self):
-        self.to_task()  # exactly one of query_text and image, or a QueryError
-        for name, text in (("query_text", self.query_text), ("carrier_text", self.carrier_text),
-                           ("image", self.image and strip_image_prefix(self.image))):
-            if text is not None and not tokenize(text):
-                raise QueryError(f"task {name} {getattr(self, name)!r} has no usable tokens")
+        self.to_task()  # a malformed query raises its QueryError
 
     def to_task(self) -> Task:
         return Task(
@@ -625,8 +620,7 @@ def load_scenario(path: str) -> Scenario:
     missing key, a wrong JSON type or a non-finite number, a value that
     fails its config's, event's or task's own check (``PolicyConfig``'s
     raises ``PolicyError``, the others a ``ValueError``; a task's query
-    text, image token after ``img:`` or carrier text that tokenizes to
-    nothing fails the task's), a scene file that
+    fails ``graph.Query``'s), a scene file that
     cannot be read or parsed (its ``SceneError`` is the cause), a
     ``ground_truth_id`` or event object id that the scene lacks, or an
     event trigger that never fires: anything but ``before-episode`` or

@@ -140,7 +140,7 @@ class ObjectInstance:
     hashed by identity, as the keys of kept answers need.
 
     ``text``/``visual`` hold each feature with its norm and zero flag,
-    computed once, at construction.
+    computed once, at construction: one ``Feature`` when both are one array.
     """
 
     id: str
@@ -166,7 +166,8 @@ class ObjectInstance:
                 f"object {self.id!r} centroid {centroid.tolist()} outside its box"
             )
         text = _feature(self.id, "text_feature", self.text_feature)
-        visual = _feature(self.id, "visual_feature", self.visual_feature)
+        visual = (text if self.visual_feature is self.text_feature
+                  else _feature(self.id, "visual_feature", self.visual_feature))
         for name, value in (
             ("captions", tuple(self.captions)),
             ("centroid", _frozen(centroid)),
@@ -604,13 +605,14 @@ class _SceneFile:
 
 
 def _instance(raw: _SceneObject, feature_mode: str, dim: int) -> ObjectInstance:
-    features = {}
-    for name in ("text_feature", "visual_feature"):
-        vec = getattr(raw, name)
-        if vec is None and feature_mode == "embedded":
+    features = {name: getattr(raw, name) for name in ("text_feature", "visual_feature")}
+    if any(vec is None for vec in features.values()):
+        if feature_mode == "embedded":
             raise SceneValidationError(
                 f"object {raw.id!r}: embedded feature mode requires stored features")
-        features[name] = embed_text(" ".join(raw.captions), dim) if vec is None else vec
+        # both synthesized features are the captions' one embedding
+        embedded = embed_text(" ".join(raw.captions), dim)
+        features = {name: embedded if vec is None else vec for name, vec in features.items()}
     return ObjectInstance(id=raw.id, captions=tuple(raw.captions),
                           box=Box3(raw.box.min, raw.box.max), centroid=raw.centroid,
                           room_id=raw.room_id, **features)

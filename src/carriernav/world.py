@@ -39,7 +39,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Container, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -473,13 +473,11 @@ class GridWorld:
                 err += dx
                 y += sy
 
-    def observe(self, pose: Pose, sensor: SensorConfig,
-                skip: Container[str] = ()) -> List[Observation]:
-        """Objects within radius and field of view, sorted by id; objects
-        whose id is in ``skip`` are left out before any ray is traced.  A
-        pose outside the grid raises :class:`WorldError`."""
+    def observe(self, pose: Pose, sensor: SensorConfig) -> List[Observation]:
+        """Objects within radius and field of view, sorted by id.  A pose
+        outside the grid raises :class:`WorldError`."""
         return self._first_sightings(pose.position[None, :], [pose.heading],
-                                     [self.cell_of(pose.position)], sensor, skip)
+                                     [self.cell_of(pose.position)], sensor)
 
     def travel(self, path: Sequence[Cell], sensor: SensorConfig) -> TravelLog:
         """Advance cell-by-cell along ``path``, sensing at every cell center.
@@ -540,8 +538,7 @@ class GridWorld:
                              f"is not an allowed move")
 
     def _first_sightings(self, positions: np.ndarray, headings: Sequence[float],
-                         cells: Sequence[Cell], sensor: SensorConfig,
-                         skip: Container[str] = ()) -> List[Observation]:
+                         cells: Sequence[Cell], sensor: SensorConfig) -> List[Observation]:
         """The first sighting of each object from a sequence of poses, in the
         order (pose, id): the one rule of what a pose sees.
 
@@ -568,8 +565,6 @@ class GridWorld:
             heading = np.asarray(headings, dtype=np.float64)[:, None]
             diff = np.abs((angles - heading + math.pi) % (2.0 * math.pi) - math.pi)
             in_view &= (diff <= sensor.fov / 2.0 + 1e-12) | (dists < 1e-12)
-        if skip:
-            in_view[:, [j for j, oid in enumerate(ids) if oid in skip]] = False
         cols = np.flatnonzero(in_view.any(axis=0)).tolist()
         objects = self.scene.objects
         if sensor.occlusion:

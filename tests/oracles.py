@@ -663,14 +663,14 @@ def moved_per_call(objects, object_id, target_id, spot_index, cfg):
 # --- sensing, one pose at a time
 
 
-def observe_per_cell(world, pose, sensor, skip=()):
+def observe_per_cell(world, pose, sensor):
     """Sightings from one pose, sorted by id: the world's one-pose rule
     before sensing became one pass per leg.  Radius by ``np.hypot`` of the
     centroid deltas; under a field of view narrower than a full circle, the
     bearing must lie within half of it of the heading unless the object is
     at zero distance; under occlusion, a Bresenham ray from the pose's cell
     to the centroid's cell must be clear, and an off-grid centroid is never
-    seen.  Ids in ``skip`` are left out."""
+    seen."""
     objects = world.scene.objects
     ids = sorted(objects)
     if not ids:
@@ -686,10 +686,7 @@ def observe_per_cell(world, pose, sensor, skip=()):
     out = []
     robot_cell = world.cell_of(pose.position)
     for i in np.nonzero(mask)[0]:
-        oid = ids[int(i)]
-        if oid in skip:
-            continue
-        obj = objects[oid]
+        obj = objects[ids[int(i)]]
         if sensor.occlusion:
             try:
                 obj_cell = world.cell_of(obj.centroid[:2])
@@ -703,8 +700,8 @@ def observe_per_cell(world, pose, sensor, skip=()):
 
 def travel_per_cell(world, path, sensor):
     """(first sightings by id, leg length, final pose) of ``path`` sensed one
-    cell at a time with :func:`observe_per_cell`, each cell skipping the ids
-    already seen; the heading at a cell is the step to the next one, and the
+    cell at a time with :func:`observe_per_cell`, each id keeping its first
+    sighting; the heading at a cell is the step to the next one, and the
     last cell keeps the last step's.  The world is left as it was."""
     seen = {}
     heading = world.robot.heading
@@ -720,8 +717,8 @@ def travel_per_cell(world, path, sensor):
             else:
                 n_axis += 1
         position = world.cell_center(cell)
-        for obs in observe_per_cell(world, Pose(position, heading), sensor, seen):
-            seen[obs.object_id] = obs
+        for obs in observe_per_cell(world, Pose(position, heading), sensor):
+            seen.setdefault(obs.object_id, obs)
     return seen, (n_axis + n_diag * SQRT2) * world.resolution, Pose(position, heading)
 
 

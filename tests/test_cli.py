@@ -141,6 +141,13 @@ class TestQuery:
                      "--text", "violet walrus"]) == 2
         assert capsys.readouterr().err.startswith("no match:")
 
+    @pytest.mark.parametrize("args", [["--text", "?!"], ["--image", "img:??"],
+                                      ["--text", "red cup", "--carrier", "!!"]])
+    def test_a_descriptor_without_tokens_is_bad_input(self, scene_file, capsys, args):
+        assert main(["query", "--scene", scene_file, *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "no usable tokens" in err
+
     def test_text_and_image_together(self, scene_file, capsys):
         assert main(["query", "--scene", scene_file, "--text", "red cup",
                      "--image", "img:red_cup"]) == 1

@@ -327,6 +327,15 @@ class TestQuery:
         with pytest.raises(QueryError):
             Query(text="cup", image="img:cup")
 
+    @pytest.mark.parametrize("fields", [dict(text=""), dict(image="img:??"),
+                                        dict(image="img:"), dict(text="cup", carrier_text="!!")])
+    def test_a_descriptor_needs_a_token(self, fields):
+        with pytest.raises(QueryError, match="no usable tokens"):
+            Query(**fields)
+
+    def test_a_text_query_keeps_the_image_prefix_as_a_word(self):
+        assert Query(text="img:").descriptor == "img:"
+
     def test_plain_text_query(self, golden_graph):
         obj, score = query_target(golden_graph, Query(text="red cup"))
         assert obj.id == "cup_0"
@@ -358,9 +367,9 @@ class TestQuery:
         with pytest.raises(QueryError):
             query_target(golden_graph, Query(text="violet walrus"))
 
-    def test_stopword_only_query_raises(self, golden_graph):
+    def test_stopword_only_query_raises(self):
         with pytest.raises(QueryError):
-            query_target(golden_graph, Query(text="!!!"))
+            Query(text="!!!")
 
     def test_an_unscoped_pool_reads_the_graph_in_section_order(self, monkeypatch):
         # carriers, the objects they carry, orphans, then missing objects:

@@ -31,7 +31,7 @@ from carriernav.policy import (
 )
 from carriernav.priors import CarrierPriorOracle, KeywordPriorOracle, OracleError
 from carriernav.scene import scene_from_dict
-from carriernav.update import MatchConfig, graph_carriers, match_carrier
+from carriernav.update import CarriedDiff, MatchConfig, apply_update, graph_carriers, match_carrier
 from carriernav.world import DisplacementEvent, GridWorld, Pose
 
 import oracles
@@ -42,7 +42,7 @@ CFG = PolicyConfig()
 
 
 def leg_of(observations, crsg, match_cfg=MatchConfig()):
-    """A leg that sensed ``observations``, each matched as ``sense_leg`` does."""
+    """A leg that sensed ``observations``, each matched as ``walk_leg`` does."""
     by_id = {o.object_id: o for o in observations}
     matches = {oid: match_carrier(o, crsg, match_cfg) for oid, o in by_id.items()}
     return Leg(0.0, by_id, matches, [])
@@ -97,14 +97,28 @@ class TestEffectiveBeta:
         assert effective_beta(q, CFG, VARIANTS["ours-LLM"]) == 1.0
 
 
-def policy_scene():
+def policy_scene(blocked=()):
     t0 = table_dict("table_0", 2.0, 2.0)
     t1 = table_dict("table_1", 5.0, 2.0)
     counter = obj_dict("counter_0", ["white counter", "counter"], 2.0, 4.0, 1.6, 0.6, 0.0, 0.9)
     objs = [t0, t1, counter,
             item_on("cup_0", ["red cup", "red cup", "cup"], t0),
             obj_dict("rug_0", ["green rug", "green rug", "rug"], 5.0, 4.0, 1.0, 1.0, 0.0, 0.02)]
-    return scene_from_dict(scene_dict(objs, width=32, height=24))
+    return scene_from_dict(scene_dict(objs, width=32, height=24, blocked=blocked))
+
+
+# a wall at x = 3.5 m parts the start, table_0 and counter_0 from table_1 and rug_0
+EAST_WALL = [(14, iy) for iy in range(24)]
+
+
+class FixedRanking(KeywordPriorOracle):
+    """The keyword prior with its carrier ranking replaced by ``order``."""
+
+    def __init__(self, order):
+        self.order = list(order)
+
+    def rank_carriers(self, carriers, target_descriptor):
+        return self.order
 
 
 @pytest.fixture
@@ -368,7 +382,6 @@ class TestTransition:
                          confirmed=False, new_pose=Pose([2.0, 2.0]))
         assert nxt.unexplored == ["counter_0", "table_1"]
         assert nxt.candidates == {}
-        assert nxt.step == 1
         assert not nxt.found
 
     def test_confirmation_marks_found(self):
@@ -526,6 +539,7 @@ class TestRunTask:
         r = run_task(world, crsg, self.task(text="green rug", gt="rug_0"), rng=Random(0))
         assert r.success
         assert r.traveled == pytest.approx(r.shortest)
+        assert r.actions == ["t=0 Direct(rug_0) pose=(4.875,3.875) cr=3 ct=0 pr=- leg=5.949747"]
 
     def test_unresolvable_query_fails(self, world_and_graph):
         world, crsg = world_and_graph
@@ -644,6 +658,50 @@ class TestRunTask:
         # each leg builds the graph's part of the match keys once
         assert len({id(carriers) for carriers in passed}) == len(sensed) < len(passed)
         assert all(carriers == graph_carriers(crsg) for carriers in passed)
+
+    def test_walled_off_carrier_is_consumed_without_moving(self):
+        # the first explored carrier lies beyond a wall: the action costs no
+        # travel, leaves CR, keeps the candidate and still takes a t
+        scene = policy_scene(blocked=EAST_WALL)
+        world = GridWorld(scene, start_pose=Pose([0.5, 0.5]))
+        crsg = build_crsg(scene, CrsgConfig())
+        r = run_task(world, crsg, self.task(), variant=VARIANTS["only-carriers_LLM"],
+                     prior=FixedRanking(["table_1", "table_0", "counter_0"]), rng=Random(0))
+        assert r.actions == [
+            "t=0 Explore(table_1) pose=(0.500,0.500) cr=2 ct=1 pr=- leg=0.000000",
+            "t=1 Explore(table_0) pose=(1.875,1.875) cr=0 ct=0 pr=- leg=2.121320",
+            "t=2 Stop pose=(1.875,1.875) cr=0 ct=0 pr=- leg=0.000000",
+        ]
+        assert r.success
+        assert r.traveled == pytest.approx(r.shortest)
+        assert r.action_count <= len(crsg.carriers) + 1
+
+    def test_unreachable_direct_target_fails_without_a_trace(self):
+        # the query resolves to the walled-off rug while the ground truth is
+        # reachable: the robot does not move and records no action
+        scene = policy_scene(blocked=EAST_WALL)
+        world = GridWorld(scene, start_pose=Pose([0.5, 0.5]))
+        crsg = build_crsg(scene, CrsgConfig())
+        r = run_task(world, crsg, self.task(text="green rug", gt="cup_0"), rng=Random(0))
+        assert not r.success
+        assert r.actions == []
+        assert r.traveled == 0.0
+        assert r.shortest == pytest.approx(world.shortest_path([0.5, 0.5], [2.0, 2.0])[1])
+        assert np.array_equal(world.robot.position, [0.5, 0.5])
+
+    def test_explore_goto_stop_trace(self, world_and_graph):
+        # a target parked as missing has no believed carrier, so the search
+        # explores first; a sighting on the way makes it a candidate
+        world, crsg = world_and_graph
+        apply_update(crsg, CarriedDiff("table_0", removed=["cup_0"]))
+        assert crsg.carrier_of("cup_0") is None
+        r = run_task(world, crsg, self.task(), rng=Random(0))
+        assert r.actions == [
+            "t=0 Explore(counter_0) pose=(1.875,3.875) cr=2 ct=1 pr=- leg=4.121320",
+            "t=1 Goto(cup_0) pose=(1.875,1.875) cr=1 ct=0 pr=0.794685 leg=2.000000",
+            "t=2 Stop pose=(1.875,1.875) cr=1 ct=0 pr=- leg=0.000000",
+        ]
+        assert r.success
 
     def test_variants_share_the_success_on_accurate_beliefs(self, world_and_graph):
         world, crsg = world_and_graph

@@ -289,6 +289,19 @@ class TestParsing:
         assert float(np.linalg.norm(cup.text_feature)) == pytest.approx(1.0)
         assert np.array_equal(cup.text_feature, cup.visual_feature)
 
+    def test_synthesized_features_are_one_embedding(self, monkeypatch):
+        # one embedding per object, read by both features as one Feature
+        import carriernav.scene as scene_mod
+        texts = []
+        real = scene_mod.embed_text
+        monkeypatch.setattr(scene_mod, "embed_text",
+                            lambda text, dim: texts.append(text) or real(text, dim))
+        scene = scene_from_dict(golden_scene_dict())
+        assert sorted(texts) == sorted(" ".join(o.captions) for o in scene.objects.values())
+        for obj in scene.objects.values():
+            assert obj.visual_feature is obj.text_feature
+            assert obj.visual is obj.text
+
     def test_missing_header_is_parse_error(self):
         tree = golden_scene_dict()
         del tree["header"]

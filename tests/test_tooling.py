@@ -27,6 +27,11 @@ place must fail here.
 ``features.cosine`` is the one similarity rule: it skips the dot product of
 two features that share no bucket.  A dot product of feature vectors
 anywhere else in the package bypasses that rule and must fail here.
+
+An episode records each action at one site: ``run_task``'s ``record``, the
+one reader of ``policy._trace_line``.  A second reader, a call or a
+reference that calls it later, gives an action a record of its own and
+must fail here.
 """
 
 import ast
@@ -278,3 +283,33 @@ def test_the_dot_guard_sees_feature_dot_products():
               "    s += float(np.dot(q, text_feature))\n"
               "    return s + np.dot(a, b) + (a @ b) + q.dot(a) + a.vec.sum()\n")
     assert feature_dot_products(source) == [3, 4, 5, 6]
+
+
+def trace_line_reads(source: str) -> list:
+    """Lines of each read of ``_trace_line`` in module ``source``: a call
+    or any other reference, by bare name or as an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        else:
+            continue
+        if name == "_trace_line":
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_each_action_is_recorded_at_one_site():
+    assert len(trace_line_reads((ROOT / "src" / "carriernav" / "policy.py").read_text())) == 1
+
+
+def test_the_record_guard_sees_every_trace_line_read():
+    source = ("def _trace_line(t, label):\n    return f\"t={t} {label}\"\n"
+              "def run(trace, policy):\n"
+              "    trace.append(_trace_line(0, \"Stop\"))\n"
+              "    line = _trace_line\n"
+              "    trace.append(policy._trace_line(1, \"Stop\"))\n"
+              "    return trace_line(2), line\n")
+    assert trace_line_reads(source) == [4, 5, 6]

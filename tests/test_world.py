@@ -788,20 +788,6 @@ class TestSensing:
             with pytest.raises(FrozenInstanceError):
                 setattr(obs, name, None)
 
-    def test_skipped_ids_get_no_snapshot(self, monkeypatch):
-        w = sensing_world()
-        pose, sensor = Pose([2.0, 3.5]), SensorConfig(radius=25.0)
-        everything = [o.object_id for o in w.observe(pose, sensor)]
-        # a skipped id gets no Observation built
-        import carriernav.world as world_mod
-        built = []
-        real = world_mod.Observation
-        monkeypatch.setattr(world_mod, "Observation",
-                            lambda obj, depth: built.append(obj.id) or real(obj, depth))
-        rest = [o.object_id for o in w.observe(pose, sensor, {"cup_0"})]
-        assert rest == [oid for oid in everything if oid != "cup_0"]
-        assert built == rest
-
     def test_sensor_config_validation(self):
         with pytest.raises(WorldError):
             SensorConfig(radius=0.0)
@@ -903,9 +889,9 @@ def assert_travel_matches_oracle(w, path, sensor, travel=GridWorld.travel):
     return log
 
 
-def assert_observe_matches_oracle(w, pose, sensor, skip=()):
-    got = w.observe(pose, sensor, skip)
-    assert sightings(got) == sightings(oracles.observe_per_cell(w, pose, sensor, skip))
+def assert_observe_matches_oracle(w, pose, sensor):
+    got = w.observe(pose, sensor)
+    assert sightings(got) == sightings(oracles.observe_per_cell(w, pose, sensor))
     return got
 
 
@@ -966,16 +952,6 @@ class TestSweptSensing:
         run_sequence(build_scenario(mode, 1, 3, resolution))
         assert len(legs) >= 3 and max(legs) > 1
 
-    def test_skip_sets(self):
-        w = sensing_world()
-        sensor = SensorConfig(radius=25.0)
-        pose = Pose([2.0, 3.5], heading=1.0)
-        ids = sorted(w.scene.objects)
-        for k in range(len(ids) + 1):
-            for skip in ({*ids[:k]}, {*ids[k:]}, {"no_such_id"}):
-                got = assert_observe_matches_oracle(w, pose, sensor, skip)
-                assert [o.object_id for o in got] == [oid for oid in ids if oid not in skip]
-
     def test_an_object_exactly_at_the_radius_is_seen(self):
         # centers and centroid are exact binary fractions: the distance is 2.5
         cup = obj_dict("cup_0", ["red cup"], 3.375, 0.625, 0.08, 0.08, 0.0, 0.12)
@@ -1034,14 +1010,11 @@ def walled_world():
        heading=st.floats(-2 * math.pi, 2 * math.pi),
        radius=st.sampled_from([0.5, 2.5, 25.0]),
        fov=st.sampled_from([2 * math.pi, math.pi, math.pi / 2, math.pi / 3, 0.1]),
-       occlusion=st.booleans(), skip=st.sets(st.integers(0, 40), max_size=6))
-def test_observe_equals_the_per_cell_rule(walled_world, x, y, heading, radius, fov, occlusion,
-                                          skip):
+       occlusion=st.booleans())
+def test_observe_equals_the_per_cell_rule(walled_world, x, y, heading, radius, fov, occlusion):
     w = walled_world
     pose = Pose(w.origin + np.array([x * w.width, y * w.height]) * w.resolution, heading)
-    ids = sorted(w.scene.objects)
-    assert_observe_matches_oracle(w, pose, SensorConfig(radius, fov, occlusion),
-                                  {ids[k] for k in skip if k < len(ids)})
+    assert_observe_matches_oracle(w, pose, SensorConfig(radius, fov, occlusion))
 
 
 class TestGroundTruth:
