@@ -70,9 +70,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _out_dir(path: str) -> str:
+    """``path`` if it names a directory, or a place where one can be made:
+    checked before any work, so a file there is bad input."""
+    here = Path(path).absolute()
+    existing = next(p for p in (here, *here.parents) if p.exists())
+    if not existing.is_dir():
+        raise CliError(f"--out {path!r}: {str(existing)!r} is not a directory")
+    return path
+
+
 def _cmd_gen_scenarios(args, prior) -> int:  # generation consults no oracle
     scenarios = generate_scenarios(args.mode, args.count, args.seed,
-                                   out_dir=args.out)
+                                   out_dir=_out_dir(args.out))
     print(f"wrote {len(scenarios)} {args.mode} scenarios to {args.out}")
     return 0
 
@@ -135,7 +145,7 @@ def _cmd_run_suite(args, prior) -> int:
             raise CliError(f"unknown variant {v!r}; known: {sorted(VARIANTS)}")
     if args.workers < 1:
         raise CliError(f"--workers must be at least 1, got {args.workers}")
-    report = run_suite(paths, variants, out_dir=args.out, workers=args.workers,
+    report = run_suite(paths, variants, out_dir=_out_dir(args.out), workers=args.workers,
                        prior=prior)
     for name, agg in sorted(report.variants.items()):
         print(f"{name}: episodes={agg['episodes']} sr={agg['sr']:.4f} "

@@ -3,6 +3,10 @@
 A scene file is a JSON tree with a header, room polygons, object instances
 and occupancy-grid metadata.  Features are either embedded verbatim or
 synthesized from captions with the default embedder (``feature_mode``).
+In ``synthesize`` mode an object's feature is optional: the reader fills a
+missing one with :func:`derived_feature`, and the writer leaves out each
+feature whose bytes are that vector's (a byte compare, so a stored ``-0.0``
+or subnormal is written).  ``embedded`` mode writes and needs both.
 The file is declared as record dataclasses (``_SceneFile`` and its parts)
 and read by ``read_record``, the one typed reader that scenario files use
 too: an unknown or missing key, a wrong JSON type or a non-finite number
@@ -28,6 +32,11 @@ from .features import DEFAULT_EMBEDDING_DIM, Feature, embed_text
 HALLWAY_ROOM_ID = "hallway"
 
 DEFAULT_GRID_RESOLUTION = 0.05  # m per cell
+
+# The largest header ``embedding_dim`` a scene file may declare: a derived
+# feature allocates ``embedding_dim`` floats per object, and a 4096-float
+# vector (32 KB) is four times the widest common CLIP feature.
+MAX_EMBEDDING_DIM = 4096
 
 _CENTROID_EPS = 1e-6
 
@@ -117,6 +126,12 @@ class Box3:
         return {"min": self.min.tolist(), "max": self.max.tolist()}
 
 
+def derived_feature(captions: Sequence[str], dim: int) -> np.ndarray:
+    """The feature a ``synthesize`` scene derives for an object without
+    one: the embedding of its joined captions."""
+    return embed_text(" ".join(captions), dim)
+
+
 def _feature(oid: str, name: str, value) -> Feature:
     """A 1-D feature with its norm, which must be finite (so is every
     entry), and positive unless the feature is all zeros: one entry of
@@ -178,15 +193,19 @@ class ObjectInstance:
         ):
             object.__setattr__(self, name, value)
 
-    def to_dict(self) -> dict:
+    def to_dict(self, derived: Optional[bytes] = None) -> dict:
+        """The object's file entry, without each feature whose bytes are
+        ``derived``."""
         out = {
             "id": self.id,
             "captions": list(self.captions),
             "box": self.box.to_dict(),
             "centroid": self.centroid.tolist(),
-            "text_feature": self.text_feature.tolist(),
-            "visual_feature": self.visual_feature.tolist(),
         }
+        for name in ("text_feature", "visual_feature"):
+            vec = getattr(self, name)
+            if vec.tobytes() != derived:
+                out[name] = vec.tolist()
         if self.room_id is not None:
             out["room_id"] = self.room_id
         return out
@@ -302,6 +321,8 @@ class SceneMap:
         room_ids = {room.id for room in self.rooms}
         if len(room_ids) != len(self.rooms):
             raise SceneValidationError("duplicate room ids")
+        ox, oy = self.grid.origin.tolist()
+        resolution = float(self.grid.resolution)
         for obj in self.objects.values():
             for name in ("text_feature", "visual_feature"):
                 if getattr(obj, name).shape[0] != self.embedding_dim:
@@ -311,16 +332,19 @@ class SceneMap:
                 raise SceneValidationError(
                     f"object {obj.id!r} names unknown room {obj.room_id!r}"
                 )
-            cell = (
-                int(math.floor((obj.centroid[0] - self.grid.origin[0]) / self.grid.resolution)),
-                int(math.floor((obj.centroid[1] - self.grid.origin[1]) / self.grid.resolution)),
-            )
+            x, y, _ = obj.centroid.tolist()
+            fx, fy = (x - ox) / resolution, (y - oy) / resolution
+            if not (math.isfinite(fx) and math.isfinite(fy)):
+                raise SceneValidationError(
+                    f"object {obj.id!r} centroid maps to no finite cell ({fx}, {fy})")
+            cell = (math.floor(fx), math.floor(fy))
             if not (0 <= cell[0] < self.grid.width and 0 <= cell[1] < self.grid.height):
                 raise SceneValidationError(
                     f"object {obj.id!r} centroid maps to out-of-bounds cell {cell}"
                 )
 
     def to_dict(self) -> dict:
+        """The scene's file tree, without the features the reader derives."""
         return {
             "header": {
                 "version": 1,
@@ -330,7 +354,9 @@ class SceneMap:
             },
             "grid": self.grid.to_dict(),
             "rooms": [room.to_dict() for room in self.rooms],
-            "objects": [obj.to_dict() for obj in self.objects.values()],
+            "objects": [obj.to_dict(derived_feature(obj.captions, self.embedding_dim).tobytes()
+                                    if self.feature_mode == "synthesize" else None)
+                        for obj in self.objects.values()],
         }
 
 
@@ -610,9 +636,9 @@ def _instance(raw: _SceneObject, feature_mode: str, dim: int) -> ObjectInstance:
         if feature_mode == "embedded":
             raise SceneValidationError(
                 f"object {raw.id!r}: embedded feature mode requires stored features")
-        # both synthesized features are the captions' one embedding
-        embedded = embed_text(" ".join(raw.captions), dim)
-        features = {name: embedded if vec is None else vec for name, vec in features.items()}
+        # both missing features are the one derived array
+        derived = derived_feature(raw.captions, dim)
+        features = {name: derived if vec is None else vec for name, vec in features.items()}
     return ObjectInstance(id=raw.id, captions=tuple(raw.captions),
                           box=Box3(raw.box.min, raw.box.max), centroid=raw.centroid,
                           room_id=raw.room_id, **features)
@@ -632,8 +658,8 @@ def scene_from_dict(tree: dict) -> SceneMap:
     if header.feature_mode not in ("embedded", "synthesize"):
         raise SceneParseError(f"unknown feature_mode {header.feature_mode!r}")
     dim = header.embedding_dim
-    if dim <= 0:
-        raise SceneValidationError(f"embedding_dim must be positive, got {dim}")
+    if not 0 < dim <= MAX_EMBEDDING_DIM:  # before any feature is derived
+        raise SceneValidationError(f"embedding_dim must be in 1..{MAX_EMBEDDING_DIM}, got {dim}")
     objects: Dict[str, ObjectInstance] = {}
     for raw in top.objects:
         obj = _instance(raw, header.feature_mode, dim)
@@ -664,7 +690,9 @@ def load_scene(path: str) -> SceneMap:
 def save_scene(scene: SceneMap, path: str) -> None:
     """Write a scene file that loads back field-for-field equal.
 
-    Features are always written out; a re-load in ``synthesize`` mode
-    recomputes identical vectors, so the round trip is exact either way.
+    In ``synthesize`` mode a feature is written only when its bytes differ
+    from the object's :func:`derived_feature`, which the reader fills in for
+    a missing one; ``embedded`` mode writes both.  So the round trip is
+    exact either way, and a file written with every feature loads the same.
     """
     write_json(path, scene.to_dict())

@@ -46,9 +46,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from . import facts
-from .features import embed_text
 from .graph import CrsgConfig, assign_carried, carrying_predicate, geometric_carrier_filter
-from .scene import Box3, ObjectInstance, SceneMap, _frozen
+from .scene import Box3, ObjectInstance, SceneMap, _frozen, derived_feature
 
 SQRT2 = math.sqrt(2.0)
 
@@ -733,7 +732,7 @@ class GridWorld:
         extents = np.asarray(payload.get("extents", [0.1, 0.1, 0.12]), dtype=np.float64)
         box = self._seat(carrier, extents, config, spot_index)
         captions = payload.get("captions") or [oid]
-        feature = embed_text(" ".join(captions), self.scene.embedding_dim)
+        feature = derived_feature(captions, self.scene.embedding_dim)
         self.scene.objects[oid] = ObjectInstance(
             id=oid, captions=tuple(captions), box=box, centroid=box.center,
             text_feature=feature, visual_feature=feature)

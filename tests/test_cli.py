@@ -104,6 +104,15 @@ class TestBuildGraph:
         assert err.startswith("error: object 'table_0' text_feature norm")
         assert "cosine" not in err
 
+    def test_an_origin_with_no_finite_cell_is_bad_input(self, tmp_path, capsys):
+        tree = golden_scene_dict()
+        tree["grid"]["origin"] = [1e308, 0.0]
+        bad = tmp_path / "far.json"
+        bad.write_text(json.dumps(tree))
+        assert main(["build-graph", "--scene", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "finite cell" in err
+
     def test_overflowing_feature_prints_only_the_error(self, tmp_path, capsys):
         tree = golden_scene_dict()
         feature = [0.0] * 256
@@ -287,6 +296,14 @@ def _resolution_a_boolean(tree, scene):
     scene["grid"]["resolution"] = True
 
 
+def _embedding_dim_beyond_the_cap(tree, scene):
+    scene["header"]["embedding_dim"] = 2**62
+
+
+def _origin_with_no_finite_cell(tree, scene):
+    scene["grid"]["origin"] = [1e308, 0.0]
+
+
 @pytest.mark.parametrize("defect", [_drop_scene_file, _drop_tasks, _event_without_kind,
                                     _unknown_config_key, _unknown_ground_truth,
                                     _config_fails_its_own_check, _list_as_root,
@@ -300,7 +317,9 @@ def _resolution_a_boolean(tree, scene):
                                     _trigger_after_task_zero, _grid_not_an_object,
                                     _blocked_cell_of_one_number, _blocked_cell_beyond_any_grid,
                                     _blocked_cell_outside_the_grid, _objects_not_an_array,
-                                    _resolution_not_a_number, _resolution_a_boolean])
+                                    _resolution_not_a_number, _resolution_a_boolean,
+                                    _embedding_dim_beyond_the_cap,
+                                    _origin_with_no_finite_cell])
 def test_malformed_scenario_is_bad_input(scenario_dir, tmp_path, capsys, defect):
     tree = json.loads((scenario_dir / "scenario_0000.json").read_text())
     scene = json.loads((scenario_dir / tree["scene_file"]).read_text())
@@ -313,6 +332,25 @@ def test_malformed_scenario_is_bad_input(scenario_dir, tmp_path, capsys, defect)
         load_scenario(str(path))
     assert main(["run-episode", "--scenario", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("below", [(), ("res",)])
+@pytest.mark.parametrize("command, work", [
+    (["gen-scenarios", "--count", "1"], "generate_scenarios"),
+    (["run-suite", "--scenarios", "SCENARIOS"], "run_suite")])
+def test_an_out_that_names_a_file_is_bad_input_before_any_work(
+        scenario_dir, tmp_path, monkeypatch, capsys, below, command, work):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken.joinpath(*below)
+    calls = []
+    monkeypatch.setattr(cli, work, lambda *args, **kwargs: calls.append(args))
+    argv = [str(scenario_dir) if a == "SCENARIOS" else a for a in command]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out") and err.count("\n") == 1
+    assert calls == []
+    assert taken.read_text() == "kept\n"
 
 
 class TestRunSuite:

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carriernav.cli import main
+from carriernav.features import embed_text
 from carriernav.graph import CrsgConfig, build_crsg
 from carriernav.scenarios import (
     ATTRIBUTES,
@@ -72,12 +73,12 @@ def test_generation_to_disk_is_byte_identical(tmp_path):
 # generate_scenarios(mode, 2, 7, resolution=...): the scene and scenario
 # files that the generator and writer of this format version produce.
 GENERATED_SHA256 = {
-    ("mixed", 0.25): "3f1cd868c76f0194b9681540b4edc1c0c7b31a145c9643dead67b33e361e8675",
-    ("mixed", 0.05): "ff3a0b114bdcae43410851f99a1d1fc04cbd6cb6dc9795b35c015edb341203f0",
-    ("probe", 0.25): "a4830dbebd2f33a19d2e832c5391432d5f13bc6c3036f4e5609406907c9203c7",
-    ("probe", 0.05): "252964a9edf3e1bf24768456a63d8af1322185e19f7f6ad2ba50a9d43a0d04b5",
-    ("single", 0.25): "f6e7d6f8a92fd77b0e868badeb0ce5dd076af85e10b7cd43955322e29a89592b",
-    ("single", 0.05): "1e70e9fd3e7b6fb6a66a7f12300041205ae82bbd032dacc6aab0e871f42d750a",
+    ("mixed", 0.25): "1ddfee8ce975d16fa111039228d8c1be97373766dc8a69d840e0c1d306921cca",
+    ("mixed", 0.05): "339d64ec89bccd2f0d95441e533c35a9df5114cb32100ed00c8e112fae5513b6",
+    ("probe", 0.25): "5965f13e332f8777b5bebfa81f3fc378a30a76e3899eec99fcfb12ca383a58fd",
+    ("probe", 0.05): "bc7aae45f382d98f8ff9795ec08d581e4ad3ed0ac3cf8a41233b1559be6874b3",
+    ("single", 0.25): "2c61b5ad88bdbb0cb38781ecb67de42491383a83aed379d6d9531018a4ef9b86",
+    ("single", 0.05): "f1705503e07fc46f3bfba19357bf81450bfe024408d776e14983a3081bafda53",
 }
 
 
@@ -438,6 +439,17 @@ def test_a_value_of_another_json_type_is_loaded_or_rejected(scenario_tree, data)
         pass
 
 
+def _with_every_object_key(scene: dict) -> dict:
+    """``scene`` with every optional object key written once, in its first
+    object: a room id and both features (the derived vector, which the
+    writer leaves out)."""
+    first = scene["objects"][0]
+    first["room_id"] = scene["rooms"][0]["id"]
+    first["text_feature"] = first["visual_feature"] = embed_text(
+        " ".join(first["captions"]), scene["header"]["embedding_dim"]).tolist()
+    return scene
+
+
 def _scene_sites(value, site=()):
     """Every key of every object and the first entry of every array in a
     scene tree, as paths from its root."""
@@ -459,7 +471,7 @@ def _scene_sites(value, site=()):
 def test_a_scene_value_of_another_json_type_is_loaded_or_rejected(scenario_tree, data):
     tree, _ = scenario_tree
     with open(tree["scene_file"]) as fh:
-        scene = json.load(fh)
+        scene = _with_every_object_key(json.load(fh))
     site = data.draw(st.sampled_from(_scene_sites(scene)))
     parent = scene
     for step in site[:-1]:
@@ -486,8 +498,7 @@ def _renamed(tree, site):
 def test_a_renamed_scene_key_is_bad_input(scenario_tree, tmp_path, capsys):
     tree, _ = scenario_tree
     with open(tree["scene_file"]) as fh:
-        scene = json.load(fh)
-    scene["objects"][0]["room_id"] = scene["rooms"][0]["id"]  # every object key once
+        scene = _with_every_object_key(json.load(fh))
     scene_from_dict(scene)
     sites = [site for site in _scene_sites(scene) if isinstance(site[-1], str)]
     assert len(sites) == 25

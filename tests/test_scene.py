@@ -1,8 +1,10 @@
 """Scene model: box geometry, room containment, parsing and round trips."""
 
+import dataclasses
 import json
 import math
 import struct
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,9 +12,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from carriernav.features import embed_text, is_zero_feature
+from carriernav.features import ALL_BUCKETS, embed_text, is_zero_feature
 from carriernav.scenarios import MODES, build_scenario
 from carriernav.scene import (
+    MAX_EMBEDDING_DIM,
     Box3,
     GridSpec,
     ObjectInstance,
@@ -30,6 +33,8 @@ from carriernav.scene import (
 
 import oracles
 from conftest import assert_every_write_raises, golden_scene_dict, obj_dict, scene_dict
+
+DATA = Path(__file__).resolve().parent / "data"
 
 # coordinates that make shared corners, touching edges and signed zeros
 # likely, beside any float
@@ -367,6 +372,15 @@ class TestParsing:
         with pytest.raises(SceneValidationError):
             scene_from_dict(tree)
 
+    @pytest.mark.parametrize("grid", [{"origin": [1e308, 0.0]}, {"origin": [0.0, -1e308]},
+                                      {"resolution": 5e-324}])
+    def test_a_centroid_with_no_finite_cell_is_rejected(self, grid):
+        # the offset over the resolution overflows to an infinite cell index
+        tree = golden_scene_dict()
+        tree["grid"].update(grid)
+        with pytest.raises(SceneValidationError, match="no finite cell"):
+            scene_from_dict(tree)
+
 
 def test_save_load_round_trip(tmp_path):
     scene = scene_from_dict(golden_scene_dict())
@@ -388,16 +402,113 @@ def test_save_load_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def scene_fields(scene) -> tuple:
+    """Every field of ``scene``, each array as its dtype, shape and bytes
+    (so a signed zero counts)."""
+    def arr(a):
+        return a.dtype.str, a.shape, a.tobytes()
+    grid = scene.grid
+    return (scene.name, scene.feature_mode, scene.embedding_dim,
+            (grid.resolution, grid.width, grid.height, arr(grid.origin), arr(grid.blocked_cells)),
+            [(r.id, r.name, arr(r.polygon)) for r in scene.rooms],
+            [(o.id, o.captions, arr(o.box.min), arr(o.box.max), arr(o.centroid),
+              arr(o.text_feature), arr(o.visual_feature), o.room_id)
+             for o in scene.objects.values()])
+
+
+def written_features(path) -> dict:
+    """Each object id of the scene file at ``path`` with the feature keys
+    written for it."""
+    tree = json.loads(Path(path).read_text())
+    return {o["id"]: sorted(k for k in o if k.endswith("_feature")) for o in tree["objects"]}
+
+
+class TestDerivedFeatures:
+    """A ``synthesize`` scene file leaves out each feature whose bytes are
+    the embedding of the object's joined captions; the reader derives it."""
+
+    def test_a_file_written_with_every_feature_loads_as_the_file_without(self, tmp_path):
+        # written by the writer that wrote every feature, from the same arguments
+        old_path = DATA / "scene_with_every_feature.json"
+        built = build_scenario("mixed", 0, 3, resolution=0.25).scene
+        new_path = tmp_path / "scene.json"
+        save_scene(built, str(new_path))
+        assert set(map(tuple, written_features(old_path).values())) == {
+            ("text_feature", "visual_feature")}
+        assert set(map(tuple, written_features(new_path).values())) == {()}
+        old, new = load_scene(str(old_path)), load_scene(str(new_path))
+        assert scene_fields(old) == scene_fields(new) == scene_fields(built)
+        save_scene(old, str(tmp_path / "again.json"))
+        assert (tmp_path / "again.json").read_bytes() == new_path.read_bytes()
+        assert old_path.stat().st_size > 3 * new_path.stat().st_size
+
+    def test_a_feature_that_is_not_derived_is_kept_and_only_it(self, tmp_path):
+        scene = scene_from_dict(golden_scene_dict())
+        cup = scene.objects["cup_0"]
+        scene.objects["cup_0"] = dataclasses.replace(cup, visual_feature=embed_text("red mug"))
+        save_scene(scene, str(tmp_path / "scene.json"))
+        assert written_features(tmp_path / "scene.json") == {
+            "table_0": [], "cup_0": ["visual_feature"], "rug_0": []}
+        loaded = load_scene(str(tmp_path / "scene.json"))
+        assert scene_fields(loaded) == scene_fields(scene)
+        assert not np.array_equal(loaded.objects["cup_0"].visual_feature, cup.visual_feature)
+
+    def test_a_feature_that_differs_only_by_a_signed_zero_is_kept(self, tmp_path):
+        scene = scene_from_dict(golden_scene_dict())
+        cup = scene.objects["cup_0"]
+        signed = cup.text_feature.copy()
+        signed[np.flatnonzero(signed == 0.0)[0]] = -0.0
+        assert np.array_equal(signed, cup.text_feature)  # equal in value
+        scene.objects["cup_0"] = dataclasses.replace(cup, text_feature=signed)
+        save_scene(scene, str(tmp_path / "scene.json"))
+        assert written_features(tmp_path / "scene.json")["cup_0"] == ["text_feature"]
+        loaded = load_scene(str(tmp_path / "scene.json")).objects["cup_0"]
+        assert loaded.text_feature.tobytes() == signed.tobytes()
+        assert loaded.text.support == ALL_BUCKETS != loaded.visual.support
+
+    def test_embedded_mode_writes_both_features(self, tmp_path):
+        tree = golden_scene_dict()
+        tree["header"]["feature_mode"] = "embedded"
+        for obj in tree["objects"]:  # the very vectors synthesize mode derives
+            obj["text_feature"] = obj["visual_feature"] = embed_text(
+                " ".join(obj["captions"])).tolist()
+        scene = scene_from_dict(tree)
+        save_scene(scene, str(tmp_path / "scene.json"))
+        assert set(map(tuple, written_features(tmp_path / "scene.json").values())) == {
+            ("text_feature", "visual_feature")}
+        assert scene_fields(load_scene(str(tmp_path / "scene.json"))) == scene_fields(scene)
+
+    # 2**62 floats is more than numpy allocates: a missing check fails on
+    # numpy's error, not by asking for the memory
+    @pytest.mark.parametrize("dim", [0, -1, MAX_EMBEDDING_DIM + 1, 2**62])
+    def test_an_embedding_dim_outside_the_cap_is_rejected(self, dim):
+        tree = golden_scene_dict()
+        tree["header"]["embedding_dim"] = dim
+        with pytest.raises(SceneValidationError, match="embedding_dim"):
+            scene_from_dict(tree)
+
+    def test_an_embedding_dim_at_the_cap_loads(self):
+        tree = golden_scene_dict()
+        tree["header"]["embedding_dim"] = MAX_EMBEDDING_DIM
+        scene = scene_from_dict(tree)
+        assert scene.objects["cup_0"].text_feature.shape == (MAX_EMBEDDING_DIM,)
+
+
 def per_entry_floats(obj) -> dict:
-    """``ObjectInstance.to_dict`` converting each array entry with ``float``."""
+    """``ObjectInstance.to_dict`` in a ``synthesize`` scene, converting each
+    array entry with ``float``: a feature is written unless its bytes are
+    the embedding of the object's joined captions."""
     out = {
         "id": obj.id,
         "captions": list(obj.captions),
         "box": {"min": [float(x) for x in obj.box.min], "max": [float(x) for x in obj.box.max]},
         "centroid": [float(x) for x in obj.centroid],
-        "text_feature": [float(x) for x in obj.text_feature],
-        "visual_feature": [float(x) for x in obj.visual_feature],
     }
+    derived = embed_text(" ".join(obj.captions), obj.text_feature.shape[0]).tobytes()
+    for name in ("text_feature", "visual_feature"):
+        vec = getattr(obj, name)
+        if vec.tobytes() != derived:
+            out[name] = [float(x) for x in vec]
     if obj.room_id is not None:
         out["room_id"] = obj.room_id
     return out
@@ -419,6 +530,7 @@ def test_saved_arrays_are_their_per_entry_floats(tmp_path):
     text = (tmp_path / "scene.json").read_text()
     assert text == (tmp_path / "expected.json").read_text()
     assert all(v in text for v in ("-0.0", "5e-324", "2.2e-308", "1e+300", "1e+299"))
+    assert text.count('_feature"') == 2  # odd_0's two; the golden objects' are derived
 
 
 def test_load_scene_bad_json(tmp_path):
