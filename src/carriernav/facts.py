@@ -1,6 +1,6 @@
-"""Kept answers: the facts of the last grid and of the last scene.
+"""Kept answers: the facts of the last grid, of the last scene, and of content.
 
-Each derived fact is computed once per change to its inputs.  Two kinds
+Each derived fact is computed once per change to its inputs.  Three kinds
 outlive the world that computed them, and this module is the one home of
 the rules that keep and drop them.  It imports nothing from the package.
 
@@ -23,29 +23,40 @@ the rules that keep and drop them.  It imports nothing from the package.
 * Facts of the scene, which no variant's policy changes: the objects each
   move makes, each leg's sightings, length and final heading, the carrying
   relation, the answers of ``graph.nearest_carrier`` and
-  ``update.match_carrier``, each pairing of ``update.reconcile_carried``,
-  the room assignment of ``graph.build_crsg`` and each token sequence that
-  ``features.text_feature`` embeds (the carrier reference, each query's
-  descriptors and each image token compared).  They belong to the scene
+  ``update.match_carrier``, each pairing of ``update.reconcile_carried`` and
+  the room assignment of ``graph.build_crsg``.  They belong to the scene
   object, not the world: every world and every graph built on the same
   ``SceneMap`` shares one :class:`Scene`, so the six variants'
   ``run_sequence`` calls on one scenario displace its objects once, sense
-  each leg once, ask each carrier question once and embed each token
-  sequence once.  The module keeps the facts of the last scene built on
-  only, matched by identity, and drops them when a world or graph is built
-  on another scene.  Sharing cannot change a result: objects and rooms are
-  frozen and hashed by identity, configs are frozen and hashed by value,
-  and each answer is kept under all its inputs (the instances asked about:
-  every object of the world a move or leg starts from, or the object and
-  every candidate carrier; the event, or the grid by content and the
-  path's cells; the tokens; the frozen configs and rooms), so it is a pure
-  function of its key.  A move that is rejected (it still re-seats its
-  object) or raises is not kept, nor is a leg that raises, nor an add,
-  whose payload is no key; a remove makes no new instance.
+  each leg once and ask each carrier question once.  The module keeps the
+  facts of the last scene built on only, matched by identity, and drops
+  them when a world or graph is built on another scene.  Sharing cannot
+  change a result: objects and rooms are frozen and hashed by identity,
+  configs are frozen and hashed by value, and each answer is kept under
+  all its inputs (the instances asked about: every object of the world a
+  move or leg starts from, or the object and every candidate carrier; the
+  event, or the grid by content and the path's cells; the frozen configs
+  and rooms), so it is a pure function of its key.  A move that is
+  rejected (it still re-seats its object) or raises is not kept, nor is a
+  leg that raises, nor an add, whose payload is no key; a remove makes no
+  new instance.
+* Facts of content, which no scene changes: answers that are pure
+  functions of plain values (strings, tuples of them and integers), kept
+  by :func:`pure_answer`.  Today these are the embeddings
+  ``features.text_feature`` makes, one per token sequence and dimension,
+  and the one each spelling of a text reads: the carrier reference, each
+  query's descriptors, each image token compared and each object's joined
+  captions.  A small vocabulary recurs across scenes, so they belong to
+  the process, not to a scene: a new scene drops none of them, and the
+  scenes a run generates, loads and queries embed each token sequence
+  once.  The latest ``TEXTS_KEPT`` read are kept, the least recently read
+  dropped first.  Sharing cannot change a result: the key holds every
+  input, and each answer is frozen.
 
-:func:`release_facts` drops both: the next world computes its grid's facts
-anew, and answers are computed anew until a world or graph is built again.
-Worlds alive keep the grid facts they share.
+:func:`release_facts` drops all three: the next world computes its grid's
+facts anew, a scene's answers are computed anew (and not kept) until a
+world or graph is built again, and each text is embedded anew when next
+read.  Worlds alive keep the grid facts they share.
 """
 
 from __future__ import annotations
@@ -59,6 +70,13 @@ import numpy as np
 # 8 bytes per free cell.  The generated task sequences read at most 10 per
 # grid, so none of theirs is dropped.
 SEARCHES_PER_GRID = 16
+
+# Facts of content the process keeps, the least recently read dropped
+# first: at most 1024 float64 vectors, 2 MB at the default dim of 256 and
+# 32 MB at the largest a scene may declare (4096).  The 60 mixed scenes of
+# perfbench's graph-queries and their queries read 386 keys (169 token
+# sequences and their spellings), so none of theirs is dropped.
+TEXTS_KEPT = 1024
 
 
 class Grid:
@@ -88,7 +106,7 @@ class Grid:
 class Scene:
     """The answers about the object instances of one scene.  A key is its
     kind (``move``, ``leg``, ``carried``, ``carrier``, ``match``,
-    ``reconcile``, ``rooms`` or ``text``) and every input of the answer:
+    ``reconcile`` or ``rooms``) and every input of the answer:
     instances and rooms by identity, anything else by value, then the
     frozen config."""
 
@@ -99,6 +117,8 @@ class Scene:
 
 _grid: Optional[Grid] = None
 _scene: Optional[Scene] = None
+# key -> answer of content, the least recently read first
+_pure: Dict[tuple, object] = {}
 _UNKNOWN = object()
 
 
@@ -133,7 +153,23 @@ def answer(key: tuple, compute: Callable, *args):
     return found
 
 
+def pure_answer(key: tuple, compute: Callable, *args):
+    """The kept answer for ``key``, else ``compute(*args)``, kept when it
+    returns; either way now the most recently read.  ``key`` is its kind
+    (``text`` or ``spelling``) and every input of the answer, all plain
+    values.  Past ``TEXTS_KEPT`` answers the least recently read is dropped."""
+    found = _pure.pop(key, _UNKNOWN)
+    if found is _UNKNOWN:
+        found = compute(*args)
+    _pure[key] = found
+    if len(_pure) > TEXTS_KEPT:
+        del _pure[next(iter(_pure))]
+    return found
+
+
 def release_facts() -> None:
-    """Drop the kept grid's facts and the kept scene's answers."""
+    """Drop the kept grid's facts, the kept scene's answers and the kept
+    answers of content."""
     global _grid, _scene
     _grid = _scene = None
+    _pure.clear()

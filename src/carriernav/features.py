@@ -5,6 +5,14 @@ fixed number of buckets, counts are accumulated, and the vector is
 L2-normalized.  It is fully deterministic across processes and platforms,
 which the benchmark layer relies on.
 
+:func:`text_feature` is the embedding the package reads: queries, the
+carrier reference, image tokens and every derived object feature.  Its
+answers are facts of content (see ``facts``), kept for the process under a
+bound, not per scene: the vocabulary is small and recurs across scenes,
+so each token sequence is embedded once, and a text read before is not
+even tokenized.  That cannot change a result: an answer is a pure function
+of the text and the dimension, and its vector is read-only.
+
 Each :class:`Feature` knows its support: the bitmask of its non-zero
 buckets, bit ``i`` for entry ``i``.  The embedder sets a bit per token
 bucket as it counts; :meth:`Feature.of` reads the bits off a vector.  A
@@ -114,12 +122,18 @@ class Feature(NamedTuple):
 
 
 def text_feature(text: str, dim: int) -> Feature:
-    """``text`` embedded at ``dim``, with a read-only vector.  One answer
-    per (token sequence, dim) is kept with the scene's facts: an embedding
-    reads only the tokens, so texts that tokenize alike (an image token
-    and its caption) share it."""
+    """``text`` embedded at ``dim``, with a read-only vector.  The process
+    keeps one answer per (token sequence, dim), a fact of content (see
+    ``facts``), and the answer each (text, dim) read: a text read before is
+    neither tokenized nor embedded again.  An embedding reads only the
+    tokens, so texts that tokenize alike (an image token and its caption)
+    share one ``Feature``."""
+    return facts.pure_answer(("spelling", text, dim), _spelled_feature, text, dim)
+
+
+def _spelled_feature(text: str, dim: int) -> Feature:
     tokens = tuple(tokenize(text))
-    return facts.answer(("text", tokens, dim), _text_feature, tokens, dim)
+    return facts.pure_answer(("text", tokens, dim), _text_feature, tokens, dim)
 
 
 def _text_feature(tokens: Tuple[str, ...], dim: int) -> Feature:

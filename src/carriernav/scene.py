@@ -26,7 +26,7 @@ from typing import (Callable, Dict, List, Optional, Sequence, Tuple, Union, get_
 
 import numpy as np
 
-from .features import DEFAULT_EMBEDDING_DIM, Feature, embed_text
+from .features import DEFAULT_EMBEDDING_DIM, Feature, text_feature
 
 # Objects whose centroid falls outside every room polygon get this room id.
 HALLWAY_ROOM_ID = "hallway"
@@ -37,6 +37,12 @@ DEFAULT_GRID_RESOLUTION = 0.05  # m per cell
 # feature allocates ``embedding_dim`` floats per object, and a 4096-float
 # vector (32 KB) is four times the widest common CLIP feature.
 MAX_EMBEDDING_DIM = 4096
+
+# The most cells (width x height) a scene's grid may have, checked before
+# any array is built: the occupancy holds a byte per cell and a search 8
+# bytes per free cell.  2**22 cells is a 102 m square at the default
+# 0.05 m, 43 times the largest generated house (20 m x 12 m, 96000 cells).
+MAX_GRID_CELLS = 1 << 22
 
 _CENTROID_EPS = 1e-6
 
@@ -57,7 +63,9 @@ def _frozen(value) -> np.ndarray:
     """``value`` as a read-only float64 array.
 
     A float64 array is frozen in place, not copied: an object value takes
-    ownership of the arrays it is built from.
+    ownership of the arrays it is built from, or shares one that is
+    read-only already (a derived feature, which every object with those
+    captions shares).
     """
     arr = np.asarray(value, dtype=np.float64)
     arr.setflags(write=False)
@@ -128,8 +136,10 @@ class Box3:
 
 def derived_feature(captions: Sequence[str], dim: int) -> np.ndarray:
     """The feature a ``synthesize`` scene derives for an object without
-    one: the embedding of its joined captions."""
-    return embed_text(" ".join(captions), dim)
+    one: the embedding of its joined captions, the read-only vector of its
+    kept ``text_feature``, shared by every object, scene and writer that
+    derives it."""
+    return text_feature(" ".join(captions), dim).vec
 
 
 def _feature(oid: str, name: str, value) -> Feature:
@@ -224,6 +234,12 @@ class Room:
         polygon = _frozen(self.polygon)
         if polygon.ndim != 2 or polygon.shape[1] != 2 or polygon.shape[0] < 3:
             raise SceneValidationError(f"room {self.id!r} polygon needs >= 3 2-D vertices")
+        # each orientation the self-intersection test computes is a difference
+        # of two products of coordinate differences, so at most 2 * span_x * span_y
+        (x0, y0), (x1, y1) = polygon.min(axis=0).tolist(), polygon.max(axis=0).tolist()
+        if not math.isfinite(2.0 * (x1 - x0) * (y1 - y0)):
+            raise SceneValidationError(f"room {self.id!r} polygon spans too far: "
+                                       f"x {x0}..{x1}, y {y0}..{y1}")
         if _polygon_self_intersects(polygon):
             raise SceneValidationError(f"room {self.id!r} polygon self-intersects")
         object.__setattr__(self, "polygon", polygon)
@@ -257,6 +273,9 @@ class GridSpec:
             raise SceneValidationError(f"grid resolution must be positive, got {self.resolution}")
         if self.width <= 0 or self.height <= 0:
             raise SceneValidationError("grid width/height must be positive")
+        if int(self.width) * int(self.height) > MAX_GRID_CELLS:
+            raise SceneValidationError(f"grid {self.width}x{self.height} has more than "
+                                       f"{MAX_GRID_CELLS} cells")
         if self.origin.shape != (2,):
             raise SceneValidationError("grid origin must be a 2-vector")
         cells = _cell_array(self.blocked_cells, self.width, self.height)

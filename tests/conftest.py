@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from carriernav import facts, graph
-from carriernav.features import Feature
+from carriernav.features import Feature, tokenize
 from carriernav.graph import CrsgConfig, build_crsg, carrying_predicate
 from carriernav.scene import scene_from_dict
 from carriernav.world import GridWorld, Pose
@@ -15,9 +15,9 @@ import oracles
 
 @pytest.fixture(autouse=True)
 def cold_facts():
-    """Every test starts with no grid's and no scene's facts kept, so the
-    counts of graph builds, searches and computed answers a test reads do
-    not depend on the tests before it."""
+    """Every test starts with no grid's facts, no scene's and no texts
+    kept, so the counts of graph builds, searches, embeddings and computed
+    answers a test reads do not depend on the tests before it."""
     facts.release_facts()
 
 
@@ -148,6 +148,11 @@ def _check_text(key, answer):
     assert answer.support == fresh.support == oracles.support_bits(fresh.vec)
 
 
+def _check_spelling(key, answer):
+    _, text, dim = key
+    _check_text(("text", tuple(tokenize(text)), dim), answer)
+
+
 # kind of kept answer -> check of one answer against its rule
 KEPT_ANSWER_CHECKS = {
     "carrier": _check_carrier,
@@ -158,6 +163,7 @@ KEPT_ANSWER_CHECKS = {
     "reconcile": _check_reconcile,
     "rooms": _check_rooms,
     "text": _check_text,
+    "spelling": _check_spelling,
 }
 
 
@@ -183,10 +189,12 @@ def writable_arrays(value) -> list:
 
 
 def assert_every_kept_answer_is_its_rule():
-    """Each answer the kept scene's facts hold equals the rule it replaced,
-    run afresh on the inputs its key holds, and holds no writable array,
-    since every later reader shares it.  A kind with no check fails."""
-    for key, answer in facts._scene.answers.items():
+    """Each answer the kept scene's facts and the kept facts of content
+    hold equals the rule it replaced, run afresh on the inputs its key
+    holds, and holds no writable array, since every later reader shares
+    it.  A kind with no check fails."""
+    scene_answers = facts._scene.answers if facts._scene is not None else {}
+    for key, answer in [*scene_answers.items(), *facts._pure.items()]:
         assert key[0] in KEPT_ANSWER_CHECKS, key
         KEPT_ANSWER_CHECKS[key[0]](key, answer)
         assert writable_arrays(answer) == [], key

@@ -113,6 +113,22 @@ class TestBuildGraph:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and "finite cell" in err
 
+    @pytest.mark.parametrize("defect", [{"grid": {"width": 2**70}},
+                                        {"rooms": [{"id": "r", "polygon": [
+                                            [0, 0], [1e308, -1e308], [4, 4], [0, 4]]}]}])
+    def test_a_scene_past_a_size_bound_is_bad_input(self, tmp_path, capsys, defect):
+        tree = golden_scene_dict()
+        tree["grid"].update(defect.get("grid", {}))
+        tree["rooms"] = defect.get("rooms", tree["rooms"])
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(tree))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["build-graph", "--scene", str(bad), "--dump"]) == 1
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_overflowing_feature_prints_only_the_error(self, tmp_path, capsys):
         tree = golden_scene_dict()
         feature = [0.0] * 256
@@ -304,6 +320,18 @@ def _origin_with_no_finite_cell(tree, scene):
     scene["grid"]["origin"] = [1e308, 0.0]
 
 
+def _grid_width_beyond_the_cell_cap(tree, scene):
+    scene["grid"]["width"] = 2**70
+
+
+def _grid_cells_beyond_the_cell_cap(tree, scene):
+    scene["grid"]["width"] = scene["grid"]["height"] = 2**11 + 1
+
+
+def _room_vertex_whose_orientations_overflow(tree, scene):
+    scene["rooms"][0]["polygon"][1] = [1e308, -1e308]
+
+
 @pytest.mark.parametrize("defect", [_drop_scene_file, _drop_tasks, _event_without_kind,
                                     _unknown_config_key, _unknown_ground_truth,
                                     _config_fails_its_own_check, _list_as_root,
@@ -319,7 +347,10 @@ def _origin_with_no_finite_cell(tree, scene):
                                     _blocked_cell_outside_the_grid, _objects_not_an_array,
                                     _resolution_not_a_number, _resolution_a_boolean,
                                     _embedding_dim_beyond_the_cap,
-                                    _origin_with_no_finite_cell])
+                                    _origin_with_no_finite_cell,
+                                    _grid_width_beyond_the_cell_cap,
+                                    _grid_cells_beyond_the_cell_cap,
+                                    _room_vertex_whose_orientations_overflow])
 def test_malformed_scenario_is_bad_input(scenario_dir, tmp_path, capsys, defect):
     tree = json.loads((scenario_dir / "scenario_0000.json").read_text())
     scene = json.loads((scenario_dir / tree["scene_file"]).read_text())

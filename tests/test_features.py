@@ -23,10 +23,8 @@ from carriernav.features import (
 )
 from carriernav.graph import DEFAULT_CARRIER_REFERENCE
 from carriernav.scenarios import ATTRIBUTES, CARRIER_KINDS, ITEM_KINDS
-from carriernav.scene import scene_from_dict
 
 import oracles
-from conftest import golden_scene_dict
 
 
 def fnv1a_bucket(token: str, dim: int) -> int:
@@ -181,7 +179,6 @@ VOCAB = sorted(set(ATTRIBUTES) | set(CARRIER_KINDS) | set(ITEM_KINDS))
 TEXTS = st.one_of(st.lists(st.sampled_from(VOCAB), max_size=8).map(" ".join),
                   st.text(alphabet="abcxyz019 _-!?ABC", max_size=24))
 DIMS = st.sampled_from([1, 2, 3, 7, 16, DEFAULT_EMBEDDING_DIM])
-TEXT_SCENE = scene_from_dict(golden_scene_dict())
 
 
 @settings(max_examples=300, deadline=None)
@@ -194,10 +191,8 @@ def test_embed_text_is_the_accumulating_embedder(text, dim):
 @settings(max_examples=300, deadline=None)
 @given(TEXTS, DIMS, st.booleans())
 def test_text_feature_is_the_accumulating_embedder(text, dim, kept):
-    # kept answers shared across examples, or none
-    if kept:
-        facts.keep_scene(TEXT_SCENE)
-    else:
+    # texts kept across examples, or none
+    if not kept:
         facts.release_facts()
     got, want = text_feature(text, dim), oracles.embed_text_accumulating(text, dim)
     assert got.vec.tobytes() == want.tobytes()

@@ -12,10 +12,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from carriernav.features import ALL_BUCKETS, embed_text, is_zero_feature
+from carriernav import facts, features
+from carriernav.features import ALL_BUCKETS, embed_text, is_zero_feature, tokenize
 from carriernav.scenarios import MODES, build_scenario
 from carriernav.scene import (
     MAX_EMBEDDING_DIM,
+    MAX_GRID_CELLS,
     Box3,
     GridSpec,
     ObjectInstance,
@@ -231,6 +233,15 @@ class TestGridSpec:
         with pytest.raises(SceneValidationError):
             GridSpec(resolution=0.25, width=0, height=4)
 
+    @pytest.mark.parametrize("width,height", [(2**70, 1), (1, 2**70), (MAX_GRID_CELLS + 1, 1),
+                                              (2**11, 2**11 + 1), (2**40, 2**40)])
+    def test_a_grid_past_the_cell_cap_is_refused(self, width, height):
+        # checked before any array is built: no size here is ever allocated
+        with pytest.raises(SceneValidationError, match="cells"):
+            GridSpec(resolution=0.25, width=width, height=height)
+        at_cap = GridSpec(resolution=0.25, width=2**11, height=2**11)
+        assert at_cap.width * at_cap.height == MAX_GRID_CELLS
+
     def test_to_dict_sorts_and_dedupes(self):
         spec = GridSpec(resolution=0.25, width=4, height=4,
                         blocked_cells=[(3, 1), (1, 2), (3, 1)])
@@ -295,17 +306,23 @@ class TestParsing:
         assert np.array_equal(cup.text_feature, cup.visual_feature)
 
     def test_synthesized_features_are_one_embedding(self, monkeypatch):
-        # one embedding per object, read by both features as one Feature
-        import carriernav.scene as scene_mod
-        texts = []
-        real = scene_mod.embed_text
-        monkeypatch.setattr(scene_mod, "embed_text",
-                            lambda text, dim: texts.append(text) or real(text, dim))
+        # one miss of the kept texts per object, whose vector both features
+        # read as one Feature; the next load of the scene misses none
+        misses = []
+        real = features._text_feature
+        monkeypatch.setattr(features, "_text_feature",
+                            lambda tokens, dim: misses.append(tokens) or real(tokens, dim))
         scene = scene_from_dict(golden_scene_dict())
-        assert sorted(texts) == sorted(" ".join(o.captions) for o in scene.objects.values())
-        for obj in scene.objects.values():
+        texts = [tuple(tokenize(" ".join(o.captions))) for o in scene.objects.values()]
+        assert sorted(misses) == sorted(texts)
+        for obj, tokens in zip(scene.objects.values(), texts):
             assert obj.visual_feature is obj.text_feature
             assert obj.visual is obj.text
+            assert obj.text_feature is facts._pure[("text", tokens, 256)].vec
+        again = scene_from_dict(golden_scene_dict())
+        assert len(misses) == len(texts)
+        assert all(again.objects[oid].text_feature is obj.text_feature
+                   for oid, obj in scene.objects.items())
 
     def test_missing_header_is_parse_error(self):
         tree = golden_scene_dict()
@@ -546,6 +563,24 @@ def test_self_intersecting_room_rejected():
                       "polygon": [[0, 0], [4, 4], [4, 0], [0, 4]]}]  # bowtie
     with pytest.raises(SceneValidationError):
         scene_from_dict(tree)
+
+
+@pytest.mark.parametrize("polygon", [
+    [[0, 0], [1e308, -1e308], [4, 4], [0, 4]],
+    [[1e308, 0], [-1e308, 0], [0, 1]],  # a triangle, which no pair of edges tests
+    [[0, 0], [4, 0], [4, math.nan], [0, 4]],
+    [[0, 0], [1e200, 0], [1e200, 1e200], [0, 1e200]]])
+def test_a_room_whose_orientations_overflow_is_rejected(polygon):
+    # rejected before the self-intersection verdict, with no numpy warning
+    with pytest.raises(SceneValidationError, match="spans too far"):
+        Room("r", polygon)
+
+
+def test_a_room_just_inside_the_span_bound_is_tested():
+    far = 1e150  # every orientation stays finite: 2 * far * far
+    assert Room("r", [[0, 0], [far, 0], [far, far], [0, far]]).polygon.shape == (4, 2)
+    with pytest.raises(SceneValidationError, match="self-intersects"):
+        Room("r", [[0, 0], [far, far], [far, 0], [0, far]])
 
 
 JSON_SCALARS = (st.none() | st.booleans() | st.integers()

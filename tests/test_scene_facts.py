@@ -1,6 +1,7 @@
 """The facts of a scene: moves, carrier answers, legs, the carrying
-relation, pairings, room assignments and embedded texts shared by every
-world and graph built on one ``SceneMap``.  Each kept answer is checked against
+relation, pairings and room assignments shared by every world and graph
+built on one ``SceneMap``; and the embedded texts the process keeps across
+scenes.  Each kept answer is checked against
 the rule it replaced (``tests/oracles.py``); whole task sequences sharing
 them are checked against cold ones in ``test_bench.py``."""
 
@@ -19,10 +20,10 @@ from carriernav import facts, features, graph, update
 from carriernav.bench import run_sequence
 from carriernav.graph import (DEFAULT_CARRIER_REFERENCE, CrsgConfig, Query, build_crsg,
                               nearest_carrier, query_target)
-from carriernav.features import tokenize
+from carriernav.features import text_feature, tokenize
 from carriernav.policy import VARIANTS
 from carriernav.priors import KeywordPriorOracle
-from carriernav.scenarios import build_scenario
+from carriernav.scenarios import build_scenario, generate_scenarios, load_scenario
 from carriernav.scene import HALLWAY_ROOM_ID, Box3, scene_from_dict
 from carriernav.update import MatchConfig, match_carrier, reconcile_carried
 from carriernav.world import (DisplacementError, DisplacementEvent, GridWorld, Observation, Pose,
@@ -382,9 +383,13 @@ class TestSharedRooms:
 REFERENCE_TOKENS = tuple(tokenize(DEFAULT_CARRIER_REFERENCE))
 
 
+def kept_texts():
+    return dict(facts._pure)
+
+
 class TestSharedTexts:
     # ``features._text_feature`` is the one embedding behind
-    # ``text_feature``: it embeds a kept answer's tokens
+    # ``text_feature``: it embeds the tokens of a ``text`` key it misses
     def test_the_six_variants_embed_each_text_once(self, monkeypatch):
         texts = counting(monkeypatch, features, "_text_feature")
         sc = build_scenario("mixed", 0, 3)
@@ -394,18 +399,19 @@ class TestSharedTexts:
         assert_every_kept_answer_is_its_rule()
 
     def test_a_plain_and_a_scoped_query_embed_each_text_once(self, monkeypatch):
+        scene = two_tables_scene()  # embeds each object's captions
         texts = counting(monkeypatch, features, "_text_feature")
-        scene = two_tables_scene()
         crsg = build_crsg(scene)
         assert query_target(crsg, Query(text="red cup"))[0].id == "cup_0"
         assert query_target(crsg, Query(text="red cup", carrier_text="table"))[0].id == "cup_0"
         build_crsg(scene)
-        assert texts == [(REFERENCE_TOKENS, 256), (("red", "cup"), 256), (("table",), 256)]
+        # "red cup" is the cup's caption, embedded as the scene loaded
+        assert texts == [(REFERENCE_TOKENS, 256), (("table",), 256)]
         assert_every_kept_answer_is_its_rule()
 
     def test_a_changed_carrier_reference_is_asked_anew(self, monkeypatch):
-        texts = counting(monkeypatch, features, "_text_feature")
         scene, cfg = two_tables_scene(), CrsgConfig()
+        texts = counting(monkeypatch, features, "_text_feature")
         build_crsg(scene, cfg)
         cfg = replace(cfg, carrier_reference="cup pen")  # no table resembles it
         assert build_crsg(scene, cfg).carriers == {}
@@ -413,44 +419,83 @@ class TestSharedTexts:
         assert_every_kept_answer_is_its_rule()
 
     def test_an_image_token_and_its_caption_share_one_text(self, monkeypatch):
+        scene = two_tables_scene()
+        crsg = build_crsg(scene)
         texts = counting(monkeypatch, features, "_text_feature")
-        crsg = build_crsg(two_tables_scene())
         by_image = query_target(crsg, Query(image="img:red_cup"))
         by_text = query_target(crsg, Query(text="red cup"))
         assert by_image[0].id == by_text[0].id == "cup_0"
-        assert texts == [(REFERENCE_TOKENS, 256), (("red", "cup"), 256)]
-        assert [key for key in kept_answers() if key[0] == "text"] == [
-            ("text", REFERENCE_TOKENS, 256),
-            ("text", ("red", "cup"), 256)]
+        assert texts == []
+        kept = kept_texts()
+        shared = kept[("text", ("red", "cup"), 256)]
+        assert kept[("spelling", "red_cup", 256)] is kept[("spelling", "red cup", 256)] is shared
+        assert scene.objects["cup_0"].text_feature is shared.vec
         assert_every_kept_answer_is_its_rule()
 
     def test_a_second_image_comparison_embeds_nothing(self, monkeypatch):
         texts = counting(monkeypatch, features, "_text_feature")
         prior = KeywordPriorOracle()
-        build_crsg(two_tables_scene())
-        n = len(texts)
         score = prior.compare_images("img:red_alarm_clock", "img:red_cup")
-        assert len(texts) == n + 2 and 0.0 < score < 1.0
+        assert len(texts) == 2 and 0.0 < score < 1.0
         # the same tokens, spelled as captions or in the other order
         assert prior.compare_images("red alarm clock", "Red cup") == score
         assert prior.compare_images("img:red_cup", "img:red_alarm_clock") == score
-        assert len(texts) == n + 2
+        assert len(texts) == 2
         assert_every_kept_answer_is_its_rule()
-        # with no scene kept, each comparison embeds both tokens
+        # with no texts kept, the next comparison embeds both tokens
         facts.release_facts()
         assert prior.compare_images("img:red_alarm_clock", "img:red_cup") == score
-        assert len(texts) == n + 4
+        assert len(texts) == 4
 
-    def test_another_scene_frees_the_kept_texts(self, monkeypatch):
+    def test_another_scene_keeps_the_texts_and_release_drops_them(self, monkeypatch):
         texts = counting(monkeypatch, features, "_text_feature")
         crsg = build_crsg(two_tables_scene())
-        query_target(crsg, Query(text="red cup"))
-        kept = weakref.ref(kept_answers()[("text", ("red", "cup"), 256)].vec)
-        build_crsg(two_tables_scene())
-        gc.collect()
-        assert kept() is None
-        query_target(crsg, Query(text="red cup"))
-        assert [tokens for tokens, _ in texts].count(("red", "cup")) == 2
+        first = query_target(crsg, Query(text="red pen"))
+        kept, n = kept_texts(), len(texts)
+        scene = two_tables_scene()
+        other = build_crsg(scene)
+        assert facts._scene.scene is scene
+        assert query_target(other, Query(text="red pen"))[0].id == first[0].id
+        assert len(texts) == n and all(facts._pure[key] is feat for key, feat in kept.items())
+        facts.release_facts()
+        assert kept_texts() == {}
+        assert query_target(crsg, Query(text="red pen")) == first
+        assert [tokens for tokens, _ in texts].count(("red", "pen")) == 2
+
+    def test_the_least_recently_read_text_goes_first_past_the_bound(self, monkeypatch):
+        texts = counting(monkeypatch, features, "_text_feature")
+        for i in range(facts.TEXTS_KEPT):
+            text_feature("apple", 8)
+            text_feature(f"word {i}", 8)  # a spelling and a token key
+            assert len(facts._pure) <= facts.TEXTS_KEPT
+        assert len(facts._pure) == facts.TEXTS_KEPT
+        # the spelling read on every turn stays; the first words are gone
+        assert ("spelling", "apple", 8) in facts._pure
+        assert ("spelling", "word 0", 8) not in facts._pure
+        text_feature("apple", 8)
+        assert len(texts) == 1 + facts.TEXTS_KEPT
+        assert_every_kept_answer_is_its_rule()
+
+    def test_a_run_embeds_each_token_sequence_once(self, tmp_path, monkeypatch):
+        # generate, write, load, build and query scenes in one cold process,
+        # as perfbench's graph-queries set-up and passes do
+        embeds = counting(monkeypatch, features, "_embed")
+        generate_scenarios("mixed", 3, 1, str(tmp_path))
+        for path in sorted(tmp_path.glob("scenario_*.json")):
+            sc = load_scenario(str(path))
+            for _ in range(2):
+                crsg = build_crsg(sc.scene, sc.crsg)
+                for node in crsg.carriers.values():
+                    for obj in node.carried.values():
+                        text = obj.captions[0]
+                        query_target(crsg, Query(text=text))
+                        query_target(crsg, Query(text=text, carrier_text=node.object.captions[0]))
+                        query_target(crsg, Query(image="img:" + text.replace(" ", "_")))
+        kept = [(tokens, dim) for kind, tokens, dim in facts._pure if kind == "text"]
+        assert len(facts._pure) < facts.TEXTS_KEPT  # none dropped
+        assert len(embeds) > 10 and sorted(embeds) == sorted(kept)
+        # each kept Feature is byte-equal to the oracle's and read-only
+        assert_every_kept_answer_is_its_rule()
 
 
 IMAGE_WORDS = ["red", "Red", "cup", "alarm", "clock", "table", "walrus", "7"]
@@ -459,17 +504,14 @@ IMAGE_TOKENS = st.one_of(
               st.lists(st.sampled_from(IMAGE_WORDS), max_size=4)).map(
         lambda t: t[0] + t[1].join(t[2])),
     st.text(alphabet="abIMG:_ !7", max_size=12))
-TEXT_SCENE = two_tables_scene()
 
 
 @settings(max_examples=150, deadline=None)
 @given(IMAGE_TOKENS, IMAGE_TOKENS, st.booleans())
 def test_image_scores_are_the_embedding_rule(candidate, target, kept):
-    # kept texts (answers shared across examples) or none: the score is
-    # the rule of two fresh embeddings, bit for bit
-    if kept:
-        facts.keep_scene(TEXT_SCENE)
-    else:
+    # texts kept across examples, or none: the score is the rule of two
+    # fresh embeddings, bit for bit
+    if not kept:
         facts.release_facts()
     got = KeywordPriorOracle().compare_images(candidate, target)
     assert got.hex() == oracles.compare_images_per_call(candidate, target).hex()

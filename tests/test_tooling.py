@@ -150,13 +150,16 @@ def test_the_writer_guard_sees_pure_encoder_calls():
     assert pure_encoder_calls(source) == [(5, "json.dump("), (6, "indent=")]
 
 
+ANSWER_CALLS = {"answer", "pure_answer"}
+
+
 def is_answer_call(call: ast.Call) -> bool:
     """Whether ``call`` asks the facts module for a kept answer:
-    ``facts.answer(...)`` or a bare ``answer(...)``."""
+    ``facts.answer(...)``, ``facts.pure_answer(...)`` or either bare."""
     func = call.func
     if isinstance(func, ast.Name):
-        return func.id == "answer"
-    return (isinstance(func, ast.Attribute) and func.attr == "answer"
+        return func.id in ANSWER_CALLS
+    return (isinstance(func, ast.Attribute) and func.attr in ANSWER_CALLS
             and isinstance(func.value, ast.Name) and func.value.id == "facts")
 
 
@@ -195,7 +198,8 @@ def test_every_kind_of_kept_answer_has_its_check():
         if lines:
             unresolved[path.name] = lines
     assert unresolved == {}
-    assert {"carrier", "match", "move", "leg", "carried", "reconcile", "rooms", "text"} <= kinds
+    assert {"carrier", "match", "move", "leg", "carried", "reconcile", "rooms", "text",
+            "spelling"} <= kinds
     assert sorted(kinds - set(KEPT_ANSWER_CHECKS)) == []
 
 
@@ -205,8 +209,9 @@ def test_the_kind_guard_sees_every_key_literal():
               "def c(key):\n    return facts.answer(key, f)\n"
               "def d(x):\n    return other((\"three\", x))\n"
               "def e(x):\n    return cache.answer((\"four\", x), f, x)\n"
-              "def g(key):\n    return answer(key, f)\n")
-    assert kept_answer_kinds(source) == ({"one", "two"}, [7, 13])
+              "def g(key):\n    return answer(key, f)\n"
+              "def h(x):\n    return facts.pure_answer((\"five\", x), f, x)\n")
+    assert kept_answer_kinds(source) == ({"one", "two", "five"}, [7, 13])
 
 
 @dataclasses.dataclass
