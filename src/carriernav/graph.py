@@ -305,10 +305,7 @@ def build_crsg(
     others = [obj for obj in objects if obj.id not in carrier_ids]
     carried_map, orphans = assign_carried(carriers, others, config)
 
-    # one room assignment per (instances, rooms) is kept with the scene's facts
-    rooms = tuple(scene.rooms)
-    room_assignment = dict(facts.answer(("rooms", tuple(objects), rooms),
-                                        assign_rooms, objects, rooms))
+    room_assignment = assign_rooms(objects, scene.rooms)
     # Declared room ids win over the geometric assignment.
     for obj in objects:
         if obj.room_id is not None:

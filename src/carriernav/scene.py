@@ -99,16 +99,19 @@ class Box3:
         lo_xyz, hi_xyz = tuple(lo.tolist()), tuple(hi.tolist())
         if not all(map(math.isfinite, lo_xyz + hi_xyz)):
             raise SceneValidationError("box corners must be finite")
-        ext = hi - lo
-        ex, ey, ez = ext.tolist()
+        # spans in Python floats, so an overflow is rejected, not warned about
+        ex, ey, ez = (b - a for a, b in zip(lo_xyz, hi_xyz))
         if min(ex, ey, ez) < 0.0:
             raise SceneValidationError(f"box max {hi} below min {lo}")
+        sums = [a + b for a, b in zip(lo_xyz, hi_xyz)]  # twice the center
+        if not all(map(math.isfinite, [ex, ey, ez, ex * ey, *sums])):
+            raise SceneValidationError(f"box spans too far: min {lo_xyz}, max {hi_xyz}")
         for name, value in (
             ("min", _frozen(lo)),
             ("max", _frozen(hi)),
             ("lo", lo_xyz),
             ("hi", hi_xyz),
-            ("extents", _frozen(ext)),
+            ("extents", _frozen(np.array([ex, ey, ez]))),
             ("footprint_area", ex * ey),
             ("height", ez),
             ("footprint_diagonal", math.hypot(ex, ey)),
@@ -223,8 +226,8 @@ class ObjectInstance:
 
 @dataclass(frozen=True, eq=False)
 class Room:
-    """A frozen value with a read-only polygon, hashed by identity like
-    ``ObjectInstance``, so the rooms themselves key kept answers."""
+    """A frozen value with a read-only polygon, compared and hashed by
+    identity like ``ObjectInstance``: field equality would compare arrays."""
 
     id: str
     polygon: np.ndarray  # (N, 2) vertices, simple polygon
@@ -361,6 +364,16 @@ class SceneMap:
                 raise SceneValidationError(
                     f"object {obj.id!r} centroid maps to out-of-bounds cell {cell}"
                 )
+        # a distance is measured through its square, which must stay finite
+        # between any two points of the scene's bounds (the grid on the floor
+        # and every box), each span doubled for an object moved onto a carrier
+        lows = [(ox, oy, 0.0), *(obj.box.lo for obj in self.objects.values())]
+        highs = [(ox + self.grid.width * resolution, oy + self.grid.height * resolution, 0.0),
+                 *(obj.box.hi for obj in self.objects.values())]
+        spans = [max(hi) - min(lo) for lo, hi in zip(zip(*lows), zip(*highs))]
+        if not math.isfinite(sum((2.0 * s) * (2.0 * s) for s in spans)):
+            raise SceneValidationError("scene spans too far to measure: "
+                                       + " x ".join(f"{s:.3g}" for s in spans) + " m")
 
     def to_dict(self) -> dict:
         """The scene's file tree, without the features the reader derives."""

@@ -51,7 +51,6 @@ class CarriedDiff:
     carrier_id: str
     added: List[Observation] = field(default_factory=list)
     removed: List[str] = field(default_factory=list)
-    kept: List[str] = field(default_factory=list)
 
     @property
     def empty(self) -> bool:
@@ -147,15 +146,10 @@ def reconcile_carried(
         ("reconcile", seen, tuple(entries.items()), config),
         _pair, seen, entries, config)
 
-    diff = CarriedDiff(carrier_id=carrier_id)
-    for obs in observations:
-        if obs.object_id in matched_obs:
-            diff.kept.append(matched_obs[obs.object_id])
-        else:
-            diff.added.append(obs)
-    diff.removed = sorted(set(entries) - matched_entries)
-    diff.kept = sorted(set(diff.kept))
-    return diff
+    return CarriedDiff(
+        carrier_id=carrier_id,
+        added=[obs for obs in observations if obs.object_id not in matched_obs],
+        removed=sorted(set(entries) - matched_entries))
 
 
 def _pair(seen: Sequence[ObjectInstance], entries: Dict[str, ObjectInstance],

@@ -47,7 +47,7 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 
 from . import facts
 from .graph import CrsgConfig, assign_carried, carrying_predicate, geometric_carrier_filter
-from .scene import Box3, ObjectInstance, SceneMap, _frozen, derived_feature
+from .scene import MAX_GRID_CELLS, Box3, ObjectInstance, SceneMap, _frozen, derived_feature
 
 SQRT2 = math.sqrt(2.0)
 
@@ -182,11 +182,14 @@ class GridWorld:
         return self.cell_center((int(ix), int(iy)))
 
     def cell_of(self, point: Sequence[float]) -> Cell:
-        ix = int(math.floor((float(point[0]) - self.origin[0]) / self.resolution))
-        iy = int(math.floor((float(point[1]) - self.origin[1]) / self.resolution))
-        if not (0 <= ix < self.width and 0 <= iy < self.height):
-            raise WorldError(f"point {tuple(point)} is outside the grid")
-        return (ix, iy)
+        # the index is bounded as a Python float, before ``floor``: a far
+        # point's is inf, and a NaN fails the bound
+        x, y = float(point[0]), float(point[1])
+        fx = (x - float(self.origin[0])) / self.resolution
+        fy = (y - float(self.origin[1])) / self.resolution
+        if not (0.0 <= fx < self.width and 0.0 <= fy < self.height):
+            raise WorldError(f"point ({x}, {y}) is outside the grid")
+        return (math.floor(fx), math.floor(fy))
 
     def cell_center(self, cell: Cell) -> np.ndarray:
         ix, iy = cell
@@ -632,13 +635,20 @@ class GridWorld:
         """Deterministic spiral scan over the carrier top for a free spot."""
         half = extents[:2] / 2.0
         margin = 0.02
-        lo = carrier.box.min[:2] + half + margin
-        hi = carrier.box.max[:2] - half - margin
-        if np.any(hi < lo):
+        # the scan's bounds and size in Python floats, before any array: a
+        # far top's bounds may overflow, and a wide one holds too many spots
+        hx, hy = half.tolist()
+        lo = (carrier.box.lo[0] + hx + margin, carrier.box.lo[1] + hy + margin)
+        hi = (carrier.box.hi[0] - hx - margin, carrier.box.hi[1] - hy - margin)
+        if hi[0] < lo[0] or hi[1] < lo[1]:
             raise DisplacementError(
                 f"object too large for carrier {carrier.id!r} footprint"
             )
         step = max(0.05, float(min(extents[0], extents[1])) / 2.0)
+        nx, ny = ((hi[k] + 1e-9 - lo[k]) / step for k in range(2))
+        if not math.isfinite(nx * ny) or math.ceil(nx) * math.ceil(ny) > MAX_GRID_CELLS:
+            raise DisplacementError(f"carrier {carrier.id!r} top holds too many spots "
+                                    f"to scan ({nx:.3g} x {ny:.3g})")
         xs, ys = np.meshgrid(np.arange(lo[0], hi[0] + 1e-9, step),
                              np.arange(lo[1], hi[1] + 1e-9, step), indexing="ij")
         xs, ys = xs.ravel(), ys.ravel()

@@ -134,11 +134,6 @@ def _check_reconcile(key, answer):
     assert answer == oracles.reconcile_pairs_per_call(seen, dict(entries), cfg)
 
 
-def _check_rooms(key, answer):
-    _, objects, rooms = key
-    assert answer == oracles.assign_rooms_numpy(objects, rooms)
-
-
 def _check_text(key, answer):
     _, tokens, dim = key
     fresh = Feature.of(oracles.embed_text_accumulating(" ".join(tokens), dim))
@@ -161,7 +156,6 @@ KEPT_ANSWER_CHECKS = {
     "leg": _check_leg,
     "carried": _check_carried,
     "reconcile": _check_reconcile,
-    "rooms": _check_rooms,
     "text": _check_text,
     "spelling": _check_spelling,
 }

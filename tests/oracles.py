@@ -24,7 +24,6 @@ import heapq
 import math
 import re
 from collections import Counter
-from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -70,18 +69,6 @@ def bag_cosine(text_a: str, text_b: str) -> float:
     na = math.sqrt(sum(v * v for v in a.values()))
     nb = math.sqrt(sum(v * v for v in b.values()))
     return dot / (na * nb)
-
-
-def exact_bag_cosine_squared(text_a: str, text_b: str) -> Fraction:
-    """cos^2 as an exact rational, for pinning constants without float error."""
-    a = Counter(words(text_a))
-    b = Counter(words(text_b))
-    dot = sum(a[t] * b[t] for t in a)
-    na2 = sum(v * v for v in a.values())
-    nb2 = sum(v * v for v in b.values())
-    if na2 == 0 or nb2 == 0:
-        return Fraction(0)
-    return Fraction(dot * dot, na2 * nb2)
 
 
 # --- text features, by the rules before a feature knew its buckets

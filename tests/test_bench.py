@@ -211,7 +211,7 @@ def test_sequences_on_a_warm_grid_equal_cold_ones(mode, resolution, monkeypatch)
     assert run_sequence(sc, VARIANTS[first]) == cold[first]
     assert {name: len(c) - before[name] for name, c in calls.items()} == in_warm
     kinds = Counter(key[0] for key in facts._scene.answers)
-    assert all(kinds[kind] for kind in ("carrier", "match", "move", "leg", "carried", "rooms"))
+    assert all(kinds[kind] for kind in ("carrier", "match", "move", "leg", "carried"))
     assert cold_moves == len(VARIANTS) * kinds["move"] == len(VARIANTS) * in_warm["_moved"]
     assert in_warm["_first_sightings"] == kinds["leg"]
     assert in_warm["_pair"] == kinds["reconcile"]

@@ -97,6 +97,19 @@ class TestBox3:
         with pytest.raises(SceneValidationError):
             Box3([0, 0, float("nan")], [1, 1, 1])
 
+    @pytest.mark.parametrize("lo,hi", [
+        ([0, -1e308, 0], [1, 1e308, 1]),  # an infinite extent
+        ([0, -1e308, 0], [2, 0, 1]),  # finite extents, an infinite footprint area
+        ([0, 0, 1e308], [1, 1, 1.5e308])])  # finite extents, an infinite center
+    def test_rejects_a_span_that_overflows(self, lo, hi):
+        # checked in Python floats, so no numpy warning comes first
+        with pytest.raises(SceneValidationError, match="spans too far"):
+            Box3(lo, hi)
+
+    def test_a_span_just_inside_the_bounds_is_a_box(self):
+        box = Box3([0, -1e308, 0], [1, 0, 1])
+        assert (box.footprint_area, box.center.tolist()) == (1e308, [0.5, -5e307, 0.5])
+
 
 def make_object(text_feature, visual_feature=None):
     box = Box3(np.array([0.0, 0.0, 0.0]), np.array([0.1, 0.1, 0.1]))
@@ -222,6 +235,8 @@ class TestPolygon:
         assignment = assign_rooms(list(objs.values()), rooms)
         assert assignment["a"] == "west"
         assert assignment["b"] == "east"
+        with pytest.raises(ValueError):  # a room's polygon is read-only
+            rooms[0].polygon *= 0.1
 
 
 class TestGridSpec:
@@ -396,6 +411,18 @@ class TestParsing:
         tree = golden_scene_dict()
         tree["grid"].update(grid)
         with pytest.raises(SceneValidationError, match="no finite cell"):
+            scene_from_dict(tree)
+
+    @pytest.mark.parametrize("where", ["grid", "box"])
+    def test_a_scene_whose_distances_overflow_is_rejected(self, where):
+        # two points of its bounds are 1e200 apart: the square of that
+        # distance, which every norm computes, is infinite
+        tree = golden_scene_dict()
+        if where == "grid":
+            tree["grid"]["resolution"] = 1e200
+        else:
+            tree["objects"][0]["box"] = {"min": [1.0, 1.0, 0.0], "max": [2.2, 1.8, 1e200]}
+        with pytest.raises(SceneValidationError, match="spans too far to measure"):
             scene_from_dict(tree)
 
 

@@ -100,7 +100,6 @@ class TestReconcile:
         scene, crsg, cfg = setting
         obs = [obs_of(scene.objects["cup_a"]), obs_of(scene.objects["cup_b"])]
         diff = reconcile_carried("table_0", obs, crsg, cfg)
-        assert diff.kept == ["cup_a", "cup_b"]
         assert diff.added == [] and diff.removed == []
         assert diff.empty
 
@@ -108,7 +107,7 @@ class TestReconcile:
         scene, crsg, cfg = setting
         diff = reconcile_carried("table_0", [obs_of(scene.objects["cup_a"])], crsg, cfg)
         assert diff.removed == ["cup_b"]
-        assert diff.kept == ["cup_a"]
+        assert diff.added == []
 
     def test_new_object_is_added(self, setting):
         scene, crsg, cfg = setting
@@ -146,7 +145,7 @@ class TestReconcile:
         diff = reconcile_carried("table_0", [near, far,
                                              obs_of(scene.objects["cup_b"])], crsg, cfg)
         # both observations could match cup_a; the nearer one takes it
-        assert diff.kept == ["cup_a", "cup_b"]
+        assert diff.removed == []
         assert [o.object_id for o in diff.added] == ["cup_ghost"]
 
     def test_unknown_carrier_raises(self, setting):

@@ -75,6 +75,10 @@ class TestGridGeometry:
             w.cell_of([-0.1, 0.5])
         with pytest.raises(WorldError):
             w.cell_of([99.0, 0.5])
+        # points whose index is inf or NaN, which ``floor`` would not take
+        for point in ([0.5, 1e308], [-1e308, 0.5], [math.nan, 0.5]):
+            with pytest.raises(WorldError, match="outside the grid"):
+                w.cell_of(point)
 
     def test_snap_free_cell_prefers_nearest(self):
         w = empty_world(blocked=[(2, 2)])
@@ -1158,6 +1162,17 @@ class TestDisplacement:
         objs.append(obj_dict("cup_0", ["red cup"], 5.0, 2.0, 0.08, 0.08, 0.0, 0.12))
         w = GridWorld(scene_from_dict(scene_dict(objs, width=32, height=20)))
         with pytest.raises(DisplacementError):
+            w.apply_displacement(DisplacementEvent(
+                kind="move", object_id="cup_0", target_carrier_id="table_0"), self.CFG)
+
+    def test_a_top_with_too_many_spots_is_refused_before_any_array(self, monkeypatch):
+        # a table 2000 km wide would hold ~1e9 spots of 5 cm
+        objs = [obj_dict("table_0", ["brown table", "table"], 2.0, 2.0, 2e6, 2e6, 0.0, 0.75),
+                obj_dict("cup_0", ["red cup"], 5.0, 2.0, 0.08, 0.08, 0.0, 0.12)]
+        w = GridWorld(scene_from_dict(scene_dict(objs, width=32, height=20)))
+        for name in ("arange", "meshgrid"):  # no scan is built
+            monkeypatch.setattr(np, name, None)
+        with pytest.raises(DisplacementError, match="too many spots"):
             w.apply_displacement(DisplacementEvent(
                 kind="move", object_id="cup_0", target_carrier_id="table_0"), self.CFG)
 
