@@ -112,16 +112,15 @@ def run_sequence(
     prior = prior or KeywordPriorOracle()
     world = GridWorld(scenario.scene, start_pose=scenario.start_pose)
     crsg = build_crsg(scenario.scene, config=scenario.crsg, prior=prior)
-    for spec in scenario.events_for("before-episode"):
-        world.apply_displacement(spec.to_displacement(), scenario.crsg,
-                                 spot_index=spec.spot_index)
+    for event in scenario.events_for("before-episode"):
+        world.apply_displacement(event, scenario.crsg)
     results = []
-    for k, task_spec in enumerate(scenario.tasks):
+    for k, task in enumerate(scenario.tasks):
         rng = Random(episode_seed(scenario.name, variant.name, k))
         result = run_task(
             world,
             crsg,
-            task_spec.to_task(),
+            task,
             policy_cfg=scenario.policy,
             sensor_cfg=scenario.sensor,
             match_cfg=scenario.match,
@@ -132,9 +131,8 @@ def run_sequence(
             task_index=k,
         )
         results.append(result)
-        for spec in scenario.events_for(f"after-task-{k + 1}"):
-            world.apply_displacement(spec.to_displacement(), scenario.crsg,
-                                     spot_index=spec.spot_index)
+        for event in scenario.events_for(f"after-task-{k + 1}"):
+            world.apply_displacement(event, scenario.crsg)
     return results
 
 

@@ -80,6 +80,15 @@ def _out_dir(path: str) -> str:
     return path
 
 
+def _out_file(path: str) -> str:
+    """``path`` if it names a file in an existing directory: checked before
+    any work, so a directory there is bad input."""
+    here = Path(path).absolute()
+    if here.is_dir() or not here.parent.is_dir():
+        raise CliError(f"--out {path!r} is not a file in an existing directory")
+    return path
+
+
 def _cmd_gen_scenarios(args, prior) -> int:  # generation consults no oracle
     scenarios = generate_scenarios(args.mode, args.count, args.seed,
                                    out_dir=_out_dir(args.out))
@@ -88,11 +97,12 @@ def _cmd_gen_scenarios(args, prior) -> int:  # generation consults no oracle
 
 
 def _cmd_build_graph(args, prior) -> int:
+    out = args.out and _out_file(args.out)
     crsg = build_crsg(load_scene(args.scene), prior=prior)
-    if args.out:
-        write_json(args.out, crsg.to_dict())
-        print(f"graph written to {args.out}")
-    if args.dump or not args.out:
+    if out:
+        write_json(out, crsg.to_dict())
+        print(f"graph written to {out}")
+    if args.dump or not out:
         print(crsg.dump_text())
     return 0
 

@@ -14,9 +14,11 @@ Environment variables:
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import urllib.error
+import urllib.parse
 import urllib.request
 from typing import List, Optional, Sequence
 
@@ -82,15 +84,15 @@ class LlmPriorOracle(CarrierPriorOracle):
         return ranked
 
     def _post(self, payload: dict) -> str:
-        body = json.dumps(payload).encode()
-        req = urllib.request.Request(self.endpoint, data=body, method="POST")
-        req.add_header("Content-Type", "application/json")
+        headers = {"Content-Type": "application/json"}
         if self.api_key:
-            req.add_header("Authorization", f"Bearer {self.api_key}")
+            headers["Authorization"] = f"Bearer {self.api_key}"
         try:
+            req = urllib.request.Request(self.endpoint, data=json.dumps(payload).encode(),
+                                         headers=headers, method="POST")
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
                 tree = json.loads(resp.read().decode())
-        except (urllib.error.URLError, OSError, ValueError) as exc:
+        except (urllib.error.URLError, OSError, ValueError, http.client.HTTPException) as exc:
             raise OracleError(f"endpoint request failed: {exc}") from exc
         try:
             return tree["choices"][0]["message"]["content"]
@@ -98,11 +100,24 @@ class LlmPriorOracle(CarrierPriorOracle):
             raise OracleError(f"unexpected endpoint reply shape: {exc}") from exc
 
 
+def _is_http_url(text: str) -> bool:
+    """Whether ``text`` is an http(s) URL with a host, and a valid port if any."""
+    try:
+        url = urllib.parse.urlsplit(text)
+        url.port  # reading it raises ValueError for a bad port
+    except ValueError:
+        return False
+    return url.scheme in ("http", "https") and bool(url.hostname)
+
+
 def oracle_from_env(env=os.environ) -> CarrierPriorOracle:
-    """The keyword oracle, unless an endpoint is configured."""
+    """The keyword oracle, unless an endpoint is configured.  An endpoint
+    that is not an http(s) URL with a host raises ``ValueError``."""
     endpoint = env.get(ENDPOINT_VAR, "").strip()
     if not endpoint:
         return KeywordPriorOracle()
+    if not _is_http_url(endpoint):
+        raise ValueError(f"{ENDPOINT_VAR}={endpoint!r} is not an http(s) URL")
     return LlmPriorOracle(
         endpoint=endpoint,
         api_key=env.get(API_KEY_VAR) or None,

@@ -510,8 +510,27 @@ def confirm_target(
 
 @dataclass(frozen=True)
 class Task:
-    query: Query
-    ground_truth_id: Optional[str] = None
+    """One navigation task, as a scenario file holds it: the query's fields
+    and the id of the object it names.  ``query`` is built from them once,
+    at construction, so a malformed one raises its ``QueryError``."""
+
+    query_text: Optional[str]
+    ground_truth_id: str
+    carrier_text: Optional[str] = None
+    image: Optional[str] = None
+    query: Query = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "query", Query(text=self.query_text, image=self.image,
+                                                carrier_text=self.carrier_text))
+
+    def to_dict(self) -> dict:
+        d = {"query_text": self.query_text, "ground_truth_id": self.ground_truth_id}
+        if self.carrier_text is not None:
+            d["carrier_text"] = self.carrier_text
+        if self.image is not None:
+            d["image"] = self.image
+        return d
 
 
 @dataclass
@@ -574,31 +593,20 @@ def run_task(
         return EpisodeResult(task_index=task_index, success=success, traveled=traveled,
                              shortest=shortest, actions=trace)
 
-    def shortest_to(object_id: str) -> float:
-        """Start-to-object path length: 0.0 for an object the world lacks,
-        inf for one it cannot reach."""
-        if not world.has_object(object_id):
-            return 0.0
-        try:
-            return world.shortest_path(start_pose.position,
-                                       world.object(object_id).centroid[:2])[1]
-        except UnreachableGoalError:
-            return math.inf
-
-    # a known target's length is read first, so a failed query reports it
+    # the target's length is read first, so a failed query reports it: 0.0
+    # for an object the world lacks, inf for one it cannot reach
     gt_id = task.ground_truth_id
-    shortest = shortest_to(gt_id) if gt_id else 0.0
-    if math.isinf(shortest):
-        return finish(False, shortest)
+    shortest = 0.0
+    if world.has_object(gt_id):
+        try:
+            shortest = world.shortest_path(start_pose.position,
+                                           world.object(gt_id).centroid[:2])[1]
+        except UnreachableGoalError:
+            return finish(False, math.inf)
     try:
         target_obj, score = query_target(crsg, task.query)
     except QueryError:
         return finish(False, shortest)
-    if not gt_id:
-        gt_id = target_obj.id
-        shortest = shortest_to(gt_id)
-        if math.isinf(shortest):
-            return finish(False, shortest)
 
     state = init_state(crsg, start_pose, target_obj, score)
 

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .graph import CrsgConfig, Query
+from .graph import CrsgConfig
 from .policy import PolicyConfig, PolicyError, Task
 from .priors import AFFINITY_RANKINGS
 from .scene import (SceneError, SceneMap, SceneParseError, load_scene, read_record, save_scene,
@@ -209,52 +209,17 @@ class _SceneDraft:
 
 
 @dataclass
-class EventSpec:
-    trigger: str  # "before-episode" or "after-task-<k>"
-    kind: str
-    object_id: str
-    target_carrier_id: Optional[str] = None
-    spot_index: int = 0
+class EventSpec(DisplacementEvent):
+    """A scenario file's event: a displacement and the trigger that fires
+    it, ``before-episode`` or ``after-task-<k>``."""
+
+    trigger: str = field(kw_only=True)
 
     def to_dict(self) -> dict:
-        d = {"trigger": self.trigger, "kind": self.kind, "object_id": self.object_id,
-             "spot_index": self.spot_index}
-        if self.target_carrier_id is not None:
-            d["target_carrier_id"] = self.target_carrier_id
+        d = asdict(self)
+        if self.target_carrier_id is None:
+            del d["target_carrier_id"]
         return d
-
-    def __post_init__(self):
-        self.to_displacement()  # a valid displacement or a DisplacementError
-
-    def to_displacement(self) -> DisplacementEvent:
-        return DisplacementEvent(kind=self.kind, object_id=self.object_id,
-                                 target_carrier_id=self.target_carrier_id)
-
-
-@dataclass
-class TaskSpec:
-    query_text: Optional[str]
-    ground_truth_id: str
-    carrier_text: Optional[str] = None
-    image: Optional[str] = None
-
-    def to_dict(self) -> dict:
-        d = {"query_text": self.query_text, "ground_truth_id": self.ground_truth_id}
-        if self.carrier_text is not None:
-            d["carrier_text"] = self.carrier_text
-        if self.image is not None:
-            d["image"] = self.image
-        return d
-
-    def __post_init__(self):
-        self.to_task()  # a malformed query raises its QueryError
-
-    def to_task(self) -> Task:
-        return Task(
-            query=Query(text=self.query_text, image=self.image,
-                        carrier_text=self.carrier_text),
-            ground_truth_id=self.ground_truth_id,
-        )
 
 
 @dataclass
@@ -264,12 +229,12 @@ class Scenario:
     seed: str
     scene: SceneMap
     start_pose: Pose
-    sensor: SensorConfig
-    policy: PolicyConfig
-    crsg: CrsgConfig
-    match: MatchConfig
     events: List[EventSpec]
-    tasks: List[TaskSpec]
+    tasks: List[Task]
+    sensor: SensorConfig = field(default_factory=SensorConfig)
+    policy: PolicyConfig = field(default_factory=PolicyConfig)
+    crsg: CrsgConfig = field(default_factory=CrsgConfig)
+    match: MatchConfig = field(default_factory=MatchConfig)
 
     def events_for(self, trigger: str) -> List[EventSpec]:
         return [e for e in self.events if e.trigger == trigger]
@@ -282,18 +247,13 @@ class Scenario:
             "start_pose": {"position": [float(self.start_pose.position[0]),
                                         float(self.start_pose.position[1])],
                            "heading": float(self.start_pose.heading)},
-            "sensor": {"radius": self.sensor.radius, "fov": self.sensor.fov,
-                       "occlusion": self.sensor.occlusion},
+            "sensor": asdict(self.sensor),
             "policy": asdict(self.policy),
             "crsg": asdict(self.crsg),
             "match": asdict(self.match),
             "events": [e.to_dict() for e in self.events],
             "tasks": [t.to_dict() for t in self.tasks],
         }
-
-
-def _default_configs():
-    return SensorConfig(), PolicyConfig(), CrsgConfig(), MatchConfig()
 
 
 def _validate_reachable(scene: SceneMap, start: Pose) -> bool:
@@ -371,15 +331,12 @@ def _build_single(index: int, seed: str, rng: Random, resolution: float) -> Scen
     if not _validate_reachable(scene, start):
         raise ScenarioError(f"single_{index:04d}: unreachable layout")
 
-    sensor, policy, crsg_cfg, match = _default_configs()
     events = [EventSpec(trigger="before-episode", kind="move", object_id=target_id,
                         target_carrier_id=carrier_ids["true"],
                         spot_index=rng.randrange(4))]
-    tasks = [TaskSpec(query_text=f"{target_attr} {item_kind}",
-                      ground_truth_id=target_id)]
+    tasks = [Task(query_text=f"{target_attr} {item_kind}", ground_truth_id=target_id)]
     return Scenario(name=draft.name, mode="single", seed=seed, scene=scene,
-                    start_pose=start, sensor=sensor, policy=policy, crsg=crsg_cfg,
-                    match=match, events=events, tasks=tasks)
+                    start_pose=start, events=events, tasks=tasks)
 
 
 # --- mode "probe": five tasks, all targets pre-displaced to one carrier
@@ -417,15 +374,13 @@ def _build_probe(index: int, seed: str, rng: Random, resolution: float) -> Scena
     if not _validate_reachable(scene, start):
         raise ScenarioError(f"probe_{index:04d}: unreachable layout")
 
-    sensor, policy, crsg_cfg, match = _default_configs()
     events = [EventSpec(trigger="before-episode", kind="move", object_id=cup_ids[k],
                         target_carrier_id=hub, spot_index=k)
               for k in range(5)]
-    tasks = [TaskSpec(query_text=f"{attrs[k]} cup", ground_truth_id=cup_ids[k])
+    tasks = [Task(query_text=f"{attrs[k]} cup", ground_truth_id=cup_ids[k])
              for k in range(5)]
     return Scenario(name=draft.name, mode="probe", seed=seed, scene=scene,
-                    start_pose=start, sensor=sensor, policy=policy, crsg=crsg_cfg,
-                    match=match, events=events, tasks=tasks)
+                    start_pose=start, events=events, tasks=tasks)
 
 
 # --- mode "mixed": general worlds for construction/query/convergence checks
@@ -504,7 +459,6 @@ def _build_mixed(index: int, seed: str, rng: Random, resolution: float) -> Scena
     # draw displacement events, validating each against a scratch world so
     # a crowded small carrier never produces an unplaceable scenario
     scratch = GridWorld(scene, start_pose=start)
-    crsg_cfg_draft = CrsgConfig()
     events = []
     for oid in item_ids:
         roll = rng.random()
@@ -517,15 +471,14 @@ def _build_mixed(index: int, seed: str, rng: Random, resolution: float) -> Scena
                                  object_id=oid, target_carrier_id=target,
                                  spot_index=spot)
                 try:
-                    scratch.apply_displacement(spec.to_displacement(),
-                                               crsg_cfg_draft, spot_index=spot)
+                    scratch.apply_displacement(spec, CrsgConfig())
                 except WorldError:
                     continue
                 events.append(spec)
                 break
         elif roll < 0.6:
             spec = EventSpec(trigger="before-episode", kind="remove", object_id=oid)
-            scratch.apply_displacement(spec.to_displacement(), crsg_cfg_draft)
+            scratch.apply_displacement(spec, CrsgConfig())
             events.append(spec)
 
     n_tasks = rng.randrange(1, min(4, len(item_ids) + 1))
@@ -533,12 +486,10 @@ def _build_mixed(index: int, seed: str, rng: Random, resolution: float) -> Scena
     tasks = []
     for oid in chosen:
         obj = next(o for o in draft.objects if o["id"] == oid)
-        tasks.append(TaskSpec(query_text=obj["captions"][0], ground_truth_id=oid))
+        tasks.append(Task(query_text=obj["captions"][0], ground_truth_id=oid))
 
-    sensor, policy, crsg_cfg, match = _default_configs()
     return Scenario(name=draft.name, mode="mixed", seed=seed, scene=scene,
-                    start_pose=start, sensor=sensor, policy=policy, crsg=crsg_cfg,
-                    match=match, events=events, tasks=tasks)
+                    start_pose=start, events=events, tasks=tasks)
 
 
 _BUILDERS = {"single": _build_single, "probe": _build_probe, "mixed": _build_mixed}
@@ -604,7 +555,7 @@ class _ScenarioFile:
     header: _FileHeader
     scene_file: str
     start_pose: _FilePose
-    tasks: List[TaskSpec]
+    tasks: List[Task]
     events: List[EventSpec] = field(default_factory=list)
     sensor: SensorConfig = field(default_factory=SensorConfig)
     policy: PolicyConfig = field(default_factory=PolicyConfig)
@@ -615,9 +566,11 @@ class _ScenarioFile:
 def load_scenario(path: str) -> Scenario:
     """Load a scenario JSON; the scene file resolves relative to it.
 
-    Both files are read by ``scene.read_record``.  Any defect of the
-    scenario file raises ``ScenarioError``: invalid JSON, an unknown or
-    missing key, a wrong JSON type or a non-finite number, a value that
+    Both files are read by ``scene.read_record``, events as ``EventSpec``
+    (a ``world.DisplacementEvent`` with a trigger) and tasks as
+    ``policy.Task``.  Any defect of the scenario file raises
+    ``ScenarioError``: a file that cannot be read, invalid JSON, an unknown
+    or missing key, a wrong JSON type or a non-finite number, a value that
     fails its config's, event's or task's own check (``PolicyConfig``'s
     raises ``PolicyError``, the others a ``ValueError``; a task's query
     fails ``graph.Query``'s), a scene file that
@@ -630,7 +583,7 @@ def load_scenario(path: str) -> Scenario:
     try:
         with open(p) as fh:
             top = read_record(_ScenarioFile, json.load(fh), "scenario")
-    except (json.JSONDecodeError, SceneParseError, PolicyError) as exc:
+    except (OSError, json.JSONDecodeError, SceneParseError, PolicyError) as exc:
         raise ScenarioError(f"{path}: {exc}") from None
     if top.header.version != 1:
         raise ScenarioError(f"{path}: unsupported scenario version")
@@ -638,7 +591,7 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioError(f"{path}: scenario has no tasks")
     try:
         scene = load_scene(str(p.parent / top.scene_file))
-    except (OSError, SceneError) as exc:
+    except SceneError as exc:
         raise ScenarioError(f"{path}: cannot load the scene file: {exc}") from exc
     for t in top.tasks:
         if t.ground_truth_id not in scene.objects:

@@ -511,7 +511,7 @@ _JSON_TYPES = {str: {str}, int: {int}, float: {int, float}, bool: {bool},
 def read_record(cls, value, what: str):
     """Record dataclass ``cls`` read from the JSON object ``value``.
 
-    Every key must be a field, and every field without a default present.
+    Every key must be an init field, and every field without a default present.
     A value is read as its field's annotation: a record from an object, a
     ``List`` from an array, a fixed-length ``Tuple`` from an array of that
     length, a ``Union`` (``Optional`` too) as its first member that reads
@@ -538,11 +538,13 @@ def read_record(cls, value, what: str):
 
 @functools.cache
 def _schema(cls) -> Tuple[Dict[str, Callable], set]:
-    """The reader of each field of record ``cls``, and its required fields,
-    built once per class."""
-    required = {f.name for f in fields(cls)
-                if f.default is MISSING and f.default_factory is MISSING}
-    return {name: _reader(hint) for name, hint in get_type_hints(cls).items()}, required
+    """The reader of each init field of record ``cls``, and its required
+    fields, built once per class: a field computed at construction
+    (``init=False``) is never read from a file."""
+    init = [f for f in fields(cls) if f.init]
+    hints = get_type_hints(cls)
+    required = {f.name for f in init if f.default is MISSING and f.default_factory is MISSING}
+    return {f.name: _reader(hints[f.name]) for f in init}, required
 
 
 def _reader(hint) -> Callable:
@@ -711,9 +713,13 @@ def scene_from_dict(tree: dict) -> SceneMap:
 
 
 def load_scene(path: str) -> SceneMap:
+    """Scene from the JSON file at ``path``; a file that cannot be read
+    raises ``SceneParseError``, as invalid JSON does."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             tree = json.load(fh)
+    except OSError as exc:
+        raise SceneParseError(f"{path}: cannot read ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise SceneParseError(f"{path}: invalid JSON ({exc})") from exc
     return scene_from_dict(tree)

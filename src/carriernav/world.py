@@ -3,8 +3,8 @@
 Objects are frozen values (``scene.ObjectInstance``), shared by the scene,
 the world, the belief graph and every sighting.  The world owns only its
 id -> object dict (it never changes the grid or rooms): a displacement
-stores a new instance there, so ground-truth changes (displaced objects,
-additions, removals) never leak into the parsed scene, the belief graph a
+stores a new instance there, so ground-truth changes (displaced or
+removed objects) never leak into the parsed scene, the belief graph a
 robot carries around or an earlier sighting.
 
 Planning runs Dijkstra searches over one symmetric 8-connected graph of the
@@ -47,7 +47,7 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 
 from . import facts
 from .graph import CrsgConfig, assign_carried, carrying_predicate, geometric_carrier_filter
-from .scene import MAX_GRID_CELLS, Box3, ObjectInstance, SceneMap, _frozen, derived_feature
+from .scene import MAX_GRID_CELLS, Box3, ObjectInstance, SceneMap, _frozen
 
 SQRT2 = math.sqrt(2.0)
 
@@ -119,24 +119,23 @@ class Observation:
 class DisplacementEvent:
     """Ground-truth scene change.
 
-    ``move`` re-seats an existing object on ``target_carrier_id``; ``add``
-    introduces ``new_object`` there; ``remove`` deletes the object.
+    ``move`` re-seats ``object_id`` on ``target_carrier_id``, at the free
+    spot ``spot_index`` places along the carrier top's scan (so seeded
+    callers vary placements deterministically); ``remove`` deletes it.
     """
 
     kind: str
-    object_id: str = ""
+    object_id: str
     target_carrier_id: Optional[str] = None
-    new_object: Optional[dict] = None
+    spot_index: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("move", "add", "remove"):
+        if self.kind not in ("move", "remove"):
             raise DisplacementError(f"unknown displacement kind {self.kind!r}")
-        if self.kind in ("move", "remove") and not self.object_id:
+        if not self.object_id:
             raise DisplacementError(f"{self.kind} event needs object_id")
         if self.kind == "move" and not self.target_carrier_id:
             raise DisplacementError("move event needs target_carrier_id")
-        if self.kind == "add" and not self.new_object:
-            raise DisplacementError("add event needs new_object payload")
 
 
 @dataclass
@@ -630,9 +629,9 @@ class GridWorld:
     # ----- displacement ---------------------------------------------------
 
     def _free_spot_on(self, carrier: ObjectInstance, extents: np.ndarray,
-                      config: CrsgConfig, skip_id: str = "",
-                      start_index: int = 0) -> np.ndarray:
-        """Deterministic spiral scan over the carrier top for a free spot."""
+                      config: CrsgConfig, skip_id: str, start_index: int) -> np.ndarray:
+        """Deterministic spiral scan over the carrier top for a free spot,
+        ``start_index`` spots in, clear of every occupant but ``skip_id``."""
         half = extents[:2] / 2.0
         margin = 0.02
         # the scan's bounds and size in Python floats, before any array: a
@@ -673,38 +672,36 @@ class GridWorld:
                 return np.array([x, y])
         raise DisplacementError(f"no free spot on carrier {carrier.id!r}")
 
-    def apply_displacement(self, event: DisplacementEvent, config: CrsgConfig,
-                           spot_index: int = 0) -> None:
+    def apply_displacement(self, event: DisplacementEvent, config: CrsgConfig) -> None:
         """Mutate ground truth per the event; belief graphs are untouched.
 
-        ``spot_index`` rotates the spiral scan so seeded callers can vary
-        placements deterministically.  This is the only place objects
-        change, so it clears the object memos when it returns or raises
-        (a rejected move has already re-seated its object).
+        This is the only place objects change, so it clears the object
+        memos when it returns or raises (a rejected move has already
+        re-seated its object).
         """
         try:
-            self._displace(event, config, spot_index)
+            if event.kind == "remove":
+                if event.object_id not in self.scene.objects:
+                    raise DisplacementError(f"cannot remove unknown object {event.object_id!r}")
+                del self.scene.objects[event.object_id]
+            else:
+                # a move is a pure function of the world's objects and the event
+                key = ("move", self._objects(), event.object_id, event.target_carrier_id,
+                       event.spot_index, config)
+                self.scene.objects[event.object_id] = facts.answer(key, self._moved, event, config)
         finally:
             self._centroid_cache = None
             self._items = None
 
-    def _seat(self, carrier: ObjectInstance, extents: np.ndarray, config: CrsgConfig,
-              spot_index: int, skip_id: str = "") -> Box3:
-        """The box of ``extents`` seated on a free spot of ``carrier``'s top:
-        the one seat rule of moves and adds."""
-        xy = self._free_spot_on(carrier, extents, config,
-                                skip_id=skip_id, start_index=spot_index)
-        zmin = float(carrier.box.max[2])
-        new_min = np.array([xy[0] - extents[0] / 2.0, xy[1] - extents[1] / 2.0, zmin])
-        return Box3(new_min, new_min + extents)
-
-    def _moved(self, event: DisplacementEvent, config: CrsgConfig,
-               spot_index: int) -> ObjectInstance:
-        """The moved object, re-seated on a free spot of the target carrier.
-        A placement the carrying predicate rejects still re-seats it."""
+    def _moved(self, event: DisplacementEvent, config: CrsgConfig) -> ObjectInstance:
+        """The moved object, re-seated on a free spot of the target carrier's
+        top.  A placement the carrying predicate rejects still re-seats it."""
         obj = self.object(event.object_id)
         carrier = self.object(event.target_carrier_id)
-        box = self._seat(carrier, obj.box.extents, config, spot_index, skip_id=obj.id)
+        extents = obj.box.extents
+        xy = self._free_spot_on(carrier, extents, config, obj.id, event.spot_index)
+        new_min = np.array([xy[0] - extents[0] / 2.0, xy[1] - extents[1] / 2.0, carrier.box.hi[2]])
+        box = Box3(new_min, new_min + extents)
         obj = replace(obj, box=box, centroid=box.center)
         if not carrying_predicate(carrier, obj, config):
             self.scene.objects[obj.id] = obj
@@ -712,37 +709,3 @@ class GridWorld:
                 f"placement of {obj.id!r} on {carrier.id!r} violates the carrying predicate"
             )
         return obj
-
-    def _displace(self, event: DisplacementEvent, config: CrsgConfig, spot_index: int) -> None:
-        if event.kind == "remove":
-            if event.object_id not in self.scene.objects:
-                raise DisplacementError(f"cannot remove unknown object {event.object_id!r}")
-            del self.scene.objects[event.object_id]
-            return
-
-        if event.kind == "move":
-            # a move is a pure function of the world's objects and the event
-            key = ("move", self._objects(), event.object_id, event.target_carrier_id,
-                   spot_index, config)
-            self.scene.objects[event.object_id] = facts.answer(key, self._moved, event, config,
-                                                               spot_index)
-            return
-
-        # add
-        payload = dict(event.new_object)
-        oid = payload.get("id")
-        if not oid:
-            raise DisplacementError("add event payload needs an id")
-        if oid in self.scene.objects:
-            raise DisplacementError(f"add event id {oid!r} already exists")
-        carrier_id = event.target_carrier_id or payload.get("carrier_id")
-        if not carrier_id:
-            raise DisplacementError("add event needs target_carrier_id")
-        carrier = self.object(carrier_id)
-        extents = np.asarray(payload.get("extents", [0.1, 0.1, 0.12]), dtype=np.float64)
-        box = self._seat(carrier, extents, config, spot_index)
-        captions = payload.get("captions") or [oid]
-        feature = derived_feature(captions, self.scene.embedding_dim)
-        self.scene.objects[oid] = ObjectInstance(
-            id=oid, captions=tuple(captions), box=box, centroid=box.center,
-            text_feature=feature, visual_feature=feature)

@@ -199,8 +199,7 @@ def test_criterion_8_full_coverage_recovers_displaced_relation():
         world = GridWorld(sc.scene, start_pose=sc.start_pose)
         crsg = build_crsg(sc.scene, sc.crsg)
         for spec in sc.events:
-            world.apply_displacement(spec.to_displacement(), sc.crsg,
-                                     spot_index=spec.spot_index)
+            world.apply_displacement(spec, sc.crsg)
         full_coverage_tour(world, crsg, sensor=sc.sensor, match=sc.match,
                            crsg_cfg=sc.crsg)
         expected = {cid: tuple(sorted(world.ground_truth_carried(cid, sc.crsg)))

@@ -226,8 +226,7 @@ class TestFullCoverageTour:
         world = GridWorld(sc.scene, start_pose=sc.start_pose)
         crsg = build_crsg(sc.scene, sc.crsg)
         for spec in sc.events:  # displace everything before the tour
-            world.apply_displacement(spec.to_displacement(), sc.crsg,
-                                     spot_index=spec.spot_index)
+            world.apply_displacement(spec, sc.crsg)
         visited = full_coverage_tour(world, crsg, sensor=sc.sensor,
                                      match=sc.match, crsg_cfg=sc.crsg)
         assert visited == sorted(crsg.carriers)

@@ -281,6 +281,14 @@ def _trigger_after_task_zero(tree, scene):
     tree["events"][0]["trigger"] = "after-task-0"
 
 
+def _event_of_kind_add(tree, scene):
+    tree["events"][0]["kind"] = "add"
+
+
+def _task_naming_its_query(tree, scene):
+    tree["tasks"][0]["query"] = {"text": tree["tasks"][0]["query_text"]}
+
+
 # defects of the scene file a scenario names
 
 
@@ -342,7 +350,8 @@ def _room_vertex_whose_orientations_overflow(tree, scene):
                                     _event_targets_an_unknown_carrier,
                                     _trigger_that_is_no_trigger,
                                     _trigger_after_a_task_past_the_last,
-                                    _trigger_after_task_zero, _grid_not_an_object,
+                                    _trigger_after_task_zero, _event_of_kind_add,
+                                    _task_naming_its_query, _grid_not_an_object,
                                     _blocked_cell_of_one_number, _blocked_cell_beyond_any_grid,
                                     _blocked_cell_outside_the_grid, _objects_not_an_array,
                                     _resolution_not_a_number, _resolution_a_boolean,
@@ -382,6 +391,18 @@ def test_an_out_that_names_a_file_is_bad_input_before_any_work(
     assert err.startswith("error: --out") and err.count("\n") == 1
     assert calls == []
     assert taken.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("out", ["DIR", "DIR/missing/graph.json"])
+def test_a_graph_out_that_is_no_file_is_bad_input_before_any_work(
+        scene_file, tmp_path, monkeypatch, capsys, out):
+    calls = []
+    monkeypatch.setattr(cli, "build_crsg", lambda *args, **kwargs: calls.append(args))
+    out = out.replace("DIR", str(tmp_path))
+    assert main(["build-graph", "--scene", scene_file, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out") and err.count("\n") == 1
+    assert calls == []
 
 
 class TestRunSuite:

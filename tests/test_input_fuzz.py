@@ -1,5 +1,6 @@
 """Input boundaries under mutation: a scene tree and a scenario tree, each
-with one value replaced by a hostile one or one key dropped, driven through
+with one value replaced by a hostile one or one key dropped, every path
+argument set to a directory, and hostile model endpoints, driven through
 ``cli.main``.  Every run exits 0 with its output, or 1 with one ``error:``
 line; none exits 2 (a runtime failure) or lets a warning out."""
 
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from carriernav.cli import main
 from carriernav.graph import CrsgConfig
+from carriernav.llm_adapter import ENDPOINT_VAR
 from carriernav.policy import PolicyConfig
 from carriernav.update import MatchConfig
 
@@ -152,3 +154,32 @@ def test_a_mutated_input_exits_0_or_1_with_one_error_line(files, trees):
     assert code == 1 or out.startswith("building")
     code, out, _ = run(["run-episode", "--scenario", str(scenario_path)])
     assert code == 1 or out.splitlines()[-1].startswith("sequence: sr=")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["build-graph", "--scene", "DIR"], 1),
+    (["build-graph", "--scene", "SCENE", "--out", "DIR"], 1),
+    (["query", "--scene", "DIR", "--text", "red cup"], 1),
+    (["run-episode", "--scenario", "DIR"], 1),
+    (["run-suite", "--scenarios", "DIR", "--out", "DIR"], 1),  # no scenario_*.json in it
+    (["run-suite", "--scenarios", "SCENARIO", "--out", "DIR"], 0),
+    (["gen-scenarios", "--count", "1", "--out", "DIR"], 0)])
+def test_a_directory_for_each_path_exits_0_or_1_with_one_error_line(files, tmp_path, argv,
+                                                                    expected):
+    write(files, base_scene(), base_scenario())
+    names = {"DIR": str(tmp_path), "SCENE": str(files[0]), "SCENARIO": str(files[1])}
+    assert run([names.get(a, a) for a in argv])[0] == expected
+
+
+@pytest.mark.parametrize("endpoint, expected", [
+    ("notaurl", 1), ("ftp://x", 1), ("http://", 1), ("http://x:abc", 1), ("http://[", 1),
+    ("", 0), (" \t", 0),  # no endpoint: the keyword oracle
+    ("http://127.0.0.1:9/v1", 0)])  # a closed port: each ranking falls back
+def test_a_hostile_endpoint_exits_0_or_1_with_one_error_line(files, monkeypatch, endpoint,
+                                                             expected):
+    write(files, base_scene(), base_scenario())
+    monkeypatch.setenv(ENDPOINT_VAR, endpoint)
+    code, _, err = run(["run-episode", "--scenario", str(files[1]),
+                        "--variant", "only-carriers_LLM"])
+    assert code == expected
+    assert code == 0 or ENDPOINT_VAR in err

@@ -39,10 +39,16 @@ class TestOracleFromEnv:
         oracle = oracle_from_env(env={ENDPOINT_VAR: "http://x", API_KEY_VAR: ""})
         assert oracle.api_key is None
 
+    @pytest.mark.parametrize("endpoint", ["notaurl", "ftp://x", "http://", "http://x:abc",
+                                          "http://x:99999", "http://["])
+    def test_an_endpoint_that_is_no_http_url_is_rejected(self, endpoint):
+        with pytest.raises(ValueError, match=ENDPOINT_VAR):
+            oracle_from_env(env={ENDPOINT_VAR: endpoint})
+
 
 @pytest.fixture
 def oracle():
-    return LlmPriorOracle(endpoint="http://example.invalid/v1/chat")
+    return LlmPriorOracle(endpoint="http://127.0.0.1:9/v1/chat")
 
 
 def canned(oracle, text):
@@ -97,9 +103,14 @@ class TestRankCarriers:
         assert "id=table_0" in content
 
     def test_transport_failure_raises_oracle_error(self, oracle):
-        # .invalid never resolves; urllib failure must surface as OracleError
+        # nothing listens on the local discard port; the refused connection
+        # must surface as OracleError
         with pytest.raises(OracleError):
             oracle.rank_carriers(summaries("table_0"), "cup")
+
+    def test_a_request_that_cannot_be_built_raises_oracle_error(self):
+        with pytest.raises(OracleError, match="unknown url type"):
+            LlmPriorOracle(endpoint="notaurl").rank_carriers(summaries("table_0"), "cup")
 
 
 class TestLocalDelegation:

@@ -97,14 +97,27 @@ class TestEffectiveBeta:
         assert effective_beta(q, CFG, VARIANTS["ours-LLM"]) == 1.0
 
 
-def policy_scene(blocked=()):
+def policy_scene(blocked=(), extra=()):
+    """Two tables, a counter, a red cup on table_0 and a rug, plus the
+    object dicts ``extra``."""
     t0 = table_dict("table_0", 2.0, 2.0)
     t1 = table_dict("table_1", 5.0, 2.0)
     counter = obj_dict("counter_0", ["white counter", "counter"], 2.0, 4.0, 1.6, 0.6, 0.0, 0.9)
     objs = [t0, t1, counter,
             item_on("cup_0", ["red cup", "red cup", "cup"], t0),
-            obj_dict("rug_0", ["green rug", "green rug", "rug"], 5.0, 4.0, 1.0, 1.0, 0.0, 0.02)]
+            obj_dict("rug_0", ["green rug", "green rug", "rug"], 5.0, 4.0, 1.0, 1.0, 0.0, 0.02),
+            *extra]
     return scene_from_dict(scene_dict(objs, width=32, height=24, blocked=blocked))
+
+
+def world_with(*extra):
+    """The fixture's world, whose scene also holds the object dicts
+    ``extra``: objects the fixture's graph, built from ``policy_scene()``,
+    lacks."""
+    return GridWorld(policy_scene(extra=extra), start_pose=Pose([0.5, 0.5]))
+
+
+BLUE_CUP = ["blue cup", "blue cup", "cup"]
 
 
 # a wall at x = 3.5 m parts the start, table_0 and counter_0 from table_1 and rug_0
@@ -280,12 +293,9 @@ class TestTransitionInputs:
         assert "cup_0" in inputs.ct_star  # candidate elsewhere survives
 
     def test_target_like_sighting_spares_the_carrier(self, world_and_graph):
-        world, crsg = world_and_graph
+        _, crsg = world_and_graph
+        world = world_with(item_on("cup_9", BLUE_CUP, table_dict("table_1", 5.0, 2.0)))
         state = self.make_state(crsg, world)
-        world.apply_displacement(DisplacementEvent(
-            kind="add", target_carrier_id="table_1",
-            new_object={"id": "cup_9", "captions": ["blue cup", "blue cup", "cup"],
-                        "extents": [0.08, 0.08, 0.12]}), CrsgConfig())
         obs = [obs_of(world.object("table_1"), depth=2.0),
                obs_of(world.object("cup_9"), depth=2.1)]
         inputs = collect_transition_inputs(leg_of(obs, crsg), crsg, state, find_object(crsg, "cup_0"),
@@ -299,12 +309,10 @@ class TestTransitionInputs:
         assert cand.d_tilde == pytest.approx(2.1)
 
     def test_dissimilar_load_does_not_spare(self, world_and_graph):
-        world, crsg = world_and_graph
+        _, crsg = world_and_graph
+        world = world_with(item_on("plant_9", ["green plant", "green plant", "plant"],
+                                   table_dict("table_1", 5.0, 2.0), ex=0.2, ey=0.2, h=0.35))
         state = self.make_state(crsg, world)
-        world.apply_displacement(DisplacementEvent(
-            kind="add", target_carrier_id="table_1",
-            new_object={"id": "plant_9", "captions": ["green plant", "green plant", "plant"],
-                        "extents": [0.2, 0.2, 0.35]}), CrsgConfig())
         obs = [obs_of(world.object("table_1"), depth=2.0),
                obs_of(world.object("plant_9"), depth=2.1)]
         inputs = collect_transition_inputs(leg_of(obs, crsg), crsg, state, find_object(crsg, "cup_0"),
@@ -440,12 +448,9 @@ class TestConfirmation:
 
     def test_admitted_distractor_fails_confirmation(self, world_and_graph):
         # the sigma1/sigma2 gap: similar enough to walk to, not enough to stop at
-        world, crsg = world_and_graph
+        _, crsg = world_and_graph
+        world = world_with(item_on("cup_9", BLUE_CUP, table_dict("table_1", 5.0, 2.0)))
         target = find_object(crsg, "cup_0")
-        world.apply_displacement(DisplacementEvent(
-            kind="add", target_carrier_id="table_1",
-            new_object={"id": "cup_9", "captions": ["blue cup", "blue cup", "cup"],
-                        "extents": [0.08, 0.08, 0.12]}), CrsgConfig())
         obs = [obs_of(world.object("cup_9"), depth=0.5)]
         scores = confirmation_scores(obs, target, Query(text="red cup"),
                                      KeywordPriorOracle(), beta=0.0)
@@ -456,12 +461,9 @@ class TestConfirmation:
 
     def test_best_scoring_object_is_returned(self, world_and_graph):
         # a look-alike sharing the carrier must not be the one confirmed
-        world, crsg = world_and_graph
+        _, crsg = world_and_graph
+        world = world_with(item_on("beaker_0", BLUE_CUP, table_dict("table_0", 2.0, 2.0), dx=0.3))
         target = find_object(crsg, "cup_0")
-        world.apply_displacement(DisplacementEvent(
-            kind="add", target_carrier_id="table_0",
-            new_object={"id": "beaker_0", "captions": ["blue cup", "blue cup", "cup"],
-                        "extents": [0.08, 0.08, 0.12]}), CrsgConfig())
         obs = [obs_of(world.object(oid), depth=0.5) for oid in ("beaker_0", "cup_0")]
         best = confirm_target(obs, target, Query(text="red cup"),
                               KeywordPriorOracle(), CFG)
@@ -492,7 +494,7 @@ def test_trace_line_format():
 
 class TestRunTask:
     def task(self, text="red cup", gt="cup_0"):
-        return Task(query=Query(text=text), ground_truth_id=gt)
+        return Task(query_text=text, ground_truth_id=gt)
 
     def test_accurate_belief_is_a_beeline(self, world_and_graph):
         world, crsg = world_and_graph

@@ -222,12 +222,10 @@ def scenario_events_replay(sc: Scenario):
     """Apply every event in declared order on a fresh world."""
     world = GridWorld(sc.scene, start_pose=sc.start_pose)
     for spec in sc.events_for("before-episode"):
-        world.apply_displacement(spec.to_displacement(), sc.crsg,
-                                 spot_index=spec.spot_index)
+        world.apply_displacement(spec, sc.crsg)
     for k in range(1, len(sc.tasks) + 1):
         for spec in sc.events_for(f"after-task-{k}"):
-            world.apply_displacement(spec.to_displacement(), sc.crsg,
-                                     spot_index=spec.spot_index)
+            world.apply_displacement(spec, sc.crsg)
     return world
 
 

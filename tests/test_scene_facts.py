@@ -141,7 +141,7 @@ class TestSharedMoves:
         a.apply_displacement(move, cfg)
         b.apply_displacement(move, cfg)
         assert b.object("cup_0") is a.object("cup_0")
-        c.apply_displacement(move, cfg, spot_index=1)  # another spot
+        c.apply_displacement(replace(move, spot_index=1), cfg)  # another spot
         assert c.object("cup_0") is not a.object("cup_0")
         d.apply_displacement(move, CrsgConfig(z_gap_max=0.1))  # another config
         assert d.object("cup_0") is not a.object("cup_0")
@@ -174,12 +174,11 @@ class TestSharedMoves:
         assert np.array_equal(seated[1].box.min, seated[0].box.min)
         assert not [key for key in kept_answers() if key[0] == "move"]
 
-    def test_add_and_remove_keep_nothing(self):
+    def test_a_remove_keeps_nothing(self):
         scene, cfg = self.scene(), CrsgConfig()
         w = GridWorld(scene)
         w.apply_displacement(DisplacementEvent(kind="remove", object_id="cup_0"), cfg)
-        w.apply_displacement(DisplacementEvent(kind="add", target_carrier_id="table_1",
-                                               new_object={"id": "mug_0"}), cfg)
+        w.apply_displacement(DisplacementEvent(kind="remove", object_id="table_1"), cfg)
         assert not [key for key in kept_answers() if key[0] == "move"]
 
 

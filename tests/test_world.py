@@ -1115,8 +1115,8 @@ class TestDisplacement:
         w1 = self.two_table_world()
         w2 = self.two_table_world()
         ev = DisplacementEvent(kind="move", object_id="cup_0", target_carrier_id="table_1")
-        w1.apply_displacement(ev, self.CFG, spot_index=0)
-        w2.apply_displacement(ev, self.CFG, spot_index=7)
+        w1.apply_displacement(ev, self.CFG)
+        w2.apply_displacement(replace(ev, spot_index=7), self.CFG)
         p1 = w1.object("cup_0").centroid
         p2 = w2.object("cup_0").centroid
         assert not np.allclose(p1, p2)
@@ -1127,30 +1127,22 @@ class TestDisplacement:
         assert not w.has_object("cup_0")
         assert w.ground_truth_carried("table_0", self.CFG) == []
 
-    def test_add_places_new_object(self):
-        w = self.two_table_world()
-        w.apply_displacement(DisplacementEvent(
-            kind="add", object_id="",
-            target_carrier_id="table_1",
-            new_object={"id": "phone_0", "captions": ["black phone", "phone"],
-                        "extents": [0.15, 0.07, 0.02]}), self.CFG)
-        assert w.ground_truth_carried("table_1", self.CFG) == ["phone_0"]
-        assert w.object("phone_0").text_feature.any()
-
     def test_event_validation(self):
         with pytest.raises(DisplacementError):
             DisplacementEvent(kind="teleport", object_id="cup_0")
         with pytest.raises(DisplacementError):
             DisplacementEvent(kind="move", object_id="cup_0")  # no target
         with pytest.raises(DisplacementError):
-            DisplacementEvent(kind="add")  # no payload
+            DisplacementEvent(kind="add", object_id="cup_9", target_carrier_id="table_1")
+        for kind in ("move", "remove"):
+            with pytest.raises(DisplacementError):
+                DisplacementEvent(kind=kind, object_id="", target_carrier_id="table_1")
         w = self.two_table_world()
         with pytest.raises(DisplacementError):
             w.apply_displacement(DisplacementEvent(kind="remove", object_id="ghost"), self.CFG)
-        with pytest.raises(DisplacementError):
+        with pytest.raises(WorldError):
             w.apply_displacement(DisplacementEvent(
-                kind="add", target_carrier_id="table_1",
-                new_object={"id": "cup_0"}), self.CFG)  # id collision
+                kind="move", object_id="ghost", target_carrier_id="table_1"), self.CFG)
 
     def test_no_free_spot_raises(self):
         # a carrier already paved edge to edge with trays has no room left
@@ -1207,24 +1199,23 @@ class TestMemos:
         carriers = sorted(oid for oid, obj in w.scene.objects.items()
                           if oracles.geometric_base(obj, cfg))
         items = [oid for cid in carriers for oid in w.ground_truth_carried(cid, cfg)]
+        # every item moved twice (onto tops that fill up), then half the
+        # items and a carrier removed
         events = [DisplacementEvent(kind="move", object_id=oid,
-                                    target_carrier_id=carriers[k % len(carriers)])
-                  for k, oid in enumerate(items)]
-        events += [DisplacementEvent(kind="add", target_carrier_id=cid,
-                                     new_object={"id": f"added_{k}", "captions": ["blue mug"]})
-                   for k, cid in enumerate(carriers)]
+                                    target_carrier_id=carriers[(k + shift) % len(carriers)])
+                  for shift in (0, 1) for k, oid in enumerate(items)]
         events += [DisplacementEvent(kind="remove", object_id=oid)
-                   for oid in items[::2] + ["added_0"]]
+                   for oid in items[::2] + carriers[:1]]
         self.check_relation(w, cfg)
         done = []
         for k, event in enumerate(events):
             try:
-                w.apply_displacement(event, cfg, spot_index=k % 4)
+                w.apply_displacement(replace(event, spot_index=k % 4), cfg)
                 done.append(event.kind)
             except DisplacementError:
                 pass  # a rejected move may already have re-seated its object
             self.check_relation(w, cfg)
-        assert set(done) == {"move", "add", "remove"}
+        assert set(done) == {"move", "remove"}
         assert_every_kept_answer_is_its_rule()
 
     def test_carrying_relation_follows_the_config(self):
