@@ -23,7 +23,7 @@ import multiprocessing
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .graph import CrsgConfig, build_crsg
 from .policy import (
@@ -34,7 +34,7 @@ from .policy import (
     walk_leg,
 )
 from .priors import CarrierPriorOracle, KeywordPriorOracle
-from .scenarios import Scenario, load_scenario
+from .scenarios import Scenario, ScenarioError, load_scenario
 from .scene import write_json
 from .update import MatchConfig
 from .world import GridWorld, SensorConfig
@@ -181,13 +181,13 @@ def _episode_row(scenario_name: str, variant: str, r: EpisodeResult) -> dict:
 
 
 def _run_scenario(prior: CarrierPriorOracle, variant_names: Sequence[str],
-                  scenario_path: str) -> List[dict]:
-    """Every variant's rows on one loaded scenario, so the variants share
-    the scene's facts."""
+                  scenario_path: str) -> Tuple[str, List[dict]]:
+    """The name of one loaded scenario and every variant's rows on it, so
+    the variants share the scene's facts."""
     scenario = load_scenario(scenario_path)
-    return [_episode_row(scenario.name, name, r)
-            for name in variant_names
-            for r in run_sequence(scenario, VARIANTS[name], prior=prior)]
+    return scenario.name, [_episode_row(scenario.name, name, r)
+                           for name in variant_names
+                           for r in run_sequence(scenario, VARIANTS[name], prior=prior)]
 
 
 @dataclass
@@ -240,8 +240,10 @@ def run_suite(
     Every episode consults ``prior`` (the keyword oracle if not given),
     and the report records its ``name``.  Each scenario file is loaded
     once, and its variants run on it in sorted order; scenarios execute in
-    sorted order (or one per pool task across a process pool; the output
-    is identical either way).  With ``out_dir`` set, writes
+    sorted order (or one per pool task across a pool of at most one
+    process per file; the output is identical either way).  Two files whose
+    scenarios share a name raise ``ScenarioError`` naming both, before any
+    file is written: their rows would merge.  With ``out_dir`` set, writes
     ``results.jsonl`` and ``report.json``.
     """
     for name in variant_names:
@@ -256,13 +258,20 @@ def run_suite(
 
     prior = prior or KeywordPriorOracle()
     run_scenario = functools.partial(_run_scenario, prior, variants)
+    workers = min(workers, len(paths))
     if workers == 1:
         chunks = [run_scenario(path) for path in paths]
     else:
         with multiprocessing.Pool(processes=workers) as pool:
             chunks = pool.map(run_scenario, paths, chunksize=1)
 
-    rows = [row for chunk in chunks for row in chunk]
+    path_of: Dict[str, str] = {}
+    for path, (name, _) in zip(paths, chunks):
+        if name in path_of:
+            raise ScenarioError(f"scenario files {path_of[name]} and {path} "
+                                f"share the name {name!r}")
+        path_of[name] = path
+    rows = [row for _, chunk in chunks for row in chunk]
     rows.sort(key=lambda r: (r["scenario"], r["variant"], r["task_index"]))
     report = SuiteReport(rows=rows, oracle=prior.name, variants=_aggregate(rows))
 

@@ -123,7 +123,8 @@ class Crsg:
     def to_dict(self) -> dict:
         return {
             "building": self.building,
-            "rooms": [room.to_dict() for room in self.rooms],
+            "rooms": [{"id": room.id, "name": room.name, "polygon": room.polygon.tolist()}
+                      for room in self.rooms],
             "carriers": [
                 {
                     "id": cid,

@@ -524,14 +524,6 @@ class Task:
         object.__setattr__(self, "query", Query(text=self.query_text, image=self.image,
                                                 carrier_text=self.carrier_text))
 
-    def to_dict(self) -> dict:
-        d = {"query_text": self.query_text, "ground_truth_id": self.ground_truth_id}
-        if self.carrier_text is not None:
-            d["carrier_text"] = self.carrier_text
-        if self.image is not None:
-            d["image"] = self.image
-        return d
-
 
 @dataclass
 class EpisodeResult:

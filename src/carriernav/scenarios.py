@@ -23,18 +23,19 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from .features import DEFAULT_EMBEDDING_DIM
 from .graph import CrsgConfig
 from .policy import PolicyConfig, PolicyError, Task
 from .priors import AFFINITY_RANKINGS
-from .scene import (SceneError, SceneMap, SceneParseError, load_scene, read_record, save_scene,
-                    scene_from_dict, write_json)
+from .scene import (Box3, GridSpec, ObjectInstance, Room, SceneError, SceneMap, SceneParseError,
+                    derived_feature, load_scene, read_record, record_tree, save_scene, write_json)
 from .update import MatchConfig
 from .world import DisplacementEvent, GridWorld, Pose, SensorConfig, WorldError
 
@@ -81,18 +82,6 @@ def item_captions(attr: str, kind: str) -> List[str]:
     return [f"{attr} {kind}", f"{attr} {kind}", kind]
 
 
-def _box_dict(cx: float, cy: float, ex: float, ey: float, z0: float, h: float) -> dict:
-    return {
-        "min": [cx - ex / 2.0, cy - ey / 2.0, z0],
-        "max": [cx + ex / 2.0, cy + ey / 2.0, z0 + h],
-    }
-
-
-def _object_dict(oid: str, captions: Sequence[str], box: dict) -> dict:
-    centroid = [(box["min"][i] + box["max"][i]) / 2.0 for i in range(3)]
-    return {"id": oid, "captions": list(captions), "box": box, "centroid": centroid}
-
-
 @dataclass
 class _SceneDraft:
     """Mutable accumulator while a generator mode lays out a world."""
@@ -101,9 +90,8 @@ class _SceneDraft:
     width_m: float
     height_m: float
     resolution: float
-    objects: List[dict] = field(default_factory=list)
-    rooms: List[dict] = field(default_factory=list)
-    used_ids: set = field(default_factory=set)
+    objects: Dict[str, ObjectInstance] = field(default_factory=dict)
+    rooms: List[Room] = field(default_factory=list)
     used_item_tags: set = field(default_factory=set)
     # (w, h) bool array over the grid, True at each wall cell; a draft
     # starts walled in
@@ -116,11 +104,9 @@ class _SceneDraft:
 
     def fresh_id(self, kind: str) -> str:
         n = 0
-        while f"{kind}_{n}" in self.used_ids:
+        while f"{kind}_{n}" in self.objects:
             n += 1
-        oid = f"{kind}_{n}"
-        self.used_ids.add(oid)
-        return oid
+        return f"{kind}_{n}"
 
     def add_wall_segment(self, x0: float, y0: float, x1: float, y1: float,
                          door_at: Optional[float] = None, door_width: float = 1.0):
@@ -141,17 +127,25 @@ class _SceneDraft:
         wall[cells] = True
 
     def add_room(self, room_id: str, x0: float, y0: float, x1: float, y1: float):
-        self.rooms.append({
-            "id": room_id,
-            "polygon": [[x0, y0], [x1, y0], [x1, y1], [x0, y1]],
-        })
+        self.rooms.append(Room(id=room_id, polygon=[[x0, y0], [x1, y0], [x1, y1], [x0, y1]]))
+
+    def add_object(self, kind: str, captions: List[str], cx: float, cy: float, z0: float,
+                   extents: Tuple[float, float, float]) -> str:
+        """A new ``kind`` object with its footprint centered at ``(cx, cy)``
+        and its bottom at ``z0``; both its features are the one a
+        ``synthesize`` scene derives from its captions."""
+        ex, ey, h = extents
+        box = Box3([cx - ex / 2.0, cy - ey / 2.0, z0], [cx + ex / 2.0, cy + ey / 2.0, z0 + h])
+        feature = derived_feature(captions, DEFAULT_EMBEDDING_DIM)
+        oid = self.fresh_id(kind)
+        self.objects[oid] = ObjectInstance(id=oid, captions=tuple(captions), box=box,
+                                           centroid=box.center, text_feature=feature,
+                                           visual_feature=feature)
+        return oid
 
     def add_carrier(self, attr: str, kind: str, cx: float, cy: float) -> str:
-        ex, ey, h = CARRIER_EXTENTS[kind]
-        oid = self.fresh_id(kind)
-        self.objects.append(_object_dict(oid, carrier_captions(attr, kind),
-                                         _box_dict(cx, cy, ex, ey, 0.0, h)))
-        return oid
+        return self.add_object(kind, carrier_captions(attr, kind), cx, cy, 0.0,
+                               CARRIER_EXTENTS[kind])
 
     def add_item_on(self, attr: str, kind: str, carrier_oid: str,
                     dx: float = 0.0, dy: float = 0.0) -> str:
@@ -164,15 +158,10 @@ class _SceneDraft:
         if tag in self.used_item_tags:
             raise ScenarioError(f"duplicate item {tag} in scene {self.name}")
         self.used_item_tags.add(tag)
-        carrier = next(o for o in self.objects if o["id"] == carrier_oid)
-        top = carrier["box"]["max"][2]
-        ccx = (carrier["box"]["min"][0] + carrier["box"]["max"][0]) / 2.0
-        ccy = (carrier["box"]["min"][1] + carrier["box"]["max"][1]) / 2.0
-        ex, ey, h = ITEM_EXTENTS[kind]
-        oid = self.fresh_id(kind)
-        self.objects.append(_object_dict(oid, item_captions(attr, kind),
-                                         _box_dict(ccx + dx, ccy + dy, ex, ey, top, h)))
-        return oid
+        carrier = self.objects[carrier_oid]
+        ccx, ccy, _ = carrier.centroid.tolist()
+        return self.add_object(kind, item_captions(attr, kind), ccx + dx, ccy + dy,
+                               carrier.box.hi[2], ITEM_EXTENTS[kind])
 
     def blocked_cells(self) -> List[List[int]]:
         """Walls plus the footprint cells of every ground-contacting object,
@@ -180,32 +169,20 @@ class _SceneDraft:
         res = self.resolution
         w, h = self.walls.shape
         occ = self.walls.copy()
-        for obj in self.objects:
-            lo, hi = obj["box"]["min"], obj["box"]["max"]
+        for obj in self.objects.values():
+            lo, hi = obj.box.lo, obj.box.hi
             if lo[2] <= 0.05:  # clipped to the grid; a stop below 0 would count from the end
                 occ[max(int(lo[0] / res), 0):max(min(math.ceil(hi[0] / res), w), 0),
                     max(int(lo[1] / res), 0):max(min(math.ceil(hi[1] / res), h), 0)] = True
         return np.argwhere(occ).tolist()
 
-    def to_scene_dict(self) -> dict:
+    def to_scene(self) -> SceneMap:
+        """The ``synthesize`` scene laid out so far, its objects sorted by id."""
         w, h = self.walls.shape
-        return {
-            "header": {
-                "version": 1,
-                "name": self.name,
-                "feature_mode": "synthesize",
-                "embedding_dim": 256,
-            },
-            "grid": {
-                "resolution": self.resolution,
-                "width": w,
-                "height": h,
-                "origin": [0.0, 0.0],
-                "blocked_cells": self.blocked_cells(),
-            },
-            "rooms": self.rooms,
-            "objects": sorted(self.objects, key=lambda o: o["id"]),
-        }
+        return SceneMap(name=self.name, objects=dict(sorted(self.objects.items())),
+                        rooms=self.rooms,
+                        grid=GridSpec(resolution=float(self.resolution), width=w, height=h,
+                                      blocked_cells=self.blocked_cells()))
 
 
 @dataclass
@@ -214,12 +191,6 @@ class EventSpec(DisplacementEvent):
     it, ``before-episode`` or ``after-task-<k>``."""
 
     trigger: str = field(kw_only=True)
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        if self.target_carrier_id is None:
-            del d["target_carrier_id"]
-        return d
 
 
 @dataclass
@@ -240,20 +211,15 @@ class Scenario:
         return [e for e in self.events if e.trigger == trigger]
 
     def to_dict(self, scene_file: str) -> dict:
-        return {
-            "header": {"version": 1, "name": self.name, "mode": self.mode,
-                       "seed": self.seed},
-            "scene_file": scene_file,
-            "start_pose": {"position": [float(self.start_pose.position[0]),
-                                        float(self.start_pose.position[1])],
-                           "heading": float(self.start_pose.heading)},
-            "sensor": asdict(self.sensor),
-            "policy": asdict(self.policy),
-            "crsg": asdict(self.crsg),
-            "match": asdict(self.match),
-            "events": [e.to_dict() for e in self.events],
-            "tasks": [t.to_dict() for t in self.tasks],
-        }
+        """The scenario's file tree, its scene in ``scene_file``."""
+        return record_tree(_ScenarioFile(
+            header=_FileHeader(version=1, name=self.name, mode=self.mode, seed=self.seed),
+            scene_file=scene_file,
+            start_pose=_FilePose(position=self.start_pose.position,
+                                 heading=float(self.start_pose.heading)),
+            tasks=self.tasks, events=self.events, sensor=self.sensor, policy=self.policy,
+            crsg=self.crsg, match=self.match,
+        ))
 
 
 def _validate_reachable(scene: SceneMap, start: Pose) -> bool:
@@ -326,7 +292,7 @@ def _build_single(index: int, seed: str, rng: Random, resolution: float) -> Scen
                               carrier_ids[slot], dx=_jitter(rng, 0.2),
                               dy=_jitter(rng, 0.1))
 
-    scene = scene_from_dict(draft.to_scene_dict())
+    scene = draft.to_scene()
     start = Pose(np.array(start_xy, dtype=np.float64))
     if not _validate_reachable(scene, start):
         raise ScenarioError(f"single_{index:04d}: unreachable layout")
@@ -367,7 +333,7 @@ def _build_probe(index: int, seed: str, rng: Random, resolution: float) -> Scena
         believed = table_ids[(k + rotation) % 5]
         cup_ids.append(draft.add_item_on(attrs[k], "cup", believed))
 
-    scene = scene_from_dict(draft.to_scene_dict())
+    scene = draft.to_scene()
     # start one diagonal-plus-straight hop from the hub, matching the
     # typical hop between consecutive targets
     start = Pose(np.array([2.375, 5.375], dtype=np.float64))
@@ -450,7 +416,7 @@ def _build_mixed(index: int, seed: str, rng: Random, resolution: float) -> Scena
         item_ids.append(oid)
         placed_on[oid] = cid
 
-    scene = scene_from_dict(draft.to_scene_dict())
+    scene = draft.to_scene()
     start = Pose(np.array([3.5 + _jitter(rng, 0.3), 4.5 + _jitter(rng, 0.3)],
                           dtype=np.float64))
     if not _validate_reachable(scene, start):
@@ -483,10 +449,8 @@ def _build_mixed(index: int, seed: str, rng: Random, resolution: float) -> Scena
 
     n_tasks = rng.randrange(1, min(4, len(item_ids) + 1))
     chosen = rng.sample(item_ids, n_tasks)
-    tasks = []
-    for oid in chosen:
-        obj = next(o for o in draft.objects if o["id"] == oid)
-        tasks.append(Task(query_text=obj["captions"][0], ground_truth_id=oid))
+    tasks = [Task(query_text=scene.objects[oid].captions[0], ground_truth_id=oid)
+             for oid in chosen]
 
     return Scenario(name=draft.name, mode="mixed", seed=seed, scene=scene,
                     start_pose=start, events=events, tasks=tasks)

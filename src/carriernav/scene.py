@@ -7,11 +7,12 @@ In ``synthesize`` mode an object's feature is optional: the reader fills a
 missing one with :func:`derived_feature`, and the writer leaves out each
 feature whose bytes are that vector's (a byte compare, so a stored ``-0.0``
 or subnormal is written).  ``embedded`` mode writes and needs both.
-The file is declared as record dataclasses (``_SceneFile`` and its parts)
-and read by ``read_record``, the one typed reader that scenario files use
-too: an unknown or missing key, a wrong JSON type or a non-finite number
-is a ``SceneParseError``.  Every JSON file the package writes goes through
-``write_json``.
+Each file format is declared once, as record dataclasses (``_SceneFile``
+and its parts here, ``scenarios._ScenarioFile`` for scenario files): those
+records are read by ``read_record``, the one typed reader, and written by
+its inverse ``record_tree``.  An unknown or missing key, a wrong JSON type
+or a non-finite number is a ``SceneParseError``.  Every JSON file the
+package writes goes through ``write_json``.
 """
 
 from __future__ import annotations
@@ -133,9 +134,6 @@ class Box3:
         p = np.asarray(point, dtype=np.float64).tolist()
         return all(lo - eps <= x <= hi + eps for x, lo, hi in zip(p, self.lo, self.hi))
 
-    def to_dict(self) -> dict:
-        return {"min": self.min.tolist(), "max": self.max.tolist()}
-
 
 def derived_feature(captions: Sequence[str], dim: int) -> np.ndarray:
     """The feature a ``synthesize`` scene derives for an object without
@@ -206,23 +204,6 @@ class ObjectInstance:
         ):
             object.__setattr__(self, name, value)
 
-    def to_dict(self, derived: Optional[bytes] = None) -> dict:
-        """The object's file entry, without each feature whose bytes are
-        ``derived``."""
-        out = {
-            "id": self.id,
-            "captions": list(self.captions),
-            "box": self.box.to_dict(),
-            "centroid": self.centroid.tolist(),
-        }
-        for name in ("text_feature", "visual_feature"):
-            vec = getattr(self, name)
-            if vec.tobytes() != derived:
-                out[name] = vec.tolist()
-        if self.room_id is not None:
-            out["room_id"] = self.room_id
-        return out
-
 
 @dataclass(frozen=True, eq=False)
 class Room:
@@ -246,13 +227,6 @@ class Room:
         if _polygon_self_intersects(polygon):
             raise SceneValidationError(f"room {self.id!r} polygon self-intersects")
         object.__setattr__(self, "polygon", polygon)
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "name": self.name,
-            "polygon": [[float(x), float(y)] for x, y in self.polygon],
-        }
 
 
 @dataclass
@@ -296,16 +270,6 @@ class GridSpec:
         occ = np.zeros((int(self.height), int(self.width)), dtype=bool)
         occ[self.blocked_cells[:, 1], self.blocked_cells[:, 0]] = True
         return occ
-
-    def to_dict(self) -> dict:
-        return {
-            "resolution": float(self.resolution),
-            "width": int(self.width),
-            "height": int(self.height),
-            "origin": [float(x) for x in self.origin],
-            # each blocked cell once, sorted by (ix, iy)
-            "blocked_cells": np.argwhere(self.occupancy().T).tolist(),
-        }
 
 
 def _cell_array(cells, width: int, height: int) -> Optional[np.ndarray]:
@@ -376,20 +340,30 @@ class SceneMap:
                                        + " x ".join(f"{s:.3g}" for s in spans) + " m")
 
     def to_dict(self) -> dict:
-        """The scene's file tree, without the features the reader derives."""
-        return {
-            "header": {
-                "version": 1,
-                "name": self.name,
-                "feature_mode": self.feature_mode,
-                "embedding_dim": int(self.embedding_dim),
-            },
-            "grid": self.grid.to_dict(),
-            "rooms": [room.to_dict() for room in self.rooms],
-            "objects": [obj.to_dict(derived_feature(obj.captions, self.embedding_dim).tobytes()
-                                    if self.feature_mode == "synthesize" else None)
-                        for obj in self.objects.values()],
-        }
+        """The scene's file tree: each blocked cell once, sorted by
+        ``(ix, iy)``, and in ``synthesize`` mode no feature whose bytes are
+        its object's :func:`derived_feature`."""
+        grid = self.grid
+        return record_tree(_SceneFile(
+            header=_SceneHeader(version=1, name=self.name, feature_mode=self.feature_mode,
+                                embedding_dim=int(self.embedding_dim)),
+            grid=_SceneGrid(width=int(grid.width), height=int(grid.height),
+                            resolution=float(grid.resolution), origin=grid.origin,
+                            blocked_cells=np.argwhere(grid.occupancy().T)),
+            rooms=[_SceneRoom(id=room.id, polygon=room.polygon, name=room.name)
+                   for room in self.rooms],
+            objects=[self._file_object(obj) for obj in self.objects.values()],
+        ))
+
+    def _file_object(self, obj: ObjectInstance) -> "_SceneObject":
+        derived = (derived_feature(obj.captions, self.embedding_dim).tobytes()
+                   if self.feature_mode == "synthesize" else None)
+        text, visual = (None if vec.tobytes() == derived else vec
+                        for vec in (obj.text_feature, obj.visual_feature))
+        return _SceneObject(id=obj.id, captions=list(obj.captions),
+                            box=_SceneBox(min=obj.box.min, max=obj.box.max),
+                            centroid=obj.centroid, text_feature=text, visual_feature=visual,
+                            room_id=obj.room_id)
 
 
 def _polygon_self_intersects(poly: np.ndarray) -> bool:
@@ -597,6 +571,24 @@ def _read_scalars(scalar, lengths: tuple, value, what: str):
     raise SceneParseError(f"{what} has the wrong type: {value!r}")
 
 
+def record_tree(record) -> dict:
+    """The JSON tree of record dataclass ``record``, the inverse of
+    :func:`read_record`: every init field, except a ``None`` whose default
+    is ``None``; an array becomes a list, and a record in a list its tree."""
+    return {f.name: _tree(getattr(record, f.name)) for f in fields(record)
+            if f.init and not (f.default is None and getattr(record, f.name) is None)}
+
+
+def _tree(value):
+    if is_dataclass(value):
+        return record_tree(value)
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_tree(v) for v in value]
+    return value
+
+
 def _read_union(readers: list, value, what: str):
     for read in readers[:-1]:
         try:
@@ -726,11 +718,6 @@ def load_scene(path: str) -> SceneMap:
 
 
 def save_scene(scene: SceneMap, path: str) -> None:
-    """Write a scene file that loads back field-for-field equal.
-
-    In ``synthesize`` mode a feature is written only when its bytes differ
-    from the object's :func:`derived_feature`, which the reader fills in for
-    a missing one; ``embedded`` mode writes both.  So the round trip is
-    exact either way, and a file written with every feature loads the same.
-    """
+    """Write ``scene`` as a file that loads back field-for-field equal: a
+    feature left out is one the reader derives to the same bytes."""
     write_json(path, scene.to_dict())

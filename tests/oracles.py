@@ -244,8 +244,8 @@ def draft_blocked_cells(width_m: float, height_m: float, resolution: float,
     grid's border cells, then the cells of each wall segment in ``walls``,
     ``(x0, y0, x1, y1, door_at, door_width)`` as the draft got them, a door
     gap skipping the cells whose center lies within ``door_width / 2`` of
-    ``door_at``, then the footprint of every object whose box bottom is at
-    most 0.05 m up, clipped to the grid."""
+    ``door_at``, then the footprint of every object instance in ``objects``
+    whose box bottom is at most 0.05 m up, clipped to the grid."""
     w, h = int(round(width_m / resolution)), int(round(height_m / resolution))
     cells = {(ix, iy) for ix in range(w) for iy in (0, h - 1)}
     cells.update((ix, iy) for ix in (0, w - 1) for iy in range(h))
@@ -260,7 +260,7 @@ def draft_blocked_cells(width_m: float, height_m: float, resolution: float,
                 continue
             cells.add((at, k) if vertical else (k, at))
     for obj in objects:
-        lo, hi = obj["box"]["min"], obj["box"]["max"]
+        lo, hi = obj.box.lo, obj.box.hi
         if lo[2] > 0.05:
             continue
         for ix in range(max(int(lo[0] / resolution), 0),

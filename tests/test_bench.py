@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from carriernav import facts, update
+from carriernav import bench, facts, update
 from carriernav.bench import (
     BenchError,
     episode_seed,
@@ -305,6 +305,31 @@ class TestRunSuite:
             assert (out2 / name).read_bytes() == blob
             assert (out4 / name).read_bytes() == blob
         assert json.loads((out1 / "report.json").read_text())["oracle"] == "keyword"
+
+    def test_the_pool_has_no_more_processes_than_files(self, suite_dir, monkeypatch):
+        sizes = []
+
+        class Pool:
+            """Records its size and runs each task in this process."""
+
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(bench.multiprocessing, "Pool", Pool)
+        paths = scenario_paths(suite_dir)
+        assert run_suite(paths, workers=64).rows == run_suite(paths).rows
+        assert sizes == [len(paths)]
+        run_suite(paths[:1], workers=64)  # one file runs in this process
+        assert sizes == [len(paths)]
 
     def test_a_given_oracle_runs_and_is_recorded(self, suite_dir, tmp_path):
         calls = []

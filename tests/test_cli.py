@@ -440,6 +440,24 @@ class TestRunSuite:
             assert err.startswith("error:") and err.count("\n") == 1 and "--workers" in err
         assert not (tmp_path / "res").exists()
 
+    def test_scenario_files_sharing_a_name_are_bad_input(self, tmp_path, capsys):
+        # both sets name their scenarios probe_0000 and probe_0001, so
+        # their rows would merge under one key
+        for seed in (1, 2):
+            assert main(["gen-scenarios", "--out", str(tmp_path / f"set{seed}"),
+                         "--mode", "probe", "--count", "2", "--seed", str(seed)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "res"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run-suite", "--scenarios", str(tmp_path / "set*" / "scenario_*.json"),
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario files") and err.count("\n") == 1
+        assert str(tmp_path / "set1" / "scenario_0000.json") in err
+        assert str(tmp_path / "set2" / "scenario_0000.json") in err
+        assert not out.exists()
+
     def test_runs_and_records_the_resolved_oracle(self, scenario_dir, tmp_path,
                                                   monkeypatch, capsys):
         class Stub(KeywordPriorOracle):

@@ -1,9 +1,11 @@
 """Scenario generator: determinism, mode shapes and replayability."""
 
+import dataclasses
 import hashlib
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from carriernav.cli import main
 from carriernav.features import embed_text
 from carriernav.graph import CrsgConfig, build_crsg
+from carriernav.policy import PolicyConfig
 from carriernav.scenarios import (
     ATTRIBUTES,
     CARRIER_KINDS,
@@ -18,12 +21,15 @@ from carriernav.scenarios import (
     MODES,
     Scenario,
     ScenarioError,
+    _ScenarioFile,
     build_scenario,
     generate_scenarios,
     load_scenario,
 )
-from carriernav.scene import SceneError, SceneParseError, scene_from_dict
-from carriernav.world import GridWorld, Pose
+from carriernav.scene import (Box3, ObjectInstance, SceneError, SceneParseError, _SceneFile,
+                              read_record, record_tree, scene_from_dict)
+from carriernav.update import MatchConfig
+from carriernav.world import GridWorld, Pose, SensorConfig
 
 import carriernav.scenarios as scenarios_mod
 import oracles
@@ -109,7 +115,7 @@ class _RecordingDraft(scenarios_mod._SceneDraft):
 
     def oracle_cells(self):
         return oracles.draft_blocked_cells(self.width_m, self.height_m, self.resolution,
-                                           self.wall_calls, self.objects)
+                                           self.wall_calls, self.objects.values())
 
 
 @pytest.mark.parametrize("resolution", [0.25, 0.05])
@@ -157,9 +163,11 @@ def test_painted_blocked_cells_equal_the_set_rule(resolution, size, walls, boxes
             draft.add_wall_segment(fixed, a, fixed, b, door_at, door_width)
         else:
             draft.add_wall_segment(a, fixed, b, fixed, door_at, door_width)
-    for x0, y0, x1, y1, z in boxes:
-        draft.objects.append({"box": {"min": [min(x0, x1), min(y0, y1), z],
-                                      "max": [max(x0, x1), max(y0, y1), z + 0.5]}})
+    for i, (x0, y0, x1, y1, z) in enumerate(boxes):
+        box = Box3([min(x0, x1), min(y0, y1), z], [max(x0, x1), max(y0, y1), z + 0.5])
+        draft.objects[f"box_{i}"] = ObjectInstance(id=f"box_{i}", captions=("box",), box=box,
+                                                   centroid=box.center, text_feature=np.ones(4),
+                                                   visual_feature=np.ones(4))
     assert draft.blocked_cells() == draft.oracle_cells()
 
 
@@ -189,6 +197,51 @@ def test_written_files_load_to_the_indent2_trees(tmp_path, mode, resolution):
                 == indent2_tree(sc.scene.to_dict()))
         assert (json.loads((tmp_path / f"scenario_{i:04d}.json").read_text())
                 == indent2_tree(sc.to_dict(scene_file)))
+
+
+# a scene and a scenario tree that name every key of their records, each
+# optional one with a value that is not its default
+FULL_SCENE_TREE = {
+    "header": {"version": 1, "name": "full", "feature_mode": "embedded", "embedding_dim": 2},
+    "grid": {"width": 4, "height": 3, "resolution": 0.5, "origin": [0.5, -1.0],
+             "blocked_cells": [[0, 0], [3, 2]]},
+    "rooms": [{"id": "room_0", "name": "kitchen",
+               "polygon": [[0.5, -1.0], [2.5, -1.0], [2.5, 0.5]]}],
+    "objects": [{"id": "cup_0", "captions": ["red cup", "cup"],
+                 "box": {"min": [0.5, -1.0, 0.0], "max": [1.0, -0.5, 0.2]},
+                 "centroid": [0.75, -0.75, 0.1], "text_feature": [1.0, 0.0],
+                 "visual_feature": [0.0, 1.0], "room_id": "room_0"}],
+}
+FULL_SCENARIO_TREE = {
+    "header": {"version": 1, "name": "full", "mode": "single", "seed": 7},
+    "scene_file": "scene.json",
+    "start_pose": {"position": [1.5, 0.25], "heading": 0.5},
+    "tasks": [{"query_text": "red cup", "ground_truth_id": "cup_0", "carrier_text": "table"},
+              {"query_text": None, "ground_truth_id": "cup_0", "image": "img:red cup"}],
+    "events": [{"kind": "move", "object_id": "cup_0", "target_carrier_id": "table_0",
+                "spot_index": 2, "trigger": "before-episode"},
+               {"kind": "remove", "object_id": "cup_0", "spot_index": 0,
+                "trigger": "after-task-1"}],
+    "sensor": dataclasses.asdict(SensorConfig(radius=3.0, occlusion=True)),
+    "policy": dataclasses.asdict(PolicyConfig(beta=0.25)),
+    "crsg": dataclasses.asdict(CrsgConfig(carrier_reference="furniture")),
+    "match": dataclasses.asdict(MatchConfig(min_text_sim=0.5)),
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_the_writer_is_the_readers_inverse(tmp_path, mode):
+    """``record_tree`` gives back each tree ``read_record`` reads: the
+    generated files (whose bytes are pinned above) and trees that name
+    every key.  A field the writer drops, or a default it writes, fails."""
+    generate_scenarios(mode, 2, 13, out_dir=str(tmp_path))
+    for i in range(2):
+        for record, name in ((_SceneFile, f"scene_{i:04d}.json"),
+                             (_ScenarioFile, f"scenario_{i:04d}.json")):
+            tree = json.loads((tmp_path / name).read_text())
+            assert record_tree(read_record(record, tree, name)) == tree
+    for record, tree in ((_SceneFile, FULL_SCENE_TREE), (_ScenarioFile, FULL_SCENARIO_TREE)):
+        assert record_tree(read_record(record, tree, "full")) == tree
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -23,6 +23,7 @@ from carriernav.scene import (
     ObjectInstance,
     Room,
     SceneError,
+    SceneMap,
     SceneParseError,
     SceneValidationError,
     assign_rooms,
@@ -260,7 +261,8 @@ class TestGridSpec:
     def test_to_dict_sorts_and_dedupes(self):
         spec = GridSpec(resolution=0.25, width=4, height=4,
                         blocked_cells=[(3, 1), (1, 2), (3, 1)])
-        assert spec.to_dict()["blocked_cells"] == [[1, 2], [3, 1]]
+        scene = SceneMap(name="t", objects={}, rooms=[], grid=spec)
+        assert scene.to_dict()["grid"]["blocked_cells"] == [[1, 2], [3, 1]]
 
     @pytest.mark.parametrize("cell", [
         (4, 0), (0, 4), (-1, 0), (0, -1), (10**30, 0), (0, -10**30), (1,), (1, 2, 3),
@@ -539,7 +541,7 @@ class TestDerivedFeatures:
 
 
 def per_entry_floats(obj) -> dict:
-    """``ObjectInstance.to_dict`` in a ``synthesize`` scene, converting each
+    """The object's scene file entry in a ``synthesize`` scene, converting each
     array entry with ``float``: a feature is written unless its bytes are
     the embedding of the object's joined captions."""
     out = {

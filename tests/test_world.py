@@ -157,7 +157,7 @@ def test_blocked_cells_in_any_order_and_repeats_equal_the_set_rule(data):
     cells = data.draw(st.permutations(cells))
     assume(len(set(cells)) < width * height)  # a world needs a free cell
     scene = scene_from_dict(scene_dict([], width=width, height=height, blocked=cells))
-    assert scene.grid.to_dict()["blocked_cells"] == oracles.sorted_unique_cells(cells)
+    assert scene.to_dict()["grid"]["blocked_cells"] == oracles.sorted_unique_cells(cells)
     assert np.array_equal(GridWorld(scene).occupancy,
                           oracles.occupancy_per_cell(cells, width, height))
 
@@ -781,9 +781,14 @@ class TestSensing:
         assert cup.mean_depth == pytest.approx(
             float(np.linalg.norm(cup.object.centroid[:2] - np.array([2.0, 3.5]))))
         # no write through the sighting can touch ground truth: every one raises
-        before = truth.to_dict()
+        def arrays():
+            return [truth.centroid, truth.text_feature, truth.visual_feature,
+                    truth.box.min, truth.box.max]
+
+        before = [a.copy() for a in arrays()]
         assert_every_write_raises(cup.object)
-        assert truth.to_dict() == before
+        assert all(map(np.array_equal, before, arrays()))
+        assert truth.captions == ("red cup", "red cup", "cup")
 
     def test_an_observation_is_frozen(self):
         # sightings are shared by every world on the scene, so none changes
