@@ -46,7 +46,6 @@ from .policy import (
     confirm_target,
     decide,
     init_state,
-    priority,
     priority_score,
     run_task,
     transition,

@@ -3,7 +3,8 @@
 Metrics follow the standard navigation conventions: SR is the fraction of
 successful tasks, SPL weights each success by shortest/max(shortest,
 traveled) and scores failures zero, and Tasks_SR(i) is the fraction of
-multi-task sequences whose first i tasks all succeeded.
+all sequences whose first i tasks all succeeded, so a sequence of fewer
+than i tasks counts as a failure at i.
 
 ``run_suite`` executes a (scenario x variant) matrix, optionally across a
 process pool, and writes two artifacts: ``results.jsonl`` (one row per
@@ -23,7 +24,7 @@ import multiprocessing
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .graph import CrsgConfig, build_crsg
 from .policy import (
@@ -34,7 +35,7 @@ from .policy import (
     walk_leg,
 )
 from .priors import CarrierPriorOracle, KeywordPriorOracle
-from .scenarios import Scenario, ScenarioError, load_scenario
+from .scenarios import Scenario, ScenarioError, load_scenario, scenario_name
 from .scene import write_json
 from .update import MatchConfig
 from .world import GridWorld, SensorConfig
@@ -73,8 +74,9 @@ def mean_spl(results: Sequence[EpisodeResult]) -> float:
 
 
 def tasks_sr(sequences: Sequence[Sequence[EpisodeResult]]) -> List[float]:
-    """Tasks_SR(i): fraction of sequences whose first i tasks all succeed,
-    for i = 1 .. longest sequence."""
+    """Tasks_SR(i): fraction of all sequences whose first i tasks all
+    succeed, for i = 1 .. longest sequence.  The denominator is every
+    sequence: one of fewer than i tasks counts as a failure at i."""
     if not sequences:
         return []
     depth = max(len(seq) for seq in sequences)
@@ -100,7 +102,7 @@ def episode_seed(scenario_name: str, variant: str, task_index: int) -> int:
 def run_sequence(
     scenario: Scenario,
     variant: VariantSpec = VARIANTS["ours"],
-    prior: Optional[CarrierPriorOracle] = None,
+    prior: CarrierPriorOracle = KeywordPriorOracle(),
 ) -> List[EpisodeResult]:
     """Run a scenario's task list in order on one live world.
 
@@ -109,7 +111,6 @@ def run_sequence(
     tasks.  Events with trigger ``after-task-<k>`` fire once task k
     (1-based) completes.
     """
-    prior = prior or KeywordPriorOracle()
     world = GridWorld(scenario.scene, start_pose=scenario.start_pose)
     crsg = build_crsg(scenario.scene, config=scenario.crsg, prior=prior)
     for event in scenario.events_for("before-episode"):
@@ -139,9 +140,9 @@ def run_sequence(
 def full_coverage_tour(
     world: GridWorld,
     crsg,
-    sensor: Optional[SensorConfig] = None,
-    match: Optional[MatchConfig] = None,
-    crsg_cfg: Optional[CrsgConfig] = None,
+    sensor: SensorConfig = SensorConfig(),
+    match: MatchConfig = MatchConfig(),
+    crsg_cfg: CrsgConfig = CrsgConfig(),
 ) -> List[str]:
     """Visit every carrier in id order, reconciling the graph at each stop.
 
@@ -150,9 +151,6 @@ def full_coverage_tour(
     the graph's carried relation matches the live world exactly, because
     every carrier was granted a full carried view at its side.
     """
-    sensor = sensor or SensorConfig()
-    match = match or MatchConfig()
-    crsg_cfg = crsg_cfg or CrsgConfig()
     visited = []
     for cid in sorted(crsg.carriers):
         dest = crsg.carriers[cid].object.centroid
@@ -181,13 +179,13 @@ def _episode_row(scenario_name: str, variant: str, r: EpisodeResult) -> dict:
 
 
 def _run_scenario(prior: CarrierPriorOracle, variant_names: Sequence[str],
-                  scenario_path: str) -> Tuple[str, List[dict]]:
-    """The name of one loaded scenario and every variant's rows on it, so
-    the variants share the scene's facts."""
+                  scenario_path: str) -> List[dict]:
+    """Every variant's rows on one loaded scenario, so the variants share
+    the scene's facts."""
     scenario = load_scenario(scenario_path)
-    return scenario.name, [_episode_row(scenario.name, name, r)
-                           for name in variant_names
-                           for r in run_sequence(scenario, VARIANTS[name], prior=prior)]
+    return [_episode_row(scenario.name, name, r)
+            for name in variant_names
+            for r in run_sequence(scenario, VARIANTS[name], prior=prior)]
 
 
 @dataclass
@@ -233,7 +231,7 @@ def run_suite(
     variant_names: Sequence[str] = ("ours",),
     out_dir: Optional[str] = None,
     workers: int = 1,
-    prior: Optional[CarrierPriorOracle] = None,
+    prior: CarrierPriorOracle = KeywordPriorOracle(),
 ) -> SuiteReport:
     """Run every (scenario, variant) pair and aggregate the results.
 
@@ -243,7 +241,7 @@ def run_suite(
     sorted order (or one per pool task across a pool of at most one
     process per file; the output is identical either way).  Two files whose
     scenarios share a name raise ``ScenarioError`` naming both, before any
-    file is written: their rows would merge.  With ``out_dir`` set, writes
+    episode runs: their rows would merge.  With ``out_dir`` set, writes
     ``results.jsonl`` and ``report.json``.
     """
     for name in variant_names:
@@ -256,7 +254,14 @@ def run_suite(
     if not paths or not variants:
         raise BenchError("no scenarios to run")
 
-    prior = prior or KeywordPriorOracle()
+    path_of: Dict[str, str] = {}
+    for path in paths:
+        name = scenario_name(path)
+        if name in path_of:
+            raise ScenarioError(f"scenario files {path_of[name]} and {path} "
+                                f"share the name {name!r}")
+        path_of[name] = path
+
     run_scenario = functools.partial(_run_scenario, prior, variants)
     workers = min(workers, len(paths))
     if workers == 1:
@@ -264,14 +269,7 @@ def run_suite(
     else:
         with multiprocessing.Pool(processes=workers) as pool:
             chunks = pool.map(run_scenario, paths, chunksize=1)
-
-    path_of: Dict[str, str] = {}
-    for path, (name, _) in zip(paths, chunks):
-        if name in path_of:
-            raise ScenarioError(f"scenario files {path_of[name]} and {path} "
-                                f"share the name {name!r}")
-        path_of[name] = path
-    rows = [row for _, chunk in chunks for row in chunk]
+    rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=lambda r: (r["scenario"], r["variant"], r["task_index"]))
     report = SuiteReport(rows=rows, oracle=prior.name, variants=_aggregate(rows))
 

@@ -289,12 +289,10 @@ def assign_carried(
 
 def build_crsg(
     scene: SceneMap,
-    config: Optional[CrsgConfig] = None,
-    prior: Optional[CarrierPriorOracle] = None,
+    config: CrsgConfig = CrsgConfig(),
+    prior: CarrierPriorOracle = KeywordPriorOracle(),
 ) -> Crsg:
     """Compose the full construction pipeline over a scene."""
-    config = config or CrsgConfig()
-    prior = prior or KeywordPriorOracle()
     facts.keep_scene(scene)
 
     objects = list(scene.objects.values())

@@ -29,8 +29,10 @@ API_KEY_VAR = "CARRIERNAV_LLM_API_KEY"
 MODEL_VAR = "CARRIERNAV_LLM_MODEL"
 
 
-class LlmPriorOracle(CarrierPriorOracle):
-    """Carrier ranking via a chat endpoint, with local fallback semantics.
+class LlmPriorOracle(KeywordPriorOracle):
+    """The keyword oracle with remote ranking: carriers are ranked by a chat
+    endpoint, while the carrier test and image comparison stay the keyword
+    oracle's, so graph construction and confirmation stay deterministic.
 
     Any transport or parse failure raises OracleError; callers already
     treat that as "fall back to the nearest carrier", so a flaky endpoint
@@ -47,14 +49,6 @@ class LlmPriorOracle(CarrierPriorOracle):
         self.api_key = api_key
         self.model = model
         self.timeout = timeout
-        self._local = KeywordPriorOracle()
-
-    # deliberately local: keeps graph construction deterministic
-    def is_carrier(self, captions: Sequence[str]) -> bool:
-        return self._local.is_carrier(captions)
-
-    def compare_images(self, candidate: str, reference: str) -> float:
-        return self._local.compare_images(candidate, reference)
 
     def rank_carriers(self, carriers: Sequence[CarrierSummary],
                       target_descriptor: str) -> List[str]:

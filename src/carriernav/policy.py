@@ -82,20 +82,19 @@ class PolicyConfig:
             raise PolicyError(f"beta must be in [0, 1], got {self.beta}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CandidateTarget:
     object_id: str
     carrier_id: str
     ss: float            # similarity to the target
-    d: float             # path distance from the current pose (recomputed)
     d_tilde: float       # depth at first sighting (frozen)
     position: np.ndarray  # believed centroid
 
     def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=np.float64)
+        object.__setattr__(self, "position", np.asarray(self.position, dtype=np.float64))
 
 
-@dataclass
+@dataclass(frozen=True)
 class NavAction:
     kind: str  # "stop" | "explore" | "goto"
     carrier_id: str = ""
@@ -110,7 +109,7 @@ class NavAction:
         return f"Goto({self.candidate.object_id})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class NavState:
     pose: Pose
     unexplored: List[str]
@@ -154,11 +153,9 @@ def priority_score(ss: float, d: float, d_tilde: float, config: PolicyConfig) ->
     """Rate a candidate sighting; see the module docstring for the formula."""
     if d < 0 or d_tilde < 0:
         raise PolicyError(f"distances must be non-negative, got d={d}, d_tilde={d_tilde}")
-    return config.omega1 * ss * math.exp(-config.alpha * d_tilde) / (1.0 + config.omega2 * d)
-
-
-def priority(candidate: CandidateTarget, config: PolicyConfig) -> float:
-    return priority_score(candidate.ss, candidate.d, candidate.d_tilde, config)
+    # omega2 = 0 turns the distance term off: 0 * inf (unreachable) is nan
+    slowdown = 1.0 + config.omega2 * d if config.omega2 else 1.0
+    return config.omega1 * ss * math.exp(-config.alpha * d_tilde) / slowdown
 
 
 def effective_beta(query: Query, config: PolicyConfig, variant: VariantSpec) -> float:
@@ -182,26 +179,14 @@ def init_state(
     missing after an update) starts with an empty candidate set.
     """
     unexplored = sorted(crsg.carriers)
-
     if target.id in crsg.carriers or target.id in crsg.orphan_objects:
-        return NavState(
-            pose=start,
-            unexplored=unexplored,
-            candidates={},
-            bypass_target=target,
-        )
+        return NavState(pose=start, unexplored=unexplored, candidates={}, bypass_target=target)
 
     candidates: Dict[str, CandidateTarget] = {}
     carrier_id = crsg.carrier_of(target.id)
     if carrier_id is not None:
-        candidates[target.id] = CandidateTarget(
-            object_id=target.id,
-            carrier_id=carrier_id,
-            ss=target_score,
-            d=math.inf,  # decide() measures every candidate before reading d
-            d_tilde=0.0,
-            position=target.centroid,
-        )
+        candidates[target.id] = CandidateTarget(target.id, carrier_id, ss=target_score,
+                                                d_tilde=0.0, position=target.centroid)
     return NavState(pose=start, unexplored=unexplored, candidates=candidates)
 
 
@@ -217,28 +202,20 @@ def decide(
 ) -> NavAction:
     """Apply the three-rule cascade to the current state.
 
-    ``distance_fn`` maps a position to current path distance; candidate
-    distances are recomputed through it on every call.  Ties in rule 2
+    ``distance_fn`` maps a position to current path distance; each
+    candidate is scored once per call, at that distance.  Ties in rule 2
     break to the smaller object id, oracle rankings in rule 3 break ties
     by carrier id, and a failed oracle falls back to the nearest
-    unexplored carrier (logged).
+    unexplored carrier (logged).  Nothing in ``state`` is written.
     """
     if state.found or not state.unexplored:
         return NavAction(kind="stop")
 
     if variant.use_candidates and state.candidates:
-        scored = []
-        for cand in state.candidates.values():
-            cand.d = float(distance_fn(cand.position))
-            scored.append((-priority(cand, config), cand.object_id, cand))
-        scored.sort(key=lambda item: (item[0], item[1]))
-        _, _, best = scored[0]
-        return NavAction(
-            kind="goto",
-            carrier_id=best.carrier_id,
-            candidate=best,
-            priority=priority(best, config),
-        )
+        scored = [(priority_score(c.ss, float(distance_fn(c.position)), c.d_tilde, config), c)
+                  for c in state.candidates.values()]
+        pr, best = min(scored, key=lambda item: (-item[0], item[1].object_id))
+        return NavAction(kind="goto", carrier_id=best.carrier_id, candidate=best, priority=pr)
 
     if variant.explore_random:
         if rng is None:
@@ -270,7 +247,7 @@ def decide(
         return NavAction(kind="explore", carrier_id=nearest)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Leg:
     """What one leg sensed, each sighting matched to the graph once."""
 
@@ -337,7 +314,15 @@ def walk_leg(world: GridWorld, crsg: Crsg, dest: Sequence[float], sensor_cfg: Se
     return leg
 
 
-@dataclass
+def target_similarity(seen: ObjectInstance, target: ObjectInstance) -> float:
+    """Text similarity to the resolved target (0 when either has no text):
+    what sigma1 admits by, and the text side of what sigma2 confirms by."""
+    if seen.text.zero or target.text.zero:
+        return 0.0
+    return cosine(seen.text, target.text)
+
+
+@dataclass(frozen=True)
 class TransitionInputs:
     cr_observed: Set[str]
     ct_new: Dict[str, CandidateTarget]
@@ -380,24 +365,16 @@ def collect_transition_inputs(
     for obs, home in item_obs:
         if home is None:
             continue
-        if obs.object.text.zero or target.text.zero:
-            ss = 0.0
-        else:
-            ss = cosine(obs.object.text, target.text)
+        ss = target_similarity(obs.object, target)
         similar_on[home] = max(similar_on.get(home, -math.inf), ss)
         if home not in unexplored or ss <= policy_cfg.sigma1:
             continue
         existing = state.candidates.get(obs.object_id)
         if existing is not None and existing.carrier_id == home:
             continue  # keep the first sighting's frozen depth
-        ct_new[obs.object_id] = CandidateTarget(
-            object_id=obs.object_id,
-            carrier_id=home,
-            ss=ss,
-            d=math.inf,
-            d_tilde=obs.mean_depth,
-            position=obs.object.centroid,
-        )
+        ct_new[obs.object_id] = CandidateTarget(obs.object_id, home, ss=ss,
+                                                d_tilde=obs.mean_depth,
+                                                position=obs.object.centroid)
 
     cr_observed = {
         cid
@@ -467,16 +444,13 @@ def confirmation_scores(
     """Score each carried object against the target at arm's length.
 
     score = (1 - beta) * text_similarity + beta * image_comparison, where
-    the image side asks the prior oracle and the text side compares stored
-    features against the resolved target's.
+    the image side asks the prior oracle and the text side is
+    :func:`target_similarity`, the score that admitted the candidate.
     """
     image_ref = query.image if query.image is not None else query.text
     out = []
     for obs in sorted(observations, key=lambda o: o.object_id):
-        if obs.object.text.zero or target.text.zero:
-            text_sim = 0.0
-        else:
-            text_sim = cosine(obs.object.text, target.text)
+        text_sim = target_similarity(obs.object, target)
         if beta > 0.0:
             image_score = prior.compare_images(obs.object.captions[0], image_ref)
         else:
@@ -525,7 +499,7 @@ class Task:
                                                 carrier_text=self.carrier_text))
 
 
-@dataclass
+@dataclass(frozen=True)
 class EpisodeResult:
     task_index: int
     success: bool
@@ -552,11 +526,11 @@ def run_task(
     crsg: Crsg,
     task: Task,
     *,
-    policy_cfg: Optional[PolicyConfig] = None,
-    sensor_cfg: Optional[SensorConfig] = None,
-    match_cfg: Optional[MatchConfig] = None,
-    crsg_cfg: Optional[CrsgConfig] = None,
-    prior: Optional[CarrierPriorOracle] = None,
+    policy_cfg: PolicyConfig = PolicyConfig(),
+    sensor_cfg: SensorConfig = SensorConfig(),
+    match_cfg: MatchConfig = MatchConfig(),
+    crsg_cfg: CrsgConfig = CrsgConfig(),
+    prior: CarrierPriorOracle = KeywordPriorOracle(),
     variant: VariantSpec = VARIANTS["ours"],
     rng=None,
     task_index: int = 0,
@@ -571,12 +545,6 @@ def run_task(
     resolves to nothing fails the task with its ground truth's path length
     as ``shortest`` (inf when unreachable).
     """
-    policy_cfg = policy_cfg or PolicyConfig()
-    sensor_cfg = sensor_cfg or SensorConfig()
-    match_cfg = match_cfg or MatchConfig()
-    crsg_cfg = crsg_cfg or CrsgConfig()
-    prior = prior or KeywordPriorOracle()
-
     start_pose = world.robot
     trace: List[str] = []
     traveled = 0.0

@@ -527,6 +527,23 @@ class _ScenarioFile:
     match: MatchConfig = field(default_factory=MatchConfig)
 
 
+def _read_scenario_file(path: str) -> _ScenarioFile:
+    """The file's record; a header without a name takes the file's stem."""
+    try:
+        with open(path) as fh:
+            top = read_record(_ScenarioFile, json.load(fh), "scenario")
+    except (OSError, json.JSONDecodeError, SceneParseError, PolicyError) as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
+    if top.header.name is None:
+        top.header.name = Path(path).stem
+    return top
+
+
+def scenario_name(path: str) -> str:
+    """The name :func:`load_scenario` gives, read from the scenario file alone."""
+    return _read_scenario_file(path).header.name
+
+
 def load_scenario(path: str) -> Scenario:
     """Load a scenario JSON; the scene file resolves relative to it.
 
@@ -543,18 +560,13 @@ def load_scenario(path: str) -> Scenario:
     event trigger that never fires: anything but ``before-episode`` or
     ``after-task-<k>`` with 1 <= k <= the number of tasks.
     """
-    p = Path(path)
-    try:
-        with open(p) as fh:
-            top = read_record(_ScenarioFile, json.load(fh), "scenario")
-    except (OSError, json.JSONDecodeError, SceneParseError, PolicyError) as exc:
-        raise ScenarioError(f"{path}: {exc}") from None
+    top = _read_scenario_file(path)
     if top.header.version != 1:
         raise ScenarioError(f"{path}: unsupported scenario version")
     if not top.tasks:
         raise ScenarioError(f"{path}: scenario has no tasks")
     try:
-        scene = load_scene(str(p.parent / top.scene_file))
+        scene = load_scene(str(Path(path).parent / top.scene_file))
     except SceneError as exc:
         raise ScenarioError(f"{path}: cannot load the scene file: {exc}") from exc
     for t in top.tasks:
@@ -570,7 +582,7 @@ def load_scenario(path: str) -> Scenario:
             if oid is not None and oid not in scene.objects:
                 raise ScenarioError(f"{path}: event {key} {oid!r} is not in the scene")
     header, pose = top.header, top.start_pose
-    return Scenario(name=header.name if header.name is not None else p.stem,
+    return Scenario(name=header.name,
                     mode=header.mode, seed=str(header.seed), scene=scene,
                     start_pose=Pose(pose.position, heading=float(pose.heading)),
                     sensor=top.sensor, policy=top.policy, crsg=top.crsg,

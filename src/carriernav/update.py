@@ -78,6 +78,20 @@ def _feature_gate(seen: Feature, known: Feature, threshold: float) -> bool:
     return cosine(seen, known) >= threshold
 
 
+def _sighting_distance(seen: ObjectInstance, known: ObjectInstance, max_dist: float,
+                       config: MatchConfig) -> Optional[float]:
+    """The center distance when the sighting may be the known instance, else
+    None.  Gates: center distance up to ``max_dist``, size ratio, text."""
+    dist = float(np.linalg.norm(seen.centroid - known.centroid))
+    if dist > max_dist:
+        return None
+    if not _sizes_compatible(seen.box.extents, known.box.extents, config.max_size_ratio_dev):
+        return None
+    if not _feature_gate(seen.text, known.text, config.min_text_sim):
+        return None
+    return dist
+
+
 def graph_carriers(crsg: Crsg) -> Tuple[Tuple[str, ...], Tuple[ObjectInstance, ...]]:
     """The graph's carrier ids and their instances, in order: the graph's
     part of a ``match`` key.  Updates never change a graph's carriers, so
@@ -104,22 +118,12 @@ def match_carrier(obs: Observation, crsg: Crsg, config: MatchConfig,
 
 def _match_carrier(seen, ids: Sequence[str], objects: Sequence[ObjectInstance],
                    config: MatchConfig) -> Optional[str]:
-    best: Optional[Tuple[float, str]] = None
+    matches = []
     for cid, carrier in zip(ids, objects):
-        dist = float(np.linalg.norm(seen.centroid - carrier.centroid))
-        if dist > config.max_center_dist:
-            continue
-        if not _sizes_compatible(seen.box.extents, carrier.box.extents,
-                                 config.max_size_ratio_dev):
-            continue
-        if not _feature_gate(seen.text, carrier.text, config.min_text_sim):
-            continue
-        if not _feature_gate(seen.visual, carrier.visual, config.min_visual_sim):
-            continue
-        key = (dist, cid)
-        if best is None or key < best:
-            best = key
-    return best[1] if best else None
+        dist = _sighting_distance(seen, carrier, config.max_center_dist, config)
+        if dist is not None and _feature_gate(seen.visual, carrier.visual, config.min_visual_sim):
+            matches.append((dist, cid))
+    return min(matches)[1] if matches else None
 
 
 def reconcile_carried(
@@ -159,15 +163,9 @@ def _pair(seen: Sequence[ObjectInstance], entries: Dict[str, ObjectInstance],
     pairs = []
     for obj in seen:
         for eid, entry in entries.items():
-            dist = float(np.linalg.norm(obj.centroid - entry.centroid))
-            if dist > config.carried_match_center_dist:
-                continue
-            if not _sizes_compatible(obj.box.extents, entry.box.extents,
-                                     config.max_size_ratio_dev):
-                continue
-            if not _feature_gate(obj.text, entry.text, config.min_text_sim):
-                continue
-            pairs.append((dist, obj.id, eid))
+            dist = _sighting_distance(obj, entry, config.carried_match_center_dist, config)
+            if dist is not None:
+                pairs.append((dist, obj.id, eid))
     pairs.sort()
 
     matched_obs: Dict[str, str] = {}

@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from carriernav import cli
+from carriernav import bench, cli
 from carriernav.cli import main
 from carriernav.graph import build_crsg
 from carriernav.priors import KeywordPriorOracle
@@ -440,13 +440,20 @@ class TestRunSuite:
             assert err.startswith("error:") and err.count("\n") == 1 and "--workers" in err
         assert not (tmp_path / "res").exists()
 
-    def test_scenario_files_sharing_a_name_are_bad_input(self, tmp_path, capsys):
+    def test_scenario_files_sharing_a_name_are_bad_input(self, tmp_path, capsys, monkeypatch):
         # both sets name their scenarios probe_0000 and probe_0001, so
-        # their rows would merge under one key
+        # their rows would merge under one key; no episode runs first
         for seed in (1, 2):
             assert main(["gen-scenarios", "--out", str(tmp_path / f"set{seed}"),
                          "--mode", "probe", "--count", "2", "--seed", str(seed)]) == 0
         capsys.readouterr()
+        runs, real_run_sequence = [], bench.run_sequence
+
+        def run_sequence(*args, **kwargs):
+            runs.append(args)
+            return real_run_sequence(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "run_sequence", run_sequence)
         out = tmp_path / "res"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -457,6 +464,7 @@ class TestRunSuite:
         assert str(tmp_path / "set1" / "scenario_0000.json") in err
         assert str(tmp_path / "set2" / "scenario_0000.json") in err
         assert not out.exists()
+        assert runs == []
 
     def test_runs_and_records_the_resolved_oracle(self, scenario_dir, tmp_path,
                                                   monkeypatch, capsys):

@@ -20,11 +20,11 @@ def summaries(*ids):
 class TestOracleFromEnv:
     def test_default_is_local_keyword_oracle(self):
         oracle = oracle_from_env(env={})
-        assert isinstance(oracle, KeywordPriorOracle)
+        assert type(oracle) is KeywordPriorOracle
 
     def test_blank_endpoint_stays_local(self):
         oracle = oracle_from_env(env={ENDPOINT_VAR: "   "})
-        assert isinstance(oracle, KeywordPriorOracle)
+        assert type(oracle) is KeywordPriorOracle
 
     def test_configured_endpoint_enables_adapter(self):
         env = {ENDPOINT_VAR: "http://localhost:9/v1/chat",

@@ -1,5 +1,6 @@
 """Decision cascade, state transitions, confirmation and full episodes."""
 
+import dataclasses
 import math
 from random import Random
 
@@ -57,6 +58,12 @@ class TestPriority:
         assert priority_score(0.5, 4.0, 2.0, CFG) == pytest.approx(
             0.3 * math.exp(-0.2), rel=1e-15)
         assert priority_score(0.0, 1.0, 1.0, CFG) == 0.0
+
+    def test_zero_omega2_turns_the_distance_term_off(self):
+        # 0 * inf would be nan, and a nan priority wins or loses by order
+        cfg = PolicyConfig(omega2=0.0)
+        assert priority_score(0.7, math.inf, 0.0, cfg) == 3.0 * 0.7
+        assert priority_score(0.7, 5.0, 0.0, cfg) == 3.0 * 0.7
 
     def test_negative_distances_rejected(self):
         with pytest.raises(PolicyError):
@@ -166,7 +173,7 @@ class TestInitState:
         assert state.bypass_target is not None
 
     def test_state_rejects_candidates_on_explored_carriers(self):
-        cand = CandidateTarget("cup_0", "table_9", 0.9, 1.0, 0.0, [1.0, 1.0, 0.5])
+        cand = CandidateTarget("cup_0", "table_9", 0.9, 0.0, [1.0, 1.0, 0.5])
         with pytest.raises(PolicyError):
             NavState(pose=Pose([0.0, 0.0]), unexplored=["table_0"],
                      candidates={"cup_0": cand})
@@ -193,8 +200,8 @@ class TestDecide:
 
     def test_candidates_trigger_goto_argmax(self, world_and_graph):
         world, crsg = world_and_graph
-        near_weak = CandidateTarget("cup_x", "table_0", 0.65, 0.0, 0.0, [2.0, 2.0, 0.8])
-        far_strong = CandidateTarget("cup_y", "table_1", 0.99, 0.0, 0.0, [5.0, 2.0, 0.8])
+        near_weak = CandidateTarget("cup_x", "table_0", 0.65, 0.0, [2.0, 2.0, 0.8])
+        far_strong = CandidateTarget("cup_y", "table_1", 0.99, 0.0, [5.0, 2.0, 0.8])
         state = NavState(pose=Pose([2.0, 2.0]),
                          unexplored=["counter_0", "table_0", "table_1"],
                          candidates={"cup_x": near_weak, "cup_y": far_strong})
@@ -205,19 +212,37 @@ class TestDecide:
         assert action.candidate.object_id == "cup_x"
         assert action.priority == pytest.approx(3 * 0.65)
         assert action.label() == "Goto(cup_x)"
-        # distances were recomputed through distance_fn
-        assert state.candidates["cup_y"].d == pytest.approx(3.0)
+        # distances are measured through distance_fn at each decision: from
+        # (5, 2) cup_y is 0 m away (P=3*0.99), cup_x 3 m (P=3*0.65/4)
+        action = decide(state, crsg, CFG, KeywordPriorOracle(), "red cup",
+                        euclid_from(Pose([5.0, 2.0])))
+        assert action.candidate.object_id == "cup_y"
+        assert action.priority == pytest.approx(3 * 0.99)
 
     def test_goto_tie_breaks_to_smaller_object_id(self, world_and_graph):
         world, crsg = world_and_graph
-        twin_b = CandidateTarget("cup_b", "table_0", 0.8, 0.0, 1.0, [2.0, 2.0, 0.8])
-        twin_a = CandidateTarget("cup_a", "table_1", 0.8, 0.0, 1.0, [2.0, 2.0, 0.8])
+        twin_b = CandidateTarget("cup_b", "table_0", 0.8, 1.0, [2.0, 2.0, 0.8])
+        twin_a = CandidateTarget("cup_a", "table_1", 0.8, 1.0, [2.0, 2.0, 0.8])
         state = NavState(pose=Pose([0.0, 0.0]),
                          unexplored=["table_0", "table_1"],
                          candidates={"cup_b": twin_b, "cup_a": twin_a})
         action = decide(state, crsg, CFG, KeywordPriorOracle(), "red cup",
                         euclid_from(Pose([0.0, 0.0])))
         assert action.candidate.object_id == "cup_a"
+
+    @pytest.mark.parametrize("order", [("cup_a", "cup_b"), ("cup_b", "cup_a")])
+    def test_goto_does_not_depend_on_insertion_order(self, world_and_graph, order):
+        # cup_a is unreachable; with omega2 = 0 distance is ignored, so the
+        # more similar cup_b wins either way
+        _, crsg = world_and_graph
+        cands = {"cup_a": CandidateTarget("cup_a", "table_0", 0.7, 0.0, [2.0, 2.0, 0.8]),
+                 "cup_b": CandidateTarget("cup_b", "table_1", 0.9, 0.0, [5.0, 2.0, 0.8])}
+        state = NavState(pose=Pose([4.0, 2.0]), unexplored=["table_0", "table_1"],
+                         candidates={oid: cands[oid] for oid in order})
+        action = decide(state, crsg, PolicyConfig(omega2=0.0), KeywordPriorOracle(), "red cup",
+                        lambda pos: math.inf if pos[0] < 3.0 else 1.0)
+        assert action.candidate.object_id == "cup_b"
+        assert action.priority == pytest.approx(3 * 0.9)
 
     def test_prior_ranked_exploration(self, world_and_graph):
         world, crsg = world_and_graph
@@ -255,7 +280,7 @@ class TestDecide:
 
     def test_candidate_blind_variant_ignores_candidates(self, world_and_graph):
         world, crsg = world_and_graph
-        cand = CandidateTarget("cup_0", "table_0", 0.99, 1.0, 0.0, [2.0, 2.0, 0.8])
+        cand = CandidateTarget("cup_0", "table_0", 0.99, 0.0, [2.0, 2.0, 0.8])
         state = NavState(pose=world.robot,
                          unexplored=["counter_0", "table_0", "table_1"],
                          candidates={"cup_0": cand})
@@ -370,16 +395,16 @@ def test_carrying_rule_follows_the_callers_config(z_gap_max):
 
 class TestTransition:
     def base_state(self):
-        cand = CandidateTarget("cup_0", "table_0", 0.95, 1.0, 0.0, [2.0, 2.0, 0.8])
+        cand = CandidateTarget("cup_0", "table_0", 0.95, 0.0, [2.0, 2.0, 0.8])
         return NavState(pose=Pose([0.5, 0.5]),
                         unexplored=["counter_0", "table_0", "table_1"],
                         candidates={"cup_0": cand})
 
     def goto(self, state):
         cand = state.candidates["cup_0"]
-        from carriernav.policy import NavAction, priority
+        from carriernav.policy import NavAction
         return NavAction(kind="goto", carrier_id=cand.carrier_id, candidate=cand,
-                         priority=priority(cand, CFG))
+                         priority=priority_score(cand.ss, 1.0, cand.d_tilde, CFG))
 
     def test_visit_consumes_carrier_and_candidate(self):
         from carriernav.policy import TransitionInputs
@@ -403,7 +428,7 @@ class TestTransition:
     def test_observed_carriers_are_pruned_with_their_candidates(self):
         from carriernav.policy import TransitionInputs
         state = self.base_state()
-        stray = CandidateTarget("cup_9", "table_1", 0.7, 2.0, 1.0, [5.0, 2.0, 0.8])
+        stray = CandidateTarget("cup_9", "table_1", 0.7, 1.0, [5.0, 2.0, 0.8])
         state.candidates["cup_9"] = stray
         inputs = TransitionInputs(cr_observed={"table_1"}, ct_new={},
                                   ct_star={"cup_0": state.candidates["cup_0"]})
@@ -416,7 +441,7 @@ class TestTransition:
         from carriernav.policy import TransitionInputs
         state = self.base_state()
         action = self.goto(state)
-        resight = CandidateTarget("cup_0", "table_1", 0.95, math.inf, 1.5, [5.0, 2.0, 0.8])
+        resight = CandidateTarget("cup_0", "table_1", 0.95, 1.5, [5.0, 2.0, 0.8])
         inputs = TransitionInputs(cr_observed=set(), ct_new={"cup_0": resight},
                                   ct_star=dict(state.candidates))
         nxt = transition(state, action, inputs, confirmed=False,
@@ -427,11 +452,9 @@ class TestTransition:
     def test_terminal_states_do_not_transition(self):
         from carriernav.policy import TransitionInputs, NavAction
         state = self.base_state()
-        state.found = True
         with pytest.raises(PolicyError):
-            transition(state, self.goto(state), TransitionInputs(set(), {}, {}),
-                       False, Pose([0.0, 0.0]))
-        state.found = False
+            transition(dataclasses.replace(state, found=True), self.goto(state),
+                       TransitionInputs(set(), {}, {}), False, Pose([0.0, 0.0]))
         with pytest.raises(PolicyError):
             transition(state, NavAction(kind="stop"), TransitionInputs(set(), {}, {}),
                        False, Pose([0.0, 0.0]))

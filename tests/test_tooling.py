@@ -22,7 +22,9 @@ array the answer holds.
 
 Kept-answer keys hold the configs and rooms themselves, and holders share
 poses without copying them.  A config, pose or room that can be changed in
-place must fail here.
+place must fail here.  So must a policy value (a candidate, action, state,
+transition input, leg or episode result): a state, the action decided on
+it and the next state share them.
 
 ``features.cosine`` is the one similarity rule: it skips the dot product of
 two features that share no bucket.  A dot product of feature vectors
@@ -46,7 +48,8 @@ import pytest
 import carriernav  # noqa: F401  (loads every module the span table names)
 from carriernav.bench import run_sequence
 from carriernav.features import Feature
-from carriernav.policy import VARIANTS
+from carriernav.policy import (VARIANTS, CandidateTarget, EpisodeResult, Leg, NavAction,
+                               NavState, TransitionInputs)
 from carriernav.scene import Room, _SceneFile, _schema
 from carriernav.scenarios import _ScenarioFile, build_scenario
 from carriernav.world import Pose
@@ -241,6 +244,23 @@ def test_configs_poses_and_rooms_are_frozen():
     for array in (pose.position, room.polygon):
         with pytest.raises(ValueError):
             array[0] = 0.0
+
+
+def test_the_policy_values_are_frozen():
+    cand = CandidateTarget("cup_0", "table_0", 0.9, 0.0, [1.0, 1.0, 0.5])
+    values = [
+        cand,
+        NavAction(kind="goto", carrier_id="table_0", candidate=cand, priority=2.7),
+        NavState(pose=Pose([0.0, 0.0]), unexplored=["table_0"], candidates={"cup_0": cand}),
+        TransitionInputs(cr_observed=set(), ct_new={}, ct_star={"cup_0": cand}),
+        Leg(0.0, {}, {}, []),
+        EpisodeResult(task_index=0, success=True, traveled=1.0, shortest=1.0),
+    ]
+    for value in values:
+        assert type(value).__dataclass_params__.frozen
+        for f in dataclasses.fields(value):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, f.name, getattr(value, f.name))
 
 
 def _is_feature_vector(node) -> bool:
