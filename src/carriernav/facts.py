@@ -41,15 +41,17 @@ the rules that keep and drop them.  It imports nothing from the package.
 * Facts of content, which no scene changes: answers that are pure
   functions of plain values (strings, tuples of them and integers), kept
   by :func:`pure_answer`.  Today these are the embeddings
-  ``features.text_feature`` makes, one per token sequence and dimension,
-  and the one each spelling of a text reads: the carrier reference, each
-  query's descriptors, each image token compared and each object's joined
-  captions.  A small vocabulary recurs across scenes, so they belong to
-  the process, not to a scene: a new scene drops none of them, and the
-  scenes a run generates, loads and queries embed each token sequence
-  once.  The latest ``TEXTS_KEPT`` read are kept, the least recently read
-  dropped first.  Sharing cannot change a result: the key holds every
-  input, and each answer is frozen.
+  ``features.text_feature`` makes, one per token sequence and dimension;
+  the one each spelling of a text read at a dimension reads: the carrier
+  reference, each query's descriptors, each image token compared and each
+  object's joined captions; and the tokens of each caption and descriptor
+  the keyword oracle reads (``features.text_tokens``).  A small
+  vocabulary recurs across scenes, so they belong to the process, not to
+  a scene: a new scene drops none of them, and the scenes a run
+  generates, loads and queries embed each token sequence once and
+  tokenize each text the oracle reads once.  The latest ``TEXTS_KEPT``
+  read are kept, the least recently read dropped first.  Sharing cannot
+  change a result: the key holds every input, and each answer is frozen.
 
 :func:`release_facts` drops all three: the next world computes its grid's
 facts anew, a scene's answers are computed anew (and not kept) until a
@@ -72,8 +74,9 @@ SEARCHES_PER_GRID = 16
 # Facts of content the process keeps, the least recently read dropped
 # first: at most 1024 float64 vectors, 2 MB at the default dim of 256 and
 # 32 MB at the largest a scene may declare (4096).  The 60 mixed scenes of
-# perfbench's graph-queries and their queries read 386 keys (169 token
-# sequences and their spellings), so none of theirs is dropped.
+# perfbench's graph-queries and their queries read 422 keys (169 token
+# sequences, the 217 spellings that read them and the tokens of 36 texts
+# the keyword oracle reads), so none of theirs is dropped.
 TEXTS_KEPT = 1024
 
 

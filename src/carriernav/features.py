@@ -19,15 +19,19 @@ bucket as it counts; :meth:`Feature.of` reads the bits off a vector.  A
 vector with an entry whose sign bit is set (a negative entry or a
 ``-0.0``), or whose norm is not finite, has every bit set.
 
-:func:`cosine` returns ``0.0`` with no dot product for two features that
-share no bucket when their norm product is positive.  Those are the dot
-rule's bits: every product in the dot is then ``+0.0`` (a finite
-non-negative entry times ``+0.0``), so the dot is ``+0.0`` in any
-summation order, and so is its quotient by a positive norm product.  With
-a sign bit a product could be ``-0.0``, and an infinite or NaN entry times
-zero is NaN; a norm product that is zero (a zero feature, or a norm whose
-squares underflowed) or NaN makes the quotient NaN or infinite.  Those
-cases are left to the dot rule.
+The dot rule of :func:`cosine` is ``a.vec.dot(b.vec) / norms``: the
+vector's own ``dot`` method, the product ``np.dot`` computes without its
+function dispatch, and a numpy quotient, so a zero norm product gives
+``inf`` or NaN, never a ``ZeroDivisionError``.  :func:`cosine` returns
+``0.0`` with no dot product for two features that share no bucket when
+their norm product is positive.  Those are the dot rule's bits: every
+product in the dot is then ``+0.0`` (a finite non-negative entry times
+``+0.0``), so the dot is ``+0.0`` in any summation order, and so is its
+quotient by a positive norm product.  With a sign bit a product could be
+``-0.0``, and an infinite or NaN entry times zero is NaN; a norm product
+that is zero (a zero feature, or a norm whose squares underflowed) or NaN
+makes the quotient NaN or infinite.  Those cases are left to the dot
+rule.
 """
 
 from __future__ import annotations
@@ -136,6 +140,17 @@ def _spelled_feature(text: str, dim: int) -> Feature:
     return facts.pure_answer(("text", tokens, dim), _text_feature, tokens, dim)
 
 
+def text_tokens(text: str) -> Tuple[str, ...]:
+    """:func:`tokenize` of ``text`` as a tuple.  The process keeps one
+    answer per spelling, a fact of content (see ``facts``), so a text read
+    before is not tokenized again."""
+    return facts.pure_answer(("spelling", text), _spelling_tokens, text)
+
+
+def _spelling_tokens(text: str) -> Tuple[str, ...]:
+    return tuple(tokenize(text))
+
+
 def _text_feature(tokens: Tuple[str, ...], dim: int) -> Feature:
     vec, support = _embed(tokens, dim)
     vec.setflags(write=False)
@@ -149,11 +164,14 @@ def cosine(a: Feature, b: Feature) -> float:
     module docstring).
 
     This is the one similarity rule: :func:`cosine_similarity` validates
-    its inputs and then applies it.
+    its inputs and then applies it.  The dot is the vector's own ``dot``
+    method; the quotient stays numpy's, so a zero or NaN norm product gives
+    an infinite or NaN cosine (with numpy's warning), not a Python
+    ``ZeroDivisionError``.
     """
     norms = a.norm * b.norm
     if a.support & b.support or not norms > 0.0:
-        return float(np.dot(a.vec, b.vec) / norms)
+        return float(a.vec.dot(b.vec) / norms)
     return 0.0
 
 

@@ -18,15 +18,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from . import facts
 from .features import Feature, cosine, strip_image_prefix, text_feature, tokenize
 from .priors import CarrierPriorOracle, KeywordPriorOracle
-from .scene import ObjectInstance, Room, SceneMap, assign_rooms
+from .scene import ObjectInstance, Room, SceneMap, assign_rooms, distance
 
 
 class GraphError(ValueError):
@@ -260,7 +257,7 @@ def _nearest_carrier(obj, candidates: Tuple[ObjectInstance, ...],
     for carrier in candidates:
         if carrier.id == obj.id or not carrying_predicate(carrier, obj, config):
             continue
-        key = (float(np.linalg.norm(obj.centroid - carrier.centroid)), carrier.id)
+        key = (distance(obj.centroid - carrier.centroid), carrier.id)
         if best is None or key < best:
             best = key
     return best[1] if best else None
@@ -346,20 +343,22 @@ class Query:
 
 
 def _best_match(
-    pool: Iterable[ObjectInstance], query: Feature, use_visual: bool
+    pool: Sequence[ObjectInstance], query: Feature, use_visual: bool
 ) -> Optional[Tuple[ObjectInstance, float]]:
-    best: Optional[Tuple[float, str, ObjectInstance]] = None
+    """The pool's object most similar to ``query`` and its score, ties to
+    the smaller id; None when no object has a usable feature."""
+    best: Optional[ObjectInstance] = None
+    best_score = 0.0
     for obj in pool:
         feat = obj.visual if use_visual else obj.text
         if feat.zero or feat.vec.shape != query.vec.shape:
             continue
         score = cosine(feat, query)
-        key = (-score, obj.id)
-        if best is None or key < (-best[0], best[1]):
-            best = (score, obj.id, obj)
+        if best is None or score > best_score or (score == best_score and obj.id < best.id):
+            best, best_score = obj, score
     if best is None:
         return None
-    return best[2], best[0]
+    return best, best_score
 
 
 def query_target(crsg: Crsg, query: Query) -> Tuple[ObjectInstance, float]:
@@ -369,16 +368,24 @@ def query_target(crsg: Crsg, query: Query) -> Tuple[ObjectInstance, float]:
     features.  With a carrier descriptor the candidate pool narrows to the
     objects carried by the maximally similar carrier(s); the carrier itself
     is never returned for a scoped query.  Ties break to the smaller id.
-    The graph's objects are read in the order carriers, the objects they
-    carry, orphans, missing objects; the first gives the feature dimension.
+    A plain query reads the graph's objects once, into one list in section
+    order: carriers, the objects they carry, orphans, then missing objects.
+    A scoped one reads only the carriers and what the top ones carry.  The
+    first object in section order gives the feature dimension.
     """
-    carriers = crsg.carriers.values()
-    everything = chain((node.object for node in carriers),
-                       (obj for node in carriers for obj in node.carried.values()),
-                       crsg.orphan_objects.values(), crsg.missing.values())
-    first = next(everything, None)
-    if first is None:
-        raise QueryError("cannot query an empty graph")
+    if query.carrier_text is not None and crsg.carriers:
+        pool = None
+        first = next(iter(crsg.carriers.values())).object
+    else:
+        nodes = crsg.carriers.values()
+        pool = [node.object for node in nodes]
+        for node in nodes:
+            pool += node.carried.values()
+        pool += crsg.orphan_objects.values()
+        pool += crsg.missing.values()
+        if not pool:
+            raise QueryError("cannot query an empty graph")
+        first = pool[0]
     dim = first.text_feature.shape[0]
 
     use_visual = query.image is not None
@@ -398,13 +405,11 @@ def query_target(crsg: Crsg, query: Query) -> Tuple[ObjectInstance, float]:
         top = max(sims.values())
         pool = []
         for cid in sorted(cid for cid, s in sims.items() if s == top):
-            pool.extend(crsg.carriers[cid].carried.values())
+            pool += crsg.carriers[cid].carried.values()
         if not pool:
             raise QueryError(
                 f"carrier(s) matching {query.carrier_text!r} hold no objects"
             )
-    else:
-        pool = chain((first,), everything)
 
     result = _best_match(pool, query_feat, use_visual)
     if result is None:

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .graph import (
     query_target,
 )
 from .priors import CarrierPriorOracle, CarrierSummary, KeywordPriorOracle, OracleError
-from .scene import ObjectInstance
+from .scene import ObjectInstance, _frozen
 from .update import MatchConfig, apply_update, graph_carriers, match_carrier, reconcile_carried
 from .world import (
     GridWorld,
@@ -52,6 +53,17 @@ logger = logging.getLogger(__name__)
 
 class PolicyError(RuntimeError):
     pass
+
+
+def _freeze(value, name: str, make) -> None:
+    """Set field ``name`` of the frozen dataclass ``value`` to ``make`` of
+    its current value: a policy value owns read-only copies of what it is
+    given, all the way down."""
+    object.__setattr__(value, name, make(getattr(value, name)))
+
+
+def _read_only_mapping(mapping) -> Mapping:
+    return MappingProxyType(dict(mapping))
 
 
 @dataclass(frozen=True)
@@ -88,10 +100,10 @@ class CandidateTarget:
     carrier_id: str
     ss: float            # similarity to the target
     d_tilde: float       # depth at first sighting (frozen)
-    position: np.ndarray  # believed centroid
+    position: np.ndarray  # believed centroid, the candidate's own read-only copy
 
     def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=np.float64))
+        _freeze(self, "position", lambda p: _frozen(np.array(p, dtype=np.float64)))
 
 
 @dataclass(frozen=True)
@@ -112,12 +124,14 @@ class NavAction:
 @dataclass(frozen=True)
 class NavState:
     pose: Pose
-    unexplored: List[str]
-    candidates: Dict[str, CandidateTarget]
+    unexplored: Tuple[str, ...]
+    candidates: Mapping[str, CandidateTarget]  # read-only
     found: bool = False
     bypass_target: Optional[ObjectInstance] = None
 
     def __post_init__(self):
+        _freeze(self, "unexplored", tuple)
+        _freeze(self, "candidates", _read_only_mapping)
         unexplored = set(self.unexplored)
         for cand in self.candidates.values():
             if cand.carrier_id not in unexplored:
@@ -249,12 +263,18 @@ def decide(
 
 @dataclass(frozen=True)
 class Leg:
-    """What one leg sensed, each sighting matched to the graph once."""
+    """What one leg sensed, each sighting matched to the graph once; its
+    mappings are read-only."""
 
     length: float
-    observations: Dict[str, Observation]  # first sighting per id, carrier view merged in
-    matches: Dict[str, Optional[str]]     # object id -> matched graph carrier, or None
-    carried: List[Observation]            # the visited carrier's full view
+    observations: Mapping[str, Observation]  # first sighting per id, carrier view merged in
+    matches: Mapping[str, Optional[str]]     # object id -> matched graph carrier, or None
+    carried: Tuple[Observation, ...]         # the visited carrier's full view
+
+    def __post_init__(self):
+        _freeze(self, "observations", _read_only_mapping)
+        _freeze(self, "matches", _read_only_mapping)
+        _freeze(self, "carried", tuple)
 
 
 def apply_observation_updates(
@@ -324,9 +344,16 @@ def target_similarity(seen: ObjectInstance, target: ObjectInstance) -> float:
 
 @dataclass(frozen=True)
 class TransitionInputs:
-    cr_observed: Set[str]
-    ct_new: Dict[str, CandidateTarget]
-    ct_star: Dict[str, CandidateTarget]
+    """The sets a transition reads; its mappings are read-only."""
+
+    cr_observed: FrozenSet[str]
+    ct_new: Mapping[str, CandidateTarget]
+    ct_star: Mapping[str, CandidateTarget]
+
+    def __post_init__(self):
+        _freeze(self, "cr_observed", frozenset)
+        _freeze(self, "ct_new", _read_only_mapping)
+        _freeze(self, "ct_star", _read_only_mapping)
 
 
 def collect_transition_inputs(
@@ -505,7 +532,10 @@ class EpisodeResult:
     success: bool
     traveled: float
     shortest: float
-    actions: List[str] = field(default_factory=list)
+    actions: Tuple[str, ...] = ()
+
+    def __post_init__(self):
+        _freeze(self, "actions", tuple)
 
     @property
     def action_count(self) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from .features import (DEFAULT_EMBEDDING_DIM, cosine, strip_image_prefix, text_feature,
-                       tokenize)
+                       text_tokens)
 
 
 class OracleError(RuntimeError):
@@ -81,22 +81,21 @@ class KeywordPriorOracle(CarrierPriorOracle):
 
     ``is_carrier`` looks for furniture words in the first three captions.
     ``rank_carriers`` orders carriers by the affinity table for the first
-    recognized item word in the descriptor.  ``compare_images`` scores two
-    opaque tokens by the cosine of their hashed bag-of-words text features
-    (``features.text_feature``), which lands in [0, 1] because the count
-    vectors are non-negative.
+    recognized item word in the descriptor.  Both read each text's tokens
+    through ``features.text_tokens``, so a caption is tokenized once per
+    process.  ``compare_images`` scores two opaque tokens by the cosine of
+    their hashed bag-of-words text features (``features.text_feature``),
+    which lands in [0, 1] because the count vectors are non-negative.
     """
 
     name = "keyword"
 
     def is_carrier(self, captions: Sequence[str]) -> bool:
-        for caption in list(captions)[:3]:
-            if any(tok in CARRIER_KEYWORDS for tok in tokenize(caption)):
-                return True
-        return False
+        return any(not CARRIER_KEYWORDS.isdisjoint(text_tokens(caption))
+                   for caption in list(captions)[:3])
 
     def _affinity_for(self, target_descriptor: str) -> Tuple[str, ...]:
-        for tok in tokenize(strip_image_prefix(target_descriptor)):
+        for tok in text_tokens(strip_image_prefix(target_descriptor)):
             ranking = AFFINITY_RANKINGS.get(tok)
             if ranking is not None:
                 return ranking
@@ -105,7 +104,7 @@ class KeywordPriorOracle(CarrierPriorOracle):
     @staticmethod
     def _carrier_kind(summary: CarrierSummary) -> str:
         for caption in summary.captions:
-            for tok in tokenize(caption):
+            for tok in text_tokens(caption):
                 if tok in CARRIER_KEYWORDS:
                     return tok
         return ""

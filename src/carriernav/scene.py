@@ -60,6 +60,14 @@ class SceneValidationError(SceneError):
     """Well-formed file whose content violates a scene invariant."""
 
 
+def distance(d: np.ndarray) -> float:
+    """The length of the 1-D float64 vector ``d`` (a difference of two
+    points): the square root of its dot with itself.  This is the one
+    distance rule, and it is what ``np.linalg.norm`` computes for such a
+    vector (``sqrt(x.dot(x))``), bit for bit, without its dispatch."""
+    return math.sqrt(d.dot(d))
+
+
 def _frozen(value) -> np.ndarray:
     """``value`` as a read-only float64 array.
 
@@ -208,11 +216,18 @@ class ObjectInstance:
 @dataclass(frozen=True, eq=False)
 class Room:
     """A frozen value with a read-only polygon, compared and hashed by
-    identity like ``ObjectInstance``: field equality would compare arrays."""
+    identity like ``ObjectInstance``: field equality would compare arrays.
+    ``edges`` holds each edge as a pair of ``(x, y)`` Python-float
+    vertices, the last vertex joined back to the first, as
+    :func:`point_in_polygon` reads them; it is computed once, at
+    construction, so :func:`assign_rooms` reads no array.
+    """
 
     id: str
     polygon: np.ndarray  # (N, 2) vertices, simple polygon
     name: str = ""
+    edges: Tuple[Tuple[Tuple[float, float], Tuple[float, float]], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         polygon = _frozen(self.polygon)
@@ -227,6 +242,7 @@ class Room:
         if _polygon_self_intersects(polygon):
             raise SceneValidationError(f"room {self.id!r} polygon self-intersects")
         object.__setattr__(self, "polygon", polygon)
+        object.__setattr__(self, "edges", _polygon_edges(polygon))
 
 
 @dataclass
@@ -398,11 +414,11 @@ def point_in_polygon(point: Sequence[float], polygon: np.ndarray) -> bool:
     return _in_polygon(float(point[0]), float(point[1]), _polygon_edges(polygon))
 
 
-def _polygon_edges(polygon: np.ndarray) -> list:
-    """Each edge of ``polygon`` as a pair of ``[x, y]`` Python-float
+def _polygon_edges(polygon: np.ndarray) -> tuple:
+    """Each edge of ``polygon`` as a pair of ``(x, y)`` Python-float
     vertices, the last vertex joined back to the first."""
-    vertices = np.asarray(polygon, dtype=np.float64).tolist()
-    return list(zip(vertices, vertices[1:] + vertices[:1]))
+    vertices = list(map(tuple, np.asarray(polygon, dtype=np.float64).tolist()))
+    return tuple(zip(vertices, vertices[1:] + vertices[:1]))
 
 
 def _in_polygon(x: float, y: float, edges) -> bool:
@@ -422,16 +438,16 @@ def _in_polygon(x: float, y: float, edges) -> bool:
 
 
 def assign_rooms(objects: Sequence[ObjectInstance], rooms: Sequence[Room]) -> Dict[str, str]:
-    """Map each object id to the room containing its centroid (x, y).
+    """Map each object id to the room containing its centroid (x, y): the
+    first room, in order, that :func:`point_in_polygon` says holds it.
 
     Rooms are assumed non-overlapping; objects outside every room get the
     ``hallway`` sentinel.  The assignment is total.
     """
-    room_edges = [(room.id, _polygon_edges(room.polygon)) for room in rooms]
     out: Dict[str, str] = {}
     for obj in objects:
         x, y, _ = obj.centroid.tolist()
-        out[obj.id] = next((rid for rid, edges in room_edges if _in_polygon(x, y, edges)),
+        out[obj.id] = next((room.id for room in rooms if _in_polygon(x, y, room.edges)),
                            HALLWAY_ROOM_ID)
     return out
 

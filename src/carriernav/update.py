@@ -22,7 +22,7 @@ import numpy as np
 from . import facts
 from .features import Feature, cosine
 from .graph import Crsg
-from .scene import ObjectInstance
+from .scene import ObjectInstance, distance
 from .world import Observation
 
 
@@ -82,7 +82,7 @@ def _sighting_distance(seen: ObjectInstance, known: ObjectInstance, max_dist: fl
                        config: MatchConfig) -> Optional[float]:
     """The center distance when the sighting may be the known instance, else
     None.  Gates: center distance up to ``max_dist``, size ratio, text."""
-    dist = float(np.linalg.norm(seen.centroid - known.centroid))
+    dist = distance(seen.centroid - known.centroid)
     if dist > max_dist:
         return None
     if not _sizes_compatible(seen.box.extents, known.box.extents, config.max_size_ratio_dev):

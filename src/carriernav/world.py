@@ -47,7 +47,7 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 
 from . import facts
 from .graph import CrsgConfig, assign_carried, carrying_predicate, geometric_carrier_filter
-from .scene import MAX_GRID_CELLS, Box3, ObjectInstance, SceneMap, _frozen
+from .scene import MAX_GRID_CELLS, Box3, ObjectInstance, SceneMap, _frozen, distance
 
 SQRT2 = math.sqrt(2.0)
 
@@ -216,11 +216,12 @@ class GridWorld:
         the half-width r until the best free cell lies within r * resolution:
         every cell outside the window is at least (r + 0.5) * resolution away.
 
-        Each window is one numpy pass.  ``np.linalg.norm`` of a 2-vector may
-        fuse its multiply-adds, so the vector form only shortlists the cells
-        within 1e-9 * resolution of the nearest, and the shortlist is
-        measured as one 2-vector each: the keys are bit-equal to a per-cell
-        scan's.
+        Each window is one numpy pass.  ``np.hypot`` may differ from the
+        distance rule (``scene.distance``, whose dot may fuse its
+        multiply-adds) in the last ulp, so the vector form only shortlists
+        the cells within 1e-9 * resolution of the nearest, and the
+        shortlist is measured by the rule, one 2-vector each: the keys are
+        bit-equal to a per-cell scan's.
         """
         res = self.resolution
         ox, oy = self.origin.tolist()
@@ -238,7 +239,7 @@ class GridWorld:
                 dx = (ox + (np.arange(x0, x1) + 0.5) * res - tx)[jx]
                 dy = (oy + (np.arange(y0, y1) + 0.5) * res - ty)[jy]
                 near = np.hypot(dx, dy)
-                best = min((float(np.linalg.norm(np.array([dx[k], dy[k]]))),
+                best = min((distance(np.array([dx[k], dy[k]])),
                             x0 + int(jx[k]), y0 + int(jy[k]))
                            for k in np.flatnonzero(near <= near.min() + 1e-9 * res))
                 if whole or best[0] <= r * res:
@@ -622,7 +623,7 @@ class GridWorld:
         out = []
         for oid in self.ground_truth_carried(carrier_id, config):
             obj = self.scene.objects[oid]
-            depth = float(np.linalg.norm(obj.centroid[:2] - pose.position))
+            depth = distance(obj.centroid[:2] - pose.position)
             out.append(Observation(obj, depth))
         return out
 

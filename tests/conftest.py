@@ -144,8 +144,13 @@ def _check_text(key, answer):
 
 
 def _check_spelling(key, answer):
-    _, text, dim = key
-    _check_text(("text", tuple(tokenize(text)), dim), answer)
+    # ("spelling", text, dim) holds the text's Feature, ("spelling", text)
+    # its tokens
+    tokens = tuple(tokenize(key[1]))
+    if len(key) == 3:
+        _check_text(("text", tokens, key[2]), answer)
+    else:
+        assert answer == tokens and type(answer) is tuple
 
 
 # kind of kept answer -> check of one answer against its rule

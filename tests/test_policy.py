@@ -153,7 +153,7 @@ class TestInitState:
         world, crsg = world_and_graph
         target = find_object(crsg, "cup_0")
         state = init_state(crsg, world.robot, target, 0.95)
-        assert state.unexplored == ["counter_0", "table_0", "table_1"]
+        assert state.unexplored == ("counter_0", "table_0", "table_1")
         assert list(state.candidates) == ["cup_0"]
         cand = state.candidates["cup_0"]
         assert cand.carrier_id == "table_0"
@@ -413,7 +413,7 @@ class TestTransition:
         nxt = transition(state, action,
                          TransitionInputs(cr_observed=set(), ct_new={}, ct_star=dict(state.candidates)),
                          confirmed=False, new_pose=Pose([2.0, 2.0]))
-        assert nxt.unexplored == ["counter_0", "table_1"]
+        assert nxt.unexplored == ("counter_0", "table_1")
         assert nxt.candidates == {}
         assert not nxt.found
 
@@ -429,12 +429,13 @@ class TestTransition:
         from carriernav.policy import TransitionInputs
         state = self.base_state()
         stray = CandidateTarget("cup_9", "table_1", 0.7, 1.0, [5.0, 2.0, 0.8])
-        state.candidates["cup_9"] = stray
+        state = NavState(pose=state.pose, unexplored=state.unexplored,
+                         candidates={**state.candidates, "cup_9": stray})
         inputs = TransitionInputs(cr_observed={"table_1"}, ct_new={},
                                   ct_star={"cup_0": state.candidates["cup_0"]})
         nxt = transition(state, self.goto(state), inputs,
                          confirmed=False, new_pose=Pose([2.0, 2.0]))
-        assert nxt.unexplored == ["counter_0"]
+        assert nxt.unexplored == ("counter_0",)
         assert nxt.candidates == {}
 
     def test_superseding_sighting_survives_the_visit(self):
@@ -564,7 +565,7 @@ class TestRunTask:
         r = run_task(world, crsg, self.task(text="green rug", gt="rug_0"), rng=Random(0))
         assert r.success
         assert r.traveled == pytest.approx(r.shortest)
-        assert r.actions == ["t=0 Direct(rug_0) pose=(4.875,3.875) cr=3 ct=0 pr=- leg=5.949747"]
+        assert r.actions == ("t=0 Direct(rug_0) pose=(4.875,3.875) cr=3 ct=0 pr=- leg=5.949747",)
 
     def test_unresolvable_query_fails(self, world_and_graph):
         world, crsg = world_and_graph
@@ -572,7 +573,7 @@ class TestRunTask:
                      rng=Random(0))
         assert not r.success
         assert r.traveled == 0.0
-        assert r.actions == []
+        assert r.actions == ()
         assert spl(r.success, r.shortest, r.traveled) == 0.0
 
     def test_action_budget_holds(self, world_and_graph):
@@ -692,11 +693,11 @@ class TestRunTask:
         crsg = build_crsg(scene, CrsgConfig())
         r = run_task(world, crsg, self.task(), variant=VARIANTS["only-carriers_LLM"],
                      prior=FixedRanking(["table_1", "table_0", "counter_0"]), rng=Random(0))
-        assert r.actions == [
+        assert r.actions == (
             "t=0 Explore(table_1) pose=(0.500,0.500) cr=2 ct=1 pr=- leg=0.000000",
             "t=1 Explore(table_0) pose=(1.875,1.875) cr=0 ct=0 pr=- leg=2.121320",
             "t=2 Stop pose=(1.875,1.875) cr=0 ct=0 pr=- leg=0.000000",
-        ]
+        )
         assert r.success
         assert r.traveled == pytest.approx(r.shortest)
         assert r.action_count <= len(crsg.carriers) + 1
@@ -709,7 +710,7 @@ class TestRunTask:
         crsg = build_crsg(scene, CrsgConfig())
         r = run_task(world, crsg, self.task(text="green rug", gt="cup_0"), rng=Random(0))
         assert not r.success
-        assert r.actions == []
+        assert r.actions == ()
         assert r.traveled == 0.0
         assert r.shortest == pytest.approx(world.shortest_path([0.5, 0.5], [2.0, 2.0])[1])
         assert np.array_equal(world.robot.position, [0.5, 0.5])
@@ -721,11 +722,11 @@ class TestRunTask:
         apply_update(crsg, CarriedDiff("table_0", removed=["cup_0"]))
         assert crsg.carrier_of("cup_0") is None
         r = run_task(world, crsg, self.task(), rng=Random(0))
-        assert r.actions == [
+        assert r.actions == (
             "t=0 Explore(counter_0) pose=(1.875,3.875) cr=2 ct=1 pr=- leg=4.121320",
             "t=1 Goto(cup_0) pose=(1.875,1.875) cr=1 ct=0 pr=0.794685 leg=2.000000",
             "t=2 Stop pose=(1.875,1.875) cr=1 ct=0 pr=- leg=0.000000",
-        ]
+        )
         assert r.success
 
     def test_variants_share_the_success_on_accurate_beliefs(self, world_and_graph):

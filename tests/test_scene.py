@@ -27,6 +27,7 @@ from carriernav.scene import (
     SceneParseError,
     SceneValidationError,
     assign_rooms,
+    distance,
     load_scene,
     point_in_polygon,
     save_scene,
@@ -207,22 +208,39 @@ class TestPolygon:
             assert point_in_polygon(point, poly) == oracles.point_in_polygon_numpy(point, poly)
 
     @settings(max_examples=200, deadline=None)
-    @given(data=st.data())
-    def test_assign_rooms_is_the_numpy_rule(self, data):
-        # rectangles that may share edges and overlap; centroids anywhere,
-        # on their corners among them
+    @given(data=st.data(), scale=st.sampled_from([1.0, 1e6, -1e6]))
+    def test_assign_rooms_is_the_numpy_rule(self, data, scale):
+        # rectangles that may share edges and overlap, up to 1e6 m out;
+        # centroids anywhere, on their corners and edges among them
         rooms = []
         for k in range(data.draw(st.integers(0, 3))):
-            (x0, x1), (y0, y1) = (sorted(data.draw(st.lists(COORDS, min_size=2, max_size=2,
-                                                            unique=True)))
-                                  for _ in range(2))
+            (x0, x1), (y0, y1) = (sorted(scale * c for c in data.draw(
+                st.lists(COORDS, min_size=2, max_size=2, unique=True))) for _ in range(2))
             rooms.append(Room(f"r{k}", [[x0, y0], [x1, y0], [x1, y1], [x0, y1]]))
         corners = [v for room in rooms for v in room.polygon.tolist()]
         points = data.draw(st.lists(st.sampled_from(corners), max_size=4)) if corners else []
-        points += data.draw(st.lists(st.lists(COORDS, min_size=2, max_size=2), max_size=4))
+        edges = [edge for room in rooms for edge in room.edges]
+        for _ in range(data.draw(st.integers(0, 2)) if edges else 0):
+            (ax, ay), (bx, by) = data.draw(st.sampled_from(edges))
+            t = data.draw(st.sampled_from([0.5]) | st.floats(0.0, 1.0))
+            points.append([ax + t * (bx - ax), ay + t * (by - ay)])
+        points += data.draw(st.lists(st.lists(COORDS.map(lambda c: scale * c), min_size=2,
+                                              max_size=2), max_size=4))
         objects = [SimpleNamespace(id=f"o{k}", centroid=np.array([x, y, 0.0]))
                    for k, (x, y) in enumerate(points)]
         assert assign_rooms(objects, rooms) == oracles.assign_rooms_numpy(objects, rooms)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1e-160, 1e150, -3e150,
+                                     1e155, 1e-300])
+                    | st.floats(-1e160, 1e160, allow_nan=False, allow_subnormal=True),
+                    min_size=2, max_size=3))
+    def test_distance_is_the_norm_bit_for_bit(self, entries):
+        v = np.array(entries)
+        with np.errstate(all="ignore"):
+            assert distance(v).hex() == float(np.linalg.norm(v)).hex()
+            a, b = v, v[::-1].copy()
+            assert distance(a - b).hex() == float(np.linalg.norm(a - b)).hex()
 
     def test_assign_rooms_by_centroid(self):
         rooms = [

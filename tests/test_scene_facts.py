@@ -10,6 +10,7 @@ import gc
 import math
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from carriernav.graph import (DEFAULT_CARRIER_REFERENCE, CrsgConfig, Query, buil
                               nearest_carrier, query_target)
 from carriernav.features import text_feature, tokenize
 from carriernav.policy import VARIANTS
-from carriernav.priors import KeywordPriorOracle
+from carriernav.priors import CarrierSummary, KeywordPriorOracle
 from carriernav.scenarios import build_scenario, generate_scenarios, load_scenario
 from carriernav.scene import Box3, scene_from_dict
 from carriernav.update import MatchConfig, match_carrier, reconcile_carried
@@ -428,6 +429,24 @@ class TestSharedTexts:
         assert prior.compare_images("img:red_alarm_clock", "img:red_cup") == score
         assert len(texts) == 4
 
+    def test_the_keyword_oracle_tokenizes_each_caption_once(self, monkeypatch):
+        scene = two_tables_scene()
+        prior = KeywordPriorOracle()
+        summaries = [CarrierSummary("table_1", ("wooden table",)),
+                     CarrierSummary("shelf_0", ("tall shelf", "wooden table"))]
+        # every tokenize call, however the function was imported, reads this
+        texts, pattern = [], features._TOKEN_RE
+        monkeypatch.setattr(features, "_TOKEN_RE", SimpleNamespace(
+            findall=lambda text: texts.append(text) or pattern.findall(text)))
+        assert set(build_crsg(scene).carriers) == {"table_0", "table_1"}
+        assert prior.rank_carriers(summaries, "img:red_cup") == ["table_1", "shelf_0"]
+        assert texts and len(texts) == len(set(texts))
+        n = len(texts)
+        build_crsg(scene)
+        assert prior.rank_carriers(summaries, "img:red_cup") == ["table_1", "shelf_0"]
+        assert len(texts) == n
+        assert_every_kept_answer_is_its_rule()
+
     def test_another_scene_keeps_the_texts_and_release_drops_them(self, monkeypatch):
         texts = counting(monkeypatch, features, "_text_feature")
         crsg = build_crsg(two_tables_scene())
@@ -472,7 +491,7 @@ class TestSharedTexts:
                         query_target(crsg, Query(text=text))
                         query_target(crsg, Query(text=text, carrier_text=node.object.captions[0]))
                         query_target(crsg, Query(image="img:" + text.replace(" ", "_")))
-        kept = [(tokens, dim) for kind, tokens, dim in facts._pure if kind == "text"]
+        kept = [key[1:] for key in facts._pure if key[0] == "text"]
         assert len(facts._pure) < facts.TEXTS_KEPT  # none dropped
         assert len(embeds) > 10 and sorted(embeds) == sorted(kept)
         # each kept Feature is byte-equal to the oracle's and read-only

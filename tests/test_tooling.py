@@ -24,11 +24,14 @@ Kept-answer keys hold the configs and rooms themselves, and holders share
 poses without copying them.  A config, pose or room that can be changed in
 place must fail here.  So must a policy value (a candidate, action, state,
 transition input, leg or episode result): a state, the action decided on
-it and the next state share them.
+it and the next state share them, so none may hold a list, dict, set or
+writable array at any depth.
 
 ``features.cosine`` is the one similarity rule: it skips the dot product of
 two features that share no bucket.  A dot product of feature vectors
-anywhere else in the package bypasses that rule and must fail here.
+anywhere else in the package bypasses that rule and must fail here.  So
+``scene.distance`` is the one distance rule: a ``numpy.linalg.norm`` read
+anywhere in the package must fail here.
 
 An episode records each action at one site: ``run_task``'s ``record``, the
 one reader of ``policy._trace_line``.  A second reader, a call or a
@@ -39,7 +42,9 @@ must fail here.
 import ast
 import dataclasses
 import sys
+from collections.abc import Mapping
 from pathlib import Path
+from types import MappingProxyType
 from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -50,10 +55,10 @@ from carriernav.bench import run_sequence
 from carriernav.features import Feature
 from carriernav.policy import (VARIANTS, CandidateTarget, EpisodeResult, Leg, NavAction,
                                NavState, TransitionInputs)
-from carriernav.scene import Room, _SceneFile, _schema
+from carriernav.scene import Room, _SceneFile, _schema, scene_from_dict
 from carriernav.scenarios import _ScenarioFile, build_scenario
-from carriernav.world import Pose
-from conftest import KEPT_ANSWER_CHECKS, writable_arrays
+from carriernav.world import Observation, Pose
+from conftest import KEPT_ANSWER_CHECKS, obj_dict, scene_dict, writable_arrays
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -246,21 +251,62 @@ def test_configs_poses_and_rooms_are_frozen():
             array[0] = 0.0
 
 
+def mutable_parts(value) -> list:
+    """Every list, dict, set and writable numpy array reachable from
+    ``value`` through tuples, frozensets, mappings, named tuples and
+    dataclass fields."""
+    found, seen, todo = [], set(), [value]
+    while todo:
+        value = todo.pop()
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        if isinstance(value, (list, dict, set)) or (
+                isinstance(value, np.ndarray) and value.flags.writeable):
+            found.append(value)
+        elif isinstance(value, Mapping):
+            todo += [*value.keys(), *value.values()]
+        elif isinstance(value, (tuple, frozenset)):
+            todo += value
+        elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+            todo += [getattr(value, f.name) for f in dataclasses.fields(value)]
+    return found
+
+
+def test_the_mutable_parts_guard_sees_every_container():
+    frozen, loose = np.zeros(2), np.ones(2)
+    frozen.setflags(write=False)
+    inner, bag = [1], {2}
+    value = (MappingProxyType({"a": Holder((frozen, inner))}), frozenset({3}), Feature.of(loose),
+             Holder(MappingProxyType({"b": bag})))
+    assert sorted(map(id, mutable_parts(value))) == sorted(map(id, [inner, loose, bag]))
+    assert mutable_parts({}) != [] and mutable_parts((frozen, "x", 1.0)) == []
+
+
 def test_the_policy_values_are_frozen():
-    cand = CandidateTarget("cup_0", "table_0", 0.9, 0.0, [1.0, 1.0, 0.5])
+    given = np.array([1.0, 1.0, 0.5])
+    cand = CandidateTarget("cup_0", "table_0", 0.9, 0.0, given)
+    assert cand.position is not given and given.flags.writeable  # its own copy
+    cup = scene_from_dict(scene_dict([obj_dict("cup_0", ["red cup"], 1.0, 1.0, 0.1, 0.1, 0.0,
+                                                0.1)])).objects["cup_0"]
+    sighting = Observation(cup, 1.5)
     values = [
         cand,
+        CandidateTarget("cup_1", "table_0", 0.9, 0.0, [1.0, 1.0, 0.5]),
         NavAction(kind="goto", carrier_id="table_0", candidate=cand, priority=2.7),
         NavState(pose=Pose([0.0, 0.0]), unexplored=["table_0"], candidates={"cup_0": cand}),
-        TransitionInputs(cr_observed=set(), ct_new={}, ct_star={"cup_0": cand}),
-        Leg(0.0, {}, {}, []),
-        EpisodeResult(task_index=0, success=True, traveled=1.0, shortest=1.0),
+        TransitionInputs(cr_observed={"table_1"}, ct_new={"cup_0": cand},
+                         ct_star={"cup_0": cand}),
+        Leg(1.0, {"cup_0": sighting}, {"cup_0": None}, [sighting]),
+        EpisodeResult(task_index=0, success=True, traveled=1.0, shortest=1.0,
+                      actions=["t=0 Stop"]),
     ]
     for value in values:
         assert type(value).__dataclass_params__.frozen
         for f in dataclasses.fields(value):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(value, f.name, getattr(value, f.name))
+        assert mutable_parts(value) == [], value
 
 
 def _is_feature_vector(node) -> bool:
@@ -307,6 +353,52 @@ def test_the_dot_guard_sees_feature_dot_products():
               "    s += float(np.dot(q, text_feature))\n"
               "    return s + np.dot(a, b) + (a @ b) + q.dot(a) + a.vec.sum()\n")
     assert feature_dot_products(source) == [3, 4, 5, 6]
+
+
+def linalg_norm_reads(source: str) -> list:
+    """Lines of each read of numpy's ``linalg.norm`` in module ``source``:
+    ``np.linalg.norm``, ``norm`` on a name bound to ``numpy.linalg``, or a
+    name bound to ``numpy.linalg.norm`` itself."""
+    tree = ast.parse(source)
+    modules, functions = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname for a in node.names if a.name == "numpy.linalg" and a.asname}
+        elif isinstance(node, ast.ImportFrom):
+            wanted = {"numpy": "linalg", "numpy.linalg": "norm"}.get(node.module)
+            bound = {a.asname or a.name for a in node.names if a.name == wanted}
+            (modules if node.module == "numpy" else functions).update(bound)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "norm":
+            owner = node.value
+            if (isinstance(owner, ast.Attribute) and owner.attr == "linalg") or (
+                    isinstance(owner, ast.Name) and owner.id in modules):
+                found.append(node.lineno)
+        elif isinstance(node, ast.Name) and node.id in functions and isinstance(node.ctx, ast.Load):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_one_distance_rule():
+    # ``scene.distance`` is numpy's norm of a 1-D float64 vector without its
+    # dispatch; a norm anywhere in the package is a second distance rule
+    modules = sorted((ROOT / "src" / "carriernav").glob("*.py"))
+    assert len(modules) > 10
+    found = {p.name: linalg_norm_reads(p.read_text()) for p in modules}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_the_distance_guard_sees_every_norm():
+    source = ("import numpy as np\n"
+              "import numpy.linalg as la\n"
+              "from numpy import linalg\n"
+              "from numpy.linalg import norm as n2\n"
+              "def far(a, b, feat):\n"
+              "    d = float(np.linalg.norm(a - b)) + la.norm(a) + linalg.norm(b)\n"
+              "    f = np.linalg.norm\n"
+              "    return d + n2(a) + feat.norm + np.hypot(*a) + f(b)\n")
+    assert linalg_norm_reads(source) == [6, 6, 6, 7, 8]
 
 
 def trace_line_reads(source: str) -> list:
