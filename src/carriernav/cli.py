@@ -10,17 +10,16 @@ from __future__ import annotations
 
 import argparse
 import glob
-import json
 import sys
 from pathlib import Path
 
 from . import __version__
 from .bench import run_suite
-from .graph import GraphError, Query, QueryError, build_crsg, query_target
+from .graph import Query, QueryError, build_crsg, query_target
 from .llm_adapter import oracle_from_env
 from .policy import VARIANTS
-from .scenarios import MODES, ScenarioError, generate_scenarios, load_scenario
-from .scene import SceneError, load_scene, write_json
+from .scenarios import MODES, generate_scenarios, load_scenario
+from .scene import load_scene, write_json
 
 
 class CliError(ValueError):
@@ -181,8 +180,7 @@ def main(argv=None) -> int:
     except QueryError as exc:  # before its ValueError bases: no-match is runtime
         print(f"no match: {exc}", file=sys.stderr)
         return 2
-    except (CliError, ScenarioError, SceneError, GraphError, ValueError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, FileNotFoundError) as exc:  # the package's input errors subclass ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # anything else is a runtime failure

@@ -36,8 +36,8 @@ the rules that keep and drop them.  It imports nothing from the package.
   every object of the world a move or leg starts from, or the object and
   every candidate carrier; the event, or the grid by content and the
   path's cells; the frozen configs), so it is a pure function of its key.
-  A move that is rejected (it still re-seats its object) or raises is not
-  kept, nor is a leg that raises; a remove makes no new instance.
+  A move or a leg that raises is not kept; a remove makes no new
+  instance.
 * Facts of content, which no scene changes: answers that are pure
   functions of plain values (strings, tuples of them and integers), kept
   by :func:`pure_answer`.  Today these are the embeddings

@@ -37,7 +37,7 @@ from .graph import (
 )
 from .priors import CarrierPriorOracle, CarrierSummary, KeywordPriorOracle, OracleError
 from .scene import ObjectInstance, _frozen
-from .update import MatchConfig, apply_update, graph_carriers, match_carrier, reconcile_carried
+from .update import MatchConfig, apply_update, match_carrier, reconcile_carried
 from .world import (
     GridWorld,
     Observation,
@@ -325,8 +325,7 @@ def walk_leg(world: GridWorld, crsg: Crsg, dest: Sequence[float], sensor_cfg: Se
     observations = dict(log.observations)
     for obs in carried:
         observations.setdefault(obs.object_id, obs)
-    carriers = graph_carriers(crsg)
-    matches = {oid: match_carrier(observations[oid], crsg, match_cfg, carriers)
+    matches = {oid: match_carrier(observations[oid], crsg, match_cfg)
                for oid in sorted(observations)}
     leg = Leg(log.length, observations, matches, carried)
     if update:
@@ -587,7 +586,7 @@ def run_task(
     # for an object the world lacks, inf for one it cannot reach
     gt_id = task.ground_truth_id
     shortest = 0.0
-    if world.has_object(gt_id):
+    if gt_id in world.objects:
         try:
             shortest = world.shortest_path(start_pose.position,
                                            world.object(gt_id).centroid[:2])[1]
@@ -614,7 +613,7 @@ def run_task(
         record(f"Direct({target_obj.id})", math.nan, leg.length)
         success = (
             target_obj.id == gt_id
-            and world.has_object(gt_id)
+            and gt_id in world.objects
             and world.snap_free_cell(world.object(gt_id).centroid[:2])
             == world.cell_of(world.robot.position)
         )

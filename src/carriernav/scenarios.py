@@ -185,7 +185,7 @@ class _SceneDraft:
                                       blocked_cells=self.blocked_cells()))
 
 
-@dataclass
+@dataclass(frozen=True)
 class EventSpec(DisplacementEvent):
     """A scenario file's event: a displacement and the trigger that fires
     it, ``before-episode`` or ``after-task-<k>``."""
@@ -475,7 +475,6 @@ def build_scenario(mode: str, index: int, seed: int,
             if attempt == 7:
                 raise
             rng = Random(f"{tag}/retry{attempt}")
-    raise ScenarioError("unreachable")
 
 
 def generate_scenarios(mode: str, count: int, seed: int,

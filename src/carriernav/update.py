@@ -92,26 +92,16 @@ def _sighting_distance(seen: ObjectInstance, known: ObjectInstance, max_dist: fl
     return dist
 
 
-def graph_carriers(crsg: Crsg) -> Tuple[Tuple[str, ...], Tuple[ObjectInstance, ...]]:
-    """The graph's carrier ids and their instances, in order: the graph's
-    part of a ``match`` key.  Updates never change a graph's carriers, so
-    one serves every match of a leg."""
-    return tuple(crsg.carriers), tuple(node.object for node in crsg.carriers.values())
-
-
-def match_carrier(obs: Observation, crsg: Crsg, config: MatchConfig,
-                  carriers: Optional[tuple] = None) -> Optional[str]:
+def match_carrier(obs: Observation, crsg: Crsg, config: MatchConfig) -> Optional[str]:
     """Match an observation to a graph carrier, or None.
 
     Gates: center distance, per-axis size ratio, text similarity, visual
     similarity.  Among qualifying carriers the nearest center wins, ties
     broken by smaller id.  One answer per (sighted instance, the graph's
     carrier ids and instances, config) is kept with the scene's facts.
-    ``carriers`` is :func:`graph_carriers` of ``crsg``, built anew when not
-    given.
     """
     seen = obs.object
-    ids, objects = graph_carriers(crsg) if carriers is None else carriers
+    ids, objects = tuple(crsg.carriers), tuple(node.object for node in crsg.carriers.values())
     key = ("match", seen, ids, objects, config)
     return facts.answer(key, _match_carrier, seen, ids, objects, config)
 

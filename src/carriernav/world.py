@@ -1,11 +1,13 @@
 """Deterministic 2-D grid world: planning, sensing, displacement.
 
 Objects are frozen values (``scene.ObjectInstance``), shared by the scene,
-the world, the belief graph and every sighting.  The world owns only its
-id -> object dict (it never changes the grid or rooms): a displacement
-stores a new instance there, so ground-truth changes (displaced or
-removed objects) never leak into the parsed scene, the belief graph a
-robot carries around or an earlier sighting.
+the world, the belief graph and every sighting.  The world owns one
+read-only id -> object table, ``objects``, its ground truth (it never
+changes the grid or rooms).  A displacement that succeeds replaces the
+table with a new one holding the new instance, and one that raises
+changes nothing, so ground-truth changes (displaced or removed objects)
+never leak into the parsed scene, the belief graph a robot carries
+around or an earlier sighting.
 
 Planning runs Dijkstra searches over one symmetric 8-connected graph of the
 free cells, with unit/diagonal step costs.  The searches are bounded: each
@@ -30,16 +32,17 @@ Each derived fact is computed once per change to its inputs.  The facts of
 the grid and of the scene are kept by ``carriernav.facts``, which says what
 is kept, how it is matched and when it is dropped.  The objects' ``(id,
 instance)`` items (the objects part of the keys of kept answers) and their
-centroids live and die with the world: ``apply_displacement``, the only
-place objects change, clears both when it returns or raises.
+centroids are views of the table: ``_set_objects``, the one writer of the
+table, sets the items with it and drops the centroids, which the next
+sighting builds.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -115,7 +118,7 @@ class Observation:
         return self.object.id
 
 
-@dataclass
+@dataclass(frozen=True)
 class DisplacementEvent:
     """Ground-truth scene change.
 
@@ -149,9 +152,8 @@ class GridWorld:
 
     def __init__(self, scene: SceneMap, start_pose: Optional[Pose] = None):
         facts.keep_scene(scene)
-        self.scene = copy.copy(scene)
-        self.scene.objects = dict(scene.objects)
-        grid = self.scene.grid
+        self._set_objects(dict(scene.objects))
+        grid = scene.grid
         self.resolution = float(grid.resolution)
         self.width = int(grid.width)
         self.height = int(grid.height)
@@ -168,8 +170,14 @@ class GridWorld:
         if self.occupancy[start_cell[1], start_cell[0]]:
             raise WorldError(f"robot start cell {start_cell} is blocked")
 
+    def _set_objects(self, objects: Dict[str, ObjectInstance]) -> None:
+        """Make ``objects``, a dict no one else holds, the world's object
+        table, read-only, with its ``(id, instance)`` items in order (the
+        objects part of the keys of kept answers); the centroids are built
+        on their next read."""
+        self.objects: Mapping[str, ObjectInstance] = MappingProxyType(objects)
+        self._items = tuple(objects.items())
         self._centroid_cache: Optional[tuple] = None
-        self._items: Optional[tuple] = None
 
     # ----- grid geometry -------------------------------------------------
 
@@ -438,17 +446,10 @@ class GridWorld:
 
     # ----- sensing --------------------------------------------------------
 
-    def _objects(self) -> tuple:
-        """The world's ``(id, instance)`` items in order: the objects part of
-        the keys of kept answers, built once per displacement."""
-        if self._items is None:
-            self._items = tuple(self.scene.objects.items())
-        return self._items
-
     def _centroids(self):
         if self._centroid_cache is None:
-            ids = sorted(self.scene.objects)
-            arr = np.array([self.scene.objects[i].centroid[:2] for i in ids]) if ids else np.zeros((0, 2))
+            ids = sorted(self.objects)
+            arr = np.array([self.objects[i].centroid[:2] for i in ids]) if ids else np.zeros((0, 2))
             self._centroid_cache = (ids, arr)
         return self._centroid_cache
 
@@ -498,7 +499,7 @@ class GridWorld:
         if len(path) == 0:
             return TravelLog(observations={}, length=0.0)
         cells = tuple(map(tuple, path))
-        key = ("leg", self._objects(), self._grid.key, cells,
+        key = ("leg", self._items, self._grid.key, cells,
                self.robot.heading if len(cells) == 1 else None, sensor)
         seen, length, heading = facts.answer(key, self._leg, cells, sensor)
         self.robot = Pose(self.cell_center(cells[-1]), heading)
@@ -568,7 +569,7 @@ class GridWorld:
             diff = np.abs((angles - heading + math.pi) % (2.0 * math.pi) - math.pi)
             in_view &= (diff <= sensor.fov / 2.0 + 1e-12) | (dists < 1e-12)
         cols = np.flatnonzero(in_view.any(axis=0)).tolist()
-        objects = self.scene.objects
+        objects = self.objects
         if sensor.occlusion:
             firsts = []
             for j in cols:
@@ -588,12 +589,9 @@ class GridWorld:
 
     def object(self, object_id: str) -> ObjectInstance:
         try:
-            return self.scene.objects[object_id]
+            return self.objects[object_id]
         except KeyError:
             raise WorldError(f"unknown object {object_id!r}") from None
-
-    def has_object(self, object_id: str) -> bool:
-        return object_id in self.scene.objects
 
     def ground_truth_carried(self, carrier_id: str, config: CrsgConfig) -> List[str]:
         """Ids currently resting on ``carrier_id`` per the carrying predicate.
@@ -605,7 +603,7 @@ class GridWorld:
         facts.
         """
         self.object(carrier_id)
-        relation = facts.answer(("carried", self._objects(), config),
+        relation = facts.answer(("carried", self._items, config),
                                 self._carried_relation, config)
         return list(relation.get(carrier_id, ()))
 
@@ -613,7 +611,7 @@ class GridWorld:
         """Base id -> sorted ids of the objects whose nearest carrier it is:
         ``graph.assign_carried`` over the bases and the objects in id order,
         bases that hold nothing left out."""
-        objects = self.scene.objects
+        objects = self.objects
         bases = geometric_carrier_filter(list(objects.values()), config)
         carried, _ = assign_carried(bases, [objects[oid] for oid in sorted(objects)], config)
         return {cid: [obj.id for obj in held] for cid, held in carried.items() if held}
@@ -622,7 +620,7 @@ class GridWorld:
         """Full view of a carrier's current occupants, granted at its side."""
         out = []
         for oid in self.ground_truth_carried(carrier_id, config):
-            obj = self.scene.objects[oid]
+            obj = self.objects[oid]
             depth = distance(obj.centroid[:2] - pose.position)
             out.append(Observation(obj, depth))
         return out
@@ -655,7 +653,7 @@ class GridWorld:
         center = carrier.centroid[:2]
         # nearest the center first, ties by x then y
         order = np.lexsort((ys, xs, np.hypot(xs - center[0], ys - center[1])))
-        occupants = [self.scene.objects[oid] for oid in self.ground_truth_carried(carrier.id, config)
+        occupants = [self.objects[oid] for oid in self.ground_truth_carried(carrier.id, config)
                      if oid != skip_id]
         n = len(order)
         for k in range(n):
@@ -674,29 +672,28 @@ class GridWorld:
         raise DisplacementError(f"no free spot on carrier {carrier.id!r}")
 
     def apply_displacement(self, event: DisplacementEvent, config: CrsgConfig) -> None:
-        """Mutate ground truth per the event; belief graphs are untouched.
+        """Change ground truth per the event; belief graphs are untouched.
 
-        This is the only place objects change, so it clears the object
-        memos when it returns or raises (a rejected move has already
-        re-seated its object).
+        The only place objects change: an event that succeeds sets a new
+        object table, and one that raises (an unknown object or carrier,
+        no free spot, a placement the carrying predicate rejects) leaves
+        the world as it was.
         """
-        try:
-            if event.kind == "remove":
-                if event.object_id not in self.scene.objects:
-                    raise DisplacementError(f"cannot remove unknown object {event.object_id!r}")
-                del self.scene.objects[event.object_id]
-            else:
-                # a move is a pure function of the world's objects and the event
-                key = ("move", self._objects(), event.object_id, event.target_carrier_id,
-                       event.spot_index, config)
-                self.scene.objects[event.object_id] = facts.answer(key, self._moved, event, config)
-        finally:
-            self._centroid_cache = None
-            self._items = None
+        objects = dict(self.objects)
+        if event.kind == "remove":
+            if event.object_id not in objects:
+                raise DisplacementError(f"cannot remove unknown object {event.object_id!r}")
+            del objects[event.object_id]
+        else:
+            # a move is a pure function of the world's objects and the event
+            key = ("move", self._items, event.object_id, event.target_carrier_id,
+                   event.spot_index, config)
+            objects[event.object_id] = facts.answer(key, self._moved, event, config)
+        self._set_objects(objects)
 
     def _moved(self, event: DisplacementEvent, config: CrsgConfig) -> ObjectInstance:
         """The moved object, re-seated on a free spot of the target carrier's
-        top.  A placement the carrying predicate rejects still re-seats it."""
+        top; a placement the carrying predicate rejects raises."""
         obj = self.object(event.object_id)
         carrier = self.object(event.target_carrier_id)
         extents = obj.box.extents
@@ -705,7 +702,6 @@ class GridWorld:
         box = Box3(new_min, new_min + extents)
         obj = replace(obj, box=box, centroid=box.center)
         if not carrying_predicate(carrier, obj, config):
-            self.scene.objects[obj.id] = obj
             raise DisplacementError(
                 f"placement of {obj.id!r} on {carrier.id!r} violates the carrying predicate"
             )

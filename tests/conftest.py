@@ -111,7 +111,7 @@ def _check_leg(key, answer):
     world.resolution, world.origin = resolution, np.array(origin)
     world.height, world.width = shape
     world.occupancy = np.frombuffer(occupancy, dtype=bool).reshape(shape)
-    world.scene = SimpleNamespace(objects=dict(items))
+    world._set_objects(dict(items))
     world.robot = Pose(np.zeros(2), 0.0 if heading is None else heading)
     expected, length, pose = oracles.travel_per_cell(world, path, sensor)
     seen, got_length, got_heading = answer

@@ -24,7 +24,6 @@ import heapq
 import math
 import re
 from collections import Counter
-from types import SimpleNamespace
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -589,10 +588,10 @@ def ground_truth_carried_per_call(world, carrier_id, cfg) -> list:
     """Sorted ids resting on ``carrier_id``, scanned afresh: objects that
     satisfy the carrying predicate with it and whose nearest satisfying
     base it is.  The world's rule before it kept one relation per change."""
-    carrier = world.scene.objects[carrier_id]
-    bases = geometric_carrier_filter(list(world.scene.objects.values()), cfg)
+    carrier = world.objects[carrier_id]
+    bases = geometric_carrier_filter(list(world.objects.values()), cfg)
     return sorted(
-        oid for oid, obj in world.scene.objects.items()
+        oid for oid, obj in world.objects.items()
         if carrying_predicate(carrier, obj, cfg)
         and nearest_carrier_per_call(obj, bases, cfg) == carrier_id
     )
@@ -622,7 +621,7 @@ def free_spot_sorted_tuples(world, carrier, extents, cfg, skip_id="", start_inde
         (float(np.hypot(x - center[0], y - center[1])), round(float(x), 6), round(float(y), 6))
         for x in xs for y in ys
     )
-    occupants = [world.scene.objects[oid]
+    occupants = [world.objects[oid]
                  for oid in ground_truth_carried_per_call(world, carrier.id, cfg)
                  if oid != skip_id]
     for k in range(len(spots)):
@@ -638,7 +637,8 @@ def free_spot_sorted_tuples(world, carrier, extents, cfg, skip_id="", start_inde
 def moved_per_call(objects, object_id, target_id, spot_index, cfg):
     """(box min, box max) of a move onto ``target_id`` computed afresh from
     the id -> instance dict ``objects``, by the placement scan above."""
-    world = SimpleNamespace(scene=SimpleNamespace(objects=objects))
+    world = GridWorld.__new__(GridWorld)
+    world._set_objects(dict(objects))
     obj, carrier = objects[object_id], objects[target_id]
     ext = obj.box.extents
     xy = free_spot_sorted_tuples(world, carrier, ext, cfg, skip_id=object_id,
@@ -658,7 +658,7 @@ def observe_per_cell(world, pose, sensor):
     at zero distance; under occlusion, a Bresenham ray from the pose's cell
     to the centroid's cell must be clear, and an off-grid centroid is never
     seen."""
-    objects = world.scene.objects
+    objects = world.objects
     ids = sorted(objects)
     if not ids:
         return []

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from carriernav.cli import main
 from carriernav.features import embed_text
-from carriernav.graph import CrsgConfig, build_crsg
+from carriernav.graph import CrsgConfig, build_crsg, carrying_predicate
 from carriernav.policy import PolicyConfig
 from carriernav.scenarios import (
     ATTRIBUTES,
@@ -32,6 +32,7 @@ from carriernav.update import MatchConfig
 from carriernav.world import GridWorld, Pose, SensorConfig
 
 import carriernav.scenarios as scenarios_mod
+import carriernav.world as world_mod
 import oracles
 
 
@@ -99,6 +100,27 @@ def test_generated_files_have_the_pinned_bytes(tmp_path, mode, resolution):
     for p in paths:
         digest.update(p.name.encode() + b"\0" + p.read_bytes())
     assert digest.hexdigest() == GENERATED_SHA256[mode, resolution]
+
+
+def test_no_generated_placement_is_rejected_by_the_carrying_predicate(monkeypatch):
+    # no placement that the generator tries, or that a replay of its events
+    # makes, is rejected by the carrying predicate, so the generated bytes
+    # (GENERATED_SHA256) do not depend on what a rejected move does
+    verdicts = []
+
+    def judged(carrier, obj, config):
+        verdicts.append(carrying_predicate(carrier, obj, config))
+        return verdicts[-1]
+
+    monkeypatch.setattr(world_mod, "carrying_predicate", judged)
+    for mode in MODES:
+        for resolution, seeds in ((0.25, (0, 1, 2)), (0.05, (0,))):
+            for seed in seeds:
+                for sc in generate_scenarios(mode, 3, seed, resolution=resolution):
+                    world = GridWorld(sc.scene, start_pose=sc.start_pose)
+                    for event in sc.events:
+                        world.apply_displacement(event, sc.crsg)
+    assert len(verdicts) > 100 and all(verdicts)
 
 
 class _RecordingDraft(scenarios_mod._SceneDraft):

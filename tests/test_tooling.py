@@ -20,12 +20,16 @@ key.  A new kind of kept answer without its check must fail here.  Every
 later reader shares a kept answer, so the check also fails on any writable
 array the answer holds.
 
-Kept-answer keys hold the configs and rooms themselves, and holders share
-poses without copying them.  A config, pose or room that can be changed in
-place must fail here.  So must a policy value (a candidate, action, state,
-transition input, leg or episode result): a state, the action decided on
-it and the next state share them, so none may hold a list, dict, set or
-writable array at any depth.
+Kept-answer keys hold the configs, rooms, events and the world's objects
+themselves, and holders share poses without copying them.  A config, pose,
+room or displacement event that can be changed in place must fail here, and
+so must a world whose object table can.  Only ``GridWorld._set_objects``
+writes that table and its items, the objects part of those keys, so a
+displacement that raises changes nothing; a write anywhere else in
+``world.py`` must fail here.  So must a policy value (a candidate, action,
+state, transition input, leg or episode result): a state, the action
+decided on it and the next state share them, so none may hold a list,
+dict, set or writable array at any depth.
 
 ``features.cosine`` is the one similarity rule: it skips the dot product of
 two features that share no bucket.  A dot product of feature vectors
@@ -56,8 +60,8 @@ from carriernav.features import Feature
 from carriernav.policy import (VARIANTS, CandidateTarget, EpisodeResult, Leg, NavAction,
                                NavState, TransitionInputs)
 from carriernav.scene import Room, _SceneFile, _schema, scene_from_dict
-from carriernav.scenarios import _ScenarioFile, build_scenario
-from carriernav.world import Observation, Pose
+from carriernav.scenarios import EventSpec, _ScenarioFile, build_scenario
+from carriernav.world import DisplacementEvent, GridWorld, Observation, Pose
 from conftest import KEPT_ANSWER_CHECKS, obj_dict, scene_dict, writable_arrays
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -241,7 +245,10 @@ def test_configs_poses_and_rooms_are_frozen():
     given = np.array([1.0, 2.0])
     pose, room = Pose(given), Room("r", [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     assert pose.position is not given and given.flags.writeable  # the pose's own copy
-    for value in [config() for config in configs] + [pose, room]:
+    events = [DisplacementEvent(kind="remove", object_id="cup_0"),
+              EventSpec(kind="move", object_id="cup_0", target_carrier_id="table_0",
+                        trigger="before-episode")]
+    for value in [config() for config in configs] + [pose, room] + events:
         assert type(value).__dataclass_params__.frozen
         for f in dataclasses.fields(value):
             with pytest.raises(dataclasses.FrozenInstanceError):
@@ -249,6 +256,74 @@ def test_configs_poses_and_rooms_are_frozen():
     for array in (pose.position, room.polygon):
         with pytest.raises(ValueError):
             array[0] = 0.0
+    world = GridWorld(scene_from_dict(scene_dict(
+        [obj_dict("cup_0", ["red cup"], 1.0, 1.0, 0.1, 0.1, 0.0, 0.1)])))
+    with pytest.raises(TypeError):
+        world.objects["cup_1"] = world.object("cup_0")
+    assert isinstance(world.objects, MappingProxyType) and list(world.objects) == ["cup_0"]
+
+
+TABLE_FIELDS = ("objects", "_items")
+
+
+def object_table_writes(source: str) -> list:
+    """(function, line) of each write of ``self.objects`` or ``self._items``
+    in module ``source``: an assignment (plain, annotated, augmented or
+    unpacked), a ``del``, or a ``setattr`` call naming the field."""
+    found = []
+
+    def names_a_field(target) -> bool:
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return any(names_a_field(t) for t in target.elts)
+        if isinstance(target, ast.Starred):
+            return names_a_field(target.value)
+        return (isinstance(target, ast.Attribute) and target.attr in TABLE_FIELDS
+                and isinstance(target.value, ast.Name) and target.value.id == "self")
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            targets = []
+        named = (isinstance(node, ast.Call) and len(node.args) >= 2
+                 and isinstance(node.args[1], ast.Constant) and node.args[1].value in TABLE_FIELDS
+                 and getattr(node.func, "id", getattr(node.func, "attr", None))
+                 in ("setattr", "__setattr__"))
+        if named or any(names_a_field(t) for t in targets):
+            found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_only_set_objects_writes_the_object_table():
+    source = (ROOT / "src" / "carriernav" / "world.py").read_text()
+    writes = object_table_writes(source)
+    assert writes and {function for function, _ in writes} == {"_set_objects"}
+
+
+def test_the_object_table_guard_sees_every_write():
+    source = ("class W:\n"
+              "    def _set_objects(self, objects):\n"
+              "        self.objects = objects\n"
+              "    def move(self, objects, other):\n"
+              "        self._items: tuple = ()\n"
+              "        (self.objects, x), self.seen = (objects, 1), ()\n"
+              "        self._items += ()\n"
+              "        setattr(self, 'objects', objects)\n"
+              "        object.__setattr__(self, '_items', ())\n"
+              "        del self._items\n"
+              "        other.objects = self.objects_seen = objects\n"
+              "        return [self.objects, getattr(self, '_items')]\n")
+    assert object_table_writes(source) == [
+        ("_set_objects", 3), ("move", 5), ("move", 6), ("move", 7), ("move", 8), ("move", 9),
+        ("move", 10)]
 
 
 def mutable_parts(value) -> list:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from carriernav import facts
 from carriernav.bench import run_sequence
 from carriernav.facts import SEARCHES_PER_GRID, release_facts
 from carriernav.graph import CrsgConfig
@@ -37,9 +38,9 @@ from conftest import (assert_every_kept_answer_is_its_rule, assert_every_write_r
 SQRT2 = math.sqrt(2.0)
 
 
-def empty_world(width=16, height=12, blocked=(), resolution=0.25, start=None):
-    scene = scene_from_dict(scene_dict([], width=width, height=height,
-                                       resolution=resolution, blocked=blocked))
+def empty_world(width=16, height=12, blocked=(), resolution=0.25, start=None, origin=(0.0, 0.0)):
+    scene = scene_from_dict(scene_dict([], width=width, height=height, resolution=resolution,
+                                       origin=origin, blocked=blocked))
     return GridWorld(scene, start_pose=start)
 
 
@@ -390,7 +391,7 @@ class TestBoundedSearch:
             cells = (sample_cells(rng, ~w.occupancy, 40) + sample_cells(rng, unreachable, 2)
                      + [source])
             points = [w.cell_center(c) for c in cells]
-            points += [obj.centroid[:2] for obj in w.scene.objects.values()]
+            points += [obj.centroid[:2] for obj in w.objects.values()]
             # a blocked cell's center reads the free cell nearest it
             points += [w.cell_center(c) for c in sample_cells(rng, w.occupancy, 5)]
             expected = []
@@ -417,7 +418,7 @@ class TestBoundedSearch:
         start = w.snap_free_cell(w.robot.position)
         full, index = oracles.full_grid_distances(w.occupancy, resolution, start)
         dist = lambda c: full[index[c[1], c[0]]]
-        goals = [w.snap_free_cell(obj.centroid[:2]) for obj in w.scene.objects.values()]
+        goals = [w.snap_free_cell(obj.centroid[:2]) for obj in w.objects.values()]
         goals += sample_cells(rng, ~w.occupancy, 6)
         goals += sample_cells(rng, (index >= 0) & np.isinf(full[index]), 1)
         rng.shuffle(goals)
@@ -570,8 +571,7 @@ class TestSharedGridFacts:
         graph = a._free_graph()
         # an equal grid from another scene object, its cells in another order
         b = self.world(blocked=self.BLOCKED[::-1] + self.BLOCKED[:2])
-        reloaded = GridWorld(scene_from_dict(a.scene.to_dict()))
-        for w in (b, reloaded):
+        for w in (b, self.world()):
             assert w._grid is a._grid and w._free_graph() is graph
             assert w.occupancy is a.occupancy
         a.distance_field(a.cell_center((0, 0)))(a.cell_center((15, 11)))
@@ -584,12 +584,7 @@ class TestSharedGridFacts:
         {"blocked": BLOCKED[1:]}, {"width": 17}])
     def test_grids_that_differ_share_nothing(self, change):
         a = self.world()
-        if "origin" in change:
-            tree = a.scene.to_dict()
-            tree["grid"]["origin"] = list(change["origin"])
-            b = GridWorld(scene_from_dict(tree))
-        else:
-            b = self.world(**change)
+        b = self.world(**change)
         for w in (a, b):
             w.shortest_path(w.cell_center((0, 0)), w.cell_center((12, 9)))
         assert b._grid is not a._grid and b.occupancy is not a.occupancy
@@ -731,15 +726,18 @@ class TestSharedGridFacts:
         assert w._grid.searches[(0, 0)][2] == {} and len(searches) == 1
 
 
-def sensing_world():
+def sensing_scene():
     table = table_dict("table_0", 2.0, 2.0)
     objs = [
         table,
         item_on("cup_0", ["red cup", "red cup", "cup"], table),
         obj_dict("cup_far", ["blue cup", "blue cup", "cup"], 5.0, 2.0, 0.08, 0.08, 0.0, 0.12),
     ]
-    scene = scene_from_dict(scene_dict(objs, width=28, height=20))
-    return GridWorld(scene, start_pose=Pose([2.0, 3.5]))
+    return scene_from_dict(scene_dict(objs, width=28, height=20))
+
+
+def sensing_world():
+    return GridWorld(sensing_scene(), start_pose=Pose([2.0, 3.5]))
 
 
 class TestSensing:
@@ -851,8 +849,7 @@ class TestTravel:
         [(1, 1, 0), (2, 1, 0)],    # cells that are not pairs
     ])
     def test_a_malformed_path_raises_and_moves_nothing(self, path):
-        scene = sensing_world().scene
-        tree = scene.to_dict()
+        tree = sensing_scene().to_dict()
         tree["grid"]["blocked_cells"] = [[5, 5]]
         w = GridWorld(scene_from_dict(tree), start_pose=Pose([2.0, 3.5]))
         before = w.robot
@@ -988,8 +985,8 @@ class TestSweptSensing:
         w = sensing_world()
         far = w.object("cup_far")
         shift = np.array([3.0, 0.0, 0.0])  # to x = 8 m, east of the 7 m wide grid
-        w.scene.objects["cup_far"] = replace(far, box=Box3(far.box.min + shift, far.box.max + shift),
-                                             centroid=far.centroid + shift)
+        w._set_objects({**w.objects, "cup_far": replace(
+            far, box=Box3(far.box.min + shift, far.box.max + shift), centroid=far.centroid + shift)})
         path = w.shortest_path(w.robot.position, [6.5, 2.0])[0]
         for sensor, seen in ((SensorConfig(radius=25.0), True),
                              (SensorConfig(radius=25.0, occlusion=True), False)):
@@ -1039,11 +1036,11 @@ class TestGroundTruth:
         for cid in ("table_0", "table_1"):
             carrier = w.object(cid)
             expected = set()
-            for oid, obj in w.scene.objects.items():
+            for oid, obj in w.objects.items():
                 if oid == cid or not oracles.rests_on(carrier, obj, cfg):
                     continue
                 best = None
-                for other_id, other in w.scene.objects.items():
+                for other_id, other in w.objects.items():
                     if other_id == oid or not oracles.geometric_base(other, cfg):
                         continue
                     if not oracles.rests_on(other, obj, cfg):
@@ -1078,17 +1075,20 @@ class TestGroundTruth:
         w = sensing_world()
         with pytest.raises(WorldError):
             w.object("ghost_0")
-        assert not w.has_object("ghost_0")
+        assert "ghost_0" not in w.objects
 
 
 class TestDisplacement:
     CFG = CrsgConfig()
 
-    def two_table_world(self):
+    def two_table_scene(self):
         t0 = table_dict("table_0", 2.0, 2.0)
         t1 = table_dict("table_1", 5.0, 2.0)
         objs = [t0, t1, item_on("cup_0", ["red cup", "red cup", "cup"], t0)]
-        return GridWorld(scene_from_dict(scene_dict(objs, width=32, height=20)))
+        return scene_from_dict(scene_dict(objs, width=32, height=20))
+
+    def two_table_world(self):
+        return GridWorld(self.two_table_scene())
 
     def test_move_reseats_object(self):
         w = self.two_table_world()
@@ -1100,8 +1100,7 @@ class TestDisplacement:
         assert cup.box.min[2] == pytest.approx(0.75)  # resting on the new top
 
     def test_a_move_leaves_earlier_sightings_and_the_scene_alone(self):
-        w = self.two_table_world()
-        scene = w.scene
+        scene = self.two_table_scene()
         w = GridWorld(scene)
         before = w.object("cup_0")
         seen = {o.object_id: o for o in w.observe(Pose(before.centroid[:2]), SensorConfig())}
@@ -1129,7 +1128,7 @@ class TestDisplacement:
     def test_remove_deletes_object(self):
         w = self.two_table_world()
         w.apply_displacement(DisplacementEvent(kind="remove", object_id="cup_0"), self.CFG)
-        assert not w.has_object("cup_0")
+        assert "cup_0" not in w.objects
         assert w.ground_truth_carried("table_0", self.CFG) == []
 
     def test_event_validation(self):
@@ -1162,6 +1161,38 @@ class TestDisplacement:
             w.apply_displacement(DisplacementEvent(
                 kind="move", object_id="cup_0", target_carrier_id="table_0"), self.CFG)
 
+    @pytest.mark.parametrize("event, reason", [
+        (DisplacementEvent(kind="move", object_id="crate_0", target_carrier_id="table_1"),
+         "violates the carrying predicate"),
+        (DisplacementEvent(kind="move", object_id="cup_1", target_carrier_id="table_0"),
+         "no free spot"),
+        (DisplacementEvent(kind="remove", object_id="ghost_0"), "unknown object"),
+    ], ids=["rejected-by-the-predicate", "no-free-spot", "unknown-id"])
+    def test_an_event_that_raises_changes_nothing(self, event, reason):
+        # a crate on the floor holding a cup, a table paved edge to edge
+        # with trays, a free table and a cup on the floor
+        t0 = table_dict("table_0", 5.0, 4.0)
+        crate = obj_dict("crate_0", ["wooden crate"], 2.0, 2.0, 0.6, 0.5, 0.0, 0.3)
+        objs = [t0, crate, item_on("cup_0", ["red cup"], crate), table_dict("table_1", 5.0, 2.0),
+                obj_dict("cup_1", ["blue cup"], 2.0, 4.0, 0.08, 0.08, 0.0, 0.12)]
+        objs += [item_on(f"tray_{i}", ["white tray"], t0, dx=-0.45 + 0.3 * i, ex=0.30,
+                         ey=0.78, h=0.02) for i in range(4)]
+        w = GridWorld(scene_from_dict(scene_dict(objs, width=32, height=20)))
+
+        def state():
+            relation = {cid: w.ground_truth_carried(cid, self.CFG) for cid in sorted(w.objects)}
+            return dict(w.objects), w._items, relation, dict(facts._scene.answers)
+
+        objects, items, relation, kept = state()
+        assert relation["crate_0"] == ["cup_0"] and len(relation["table_0"]) == 4
+        with pytest.raises(DisplacementError, match=reason):
+            w.apply_displacement(event, self.CFG)
+        objects_after, items_after, relation_after, kept_after = state()
+        assert objects_after == objects  # instances compare by identity
+        assert items_after is items and relation_after == relation
+        assert kept_after.keys() == kept.keys()
+        assert all(kept_after[key] is answer for key, answer in kept.items())
+
     def test_a_top_with_too_many_spots_is_refused_before_any_array(self, monkeypatch):
         # a table 2000 km wide would hold ~1e9 spots of 5 cm
         objs = [obj_dict("table_0", ["brown table", "table"], 2.0, 2.0, 2e6, 2e6, 0.0, 0.75),
@@ -1191,7 +1222,7 @@ class TestMemos:
     """The world's memos against the rules they replaced, run afresh."""
 
     def check_relation(self, w, cfg):
-        for cid in sorted(w.scene.objects):
+        for cid in sorted(w.objects):
             assert w.ground_truth_carried(cid, cfg) == oracles.ground_truth_carried_per_call(
                 w, cid, cfg), cid
 
@@ -1201,7 +1232,7 @@ class TestMemos:
         sc = build_scenario(mode, 0, 5, resolution)
         w = GridWorld(sc.scene, start_pose=sc.start_pose)
         cfg = sc.crsg
-        carriers = sorted(oid for oid, obj in w.scene.objects.items()
+        carriers = sorted(oid for oid, obj in w.objects.items()
                           if oracles.geometric_base(obj, cfg))
         items = [oid for cid in carriers for oid in w.ground_truth_carried(cid, cfg)]
         # every item moved twice (onto tops that fill up), then half the
@@ -1214,11 +1245,12 @@ class TestMemos:
         self.check_relation(w, cfg)
         done = []
         for k, event in enumerate(events):
+            before = w._items
             try:
                 w.apply_displacement(replace(event, spot_index=k % 4), cfg)
                 done.append(event.kind)
             except DisplacementError:
-                pass  # a rejected move may already have re-seated its object
+                assert w._items is before  # a rejected event changes nothing
             self.check_relation(w, cfg)
         assert set(done) == {"move", "remove"}
         assert_every_kept_answer_is_its_rule()
@@ -1236,19 +1268,21 @@ class TestMemos:
         # a replaced config asks anew
         assert w.ground_truth_carried("table_0", replace(tight, z_gap_max=0.15)) == ["cup_0"]
 
-    def test_a_rejected_move_still_changes_the_relation(self):
-        # a crate on the floor is a base holding a cup; moved onto a table
-        # it is re-seated, then rejected as too large to be carried, and
-        # it no longer holds the cup
+    def test_a_rejected_move_leaves_the_relation(self):
+        # a crate on the floor is a base holding a cup; its move onto a
+        # table is rejected as too large to be carried, so it stays where
+        # it was and still holds the cup
         cfg = CrsgConfig()
         crate = obj_dict("crate_0", ["wooden crate"], 2.0, 2.0, 0.6, 0.5, 0.0, 0.3)
         objs = [crate, table_dict("table_1", 5.0, 2.0), item_on("cup_0", ["red cup"], crate)]
         w = GridWorld(scene_from_dict(scene_dict(objs, width=32, height=20)))
+        before = w.object("crate_0")
         assert w.ground_truth_carried("crate_0", cfg) == ["cup_0"]
-        with pytest.raises(DisplacementError):
+        with pytest.raises(DisplacementError, match="carrying predicate"):
             w.apply_displacement(DisplacementEvent(kind="move", object_id="crate_0",
                                                    target_carrier_id="table_1"), cfg)
-        assert w.ground_truth_carried("crate_0", cfg) == []
+        assert w.object("crate_0") is before
+        assert w.ground_truth_carried("crate_0", cfg) == ["cup_0"]
         self.check_relation(w, cfg)
 
     def test_an_item_on_two_tops_blocks_spots_only_on_its_nearest_carrier(self):
@@ -1272,7 +1306,7 @@ class TestMemos:
         sc = build_scenario(mode, 0, 5, resolution)
         w = GridWorld(sc.scene, start_pose=sc.start_pose)
         cfg = sc.crsg
-        carriers = [obj for obj in w.scene.objects.values() if oracles.geometric_base(obj, cfg)]
+        carriers = [obj for obj in w.objects.values() if oracles.geometric_base(obj, cfg)]
         item = next(w.object(oid) for c in carriers for oid in w.ground_truth_carried(c.id, cfg))
         for carrier in carriers:
             for extents, skip_id in ((item.box.extents, item.id),
