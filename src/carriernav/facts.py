@@ -22,22 +22,23 @@ the rules that keep and drop them.  It imports nothing from the package.
   is not kept.
 * Facts of the scene, which no variant's policy changes: the objects each
   move makes, each leg's sightings, length and final heading, the carrying
-  relation, the answers of ``graph.nearest_carrier`` and
-  ``update.match_carrier``, and each pairing of
-  ``update.reconcile_carried``.  They belong to the scene object, not the
-  world: every world and every graph built on the same ``SceneMap`` shares
-  one :class:`Scene`, so the six variants' ``run_sequence`` calls on one
-  scenario displace its objects once, sense each leg once and ask each
-  carrier question once.  The module keeps the facts of the last scene
-  built on only, matched by identity, and drops them when a world or graph
-  is built on another scene.  Sharing cannot change a result: objects are
-  frozen and hashed by identity, configs are frozen and hashed by value,
-  and each answer is kept under all its inputs (the instances asked about:
-  every object of the world a move or leg starts from, or the object and
-  every candidate carrier; the event, or the grid by content and the
-  path's cells; the frozen configs), so it is a pure function of its key.
-  A move or a leg that raises is not kept; a remove makes no new
-  instance.
+  relation, the answers of ``graph.nearest_carrier``, each match of
+  ``update.match_carrier``, kept per (sighting, the graph's carrier table,
+  config), and each pairing of ``update.reconcile_carried``.  They belong
+  to the scene object, not the world: every world and every graph built on
+  the same ``SceneMap`` shares one :class:`Scene`, so the six variants'
+  ``run_sequence`` calls on one scenario displace its objects once, sense
+  each leg once and ask each carrier question once.  The module keeps the
+  facts of the last scene built on only, matched by identity, and drops
+  them when a world or graph is built on another scene.  Sharing cannot
+  change a result: objects are frozen and hashed by identity, configs are
+  frozen and hashed by value, and each answer is kept under all its inputs
+  (the instances asked about: every object of the world a move or leg
+  starts from, the object and every candidate carrier, or the sighting and
+  the graph's read-only carrier table, fixed at build; the event, or the
+  grid by content and the path's cells; the frozen configs), so it is a
+  pure function of its key.  A move or a leg that raises is not kept; a
+  remove makes no new instance.
 * Facts of content, which no scene changes: answers that are pure
   functions of plain values (strings, tuples of them and integers), kept
   by :func:`pure_answer`.  Today these are the embeddings

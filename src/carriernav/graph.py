@@ -9,8 +9,9 @@ stage funnel over all scene objects:
 followed by an exclusive assignment of every remaining object to at most
 one carrier via a geometric carrying predicate.  Objects that are neither
 carriers nor carried are orphans (static clutter such as doors or rugs).
-Answers about a scene's instances are kept with the scene's facts
-(``carriernav.facts``).
+Carriers are static: the carrier table is fixed at build, and only carried
+sets change.  Answers about a scene's instances are kept with the scene's
+facts (``carriernav.facts``), a match per (sighting, carrier table, config).
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import facts
 from .features import Feature, cosine, strip_image_prefix, text_feature, tokenize
@@ -73,29 +75,38 @@ class CrsgConfig:
                 raise GraphError(f"{name} must be non-negative")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CarrierNode:
     object: ObjectInstance
     carried: Dict[str, ObjectInstance] = field(default_factory=dict)
 
-    @property
-    def id(self) -> str:
-        return self.object.id
 
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Crsg:
-    """Rooms, carriers with carried sets, and loose orphan objects."""
+    """Rooms, carriers with carried sets, and loose orphan objects.  The
+    carrier table is a read-only copy of ``carriers``, keyed by object id,
+    of frozen nodes whose carried dicts are the only part that changes;
+    ``carrier_objects`` holds its instances in order, the one such tuple."""
 
     building: str
     rooms: List[Room]
-    carriers: Dict[str, CarrierNode]
+    carriers: Mapping[str, CarrierNode]
     orphan_objects: Dict[str, ObjectInstance]
     room_assignment: Dict[str, str]
     # Objects removed from their believed carrier by an update and not yet
     # re-observed anywhere; they stay queryable but have no known position.
     missing: Dict[str, ObjectInstance] = field(default_factory=dict)
     journal: List[dict] = field(default_factory=list)
+    carrier_objects: Tuple[ObjectInstance, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        carriers = MappingProxyType(dict(self.carriers))
+        for cid, node in carriers.items():
+            if cid != node.object.id:
+                raise GraphError(f"carrier {node.object.id!r} is keyed by {cid!r}")
+        object.__setattr__(self, "carriers", carriers)
+        object.__setattr__(self, "carrier_objects",
+                           tuple(node.object for node in carriers.values()))
 
     def carrier_of(self, object_id: str) -> Optional[str]:
         for cid, node in self.carriers.items():
@@ -375,11 +386,10 @@ def query_target(crsg: Crsg, query: Query) -> Tuple[ObjectInstance, float]:
     """
     if query.carrier_text is not None and crsg.carriers:
         pool = None
-        first = next(iter(crsg.carriers.values())).object
+        first = crsg.carrier_objects[0]
     else:
-        nodes = crsg.carriers.values()
-        pool = [node.object for node in nodes]
-        for node in nodes:
+        pool = list(crsg.carrier_objects)
+        for node in crsg.carriers.values():
             pool += node.carried.values()
         pool += crsg.orphan_objects.values()
         pool += crsg.missing.values()

@@ -373,8 +373,6 @@ def collect_transition_inputs(
       differs (the old belief was stale); otherwise the first sighting
       and its depth are kept.
     """
-    carriers = tuple(node.object for node in crsg.carriers.values())
-
     observed_carriers: Set[str] = set()
     item_obs: List[Tuple[Observation, Optional[str]]] = []
     for oid in sorted(leg.observations):
@@ -383,7 +381,7 @@ def collect_transition_inputs(
             observed_carriers.add(cid)
         else:
             # which graph carrier the observed object currently rests on
-            item_obs.append((obs, nearest_carrier(obs.object, carriers, crsg_cfg)))
+            item_obs.append((obs, nearest_carrier(obs.object, crsg.carrier_objects, crsg_cfg)))
 
     unexplored = set(state.unexplored)
     similar_on: Dict[str, float] = {}
@@ -637,8 +635,7 @@ def run_task(
         # An unreachable destination is an empty leg: the action is consumed
         # without moving.  A leg reconciles before confirmation and the
         # transition sets read the graph, which changes nothing: they read
-        # only its carrier instances, never a carried set, and updates never
-        # change those instances.
+        # only its carrier table, fixed at build, never a carried set.
         leg = walk_leg(world, crsg, dest, sensor_cfg, match_cfg, crsg_cfg,
                        action.carrier_id, variant.update_graph) or Leg(0.0, {}, {}, [])
         traveled += leg.length

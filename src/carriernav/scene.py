@@ -467,6 +467,9 @@ def write_json(path: str, tree) -> None:
         fh.write(text)
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)  # json.dumps makes one per call
+
+
 def _json_text(value, newline: str) -> str:
     """``value`` as JSON, its nested lines starting with ``newline``."""
     inner = newline + "  "
@@ -475,7 +478,7 @@ def _json_text(value, newline: str) -> str:
         return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
     if isinstance(value, (list, tuple)) and _holds_object(value):
         return "[" + inner + ("," + inner).join(_json_text(v, inner) for v in value) + newline + "]"
-    return json.dumps(value, sort_keys=True, allow_nan=False)
+    return _ENCODER.encode(value)
 
 
 def _holds_object(items) -> bool:

@@ -1,8 +1,9 @@
 """Belief-graph adaptation from observations.
 
 Carriers are static, so an observed carrier is matched back to its graph
-node by geometry and feature similarity; updates never change the graph's
-carriers, so one match per sighting serves a whole leg.  Carried sets are
+node by geometry and feature similarity.  A graph's carrier table is fixed
+when the graph is built, so one match per (sighting, the graph's carrier
+table, config) is kept and serves a whole leg.  Carried sets are
 reconciled only for carriers the robot has fully observed: matched objects
 are kept, unmatched observations are added (re-homing an object known
 elsewhere in the graph), and unmatched graph entries are removed.  An
@@ -98,21 +99,19 @@ def match_carrier(obs: Observation, crsg: Crsg, config: MatchConfig) -> Optional
     Gates: center distance, per-axis size ratio, text similarity, visual
     similarity.  Among qualifying carriers the nearest center wins, ties
     broken by smaller id.  One answer per (sighted instance, the graph's
-    carrier ids and instances, config) is kept with the scene's facts.
+    carrier table, config) is kept with the scene's facts, the table read
+    as the graph's one ``carrier_objects`` tuple.
     """
-    seen = obs.object
-    ids, objects = tuple(crsg.carriers), tuple(node.object for node in crsg.carriers.values())
-    key = ("match", seen, ids, objects, config)
-    return facts.answer(key, _match_carrier, seen, ids, objects, config)
+    seen, carriers = obs.object, crsg.carrier_objects
+    return facts.answer(("match", seen, carriers, config), _match_carrier, seen, carriers, config)
 
 
-def _match_carrier(seen, ids: Sequence[str], objects: Sequence[ObjectInstance],
-                   config: MatchConfig) -> Optional[str]:
+def _match_carrier(seen, carriers: Sequence[ObjectInstance], config: MatchConfig) -> Optional[str]:
     matches = []
-    for cid, carrier in zip(ids, objects):
+    for carrier in carriers:
         dist = _sighting_distance(seen, carrier, config.max_center_dist, config)
         if dist is not None and _feature_gate(seen.visual, carrier.visual, config.min_visual_sim):
-            matches.append((dist, cid))
+            matches.append((dist, carrier.id))
     return min(matches)[1] if matches else None
 
 

@@ -289,9 +289,9 @@ class GridWorld:
         resolution).  Slot k of a cell's graph row holds its
         ``STEP_ORDER[k]`` neighbour, or the cell itself where the move is
         not allowed, which never matches (the step cost is far above the
-        tolerance), so the walk reads rows.  Length is reconstructed from
-        the (axis, diagonal) step counts so it is exactly symmetric.  The
-        search only has to reach the goal: every cell of the walk is nearer.
+        tolerance), so the walk reads rows.  Length is :meth:`_path_length`
+        of the step counts, as for a walked leg, so it is exactly symmetric.
+        The search only has to reach the goal: every cell of the walk is nearer.
         """
         graph, index, cells = self._free_graph()
         source = int(index[start_cell[1], start_cell[0]])
@@ -324,9 +324,11 @@ class GridWorld:
             else:
                 raise WorldError(f"distance field has no predecessor for {cell(i)}")
         path = tuple(cell(i) for i in reversed(walk))
-        n_axis = len(path) - 1 - n_diag
-        length = (n_axis + n_diag * SQRT2) * self.resolution
-        return path, length
+        return path, self._path_length(len(path) - 1, n_diag)
+
+    def _path_length(self, n_steps: int, n_diag: int) -> float:
+        """Length (m) of ``n_steps`` steps, ``n_diag`` of them diagonal."""
+        return (n_steps - n_diag + n_diag * SQRT2) * self.resolution
 
     def _free_graph(self) -> Tuple[csr_matrix, np.ndarray, np.ndarray]:
         """(symmetric 8-neighbour graph over the free cells, free-cell
@@ -387,7 +389,7 @@ class GridWorld:
     def _octile(self, a: Cell, b: Cell) -> float:
         """Obstacle-free 8-connected distance (m): a lower bound on the geodesic."""
         dx, dy = abs(a[0] - b[0]), abs(a[1] - b[1])
-        return (abs(dx - dy) + SQRT2 * min(dx, dy)) * self.resolution
+        return self._path_length(max(dx, dy), min(dx, dy))
 
     def _search(self, source: Cell, cell: Cell) -> np.ndarray:
         """Distance (m) per free-cell index from ``source``, exact at the
@@ -521,8 +523,7 @@ class GridWorld:
         centers = self.origin + (cells + 0.5) * self.resolution
         seen = self._first_sightings(centers, headings, path, sensor)
         n_diag = sum(1 for dx, dy in steps if dx != 0 and dy != 0)
-        length = (len(steps) - n_diag + n_diag * SQRT2) * self.resolution
-        return tuple(seen), length, headings[-1]
+        return tuple(seen), self._path_length(len(steps), n_diag), headings[-1]
 
     def _check_moves(self, cells: np.ndarray) -> None:
         """Raise :class:`WorldError` unless every cell of the (n, 2) on-grid

@@ -495,16 +495,16 @@ def nearest_carrier_per_call(obj, candidates, cfg):
 
 
 def match_carrier_per_call(seen, carriers, cfg):
-    """The graph carrier (an id -> ``CarrierNode`` dict) that sighting
-    ``seen`` matches, or None: within ``max_center_dist``, every extent
-    within the ratio tolerance, and both features at least as similar as
-    their thresholds (a zero feature on either side passes); nearest
-    center first, ties to the smaller id.  ``update.match_carrier``
-    before it kept one answer per key."""
+    """Id of the carrier instance in ``carriers`` that sighting ``seen``
+    matches, or None: within ``max_center_dist``, every extent within the
+    ratio tolerance, and both features at least as similar as their
+    thresholds (a zero feature on either side passes); nearest center
+    first, ties to the smaller id.  ``update.match_carrier`` before it
+    kept one answer per key."""
 
     best = None
-    for cid, node in carriers.items():
-        other = node.object
+    for other in carriers:
+        cid = other.id
         dist = float(np.linalg.norm(seen.centroid - other.centroid))
         if (dist <= cfg.max_center_dist and _sizes_ok(seen, other, cfg)
                 and _similar(seen.text, other.text, cfg.min_text_sim)

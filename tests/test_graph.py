@@ -282,6 +282,17 @@ class TestBuild:
         assert golden_graph.journal == []
         assert golden_graph.missing == {}
 
+    def test_a_carrier_keyed_by_another_objects_id_raises(self, golden_graph):
+        node = golden_graph.carriers["table_0"]
+        with pytest.raises(GraphError, match="'table_0' is keyed by 'cup_0'"):
+            Crsg(building="b", rooms=[], carriers={"cup_0": node}, orphan_objects={},
+                 room_assignment={})
+        given = {"table_0": node}
+        lone = Crsg(building="b", rooms=[], carriers=given, orphan_objects={}, room_assignment={})
+        assert lone.carrier_objects == (node.object,) and lone.carriers is not given
+        given.clear()  # the graph's table is its own copy
+        assert list(lone.carriers) == ["table_0"]
+
     def test_declared_room_id_wins(self):
         tree = golden_scene_dict()
         tree["rooms"].append({"id": "room_1", "polygon": [[10, 10], [12, 10], [12, 12], [10, 12]]})

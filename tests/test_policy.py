@@ -725,12 +725,10 @@ class TestRunTask:
         )
         assert r.success
 
-    def test_variants_share_the_success_on_accurate_beliefs(self, world_and_graph):
-        _, crsg = world_and_graph
-        import copy
+    def test_variants_share_the_success_on_accurate_beliefs(self):
         scene = policy_scene()
         for name in ("ours", "ours-Text", "only-carriers_LLM", "no-update"):
             w = GridWorld(scene, start_pose=Pose([0.5, 0.5]))
-            g = copy.deepcopy(crsg)
+            g = build_crsg(scene, CrsgConfig())
             r = run_task(w, g, self.task(), variant=VARIANTS[name], rng=Random(1))
             assert r.success, name

@@ -9,7 +9,7 @@ import copy
 import gc
 import math
 import weakref
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carriernav import facts, features, graph, update
+from carriernav import bench, facts, features, update
 from carriernav.bench import run_sequence
 from carriernav.graph import (DEFAULT_CARRIER_REFERENCE, CrsgConfig, Query, build_crsg,
                               nearest_carrier, query_target)
@@ -73,22 +73,51 @@ class TestKeys:
         assert match_carrier(shifted, crsg, cfg) is None
         assert_every_kept_answer_is_its_rule()
 
-    def test_match_answers_follow_an_edited_carriers_dict(self):
+    def test_the_carrier_table_cannot_be_edited(self):
+        # a match is kept per the graph's carrier table, so the table is
+        # fixed at build; only the carried sets change
         t0, t1 = table_dict("table_0", 2.0, 2.0), table_dict("table_1", 2.3, 2.0)
-        scene = scene_from_dict(scene_dict([t0, t1], width=32, height=20))
+        cup = item_on("cup_0", ["red cup"], t0)
+        scene = scene_from_dict(scene_dict([t0, t1, cup], width=32, height=20))
         crsg = build_crsg(scene)
+        table, node = crsg.carrier_objects, crsg.carriers["table_0"]
         seen = Observation(scene.objects["table_0"], 1.0)
         cfg = MatchConfig()
         assert match_carrier(seen, crsg, cfg) == "table_0"
-        node = crsg.carriers.pop("table_0")
-        assert match_carrier(seen, crsg, cfg) == "table_1"
-        # id table_0 now holds table_1's instance: a tie, to the smaller id
-        crsg.carriers["table_0"] = graph.CarrierNode(scene.objects["table_1"])
+        with pytest.raises(TypeError):
+            crsg.carriers["table_2"] = node
+        with pytest.raises(TypeError):
+            del crsg.carriers["table_0"]
+        with pytest.raises(AttributeError):
+            crsg.carriers.pop("table_0")
+        with pytest.raises(AttributeError):
+            crsg.carriers.clear()
+        with pytest.raises(FrozenInstanceError):
+            crsg.carriers = {}
+        with pytest.raises(FrozenInstanceError):
+            crsg.carrier_objects = ()
+        with pytest.raises(FrozenInstanceError):
+            node.object = scene.objects["table_1"]
+        assert list(crsg.carriers) == ["table_0", "table_1"] and crsg.carrier_objects is table
+        assert node.object is scene.objects["table_0"]
+        update.apply_update(crsg, update.CarriedDiff("table_0", removed=["cup_0"]))
+        assert node.carried == {} and list(crsg.missing) == ["cup_0"]
+        update.apply_update(crsg, update.CarriedDiff(
+            "table_1", added=[Observation(scene.objects["cup_0"], 1.0)]))
+        assert list(crsg.carriers["table_1"].carried) == ["cup_0"] and crsg.missing == {}
         assert match_carrier(seen, crsg, cfg) == "table_0"
-        crsg.carriers.clear()
-        assert match_carrier(seen, crsg, cfg) is None
-        crsg.carriers["table_0"] = node
-        assert match_carrier(seen, crsg, cfg) == "table_0"
+        assert_every_kept_answer_is_its_rule()
+
+    def test_every_match_key_holds_its_graphs_one_carrier_tuple(self, monkeypatch):
+        graphs = []
+        monkeypatch.setattr(bench, "build_crsg",
+                            lambda *a, **kw: graphs.append(build_crsg(*a, **kw)) or graphs[-1])
+        sc = build_scenario("mixed", 1, 1)
+        run_sequence(sc, VARIANTS["ours"])
+        assert len(sc.tasks) > 1 and len(graphs) == 1
+        keys = [key for key in kept_answers() if key[0] == "match"]
+        assert len({key[1] for key in keys}) > 1
+        assert all(key[2] is graphs[0].carrier_objects for key in keys)
         assert_every_kept_answer_is_its_rule()
 
     def test_carrier_answers_follow_the_candidates(self):

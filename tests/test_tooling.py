@@ -26,7 +26,11 @@ room or displacement event that can be changed in place must fail here, and
 so must a world whose object table can.  Only ``GridWorld._set_objects``
 writes that table and its items, the objects part of those keys, so a
 displacement that raises changes nothing; a write anywhere else in
-``world.py`` must fail here.  So must a policy value (a candidate, action,
+``world.py`` must fail here.  The graph's carrier table is read-only and
+fixed when the graph is built, and its one ``carrier_objects`` tuple is
+the carrier part of every match key: a write of ``.carriers`` or of an
+item of it, or a tuple built from it, anywhere but ``Crsg.__post_init__``
+must fail here.  So must a policy value (a candidate, action,
 state, transition input, leg or episode result): a state, the action
 decided on it and the next state share them, so none may hold a list,
 dict, set or writable array at any depth.
@@ -324,6 +328,95 @@ def test_the_object_table_guard_sees_every_write():
     assert object_table_writes(source) == [
         ("_set_objects", 3), ("move", 5), ("move", 6), ("move", 7), ("move", 8), ("move", 9),
         ("move", 10)]
+
+
+CARRIER_TABLE_EDITS = ("pop", "popitem", "clear", "update", "setdefault", "__setitem__",
+                       "__delitem__")
+
+
+def carrier_table_uses(source: str) -> list:
+    """(function, line, what) of each use of a ``.carriers`` table in
+    module ``source`` that only its owner may make: a ``write`` (an
+    assignment, plain, annotated, augmented or unpacked, or a ``del`` of the
+    table or an item of it; a ``setattr`` naming it; a call of an editing
+    method on it) or a ``tuple`` (a ``tuple(`` call over the table, one of
+    its views, a comprehension over either, or a plain call such as
+    ``sorted(`` of one)."""
+    found = []
+
+    def is_table(node) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr == "carriers"
+
+    def iterates_table(node) -> bool:
+        if isinstance(node, (ast.GeneratorExp, ast.ListComp, ast.SetComp)):
+            return any(iterates_table(g.iter) for g in node.generators)
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr in ("keys", "values", "items"):
+                return is_table(func.value)
+            return isinstance(func, ast.Name) and any(map(iterates_table, node.args))
+        return is_table(node)
+
+    def names_the_table(target) -> bool:
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return any(names_the_table(t) for t in target.elts)
+        if isinstance(target, ast.Starred):
+            return names_the_table(target.value)
+        return is_table(target.value if isinstance(target, ast.Subscript) else target)
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            targets = []
+        if any(names_the_table(t) for t in targets):
+            found.append((function, node.lineno, "write"))
+        if isinstance(node, ast.Call):
+            func, args = node.func, node.args
+            name = getattr(func, "id", getattr(func, "attr", None))
+            if (name in ("setattr", "__setattr__") and len(args) >= 2
+                    and isinstance(args[1], ast.Constant) and args[1].value == "carriers") or (
+                    name in CARRIER_TABLE_EDITS and is_table(getattr(func, "value", None))):
+                found.append((function, node.lineno, "write"))
+            elif isinstance(func, ast.Name) and name == "tuple" and any(map(iterates_table, args)):
+                found.append((function, node.lineno, "tuple"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return sorted(found, key=lambda use: use[1])
+
+
+def test_only_the_graph_builds_and_writes_its_carrier_table():
+    modules = sorted((ROOT / "src" / "carriernav").glob("*.py"))
+    assert len(modules) > 10
+    found = {p.name: carrier_table_uses(p.read_text()) for p in modules}
+    owner = found.pop("graph.py")
+    assert owner and {function for function, _, _ in owner} == {"__post_init__"}
+    assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+def test_the_carrier_table_guard_sees_every_use():
+    source = ("def step(crsg, node, other):\n"
+              "    crsg.carriers['t'] = node\n"
+              "    del crsg.carriers['t']\n"
+              "    crsg.carriers, x = {}, 1\n"
+              "    crsg.carriers.pop('t')\n"
+              "    setattr(crsg, 'carriers', {})\n"
+              "    ids = tuple(crsg.carriers)\n"
+              "    objs = tuple(n.object for n in crsg.carriers.values())\n"
+              "    crsg.carriers['t'].carried['c'] = node\n"
+              "    other.carried.clear()\n"
+              "    ids = tuple(sorted(crsg.carriers.items()))\n"
+              "    caps = tuple(crsg.carriers['t'].object.captions)\n"
+              "    return sorted(crsg.carriers), tuple(crsg.carrier_objects), ids, objs, caps\n")
+    assert carrier_table_uses(source) == [
+        ("step", 2, "write"), ("step", 3, "write"), ("step", 4, "write"), ("step", 5, "write"),
+        ("step", 6, "write"), ("step", 7, "tuple"), ("step", 8, "tuple"), ("step", 11, "tuple")]
 
 
 def mutable_parts(value) -> list:

@@ -281,6 +281,25 @@ class TestPlanning:
                 continue
             assert l_ab == pytest.approx(l_ba, abs=1e-12)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_travel_is_exactly_as_long_as_the_path_searched(self, seed):
+        # SPL compares the walk-back's length with the legs' travel: the
+        # same cells must give the same float, at any resolution
+        rng = Random(f"world/travel-length/{seed}")
+        blocked = [(ix, iy) for ix in range(18) for iy in range(14) if rng.random() < 0.2]
+        w = empty_world(width=18, height=14, blocked=blocked,
+                        resolution=rng.choice([0.05, 0.07, 0.1, 0.3]))
+        cells = sample_cells(rng, ~w.occupancy, 10)
+        walked = 0
+        for a, b in zip(cells, cells[1:]):
+            try:
+                path, length = w.shortest_path(w.cell_center(a), w.cell_center(b))
+            except UnreachableGoalError:
+                continue
+            assert w.travel(path, SensorConfig()).length == length
+            walked += 1
+        assert walked
+
     def test_distance_field_matches_independent_dijkstra(self):
         rng = Random("world/field")
         for _ in range(3):
