@@ -8,10 +8,11 @@ than i tasks counts as a failure at i.
 
 ``run_suite`` executes a (scenario x variant) matrix, optionally across a
 process pool, and writes two artifacts: ``results.jsonl`` (one row per
-episode, sorted) and ``report.json`` (per-variant aggregates and the name
-of the prior oracle that ran).  Neither
-file contains wall-clock times or other run-dependent values, so reruns
-with the same inputs are byte-identical regardless of worker count.
+episode, sorted) and ``report.json`` (per-variant aggregates, computed
+from the episode results themselves, and the name of the prior oracle
+that ran).  Neither file contains wall-clock times or other run-dependent
+values, so reruns with the same inputs are byte-identical regardless of
+worker count.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import multiprocessing
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .graph import CrsgConfig, build_crsg
 from .policy import (
@@ -179,11 +180,11 @@ def _episode_row(scenario_name: str, variant: str, r: EpisodeResult) -> dict:
 
 
 def _run_scenario(prior: CarrierPriorOracle, variant_names: Sequence[str],
-                  scenario_path: str) -> List[dict]:
-    """Every variant's rows on one loaded scenario, so the variants share
-    the scene's facts."""
+                  scenario_path: str) -> List[Tuple[str, str, EpisodeResult]]:
+    """Every variant's ``(scenario name, variant, result)`` triples on one
+    loaded scenario, so the variants share the scene's facts."""
     scenario = load_scenario(scenario_path)
-    return [_episode_row(scenario.name, name, r)
+    return [(scenario.name, name, r)
             for name in variant_names
             for r in run_sequence(scenario, VARIANTS[name], prior=prior)]
 
@@ -198,31 +199,19 @@ class SuiteReport:
         return {"episodes": len(self.rows), "oracle": self.oracle, "variants": self.variants}
 
 
-def _aggregate(rows: List[dict]) -> Dict[str, dict]:
-    by_variant: Dict[str, List[dict]] = {}
-    for row in rows:
-        by_variant.setdefault(row["variant"], []).append(row)
+def _aggregate(results: Sequence[Tuple[str, str, EpisodeResult]]) -> Dict[str, dict]:
+    """Per-variant aggregates of ``(scenario name, variant, result)``
+    triples sorted by scenario, variant and task index: each scenario's
+    results under a variant are one sequence."""
+    sequences: Dict[str, Dict[str, List[EpisodeResult]]] = {}
+    for scenario, variant, r in results:
+        sequences.setdefault(variant, {}).setdefault(scenario, []).append(r)
     out = {}
-    for variant, vrows in sorted(by_variant.items()):
-        sequences: Dict[str, List[dict]] = {}
-        for row in vrows:
-            sequences.setdefault(row["scenario"], []).append(row)
-        seq_results = []
-        for name in sorted(sequences):
-            seq = sorted(sequences[name], key=lambda r: r["task_index"])
-            seq_results.append([
-                EpisodeResult(task_index=r["task_index"], success=r["success"],
-                              traveled=r["traveled"],
-                              shortest=math.inf if r["shortest"] is None else r["shortest"])
-                for r in seq
-            ])
-        flat = [r for seq in seq_results for r in seq]
-        out[variant] = {
-            "episodes": len(vrows),
-            "sr": success_rate(flat),
-            "spl": mean_spl(flat),
-            "tasks_sr": tasks_sr(seq_results),
-        }
+    for variant, by_scenario in sorted(sequences.items()):
+        seqs = list(by_scenario.values())
+        flat = [r for seq in seqs for r in seq]
+        out[variant] = {"episodes": len(flat), "sr": success_rate(flat),
+                        "spl": mean_spl(flat), "tasks_sr": tasks_sr(seqs)}
     return out
 
 
@@ -269,9 +258,10 @@ def run_suite(
     else:
         with multiprocessing.Pool(processes=workers) as pool:
             chunks = pool.map(run_scenario, paths, chunksize=1)
-    rows = [row for chunk in chunks for row in chunk]
-    rows.sort(key=lambda r: (r["scenario"], r["variant"], r["task_index"]))
-    report = SuiteReport(rows=rows, oracle=prior.name, variants=_aggregate(rows))
+    results = sorted((t for chunk in chunks for t in chunk),
+                     key=lambda t: (t[0], t[1], t[2].task_index))
+    rows = [_episode_row(*t) for t in results]
+    report = SuiteReport(rows=rows, oracle=prior.name, variants=_aggregate(results))
 
     if out_dir is not None:
         out = Path(out_dir)

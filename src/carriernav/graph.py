@@ -96,7 +96,6 @@ class Crsg:
     # Objects removed from their believed carrier by an update and not yet
     # re-observed anywhere; they stay queryable but have no known position.
     missing: Dict[str, ObjectInstance] = field(default_factory=dict)
-    journal: List[dict] = field(default_factory=list)
     carrier_objects: Tuple[ObjectInstance, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -124,11 +123,10 @@ class Crsg:
         return self.missing.pop(object_id, None)
 
     def carried_relation(self) -> Dict[str, Tuple[str, ...]]:
-        return {
-            cid: tuple(sorted(node.carried)) for cid, node in self.carriers.items()
-        }
+        return {c["id"]: tuple(c["carried"]) for c in self.to_dict()["carriers"]}
 
     def to_dict(self) -> dict:
+        """The graph's one listing, every section in id order but rooms."""
         return {
             "building": self.building,
             "rooms": [{"id": room.id, "name": room.name, "polygon": room.polygon.tolist()}
@@ -147,25 +145,20 @@ class Crsg:
         }
 
     def dump_text(self) -> str:
-        """Stable structured text listing for CLI output and golden files."""
-        lines = [f"building: {self.building}"]
-        lines.append(f"rooms: {len(self.rooms)}")
-        for room in self.rooms:
-            lines.append(f"  room {room.id} name={room.name or '-'}")
-        lines.append(f"carriers: {len(self.carriers)}")
-        for cid in sorted(self.carriers):
-            node = self.carriers[cid]
-            room = self.room_assignment.get(cid, "")
-            lines.append(f"  carrier {cid} room={room} captions={json.dumps(list(node.object.captions))}")
-            for oid in sorted(node.carried):
-                lines.append(f"    carries {oid}")
-        lines.append(f"orphans: {len(self.orphan_objects)}")
-        for oid in sorted(self.orphan_objects):
-            lines.append(f"  orphan {oid}")
-        if self.missing:
-            lines.append(f"missing: {len(self.missing)}")
-            for oid in sorted(self.missing):
-                lines.append(f"  missing {oid}")
+        """Stable structured text listing of :meth:`to_dict`, line by line,
+        for CLI output and golden files."""
+        tree = self.to_dict()
+        lines = [f"building: {tree['building']}", f"rooms: {len(tree['rooms'])}"]
+        lines += [f"  room {room['id']} name={room['name'] or '-'}" for room in tree["rooms"]]
+        lines.append(f"carriers: {len(tree['carriers'])}")
+        for c in tree["carriers"]:
+            lines.append(f"  carrier {c['id']} room={c['room']} captions={json.dumps(c['captions'])}")
+            lines += [f"    carries {oid}" for oid in c["carried"]]
+        lines.append(f"orphans: {len(tree['orphans'])}")
+        lines += [f"  orphan {oid}" for oid in tree["orphans"]]
+        if tree["missing"]:
+            lines.append(f"missing: {len(tree['missing'])}")
+            lines += [f"  missing {oid}" for oid in tree["missing"]]
         return "\n".join(lines) + "\n"
 
 
@@ -378,7 +371,9 @@ def query_target(crsg: Crsg, query: Query) -> Tuple[ObjectInstance, float]:
     Image queries match stored visual features, text queries match text
     features.  With a carrier descriptor the candidate pool narrows to the
     objects carried by the maximally similar carrier(s); the carrier itself
-    is never returned for a scoped query.  Ties break to the smaller id.
+    is never returned for a scoped query, and a descriptor that resembles
+    no carrier raises rather than widen the pool to every carrier's
+    objects.  Ties break to the smaller id.
     A plain query reads the graph's objects once, into one list in section
     order: carriers, the objects they carry, orphans, then missing objects.
     A scoped one reads only the carriers and what the top ones carry.  The
@@ -413,6 +408,8 @@ def query_target(crsg: Crsg, query: Query) -> Tuple[ObjectInstance, float]:
         if not sims:
             raise QueryError("no carrier has a usable text feature")
         top = max(sims.values())
+        if top <= 0.0:
+            raise QueryError(f"no carrier resembles {query.carrier_text!r}")
         pool = []
         for cid in sorted(cid for cid, s in sims.items() if s == top):
             pool += crsg.carriers[cid].carried.values()

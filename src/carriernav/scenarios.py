@@ -163,9 +163,10 @@ class _SceneDraft:
         return self.add_object(kind, item_captions(attr, kind), ccx + dx, ccy + dy,
                                carrier.box.hi[2], ITEM_EXTENTS[kind])
 
-    def blocked_cells(self) -> List[List[int]]:
+    def blocked_cells(self) -> np.ndarray:
         """Walls plus the footprint cells of every ground-contacting object,
-        as ``[ix, iy]`` pairs sorted by ``(ix, iy)``."""
+        as an ``(n, 2)`` intp array of ``(ix, iy)`` rows sorted by
+        ``(ix, iy)``."""
         res = self.resolution
         w, h = self.walls.shape
         occ = self.walls.copy()
@@ -174,7 +175,7 @@ class _SceneDraft:
             if lo[2] <= 0.05:  # clipped to the grid; a stop below 0 would count from the end
                 occ[max(int(lo[0] / res), 0):max(min(math.ceil(hi[0] / res), w), 0),
                     max(int(lo[1] / res), 0):max(min(math.ceil(hi[1] / res), h), 0)] = True
-        return np.argwhere(occ).tolist()
+        return np.argwhere(occ)
 
     def to_scene(self) -> SceneMap:
         """The ``synthesize`` scene laid out so far, its objects sorted by id."""

@@ -180,7 +180,6 @@ def apply_update(crsg: Crsg, diff: CarriedDiff) -> None:
     if diff.carrier_id not in crsg.carriers:
         raise UpdateError(f"unknown carrier {diff.carrier_id!r}")
     node = crsg.carriers[diff.carrier_id]
-    before = set(node.carried)
 
     # Removals first: a move within one carrier shows up as removed+added
     # for the same id, and the addition must win.
@@ -195,13 +194,3 @@ def apply_update(crsg: Crsg, diff: CarriedDiff) -> None:
         crsg.detach(obs.object_id)
         node.carried[obs.object_id] = obs.object
 
-    after = set(node.carried)
-    if before != after:
-        crsg.journal.append(
-            {
-                "seq": len(crsg.journal),
-                "carrier": diff.carrier_id,
-                "added": sorted(after - before),
-                "removed": sorted(before - after),
-            }
-        )

@@ -166,6 +166,12 @@ class TestQuery:
                      "--text", "violet walrus"]) == 2
         assert capsys.readouterr().err.startswith("no match:")
 
+    def test_an_unknown_carrier_is_no_match(self, scene_file, capsys):
+        assert main(["query", "--scene", scene_file, "--text", "red cup",
+                     "--carrier", "zebra"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "no match: no carrier resembles 'zebra'\n"
+
     @pytest.mark.parametrize("args", [["--text", "?!"], ["--image", "img:??"],
                                       ["--text", "red cup", "--carrier", "!!"]])
     def test_a_descriptor_without_tokens_is_bad_input(self, scene_file, capsys, args):

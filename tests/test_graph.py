@@ -25,6 +25,7 @@ from carriernav.graph import (
     select_carrier_candidates,
 )
 from carriernav.priors import KeywordPriorOracle
+from carriernav.update import CarriedDiff, apply_update
 from carriernav.scene import Box3, ObjectInstance, scene_from_dict
 
 import oracles
@@ -279,7 +280,7 @@ class TestBuild:
         assert golden_graph.carrier_of("cup_0") == "table_0"
         assert golden_graph.carrier_of("rug_0") is None
         assert golden_graph.room_assignment["table_0"] == "room_0"
-        assert golden_graph.journal == []
+        assert golden_graph.carried_relation() == {"table_0": ("cup_0",)}
         assert golden_graph.missing == {}
 
     def test_a_carrier_keyed_by_another_objects_id_raises(self, golden_graph):
@@ -321,6 +322,18 @@ class TestBuild:
         }]
         assert tree["orphans"] == ["rug_0"]
         assert tree["missing"] == []
+
+    def test_listing_shows_a_parked_object(self, golden_graph):
+        apply_update(golden_graph, CarriedDiff(carrier_id="table_0", removed=["cup_0"]))
+        assert golden_graph.dump_text().endswith(
+            "orphans: 1\n"
+            "  orphan rug_0\n"
+            "missing: 1\n"
+            "  missing cup_0\n")
+        tree = golden_graph.to_dict()
+        assert tree["missing"] == ["cup_0"]
+        assert golden_graph.carried_relation() == {
+            c["id"]: tuple(c["carried"]) for c in tree["carriers"]} == {"table_0": ()}
 
     def test_detach_and_find(self, golden_graph):
         assert find_object(golden_graph, "cup_0").id == "cup_0"
@@ -367,6 +380,11 @@ class TestQuery:
         obj, _ = query_target(
             golden_graph, Query(text="brown cup", carrier_text="brown table"))
         assert obj.id == "cup_0"
+
+    def test_a_carrier_descriptor_resembling_no_carrier_raises(self, golden_graph):
+        # every carrier similarity is 0: the query must not run unscoped
+        with pytest.raises(QueryError, match="no carrier resembles 'zebra'"):
+            query_target(golden_graph, Query(text="red cup", carrier_text="zebra"))
 
     def test_orphans_are_queryable(self, golden_graph):
         obj, score = query_target(golden_graph, Query(text="green rug"))

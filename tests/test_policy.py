@@ -531,6 +531,7 @@ class TestRunTask:
     def test_stale_belief_recovers_and_updates(self, world_and_graph):
         # start placed so the stale carrier is a strict detour
         _, crsg = world_and_graph
+        before = {c: sorted(n.carried) for c, n in crsg.carriers.items()}
         world = GridWorld(policy_scene(), start_pose=Pose([5.0, 4.5]))
         world.apply_displacement(DisplacementEvent(
             kind="move", object_id="cup_0", target_carrier_id="table_1"), CrsgConfig())
@@ -540,7 +541,9 @@ class TestRunTask:
         assert 0.0 < spl(r.success, r.shortest, r.traveled) < 1.0
         # the detour taught the graph where the cup went
         assert crsg.carrier_of("cup_0") == "table_1"
-        assert crsg.journal != []
+        assert before["table_0"] == ["cup_0"]
+        assert "cup_0" not in crsg.carriers["table_0"].carried
+        assert crsg.missing == {}
 
     def test_no_update_variant_leaves_graph_untouched(self, world_and_graph):
         world, crsg = world_and_graph
@@ -550,7 +553,7 @@ class TestRunTask:
         r = run_task(world, crsg, self.task(), variant=VARIANTS["no-update"],
                      rng=Random(0))
         assert {c: sorted(n.carried) for c, n in crsg.carriers.items()} == before
-        assert crsg.journal == []
+        assert crsg.missing == {}
 
     def test_removed_target_fails_honestly(self, world_and_graph):
         world, crsg = world_and_graph

@@ -156,7 +156,8 @@ def test_generated_blocked_cells_equal_the_set_rule(monkeypatch, mode, resolutio
             build_scenario(mode, index, seed, resolution)
     assert len(drafts) >= 6  # rejected layouts too
     for draft in drafts:
-        assert draft.blocked_cells() == draft.oracle_cells()
+        cells = draft.blocked_cells()
+        assert cells.dtype == np.intp and cells.tolist() == draft.oracle_cells()
     doors = [c for d in drafts for c in d.wall_calls if c[4] is not None]
     assert bool(doors) == (mode == "mixed")
 
@@ -190,7 +191,7 @@ def test_painted_blocked_cells_equal_the_set_rule(resolution, size, walls, boxes
         draft.objects[f"box_{i}"] = ObjectInstance(id=f"box_{i}", captions=("box",), box=box,
                                                    centroid=box.center, text_feature=np.ones(4),
                                                    visual_feature=np.ones(4))
-    assert draft.blocked_cells() == draft.oracle_cells()
+    assert draft.blocked_cells().tolist() == draft.oracle_cells()
 
 
 def test_load_round_trip(tmp_path):

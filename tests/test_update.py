@@ -162,7 +162,7 @@ class TestApplyUpdate:
         assert sorted(crsg.carriers["table_0"].carried) == ["cup_a"]
         assert sorted(crsg.missing) == ["cup_b"]
         assert find_object(crsg, "cup_b") is not None  # still queryable
-        assert crsg.journal[-1]["removed"] == ["cup_b"]
+        assert crsg.carrier_of("cup_b") is None
 
     def test_unknown_addition_becomes_new_entry(self, setting):
         scene, crsg, cfg = setting
@@ -222,19 +222,20 @@ class TestApplyUpdate:
         diff = reconcile_carried("table_0", [obs_of(scene.objects["cup_a"])], crsg, cfg)
         apply_update(crsg, diff)
         state = {c: sorted(n.carried) for c, n in crsg.carriers.items()}
-        journal_len = len(crsg.journal)
+        parked = dict(crsg.missing)
         apply_update(crsg, diff)
         assert {c: sorted(n.carried) for c, n in crsg.carriers.items()} == state
-        assert len(crsg.journal) == journal_len
+        assert list(crsg.missing) == ["cup_b"] and crsg.missing["cup_b"] is parked["cup_b"]
 
-    def test_journal_sequence_numbers(self, setting):
+    def test_successive_updates_each_park_their_removal(self, setting):
         scene, crsg, cfg = setting
         d1 = reconcile_carried("table_0", [obs_of(scene.objects["cup_a"])], crsg, cfg)
         apply_update(crsg, d1)
+        assert list(crsg.missing) == ["cup_b"]
         d2 = reconcile_carried("table_0", [], crsg, cfg)
         apply_update(crsg, d2)
-        assert [e["seq"] for e in crsg.journal] == [0, 1]
-        assert crsg.journal[1]["removed"] == ["cup_a"]
+        assert list(crsg.missing) == ["cup_b", "cup_a"]
+        assert crsg.carriers["table_0"].carried == {}
 
     def test_unknown_carrier_raises(self, setting):
         _, crsg, _ = setting
