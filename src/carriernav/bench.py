@@ -8,11 +8,11 @@ than i tasks counts as a failure at i.
 
 ``run_suite`` executes a (scenario x variant) matrix, optionally across a
 process pool, and writes two artifacts: ``results.jsonl`` (one row per
-episode, sorted) and ``report.json`` (per-variant aggregates, computed
-from the episode results themselves, and the name of the prior oracle
-that ran).  Neither file contains wall-clock times or other run-dependent
-values, so reruns with the same inputs are byte-identical regardless of
-worker count.
+episode, sorted) and ``report.json`` (per-variant aggregates of the
+episode results, their action records' oracle fallbacks and reconciled
+carriers among them, and the name of the prior oracle that ran).  Neither
+file contains wall-clock times or other run-dependent values, so reruns
+with the same inputs are byte-identical regardless of worker count.
 """
 
 from __future__ import annotations
@@ -210,8 +210,11 @@ def _aggregate(results: Sequence[Tuple[str, str, EpisodeResult]]) -> Dict[str, d
     for variant, by_scenario in sorted(sequences.items()):
         seqs = list(by_scenario.values())
         flat = [r for seq in seqs for r in seq]
+        records = [a for r in flat for a in r.records]
         out[variant] = {"episodes": len(flat), "sr": success_rate(flat),
-                        "spl": mean_spl(flat), "tasks_sr": tasks_sr(seqs)}
+                        "spl": mean_spl(flat), "tasks_sr": tasks_sr(seqs),
+                        "oracle_fallbacks": sum(a.fallback for a in records),
+                        "reconciled_carriers": sum(len(a.reconciled) for a in records)}
     return out
 
 

@@ -14,7 +14,8 @@ close it was when first seen (depth, frozen) and how far away it is now
     priority = w1 * ss * exp(-alpha * depth) / (1 + w2 * dist)
 
 Every non-Stop action removes at least one carrier from the unexplored
-set, so an episode takes at most |carriers| + 1 actions.
+set, so an episode takes at most |carriers| + 1 actions.  Each action
+leaves one ``ActionRecord``, and the ``--trace`` text is rendered from it.
 """
 
 from __future__ import annotations
@@ -111,14 +112,8 @@ class NavAction:
     kind: str  # "stop" | "explore" | "goto"
     carrier_id: str = ""
     candidate: Optional[CandidateTarget] = None
-    priority: float = math.nan
-
-    def label(self) -> str:
-        if self.kind == "stop":
-            return "Stop"
-        if self.kind == "explore":
-            return f"Explore({self.carrier_id})"
-        return f"Goto({self.candidate.object_id})"
+    priority: Optional[float] = None
+    fallback: bool = False  # the oracle failed and the nearest carrier was taken
 
 
 @dataclass(frozen=True)
@@ -258,7 +253,7 @@ def decide(
             state.unexplored,
             key=lambda cid: (float(distance_fn(crsg.carriers[cid].object.centroid)), cid),
         )
-        return NavAction(kind="explore", carrier_id=nearest)
+        return NavAction(kind="explore", carrier_id=nearest, fallback=True)
 
 
 @dataclass(frozen=True)
@@ -270,30 +265,31 @@ class Leg:
     observations: Mapping[str, Observation]  # first sighting per id, carrier view merged in
     matches: Mapping[str, Optional[str]]     # object id -> matched graph carrier, or None
     carried: Tuple[Observation, ...]         # the visited carrier's full view
+    reconciled: Tuple[str, ...] = ()         # carriers whose carried set the leg changed
 
     def __post_init__(self):
         _freeze(self, "observations", _read_only_mapping)
         _freeze(self, "matches", _read_only_mapping)
         _freeze(self, "carried", tuple)
+        _freeze(self, "reconciled", tuple)
 
 
 def apply_observation_updates(
     world: GridWorld,
     crsg: Crsg,
-    leg: Leg,
+    seen: Mapping[str, Observation], matches: Mapping[str, Optional[str]],
     match_cfg: MatchConfig,
     crsg_cfg: CrsgConfig,
 ) -> List[str]:
-    """Reconcile every fully observed carrier of ``leg`` against ground truth.
+    """Reconcile every fully observed carrier of a leg against ground truth.
 
-    A carrier counts as fully observed when a sighting matched it and every
-    object currently resting on it was seen too; partial views never
-    reconcile, so they can never remove entries.  Returns the carrier ids
-    updated.
+    A carrier counts as fully observed when a sighting in ``seen`` matched
+    it (per ``matches``) and every object resting on it was seen too;
+    partial views never reconcile, so they never remove entries.  Returns
+    the carrier ids updated.
     """
-    seen = leg.observations
     updated = []
-    for cid in sorted({c for c in leg.matches.values() if c is not None}):
+    for cid in sorted({c for c in matches.values() if c is not None}):
         gt_ids = world.ground_truth_carried(cid, crsg_cfg)
         if any(gid not in seen for gid in gt_ids):
             continue
@@ -308,7 +304,8 @@ def walk_leg(world: GridWorld, crsg: Crsg, dest: Sequence[float], sensor_cfg: Se
              match_cfg: MatchConfig, crsg_cfg: CrsgConfig,
              carrier_id: Optional[str] = None, update: bool = True) -> Optional[Leg]:
     """Walk from the robot's pose to ``dest``, take ``carrier_id``'s full
-    view (if given), match, and reconcile the graph when ``update`` is set.
+    view (if given), match, and reconcile the graph when ``update`` is set;
+    the leg keeps the carriers reconciled.
 
     Returns None, and moves nothing, when ``dest`` cannot be reached.
     Travel sightings win over the carrier view for the same object, so an
@@ -327,10 +324,9 @@ def walk_leg(world: GridWorld, crsg: Crsg, dest: Sequence[float], sensor_cfg: Se
         observations.setdefault(obs.object_id, obs)
     matches = {oid: match_carrier(observations[oid], crsg, match_cfg)
                for oid in sorted(observations)}
-    leg = Leg(log.length, observations, matches, carried)
-    if update:
-        apply_observation_updates(world, crsg, leg, match_cfg, crsg_cfg)
-    return leg
+    reconciled = (apply_observation_updates(world, crsg, observations, matches, match_cfg,
+                                            crsg_cfg) if update else ())
+    return Leg(log.length, observations, matches, carried, reconciled)
 
 
 def target_similarity(seen: ObjectInstance, target: ObjectInstance) -> float:
@@ -524,28 +520,49 @@ class Task:
 
 
 @dataclass(frozen=True)
+class ActionRecord:
+    """One episode action, by value: two runs' records compare equal."""
+
+    kind: str                    # "direct" | "explore" | "goto" | "stop"
+    subject: str                 # the object or carrier acted on; "" for stop
+    position: Tuple[float, ...]  # the robot's position after the action
+    cr: int                      # unexplored carriers left
+    ct: int                      # candidate targets left
+    priority: Optional[float]    # the goto's priority; None for the other kinds
+    leg: float                   # length walked, the approach to a confirmed object included
+    fallback: bool = False       # the carrier was the nearest, the oracle having failed
+    reconciled: Tuple[str, ...] = ()  # carriers whose carried set the leg changed
+
+    def __post_init__(self):
+        _freeze(self, "position", lambda p: tuple(map(float, p)))
+        _freeze(self, "reconciled", tuple)
+
+    def line(self, t: int) -> str:
+        """The ``--trace`` line of this record as action ``t``."""
+        label = "Stop" if self.kind == "stop" else f"{self.kind.capitalize()}({self.subject})"
+        pr = "-" if self.priority is None else f"{self.priority:.6f}"
+        return (f"t={t} {label} pose=({self.position[0]:.3f},{self.position[1]:.3f}) "
+                f"cr={self.cr} ct={self.ct} pr={pr} leg={self.leg:.6f}")
+
+
+@dataclass(frozen=True)
 class EpisodeResult:
     task_index: int
     success: bool
     traveled: float
     shortest: float
-    actions: Tuple[str, ...] = ()
+    records: Tuple[ActionRecord, ...] = ()
 
     def __post_init__(self):
-        _freeze(self, "actions", tuple)
+        _freeze(self, "records", tuple)
 
     @property
     def action_count(self) -> int:
-        return len(self.actions)
+        return len(self.records)
 
-
-def _trace_line(t: int, label: str, pose: Pose, n_cr: int, n_ct: int,
-                pr: float, leg: float) -> str:
-    pr_text = f"{pr:.6f}" if not math.isnan(pr) else "-"
-    return (
-        f"t={t} {label} pose=({pose.position[0]:.3f},{pose.position[1]:.3f}) "
-        f"cr={n_cr} ct={n_ct} pr={pr_text} leg={leg:.6f}"
-    )
+    @property
+    def actions(self) -> Tuple[str, ...]:  # the trace
+        return tuple(r.line(t) for t, r in enumerate(self.records))
 
 
 def run_task(
@@ -573,12 +590,12 @@ def run_task(
     as ``shortest`` (inf when unreachable).
     """
     start_pose = world.robot
-    trace: List[str] = []
+    records: List[ActionRecord] = []
     traveled = 0.0
 
     def finish(success: bool, shortest: float) -> EpisodeResult:
         return EpisodeResult(task_index=task_index, success=success, traveled=traveled,
-                             shortest=shortest, actions=trace)
+                             shortest=shortest, records=records)
 
     # the target's length is read first, so a failed query reports it: 0.0
     # for an object the world lacks, inf for one it cannot reach
@@ -597,10 +614,9 @@ def run_task(
 
     state = init_state(crsg, start_pose, target_obj, score)
 
-    def record(label: str, priority: float, leg_length: float) -> None:
-        # one line per action, at the robot's pose after it
-        trace.append(_trace_line(len(trace), label, world.robot, len(state.unexplored),
-                                 len(state.candidates), priority, leg_length))
+    def record(kind, subject, leg, reconciled=(), priority=None, fallback=False) -> None:
+        records.append(ActionRecord(kind, subject, world.robot.position, len(state.unexplored),
+                                    len(state.candidates), priority, leg, fallback, reconciled))
 
     if state.bypass_target is not None:
         leg = walk_leg(world, crsg, state.bypass_target.centroid, sensor_cfg, match_cfg,
@@ -608,7 +624,7 @@ def run_task(
         if leg is None:
             return finish(False, shortest)
         traveled += leg.length
-        record(f"Direct({target_obj.id})", math.nan, leg.length)
+        record("direct", target_obj.id, leg.length, leg.reconciled)
         success = (
             target_obj.id == gt_id
             and gt_id in world.objects
@@ -625,9 +641,9 @@ def run_task(
             world.distance_field(state.pose.position), variant, rng,
         )
         if action.kind == "stop":
-            record(action.label(), math.nan, 0.0)
+            record("stop", "", 0.0)
             break
-        if len(trace) >= cr0:
+        if len(records) >= cr0:
             raise PolicyError("action budget exceeded; transition failed to shrink CR")
 
         dest = (action.candidate.position if action.kind == "goto"
@@ -654,7 +670,8 @@ def run_task(
                 pass
 
         state = transition(state, action, inputs, best is not None, world.robot)
-        record(action.label(), action.priority, leg_len)
+        subject = action.candidate.object_id if action.kind == "goto" else action.carrier_id
+        record(action.kind, subject, leg_len, leg.reconciled, action.priority, action.fallback)
 
     success = state.found and best.object_id == gt_id
     return finish(success, shortest)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import logging
 from collections import Counter
 from random import Random
 
@@ -21,8 +22,8 @@ from carriernav.bench import (
 )
 from carriernav.graph import build_crsg
 from carriernav.policy import VARIANTS, EpisodeResult
-from carriernav.priors import KeywordPriorOracle
-from carriernav.scenarios import MODES, build_scenario, generate_scenarios
+from carriernav.priors import KeywordPriorOracle, OracleError
+from carriernav.scenarios import MODES, build_scenario, generate_scenarios, load_scenario
 from carriernav.world import GridWorld
 
 from conftest import assert_every_kept_answer_is_its_rule
@@ -123,6 +124,18 @@ class TestRunSequence:
         b = run_sequence(sc, VARIANTS["ours"])
         assert [(r.success, r.traveled, r.shortest, r.actions) for r in a] == \
                [(r.success, r.traveled, r.shortest, r.actions) for r in b]
+
+    def test_records_compare_by_value(self):
+        # a priority-less action holds None, not a nan, so two runs' records
+        # are equal; the trace is each record's line
+        sc = build_scenario("mixed", 1, 7)
+        a, b = run_sequence(sc, VARIANTS["ours"]), run_sequence(sc, VARIANTS["ours"])
+        assert [r.records for r in a] == [r.records for r in b]
+        kinds = {rec.kind: rec.priority for r in a for rec in r.records}
+        assert kinds["stop"] is None and kinds["goto"] is not None
+        for r in a:
+            assert len(r.actions) == r.action_count
+            assert all(r.actions[t] == r.records[t].line(t) for t in range(r.action_count))
 
     def test_updating_variant_beats_frozen_graph_on_probe(self):
         sc = build_scenario("probe", 0, 7)
@@ -345,6 +358,29 @@ class TestRunSuite:
         run_suite(paths, variant_names=("ours",), out_dir=str(tmp_path), prior=Stub())
         assert calls
         assert json.loads((tmp_path / "report.json").read_text())["oracle"] == "stub"
+
+    def test_oracle_fallbacks_and_reconciliations_are_reported(self, suite_dir, tmp_path,
+                                                                 caplog):
+        class Failing(KeywordPriorOracle):
+            def rank_carriers(self, carriers, target_descriptor):
+                raise OracleError("backend down")
+
+        paths, variants = scenario_paths(suite_dir), ("no-update", "ours")
+        with caplog.at_level(logging.WARNING, logger="carriernav.policy"):
+            run_suite(paths, variant_names=variants, out_dir=str(tmp_path), prior=Failing())
+        warnings = len(caplog.records)
+        flags = {v: sum(a.fallback for path in paths
+                        for r in run_sequence(load_scenario(path), VARIANTS[v], Failing())
+                        for a in r.records)
+                 for v in variants}
+        failing = json.loads((tmp_path / "report.json").read_text())["variants"]
+        assert {v: agg["oracle_fallbacks"] for v, agg in failing.items()} == flags
+        assert sum(flags.values()) == warnings > 0
+        keyword = run_suite(paths, variant_names=variants).variants
+        assert [agg["oracle_fallbacks"] for agg in keyword.values()] == [0, 0]
+        for agg in (failing, keyword):
+            assert agg["no-update"]["reconciled_carriers"] == 0
+            assert agg["ours"]["reconciled_carriers"] > 0
 
     def test_artifact_layout(self, suite_dir, tmp_path):
         """``results.jsonl`` is one compact sorted-key line per row, and

@@ -13,13 +13,13 @@ from carriernav.bench import spl
 from carriernav.graph import CrsgConfig, Query, build_crsg
 from carriernav.policy import (
     VARIANTS,
+    ActionRecord,
     CandidateTarget,
     Leg,
     NavState,
     PolicyConfig,
     PolicyError,
     Task,
-    _trace_line,
     collect_transition_inputs,
     confirm_target,
     confirmation_scores,
@@ -189,7 +189,7 @@ class TestDecide:
         state = NavState(pose=world.robot, unexplored=["table_0"], candidates={}, found=True)
         action = decide(state, crsg, CFG, KeywordPriorOracle(), "red cup",
                         euclid_from(world.robot))
-        assert action.kind == "stop" and action.label() == "Stop"
+        assert action.kind == "stop" and action.carrier_id == "" and action.candidate is None
 
     def test_exhausted_frontier_stops(self, world_and_graph):
         world, crsg = world_and_graph
@@ -211,7 +211,7 @@ class TestDecide:
         # at the pose: cup_x is 0 m away (P=3*0.65), cup_y 3 m (P=3*0.99/4)
         assert action.candidate.object_id == "cup_x"
         assert action.priority == pytest.approx(3 * 0.65)
-        assert action.label() == "Goto(cup_x)"
+        assert action.kind == "goto" and action.carrier_id == "table_0"
         # distances are measured through distance_fn at each decision: from
         # (5, 2) cup_y is 0 m away (P=3*0.99), cup_x 3 m (P=3*0.65/4)
         action = decide(state, crsg, CFG, KeywordPriorOracle(), "red cup",
@@ -253,7 +253,7 @@ class TestDecide:
         # cups live on counters first in the affinity table
         assert action.kind == "explore"
         assert action.carrier_id == "counter_0"
-        assert action.label() == "Explore(counter_0)"
+        assert action.candidate is None and not action.fallback
 
     def test_affinity_rank_ties_break_by_carrier_id(self, world_and_graph):
         world, crsg = world_and_graph
@@ -301,6 +301,7 @@ class TestDecide:
         action = decide(state, crsg, CFG, FailingOracle(), "red cup", euclid_from(pose))
         assert action.kind == "explore"
         assert action.carrier_id == "table_1"
+        assert action.fallback
 
 
 class TestTransitionInputs:
@@ -510,9 +511,9 @@ class TestConfirmation:
 
 
 def test_trace_line_format():
-    line = _trace_line(3, "Explore(table_0)", Pose([1.0, 2.5]), 4, 1, 0.5, 1.25)
+    line = ActionRecord("explore", "table_0", Pose([1.0, 2.5]).position, 4, 1, 0.5, 1.25).line(3)
     assert line == "t=3 Explore(table_0) pose=(1.000,2.500) cr=4 ct=1 pr=0.500000 leg=1.250000"
-    stop = _trace_line(0, "Stop", Pose([0.0, 0.0]), 0, 0, float("nan"), 0.0)
+    stop = ActionRecord("stop", "", Pose([0.0, 0.0]).position, 0, 0, None, 0.0).line(0)
     assert stop == "t=0 Stop pose=(0.000,0.000) cr=0 ct=0 pr=- leg=0.000000"
 
 

@@ -42,9 +42,9 @@ anywhere else in the package bypasses that rule and must fail here.  So
 anywhere in the package must fail here.
 
 An episode records each action at one site: ``run_task``'s ``record``, the
-one reader of ``policy._trace_line``.  A second reader, a call or a
-reference that calls it later, gives an action a record of its own and
-must fail here.
+one construction of ``policy.ActionRecord``.  A second construction, a
+call or a reference that calls it later, gives an action a record of its
+own and must fail here.
 """
 
 import ast
@@ -61,8 +61,8 @@ import pytest
 import carriernav  # noqa: F401  (loads every module the span table names)
 from carriernav.bench import run_sequence
 from carriernav.features import Feature
-from carriernav.policy import (VARIANTS, CandidateTarget, EpisodeResult, Leg, NavAction,
-                               NavState, TransitionInputs)
+from carriernav.policy import (VARIANTS, ActionRecord, CandidateTarget, EpisodeResult, Leg,
+                               NavAction, NavState, TransitionInputs)
 from carriernav.scene import Room, _SceneFile, _schema, scene_from_dict
 from carriernav.scenarios import EventSpec, _ScenarioFile, build_scenario
 from carriernav.world import DisplacementEvent, GridWorld, Observation, Pose
@@ -458,6 +458,7 @@ def test_the_policy_values_are_frozen():
     cup = scene_from_dict(scene_dict([obj_dict("cup_0", ["red cup"], 1.0, 1.0, 0.1, 0.1, 0.0,
                                                 0.1)])).objects["cup_0"]
     sighting = Observation(cup, 1.5)
+    stop = ActionRecord("stop", "", np.array([1.0, 2.0]), 0, 0, None, 0.0, False, ["table_0"])
     values = [
         cand,
         CandidateTarget("cup_1", "table_0", 0.9, 0.0, [1.0, 1.0, 0.5]),
@@ -466,8 +467,8 @@ def test_the_policy_values_are_frozen():
         TransitionInputs(cr_observed={"table_1"}, ct_new={"cup_0": cand},
                          ct_star={"cup_0": cand}),
         Leg(1.0, {"cup_0": sighting}, {"cup_0": None}, [sighting]),
-        EpisodeResult(task_index=0, success=True, traveled=1.0, shortest=1.0,
-                      actions=["t=0 Stop"]),
+        stop,
+        EpisodeResult(task_index=0, success=True, traveled=1.0, shortest=1.0, records=[stop]),
     ]
     for value in values:
         assert type(value).__dataclass_params__.frozen
@@ -569,31 +570,43 @@ def test_the_distance_guard_sees_every_norm():
     assert linalg_norm_reads(source) == [6, 6, 6, 7, 8]
 
 
-def trace_line_reads(source: str) -> list:
-    """Lines of each read of ``_trace_line`` in module ``source``: a call
-    or any other reference, by bare name or as an attribute."""
+def action_record_sites(source: str) -> list:
+    """Lines of each construction of ``ActionRecord`` in module ``source``: a
+    call or any other reference outside an annotation, by bare name or as an
+    attribute."""
+    tree = ast.parse(source)
+    notes = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) or isinstance(node, ast.AnnAssign):
+            roots = [node.annotation]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            roots = [node.returns]
+        else:
+            continue
+        notes.update(id(n) for root in roots if root is not None for n in ast.walk(root))
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             name = node.id
         elif isinstance(node, ast.Attribute):
             name = node.attr
         else:
             continue
-        if name == "_trace_line":
+        if name == "ActionRecord" and id(node) not in notes:
             found.append(node.lineno)
     return sorted(found)
 
 
 def test_each_action_is_recorded_at_one_site():
-    assert len(trace_line_reads((ROOT / "src" / "carriernav" / "policy.py").read_text())) == 1
+    assert len(action_record_sites((ROOT / "src" / "carriernav" / "policy.py").read_text())) == 1
 
 
-def test_the_record_guard_sees_every_trace_line_read():
-    source = ("def _trace_line(t, label):\n    return f\"t={t} {label}\"\n"
-              "def run(trace, policy):\n"
-              "    trace.append(_trace_line(0, \"Stop\"))\n"
-              "    line = _trace_line\n"
-              "    trace.append(policy._trace_line(1, \"Stop\"))\n"
-              "    return trace_line(2), line\n")
-    assert trace_line_reads(source) == [4, 5, 6]
+def test_the_record_guard_sees_every_construction():
+    source = ("class ActionRecord:\n    kind: str\n"
+              "def run(records: List[ActionRecord], policy) -> ActionRecord:\n"
+              "    records.append(ActionRecord(\"stop\"))\n"
+              "    make = ActionRecord\n"
+              "    records.append(policy.ActionRecord(\"stop\"))\n"
+              "    kept: Tuple[ActionRecord, ...] = (make(),)\n"
+              "    return action_record(2), kept\n")
+    assert action_record_sites(source) == [4, 5, 6]
