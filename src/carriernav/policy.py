@@ -9,7 +9,8 @@ policy is a fixed three-rule cascade:
 
 A candidate's priority rates a sighting by how similar it looked (ss), how
 close it was when first seen (depth, frozen) and how far away it is now
-(path distance, recomputed every decision):
+(the length of the path the robot would walk, recomputed every decision,
+so candidates at equal walks tie exactly):
 
     priority = w1 * ss * exp(-alpha * depth) / (1 + w2 * dist)
 

@@ -9,15 +9,22 @@ changes nothing, so ground-truth changes (displaced or removed objects)
 never leak into the parsed scene, the belief graph a robot carries
 around or an earlier sighting.
 
-Planning runs Dijkstra searches over one symmetric 8-connected graph of the
-free cells, with unit/diagonal step costs.  The searches are bounded: each
-stops at the distance its caller reads, and a farther read from the same
-source searches again with a larger limit, so every distance read is exact.
-Each source cell keeps its own search and the paths walked on it, so paths
-and distance fields from a source already searched (a carrier the robot
-returns to) reuse them, and a leg whose ends share a cell searches nothing.
-Reachability alone reads the connected components of the same graph.  A
-leg may only take the moves of that graph: ``travel`` refuses any other.
+Planning reads paths over one symmetric 8-connected graph of the free
+cells, with unit/diagonal step costs: the path from a source cell to a goal
+cell is the one the ``STEP_ORDER`` walk-back takes over a Dijkstra search
+from the source.  Most reads need no search: the generated houses are open
+rooms, and a sweep of the cells between the two ends finds, exactly, when
+the geodesic equals the obstacle-free octile distance, and then the same
+path.  Only the reads it refuses search around the obstacles.  The
+searches are bounded: each stops at the distance its caller reads, and a
+farther read from the same source searches again with a larger limit.  A
+distance read is the length of the path ``shortest_path`` gives, the length
+``travel`` walks along it, so no raw search float leaves the world.  Each
+source cell keeps its own search and the paths walked from it, so paths and
+distances from a source already read (a carrier the robot returns to) reuse
+them, and a leg whose ends share a cell searches nothing.  Reachability
+alone reads the connected components of the same graph.  A leg may only
+take the moves of that graph: ``travel`` refuses any other.
 
 Sensing is a radius + field-of-view model with optional wall occlusion.  A
 leg senses at the center of every path cell, facing the step to the next
@@ -262,21 +269,91 @@ class GridWorld:
         """Length-optimal path; returns (cells incl. endpoints, length m).
 
         Ends that snap to one cell give that one cell and 0.0, with no
-        search.  Otherwise the path is walked back over the distance field
-        from ``start`` (:meth:`_walk_back`) and kept with that search, as
-        the grid's facts keep paths; each read gets a new list.  An
-        unreachable goal raises on every read.
+        search.  Otherwise the path is :meth:`_walk`'s, kept with the grid's
+        facts; each read gets a new list.  An unreachable goal raises on
+        every read.
         """
         start_cell = self.snap_free_cell(start)
         goal_cell = self.snap_free_cell(goal)
         if start_cell == goal_cell:
             return [start_cell], 0.0
-        dist = self._search(start_cell, goal_cell)
-        paths = self._grid.searches[start_cell][2]
-        kept = paths.get(goal_cell)
+        path, length = self._walk(start_cell, goal_cell)
+        return list(path), length
+
+    def _walk(self, source: Cell, goal: Cell) -> Tuple[tuple, float]:
+        """(path cells, length) from ``source`` to another cell ``goal``:
+        the path :meth:`_walk_back` walks over a search from ``source``.
+
+        The path is kept in ``source``'s entry of the grid's searches, which
+        this read makes the most recently read.  A goal not kept yet is
+        swept first (:meth:`_certified_walk`), which answers with no search
+        when the geodesic equals the octile distance; a goal it refuses is
+        searched and walked back at once, so no pair is swept twice while
+        its source is kept.  An unbounded search has refused, or reached,
+        every goal already, so none is swept on it.  An unreachable goal
+        raises and is not kept.
+        """
+        search = self._grid.searches.get(source) or (0.0, None, {})
+        self._grid.keep_search(source, search)
+        limit, _, paths = search
+        kept = paths.get(goal)
         if kept is None:
-            kept = paths[goal_cell] = self._walk_back(dist, start_cell, goal_cell)
-        return list(kept[0]), kept[1]
+            if not math.isinf(limit):
+                kept = self._certified_walk(source, goal)
+            if kept is None:
+                kept = self._walk_back(self._search(source, goal), source, goal)
+            paths[goal] = kept
+        return kept
+
+    def _certified_walk(self, source: Cell, goal: Cell) -> Optional[Tuple[tuple, float]]:
+        """(path cells, length) from ``source`` to another cell ``goal`` when
+        the geodesic between them equals their octile distance, found with
+        no search; else None.
+
+        The sweep runs along the major axis u of ``goal - source`` (x on a
+        tie), one line of the other axis v at a time, each a Python-int
+        bitmask of the cells between the ends' v.  A cell is marked when it
+        is free and one of its octile predecessors is marked with the move
+        allowed: the u step back, or the diagonal step back with both
+        corner cells free.  No geodesic is shorter than the octile
+        distance, so a cell's geodesic equals its octile distance exactly
+        when it is marked, and the neighbours that :meth:`_walk_back` may
+        step to from a marked cell are its marked predecessors (any other
+        neighbour's distance misses by a gap between lengths a + b * sqrt(2)
+        far above the walk-back's tolerance).  So when the goal is marked,
+        the walk back takes the u step when that cell is marked and the
+        diagonal otherwise: the ``STEP_ORDER`` rule, whose axis slots come
+        before its diagonal ones.  Its length is :meth:`_path_length` of the
+        step counts, as for a walk over a search.
+        """
+        (sx, sy), (gx, gy) = source, goal
+        by_column = abs(gx - sx) >= abs(gy - sy)
+        lines = self._free_lines()[0 if by_column else 1]
+        (su, sv), (gu, gv) = (source, goal) if by_column else ((sy, sx), (gy, gx))
+        du, dv = (1 if gu > su else -1), (1 if gv > sv else -1)
+        lo, hi = min(sv, gv), max(sv, gv)
+        window = ((2 << (hi - lo)) - 1) << lo
+        marks = [1 << sv]
+        last = lines[su]
+        for u in range(su + du, gu + du, du):
+            free = lines[u] & window
+            # the u step, and the diagonal from the cell whose corner in line u is free
+            ahead = marks[-1] & free
+            marked = ahead | ((ahead << 1 if dv > 0 else ahead >> 1) & last & free)
+            if not marked:
+                return None
+            marks.append(marked)
+            last = free
+        if not marks[-1] >> gv & 1:
+            return None
+        v, vs = gv, [gv]
+        for marked in reversed(marks[:-1]):
+            if not marked >> v & 1:
+                v -= dv
+            vs.append(v)
+        us = range(gu, su - du, -du)
+        path = tuple(zip(us, vs) if by_column else zip(vs, us))[::-1]
+        return path, self._path_length(len(path) - 1, hi - lo)
 
     def _walk_back(self, dist: np.ndarray, start_cell: Cell,
                    goal_cell: Cell) -> Tuple[tuple, float]:
@@ -371,6 +448,18 @@ class GridWorld:
             grid.graph = (graph, index, cells)
         return grid.graph
 
+    def _free_lines(self) -> Tuple[List[int], List[int]]:
+        """(per column, the bits iy of its free cells; per row, the bits ix
+        of its free cells), as Python ints.  Built once per grid."""
+        grid = self._grid
+        if grid.lines is None:
+            free = ~self.occupancy
+            columns = np.packbits(free, axis=0, bitorder="little").T.copy()
+            rows = np.packbits(free, axis=1, bitorder="little")
+            grid.lines = tuple([int.from_bytes(line.tobytes(), "little") for line in bits]
+                               for bits in (columns, rows))
+        return grid.lines
+
     def connected(self, a: Sequence[float], b: Sequence[float]) -> bool:
         """Whether a free-cell path joins the free cells nearest ``a`` and
         ``b``: one connected-component label lookup, no search.  The labels
@@ -394,13 +483,16 @@ class GridWorld:
     def _search(self, source: Cell, cell: Cell) -> np.ndarray:
         """Distance (m) per free-cell index from ``source``, exact at the
         free ``cell`` and at every cell nearer than it; inf beyond the limit.
+        :meth:`_walk` asks only for the goals the octile sweep refuses, and
+        only :meth:`_walk_back` reads the distances.
 
         Searches are bounded: Dijkstra with ``limit=L`` gives the exact
         distance of every cell at or below L and inf for the rest.  The
         grid's facts keep ``(limit, dist, paths)`` of each source cell's
-        latest search, for the latest ``facts.SEARCHES_PER_GRID`` sources
-        read; a read from a dropped source searches anew, and its kept paths
-        went with it.  A read that finds no search
+        latest search, ``(0.0, None, paths)`` before its first, for the
+        latest ``facts.SEARCHES_PER_GRID`` sources read; a read from a
+        dropped source searches anew, and its kept paths went with it.  A
+        read that finds no search
         from ``source``, or inf under a finite limit, searches again from
         ``source`` with the limit ``max(2 * limit, 1.25 * octile(source,
         cell))`` plus a 1e-9 relative margin (the first limit is 1.25 *
@@ -432,17 +524,19 @@ class GridWorld:
         return dist
 
     def distance_field(self, start: Sequence[float]) -> Callable[[Sequence[float]], float]:
-        """Point -> geodesic distance (m) from the free cell nearest ``start``
-        to the free cell nearest the point, searched only as far as the
-        cells read."""
+        """Point -> length (m) of the path :meth:`shortest_path` gives from
+        the free cell nearest ``start`` to the free cell nearest the point,
+        inf when it is unreachable: the length ``travel`` walks along it."""
         source = self.snap_free_cell(start)
 
         def distance(point: Sequence[float]) -> float:
-            cell = self.snap_free_cell(point)
-            if cell == source:  # no search, as for a zero-length shortest_path leg
+            goal = self.snap_free_cell(point)
+            if goal == source:  # no search, as for a zero-length shortest_path leg
                 return 0.0
-            index = self._free_graph()[1]
-            return float(self._search(source, cell)[index[cell[1], cell[0]]])
+            try:
+                return self._walk(source, goal)[1]
+            except UnreachableGoalError:
+                return math.inf
 
         return distance
 

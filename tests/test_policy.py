@@ -33,10 +33,11 @@ from carriernav.policy import (
 from carriernav.priors import CarrierPriorOracle, KeywordPriorOracle, OracleError
 from carriernav.scene import scene_from_dict
 from carriernav.update import CarriedDiff, MatchConfig, apply_update, match_carrier
-from carriernav.world import DisplacementEvent, GridWorld, Pose
+from carriernav.world import DisplacementEvent, GridWorld, Pose, SensorConfig
 
 import oracles
 from test_update import obs_of
+from test_world import random_world
 from conftest import find_object, item_on, obj_dict, scene_dict, table_dict
 
 CFG = PolicyConfig()
@@ -229,6 +230,26 @@ class TestDecide:
         action = decide(state, crsg, CFG, KeywordPriorOracle(), "red cup",
                         euclid_from(Pose([0.0, 0.0])))
         assert action.candidate.object_id == "cup_a"
+
+    def test_equal_walks_tie_break_to_smaller_object_id(self, world_and_graph):
+        # (10, 2) and (2, 10) both walk 2.5 + sqrt(2) * 0.25 m from (0, 0);
+        # a search's raw floats for them differ in the last ulp, and the
+        # larger one, (10, 2)'s, used to hand the goto to "b"
+        _, crsg = world_and_graph
+        w = random_world(Random(0), width=30, height=30, p_block=0.15)
+        source = w.cell_center((0, 0))
+        field = w.distance_field(source)
+        ends = {"a": (10, 2), "b": (2, 10)}
+        cands = {oid: CandidateTarget(oid, carrier, 0.9, 0.0, [*w.cell_center(ends[oid]), 0.8])
+                 for oid, carrier in (("a", "table_0"), ("b", "table_1"))}
+        state = NavState(pose=Pose(source), unexplored=["table_0", "table_1"], candidates=cands)
+        action = decide(state, crsg, CFG, KeywordPriorOracle(), "red cup", field)
+        assert action.candidate.object_id == "a"
+        # a distance read is the length of the path the robot would walk
+        for cell in ends.values():
+            path, length = w.shortest_path(source, w.cell_center(cell))
+            assert field(w.cell_center(cell)) == length == w.travel(path, SensorConfig()).length
+            assert length == 2.7071067811865475
 
     @pytest.mark.parametrize("order", [("cup_a", "cup_b"), ("cup_b", "cup_a")])
     def test_goto_does_not_depend_on_insertion_order(self, world_and_graph, order):
@@ -605,7 +626,9 @@ class TestRunTask:
         # and the leg path read one search per pose, which only grows (a
         # strictly larger limit) when a read lies beyond it, even after
         # other poses have searched; the Stop step reads nothing.  The
-        # world's grid starts cold: no earlier world's search is reused
+        # world's grid starts cold: no earlier world's search is reused.  A
+        # wall with a gap at its north end parts the start and table_1 from
+        # table_0 and counter_0, so reads across it detour and search
         import carriernav.world as world_mod
         searches = []
         real = world_mod.dijkstra
@@ -615,9 +638,10 @@ class TestRunTask:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(world_mod, "dijkstra", counting)
-        world = GridWorld(policy_scene(), start_pose=Pose([5.0, 4.5]))
+        scene = policy_scene(blocked=EAST_WALL[:20])
+        world = GridWorld(scene, start_pose=Pose([5.0, 4.5]))
         assert world._grid.searches == {}
-        crsg = build_crsg(policy_scene(), CrsgConfig())
+        crsg = build_crsg(scene, CrsgConfig())
         world.apply_displacement(DisplacementEvent(
             kind="move", object_id="cup_0", target_carrier_id="table_1"), CrsgConfig())
         poses = {world.cell_of(world.robot.position)}

@@ -209,10 +209,11 @@ class TestSharedMoves:
 
 
 class TestLifetime:
-    def scenes(self):
+    def scenes(self, blocked=()):
         t0 = table_dict("table_0", 2.0, 2.0)
         tree = scene_dict([t0, table_dict("table_1", 5.0, 2.0),
-                           item_on("cup_0", ["red cup"], t0)], width=32, height=20)
+                           item_on("cup_0", ["red cup"], t0)], width=32, height=20,
+                          blocked=blocked)
         return scene_from_dict(tree), scene_from_dict(tree)
 
     def warm(self, scene):
@@ -250,7 +251,8 @@ class TestLifetime:
 
     def test_release_drops_both_slots_and_a_live_world_keeps_its_grid(self, monkeypatch):
         import carriernav.world as world_mod
-        a, _ = self.scenes()
+        # a wall makes the path detour, so it is found by a search
+        a, _ = self.scenes(blocked=[(10, iy) for iy in range(12)])
         w = GridWorld(a)
         ends = w.cell_center((0, 0)), w.cell_center((20, 10))
         path = w.shortest_path(*ends)

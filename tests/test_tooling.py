@@ -41,6 +41,12 @@ anywhere else in the package bypasses that rule and must fail here.  So
 ``scene.distance`` is the one distance rule: a ``numpy.linalg.norm`` read
 anywhere in the package must fail here.
 
+A distance read is the length of the path the robot would walk, so no
+raw search float leaves the world: a search's distance array is read only
+by ``GridWorld._search``, which grows it, and ``GridWorld._walk_back``,
+which walks a path over it.  A read of it anywhere else in ``world.py``
+must fail here.
+
 An episode records each action at one site: ``run_task``'s ``record``, the
 one construction of ``policy.ActionRecord``.  A second construction, a
 call or a reference that calls it later, gives an action a record of its
@@ -568,6 +574,94 @@ def test_the_distance_guard_sees_every_norm():
               "    f = np.linalg.norm\n"
               "    return d + n2(a) + feat.norm + np.hypot(*a) + f(b)\n")
     assert linalg_norm_reads(source) == [6, 6, 6, 7, 8]
+
+
+SEARCH_CALLS = ("_search", "dijkstra")
+
+
+def distance_array_reads(source: str) -> list:
+    """(function, line) of each item read of a search's distance array in
+    module ``source``: a subscript of a ``_search(`` or ``dijkstra(`` call,
+    of a name bound to one, of a parameter that a call passes one to, of
+    the middle name unpacked from a ``.searches`` entry, or of item 1 of a
+    ``.searches`` entry or of a name bound to one."""
+    found = []
+
+    def calls_search(node) -> bool:
+        return isinstance(node, ast.Call) and getattr(
+            node.func, "id", getattr(node.func, "attr", None)) in SEARCH_CALLS
+
+    def reads_searches(node) -> bool:
+        return any(isinstance(n, ast.Attribute) and n.attr == "searches" for n in ast.walk(node))
+
+    tree = ast.parse(source)
+    passed = {}  # function -> positions of the parameters a call passes a search to
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            method = isinstance(node.func, ast.Attribute)  # self is parameter 0
+            passed.setdefault(name, set()).update(
+                k + method for k, arg in enumerate(node.args) if calls_search(arg))
+
+    def visit(node, function, arrays, entries):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            params = node.args.args
+            function, entries = node.name, set()
+            arrays = {params[k].arg for k in passed.get(node.name, ()) if k < len(params)}
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name) and calls_search(node.value):
+                    arrays.add(target.id)
+                elif isinstance(target, ast.Name) and reads_searches(node.value):
+                    entries.add(target.id)
+                elif (isinstance(target, ast.Tuple) and len(target.elts) == 3
+                      and isinstance(target.elts[1], ast.Name) and reads_searches(node.value)):
+                    arrays.add(target.elts[1].id)
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+            value = node.value
+            entry = (isinstance(value, ast.Subscript) and isinstance(value.slice, ast.Constant)
+                     and value.slice.value == 1 and (reads_searches(value.value) or (
+                         isinstance(value.value, ast.Name) and value.value.id in entries)))
+            if calls_search(value) or entry or (isinstance(value, ast.Name)
+                                                and value.id in arrays):
+                found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function, arrays, entries)
+
+    visit(tree, None, set(), set())
+    return sorted(found, key=lambda read: read[1])
+
+
+def test_only_the_search_and_the_walk_back_read_distances():
+    reads = distance_array_reads((ROOT / "src" / "carriernav" / "world.py").read_text())
+    assert reads and {function for function, _ in reads} == {"_search", "_walk_back"}
+
+
+def test_the_distance_array_guard_sees_every_read():
+    # the first function is distance_field as it read raw search floats
+    source = ("def distance_field(self, start):\n"
+              "    source = self.snap_free_cell(start)\n"
+              "    def distance(point):\n"
+              "        cell = self.snap_free_cell(point)\n"
+              "        if cell == source:\n"
+              "            return 0.0\n"
+              "        index = self._free_graph()[1]\n"
+              "        return float(self._search(source, cell)[index[cell[1], cell[0]]])\n"
+              "    return distance\n"
+              "def peek(self, s, c, i):\n"
+              "    dist = self._search(s, c)\n"
+              "    limit, far, paths = self._grid.searches[s]\n"
+              "    entry = self._grid.searches.get(s)\n"
+              "    paths[c] = self._walk_back(self._search(s, c), s, c)\n"
+              "    return dist[i], far[i], self._grid.searches[s][1][i], entry[1][i], paths[c]\n"
+              "def _search(self, s, c):\n"
+              "    dist = dijkstra(s)\n"
+              "    return dist[c]\n"
+              "def _walk_back(self, dist, s, c):\n"
+              "    return dist[c], s[0]\n")
+    assert distance_array_reads(source) == [
+        ("distance", 8), ("peek", 15), ("peek", 15), ("peek", 15), ("peek", 15), ("_search", 18),
+        ("_walk_back", 20)]
 
 
 def action_record_sites(source: str) -> list:

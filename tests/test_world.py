@@ -18,6 +18,7 @@ from carriernav import facts
 from carriernav.bench import run_sequence
 from carriernav.facts import SEARCHES_PER_GRID, release_facts
 from carriernav.graph import CrsgConfig
+from carriernav.policy import VARIANTS
 from carriernav.scenarios import MODES, build_scenario
 from carriernav.scene import Box3, scene_from_dict
 from carriernav.world import (
@@ -50,14 +51,14 @@ def is_free(w, cell):
     return 0 <= ix < w.width and 0 <= iy < w.height and not w.occupancy[iy, ix]
 
 
-def random_world(rng: Random, width=18, height=14, p_block=0.3):
+def random_world(rng: Random, width=18, height=14, p_block=0.3, resolution=0.25):
     blocked = [(ix, iy) for ix in range(width) for iy in range(height)
                if rng.random() < p_block]
     # keep at least one free cell
     if len(blocked) == width * height:
         blocked.pop()
     scene = scene_from_dict(scene_dict([], width=width, height=height,
-                                       blocked=blocked))
+                                       resolution=resolution, blocked=blocked))
     return GridWorld(scene)
 
 
@@ -181,6 +182,25 @@ def walk_back(w, dist, start, goal):
             and abs(dist((here[0] + dx, here[1] + dy)) + math.hypot(dx, dy) * w.resolution
                     - dist(here)) <= 1e-9 * w.resolution))
     return path[::-1]
+
+
+def walk_length(w, path):
+    """``_path_length`` of ``path``'s step counts: the length ``travel``
+    walks along it, and the distance read of its goal."""
+    n_diag = sum(a[0] != b[0] and a[1] != b[1] for a, b in zip(path, path[1:]))
+    return w._path_length(len(path) - 1, n_diag)
+
+
+def oracle_read(w, full, index, source, cell):
+    """The distance read from ``source`` to ``cell`` by the written rule:
+    the length of the oracle walk-back over the full search ``full``, inf
+    when ``cell`` is unreachable.  It equals the raw float to 1e-9."""
+    want = full[index[cell[1], cell[0]]]
+    if math.isinf(want):
+        return want
+    walked = walk_length(w, walk_back(w, lambda c: full[index[c[1], c[0]]], source, cell))
+    assert walked == pytest.approx(want, abs=1e-9)
+    return walked
 
 
 def pocketed_world(mode, resolution):
@@ -398,7 +418,9 @@ class TestBoundedSearch:
     @pytest.mark.parametrize("mode", MODES)
     def test_bounded_reads_equal_the_full_search(self, mode, resolution, order):
         # three sources' reads are interleaved and each source is revisited,
-        # so a field reads on after later sources have searched
+        # so a field and a search read on after later sources have searched;
+        # a search is bit-equal to the full search at every cell it reads,
+        # and a distance read to the length of the oracle walk-back
         w = pocketed_world(mode, resolution)
         rng = Random(f"{mode}/{resolution}/{order}")
         reads = []
@@ -415,19 +437,23 @@ class TestBoundedSearch:
             points += [w.cell_center(c) for c in sample_cells(rng, w.occupancy, 5)]
             expected = []
             for point in points:
-                ix, iy = w.snap_free_cell(point)
-                expected.append(full[index[iy, ix]])
+                cell = w.snap_free_cell(point)
+                expected.append((full[index[cell[1], cell[0]]],
+                                 oracle_read(w, full, index, source, cell), cell, point))
             order_key = {"random": lambda e: rng.random(),
                          "near-first": lambda e: e, "far-first": lambda e: -e}[order]
-            ranked = sorted(zip(expected, points), key=lambda t: order_key(t[0]))
-            reads.append((w.distance_field(w.cell_center(source)), ranked))
-        (field_a, reads_a), (field_b, reads_b), (field_c, reads_c) = reads
+            ranked = sorted(expected, key=lambda t: order_key(t[0]))
+            reads.append((source, w.distance_field(w.cell_center(source)), ranked))
+        (a, field_a, reads_a), (b, field_b, reads_b), (c, field_c, reads_c) = reads
         third, half = len(reads_a) // 3, len(reads_b) // 2
-        for field, batch in ((field_a, reads_a[:third]), (field_b, reads_b[:half]),
-                             (field_c, reads_c), (field_a, reads_a[third:2 * third]),
-                             (field_b, reads_b[half:]), (field_a, reads_a[2 * third:])):
-            for exp, point in batch:
-                assert field(point) == exp, point
+        index = w._free_graph()[1]
+        for source, field, batch in (
+                (a, field_a, reads_a[:third]), (b, field_b, reads_b[:half]),
+                (c, field_c, reads_c), (a, field_a, reads_a[third:2 * third]),
+                (b, field_b, reads_b[half:]), (a, field_a, reads_a[2 * third:])):
+            for exp, walked, (ix, iy), point in batch:
+                assert field(point) == walked, point
+                assert w._search(source, (ix, iy))[index[iy, ix]] == exp, point
 
     @pytest.mark.parametrize("resolution", [0.25, 0.05])
     @pytest.mark.parametrize("mode", MODES)
@@ -454,22 +480,26 @@ class TestBoundedSearch:
     def test_searches_stop_at_the_distance_read(self, monkeypatch):
         searches = counting_searches(monkeypatch)
         w = empty_world(width=64, height=64)
-        field = w.distance_field(w.cell_center((0, 0)))
-        assert field(w.cell_center((3, 0))) == 0.75
+        index = w._free_graph()[1]
+
+        def field(cell):  # the search's read, which the octile sweep skips on an open grid
+            return w._search((0, 0), cell)[index[cell[1], cell[0]]]
+
+        assert field((3, 0)) == 0.75
         margin = 1.0 + 1e-9
         # 1.25 times the octile distance read
         assert searches == [(0, 1.25 * 0.75 * margin)]
-        assert math.isinf(w._grid.searches[(0, 0)][1][w._free_graph()[1][0, 10]])
-        assert field(w.cell_center((2, 1))) == pytest.approx(0.25 + SQRT2 * 0.25)
+        assert math.isinf(w._grid.searches[(0, 0)][1][index[0, 10]])
+        assert field((2, 1)) == pytest.approx(0.25 + SQRT2 * 0.25)
         assert len(searches) == 1  # nearer than the limit: the search answers
-        assert field(w.cell_center((10, 0))) == 2.5
+        assert field((10, 0)) == 2.5
         # max(2 * limit, 1.25 * octile)
         assert searches[1] == (0, 1.25 * 2.5 * margin)
         # 1.25 times the octile distance to (63, 63) passes the farthest
         # corner's octile distance: the search covers the whole grid
-        assert field(w.cell_center((63, 63))) == pytest.approx(63 * SQRT2 * 0.25)
+        assert field((63, 63)) == pytest.approx(63 * SQRT2 * 0.25)
         assert searches[2] == (0, math.inf) and len(searches) == 3
-        assert field(w.cell_center((0, 63))) == 63 * 0.25 and len(searches) == 3
+        assert field((0, 63)) == 63 * 0.25 and len(searches) == 3
 
     def test_a_detour_grows_the_search_until_it_is_reached(self, monkeypatch):
         # the cell right across a wall is 0.5 m away as the crow flies, but
@@ -537,6 +567,63 @@ class TestBoundedSearch:
             assert w.connected(w.cell_center((ix, iy)), w.robot.position) == got
 
 
+class TestOctileCertificate:
+    """The octile sweep against the oracles: it answers, with no search,
+    exactly when the geodesic is the octile distance, and then with the
+    oracle walk-back's path and the length of its step counts."""
+
+    @pytest.mark.parametrize("resolution", [0.25, 0.05])
+    @pytest.mark.parametrize("p_block", [0.0, 0.05, 0.15, 0.3])
+    def test_the_sweep_answers_iff_the_geodesic_is_octile(self, p_block, resolution):
+        rng = Random(f"certificate/{p_block}/{resolution}")
+        answered = refused = 0
+        for _ in range(8):
+            w = random_world(rng, width=rng.randint(1, 24), height=rng.randint(1, 24),
+                             p_block=p_block, resolution=resolution)
+            occupancy, free = w.occupancy.tolist(), ~w.occupancy
+            for source in sample_cells(rng, free, min(3, int(free.sum()))):
+                full, index = oracles.full_grid_distances(w.occupancy, resolution, source)
+                for goal in sample_cells(rng, free, min(12, int(free.sum()))):
+                    if goal == source:
+                        continue
+                    walk = w._certified_walk(source, goal)
+                    length = oracles.dijkstra_grid_length(occupancy, resolution, source, goal)
+                    if walk is None:
+                        assert length != pytest.approx(w._octile(source, goal), abs=1e-9)
+                        refused += 1
+                        continue
+                    assert length == pytest.approx(w._octile(source, goal), abs=1e-9)
+                    path, walked = walk
+                    assert list(path) == walk_back(
+                        w, lambda c: full[index[c[1], c[0]]], source, goal)
+                    assert walked == walk_length(w, path) == w._octile(source, goal)
+                    answered += 1
+        assert answered > 30 and (refused > 30 or p_block == 0.0)
+
+    def test_a_certified_read_runs_no_search_and_is_kept(self, monkeypatch):
+        searches = counting_searches(monkeypatch)
+        w = empty_world(width=64, height=64, blocked=[(30, iy) for iy in range(20, 64)])
+        a = w.cell_center((0, 0))
+        field = w.distance_field(a)
+        assert field(w.cell_center((40, 3))) == (37 + 3 * SQRT2) * 0.25
+        path, length = w.shortest_path(a, w.cell_center((40, 3)))
+        assert searches == [] and length == (37 + 3 * SQRT2) * 0.25
+        assert w._grid.searches[(0, 0)] == (0.0, None, {(40, 3): (tuple(path), length)})
+        # the wall refuses the sweep: the read searches, and its walk is kept
+        assert field(w.cell_center((40, 40))) == w.shortest_path(a, w.cell_center((40, 40)))[1]
+        assert len(searches) == 1 and (40, 40) in w._grid.searches[(0, 0)][2]
+
+    def test_a_probe_sequence_searches_around_obstacles_only(self, monkeypatch):
+        # seed 1's first probe scenario on the 0.05 m grid, all six variants
+        # from a cold grid: 23 searches before the sweep, 13 with it
+        release_facts()
+        searches = counting_searches(monkeypatch)
+        scenario = build_scenario("probe", 0, 1, 0.05)
+        for variant in VARIANTS.values():
+            run_sequence(scenario, variant)
+        assert len(searches) == 13
+
+
 @st.composite
 def grids_and_reads(draw):
     width, height = draw(st.integers(1, 14)), draw(st.integers(1, 14))
@@ -563,7 +650,7 @@ def test_any_read_sequence_equals_the_full_search(case):
         ix, iy = w.snap_free_cell(center)  # a blocked cell's center reads a free neighbour
         want = full[index[iy, ix]]
         if not as_path:
-            assert fields[k](center) == want
+            assert fields[k](center) == oracle_read(w, full, index, sources[k], (ix, iy))
         elif math.isinf(want):
             with pytest.raises(UnreachableGoalError):
                 w.shortest_path(w.cell_center(sources[k]), center)
@@ -679,7 +766,7 @@ class TestSharedGridFacts:
                 full, index = fulls[source]
                 for ix, iy in sample_cells(rng, free, 3):
                     assert w.distance_field(w.cell_center(source))(
-                        w.cell_center((ix, iy))) == full[index[iy, ix]]
+                        w.cell_center((ix, iy))) == oracle_read(w, full, index, source, (ix, iy))
                     if not math.isinf(full[index[iy, ix]]):
                         _, length = w.shortest_path(w.cell_center(source),
                                                     w.cell_center((ix, iy)))
