@@ -36,7 +36,6 @@ rule.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from typing import List, NamedTuple, Sequence, Tuple
@@ -66,7 +65,6 @@ def tokenize(text: str) -> List[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-@functools.cache  # a pure function: the memo holds only the vocabulary seen
 def token_bucket(token: str, dim: int) -> int:
     h = _FNV_OFFSET
     for byte in token.encode("utf-8"):

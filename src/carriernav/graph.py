@@ -9,9 +9,11 @@ stage funnel over all scene objects:
 followed by an exclusive assignment of every remaining object to at most
 one carrier via a geometric carrying predicate.  Objects that are neither
 carriers nor carried are orphans (static clutter such as doors or rugs).
-Carriers are static: the carrier table is fixed at build, and only carried
-sets change.  Answers about a scene's instances are kept with the scene's
-facts (``carriernav.facts``), a match per (sighting, carrier table, config).
+Each carrier node records its room, assigned at build to carriers only: a
+carried object's room is its carrier's.  Carriers are static: the carrier
+table is fixed at build, and only carried sets change.  Answers about a
+scene's instances are kept with the scene's facts (``carriernav.facts``),
+a match per (sighting, carrier table, config).
 """
 
 from __future__ import annotations
@@ -78,6 +80,7 @@ class CrsgConfig:
 @dataclass(frozen=True, eq=False)
 class CarrierNode:
     object: ObjectInstance
+    room: str
     carried: Dict[str, ObjectInstance] = field(default_factory=dict)
 
 
@@ -85,14 +88,14 @@ class CarrierNode:
 class Crsg:
     """Rooms, carriers with carried sets, and loose orphan objects.  The
     carrier table is a read-only copy of ``carriers``, keyed by object id,
-    of frozen nodes whose carried dicts are the only part that changes;
-    ``carrier_objects`` holds its instances in order, the one such tuple."""
+    of frozen nodes, each naming its carrier's room, whose carried dicts
+    are the only part that changes; ``carrier_objects`` holds its
+    instances in order, the one such tuple."""
 
     building: str
     rooms: List[Room]
     carriers: Mapping[str, CarrierNode]
     orphan_objects: Dict[str, ObjectInstance]
-    room_assignment: Dict[str, str]
     # Objects removed from their believed carrier by an update and not yet
     # re-observed anywhere; they stay queryable but have no known position.
     missing: Dict[str, ObjectInstance] = field(default_factory=dict)
@@ -134,7 +137,7 @@ class Crsg:
             "carriers": [
                 {
                     "id": cid,
-                    "room": self.room_assignment.get(cid, ""),
+                    "room": node.room,
                     "captions": list(node.object.captions),
                     "carried": sorted(node.carried),
                 }
@@ -163,11 +166,10 @@ class Crsg:
 
 
 def select_carrier_candidates(
-    objects: Iterable[ObjectInstance],
-    reference_text: str,
-    config: CrsgConfig,
+    objects: Iterable[ObjectInstance], config: CrsgConfig
 ) -> List[ObjectInstance]:
-    """Keep objects whose text feature is similar to the reference text.
+    """Keep objects whose text feature is similar to the config's carrier
+    reference text.
 
     The reference is embedded at the objects' feature dimension; objects
     with the zero sentinel feature never qualify.
@@ -176,7 +178,7 @@ def select_carrier_candidates(
     if not objects:
         return []
     dim = objects[0].text_feature.shape[0]
-    ref = text_feature(reference_text, dim)
+    ref = text_feature(config.carrier_reference, dim)
     if ref.zero:
         raise GraphError("carrier reference text produced an empty embedding")
     return [obj for obj in objects if not obj.text.zero and cosine(obj.text, ref) > config.sigma]
@@ -297,7 +299,7 @@ def build_crsg(
     facts.keep_scene(scene)
 
     objects = list(scene.objects.values())
-    candidates = select_carrier_candidates(objects, config.carrier_reference, config)
+    candidates = select_carrier_candidates(objects, config)
     candidates = filter_by_prior(candidates, prior)
     carriers = geometric_carrier_filter(candidates, config)
 
@@ -305,14 +307,11 @@ def build_crsg(
     others = [obj for obj in objects if obj.id not in carrier_ids]
     carried_map, orphans = assign_carried(carriers, others, config)
 
-    room_assignment = assign_rooms(objects, scene.rooms)
-    # Declared room ids win over the geometric assignment.
-    for obj in objects:
-        if obj.room_id is not None:
-            room_assignment[obj.id] = obj.room_id
-
+    room_of = assign_rooms(carriers, scene.rooms)
     nodes = {
-        c.id: CarrierNode(object=c, carried={o.id: o for o in carried_map[c.id]})
+        # a declared room id wins over the geometric assignment
+        c.id: CarrierNode(object=c, room=room_of[c.id] if c.room_id is None else c.room_id,
+                          carried={o.id: o for o in carried_map[c.id]})
         for c in carriers
     }
     return Crsg(
@@ -320,7 +319,6 @@ def build_crsg(
         rooms=list(scene.rooms),
         carriers=nodes,
         orphan_objects={o.id: o for o in orphans},
-        room_assignment=room_assignment,
     )
 
 

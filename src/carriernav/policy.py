@@ -237,7 +237,7 @@ def decide(
         CarrierSummary(
             id=cid,
             captions=tuple(crsg.carriers[cid].object.captions[:3]),
-            room=crsg.room_assignment.get(cid, ""),
+            room=crsg.carriers[cid].room,
         )
         for cid in state.unexplored
     ]

@@ -223,17 +223,18 @@ class Scenario:
         ))
 
 
-def _validate_reachable(scene: SceneMap, start: Pose) -> bool:
-    """Every carrier-sized object must be reachable from the start pose."""
+def _reachable_world(scene: SceneMap, start: Pose) -> GridWorld:
+    """The world of ``scene`` from ``start``; a blocked start, or a
+    carrier-sized object the start cannot reach, rejects the layout."""
     try:
         world = GridWorld(scene, start_pose=start)
     except WorldError:
-        return False
-    return all(
-        world.connected(start.position, obj.centroid[:2])
-        for obj in scene.objects.values()
-        if obj.box.min[2] <= 0.05
-    )
+        pass
+    else:
+        if all(world.connected(start.position, obj.centroid[:2])
+               for obj in scene.objects.values() if obj.box.min[2] <= 0.05):
+            return world
+    raise ScenarioError(f"{scene.name}: unreachable layout")
 
 
 def _jitter(rng: Random, magnitude: float) -> float:
@@ -295,8 +296,7 @@ def _build_single(index: int, seed: str, rng: Random, resolution: float) -> Scen
 
     scene = draft.to_scene()
     start = Pose(np.array(start_xy, dtype=np.float64))
-    if not _validate_reachable(scene, start):
-        raise ScenarioError(f"single_{index:04d}: unreachable layout")
+    _reachable_world(scene, start)
 
     events = [EventSpec(trigger="before-episode", kind="move", object_id=target_id,
                         target_carrier_id=carrier_ids["true"],
@@ -338,8 +338,7 @@ def _build_probe(index: int, seed: str, rng: Random, resolution: float) -> Scena
     # start one diagonal-plus-straight hop from the hub, matching the
     # typical hop between consecutive targets
     start = Pose(np.array([2.375, 5.375], dtype=np.float64))
-    if not _validate_reachable(scene, start):
-        raise ScenarioError(f"probe_{index:04d}: unreachable layout")
+    _reachable_world(scene, start)
 
     events = [EventSpec(trigger="before-episode", kind="move", object_id=cup_ids[k],
                         target_carrier_id=hub, spot_index=k)
@@ -420,12 +419,9 @@ def _build_mixed(index: int, seed: str, rng: Random, resolution: float) -> Scena
     scene = draft.to_scene()
     start = Pose(np.array([3.5 + _jitter(rng, 0.3), 4.5 + _jitter(rng, 0.3)],
                           dtype=np.float64))
-    if not _validate_reachable(scene, start):
-        raise ScenarioError(f"mixed_{index:04d}: unreachable layout")
-
-    # draw displacement events, validating each against a scratch world so
+    # draw displacement events, validating each on the layout's world so
     # a crowded small carrier never produces an unplaceable scenario
-    scratch = GridWorld(scene, start_pose=start)
+    world = _reachable_world(scene, start)
     events = []
     for oid in item_ids:
         roll = rng.random()
@@ -438,14 +434,14 @@ def _build_mixed(index: int, seed: str, rng: Random, resolution: float) -> Scena
                                  object_id=oid, target_carrier_id=target,
                                  spot_index=spot)
                 try:
-                    scratch.apply_displacement(spec, CrsgConfig())
+                    world.apply_displacement(spec, CrsgConfig())
                 except WorldError:
                     continue
                 events.append(spec)
                 break
         elif roll < 0.6:
             spec = EventSpec(trigger="before-episode", kind="remove", object_id=oid)
-            scratch.apply_displacement(spec, CrsgConfig())
+            world.apply_displacement(spec, CrsgConfig())
             events.append(spec)
 
     n_tasks = rng.randrange(1, min(4, len(item_ids) + 1))

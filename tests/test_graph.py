@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from carriernav import graph
 from carriernav.graph import (
-    DEFAULT_CARRIER_REFERENCE,
     Crsg,
     CrsgConfig,
     GraphError,
@@ -26,7 +25,7 @@ from carriernav.graph import (
 )
 from carriernav.priors import KeywordPriorOracle
 from carriernav.update import CarriedDiff, apply_update
-from carriernav.scene import Box3, ObjectInstance, scene_from_dict
+from carriernav.scene import HALLWAY_ROOM_ID, Box3, ObjectInstance, scene_from_dict
 
 import oracles
 from conftest import find_object, golden_scene_dict, item_on, obj_dict, scene_dict, table_dict
@@ -57,13 +56,11 @@ class TestFunnelStages:
             table_dict("table_0", 2.0, 2.0),
             obj_dict("cup_0", ["red cup", "red cup", "cup"], 4.0, 2.0, 0.08, 0.08, 0.0, 0.12),
         ])
-        kept = select_carrier_candidates(scene.objects.values(),
-                                         DEFAULT_CARRIER_REFERENCE, CrsgConfig())
+        kept = select_carrier_candidates(scene.objects.values(), CrsgConfig())
         assert [o.id for o in kept] == ["table_0"]
         # similarity of "brown table table" to the reference: 0.8/sqrt(5) > 0.35
         # while a sigma above that value excludes the table too
-        kept_strict = select_carrier_candidates(
-            scene.objects.values(), DEFAULT_CARRIER_REFERENCE, CrsgConfig(sigma=0.36))
+        kept_strict = select_carrier_candidates(scene.objects.values(), CrsgConfig(sigma=0.36))
         assert kept_strict == []
 
     def test_prior_stage_drops_non_furniture(self):
@@ -279,17 +276,16 @@ class TestBuild:
         assert sorted(golden_graph.orphan_objects) == ["rug_0"]
         assert golden_graph.carrier_of("cup_0") == "table_0"
         assert golden_graph.carrier_of("rug_0") is None
-        assert golden_graph.room_assignment["table_0"] == "room_0"
+        assert golden_graph.carriers["table_0"].room == "room_0"
         assert golden_graph.carried_relation() == {"table_0": ("cup_0",)}
         assert golden_graph.missing == {}
 
     def test_a_carrier_keyed_by_another_objects_id_raises(self, golden_graph):
         node = golden_graph.carriers["table_0"]
         with pytest.raises(GraphError, match="'table_0' is keyed by 'cup_0'"):
-            Crsg(building="b", rooms=[], carriers={"cup_0": node}, orphan_objects={},
-                 room_assignment={})
+            Crsg(building="b", rooms=[], carriers={"cup_0": node}, orphan_objects={})
         given = {"table_0": node}
-        lone = Crsg(building="b", rooms=[], carriers=given, orphan_objects={}, room_assignment={})
+        lone = Crsg(building="b", rooms=[], carriers=given, orphan_objects={})
         assert lone.carrier_objects == (node.object,) and lone.carriers is not given
         given.clear()  # the graph's table is its own copy
         assert list(lone.carriers) == ["table_0"]
@@ -299,7 +295,34 @@ class TestBuild:
         tree["rooms"].append({"id": "room_1", "polygon": [[10, 10], [12, 10], [12, 12], [10, 12]]})
         tree["objects"][0]["room_id"] = "room_1"
         crsg = build_crsg(scene_from_dict(tree), CrsgConfig())
-        assert crsg.room_assignment["table_0"] == "room_1"
+        assert crsg.carriers["table_0"].room == "room_1"
+
+    def test_rooms_are_assigned_to_carriers_only(self, monkeypatch, golden_scene):
+        asked = []
+        real = graph.assign_rooms
+
+        def assign_rooms(objects, rooms):
+            asked.append([obj.id for obj in objects])
+            return real(objects, rooms)
+
+        monkeypatch.setattr(graph, "assign_rooms", assign_rooms)
+        crsg = build_crsg(golden_scene, CrsgConfig())
+        assert asked == [list(crsg.carriers)] == [["table_0"]]
+
+    def test_a_carrier_outside_every_room_is_in_the_hallway(self):
+        tree = golden_scene_dict()
+        tree["rooms"] = [{"id": "room_0", "polygon": [[3, 0], [6, 0], [6, 4], [3, 4]]}]
+        crsg = build_crsg(scene_from_dict(tree), CrsgConfig())
+        assert crsg.carriers["table_0"].room == HALLWAY_ROOM_ID == "hallway"
+        assert '  carrier table_0 room=hallway captions=' in crsg.dump_text()
+
+    def test_a_non_carriers_declared_room_changes_no_listing(self):
+        tree = golden_scene_dict()
+        tree["rooms"].append({"id": "room_1", "polygon": [[10, 10], [12, 10], [12, 12], [10, 12]]})
+        plain = build_crsg(scene_from_dict(tree), CrsgConfig()).to_dict()
+        for obj in tree["objects"][1:]:  # the carried cup_0 and the orphan rug_0
+            obj["room_id"] = "room_1"
+        assert build_crsg(scene_from_dict(tree), CrsgConfig()).to_dict() == plain
 
     def test_dump_text_golden(self, golden_graph):
         expected = (
@@ -420,7 +443,7 @@ class TestQuery:
         crsg = build_crsg(scene, CrsgConfig())
         crsg.missing["cup_1"] = crsg.carriers["table_0"].carried.pop("cup_1")
         lone = Crsg(building="b", rooms=[], carriers={}, orphan_objects={},
-                    room_assignment={}, missing={"cup_1": scene.objects["cup_1"]})
+                    missing={"cup_1": scene.objects["cup_1"]})
         for g in (crsg, lone):
             for query in (Query(text="red cup"), Query(image="img:blue_cup")):
                 query_target(g, query)
@@ -433,7 +456,7 @@ class TestQuery:
         assert len(pools) == 5 and {obj.id for obj in pools[-1]} == {"pen_0", "cup_0"}
 
     def test_an_empty_graph_raises(self):
-        empty = Crsg(building="b", rooms=[], carriers={}, orphan_objects={}, room_assignment={})
+        empty = Crsg(building="b", rooms=[], carriers={}, orphan_objects={})
         assert oracles.all_objects(empty) == {}
         for query in (Query(text="red cup"), Query(image="img:red_cup"),
                       Query(text="red cup", carrier_text="table")):

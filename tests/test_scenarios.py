@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 from collections import Counter
+from random import Random
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from carriernav.policy import PolicyConfig
 from carriernav.scenarios import (
     ATTRIBUTES,
     CARRIER_KINDS,
+    GENERATOR_GRID_RESOLUTION,
     ITEM_KINDS,
     MODES,
     Scenario,
@@ -327,14 +329,19 @@ def test_carriers_reachable_from_start(mode, seed):
 def test_reachability_verdicts_equal_the_distance_rule(monkeypatch, mode, resolution, count):
     # every layout the generator checks, rejected ones included
     verdicts = []
-    real = scenarios_mod._validate_reachable
+    real = scenarios_mod._reachable_world
 
     def both(scene, start):
-        got = real(scene, start)
-        verdicts.append((got, oracles.carriers_reachable_by_distance(scene, start)))
-        return got
+        want = oracles.carriers_reachable_by_distance(scene, start)
+        try:
+            world = real(scene, start)
+        except ScenarioError:
+            verdicts.append((False, want))
+            raise
+        verdicts.append((True, want))
+        return world
 
-    monkeypatch.setattr(scenarios_mod, "_validate_reachable", both)
+    monkeypatch.setattr(scenarios_mod, "_reachable_world", both)
     for index in range(count):
         build_scenario(mode, index, 3, resolution)
     assert len(verdicts) >= count
@@ -355,12 +362,25 @@ def test_reachability_verdicts_on_pocketed_worlds(mode):
     pocketed = scene_from_dict(tree)
     carrier = next(obj for obj in sc.scene.objects.values() if obj.box.min[2] <= 0.05)
     outside = Pose(world.cell_center(world.snap_free_cell(carrier.centroid[:2])))
-    verdicts = []
-    for start in (sc.start_pose, outside):
-        want = oracles.carriers_reachable_by_distance(pocketed, start)
-        assert scenarios_mod._validate_reachable(pocketed, start) == want
-        verdicts.append(want)
-    assert verdicts == [False, True]
+    assert [oracles.carriers_reachable_by_distance(pocketed, start)
+            for start in (sc.start_pose, outside)] == [False, True]
+    with pytest.raises(ScenarioError, match=f"^{pocketed.name}: unreachable layout$"):
+        scenarios_mod._reachable_world(pocketed, sc.start_pose)
+    assert scenarios_mod._reachable_world(pocketed, outside).robot is outside
+
+
+def test_a_mixed_build_makes_one_world(monkeypatch):
+    # the world that passes the reachability check also validates the events
+    made = []
+
+    class CountedWorld(GridWorld):
+        def __init__(self, *args, **kwargs):
+            made.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios_mod, "GridWorld", CountedWorld)
+    sc = scenarios_mod._build_mixed(0, "11/0", Random("11/0"), GENERATOR_GRID_RESOLUTION)
+    assert len(made) == 1 and sc.events
 
 
 class TestSingleMode:
