@@ -5,23 +5,27 @@ outlive the world that computed them, and this module is the one home of
 the rules that keep and drop them.  It imports nothing from the package.
 
 * Facts of the grid, which no world changes: the read-only occupancy, the
-  free-cell graph, its connected components, its free cells per column and
-  row, the snap of every point asked for, each source's search and the paths
-  read from it, by the octile sweep or walked back over the search.  They
+  table of allowed moves, the whole grid's graph (built only when a read
+  searches it), the connected components of the free cells, the
+  step weights and row pointers that box graphs view, its free cells per
+  column and row, the snap of every point asked for, each source's latest
+  search (its limit, its box and the distances over the box) and the paths
+  read from it, by the octile sweep or walked back over a search.  They
   belong to the grid, not the world: every world built on an equal grid
   (same resolution, origin and occupancy, compared by content) shares one
   :class:`Grid`, so the worlds a task sequence builds in one house, one per
-  variant, build one graph and search each source once.  The module keeps
-  the facts of the last grid built only, and drops them when a world on
-  another grid is built, before that grid's graph exists; the worlds alive
-  hold theirs.  Of the searches, a grid keeps the latest
+  variant, build one move table and search each source once per box.  The
+  module keeps the facts of the last grid built only, and drops them when
+  a world on another grid is built, before that grid's table exists; the
+  worlds alive hold theirs.  Of the searches, a grid keeps the latest
   ``SEARCHES_PER_GRID`` sources read, a source with paths but no search yet
   among them, and a path is kept with its source's search and dropped with
   it.  Sharing cannot change a result: a snap and a component label are pure
-  functions of the grid, each search is exact at every cell it reads
-  whatever its limit, a path's walk-back reads only cells nearer than its
-  goal, and the sweep gives the walk-back's path, so a kept path is the one
-  any later search would give.  An unreachable goal is not kept.
+  functions of the grid, a search is read for a goal only when every path
+  to it within the search's limit lies in its box, the walk-back's matches
+  do not depend on the box, and the sweep gives the walk-back's path, so a
+  kept path is the one any later search would give.  An unreachable goal
+  is not kept.
 * Facts of the scene, which no variant's policy changes: the objects each
   move makes, each leg's sightings, length and final heading, the carrying
   relation, the answers of ``graph.nearest_carrier``, each match of
@@ -70,10 +74,10 @@ import numpy as np
 
 # Sources whose searches and paths one grid keeps, the least recently read
 # dropped first: a long run of scenarios in one house adds sources, and a
-# field costs 8 bytes per free cell.  The generated task sequences read at
-# most 11 per grid (seeds 1, 2, 3 and 7, 8 scenarios per mode at 0.25 m and
-# 0.05 m, all six variants), a source read only by the sweep included, so
-# none of theirs is dropped.
+# field costs 8 bytes per cell of its box.  The generated task sequences
+# read at most 11 per grid (seeds 1, 2, 3 and 7, 8 scenarios per mode at
+# 0.25 m and 0.05 m, all six variants, re-counted with box searches), a
+# source read only by the sweep included, so none of theirs is dropped.
 SEARCHES_PER_GRID = 16
 
 # Facts of content the process keeps, the least recently read dropped
@@ -88,19 +92,22 @@ TEXTS_KEPT = 1024
 class Grid:
     """The facts of one occupancy grid, shared by every world built on an
     equal grid.  The world that reads one first computes it.  Each entry
-    of ``searches`` holds a source's latest search and every path read from
-    it, by the octile sweep or over the search, so no pair is swept twice
-    while its source is kept."""
+    of ``searches`` holds a source's latest search, ``(limit, box, dist,
+    paths)`` with ``dist`` over the box's cells only, and every path read
+    from the source, by the octile sweep or over a search, so no pair is
+    swept twice while its source is kept."""
 
     def __init__(self, occupancy: np.ndarray, key: tuple):
         self.occupancy = occupancy  # read-only
         self.key = key  # the grid by content: matched, and in the keys of kept legs
-        self.graph = None  # (free-cell graph, free-cell index, flat cell per row)
+        self.moves: Optional[np.ndarray] = None  # (height, width, 8) allowed moves
+        self.graph = None  # the whole grid's box graph, on its first search
         self.labels: Optional[np.ndarray] = None
+        self.tiles = None  # (step weights, row pointers) of the largest box graph built
         self.lines = None  # (free cells per column, per row) as int bitmasks
         self.snaps: Dict[Tuple[float, float], Tuple[int, int]] = {}
-        # source -> (limit, dist, goal cell -> (path cells, length)), the
-        # least recently read first; (0.0, None, paths) before any search
+        # source -> (limit, box, dist, goal cell -> (path cells, length)), the
+        # least recently read first; (0.0, None, None, paths) before any search
         self.searches: Dict[Tuple[int, int], tuple] = {}
 
     def keep_search(self, source: Tuple[int, int], search: tuple) -> None:

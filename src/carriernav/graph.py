@@ -125,9 +125,6 @@ class Crsg:
             return self.orphan_objects.pop(object_id)
         return self.missing.pop(object_id, None)
 
-    def carried_relation(self) -> Dict[str, Tuple[str, ...]]:
-        return {c["id"]: tuple(c["carried"]) for c in self.to_dict()["carriers"]}
-
     def to_dict(self) -> dict:
         """The graph's one listing, every section in id order but rooms."""
         return {

@@ -9,22 +9,24 @@ changes nothing, so ground-truth changes (displaced or removed objects)
 never leak into the parsed scene, the belief graph a robot carries
 around or an earlier sighting.
 
-Planning reads paths over one symmetric 8-connected graph of the free
-cells, with unit/diagonal step costs: the path from a source cell to a goal
-cell is the one the ``STEP_ORDER`` walk-back takes over a Dijkstra search
-from the source.  Most reads need no search: the generated houses are open
-rooms, and a sweep of the cells between the two ends finds, exactly, when
-the geodesic equals the obstacle-free octile distance, and then the same
-path.  Only the reads it refuses search around the obstacles.  The
-searches are bounded: each stops at the distance its caller reads, and a
-farther read from the same source searches again with a larger limit.  A
-distance read is the length of the path ``shortest_path`` gives, the length
-``travel`` walks along it, so no raw search float leaves the world.  Each
-source cell keeps its own search and the paths walked from it, so paths and
-distances from a source already read (a carrier the robot returns to) reuse
-them, and a leg whose ends share a cell searches nothing.  Reachability
-alone reads the connected components of the same graph.  A leg may only
-take the moves of that graph: ``travel`` refuses any other.
+Planning reads paths over the free cells, 8-connected, with unit/diagonal
+step costs: the path from a source cell to a goal cell is the one the
+``STEP_ORDER`` walk-back takes over a Dijkstra search from the source.  One
+per-grid table of allowed moves holds the movement rule; every graph is
+sliced from it, and ``travel`` refuses any move it does not allow.  Most
+reads need no search: the generated houses are open rooms, and a sweep of
+the cells between the two ends finds, exactly, when the geodesic equals the
+obstacle-free octile distance, and then the same path.  Only the reads it
+refuses search around the obstacles, and only over the box that holds
+every path within the search's limit between the two ends: each search
+stops at a limit, and a read it does not answer searches again with a
+larger one.  A distance read is the length of the path ``shortest_path``
+gives, the length ``travel`` walks along it, so no raw search float leaves
+the world.  Each source cell keeps its latest search and the paths walked
+from it, so paths and distances from a source already read (a carrier the
+robot returns to) reuse them, and a leg whose ends share a cell searches
+nothing.  Reachability alone reads the connected components of the whole
+grid's graph.
 
 Sensing is a radius + field-of-view model with optional wall occlusion.  A
 leg senses at the center of every path cell, facing the step to the next
@@ -62,6 +64,8 @@ from .scene import MAX_GRID_CELLS, Box3, ObjectInstance, SceneMap, _frozen, dist
 SQRT2 = math.sqrt(2.0)
 
 Cell = Tuple[int, int]
+# (x0, y0, x1, y1): the cells x0 <= ix < x1, y0 <= iy < y1
+Box = Tuple[int, int, int, int]
 
 # Path walk-back tie-break order: axis steps first, then diagonals.
 STEP_ORDER: Tuple[Cell, ...] = ((1, 0), (-1, 0), (0, 1), (0, -1),
@@ -69,6 +73,21 @@ STEP_ORDER: Tuple[Cell, ...] = ((1, 0), (-1, 0), (0, 1), (0, -1),
 # Step length in cells per STEP_ORDER slot.
 STEP_CELLS: Tuple[float, ...] = tuple(SQRT2 if dx != 0 and dy != 0 else 1.0
                                       for dx, dy in STEP_ORDER)
+# A read builds a graph for its box only when the box leaves out at least
+# this many of the grid's cells; else it searches the whole grid's graph.
+# Building a graph costs about as much as settling 150 cells, and a search
+# of the whole graph answers later reads in every direction, so a box that
+# leaves out fewer cells (every box on the generated 0.25 m houses, of 2,016
+# to 3,840 cells) cost more than it saved there.
+BOX_LEAVES_OUT = 4096
+_STEP_DX = np.array([dx for dx, _ in STEP_ORDER], dtype=np.int32)
+_STEP_DY = np.array([dy for _, dy in STEP_ORDER], dtype=np.int32)
+# (axis, sign) -> the STEP_ORDER slots that step that way along that axis
+_LEAVING = {(axis, sign): np.array([k for k, step in enumerate(STEP_ORDER) if step[axis] == sign])
+            for axis in (0, 1) for sign in (-1, 1)}
+# slot of the move (dx, dy) at index 3 * dx + dy (negative indices wrap), -1 for no move
+_STEP_SLOT = np.full(9, -1)
+_STEP_SLOT[[3 * dx + dy for dx, dy in STEP_ORDER]] = np.arange(len(STEP_ORDER))
 
 
 class WorldError(ValueError):
@@ -293,15 +312,15 @@ class GridWorld:
         every goal already, so none is swept on it.  An unreachable goal
         raises and is not kept.
         """
-        search = self._grid.searches.get(source) or (0.0, None, {})
+        search = self._grid.searches.get(source) or (0.0, None, None, {})
         self._grid.keep_search(source, search)
-        limit, _, paths = search
+        limit, _, _, paths = search
         kept = paths.get(goal)
         if kept is None:
             if not math.isinf(limit):
                 kept = self._certified_walk(source, goal)
             if kept is None:
-                kept = self._walk_back(self._search(source, goal), source, goal)
+                kept = self._walk_back(*self._search(source, goal), source, goal)
             paths[goal] = kept
         return kept
 
@@ -355,97 +374,121 @@ class GridWorld:
         path = tuple(zip(us, vs) if by_column else zip(vs, us))[::-1]
         return path, self._path_length(len(path) - 1, hi - lo)
 
-    def _walk_back(self, dist: np.ndarray, start_cell: Cell,
+    def _walk_back(self, box: Box, dist: np.ndarray, start_cell: Cell,
                    goal_cell: Cell) -> Tuple[tuple, float]:
         """(path cells, length) from ``start_cell`` to ``goal_cell`` over the
-        distance field ``dist`` from ``start_cell``.
+        distance field ``dist`` of a search from ``start_cell`` over ``box``.
 
         From the goal, each step goes to the first neighbour in
-        ``STEP_ORDER`` that the movement rule allows and whose distance plus
-        the step cost equals the current cell's distance (within 1e-9 *
-        resolution).  Slot k of a cell's graph row holds its
-        ``STEP_ORDER[k]`` neighbour, or the cell itself where the move is
-        not allowed, which never matches (the step cost is far above the
-        tolerance), so the walk reads rows.  Length is :meth:`_path_length`
-        of the step counts, as for a walked leg, so it is exactly symmetric.
-        The search only has to reach the goal: every cell of the walk is nearer.
+        ``STEP_ORDER`` that the move table allows, that lies in the box and
+        whose distance plus the step cost equals the current cell's distance
+        (within 1e-9 * resolution).  Length is :meth:`_path_length` of the
+        step counts, as for a walked leg, so it is exactly symmetric.  The
+        search only has to give the goal its exact distance with every path
+        of that length inside the box (:meth:`_search`): every cell of the
+        walk lies on such a path, and a cell of the box off every shortest
+        path reads no nearer than its true distance, so the walk makes the
+        matches a walk over the whole grid's search makes.
         """
-        graph, index, cells = self._free_graph()
-        source = int(index[start_cell[1], start_cell[0]])
-        i = int(index[goal_cell[1], goal_cell[0]])
-        if math.isinf(dist[i]):
+        x0, y0, x1, y1 = box
+        gx, gy = goal_cell
+        bw = x1 - x0
+        i = (gy - y0) * bw + gx - x0
+        if not (x0 <= gx < x1 and y0 <= gy < y1) or math.isinf(dist[i]):
             raise UnreachableGoalError(f"no path from {start_cell} to {goal_cell}")
         # memoryviews read items as Python numbers, much faster than arrays
-        dist, nbrs, cells = (memoryview(a) for a in (dist, graph.indices, cells))
-
-        def cell(i: int) -> Cell:
-            iy, ix = divmod(cells[i], self.width)
-            return (ix, iy)
-
-        steps = [c * self.resolution for c in STEP_CELLS]
-        slots = range(len(STEP_ORDER))
+        dist, moves = memoryview(dist), memoryview(self._moves().reshape(-1))
+        slots = [(k, dx, dy, dy * bw + dx, c * self.resolution)
+                 for k, ((dx, dy), c) in enumerate(zip(STEP_ORDER, STEP_CELLS))]
+        width, n_slots = self.width, len(STEP_ORDER)
         tol = 1e-9 * self.resolution
-        walk = [i]
+        x, y = goal_cell
+        walk = [goal_cell]
         n_diag = 0
-        while i != source:
+        while (x, y) != start_cell:
             here = dist[i]
-            row = i * len(STEP_ORDER)
-            for k in slots:
-                j = nbrs[row + k]
-                if abs(dist[j] + steps[k] - here) <= tol:
-                    i = j
-                    walk.append(i)
-                    if STEP_CELLS[k] != 1.0:
+            row = (y * width + x) * n_slots
+            inner = x0 < x < x1 - 1 and y0 < y < y1 - 1
+            for k, dx, dy, offset, step in slots:
+                if (moves[row + k] and (inner or (x0 <= x + dx < x1 and y0 <= y + dy < y1))
+                        and abs(dist[i + offset] + step - here) <= tol):
+                    x, y, i = x + dx, y + dy, i + offset
+                    walk.append((x, y))
+                    if dx and dy:
                         n_diag += 1
                     break
             else:
-                raise WorldError(f"distance field has no predecessor for {cell(i)}")
-        path = tuple(cell(i) for i in reversed(walk))
+                raise WorldError(f"distance field has no predecessor for {(x, y)}")
+        path = tuple(reversed(walk))
         return path, self._path_length(len(path) - 1, n_diag)
 
     def _path_length(self, n_steps: int, n_diag: int) -> float:
         """Length (m) of ``n_steps`` steps, ``n_diag`` of them diagonal."""
         return (n_steps - n_diag + n_diag * SQRT2) * self.resolution
 
-    def _free_graph(self) -> Tuple[csr_matrix, np.ndarray, np.ndarray]:
-        """(symmetric 8-neighbour graph over the free cells, free-cell
-        index, flat cell per row).
-
-        ``index[iy, ix]`` is a free cell's row, or -1 for a blocked cell,
-        and ``cells[i]`` is row i's cell as ``iy * width + ix``.  Every row
-        has exactly one slot per ``STEP_ORDER`` move, in that order,
-        weighted by the step length.  A diagonal step needs both
-        orthogonal cells free (no corner cutting); a move the rule does not
-        allow points back at the row's own cell, a self-loop that no
-        search can relax.  This is the one place the movement rule lives.
-        Built once per grid.
-        """
+    def _moves(self) -> np.ndarray:
+        """Read-only (height, width, 8) table: ``[iy, ix, k]`` is whether the
+        cell may take the ``STEP_ORDER[k]`` move.  A move goes from a free
+        cell to a free cell of the grid, and a diagonal one needs both
+        orthogonal cells free (no corner cutting).  This is the one place
+        the movement rule lives.  Built once per grid."""
         grid = self._grid
-        if grid.graph is None:
+        if grid.moves is None:
             free = ~self.occupancy
             h, w = free.shape
-            n = int(free.sum())
-            cells = np.flatnonzero(free).astype(np.int32)
-            index = np.full(free.shape, -1, dtype=np.int32)
-            index[free] = np.arange(n, dtype=np.int32)
             # a one-cell blocked border makes every neighbour a slice view
-            pad_free = np.pad(free, 1)
-            pad_index = np.pad(index, 1, constant_values=-1)
+            pad = np.pad(free, 1)
 
-            def shifted(a: np.ndarray, dx: int, dy: int) -> np.ndarray:
-                return a[1 + dy:1 + dy + h, 1 + dx:1 + dx + w]
+            def shifted(dx: int, dy: int) -> np.ndarray:
+                return pad[1 + dy:1 + dy + h, 1 + dx:1 + dx + w]
 
-            slots = len(STEP_ORDER)
-            cols = np.empty((n, slots), dtype=np.int32)
+            moves = np.empty((h, w, len(STEP_ORDER)), dtype=bool)
             for k, (dx, dy) in enumerate(STEP_ORDER):
-                allowed = shifted(pad_free, dx, dy)
+                allowed = free & shifted(dx, dy)
                 if dx != 0 and dy != 0:
-                    allowed = allowed & shifted(pad_free, dx, 0) & shifted(pad_free, 0, dy)
-                cols[:, k] = np.where(allowed, shifted(pad_index, dx, dy), index)[free]
-            steps = np.tile(np.array(STEP_CELLS) * self.resolution, n)
-            indptr = np.arange(0, slots * n + 1, slots, dtype=np.int32)
-            graph = csr_matrix((steps, cols.ravel(), indptr), shape=(n, n))
-            grid.graph = (graph, index, cells)
+                    allowed &= shifted(dx, 0) & shifted(0, dy)
+                moves[:, :, k] = allowed
+            moves.flags.writeable = False
+            grid.moves = moves
+        return grid.moves
+
+    def _box_graph(self, box: Box) -> csr_matrix:
+        """Graph over the cells of ``box``: node ``(iy - y0) * (x1 - x0) + ix
+        - x0`` for cell (ix, iy).  Every row has one slot per ``STEP_ORDER``
+        move, in that order, weighted by the step length: the neighbour
+        where the move table allows the move and it stays in the box, else
+        the row's own node, a self-loop that no search can relax.  A
+        blocked cell's row is all self-loops.  The step weights and row
+        pointers are views of the grid's tiles, sized to the largest box
+        built."""
+        x0, y0, x1, y1 = box
+        bw, bh = x1 - x0, y1 - y0
+        n = bw * bh
+        nbrs = self._moves()[y0:y1, x0:x1] * (_STEP_DY * bw + _STEP_DX)
+        # moves that leave the box through a side inside the grid are cut
+        if y0 > 0:
+            nbrs[0, :, _LEAVING[1, -1]] = 0
+        if y1 < self.height:
+            nbrs[-1, :, _LEAVING[1, 1]] = 0
+        if x0 > 0:
+            nbrs[:, 0, _LEAVING[0, -1]] = 0
+        if x1 < self.width:
+            nbrs[:, -1, _LEAVING[0, 1]] = 0
+        nbrs += np.arange(n, dtype=np.int32).reshape(bh, bw, 1)
+        grid = self._grid
+        if grid.tiles is None or len(grid.tiles[1]) <= n:
+            grid.tiles = (np.tile(np.array(STEP_CELLS) * self.resolution, n),
+                          np.arange(0, len(STEP_ORDER) * n + 1, len(STEP_ORDER), dtype=np.int32))
+        steps, indptr = grid.tiles
+        return csr_matrix((steps[:nbrs.size], nbrs.reshape(-1), indptr[:n + 1]), shape=(n, n))
+
+    def _graph(self) -> csr_matrix:
+        """The box graph of the whole grid, node ``iy * width + ix``, that a
+        search over the whole grid reads.  Built once per grid, on its first
+        read."""
+        grid = self._grid
+        if grid.graph is None:
+            grid.graph = self._box_graph((0, 0, self.width, self.height))
         return grid.graph
 
     def _free_lines(self) -> Tuple[List[int], List[int]]:
@@ -463,65 +506,143 @@ class GridWorld:
     def connected(self, a: Sequence[float], b: Sequence[float]) -> bool:
         """Whether a free-cell path joins the free cells nearest ``a`` and
         ``b``: one connected-component label lookup, no search.  The labels
-        are computed once per grid."""
-        graph, index, _ = self._free_graph()
+        are computed once per grid, on the whole grid's box graph: the kept
+        one when a search built it, else one built for the labels alone and
+        not kept, since a grid asked only about reachability (a generated
+        house being checked) is never searched."""
         grid = self._grid
         if grid.labels is None:
+            graph = grid.graph if grid.graph is not None else self._box_graph(
+                (0, 0, self.width, self.height))
             # the graph is symmetric, so its strong components are its
             # components, found without the transpose a weak search builds
-            grid.labels = connected_components(
-                graph, directed=True, connection="strong")[1]
+            grid.labels = connected_components(graph, directed=True, connection="strong")[1]
         labels = grid.labels
         (ax, ay), (bx, by) = self.snap_free_cell(a), self.snap_free_cell(b)
-        return bool(labels[index[ay, ax]] == labels[index[by, bx]])
+        return bool(labels[ay * self.width + ax] == labels[by * self.width + bx])
 
     def _octile(self, a: Cell, b: Cell) -> float:
         """Obstacle-free 8-connected distance (m): a lower bound on the geodesic."""
         dx, dy = abs(a[0] - b[0]), abs(a[1] - b[1])
         return self._path_length(max(dx, dy), min(dx, dy))
 
-    def _search(self, source: Cell, cell: Cell) -> np.ndarray:
-        """Distance (m) per free-cell index from ``source``, exact at the
-        free ``cell`` and at every cell nearer than it; inf beyond the limit.
-        :meth:`_walk` asks only for the goals the octile sweep refuses, and
-        only :meth:`_walk_back` reads the distances.
+    def _box(self, source: Cell, goal: Cell, limit: float) -> Box:
+        """(x0, y0, x1, y1), ends exclusive, clipped to the grid: the box that
+        holds every cell of every path of length at most ``limit`` (m)
+        between ``source`` and ``goal``.
 
-        Searches are bounded: Dijkstra with ``limit=L`` gives the exact
-        distance of every cell at or below L and inf for the rest.  The
-        grid's facts keep ``(limit, dist, paths)`` of each source cell's
-        latest search, ``(0.0, None, paths)`` before its first, for the
-        latest ``facts.SEARCHES_PER_GRID`` sources read; a read from a
-        dropped source searches anew, and its kept paths went with it.  A
-        read that finds no search
-        from ``source``, or inf under a finite limit, searches again from
-        ``source`` with the limit ``max(2 * limit, 1.25 * octile(source,
-        cell))`` plus a 1e-9 relative margin (the first limit is 1.25 *
-        octile), until the cell is reached.  The octile distance is a lower
-        bound, and 1.25 of it settled the fewest cells of the factors tried
-        on the generated houses (1.1, 1.25, 1.5 and 2): a smaller factor
-        misses detours more often and searches again, a larger one settles
-        area no read needs.  Once the limit reaches the octile distance to
-        the grid's farthest corner, the search is unbounded, so only an inf
-        under an unbounded search means "unreachable".
+        A cell (x, y) on such a path lies within ``limit`` of both ends
+        together, and the octile distance is at least the Chebyshev one and
+        at least (|dx| + |dy|) / sqrt(2).  So, in cells, |x - sx| + |x - gx|
+        <= min(L, sqrt(2) * L - |sy - gy|), and the same with x and y
+        swapped.  A margin of 1e-9 cells keeps float rounding from cutting
+        a cell on the bound.
+        """
+        reach = limit / self.resolution + 1e-9
+        (sx, sy), (gx, gy) = source, goal
+        span_x, span_y = abs(gx - sx), abs(gy - sy)
+        ex = math.floor((min(reach, SQRT2 * reach - span_y) - span_x) / 2)
+        ey = math.floor((min(reach, SQRT2 * reach - span_x) - span_y) / 2)
+        return (max(min(sx, gx) - ex, 0), max(min(sy, gy) - ey, 0),
+                min(max(sx, gx) + ex + 1, self.width), min(max(sy, gy) + ey + 1, self.height))
+
+    def _answers(self, search: tuple, source: Cell, goal: Cell) -> bool:
+        """Whether ``search``, ``(limit, box, dist, paths)`` from ``source``,
+        gives ``goal`` its exact distance with every shortest path inside
+        its box, or shows it unreachable.
+
+        The goal must lie in the box at a distance d whose own box, at d,
+        lies inside the searched one.  Then the shortest path, of some
+        length at most d, lies in that box, so the search found it, and so
+        does every shortest path.  An unbounded search answers every goal.
+        """
+        limit, box, dist, _ = search
+        if box is None:
+            return False
+        if math.isinf(limit):
+            return True
+        x0, y0, x1, y1 = box
+        gx, gy = goal
+        if not (x0 <= gx < x1 and y0 <= gy < y1):
+            return False
+        found = float(dist[(gy - y0) * (x1 - x0) + gx - x0])
+        if math.isinf(found):
+            return False
+        a0, b0, a1, b1 = self._box(source, goal, found)
+        return x0 <= a0 and y0 <= b0 and a1 <= x1 and b1 <= y1
+
+    def _search(self, source: Cell, goal: Cell) -> Tuple[Box, np.ndarray]:
+        """(box, distance per cell of the box from ``source``) of a search
+        that answers ``goal`` (:meth:`_answers`): exact at the goal when it
+        is reachable, inf over the whole grid when it is not.
+        :meth:`_walk` asks only for the goals the octile sweep refuses, and
+        only :meth:`_answers` and :meth:`_walk_back` read the distances.
+
+        Searches are bounded by a limit L and by the box of L
+        (:meth:`_box`): Dijkstra over the box's graph (:meth:`_box_graph`)
+        with ``limit=L`` gives the distance within the box of every cell at
+        or below L and inf for the rest.  The grid's facts keep ``(limit,
+        box, dist, paths)`` of each source cell's latest search, ``(0.0,
+        None, None, paths)`` before its first, for the latest
+        ``facts.SEARCHES_PER_GRID`` sources read; a read from a dropped
+        source searches anew, and its kept paths went with it.  A read the
+        kept search does not answer searches again from ``source``: L is
+        1.25 * octile(source, goal) plus a 1e-9 relative margin, doubled
+        until the search answers.  An L whose box lies inside the kept
+        search's box and that is under twice the kept limit is raised to
+        twice the kept limit with no search: the kept search answers every
+        goal a search to a smaller limit would, and a source's limits grow
+        at least twofold, as they did when every search read the whole
+        grid.  The octile distance is a lower bound, and 1.25 of it
+        settled the fewest cells of the factors tried on the generated
+        houses (1.1, 1.25, 1.5 and 2).  Once L reaches the octile distance
+        to the grid's farthest corner, the search is unbounded, over the
+        whole grid, so only an inf under an unbounded search means
+        "unreachable".
+
+        One written rule picks the graph: a box that leaves out fewer than
+        ``BOX_LEAVES_OUT`` of the grid's cells is searched, to the same
+        limit, over the whole grid's graph (:meth:`_graph`), built once and
+        kept with the grid, instead of a graph built for that box.  A search
+        of the whole graph answers later goals in every direction, and
+        building a graph per box cost more than the cells it left out saved
+        on the small 0.25 m houses, where every box falls under the rule.
 
         No world changes its grid, so no search goes stale.  A search that
-        another world on the same grid grew further reads the same
-        distances: a cell's distance is its nearer neighbours' plus a
-        positive step, whatever the limit.
+        another world on the same grid made over another box reads the
+        same path: the walk-back's matches do not depend on the box.
         """
-        graph, index, _ = self._free_graph()
-        target = index[cell[1], cell[0]]
-        limit, dist, paths = self._grid.searches.get(source) or (0.0, None, {})
-        farthest_corner = (0 if 2 * source[0] >= self.width else self.width - 1,
-                           0 if 2 * source[1] >= self.height else self.height - 1)
-        while dist is None or (math.isinf(dist[target]) and not math.isinf(limit)):
-            limit = max(2.0 * limit, 1.25 * self._octile(source, cell)) * (1.0 + 1e-9)
-            if limit >= self._octile(source, farthest_corner):
-                limit = math.inf
-            dist = dijkstra(graph, directed=True, indices=int(index[source[1], source[0]]),
-                            limit=limit)
-        self._grid.keep_search(source, (limit, dist, paths))
-        return dist
+        searches = self._grid.searches
+        search = searches.get(source) or (0.0, None, None, {})
+        if not self._answers(search, source, goal):
+            kept_limit, kept, _, paths = search
+            whole = (0, 0, self.width, self.height)
+            farthest_corner = (0 if 2 * source[0] >= self.width else self.width - 1,
+                               0 if 2 * source[1] >= self.height else self.height - 1)
+            limit = 1.25 * self._octile(source, goal) * (1.0 + 1e-9)
+            while True:
+                if limit >= self._octile(source, farthest_corner):
+                    limit, box = math.inf, whole
+                else:
+                    box = self._box(source, goal, limit)
+                    cells = (box[2] - box[0]) * (box[3] - box[1])
+                    if self.width * self.height - cells < BOX_LEAVES_OUT:
+                        box = whole
+                if (kept is not None and limit < 2.0 * kept_limit and kept[0] <= box[0]
+                        and kept[1] <= box[1] and box[2] <= kept[2] and box[3] <= kept[3]):
+                    limit = 2.0 * kept_limit
+                    continue
+                graph = self._graph() if box == whole else self._box_graph(box)
+                x0, y0, x1, _ = box
+                dist = dijkstra(graph, directed=True, limit=limit,
+                                indices=(source[1] - y0) * (x1 - x0) + source[0] - x0)
+                search = (limit, box, dist, paths)
+                if self._answers(search, source, goal):
+                    break
+                kept_limit, kept = limit, box
+                limit *= 2.0
+        self._grid.keep_search(source, search)
+        return search[1], search[2]
 
     def distance_field(self, start: Sequence[float]) -> Callable[[Sequence[float]], float]:
         """Point -> length (m) of the path :meth:`shortest_path` gives from
@@ -621,19 +742,23 @@ class GridWorld:
 
     def _check_moves(self, cells: np.ndarray) -> None:
         """Raise :class:`WorldError` unless every cell of the (n, 2) on-grid
-        ``cells`` is free and each step to the next is a move of its
-        ``_free_graph`` row.  A slot the rule does not allow holds the row's
-        own cell, so a step that stays in its cell matches no move."""
-        graph, index, _ = self._free_graph()
-        rows = index[cells[:, 1], cells[:, 0]]
-        if np.any(rows < 0):
-            raise WorldError(f"path cell {cells[np.argmax(rows < 0)].tolist()} is blocked")
-        slots = graph.indices.reshape(-1, len(STEP_ORDER))[rows[:-1]]
-        allowed = (slots == rows[1:, None]).any(axis=1) & (rows[1:] != rows[:-1])
-        if not allowed.all():
-            k = int(np.argmin(allowed))
-            raise WorldError(f"path step {cells[k].tolist()} -> {cells[k + 1].tolist()} "
-                             f"is not an allowed move")
+        ``cells`` is free and each step to the next is a move the move
+        table allows.  The table allows moves between free cells only, so
+        a path of allowed moves has only free cells."""
+        cells = cells.astype(np.int64, copy=False)  # unsigned steps back would wrap
+        steps = np.diff(cells, axis=0)
+        # a step of more than one cell, or none, reads a slot it may not take
+        slots = _STEP_SLOT.take(steps @ (3, 1), mode="wrap")
+        allowed = ((np.abs(steps).max(axis=1) == 1)
+                   & self._moves()[cells[:-1, 1], cells[:-1, 0], slots])
+        if allowed.all() and (len(steps) or not self.occupancy[cells[0, 1], cells[0, 0]]):
+            return
+        blocked = self.occupancy[cells[:, 1], cells[:, 0]]
+        if blocked.any():
+            raise WorldError(f"path cell {cells[np.argmax(blocked)].tolist()} is blocked")
+        k = int(np.argmin(allowed))
+        raise WorldError(f"path step {cells[k].tolist()} -> {cells[k + 1].tolist()} "
+                         f"is not an allowed move")
 
     def _first_sightings(self, positions: np.ndarray, headings: Sequence[float],
                          cells: Sequence[Cell], sensor: SensorConfig) -> List[Observation]:

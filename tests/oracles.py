@@ -4,8 +4,8 @@ Everything here is written in the plainest possible style from the public
 contracts, avoiding the package's own helpers wherever the helper is the
 thing under test: path lengths come from a textbook Dijkstra instead of
 the package's scipy search, distance fields from one unbounded search over
-the planner's former one-direction graph instead of bounded searches over
-its symmetric one, reachability from that search instead of component
+the planner's former one-direction graph instead of searches bounded by a
+limit and a box over its move table, reachability from that search instead of component
 labels, similarities from exact token counts instead of hashed
 vectors, cosines from one dot product per call instead of bucket
 supports, embeddings from counts added into the vector one at a time
@@ -201,6 +201,12 @@ def full_grid_distances(occupancy, resolution: float, source):
     from one unbounded undirected search over ``one_direction_graph``."""
     graph, index = one_direction_graph(occupancy, resolution)
     return dijkstra(graph, directed=False, indices=int(index[source[1], source[0]])), index
+
+
+def carried_relation(crsg) -> dict:
+    """Carrier id -> sorted ids of the objects the graph ``crsg`` says it
+    carries, read from its one listing, ``Crsg.to_dict()``."""
+    return {c["id"]: tuple(c["carried"]) for c in crsg.to_dict()["carriers"]}
 
 
 def carriers_reachable_by_distance(scene, start) -> bool:

@@ -24,7 +24,7 @@ from carriernav.policy import VARIANTS, PolicyConfig, priority_score
 from carriernav.scenarios import build_scenario, generate_scenarios
 from carriernav.world import GridWorld, SensorConfig
 
-from oracles import brute_force_relation, spl_oracle
+from oracles import brute_force_relation, carried_relation, spl_oracle
 from test_graph import random_assignment_scene
 
 
@@ -204,7 +204,7 @@ def test_criterion_8_full_coverage_recovers_displaced_relation():
                            crsg_cfg=sc.crsg)
         expected = {cid: tuple(sorted(world.ground_truth_carried(cid, sc.crsg)))
                     for cid in crsg.carriers}
-        converged += crsg.carried_relation() == expected
+        converged += carried_relation(crsg) == expected
 
     ok = converged == 100
     line = report(8, ok, f"{converged}/100 worlds converged")

@@ -27,7 +27,7 @@ from carriernav.scenarios import MODES, build_scenario, generate_scenarios, load
 from carriernav.world import GridWorld
 
 from conftest import assert_every_kept_answer_is_its_rule
-from oracles import spl_oracle
+from oracles import carried_relation, spl_oracle
 
 
 class TestSpl:
@@ -145,31 +145,33 @@ class TestRunSequence:
 
 
 class TestSearchBudget:
-    """Counts, not timings: the scenario's generation and the six variants'
-    task sequences share one grid, so they build its free-cell graph once
-    and search no source twice to one limit; a leg whose ends share a cell
-    searches nothing, and a read of a source's own cell searches nothing
-    (no search has limit 0)."""
+    """Counts, not timings: the six variants' task sequences of a scenario
+    share one grid.  On a grid whose facts start cold, they build the whole
+    grid's graph only when a read searches it (a box that leaves out too few
+    cells to get its own graph), and then once; they search no (source,
+    box) pair twice to one limit, nor a box of their own twice; a leg whose
+    ends share a cell searches nothing, and no search has limit 0."""
 
     @pytest.mark.parametrize("mode,index,resolution", [
         ("single", 0, 0.05), ("probe", 0, 0.05), ("mixed", 0, 0.25), ("mixed", 1, 0.25),
         ("mixed", 4, 0.25), ("probe", 0, 0.25)])
     def test_each_search_is_paid_once(self, monkeypatch, mode, index, resolution):
         import carriernav.world as world_mod
-        built, searches, zero_legs, grids = [], [], [], set()
-        real_csr, real_dijkstra = world_mod.csr_matrix, world_mod.dijkstra
+        boxes, searches, zero_legs, grids = {}, [], [], set()
+        real_box_graph, real_dijkstra = GridWorld._box_graph, world_mod.dijkstra
         real_init, real_path = GridWorld.__init__, GridWorld.shortest_path
 
         def init(world, *args, **kwargs):
             real_init(world, *args, **kwargs)
             grids.add(world._grid)
 
-        def csr_matrix(*args, **kwargs):
-            built.append(args)
-            return real_csr(*args, **kwargs)
+        def box_graph(world, box):
+            graph = real_box_graph(world, box)
+            boxes[id(graph)] = (box, graph)
+            return graph
 
         def dijkstra(graph, **kwargs):
-            searches.append((kwargs["indices"], kwargs["limit"]))
+            searches.append((kwargs["indices"], boxes[id(graph)][0], kwargs["limit"]))
             return real_dijkstra(graph, **kwargs)
 
         def shortest_path(world, start, goal):
@@ -179,17 +181,25 @@ class TestSearchBudget:
                 zero_legs.append(len(searches) - before)
             return out
 
-        monkeypatch.setattr(world_mod, "csr_matrix", csr_matrix)
+        sc = build_scenario(mode, index, 7, resolution)
+        facts.release_facts()  # generation labelled the whole grid's graph
+        monkeypatch.setattr(GridWorld, "_box_graph", box_graph)
         monkeypatch.setattr(world_mod, "dijkstra", dijkstra)
         monkeypatch.setattr(GridWorld, "__init__", init)
         monkeypatch.setattr(GridWorld, "shortest_path", shortest_path)
-        sc = build_scenario(mode, index, 7, resolution)
         for variant in VARIANTS.values():
             run_sequence(sc, variant)
-        assert len(grids) == 1 and len(built) == 1
+        (grid,) = grids
+        whole = (0, 0, grid.occupancy.shape[1], grid.occupancy.shape[0])
+        built = [box for box, _ in boxes.values()]
+        assert built.count(whole) == (1 if any(s[1] == whole for s in searches) else 0)
         assert zero_legs and set(zero_legs) == {0}
         assert searches and len(set(searches)) == len(searches)
-        assert [s for s in searches if s[1] == 0] == []
+        own = [(node, box) for node, box, _ in searches if box != whole]
+        assert len(set(own)) == len(own) and len(own) == len(built) - built.count(whole)
+        assert [s for s in searches if s[2] == 0] == []
+        # the 0.05 m houses build no whole graph; the 0.25 m ones search it only
+        assert (built.count(whole) == 0) == (resolution == 0.05) == bool(own)
 
 
 @pytest.mark.parametrize("resolution", [0.25, 0.05])
@@ -247,7 +257,7 @@ class TestFullCoverageTour:
             cid: tuple(sorted(world.ground_truth_carried(cid, sc.crsg)))
             for cid in crsg.carriers
         }
-        assert crsg.carried_relation() == expected
+        assert carried_relation(crsg) == expected
 
 
 @pytest.fixture(scope="module")

@@ -628,7 +628,9 @@ class TestRunTask:
         # other poses have searched; the Stop step reads nothing.  The
         # world's grid starts cold: no earlier world's search is reused.  A
         # wall with a gap at its north end parts the start and table_1 from
-        # table_0 and counter_0, so reads across it detour and search
+        # table_0 and counter_0, so reads across it detour and search.  No
+        # box of this 32 x 24 grid leaves out BOX_LEAVES_OUT cells, so every
+        # search reads the whole grid's graph, node iy * 32 + ix
         import carriernav.world as world_mod
         searches = []
         real = world_mod.dijkstra

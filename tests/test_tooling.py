@@ -43,9 +43,15 @@ anywhere in the package must fail here.
 
 A distance read is the length of the path the robot would walk, so no
 raw search float leaves the world: a search's distance array is read only
-by ``GridWorld._search``, which grows it, and ``GridWorld._walk_back``,
-which walks a path over it.  A read of it anywhere else in ``world.py``
-must fail here.
+by ``GridWorld._answers``, which tells ``GridWorld._search`` whether a
+search answers a goal, and ``GridWorld._walk_back``, which walks a path
+over it.  A read of it anywhere else in ``world.py`` must fail here.
+
+Planning has one site for each of its rules in ``world.py``: only the box
+builder constructs a ``csr_matrix``, only ``GridWorld._search`` calls
+``dijkstra``, only ``GridWorld.connected`` calls ``connected_components``
+and only the move-table builder tests a diagonal's two orthogonal cells
+(the corner rule).  A second site of any of them must fail here.
 
 An episode records each action at one site: ``run_task``'s ``record``, the
 one construction of ``policy.ActionRecord``.  A second construction, a
@@ -576,65 +582,94 @@ def test_the_distance_guard_sees_every_norm():
     assert linalg_norm_reads(source) == [6, 6, 6, 7, 8]
 
 
-SEARCH_CALLS = ("_search", "dijkstra")
+def call_name(node):
+    """The called name of a ``Call`` node, else None."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", getattr(node.func, "attr", None))
+    return None
 
 
 def distance_array_reads(source: str) -> list:
     """(function, line) of each item read of a search's distance array in
-    module ``source``: a subscript of a ``_search(`` or ``dijkstra(`` call,
-    of a name bound to one, of a parameter that a call passes one to, of
-    the middle name unpacked from a ``.searches`` entry, or of item 1 of a
-    ``.searches`` entry or of a name bound to one."""
+    module ``source``.  A distance array is a ``dijkstra(`` call, item 1 of
+    the ``(box, dist)`` a ``_search(`` call gives, the second name unpacked
+    from one, the third name unpacked from a search entry (``(limit, box,
+    dist, paths)``: a ``.searches`` read, a name bound to one or to a
+    4-tuple, or a parameter a call passes an entry to), item 2 of an entry,
+    a name bound to any of these, or a parameter a call passes one to, a
+    ``*_search(`` call's second item included."""
     found = []
-
-    def calls_search(node) -> bool:
-        return isinstance(node, ast.Call) and getattr(
-            node.func, "id", getattr(node.func, "attr", None)) in SEARCH_CALLS
 
     def reads_searches(node) -> bool:
         return any(isinstance(n, ast.Attribute) and n.attr == "searches" for n in ast.walk(node))
 
-    tree = ast.parse(source)
-    passed = {}  # function -> positions of the parameters a call passes a search to
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            name = getattr(node.func, "id", getattr(node.func, "attr", None))
-            method = isinstance(node.func, ast.Attribute)  # self is parameter 0
-            passed.setdefault(name, set()).update(
-                k + method for k, arg in enumerate(node.args) if calls_search(arg))
+    def is_array(node, arrays, entries) -> bool:
+        if call_name(node) == "dijkstra" or (isinstance(node, ast.Name) and node.id in arrays):
+            return True
+        if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant):
+            item = node.slice.value
+            return ((item == 1 and call_name(node.value) == "_search")
+                    or (item == 2 and is_entry(node.value, entries)))
+        return False
 
-    def visit(node, function, arrays, entries):
+    def is_entry(node, entries) -> bool:
+        return reads_searches(node) or (isinstance(node, ast.Name) and node.id in entries) or (
+            isinstance(node, ast.Tuple) and len(node.elts) == 4)
+
+    tree = ast.parse(source)
+    # function -> positions of the parameters a call passes an array, or an entry, to
+    passed_arrays, passed_entries = {}, {}
+
+    def note_calls(node, arrays, entries):
+        name = call_name(node)
+        method = isinstance(node.func, ast.Attribute)  # self is parameter 0
+        for k, arg in enumerate(node.args):
+            if isinstance(arg, ast.Starred) and call_name(arg.value) == "_search":
+                passed_arrays.setdefault(name, set()).add(k + 1 + method)
+            elif is_array(arg, arrays, entries):
+                passed_arrays.setdefault(name, set()).add(k + method)
+            elif is_entry(arg, entries):
+                passed_entries.setdefault(name, set()).add(k + method)
+
+    def visit(node, function, arrays, entries, record):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            params = node.args.args
-            function, entries = node.name, set()
-            arrays = {params[k].arg for k in passed.get(node.name, ()) if k < len(params)}
+            params = [a.arg for a in node.args.args]
+            function = node.name
+            arrays = {params[k] for k in passed_arrays.get(function, ()) if k < len(params)}
+            entries = {params[k] for k in passed_entries.get(function, ()) if k < len(params)}
         if isinstance(node, ast.Assign):
             for target in node.targets:
-                if isinstance(target, ast.Name) and calls_search(node.value):
-                    arrays.add(target.id)
-                elif isinstance(target, ast.Name) and reads_searches(node.value):
-                    entries.add(target.id)
-                elif (isinstance(target, ast.Tuple) and len(target.elts) == 3
-                      and isinstance(target.elts[1], ast.Name) and reads_searches(node.value)):
-                    arrays.add(target.elts[1].id)
-        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
-            value = node.value
-            entry = (isinstance(value, ast.Subscript) and isinstance(value.slice, ast.Constant)
-                     and value.slice.value == 1 and (reads_searches(value.value) or (
-                         isinstance(value.value, ast.Name) and value.value.id in entries)))
-            if calls_search(value) or entry or (isinstance(value, ast.Name)
-                                                and value.id in arrays):
+                if isinstance(target, ast.Name):
+                    if is_array(node.value, arrays, entries):
+                        arrays.add(target.id)
+                    elif is_entry(node.value, entries) or isinstance(node.value, ast.BoolOp) and any(
+                            is_entry(v, entries) for v in node.value.values):
+                        entries.add(target.id)
+                elif isinstance(target, ast.Tuple) and all(
+                        isinstance(e, ast.Name) for e in target.elts):
+                    names = [e.id for e in target.elts]
+                    if len(names) == 2 and call_name(node.value) == "_search":
+                        arrays.add(names[1])
+                    elif len(names) == 4 and is_entry(node.value, entries):
+                        arrays.add(names[2])
+        if isinstance(node, ast.Call):
+            note_calls(node, arrays, entries)
+        if record and isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+            if is_array(node.value, arrays, entries):
                 found.append((function, node.lineno))
         for child in ast.iter_child_nodes(node):
-            visit(child, function, arrays, entries)
+            visit(child, function, arrays, entries, record)
 
-    visit(tree, None, set(), set())
+    visit(tree, None, set(), set(), False)  # what each call passes, wherever it lies
+    visit(tree, None, set(), set(), True)
     return sorted(found, key=lambda read: read[1])
 
 
 def test_only_the_search_and_the_walk_back_read_distances():
+    # the search reads its goal's distance in ``_answers``, which gives a
+    # bool, and the walk-back walks a path over the array
     reads = distance_array_reads((ROOT / "src" / "carriernav" / "world.py").read_text())
-    assert reads and {function for function, _ in reads} == {"_search", "_walk_back"}
+    assert reads and {function for function, _ in reads} == {"_answers", "_walk_back"}
 
 
 def test_the_distance_array_guard_sees_every_read():
@@ -645,23 +680,127 @@ def test_the_distance_array_guard_sees_every_read():
               "        cell = self.snap_free_cell(point)\n"
               "        if cell == source:\n"
               "            return 0.0\n"
-              "        index = self._free_graph()[1]\n"
-              "        return float(self._search(source, cell)[index[cell[1], cell[0]]])\n"
+              "        return float(self._search(source, cell)[1][cell[1] * self.width + cell[0]])\n"
               "    return distance\n"
               "def peek(self, s, c, i):\n"
-              "    dist = self._search(s, c)\n"
-              "    limit, far, paths = self._grid.searches[s]\n"
-              "    entry = self._grid.searches.get(s)\n"
-              "    paths[c] = self._walk_back(self._search(s, c), s, c)\n"
-              "    return dist[i], far[i], self._grid.searches[s][1][i], entry[1][i], paths[c]\n"
+              "    box, dist = self._search(s, c)\n"
+              "    limit, box, far, paths = self._grid.searches[s]\n"
+              "    entry = self._grid.searches.get(s) or (0.0, None, None, {})\n"
+              "    paths[c] = self._walk_back(*self._search(s, c), s, c)\n"
+              "    self.check(entry, s)\n"
+              "    return dist[i], far[i], self._grid.searches[s][2][i], entry[2][i], paths[c]\n"
               "def _search(self, s, c):\n"
               "    dist = dijkstra(s)\n"
-              "    return dist[c]\n"
-              "def _walk_back(self, dist, s, c):\n"
-              "    return dist[c], s[0]\n")
+              "    search = (1.0, None, dist, {})\n"
+              "    return search[1], dist[c]\n"
+              "def check(self, search, s):\n"
+              "    limit, box, dist, _ = search\n"
+              "    return box[0], dist[s]\n"
+              "def _walk_back(self, box, dist, s, c):\n"
+              "    return dist[c], s[0], box[1]\n")
     assert distance_array_reads(source) == [
-        ("distance", 8), ("peek", 15), ("peek", 15), ("peek", 15), ("peek", 15), ("_search", 18),
-        ("_walk_back", 20)]
+        ("distance", 7), ("peek", 15), ("peek", 15), ("peek", 15), ("peek", 15), ("_search", 19),
+        ("check", 22), ("_walk_back", 24)]
+
+
+def reference_sites(source: str, name: str) -> list:
+    """(function, line) of each reference to ``name`` in module ``source``,
+    by bare name or as an attribute, imports and annotations left out."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+            node.returns = None
+            for arg in node.args.args:
+                arg.annotation = None
+        if isinstance(node, ast.AnnAssign):
+            node.annotation = ast.Constant(None)
+        if (isinstance(node, ast.Name) and node.id == name) or (
+                isinstance(node, ast.Attribute) and node.attr == name):
+            found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def corner_rule_sites(source: str) -> list:
+    """(function, line) of each test of a diagonal's two orthogonal cells in
+    module ``source``: an ``&`` or ``and`` of two reads of one callee or
+    array whose two items differ in both places, as (x + dx, y) and (x,
+    y + dy) or (dx, 0) and (0, dy) do."""
+    def items(node):
+        if isinstance(node, ast.Call) and len(node.args) == 2 and not node.keywords:
+            return ast.dump(node.func), node.args
+        if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple) and len(
+                node.slice.elts) == 2:
+            return ast.dump(node.value), node.slice.elts
+        return None
+
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        def operands(node):  # of a chain of ``&`` or ``and``
+            if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And):
+                return [o for value in node.values for o in operands(value)]
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd):
+                return operands(node.left) + operands(node.right)
+            return [node]
+
+        chain = operands(node) if isinstance(node, (ast.BoolOp, ast.BinOp)) else []
+        reads = [r for r in map(items, chain) if r is not None]
+        if any(a[0] == b[0] and all(ast.dump(p) != ast.dump(q) for p, q in zip(a[1], b[1]))
+               for k, a in enumerate(reads) for b in reads[k + 1:]):
+            found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+# (what is done, the one function of world.py that may do it)
+PLANNING_OWNERS = (("csr_matrix", "_box_graph"), ("dijkstra", "_search"),
+                   ("connected_components", "connected"), ("corner rule", "_moves"))
+
+
+def planning_sites(source: str) -> dict:
+    """What each ``PLANNING_OWNERS`` entry names -> the functions of module
+    ``source`` that do it."""
+    return {what: sorted({function for function, _ in (
+        corner_rule_sites(source) if what == "corner rule" else reference_sites(source, what))})
+        for what, _ in PLANNING_OWNERS}
+
+
+def test_each_planning_rule_has_one_site():
+    # one graph builder, one search, one labelling and one movement rule:
+    # the move table is the one place a diagonal's corners are tested
+    sites = planning_sites((ROOT / "src" / "carriernav" / "world.py").read_text())
+    assert sites == {what: [owner] for what, owner in PLANNING_OWNERS}
+
+
+def test_the_planning_guard_sees_a_second_site():
+    source = ("from scipy.sparse import csr_matrix\n"
+              "def _box_graph(self, box):\n"
+              "    return csr_matrix(box)\n"
+              "def _search(self, s):\n"
+              "    return dijkstra(self._box_graph(s), indices=0)\n"
+              "def connected(self, a, b):\n"
+              "    return connected_components(self._graph())\n"
+              "def _moves(self):\n"
+              "    return shifted(dx, dy) & shifted(dx, 0) & shifted(0, dy)\n"
+              "def _check_moves(self, x, y, dx, dy):\n"
+              "    ok = self.free[y, x + dx] and self.free[y + dy, x]\n"
+              "    labels = sparse.csgraph.connected_components(self._graph())\n"
+              "    return ok, sparse.csr_matrix(x), dijkstra(x, indices=1)\n")
+    assert planning_sites(source) == {
+        "csr_matrix": ["_box_graph", "_check_moves"], "dijkstra": ["_check_moves", "_search"],
+        "connected_components": ["_check_moves", "connected"],
+        "corner rule": ["_check_moves", "_moves"]}
 
 
 def action_record_sites(source: str) -> list:

@@ -22,6 +22,7 @@ from carriernav.policy import VARIANTS
 from carriernav.scenarios import MODES, build_scenario
 from carriernav.scene import Box3, scene_from_dict
 from carriernav.world import (
+    BOX_LEAVES_OUT,
     STEP_ORDER,
     DisplacementError,
     DisplacementEvent,
@@ -366,13 +367,45 @@ class TestPlanning:
 
 
 def counting_searches(monkeypatch):
-    """(source row, limit) of every Dijkstra search the world runs."""
+    """(source node, limit) of every Dijkstra search the world runs; a
+    node is ``(iy - y0) * (x1 - x0) + ix - x0`` in the box searched."""
     import carriernav.world as world_mod
     searches = []
     real = world_mod.dijkstra
     monkeypatch.setattr(world_mod, "dijkstra", lambda *a, **k: searches.append(
         (k["indices"], k["limit"])) or real(*a, **k))
     return searches
+
+
+def counting_boxes(monkeypatch):
+    """The box of every graph the world builds, the whole grid's included."""
+    boxes = []
+    real = GridWorld._box_graph
+    monkeypatch.setattr(GridWorld, "_box_graph",
+                        lambda w, box: boxes.append(box) or real(w, box))
+    return boxes
+
+
+def search_read(w, source, cell):
+    """The distance of ``cell`` in the search :meth:`GridWorld._search`
+    gives for the read from ``source`` to ``cell``."""
+    (x0, y0, x1, _), dist = w._search(source, cell)
+    return dist[(cell[1] - y0) * (x1 - x0) + cell[0] - x0]
+
+
+def whole_graph_edges(w, graph):
+    """Moves of ``graph``, a graph over every cell of ``w``'s grid, as a
+    matrix over the free-cell index of ``oracles.one_direction_graph``."""
+    free = ~w.occupancy
+    cells = np.flatnonzero(free)
+    n, width = graph.shape[0], len(STEP_ORDER)
+    rows = np.repeat(np.arange(n), width)
+    moves = rows != graph.indices
+    assert free.ravel()[rows[moves]].all() and free.ravel()[graph.indices[moves]].all()
+    index = np.full(n, -1)
+    index[cells] = np.arange(len(cells))
+    return csr_matrix((graph.data[moves], (index[rows[moves]], index[graph.indices[moves]])),
+                      shape=(len(cells), len(cells)))
 
 
 class TestBoundedSearch:
@@ -383,35 +416,84 @@ class TestBoundedSearch:
     @pytest.mark.parametrize("mode", MODES)
     def test_graph_is_the_former_graph_made_symmetric(self, mode, resolution):
         w = pocketed_world(mode, resolution)
-        graph, index, cells = w._free_graph()
+        graph = w._graph()
         old, old_index = oracles.one_direction_graph(w.occupancy, resolution)
-        assert np.array_equal(index, old_index)
-        assert graph.shape == old.shape
-        n, width = graph.shape[0], len(STEP_ORDER)
-        rows = np.repeat(np.arange(n), width)
-        moves = rows != graph.indices
+        n, width = w.width * w.height, len(STEP_ORDER)
+        assert graph.shape == (n, n)
         # the moves are both directions of every former edge
         sym = old + old.T
-        assert (csr_matrix((graph.data[moves], (rows[moves], graph.indices[moves])),
-                           shape=graph.shape) != sym).nnz == 0
+        assert (whole_graph_edges(w, graph) != sym).nnz == 0
         # every row has one slot per STEP_ORDER move, a self-loop where the
-        # move is not allowed
+        # move is not allowed, and the move table holds the same moves
         assert np.array_equal(graph.indptr, np.arange(0, width * n + 1, width))
-        iy, ix = np.divmod(cells.astype(np.int64), w.width)
+        iy, ix = np.divmod(np.arange(n), w.width)
+        moves = w._moves().reshape(n, width)
         for k, (dx, dy) in enumerate(STEP_ORDER):
             nx, ny = ix + dx, iy + dy
-            nbr = np.full(n, -1)
+            edge = np.zeros(n, dtype=bool)
             inside = (nx >= 0) & (nx < w.width) & (ny >= 0) & (ny < w.height)
-            nbr[inside] = old_index[ny[inside], nx[inside]]
-            edge = nbr >= 0
-            edge[edge] = np.asarray(sym[np.flatnonzero(edge), nbr[edge]]).ravel() > 0
-            assert np.array_equal(graph.indices[k::width], np.where(edge, nbr, np.arange(n)))
+            here, there = old_index[iy[inside], ix[inside]], old_index[ny[inside], nx[inside]]
+            both = (here >= 0) & (there >= 0)
+            edge[np.flatnonzero(inside)[both]] = np.asarray(
+                sym[here[both], there[both]]).ravel() > 0
+            assert np.array_equal(moves[:, k], edge)
+            assert np.array_equal(graph.indices[k::width], np.where(edge, ny * w.width + nx,
+                                                                    np.arange(n)))
             assert np.all(graph.data[k::width] == math.hypot(dx, dy) * resolution)
-        # the self-loops join nothing: the components are the former graph's
-        n_got, got = connected_components(graph, directed=False)
+        # the self-loops join nothing: the free cells' components are the
+        # former graph's
         n_old, want = connected_components(old, directed=False)
-        assert n_got == n_old > 1  # the pocket
-        assert len(set(zip(got.tolist(), want.tolist()))) == n_old
+        got = connected_components(graph, directed=False)[1][np.flatnonzero(~w.occupancy)]
+        assert n_old > 1  # the pocket
+        assert len(set(zip(got.tolist(), want.tolist()))) == n_old == len(set(got.tolist()))
+
+    @pytest.mark.parametrize("resolution", [0.25, 0.05])
+    def test_a_box_graph_is_the_whole_graph_cut_to_the_box(self, resolution):
+        # slot k of a box cell holds its STEP_ORDER[k] neighbour's node when
+        # the whole graph has that move and the neighbour lies in the box
+        w = pocketed_world("mixed", resolution)
+        whole = w._graph()
+        width = len(STEP_ORDER)
+        rng = Random(f"box graph/{resolution}")
+        for _ in range(6):
+            x0, x1 = sorted(rng.sample(range(w.width + 1), 2))
+            y0, y1 = sorted(rng.sample(range(w.height + 1), 2))
+            graph = w._box_graph((x0, y0, x1, y1))
+            bw, n = x1 - x0, (x1 - x0) * (y1 - y0)
+            assert graph.shape == (n, n)
+            iy, ix = np.divmod(np.arange(n), bw)
+            iy, ix = iy + y0, ix + x0
+            for k, (dx, dy) in enumerate(STEP_ORDER):
+                nx, ny = ix + dx, iy + dy
+                move = whole.indices[(iy * w.width + ix) * width + k] != iy * w.width + ix
+                move &= (x0 <= nx) & (nx < x1) & (y0 <= ny) & (ny < y1)
+                assert np.array_equal(graph.indices[k::width], np.where(
+                    move, (ny - y0) * bw + nx - x0, np.arange(n)))
+                assert np.all(graph.data[k::width] == math.hypot(dx, dy) * resolution)
+
+    @pytest.mark.parametrize("p_block", [0.0, 0.2])
+    def test_the_box_holds_every_path_within_the_limit(self, p_block):
+        # every cell of every path of length at most L between the ends,
+        # by the oracle distances from both ends, lies in the box of L
+        rng = Random(f"box/{p_block}")
+        w = random_world(rng, width=40, height=30, p_block=p_block)
+        free = ~w.occupancy
+        checked = 0
+        for _ in range(12):
+            source, goal = sample_cells(rng, free, 2)
+            from_s, index = oracles.full_grid_distances(w.occupancy, w.resolution, source)
+            from_g, _ = oracles.full_grid_distances(w.occupancy, w.resolution, goal)
+            through = np.full(w.occupancy.shape, math.inf)
+            through[free] = (from_s + from_g)[index[free]]
+            if math.isinf(through[goal[1], goal[0]]):
+                continue
+            for factor in (1.0, 1.25, 1.6, 3.0):
+                limit = through[goal[1], goal[0]] * factor
+                x0, y0, x1, y1 = w._box(source, goal, limit)
+                iy, ix = np.nonzero(through <= limit)
+                assert ix.min() >= x0 and ix.max() < x1 and iy.min() >= y0 and iy.max() < y1
+                checked += 1
+        assert checked > 20
 
     @pytest.mark.parametrize("order", ["random", "near-first", "far-first"])
     @pytest.mark.parametrize("resolution", [0.25, 0.05])
@@ -446,14 +528,13 @@ class TestBoundedSearch:
             reads.append((source, w.distance_field(w.cell_center(source)), ranked))
         (a, field_a, reads_a), (b, field_b, reads_b), (c, field_c, reads_c) = reads
         third, half = len(reads_a) // 3, len(reads_b) // 2
-        index = w._free_graph()[1]
         for source, field, batch in (
                 (a, field_a, reads_a[:third]), (b, field_b, reads_b[:half]),
                 (c, field_c, reads_c), (a, field_a, reads_a[third:2 * third]),
                 (b, field_b, reads_b[half:]), (a, field_a, reads_a[2 * third:])):
             for exp, walked, (ix, iy), point in batch:
                 assert field(point) == walked, point
-                assert w._search(source, (ix, iy))[index[iy, ix]] == exp, point
+                assert search_read(w, source, (ix, iy)) == exp, point
 
     @pytest.mark.parametrize("resolution", [0.25, 0.05])
     @pytest.mark.parametrize("mode", MODES)
@@ -478,18 +559,22 @@ class TestBoundedSearch:
             assert type(length) is float and {type(v) for cell in path for v in cell} == {int}
 
     def test_searches_stop_at_the_distance_read(self, monkeypatch):
+        # the whole-graph side of the rule: no box of a 64 x 64 grid leaves
+        # out BOX_LEAVES_OUT cells, so every search reads the whole grid's
+        # graph, built once, to its limit
         searches = counting_searches(monkeypatch)
+        boxes = counting_boxes(monkeypatch)
         w = empty_world(width=64, height=64)
-        index = w._free_graph()[1]
+        assert w.width * w.height == BOX_LEAVES_OUT
 
         def field(cell):  # the search's read, which the octile sweep skips on an open grid
-            return w._search((0, 0), cell)[index[cell[1], cell[0]]]
+            return search_read(w, (0, 0), cell)
 
         assert field((3, 0)) == 0.75
         margin = 1.0 + 1e-9
         # 1.25 times the octile distance read
         assert searches == [(0, 1.25 * 0.75 * margin)]
-        assert math.isinf(w._grid.searches[(0, 0)][1][index[0, 10]])
+        assert math.isinf(w._grid.searches[(0, 0)][2][10])
         assert field((2, 1)) == pytest.approx(0.25 + SQRT2 * 0.25)
         assert len(searches) == 1  # nearer than the limit: the search answers
         assert field((10, 0)) == 2.5
@@ -500,28 +585,80 @@ class TestBoundedSearch:
         assert field((63, 63)) == pytest.approx(63 * SQRT2 * 0.25)
         assert searches[2] == (0, math.inf) and len(searches) == 3
         assert field((0, 63)) == 63 * 0.25 and len(searches) == 3
+        assert boxes == [(0, 0, 64, 64)]
+
+    def test_a_box_that_leaves_out_enough_cells_gets_its_own_graph(self, monkeypatch):
+        # the box side of the rule, on a 128 x 128 grid
+        searches = counting_searches(monkeypatch)
+        boxes = counting_boxes(monkeypatch)
+        w = empty_world(width=128, height=128)
+        margin = 1.0 + 1e-9
+
+        def limit(goal):
+            return 1.25 * w._octile((0, 0), goal) * margin
+
+        assert search_read(w, (0, 0), (3, 0)) == 0.75
+        # 3.75 cells: one row more, no column more
+        assert boxes == [w._box((0, 0), (3, 0), limit((3, 0)))] == [(0, 0, 4, 2)]
+        assert searches == [(0, limit((3, 0)))]
+        assert w._grid.searches[(0, 0)][1:3] == (boxes[0], w._grid.searches[(0, 0)][2])
+        # in the box, and its own box at its distance lies inside: no search
+        assert search_read(w, (0, 0), (2, 1)) == pytest.approx(0.25 + SQRT2 * 0.25)
+        assert len(searches) == 1
+        # outside the box: a search over its own box
+        assert search_read(w, (0, 0), (10, 0)) == 2.5
+        assert boxes[1] == w._box((0, 0), (10, 0), limit((10, 0))) and len(boxes) == 2
+        assert searches[1] == (0, limit((10, 0)))
+        # a box that leaves out fewer than BOX_LEAVES_OUT cells: the whole
+        # grid's graph, to the limit, not to the farthest corner
+        box = w._box((0, 0), (100, 100), limit((100, 100)))
+        assert 128 * 128 - (box[2] - box[0]) * (box[3] - box[1]) < BOX_LEAVES_OUT
+        assert search_read(w, (0, 0), (100, 100)) == pytest.approx(100 * SQRT2 * 0.25)
+        assert boxes[2:] == [(0, 0, 128, 128)] and searches[2] == (0, limit((100, 100)))
+        assert not math.isinf(searches[2][1])
 
     def test_a_detour_grows_the_search_until_it_is_reached(self, monkeypatch):
+        # no box of a 64 x 64 grid leaves out enough cells: the whole graph
+        self.check_detour(monkeypatch, 64)
+
+    def test_a_detour_grows_its_box_until_it_is_reached(self, monkeypatch):
+        # the boxes of a 160 x 160 grid get their own graphs until one
+        # leaves out too few cells
+        self.check_detour(monkeypatch, 160)
+
+    def check_detour(self, monkeypatch, side):
         # the cell right across a wall is 0.5 m away as the crow flies, but
         # the way round the wall's end is far longer
         searches = counting_searches(monkeypatch)
-        wall = [(5, iy) for iy in range(60)]
-        w = empty_world(width=64, height=64, blocked=wall)
+        boxes = counting_boxes(monkeypatch)
+        wall = [(5, iy) for iy in range(side - 4)]
+        w = empty_world(width=side, height=side, blocked=wall)
         occ = [[bool(w.occupancy[iy, ix]) for ix in range(w.width)] for iy in range(w.height)]
         expected = oracles.dijkstra_grid_length(occ, w.resolution, (4, 0), (6, 0))
         assert w.distance_field(w.cell_center((4, 0)))(w.cell_center((6, 0))) == pytest.approx(
             expected, abs=1e-9)
         # 1.25 * 0.5 m first, then doubled until the octile distance to the
-        # farthest corner, (63, 63), is passed
-        corner = (4 + 59 * SQRT2) * 0.25
-        limits, limit = [], 0.0
-        while not math.isinf(limit):
-            limit = max(2.0 * limit, 1.25 * 0.5) * (1.0 + 1e-9)
-            limit = math.inf if limit >= corner else limit
-            limits.append(limit)
+        # farthest corner is passed
+        corner = (4 + (side - 5) * SQRT2) * 0.25
+        limits, limit = [], 1.25 * 0.5 * (1.0 + 1e-9)
+        while not limits or not math.isinf(limits[-1]):
+            limits.append(math.inf if limit >= corner else limit)
+            limit *= 2.0
         assert limits[:3] == [pytest.approx(0.625), pytest.approx(1.25), pytest.approx(2.5)]
         assert limits[-2] < expected
-        assert searches == [(4, limit) for limit in limits]
+        assert [limit for _, limit in searches] == limits
+        # each search reads its limit's box, or the whole grid's graph once a
+        # box leaves out too few cells; the whole graph is built once
+        whole = (0, 0, side, side)
+        want = []
+        for limit in limits:
+            box = whole if math.isinf(limit) else w._box((4, 0), (6, 0), limit)
+            cells = (box[2] - box[0]) * (box[3] - box[1])
+            want.append(whole if side * side - cells < BOX_LEAVES_OUT else box)
+        built = [box for box in want if box != whole] + [whole]
+        assert boxes == built and (side == 64) == (len(built) == 1)
+        assert [node for node, _ in searches] == [
+            (0 - box[1]) * (box[2] - box[0]) + 4 - box[0] for box in want]
 
     def test_a_revisited_source_searches_no_more(self, monkeypatch):
         # A -> B -> A: the revisit reads A's own search
@@ -533,7 +670,8 @@ class TestBoundedSearch:
         w.distance_field(b)(w.cell_center((40, 50)))
         w.shortest_path(b, a)
         n = len(searches)
-        assert {source for source, _ in searches} == {0, w._free_graph()[1][30, 30]}
+        # every search reads the whole grid's graph, node iy * 64 + ix
+        assert {source for source, _ in searches} == {0, 30 * 64 + 30}
         assert w.distance_field(a)(w.cell_center((20, 10))) == first
         assert w.shortest_path(a, w.cell_center((12, 3))) == (path, length)
         assert w.distance_field(a)(w.cell_center((12, 3))) == pytest.approx(length, abs=1e-9)
@@ -565,6 +703,96 @@ class TestBoundedSearch:
             got = w.connected(w.robot.position, w.cell_center((ix, iy)))
             assert got == (not math.isinf(full[index[iy, ix]]))
             assert w.connected(w.cell_center((ix, iy)), w.robot.position) == got
+
+
+def random_pocketed_world(rng, width, height, p_block):
+    """A random world plus a walled-in 3x3 pocket around a random cell."""
+    cx, cy = rng.randrange(2, width - 2), rng.randrange(2, height - 2)
+    blocked = {(ix, iy) for ix in range(width) for iy in range(height) if rng.random() < p_block}
+    blocked -= {(cx + dx, cy + dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)}
+    blocked |= {(cx + dx, cy + dy) for dx in range(-2, 3) for dy in range(-2, 3)
+                if max(abs(dx), abs(dy)) == 2}
+    return empty_world(width=width, height=height, blocked=sorted(blocked)), (cx, cy)
+
+
+class TestBoxSearch:
+    """Reads over box graphs against the oracle walk-back over one full
+    search: paths and lengths equal whichever box a read searched, grew or
+    found kept, and an unreachable goal grows its box to the whole grid."""
+
+    def check_reads(self, monkeypatch, w, sources, goals_of):
+        """Read each source's goals as paths and distances against the
+        oracle; returns (searches per read that searched, reads answered by
+        a kept box, boxes built)."""
+        searches = counting_searches(monkeypatch)
+        boxes = counting_boxes(monkeypatch)
+        grown, kept = [], 0
+        real = GridWorld._search
+
+        def search(world, source, goal):
+            before = len(searches)
+            out = real(world, source, goal)
+            if len(searches) > before:
+                grown.append(len(searches) - before)
+            return out
+
+        monkeypatch.setattr(GridWorld, "_search", search)
+        whole = (0, 0, w.width, w.height)
+        for source in sources:
+            full, index = oracles.full_grid_distances(w.occupancy, w.resolution, source)
+            dist = lambda c: full[index[c[1], c[0]]]
+            field = w.distance_field(w.cell_center(source))
+            for goal in goals_of(source):
+                n_before = len(grown)
+                if math.isinf(dist(goal)):
+                    with pytest.raises(UnreachableGoalError):
+                        w.shortest_path(w.cell_center(source), w.cell_center(goal))
+                    limit, box, _, _ = w._grid.searches[source]
+                    assert math.isinf(limit) and box == whole
+                    assert math.isinf(field(w.cell_center(goal)))
+                    continue
+                path, length = w.shortest_path(w.cell_center(source), w.cell_center(goal))
+                assert path == walk_back(w, dist, source, goal)
+                assert length == walk_length(w, path) == pytest.approx(dist(goal), abs=1e-9)
+                assert field(w.cell_center(goal)) == length
+                if goal != source and w._certified_walk(source, goal) is None and len(
+                        grown) == n_before:
+                    kept += 1
+        return grown, kept, boxes
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_grids_with_a_pocket(self, monkeypatch, seed):
+        rng = Random(f"box search/{seed}")
+        w, pocket = random_pocketed_world(rng, 96, 80, 0.2)
+        free = ~w.occupancy
+        sources = sample_cells(rng, free, 3)
+
+        def goals_of(source):
+            # near goals give small boxes, and a farther one grows its box
+            # past cells a nearer read searched; the pocket is unreachable
+            sx, sy = source
+            near = free.copy()
+            near[max(sy - 6, 0):sy + 7, max(sx - 6, 0):sx + 7] = False
+            near = free & ~near
+            goals = sample_cells(rng, near, min(8, int(near.sum())))
+            return goals + sample_cells(rng, free, 4) + [pocket] + goals[:3]
+
+        grown, kept, boxes = self.check_reads(monkeypatch, w, sources, goals_of)
+        assert any(box != (0, 0, w.width, w.height) for box in boxes)
+        assert max(grown) > 1 and kept > 0
+
+    @pytest.mark.parametrize("resolution", [0.25, 0.05])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_generated_scenes(self, monkeypatch, mode, resolution):
+        w = pocketed_world(mode, resolution)
+        rng = Random(f"box search/{mode}/{resolution}")
+        points = [w.robot.position] + [obj.centroid[:2] for obj in w.objects.values()]
+        cells = sorted({w.snap_free_cell(p) for p in points})
+        sources = rng.sample(cells, 3)
+        grown, _, boxes = self.check_reads(monkeypatch, w, sources, lambda source: cells)
+        # on the 0.25 m grids every box leaves out too few cells to get its own graph
+        small = [box for box in boxes if box != (0, 0, w.width, w.height)]
+        assert grown and bool(small) == (resolution == 0.05)
 
 
 class TestOctileCertificate:
@@ -608,10 +836,10 @@ class TestOctileCertificate:
         assert field(w.cell_center((40, 3))) == (37 + 3 * SQRT2) * 0.25
         path, length = w.shortest_path(a, w.cell_center((40, 3)))
         assert searches == [] and length == (37 + 3 * SQRT2) * 0.25
-        assert w._grid.searches[(0, 0)] == (0.0, None, {(40, 3): (tuple(path), length)})
+        assert w._grid.searches[(0, 0)] == (0.0, None, None, {(40, 3): (tuple(path), length)})
         # the wall refuses the sweep: the read searches, and its walk is kept
         assert field(w.cell_center((40, 40))) == w.shortest_path(a, w.cell_center((40, 40)))[1]
-        assert len(searches) == 1 and (40, 40) in w._grid.searches[(0, 0)][2]
+        assert len(searches) == 1 and (40, 40) in w._grid.searches[(0, 0)][3]
 
     def test_a_probe_sequence_searches_around_obstacles_only(self, monkeypatch):
         # seed 1's first probe scenario on the 0.05 m grid, all six variants
@@ -674,11 +902,11 @@ class TestSharedGridFacts:
 
     def test_equal_grids_share_one_graph(self):
         a = self.world()
-        graph = a._free_graph()
+        moves, graph = a._moves(), a._graph()
         # an equal grid from another scene object, its cells in another order
         b = self.world(blocked=self.BLOCKED[::-1] + self.BLOCKED[:2])
         for w in (b, self.world()):
-            assert w._grid is a._grid and w._free_graph() is graph
+            assert w._grid is a._grid and w._moves() is moves and w._graph() is graph
             assert w.occupancy is a.occupancy
         a.distance_field(a.cell_center((0, 0)))(a.cell_center((15, 11)))
         assert set(b._grid.searches) == {(0, 0)}
@@ -694,29 +922,29 @@ class TestSharedGridFacts:
         for w in (a, b):
             w.shortest_path(w.cell_center((0, 0)), w.cell_center((12, 9)))
         assert b._grid is not a._grid and b.occupancy is not a.occupancy
-        assert b._free_graph()[0] is not a._free_graph()[0]
+        assert b._moves() is not a._moves() and b._graph() is not a._graph()
         assert b._grid.snaps is not a._grid.snaps
-        (_, dist_a, _), = a._grid.searches.values()
-        (_, dist_b, _), = b._grid.searches.values()
+        (_, _, dist_a, _), = a._grid.searches.values()
+        (_, _, dist_b, _), = b._grid.searches.values()
         assert dist_b is not dist_a
 
     def test_another_grid_frees_the_last_grids_facts(self):
         a = self.world()
         a.shortest_path(a.cell_center((0, 0)), a.cell_center((12, 9)))
-        graph = weakref.ref(a._free_graph()[0])
-        search = weakref.ref(next(iter(a._grid.searches.values()))[1])
+        moves = weakref.ref(a._moves())
+        search = weakref.ref(next(iter(a._grid.searches.values()))[2])
         del a
         gc.collect()
         # the last grid's facts outlive its worlds, for the next world on it
-        assert graph() is not None
+        assert moves() is not None
         b = self.world()
-        assert b._free_graph()[0] is graph()
+        assert b._moves() is moves()
         other = self.world(blocked=self.BLOCKED[1:])
         gc.collect()
-        assert graph() is not None  # b holds them
+        assert moves() is not None  # b holds them
         del b
         gc.collect()
-        assert graph() is None and search() is None
+        assert moves() is None and search() is None
         assert self.world(blocked=self.BLOCKED[1:])._grid is other._grid
         release_facts()
         assert self.world(blocked=self.BLOCKED[1:])._grid is not other._grid
@@ -776,10 +1004,10 @@ class TestSharedGridFacts:
         # the least recently read went first: the kept ones are the latest
         assert list(w._grid.searches) == read[-SEARCHES_PER_GRID:]
         # the first turn dropped the first sources read, so the second
-        # turn searches them again
-        index = w._free_graph()[1]
+        # turn searches them again, over the whole grid's graph (no box
+        # of this grid leaves out BOX_LEAVES_OUT cells)
         assert len({s for s, _ in searches}) == len(sources)
-        dropped = {int(index[iy, ix]) for ix, iy in sources[:6]}
+        dropped = {iy * w.width + ix for ix, iy in sources[:6]}
         assert sum(s in dropped for s, _ in searches) >= 2 * len(dropped)
 
 
@@ -803,7 +1031,7 @@ class TestSharedGridFacts:
                 # a path is kept only with its source's search, for a goal reached
                 for (start, end), path in reads.items():
                     if start in kept and start != end:
-                        assert kept[start][2][end] == (tuple(path[0]), path[1])
+                        assert kept[start][3][end] == (tuple(path[0]), path[1])
         assert len(reads) > 2 * SEARCHES_PER_GRID
         dropped = [s for s in sources if s not in w._grid.searches]
         assert dropped == sources[:4]
@@ -812,7 +1040,7 @@ class TestSharedGridFacts:
         goal = next(g for g in goals if (dropped[0], g) in reads and g != dropped[0])
         assert w.shortest_path(w.cell_center(dropped[0]), w.cell_center(goal)) == reads[
             dropped[0], goal]
-        assert len(searches) > n and goal in w._grid.searches[dropped[0]][2]
+        assert len(searches) > n and goal in w._grid.searches[dropped[0]][3]
 
     def test_a_kept_path_is_handed_out_as_a_fresh_list(self):
         w = empty_world()
@@ -829,7 +1057,7 @@ class TestSharedGridFacts:
         for _ in range(2):
             with pytest.raises(UnreachableGoalError):
                 w.shortest_path(w.cell_center((0, 0)), w.cell_center((12, 9)))
-        assert w._grid.searches[(0, 0)][2] == {} and len(searches) == 1
+        assert w._grid.searches[(0, 0)][3] == {} and len(searches) == 1
 
 
 def sensing_scene():
