@@ -5,10 +5,11 @@ outlive the world that computed them, and this module is the one home of
 the rules that keep and drop them.  It imports nothing from the package.
 
 * Facts of the grid, which no world changes: the read-only occupancy, the
-  table of allowed moves, the whole grid's graph (built only when a read
-  searches it), the connected components of the free cells, the
-  step weights and row pointers that box graphs view, its free cells per
-  column and row, the snap of every point asked for, each source's latest
+  table of allowed moves, the whole grid's graph (kept only on a grid
+  small enough that every search reads it, or once a read searches it),
+  the connected components of the free cells, the step weights and row
+  pointers that box graphs view, its free cells per column and row, the
+  snap of every point asked for, each source's latest
   search (its limit, its box and the distances over the box) and the paths
   read from it, by the octile sweep or walked back over a search.  They
   belong to the grid, not the world: every world built on an equal grid
@@ -101,7 +102,7 @@ class Grid:
         self.occupancy = occupancy  # read-only
         self.key = key  # the grid by content: matched, and in the keys of kept legs
         self.moves: Optional[np.ndarray] = None  # (height, width, 8) allowed moves
-        self.graph = None  # the whole grid's box graph, on its first search
+        self.graph = None  # the whole grid's box graph, once a read needs it
         self.labels: Optional[np.ndarray] = None
         self.tiles = None  # (step weights, row pointers) of the largest box graph built
         self.lines = None  # (free cells per column, per row) as int bitmasks

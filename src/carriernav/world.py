@@ -18,11 +18,12 @@ reads need no search: the generated houses are open rooms, and a sweep of
 the cells between the two ends finds, exactly, when the geodesic equals the
 obstacle-free octile distance, and then the same path.  Only the reads it
 refuses search around the obstacles, and only over the box that holds
-every path within the search's limit between the two ends: each search
-stops at a limit, and a read it does not answer searches again with a
-larger one.  A distance read is the length of the path ``shortest_path``
-gives, the length ``travel`` walks along it, so no raw search float leaves
-the world.  Each source cell keeps its latest search and the paths walked
+every path within the search's limit between the two ends (a small grid
+searches its whole graph, ``WHOLE_GRAPH_CELLS``): each search stops at a
+limit, and a read it does not answer searches again with a larger one.  A
+distance read is the length of the path ``shortest_path`` gives, the
+length ``travel`` walks along it, so no raw search float leaves the
+world.  Each source cell keeps its latest search and the paths walked
 from it, so paths and distances from a source already read (a carrier the
 robot returns to) reuse them, and a leg whose ends share a cell searches
 nothing.  Reachability alone reads the connected components of the whole
@@ -73,13 +74,15 @@ STEP_ORDER: Tuple[Cell, ...] = ((1, 0), (-1, 0), (0, 1), (0, -1),
 # Step length in cells per STEP_ORDER slot.
 STEP_CELLS: Tuple[float, ...] = tuple(SQRT2 if dx != 0 and dy != 0 else 1.0
                                       for dx, dy in STEP_ORDER)
-# A read builds a graph for its box only when the box leaves out at least
-# this many of the grid's cells; else it searches the whole grid's graph.
-# Building a graph costs about as much as settling 150 cells, and a search
-# of the whole graph answers later reads in every direction, so a box that
-# leaves out fewer cells (every box on the generated 0.25 m houses, of 2,016
-# to 3,840 cells) cost more than it saved there.
-BOX_LEAVES_OUT = 4096
+# A grid of fewer cells than this searches its whole graph, built once and
+# kept, to each read's limit; a larger grid builds a graph for each read's
+# box.  Each box graph costs about 35 us to build, as much as a Dijkstra
+# call's own overhead.  Planning time per grid size on generated houses,
+# every search over box graphs against every search over the whole graph:
+# the whole graph was 13-21% faster at 2,016 cells, the two were even at
+# 2,880 and 3,150 cells, and box graphs were 8-15% faster at 3,840 cells
+# and more.
+WHOLE_GRAPH_CELLS = 3000
 _STEP_DX = np.array([dx for dx, _ in STEP_ORDER], dtype=np.int32)
 _STEP_DY = np.array([dy for _, dy in STEP_ORDER], dtype=np.int32)
 # (axis, sign) -> the STEP_ORDER slots that step that way along that axis
@@ -485,7 +488,10 @@ class GridWorld:
     def _graph(self) -> csr_matrix:
         """The box graph of the whole grid, node ``iy * width + ix``, that a
         search over the whole grid reads.  Built once per grid, on its first
-        read."""
+        read.  It has a row for every cell, blocked ones included: 8 int32
+        neighbours and a view of 8 float64 step weights each, about 100
+        bytes per cell, so 400 MB on a grid of ``MAX_GRID_CELLS`` however
+        few of its cells are free."""
         grid = self._grid
         if grid.graph is None:
             grid.graph = self._box_graph((0, 0, self.width, self.height))
@@ -507,13 +513,18 @@ class GridWorld:
         """Whether a free-cell path joins the free cells nearest ``a`` and
         ``b``: one connected-component label lookup, no search.  The labels
         are computed once per grid, on the whole grid's box graph: the kept
-        one when a search built it, else one built for the labels alone and
-        not kept, since a grid asked only about reachability (a generated
-        house being checked) is never searched."""
+        one (:meth:`_graph`) on a grid of fewer than ``WHOLE_GRAPH_CELLS``
+        cells, whose searches all read it, or when a search built it; else
+        one built for the labels alone and not kept, since a larger grid
+        asked only about reachability (a generated house being checked) may
+        never read it.  That graph costs about 100 bytes per cell while the
+        labels are computed; the labels keep 4 bytes per cell."""
         grid = self._grid
         if grid.labels is None:
-            graph = grid.graph if grid.graph is not None else self._box_graph(
-                (0, 0, self.width, self.height))
+            if self.width * self.height < WHOLE_GRAPH_CELLS or grid.graph is not None:
+                graph = self._graph()
+            else:
+                graph = self._box_graph((0, 0, self.width, self.height))
             # the graph is symmetric, so its strong components are its
             # components, found without the transpose a weak search builds
             grid.labels = connected_components(graph, directed=True, connection="strong")[1]
@@ -600,13 +611,12 @@ class GridWorld:
         whole grid, so only an inf under an unbounded search means
         "unreachable".
 
-        One written rule picks the graph: a box that leaves out fewer than
-        ``BOX_LEAVES_OUT`` of the grid's cells is searched, to the same
-        limit, over the whole grid's graph (:meth:`_graph`), built once and
-        kept with the grid, instead of a graph built for that box.  A search
-        of the whole graph answers later goals in every direction, and
-        building a graph per box cost more than the cells it left out saved
-        on the small 0.25 m houses, where every box falls under the rule.
+        One written rule picks the graph: a grid of fewer than
+        ``WHOLE_GRAPH_CELLS`` cells searches its whole graph (:meth:`_graph`),
+        kept with the grid, to each read's limit, and a larger grid searches
+        a graph built for each read's box.  On a small grid a box graph
+        costs more to build than the cells it leaves out save, and a search
+        of the whole graph answers later goals in every direction.
 
         No world changes its grid, so no search goes stale.  A search that
         another world on the same grid made over another box reads the
@@ -623,11 +633,10 @@ class GridWorld:
             while True:
                 if limit >= self._octile(source, farthest_corner):
                     limit, box = math.inf, whole
+                elif self.width * self.height < WHOLE_GRAPH_CELLS:
+                    box = whole
                 else:
                     box = self._box(source, goal, limit)
-                    cells = (box[2] - box[0]) * (box[3] - box[1])
-                    if self.width * self.height - cells < BOX_LEAVES_OUT:
-                        box = whole
                 if (kept is not None and limit < 2.0 * kept_limit and kept[0] <= box[0]
                         and kept[1] <= box[1] and box[2] <= kept[2] and box[3] <= kept[3]):
                     limit = 2.0 * kept_limit

@@ -24,7 +24,7 @@ from carriernav.graph import build_crsg
 from carriernav.policy import VARIANTS, EpisodeResult
 from carriernav.priors import KeywordPriorOracle, OracleError
 from carriernav.scenarios import MODES, build_scenario, generate_scenarios, load_scenario
-from carriernav.world import GridWorld
+from carriernav.world import WHOLE_GRAPH_CELLS, GridWorld
 
 from conftest import assert_every_kept_answer_is_its_rule
 from oracles import carried_relation, spl_oracle
@@ -145,12 +145,14 @@ class TestRunSequence:
 
 
 class TestSearchBudget:
-    """Counts, not timings: the six variants' task sequences of a scenario
-    share one grid.  On a grid whose facts start cold, they build the whole
-    grid's graph only when a read searches it (a box that leaves out too few
-    cells to get its own graph), and then once; they search no (source,
-    box) pair twice to one limit, nor a box of their own twice; a leg whose
-    ends share a cell searches nothing, and no search has limit 0."""
+    """Counts, not timings: the scenario's generation and the six variants'
+    task sequences share one grid.  On a grid of fewer than
+    ``WHOLE_GRAPH_CELLS`` cells they build its whole graph once, which the
+    reachability labels and every search read; on a larger grid they build
+    it once for the labels and once more only when a read's box is the
+    whole grid, and search a graph of each box at most once.  They search
+    no (source, box) pair twice to one limit; a leg whose ends share a
+    cell searches nothing, and no search has limit 0."""
 
     @pytest.mark.parametrize("mode,index,resolution", [
         ("single", 0, 0.05), ("probe", 0, 0.05), ("mixed", 0, 0.25), ("mixed", 1, 0.25),
@@ -181,25 +183,25 @@ class TestSearchBudget:
                 zero_legs.append(len(searches) - before)
             return out
 
-        sc = build_scenario(mode, index, 7, resolution)
-        facts.release_facts()  # generation labelled the whole grid's graph
         monkeypatch.setattr(GridWorld, "_box_graph", box_graph)
         monkeypatch.setattr(world_mod, "dijkstra", dijkstra)
         monkeypatch.setattr(GridWorld, "__init__", init)
         monkeypatch.setattr(GridWorld, "shortest_path", shortest_path)
+        sc = build_scenario(mode, index, 7, resolution)
         for variant in VARIANTS.values():
             run_sequence(sc, variant)
         (grid,) = grids
         whole = (0, 0, grid.occupancy.shape[1], grid.occupancy.shape[0])
+        small = grid.occupancy.size < WHOLE_GRAPH_CELLS
         built = [box for box, _ in boxes.values()]
-        assert built.count(whole) == (1 if any(s[1] == whole for s in searches) else 0)
+        searched_whole = any(box == whole for _, box, _ in searches)
+        assert built.count(whole) == 1 + (searched_whole and not small)
         assert zero_legs and set(zero_legs) == {0}
         assert searches and len(set(searches)) == len(searches)
         own = [(node, box) for node, box, _ in searches if box != whole]
-        assert len(set(own)) == len(own) and len(own) == len(built) - built.count(whole)
+        assert len(set(own)) == len(own) == len(built) - built.count(whole)
+        assert bool(own) != small
         assert [s for s in searches if s[2] == 0] == []
-        # the 0.05 m houses build no whole graph; the 0.25 m ones search it only
-        assert (built.count(whole) == 0) == (resolution == 0.05) == bool(own)
 
 
 @pytest.mark.parametrize("resolution", [0.25, 0.05])

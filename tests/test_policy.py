@@ -623,22 +623,30 @@ class TestRunTask:
 
     def test_one_search_per_pose(self, monkeypatch):
         # the shortest baseline, the initial candidate distance, the ranking
-        # and the leg path read one search per pose, which only grows (a
-        # strictly larger limit) when a read lies beyond it, even after
-        # other poses have searched; the Stop step reads nothing.  The
-        # world's grid starts cold: no earlier world's search is reused.  A
-        # wall with a gap at its north end parts the start and table_1 from
-        # table_0 and counter_0, so reads across it detour and search.  No
-        # box of this 32 x 24 grid leaves out BOX_LEAVES_OUT cells, so every
-        # search reads the whole grid's graph, node iy * 32 + ix
+        # and the leg path read at most one search per pose and box, which
+        # only grows (a strictly larger limit) when a read lies beyond it,
+        # even after other poses have searched, and at most one unbounded
+        # search per pose; the Stop step reads nothing.  The world's grid
+        # starts cold: no earlier world's search is reused.  A wall with a
+        # gap at its north end parts the start and table_1 from table_0 and
+        # counter_0, so reads across it detour and search
         import carriernav.world as world_mod
-        searches = []
-        real = world_mod.dijkstra
+        searches, boxes = [], {}
+        real_dijkstra, real_box_graph = world_mod.dijkstra, GridWorld._box_graph
 
-        def counting(*args, **kwargs):
-            searches.append((kwargs["indices"], kwargs["limit"]))
-            return real(*args, **kwargs)
+        def box_graph(w, box):
+            graph = real_box_graph(w, box)
+            boxes[id(graph)] = (box, graph)
+            return graph
 
+        def counting(graph, **kwargs):
+            box = boxes[id(graph)][0]
+            width, node = box[2] - box[0], kwargs["indices"]
+            source = (box[0] + node % width, box[1] + node // width)
+            searches.append((source, box, kwargs["limit"]))
+            return real_dijkstra(graph, **kwargs)
+
+        monkeypatch.setattr(GridWorld, "_box_graph", box_graph)
         monkeypatch.setattr(world_mod, "dijkstra", counting)
         scene = policy_scene(blocked=EAST_WALL[:20])
         world = GridWorld(scene, start_pose=Pose([5.0, 4.5]))
@@ -657,13 +665,14 @@ class TestRunTask:
         monkeypatch.setattr(world, "travel", travel)
         r = run_task(world, crsg, self.task(), rng=Random(0))
         assert r.success and r.action_count >= 3
-        limits = {}  # source -> its searches' limits, in order
-        for source, limit in searches:
-            limits.setdefault(source, []).append(limit)
-        assert 0 < len(limits) <= len(poses)
+        limits = {}  # (source, box) -> its searches' limits, in order
+        for source, box, limit in searches:
+            limits.setdefault((source, box), []).append(limit)
+        assert 0 < len({source for source, _ in limits}) <= len(poses)
         for grown in limits.values():
             assert all(a < b for a, b in zip(grown, grown[1:]))
-            assert sum(math.isinf(x) for x in grown) <= 1
+        assert all(sum(math.isinf(limit) for s, _, limit in searches if s == source) <= 1
+                   for source, _ in limits)
 
     def test_one_match_per_sighting_per_leg(self, monkeypatch):
         # a leg's sightings are its travel's first sightings plus the visited

@@ -22,8 +22,8 @@ from carriernav.policy import VARIANTS
 from carriernav.scenarios import MODES, build_scenario
 from carriernav.scene import Box3, scene_from_dict
 from carriernav.world import (
-    BOX_LEAVES_OUT,
     STEP_ORDER,
+    WHOLE_GRAPH_CELLS,
     DisplacementError,
     DisplacementEvent,
     GridWorld,
@@ -559,39 +559,14 @@ class TestBoundedSearch:
             assert type(length) is float and {type(v) for cell in path for v in cell} == {int}
 
     def test_searches_stop_at_the_distance_read(self, monkeypatch):
-        # the whole-graph side of the rule: no box of a 64 x 64 grid leaves
-        # out BOX_LEAVES_OUT cells, so every search reads the whole grid's
-        # graph, built once, to its limit
+        # on a grid of WHOLE_GRAPH_CELLS cells or more, each search reads
+        # its own box's graph, to its limit, until the limit passes the
+        # farthest corner: then the whole grid's graph, built once, with no
+        # limit
         searches = counting_searches(monkeypatch)
         boxes = counting_boxes(monkeypatch)
         w = empty_world(width=64, height=64)
-        assert w.width * w.height == BOX_LEAVES_OUT
-
-        def field(cell):  # the search's read, which the octile sweep skips on an open grid
-            return search_read(w, (0, 0), cell)
-
-        assert field((3, 0)) == 0.75
-        margin = 1.0 + 1e-9
-        # 1.25 times the octile distance read
-        assert searches == [(0, 1.25 * 0.75 * margin)]
-        assert math.isinf(w._grid.searches[(0, 0)][2][10])
-        assert field((2, 1)) == pytest.approx(0.25 + SQRT2 * 0.25)
-        assert len(searches) == 1  # nearer than the limit: the search answers
-        assert field((10, 0)) == 2.5
-        # max(2 * limit, 1.25 * octile)
-        assert searches[1] == (0, 1.25 * 2.5 * margin)
-        # 1.25 times the octile distance to (63, 63) passes the farthest
-        # corner's octile distance: the search covers the whole grid
-        assert field((63, 63)) == pytest.approx(63 * SQRT2 * 0.25)
-        assert searches[2] == (0, math.inf) and len(searches) == 3
-        assert field((0, 63)) == 63 * 0.25 and len(searches) == 3
-        assert boxes == [(0, 0, 64, 64)]
-
-    def test_a_box_that_leaves_out_enough_cells_gets_its_own_graph(self, monkeypatch):
-        # the box side of the rule, on a 128 x 128 grid
-        searches = counting_searches(monkeypatch)
-        boxes = counting_boxes(monkeypatch)
-        w = empty_world(width=128, height=128)
+        assert w.width * w.height >= WHOLE_GRAPH_CELLS
         margin = 1.0 + 1e-9
 
         def limit(goal):
@@ -609,28 +584,49 @@ class TestBoundedSearch:
         assert search_read(w, (0, 0), (10, 0)) == 2.5
         assert boxes[1] == w._box((0, 0), (10, 0), limit((10, 0))) and len(boxes) == 2
         assert searches[1] == (0, limit((10, 0)))
-        # a box that leaves out fewer than BOX_LEAVES_OUT cells: the whole
-        # grid's graph, to the limit, not to the farthest corner
-        box = w._box((0, 0), (100, 100), limit((100, 100)))
-        assert 128 * 128 - (box[2] - box[0]) * (box[3] - box[1]) < BOX_LEAVES_OUT
-        assert search_read(w, (0, 0), (100, 100)) == pytest.approx(100 * SQRT2 * 0.25)
-        assert boxes[2:] == [(0, 0, 128, 128)] and searches[2] == (0, limit((100, 100)))
-        assert not math.isinf(searches[2][1])
+        # a box of most of the grid still gets its own graph, to its limit
+        assert search_read(w, (0, 0), (50, 50)) == pytest.approx(50 * SQRT2 * 0.25)
+        box = w._box((0, 0), (50, 50), limit((50, 50)))
+        assert boxes[2:] == [box] and box != (0, 0, 64, 64)
+        assert searches[2] == (0, limit((50, 50)))
+        # 1.25 times the octile distance to (63, 63) passes the farthest
+        # corner's octile distance: the search covers the whole grid
+        assert search_read(w, (0, 0), (63, 63)) == pytest.approx(63 * SQRT2 * 0.25)
+        assert searches[3] == (0, math.inf) and boxes[3:] == [(0, 0, 64, 64)]
+        assert search_read(w, (0, 0), (0, 63)) == 63 * 0.25 and len(searches) == 4
+        assert w._graph() is w._grid.graph and len(boxes) == 4
+
+    def test_a_small_grid_searches_its_whole_graph(self, monkeypatch):
+        # the other side of the rule: a grid of fewer than WHOLE_GRAPH_CELLS
+        # cells searches its whole graph, built once, to each read's limit
+        searches = counting_searches(monkeypatch)
+        boxes = counting_boxes(monkeypatch)
+        w = empty_world(width=48, height=48)
+        assert w.width * w.height < WHOLE_GRAPH_CELLS
+        margin = 1.0 + 1e-9
+        assert search_read(w, (0, 0), (3, 0)) == 0.75
+        # 1.25 times the octile distance read, node iy * 48 + ix
+        assert searches == [(0, 1.25 * 0.75 * margin)]
+        assert math.isinf(w._grid.searches[(0, 0)][2][10])
+        assert search_read(w, (0, 0), (2, 1)) == pytest.approx(0.25 + SQRT2 * 0.25)
+        assert len(searches) == 1  # nearer than the limit: the search answers
+        assert search_read(w, (0, 0), (10, 0)) == 2.5
+        # max(2 * limit, 1.25 * octile)
+        assert searches[1] == (0, 1.25 * 2.5 * margin)
+        assert search_read(w, (0, 0), (47, 47)) == pytest.approx(47 * SQRT2 * 0.25)
+        assert searches[2] == (0, math.inf) and len(searches) == 3
+        assert search_read(w, (0, 0), (0, 47)) == 47 * 0.25 and len(searches) == 3
+        assert boxes == [(0, 0, 48, 48)]
+        # the labels read the same graph
+        assert w.connected(w.cell_center((0, 0)), w.cell_center((47, 0)))
+        assert boxes == [(0, 0, 48, 48)]
 
     def test_a_detour_grows_the_search_until_it_is_reached(self, monkeypatch):
-        # no box of a 64 x 64 grid leaves out enough cells: the whole graph
-        self.check_detour(monkeypatch, 64)
-
-    def test_a_detour_grows_its_box_until_it_is_reached(self, monkeypatch):
-        # the boxes of a 160 x 160 grid get their own graphs until one
-        # leaves out too few cells
-        self.check_detour(monkeypatch, 160)
-
-    def check_detour(self, monkeypatch, side):
         # the cell right across a wall is 0.5 m away as the crow flies, but
         # the way round the wall's end is far longer
         searches = counting_searches(monkeypatch)
         boxes = counting_boxes(monkeypatch)
+        side = 64
         wall = [(5, iy) for iy in range(side - 4)]
         w = empty_world(width=side, height=side, blocked=wall)
         occ = [[bool(w.occupancy[iy, ix]) for ix in range(w.width)] for iy in range(w.height)]
@@ -647,16 +643,11 @@ class TestBoundedSearch:
         assert limits[:3] == [pytest.approx(0.625), pytest.approx(1.25), pytest.approx(2.5)]
         assert limits[-2] < expected
         assert [limit for _, limit in searches] == limits
-        # each search reads its limit's box, or the whole grid's graph once a
-        # box leaves out too few cells; the whole graph is built once
-        whole = (0, 0, side, side)
-        want = []
-        for limit in limits:
-            box = whole if math.isinf(limit) else w._box((4, 0), (6, 0), limit)
-            cells = (box[2] - box[0]) * (box[3] - box[1])
-            want.append(whole if side * side - cells < BOX_LEAVES_OUT else box)
-        built = [box for box in want if box != whole] + [whole]
-        assert boxes == built and (side == 64) == (len(built) == 1)
+        # each search reads its limit's box, and the unbounded one the
+        # whole grid's graph
+        want = [(0, 0, side, side) if math.isinf(limit) else w._box((4, 0), (6, 0), limit)
+                for limit in limits]
+        assert boxes == want and len(set(want)) == len(want)
         assert [node for node, _ in searches] == [
             (0 - box[1]) * (box[2] - box[0]) + 4 - box[0] for box in want]
 
@@ -670,8 +661,7 @@ class TestBoundedSearch:
         w.distance_field(b)(w.cell_center((40, 50)))
         w.shortest_path(b, a)
         n = len(searches)
-        # every search reads the whole grid's graph, node iy * 64 + ix
-        assert {source for source, _ in searches} == {0, 30 * 64 + 30}
+        assert set(w._grid.searches) == {(0, 0), (30, 30)}
         assert w.distance_field(a)(w.cell_center((20, 10))) == first
         assert w.shortest_path(a, w.cell_center((12, 3))) == (path, length)
         assert w.distance_field(a)(w.cell_center((12, 3))) == pytest.approx(length, abs=1e-9)
@@ -790,9 +780,8 @@ class TestBoxSearch:
         cells = sorted({w.snap_free_cell(p) for p in points})
         sources = rng.sample(cells, 3)
         grown, _, boxes = self.check_reads(monkeypatch, w, sources, lambda source: cells)
-        # on the 0.25 m grids every box leaves out too few cells to get its own graph
         small = [box for box in boxes if box != (0, 0, w.width, w.height)]
-        assert grown and bool(small) == (resolution == 0.05)
+        assert grown and bool(small) == (w.width * w.height >= WHOLE_GRAPH_CELLS)
 
 
 class TestOctileCertificate:
@@ -982,6 +971,16 @@ class TestSharedGridFacts:
 
     def test_the_searches_kept_are_capped_and_reads_stay_exact(self, monkeypatch):
         searches = counting_searches(monkeypatch)
+        searched = []  # the source of each search
+        real = GridWorld._search
+
+        def search(world, source, goal):
+            before = len(searches)
+            out = real(world, source, goal)
+            searched.extend([source] * (len(searches) - before))
+            return out
+
+        monkeypatch.setattr(GridWorld, "_search", search)
         rng = Random("cap")
         w = random_world(rng, width=20, height=16, p_block=0.2)
         free = ~w.occupancy
@@ -1004,11 +1003,10 @@ class TestSharedGridFacts:
         # the least recently read went first: the kept ones are the latest
         assert list(w._grid.searches) == read[-SEARCHES_PER_GRID:]
         # the first turn dropped the first sources read, so the second
-        # turn searches them again, over the whole grid's graph (no box
-        # of this grid leaves out BOX_LEAVES_OUT cells)
-        assert len({s for s, _ in searches}) == len(sources)
-        dropped = {iy * w.width + ix for ix, iy in sources[:6]}
-        assert sum(s in dropped for s, _ in searches) >= 2 * len(dropped)
+        # turn searches them again
+        assert set(searched) == set(sources)
+        dropped = set(sources[:6])
+        assert sum(s in dropped for s in searched) >= 2 * len(dropped)
 
 
     def test_the_paths_kept_never_outlive_their_search(self, monkeypatch):
