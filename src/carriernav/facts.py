@@ -22,10 +22,11 @@ the rules that keep and drop them.  It imports nothing from the package.
   ``SEARCHES_PER_GRID`` sources read, a source with paths but no search yet
   among them, and a path is kept with its source's search and dropped with
   it.  Sharing cannot change a result: a snap and a component label are pure
-  functions of the grid, a search is read for a goal only when every path
-  to it within the search's limit lies in its box, the walk-back's matches
-  do not depend on the box, and the sweep gives the walk-back's path, so a
-  kept path is the one any later search would give.  An unreachable goal
+  functions of the grid, a search is read for a goal only at a distance it
+  kept, and it keeps one only where every shortest path to the cell lies
+  among the cells it searched, the walk-back's matches do not depend on
+  the cells searched, and the sweep gives the walk-back's path, so a kept
+  path is the one any later search would give.  An unreachable goal
   is not kept.
 * Facts of the scene, which no variant's policy changes: the objects each
   move makes, each leg's sightings, length and final heading, the carrying

@@ -17,10 +17,11 @@ sliced from it, and ``travel`` refuses any move it does not allow.  Most
 reads need no search: the generated houses are open rooms, and a sweep of
 the cells between the two ends finds, exactly, when the geodesic equals the
 obstacle-free octile distance, and then the same path.  Only the reads it
-refuses search around the obstacles, and only over the box that holds
-every path within the search's limit between the two ends (a small grid
-searches its whole graph, ``WHOLE_GRAPH_CELLS``): each search stops at a
-limit, and a read it does not answer searches again with a larger one.  A
+refuses search around the obstacles, and only over the cells a path within
+the search's limit between the two ends can visit, the octile ellipse of
+the limit, in a graph of the box that holds it (a small grid searches its
+whole graph, ``WHOLE_GRAPH_CELLS``): each search stops at a limit, and a
+read it does not answer searches again with a larger one.  A
 distance read is the length of the path ``shortest_path`` gives, the
 length ``travel`` walks along it, so no raw search float leaves the
 world.  Each source cell keeps its latest search and the paths walked
@@ -83,6 +84,12 @@ STEP_CELLS: Tuple[float, ...] = tuple(SQRT2 if dx != 0 and dy != 0 else 1.0
 # 2,880 and 3,150 cells, and box graphs were 8-15% faster at 3,840 cells
 # and more.
 WHOLE_GRAPH_CELLS = 3000
+# On a grid of WHOLE_GRAPH_CELLS cells or more, a read at least 8 times this
+# many cells long first searches to its octile distance plus this many
+# cells.  Planning time per warm fine-0.05m pass (seeds 1-4) was even, within
+# the host's noise, from 2 to 16 cells, and about 30% lower than with no
+# first try; 8 is the middle of that range.
+SLACK_CELLS = 8
 _STEP_DX = np.array([dx for dx, _ in STEP_ORDER], dtype=np.int32)
 _STEP_DY = np.array([dy for _, dy in STEP_ORDER], dtype=np.int32)
 # (axis, sign) -> the STEP_ORDER slots that step that way along that axis
@@ -387,11 +394,12 @@ class GridWorld:
         whose distance plus the step cost equals the current cell's distance
         (within 1e-9 * resolution).  Length is :meth:`_path_length` of the
         step counts, as for a walked leg, so it is exactly symmetric.  The
-        search only has to give the goal its exact distance with every path
-        of that length inside the box (:meth:`_search`): every cell of the
-        walk lies on such a path, and a cell of the box off every shortest
-        path reads no nearer than its true distance, so the walk makes the
-        matches a walk over the whole grid's search makes.
+        search only has to keep the goal's exact distance with every path
+        of that length among the cells it searched (:meth:`_search`): every
+        cell of the walk lies on such a path, and a cell of the box off
+        every shortest path reads no nearer than its true distance, or inf,
+        so the walk makes the matches a walk over the whole grid's search
+        makes.
         """
         x0, y0, x1, y1 = box
         gx, gy = goal_cell
@@ -455,15 +463,17 @@ class GridWorld:
             grid.moves = moves
         return grid.moves
 
-    def _box_graph(self, box: Box) -> csr_matrix:
+    def _box_graph(self, box: Box, keep: Optional[np.ndarray] = None) -> csr_matrix:
         """Graph over the cells of ``box``: node ``(iy - y0) * (x1 - x0) + ix
         - x0`` for cell (ix, iy).  Every row has one slot per ``STEP_ORDER``
         move, in that order, weighted by the step length: the neighbour
         where the move table allows the move and it stays in the box, else
         the row's own node, a self-loop that no search can relax.  A
-        blocked cell's row is all self-loops.  The step weights and row
-        pointers are views of the grid's tiles, sized to the largest box
-        built."""
+        blocked cell's row is all self-loops, and so is the row of a cell
+        outside ``keep``, a (box height, box width) bool array when given:
+        a search may reach that cell but leaves it by no move.  The step
+        weights and row pointers are views of the grid's tiles, sized to
+        the largest box built."""
         x0, y0, x1, y1 = box
         bw, bh = x1 - x0, y1 - y0
         n = bw * bh
@@ -477,6 +487,8 @@ class GridWorld:
             nbrs[:, 0, _LEAVING[0, -1]] = 0
         if x1 < self.width:
             nbrs[:, -1, _LEAVING[0, 1]] = 0
+        if keep is not None:
+            nbrs *= keep[:, :, None]
         nbrs += np.arange(n, dtype=np.int32).reshape(bh, bw, 1)
         grid = self._grid
         if grid.tiles is None or len(grid.tiles[1]) <= n:
@@ -537,6 +549,16 @@ class GridWorld:
         dx, dy = abs(a[0] - b[0]), abs(a[1] - b[1])
         return self._path_length(max(dx, dy), min(dx, dy))
 
+    def _octiles(self, cell: Cell, box: Box) -> np.ndarray:
+        """(box height, box width) octile distances, in cells, from ``cell``
+        to the cells of ``box``: |dx| + |dy| - (2 - sqrt(2)) * min(|dx|, |dy|)."""
+        x0, y0, x1, y1 = box
+        ax = np.abs(np.arange(x0 - cell[0], x1 - cell[0]))
+        ay = np.abs(np.arange(y0 - cell[1], y1 - cell[1]))[:, None]
+        near = np.minimum(ax, ay) * (SQRT2 - 2.0)
+        near += ax + ay
+        return near
+
     def _box(self, source: Cell, goal: Cell, limit: float) -> Box:
         """(x0, y0, x1, y1), ends exclusive, clipped to the grid: the box that
         holds every cell of every path of length at most ``limit`` (m)
@@ -557,15 +579,12 @@ class GridWorld:
         return (max(min(sx, gx) - ex, 0), max(min(sy, gy) - ey, 0),
                 min(max(sx, gx) + ex + 1, self.width), min(max(sy, gy) + ey + 1, self.height))
 
-    def _answers(self, search: tuple, source: Cell, goal: Cell) -> bool:
-        """Whether ``search``, ``(limit, box, dist, paths)`` from ``source``,
-        gives ``goal`` its exact distance with every shortest path inside
-        its box, or shows it unreachable.
-
-        The goal must lie in the box at a distance d whose own box, at d,
-        lies inside the searched one.  Then the shortest path, of some
-        length at most d, lies in that box, so the search found it, and so
-        does every shortest path.  An unbounded search answers every goal.
+    def _answers(self, search: tuple, goal: Cell) -> bool:
+        """Whether ``search``, ``(limit, box, dist, paths)``, gives ``goal``
+        its exact distance with every shortest path among the cells it
+        searched, or shows it unreachable: the goal lies in its box at a
+        distance it kept (:meth:`_search` keeps only such distances).  An
+        unbounded search answers every goal.
         """
         limit, box, dist, _ = search
         if box is None:
@@ -574,13 +593,8 @@ class GridWorld:
             return True
         x0, y0, x1, y1 = box
         gx, gy = goal
-        if not (x0 <= gx < x1 and y0 <= gy < y1):
-            return False
-        found = float(dist[(gy - y0) * (x1 - x0) + gx - x0])
-        if math.isinf(found):
-            return False
-        a0, b0, a1, b1 = self._box(source, goal, found)
-        return x0 <= a0 and y0 <= b0 and a1 <= x1 and b1 <= y1
+        return (x0 <= gx < x1 and y0 <= gy < y1
+                and not math.isinf(dist[(gy - y0) * (x1 - x0) + gx - x0]))
 
     def _search(self, source: Cell, goal: Cell) -> Tuple[Box, np.ndarray]:
         """(box, distance per cell of the box from ``source``) of a search
@@ -589,67 +603,86 @@ class GridWorld:
         :meth:`_walk` asks only for the goals the octile sweep refuses, and
         only :meth:`_answers` and :meth:`_walk_back` read the distances.
 
-        Searches are bounded by a limit L and by the box of L
-        (:meth:`_box`): Dijkstra over the box's graph (:meth:`_box_graph`)
-        with ``limit=L`` gives the distance within the box of every cell at
-        or below L and inf for the rest.  The grid's facts keep ``(limit,
-        box, dist, paths)`` of each source cell's latest search, ``(0.0,
-        None, None, paths)`` before its first, for the latest
-        ``facts.SEARCHES_PER_GRID`` sources read; a read from a dropped
-        source searches anew, and its kept paths went with it.  A read the
-        kept search does not answer searches again from ``source``: L is
-        1.25 * octile(source, goal) plus a 1e-9 relative margin, doubled
-        until the search answers.  An L whose box lies inside the kept
-        search's box and that is under twice the kept limit is raised to
-        twice the kept limit with no search: the kept search answers every
-        goal a search to a smaller limit would, and a source's limits grow
-        at least twofold, as they did when every search read the whole
-        grid.  The octile distance is a lower bound, and 1.25 of it
-        settled the fewest cells of the factors tried on the generated
-        houses (1.1, 1.25, 1.5 and 2).  Once L reaches the octile distance
-        to the grid's farthest corner, the search is unbounded, over the
-        whole grid, so only an inf under an unbounded search means
+        Searches are bounded by a limit L, and one written rule picks the
+        graph.  A grid of fewer than ``WHOLE_GRAPH_CELLS`` cells searches
+        its whole graph (:meth:`_graph`), kept with the grid, to L: every
+        cell within L gets its distance.  On a small grid a box graph costs
+        more to build than the cells it leaves out save, and a search of the
+        whole graph answers later goals in every direction.  A larger grid
+        searches the octile ellipse of L, the cells x with octile(source, x)
+        + octile(x, goal) <= L, in a graph of the box that holds it
+        (:meth:`_box`, :meth:`_box_graph`); the octile distance is a lower
+        bound on the geodesic, so every path of length at most L between
+        the two ends lies in the ellipse.  Of that search's distances it
+        keeps d(x) only where d(x) + octile(x, goal) <= L, inf elsewhere:
+        then every shortest path to x, and to each cell on it, lies in the
+        ellipse, so every kept distance is exact, and a walk back from x
+        makes the matches a walk over the whole grid's search makes.  A
+        box that is the whole grid searches the whole graph.
+
+        L is 1.25 * octile(source, goal) plus a 1e-9 relative margin,
+        doubled until the search answers.  The octile distance is a lower
+        bound, and 1.25 of it settled the fewest cells of the factors tried
+        on the generated houses (1.1, 1.25, 1.5 and 2).  On a larger grid,
+        a read of at least 8 * ``SLACK_CELLS`` cells first searches to its
+        octile distance plus ``SLACK_CELLS`` cells: an ellipse's width
+        grows with the square root of its slack, so that first ellipse is
+        a fraction of the one at 1.25 * octile, and it answers the long
+        reads that detour round an obstacle by a few cells.  On a small
+        grid a source's limits grow at least twofold: an L under twice the
+        kept search's limit is raised to twice it, since the kept search
+        answers every goal a smaller L would.  Once L reaches the octile
+        distance to the grid's farthest corner, the search is unbounded,
+        over the whole grid, so only an inf under an unbounded search means
         "unreachable".
 
-        One written rule picks the graph: a grid of fewer than
-        ``WHOLE_GRAPH_CELLS`` cells searches its whole graph (:meth:`_graph`),
-        kept with the grid, to each read's limit, and a larger grid searches
-        a graph built for each read's box.  On a small grid a box graph
-        costs more to build than the cells it leaves out save, and a search
-        of the whole graph answers later goals in every direction.
-
-        No world changes its grid, so no search goes stale.  A search that
-        another world on the same grid made over another box reads the
-        same path: the walk-back's matches do not depend on the box.
+        The grid's facts keep ``(limit, box, dist, paths)`` of each source
+        cell's latest search, ``(0.0, None, None, paths)`` before its
+        first, for the latest ``facts.SEARCHES_PER_GRID`` sources read; a
+        read from a dropped source searches anew, and its kept paths went
+        with it.  A read the kept search does not answer searches again
+        from ``source``.  No world changes its grid, so no search goes
+        stale.  A search that another world on the same grid made toward
+        another goal reads the same path: the walk-back's matches do not
+        depend on the cells searched.
         """
-        searches = self._grid.searches
-        search = searches.get(source) or (0.0, None, None, {})
-        if not self._answers(search, source, goal):
-            kept_limit, kept, _, paths = search
+        search = self._grid.searches.get(source) or (0.0, None, None, {})
+        if not self._answers(search, goal):
+            kept_limit, _, _, paths = search
             whole = (0, 0, self.width, self.height)
             farthest_corner = (0 if 2 * source[0] >= self.width else self.width - 1,
                                0 if 2 * source[1] >= self.height else self.height - 1)
-            limit = 1.25 * self._octile(source, goal) * (1.0 + 1e-9)
+            octile = self._octile(source, goal)
+            small = self.width * self.height < WHOLE_GRAPH_CELLS
+            first = 1.25 * octile * (1.0 + 1e-9)
+            slack = SLACK_CELLS * self.resolution
+            if small:
+                limit = max(first, 2.0 * kept_limit)
+            else:
+                limit = first if 8.0 * slack > octile else (octile + slack) * (1.0 + 1e-9)
             while True:
                 if limit >= self._octile(source, farthest_corner):
                     limit, box = math.inf, whole
-                elif self.width * self.height < WHOLE_GRAPH_CELLS:
-                    box = whole
                 else:
-                    box = self._box(source, goal, limit)
-                if (kept is not None and limit < 2.0 * kept_limit and kept[0] <= box[0]
-                        and kept[1] <= box[1] and box[2] <= kept[2] and box[3] <= kept[3]):
-                    limit = 2.0 * kept_limit
-                    continue
-                graph = self._graph() if box == whole else self._box_graph(box)
+                    box = whole if small else self._box(source, goal, limit)
                 x0, y0, x1, _ = box
+                if box == whole:
+                    graph = self._graph()
+                else:
+                    # in cells; a margin of 2e-9 cells keeps every cell a
+                    # kept distance vouches for, whatever the float rounding
+                    reach = limit / self.resolution
+                    to_goal = self._octiles(goal, box)
+                    graph = self._box_graph(box, self._octiles(source, box) + to_goal
+                                            <= reach + 2e-9)
                 dist = dijkstra(graph, directed=True, limit=limit,
                                 indices=(source[1] - y0) * (x1 - x0) + source[0] - x0)
+                if box != whole:
+                    dist[dist / self.resolution + to_goal.reshape(-1) > reach + 1e-9] = math.inf
                 search = (limit, box, dist, paths)
-                if self._answers(search, source, goal):
+                if self._answers(search, goal):
                     break
-                kept_limit, kept = limit, box
-                limit *= 2.0
+                limit = 2.0 * limit if limit >= first else first
         self._grid.keep_search(source, search)
         return search[1], search[2]
 

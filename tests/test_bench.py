@@ -167,8 +167,8 @@ class TestSearchBudget:
             real_init(world, *args, **kwargs)
             grids.add(world._grid)
 
-        def box_graph(world, box):
-            graph = real_box_graph(world, box)
+        def box_graph(world, box, *keep):
+            graph = real_box_graph(world, box, *keep)
             boxes[id(graph)] = (box, graph)
             return graph
 

@@ -22,6 +22,7 @@ from carriernav.policy import VARIANTS
 from carriernav.scenarios import MODES, build_scenario
 from carriernav.scene import Box3, scene_from_dict
 from carriernav.world import (
+    SLACK_CELLS,
     STEP_ORDER,
     WHOLE_GRAPH_CELLS,
     DisplacementError,
@@ -382,7 +383,7 @@ def counting_boxes(monkeypatch):
     boxes = []
     real = GridWorld._box_graph
     monkeypatch.setattr(GridWorld, "_box_graph",
-                        lambda w, box: boxes.append(box) or real(w, box))
+                        lambda w, box, *keep: boxes.append(box) or real(w, box, *keep))
     return boxes
 
 
@@ -577,24 +578,59 @@ class TestBoundedSearch:
         assert boxes == [w._box((0, 0), (3, 0), limit((3, 0)))] == [(0, 0, 4, 2)]
         assert searches == [(0, limit((3, 0)))]
         assert w._grid.searches[(0, 0)][1:3] == (boxes[0], w._grid.searches[(0, 0)][2])
-        # in the box, and its own box at its distance lies inside: no search
-        assert search_read(w, (0, 0), (2, 1)) == pytest.approx(0.25 + SQRT2 * 0.25)
+        # in the box, and in the ellipse the search kept: no search
+        assert search_read(w, (0, 0), (2, 0)) == 0.5
         assert len(searches) == 1
+        # in the box, but (2, 1) + octile((2, 1), (3, 0)) passes the limit:
+        # the search does not vouch for it
+        assert not w._answers(w._grid.searches[(0, 0)], (2, 1))
         # outside the box: a search over its own box
         assert search_read(w, (0, 0), (10, 0)) == 2.5
         assert boxes[1] == w._box((0, 0), (10, 0), limit((10, 0))) and len(boxes) == 2
         assert searches[1] == (0, limit((10, 0)))
-        # a box of most of the grid still gets its own graph, to its limit
+        # a box of most of the grid still gets its own graph, to its limit:
+        # a read of 8 * SLACK_CELLS cells or more first allows SLACK_CELLS
+        # cells of detour
         assert search_read(w, (0, 0), (50, 50)) == pytest.approx(50 * SQRT2 * 0.25)
-        box = w._box((0, 0), (50, 50), limit((50, 50)))
+        tight = (w._octile((0, 0), (50, 50)) + SLACK_CELLS * 0.25) * margin
+        box = w._box((0, 0), (50, 50), tight)
         assert boxes[2:] == [box] and box != (0, 0, 64, 64)
-        assert searches[2] == (0, limit((50, 50)))
+        assert searches[2] == (0, tight)
         # 1.25 times the octile distance to (63, 63) passes the farthest
         # corner's octile distance: the search covers the whole grid
         assert search_read(w, (0, 0), (63, 63)) == pytest.approx(63 * SQRT2 * 0.25)
         assert searches[3] == (0, math.inf) and boxes[3:] == [(0, 0, 64, 64)]
         assert search_read(w, (0, 0), (0, 63)) == 63 * 0.25 and len(searches) == 4
         assert w._graph() is w._grid.graph and len(boxes) == 4
+
+    def test_a_long_read_first_allows_slack_cells_of_detour(self, monkeypatch):
+        # on a grid of WHOLE_GRAPH_CELLS cells or more, a read shorter than
+        # 8 * SLACK_CELLS cells first searches to 1.25 times its octile
+        # distance, and a longer one first to its octile distance plus
+        # SLACK_CELLS cells, then to 1.25 times it, then doubling
+        searches = counting_searches(monkeypatch)
+        margin = 1.0 + 1e-9
+        reach = 8 * SLACK_CELLS
+        w = empty_world(width=reach + 40, height=32)
+        assert w.width * w.height >= WHOLE_GRAPH_CELLS
+        assert search_read(w, (0, 0), (reach - 1, 0)) == (reach - 1) * 0.25
+        assert searches == [(0, 1.25 * (reach - 1) * 0.25 * margin)]
+        searches.clear()
+        assert search_read(w, (0, 5), (reach, 5)) == reach * 0.25
+        assert [limit for _, limit in searches] == [(reach + SLACK_CELLS) * 0.25 * margin]
+        # a wall across the straight way: the way round its end at row 0
+        # is more than SLACK_CELLS cells longer, and less than 1.25 times
+        wall = [(reach // 2, iy) for iy in range(1, 32)]
+        w = empty_world(width=reach + 40, height=32, blocked=wall)
+        occ = [[bool(w.occupancy[iy, ix]) for ix in range(w.width)] for iy in range(w.height)]
+        source, goal = (0, 12), (reach, 12)
+        expected = oracles.dijkstra_grid_length(occ, w.resolution, source, goal)
+        octile = w._octile(source, goal)
+        assert octile + SLACK_CELLS * 0.25 < expected < 1.25 * octile
+        searches.clear()
+        assert search_read(w, source, goal) == pytest.approx(expected, abs=1e-9)
+        assert [limit for _, limit in searches] == [
+            (octile + SLACK_CELLS * 0.25) * margin, 1.25 * octile * margin]
 
     def test_a_small_grid_searches_its_whole_graph(self, monkeypatch):
         # the other side of the rule: a grid of fewer than WHOLE_GRAPH_CELLS
@@ -771,6 +807,40 @@ class TestBoxSearch:
         assert any(box != (0, 0, w.width, w.height) for box in boxes)
         assert max(grown) > 1 and kept > 0
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_goal_a_search_answers_reads_the_oracle(self, seed):
+        # a search over a box keeps a cell's distance only where that
+        # distance plus the cell's octile distance to the read's goal stays
+        # within the limit, so every goal it answers, not only the one it
+        # was searched for, reads the oracle's distance and walk-back
+        rng = Random(f"ellipse search/{seed}")
+        w, _ = random_pocketed_world(rng, 96, 80, 0.2)
+        free = ~w.occupancy
+        accepted = refused = 0
+        for source in sample_cells(rng, free, 3):
+            full, index = oracles.full_grid_distances(w.occupancy, w.resolution, source)
+            oracle = lambda c: full[index[c[1], c[0]]]
+            for goal in sample_cells(rng, free, 6):
+                if goal == source:
+                    continue
+                (x0, y0, x1, y1), dist = w._search(source, goal)
+                search = w._grid.searches[source]
+                for iy in range(y0, y1):
+                    for ix in range(x0, x1):
+                        cell = (ix, iy)
+                        if not free[iy, ix] or cell == source:
+                            continue
+                        if not w._answers(search, cell):
+                            refused += 1
+                            continue
+                        accepted += 1
+                        assert dist[(iy - y0) * (x1 - x0) + ix - x0] == pytest.approx(
+                            oracle(cell), abs=1e-9)
+                        if accepted % 97 == 0 and not math.isinf(oracle(cell)):
+                            path, _ = w._walk_back((x0, y0, x1, y1), dist, source, cell)
+                            assert list(path) == walk_back(w, oracle, source, cell)
+        assert accepted > 1000 and refused > 1000
+
     @pytest.mark.parametrize("resolution", [0.25, 0.05])
     @pytest.mark.parametrize("mode", MODES)
     def test_generated_scenes(self, monkeypatch, mode, resolution):
@@ -832,13 +902,26 @@ class TestOctileCertificate:
 
     def test_a_probe_sequence_searches_around_obstacles_only(self, monkeypatch):
         # seed 1's first probe scenario on the 0.05 m grid, all six variants
-        # from a cold grid: 23 searches before the sweep, 13 with it
+        # from a cold grid: 23 searches before the sweep, 13 with it over
+        # whole boxes (138,387 cells settled), and 17 over the octile
+        # ellipses of their limits, long reads first allowing SLACK_CELLS of
+        # detour, which settle fewer than 90,000 cells
+        import carriernav.world as world_mod
         release_facts()
-        searches = counting_searches(monkeypatch)
+        searches, settled = [], []
+        real = world_mod.dijkstra
+
+        def counting(graph, **kwargs):
+            dist = real(graph, **kwargs)
+            searches.append(kwargs["limit"])
+            settled.append(int(np.isfinite(dist).sum()))
+            return dist
+
+        monkeypatch.setattr(world_mod, "dijkstra", counting)
         scenario = build_scenario("probe", 0, 1, 0.05)
         for variant in VARIANTS.values():
             run_sequence(scenario, variant)
-        assert len(searches) == 13
+        assert len(searches) == 17 and sum(settled) < 90_000
 
 
 @st.composite
