@@ -9,8 +9,9 @@ than i tasks counts as a failure at i.
 ``run_suite`` executes a (scenario x variant) matrix, optionally across a
 process pool, and writes two artifacts: ``results.jsonl`` (one row per
 episode, sorted) and ``report.json`` (per-variant aggregates of the
-episode results, their action records' oracle fallbacks and reconciled
-carriers among them, and the name of the prior oracle that ran).  Neither
+episode results, their action records' oracle fallbacks, reconciled
+carriers, unreachable legs and actions per episode among them, and the
+name of the prior oracle that ran).  Neither
 file contains wall-clock times or other run-dependent values, so reruns
 with the same inputs are byte-identical regardless of worker count.
 """
@@ -214,7 +215,9 @@ def _aggregate(results: Sequence[Tuple[str, str, EpisodeResult]]) -> Dict[str, d
         out[variant] = {"episodes": len(flat), "sr": success_rate(flat),
                         "spl": mean_spl(flat), "tasks_sr": tasks_sr(seqs),
                         "oracle_fallbacks": sum(a.fallback for a in records),
-                        "reconciled_carriers": sum(len(a.reconciled) for a in records)}
+                        "reconciled_carriers": sum(len(a.reconciled) for a in records),
+                        "unreachable_legs": sum(a.unreachable for a in records),
+                        "mean_actions": len(records) / len(flat)}
     return out
 
 

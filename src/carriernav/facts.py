@@ -7,11 +7,10 @@ the rules that keep and drop them.  It imports nothing from the package.
 * Facts of the grid, which no world changes: the read-only occupancy, the
   table of allowed moves, the whole grid's graph (kept only on a grid
   small enough that every search reads it, or once a read searches it),
-  the connected components of the free cells, the step weights and row
-  pointers that box graphs view, its free cells per column and row, the
-  snap of every point asked for, each source's latest
-  search (its limit, its box and the distances over the box) and the paths
-  read from it, by the octile sweep or walked back over a search.  They
+  the connected components of the free cells, its free cells per column
+  and row, the snap of every point asked for, each source's latest search
+  (its limit, its box and the distances over the box) and the paths read
+  from it, by the octile sweep or walked back over a search.  They
   belong to the grid, not the world: every world built on an equal grid
   (same resolution, origin and occupancy, compared by content) shares one
   :class:`Grid`, so the worlds a task sequence builds in one house, one per
@@ -28,25 +27,33 @@ the rules that keep and drop them.  It imports nothing from the package.
   the cells searched, and the sweep gives the walk-back's path, so a kept
   path is the one any later search would give.  An unreachable goal
   is not kept.
-* Facts of the scene, which no variant's policy changes: the objects each
-  move makes, each leg's sightings, length and final heading, the carrying
-  relation, the answers of ``graph.nearest_carrier``, each match of
+* Facts of the scene, which no variant's policy changes: the graph's
+  construction funnel (its carriers, each carrier's room and carried
+  objects, and the orphans, as tuples), kept per (the scene's objects and
+  rooms, config, oracle instance), the objects each move makes, each
+  leg's sightings, length and final heading, the carrying relation, the
+  answers of ``graph.nearest_carrier``, each match of
   ``update.match_carrier``, kept per (sighting, the graph's carrier table,
   config), and each pairing of ``update.reconcile_carried``.  They belong
   to the scene object, not the world: every world and every graph built on
   the same ``SceneMap`` shares one :class:`Scene`, so the six variants'
-  ``run_sequence`` calls on one scenario displace its objects once, sense
-  each leg once and ask each carrier question once.  The module keeps the
+  ``run_sequence`` calls on one scenario run the funnel once, displace its
+  objects once, sense each leg once and ask each carrier question once;
+  each graph still gets its own carried dicts and orphan dict, so one
+  variant's updates reach no other's graph.  The module keeps the
   facts of the last scene built on only, matched by identity, and drops
   them when a world or graph is built on another scene.  Sharing cannot
-  change a result: objects are frozen and hashed by identity, configs are
-  frozen and hashed by value, and each answer is kept under all its inputs
-  (the instances asked about: every object of the world a move or leg
-  starts from, the object and every candidate carrier, or the sighting and
-  the graph's read-only carrier table, fixed at build; the event, or the
-  grid by content and the path's cells; the frozen configs), so it is a
-  pure function of its key.  A move or a leg that raises is not kept; a
-  remove makes no new instance.
+  change a result: objects and rooms are frozen and hashed by identity,
+  configs are frozen and hashed by value, and each answer is kept under
+  all its inputs (the instances asked about: the scene's objects and rooms,
+  every object of the world a move or leg starts from, the object and
+  every candidate carrier, or the sighting and the graph's read-only
+  carrier table, fixed at build; the event, or the grid by content and the
+  path's cells; the frozen configs; the prior oracle, by identity, which
+  the callers that run a scenario's variants pass as one instance), so it
+  is a pure function of its key.  An answer whose computation raises (a
+  funnel whose oracle fails, a move, a leg) is not kept; a remove makes no
+  new instance.
 * Facts of content, which no scene changes: answers that are pure
   functions of plain values (strings, tuples of them and integers), kept
   by :func:`pure_answer`.  Today these are the embeddings
@@ -105,7 +112,6 @@ class Grid:
         self.moves: Optional[np.ndarray] = None  # (height, width, 8) allowed moves
         self.graph = None  # the whole grid's box graph, once a read needs it
         self.labels: Optional[np.ndarray] = None
-        self.tiles = None  # (step weights, row pointers) of the largest box graph built
         self.lines = None  # (free cells per column, per row) as int bitmasks
         self.snaps: Dict[Tuple[float, float], Tuple[int, int]] = {}
         # source -> (limit, box, dist, goal cell -> (path cells, length)), the
@@ -124,9 +130,10 @@ class Grid:
 
 class Scene:
     """The answers about the object instances of one scene.  A key is its
-    kind (``move``, ``leg``, ``carried``, ``carrier``, ``match`` or
-    ``reconcile``) and every input of the answer: instances by identity,
-    anything else by value, then the frozen config."""
+    kind (``funnel``, ``move``, ``leg``, ``carried``, ``carrier``, ``match``
+    or ``reconcile``) and every input of the answer: instances by identity,
+    anything else by value, then the frozen config (and for ``funnel`` the
+    prior oracle, by identity)."""
 
     def __init__(self, scene):
         self.scene = scene

@@ -12,8 +12,9 @@ carriers nor carried are orphans (static clutter such as doors or rugs).
 Each carrier node records its room, assigned at build to carriers only: a
 carried object's room is its carrier's.  Carriers are static: the carrier
 table is fixed at build, and only carried sets change.  Answers about a
-scene's instances are kept with the scene's facts (``carriernav.facts``),
-a match per (sighting, carrier table, config).
+scene's instances are kept with the scene's facts (``carriernav.facts``):
+the funnel's answer per (objects, rooms, config, oracle) and a match per
+(sighting, carrier table, config).
 """
 
 from __future__ import annotations
@@ -292,10 +293,32 @@ def build_crsg(
     config: CrsgConfig = CrsgConfig(),
     prior: CarrierPriorOracle = KeywordPriorOracle(),
 ) -> Crsg:
-    """Compose the full construction pipeline over a scene."""
-    facts.keep_scene(scene)
+    """Compose the full construction pipeline over a scene.
 
-    objects = list(scene.objects.values())
+    The funnel's answer is kept with the scene's facts, per (the scene's
+    objects and rooms, config, oracle instance), so the variants of one
+    scenario run it once; each graph gets its own carried dicts and orphan
+    dict, so an update of one graph reaches no other.
+    """
+    facts.keep_scene(scene)
+    objects, rooms = tuple(scene.objects.values()), tuple(scene.rooms)
+    nodes, orphans = facts.answer(("funnel", objects, rooms, config, prior),
+                                  _funnel, objects, rooms, config, prior)
+    return Crsg(
+        building=scene.name,
+        rooms=list(rooms),
+        carriers={c.id: CarrierNode(object=c, room=room, carried={o.id: o for o in held})
+                  for c, room, held in nodes},
+        orphan_objects={o.id: o for o in orphans},
+    )
+
+
+def _funnel(objects: Tuple[ObjectInstance, ...], rooms: Tuple[Room, ...],
+            config: CrsgConfig, prior: CarrierPriorOracle):
+    """``((carrier, room id, carried objects), ...), orphans)``, all tuples
+    in scene order: the carriers the three filters keep, each with its room
+    (a declared room id wins over the geometric assignment) and the objects
+    assigned to it, and the objects assigned to none."""
     candidates = select_carrier_candidates(objects, config)
     candidates = filter_by_prior(candidates, prior)
     carriers = geometric_carrier_filter(candidates, config)
@@ -304,19 +327,10 @@ def build_crsg(
     others = [obj for obj in objects if obj.id not in carrier_ids]
     carried_map, orphans = assign_carried(carriers, others, config)
 
-    room_of = assign_rooms(carriers, scene.rooms)
-    nodes = {
-        # a declared room id wins over the geometric assignment
-        c.id: CarrierNode(object=c, room=room_of[c.id] if c.room_id is None else c.room_id,
-                          carried={o.id: o for o in carried_map[c.id]})
-        for c in carriers
-    }
-    return Crsg(
-        building=scene.name,
-        rooms=list(scene.rooms),
-        carriers=nodes,
-        orphan_objects={o.id: o for o in orphans},
-    )
+    room_of = assign_rooms(carriers, rooms)
+    nodes = tuple((c, room_of[c.id] if c.room_id is None else c.room_id,
+                   tuple(carried_map[c.id])) for c in carriers)
+    return nodes, tuple(orphans)
 
 
 @dataclass(frozen=True)

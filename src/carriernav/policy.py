@@ -533,6 +533,7 @@ class ActionRecord:
     leg: float                   # length walked, the approach to a confirmed object included
     fallback: bool = False       # the carrier was the nearest, the oracle having failed
     reconciled: Tuple[str, ...] = ()  # carriers whose carried set the leg changed
+    unreachable: bool = False    # the leg found no path: the action was consumed in place
 
     def __post_init__(self):
         _freeze(self, "position", lambda p: tuple(map(float, p)))
@@ -615,9 +616,11 @@ def run_task(
 
     state = init_state(crsg, start_pose, target_obj, score)
 
-    def record(kind, subject, leg, reconciled=(), priority=None, fallback=False) -> None:
+    def record(kind, subject, leg, reconciled=(), priority=None, fallback=False,
+               unreachable=False) -> None:
         records.append(ActionRecord(kind, subject, world.robot.position, len(state.unexplored),
-                                    len(state.candidates), priority, leg, fallback, reconciled))
+                                    len(state.candidates), priority, leg, fallback, reconciled,
+                                    unreachable))
 
     if state.bypass_target is not None:
         leg = walk_leg(world, crsg, state.bypass_target.centroid, sensor_cfg, match_cfg,
@@ -654,7 +657,10 @@ def run_task(
         # transition sets read the graph, which changes nothing: they read
         # only its carrier table, fixed at build, never a carried set.
         leg = walk_leg(world, crsg, dest, sensor_cfg, match_cfg, crsg_cfg,
-                       action.carrier_id, variant.update_graph) or Leg(0.0, {}, {}, [])
+                       action.carrier_id, variant.update_graph)
+        unreachable = leg is None
+        if unreachable:
+            leg = Leg(0.0, {}, {}, [])
         traveled += leg.length
         leg_len = leg.length
 
@@ -672,7 +678,8 @@ def run_task(
 
         state = transition(state, action, inputs, best is not None, world.robot)
         subject = action.candidate.object_id if action.kind == "goto" else action.carrier_id
-        record(action.kind, subject, leg_len, leg.reconciled, action.priority, action.fallback)
+        record(action.kind, subject, leg_len, leg.reconciled, action.priority, action.fallback,
+               unreachable)
 
     success = state.found and best.object_id == gt_id
     return finish(success, shortest)

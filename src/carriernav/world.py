@@ -472,8 +472,7 @@ class GridWorld:
         blocked cell's row is all self-loops, and so is the row of a cell
         outside ``keep``, a (box height, box width) bool array when given:
         a search may reach that cell but leaves it by no move.  The step
-        weights and row pointers are views of the grid's tiles, sized to
-        the largest box built."""
+        weights and row pointers are built per call, sized to the box."""
         x0, y0, x1, y1 = box
         bw, bh = x1 - x0, y1 - y0
         n = bw * bh
@@ -490,18 +489,15 @@ class GridWorld:
         if keep is not None:
             nbrs *= keep[:, :, None]
         nbrs += np.arange(n, dtype=np.int32).reshape(bh, bw, 1)
-        grid = self._grid
-        if grid.tiles is None or len(grid.tiles[1]) <= n:
-            grid.tiles = (np.tile(np.array(STEP_CELLS) * self.resolution, n),
-                          np.arange(0, len(STEP_ORDER) * n + 1, len(STEP_ORDER), dtype=np.int32))
-        steps, indptr = grid.tiles
-        return csr_matrix((steps[:nbrs.size], nbrs.reshape(-1), indptr[:n + 1]), shape=(n, n))
+        steps = np.tile(np.array(STEP_CELLS) * self.resolution, n)
+        indptr = np.arange(0, len(STEP_ORDER) * n + 1, len(STEP_ORDER), dtype=np.int32)
+        return csr_matrix((steps, nbrs.reshape(-1), indptr), shape=(n, n))
 
     def _graph(self) -> csr_matrix:
         """The box graph of the whole grid, node ``iy * width + ix``, that a
         search over the whole grid reads.  Built once per grid, on its first
         read.  It has a row for every cell, blocked ones included: 8 int32
-        neighbours and a view of 8 float64 step weights each, about 100
+        neighbours and 8 float64 step weights each, about 100
         bytes per cell, so 400 MB on a grid of ``MAX_GRID_CELLS`` however
         few of its cells are free."""
         grid = self._grid
@@ -530,7 +526,12 @@ class GridWorld:
         one built for the labels alone and not kept, since a larger grid
         asked only about reachability (a generated house being checked) may
         never read it.  That graph costs about 100 bytes per cell while the
-        labels are computed; the labels keep 4 bytes per cell."""
+        labels are computed; the labels keep 4 bytes per cell.  The
+        transient graph sets the set-up's peak memory on a large grid, but
+        labels computed without it (from runs of free cells per row) made
+        the later warm passes slower: freeing so large a block likely raises
+        glibc's mmap and trim thresholds, so the passes after it take no
+        minor page faults (ROADMAP "Settled")."""
         grid = self._grid
         if grid.labels is None:
             if self.width * self.height < WHOLE_GRAPH_CELLS or grid.graph is not None:

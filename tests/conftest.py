@@ -128,6 +128,28 @@ def _check_carried(key, answer):
     assert answer == {cid: sorted(held) for cid, held in relation.items() if held}
 
 
+def _check_funnel(key, answer):
+    # the funnel run afresh: per-call cosines to a fresh embedding of the
+    # reference, the key's oracle, the base gate, per-call carrier answers
+    # and the numpy room rule
+    _, objects, rooms, cfg, prior = key
+    carriers = []
+    if objects:
+        ref = Feature.of(oracles.embed_text_accumulating(cfg.carrier_reference,
+                                                         objects[0].text_feature.shape[0]))
+        carriers = [obj for obj in objects
+                    if not obj.text.zero and oracles.cosine_per_call_dot(obj.text, ref) > cfg.sigma
+                    and prior.is_carrier(obj.captions[:3]) and oracles.geometric_base(obj, cfg)]
+    held, orphans = {c.id: [] for c in carriers}, []
+    for obj in objects:
+        if obj.id not in held:
+            cid = oracles.nearest_carrier_per_call(obj, carriers, cfg)
+            (orphans if cid is None else held[cid]).append(obj)
+    room_of = oracles.assign_rooms_numpy(carriers, rooms)
+    assert answer == (tuple((c, room_of[c.id] if c.room_id is None else c.room_id,
+                             tuple(held[c.id])) for c in carriers), tuple(orphans))
+
+
 def _check_reconcile(key, answer):
     _, seen, entries, cfg = key
     assert answer == oracles.reconcile_pairs_per_call(seen, dict(entries), cfg)
@@ -159,6 +181,7 @@ KEPT_ANSWER_CHECKS = {
     "move": _check_move,
     "leg": _check_leg,
     "carried": _check_carried,
+    "funnel": _check_funnel,
     "reconcile": _check_reconcile,
     "text": _check_text,
     "spelling": _check_spelling,

@@ -11,6 +11,7 @@ import pytest
 from carriernav import bench, facts, update
 from carriernav.bench import (
     BenchError,
+    _aggregate,
     episode_seed,
     full_coverage_tour,
     mean_spl,
@@ -21,7 +22,7 @@ from carriernav.bench import (
     tasks_sr,
 )
 from carriernav.graph import build_crsg
-from carriernav.policy import VARIANTS, EpisodeResult
+from carriernav.policy import VARIANTS, ActionRecord, EpisodeResult
 from carriernav.priors import KeywordPriorOracle, OracleError
 from carriernav.scenarios import MODES, build_scenario, generate_scenarios, load_scenario
 from carriernav.world import WHOLE_GRAPH_CELLS, GridWorld
@@ -88,6 +89,18 @@ class TestAggregates:
 
     def test_tasks_sr_empty(self):
         assert tasks_sr([]) == []
+
+    def test_action_counters(self):
+        def record(kind, unreachable=False):
+            return ActionRecord(kind, "", (0.0, 0.0), 0, 0, None, 0.0, unreachable=unreachable)
+
+        walled = EpisodeResult(0, True, 4.0, 2.0, (record("explore", True), record("goto"),
+                                                   record("stop")))
+        direct = EpisodeResult(1, True, 4.0, 2.0, (record("direct"),))
+        out = _aggregate([("a", "ours", walled), ("a", "ours", direct),
+                          ("a", "no-update", direct)])
+        assert [(agg["unreachable_legs"], agg["mean_actions"]) for agg in out.values()] == [
+            (0, 1.0), (1, 2.0)]
 
 
 class TestEpisodeSeed:
@@ -318,6 +331,7 @@ class TestRunSuite:
             assert agg["sr"] == success_rate(flat)
             assert agg["spl"] == mean_spl(flat)
             assert agg["tasks_sr"] == tasks_sr(seq_results)
+            assert agg["mean_actions"] == sum(r["actions"] for r in vrows) / len(vrows)
 
     def test_reruns_are_byte_identical(self, suite_dir, tmp_path):
         paths = scenario_paths(suite_dir)

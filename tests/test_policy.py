@@ -737,6 +737,22 @@ class TestRunTask:
         assert r.traveled == pytest.approx(r.shortest)
         assert r.action_count <= len(crsg.carriers) + 1
 
+    def test_a_walled_in_carrier_is_recorded_as_an_unreachable_leg(self):
+        # a ring of blocked cells shuts table_1 in: its explore finds no path,
+        # and only that record says so; the trace reads as before
+        ring = [(ix, iy) for ix in range(16, 25) for iy in range(5, 12)
+                if ix in (16, 24) or iy in (5, 11)]
+        scene = policy_scene(blocked=ring)
+        world = GridWorld(scene, start_pose=Pose([0.5, 0.5]))
+        crsg = build_crsg(scene, CrsgConfig())
+        assert not world.connected([0.5, 0.5], crsg.carriers["table_1"].object.centroid[:2])
+        r = run_task(world, crsg, self.task(), variant=VARIANTS["only-carriers_LLM"],
+                     prior=FixedRanking(["table_1", "table_0", "counter_0"]), rng=Random(0))
+        assert [(a.kind, a.subject, a.unreachable) for a in r.records] == [
+            ("explore", "table_1", True), ("explore", "table_0", False), ("stop", "", False)]
+        assert r.actions[0] == "t=0 Explore(table_1) pose=(0.500,0.500) cr=2 ct=1 pr=- leg=0.000000"
+        assert r.success
+
     def test_unreachable_direct_target_fails_without_a_trace(self):
         # the query resolves to the walled-off rug while the ground truth is
         # reachable: the robot does not move and records no action

@@ -1,5 +1,5 @@
 """The facts of a scene: moves, carrier answers, legs, the carrying
-relation and pairings shared by every world and graph built on one
+relation, pairings and the graph's construction funnel shared by every world and graph built on one
 ``SceneMap``; and the embedded texts the process keeps across scenes.
 Each kept answer is checked against the rule it replaced
 (``tests/oracles.py``); whole task sequences sharing them are checked
@@ -17,13 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carriernav import bench, facts, features, update
+from carriernav import bench, facts, features, graph, update
 from carriernav.bench import run_sequence
 from carriernav.graph import (DEFAULT_CARRIER_REFERENCE, CrsgConfig, Query, build_crsg,
                               nearest_carrier, query_target)
 from carriernav.features import text_feature, tokenize
 from carriernav.policy import VARIANTS
-from carriernav.priors import CarrierSummary, KeywordPriorOracle
+from carriernav.priors import CarrierSummary, KeywordPriorOracle, OracleError
 from carriernav.scenarios import build_scenario, generate_scenarios, load_scenario
 from carriernav.scene import Box3, scene_from_dict
 from carriernav.update import MatchConfig, match_carrier, reconcile_carried
@@ -386,6 +386,56 @@ class TestSharedPairings:
         diff = reconcile_carried("table_0", sightings, crsg, cfg)
         assert diff.empty
         assert len(pairings) == 3
+        assert_every_kept_answer_is_its_rule()
+
+
+class TestSharedFunnel:
+    def test_the_six_variants_run_the_funnel_once(self, monkeypatch):
+        funnels = counting(monkeypatch, graph, "_funnel")
+        sc = build_scenario("mixed", 0, 3)
+        for name in sorted(VARIANTS):
+            run_sequence(sc, VARIANTS[name])
+        assert len(funnels) == 1
+        assert_every_kept_answer_is_its_rule()
+
+    def test_a_build_after_another_graphs_update_is_a_cold_build(self):
+        t0 = table_dict("table_0", 2.0, 2.0)
+        objs = [t0, table_dict("table_1", 5.0, 2.0), item_on("cup_0", ["red cup"], t0),
+                obj_dict("rug_0", ["green rug"], 5.0, 4.0, 1.0, 1.0, 0.0, 0.02)]
+        scene = scene_from_dict(scene_dict(objs, width=32, height=24))
+        first = build_crsg(scene)
+        update.apply_update(first, update.CarriedDiff(
+            "table_1", added=[Observation(scene.objects["cup_0"], 1.0)]))
+        first.detach("rug_0")
+        assert first.to_dict()["orphans"] == [] and first.carrier_of("cup_0") == "table_1"
+        warm = build_crsg(scene)
+        facts.release_facts()
+        cold = build_crsg(scene)
+        assert warm.to_dict() == cold.to_dict() != first.to_dict()
+        assert warm.carrier_of("cup_0") == "table_0" and list(warm.orphan_objects) == ["rug_0"]
+
+    def test_a_raising_oracle_is_asked_again_on_the_next_build(self):
+        class Flaky(KeywordPriorOracle):
+            asked = 0
+
+            def is_carrier(self, captions):
+                self.asked += 1
+                if self.asked == 1:
+                    raise OracleError("backend down")
+                return super().is_carrier(captions)
+
+        scene, prior = two_tables_scene(), Flaky()
+        with pytest.raises(OracleError):
+            build_crsg(scene, prior=prior)
+        assert not [key for key in kept_answers() if key[0] == "funnel"]
+        assert set(build_crsg(scene, prior=prior).carriers) == {"table_0", "table_1"}
+        asked = prior.asked
+        assert asked > 1
+        build_crsg(scene, prior=prior)
+        assert prior.asked == asked
+        # another oracle instance is another key
+        build_crsg(scene, prior=KeywordPriorOracle())
+        assert sum(key[0] == "funnel" for key in kept_answers()) == 2
         assert_every_kept_answer_is_its_rule()
 
 

@@ -53,6 +53,12 @@ builder constructs a ``csr_matrix``, only ``GridWorld._search`` calls
 and only the move-table builder tests a diagonal's two orthogonal cells
 (the corner rule).  A second site of any of them must fail here.
 
+A graph's construction funnel is a kept answer of the scene's facts,
+``graph._funnel``, and it is the one caller of the funnel's first two
+stages: a second site of ``select_carrier_candidates`` or
+``filter_by_prior`` anywhere in the package is a second construction path
+beside the kept one and must fail here.
+
 An episode records each action at one site: ``run_task``'s ``record``, the
 one construction of ``policy.ActionRecord``.  A second construction, a
 call or a reference that calls it later, gives an action a record of its
@@ -801,6 +807,42 @@ def test_the_planning_guard_sees_a_second_site():
         "csr_matrix": ["_box_graph", "_check_moves"], "dijkstra": ["_check_moves", "_search"],
         "connected_components": ["_check_moves", "connected"],
         "corner rule": ["_check_moves", "_moves"]}
+
+
+# the funnel's stages that only ``graph._funnel`` may call
+FUNNEL_STAGES = ("select_carrier_candidates", "filter_by_prior")
+
+
+def funnel_stage_sites(sources: dict) -> dict:
+    """Each ``FUNNEL_STAGES`` name -> the (module, function) pairs of
+    ``sources``, module name -> source, that reference it; module-level
+    code is ``<module>``."""
+    return {name: sorted({(module, function or "<module>")
+                          for module, source in sources.items()
+                          for function, _ in reference_sites(source, name)})
+            for name in FUNNEL_STAGES}
+
+
+def test_the_funnel_has_one_site():
+    sources = {p.name: p.read_text() for p in sorted((ROOT / "src" / "carriernav").glob("*.py"))}
+    assert len(sources) > 10
+    assert funnel_stage_sites(sources) == {name: [("graph.py", "_funnel")]
+                                           for name in FUNNEL_STAGES}
+
+
+def test_the_funnel_guard_sees_a_second_site():
+    sources = {"graph.py": ("def _funnel(objects, config, prior):\n"
+                            "    return filter_by_prior(select_carrier_candidates(objects, config),"
+                            " prior)\n"
+                            "def build_crsg(scene, prior):\n"
+                            "    return graph.filter_by_prior(scene.objects, prior)\n"),
+               "policy.py": ("from .graph import select_carrier_candidates\n"
+                             "STAGE = select_carrier_candidates\n"
+                             "def decide(state):\n"
+                             "    return STAGE(state)\n")}
+    assert funnel_stage_sites(sources) == {
+        "select_carrier_candidates": [("graph.py", "_funnel"), ("policy.py", "<module>")],
+        "filter_by_prior": [("graph.py", "_funnel"), ("graph.py", "build_crsg")]}
 
 
 def action_record_sites(source: str) -> list:
