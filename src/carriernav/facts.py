@@ -1,32 +1,14 @@
-"""Kept answers: the facts of the last grid, of the last scene, and of content.
+"""Kept answers: of the last grid, of the last scene, and of content.
 
 Each derived fact is computed once per change to its inputs.  Three kinds
 outlive the world that computed them, and this module is the one home of
 the rules that keep and drop them.  It imports nothing from the package.
 
-* Facts of the grid, which no world changes: the read-only occupancy, the
-  table of allowed moves, the whole grid's graph (kept only on a grid
-  small enough that every search reads it, or once a read searches it),
-  the connected components of the free cells, its free cells per column
-  and row, the snap of every point asked for, each source's latest search
-  (its limit, its box and the distances over the box) and the paths read
-  from it, by the octile sweep or walked back over a search.  They
-  belong to the grid, not the world: every world built on an equal grid
-  (same resolution, origin and occupancy, compared by content) shares one
-  :class:`Grid`, so the worlds a task sequence builds in one house, one per
-  variant, build one move table and search each source once per box.  The
-  module keeps the facts of the last grid built only, and drops them when
-  a world on another grid is built, before that grid's table exists; the
-  worlds alive hold theirs.  Of the searches, a grid keeps the latest
-  ``SEARCHES_PER_GRID`` sources read, a source with paths but no search yet
-  among them, and a path is kept with its source's search and dropped with
-  it.  Sharing cannot change a result: a snap and a component label are pure
-  functions of the grid, a search is read for a goal only at a distance it
-  kept, and it keeps one only where every shortest path to the cell lies
-  among the cells it searched, the walk-back's matches do not depend on
-  the cells searched, and the sweep gives the walk-back's path, so a kept
-  path is the one any later search would give.  An unreachable goal
-  is not kept.
+* The last grid's planner (``carriernav.planning``), which no world
+  changes, kept by :func:`keep_grid` and matched by the grid's content; the
+  planner's module says what it keeps and why sharing it cannot change a
+  result.  It is dropped when a world on another grid is built, before that
+  grid's facts exist; the worlds alive hold theirs.
 * Facts of the scene, which no variant's policy changes: the graph's
   construction funnel (its carriers, each carrier's room and carried
   objects, and the orphans, as tuples), kept per (the scene's objects and
@@ -69,25 +51,15 @@ the rules that keep and drop them.  It imports nothing from the package.
   read are kept, the least recently read dropped first.  Sharing cannot
   change a result: the key holds every input, and each answer is frozen.
 
-:func:`release_facts` drops all three: the next world computes its grid's
-facts anew, a scene's answers are computed anew (and not kept) until a
-world or graph is built again, and each text is embedded anew when next
-read.  Worlds alive keep the grid facts they share.
+:func:`release_facts` drops all three: the next world gets a new planner,
+which computes its grid's facts anew, a scene's answers are computed anew
+(and not kept) until a world or graph is built again, and each text is
+embedded anew when next read.  Worlds alive keep the planner they share.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
-
-import numpy as np
-
-# Sources whose searches and paths one grid keeps, the least recently read
-# dropped first: a long run of scenarios in one house adds sources, and a
-# field costs 8 bytes per cell of its box.  The generated task sequences
-# read at most 11 per grid (seeds 1, 2, 3 and 7, 8 scenarios per mode at
-# 0.25 m and 0.05 m, all six variants, re-counted with box searches), a
-# source read only by the sweep included, so none of theirs is dropped.
-SEARCHES_PER_GRID = 16
+from typing import Callable, Dict, Optional
 
 # Facts of content the process keeps, the least recently read dropped
 # first: at most 1024 float64 vectors, 2 MB at the default dim of 256 and
@@ -96,36 +68,6 @@ SEARCHES_PER_GRID = 16
 # sequences, the 217 spellings that read them and the tokens of 36 texts
 # the keyword oracle reads), so none of theirs is dropped.
 TEXTS_KEPT = 1024
-
-
-class Grid:
-    """The facts of one occupancy grid, shared by every world built on an
-    equal grid.  The world that reads one first computes it.  Each entry
-    of ``searches`` holds a source's latest search, ``(limit, box, dist,
-    paths)`` with ``dist`` over the box's cells only, and every path read
-    from the source, by the octile sweep or over a search, so no pair is
-    swept twice while its source is kept."""
-
-    def __init__(self, occupancy: np.ndarray, key: tuple):
-        self.occupancy = occupancy  # read-only
-        self.key = key  # the grid by content: matched, and in the keys of kept legs
-        self.moves: Optional[np.ndarray] = None  # (height, width, 8) allowed moves
-        self.graph = None  # the whole grid's box graph, once a read needs it
-        self.labels: Optional[np.ndarray] = None
-        self.lines = None  # (free cells per column, per row) as int bitmasks
-        self.snaps: Dict[Tuple[float, float], Tuple[int, int]] = {}
-        # source -> (limit, box, dist, goal cell -> (path cells, length)), the
-        # least recently read first; (0.0, None, None, paths) before any search
-        self.searches: Dict[Tuple[int, int], tuple] = {}
-
-    def keep_search(self, source: Tuple[int, int], search: tuple) -> None:
-        """Keep ``search`` as ``source``'s, now the most recently read; past
-        ``SEARCHES_PER_GRID`` sources the least recently read is dropped,
-        with its paths."""
-        self.searches.pop(source, None)
-        self.searches[source] = search
-        if len(self.searches) > SEARCHES_PER_GRID:
-            del self.searches[next(iter(self.searches))]
 
 
 class Scene:
@@ -140,22 +82,20 @@ class Scene:
         self.answers: Dict[tuple, object] = {}
 
 
-_grid: Optional[Grid] = None
+_grid: Optional[tuple] = None  # (key, the last grid's planner)
 _scene: Optional[Scene] = None
 # key -> answer of content, the least recently read first
 _pure: Dict[tuple, object] = {}
 _UNKNOWN = object()
 
 
-def keep_grid(occupancy: np.ndarray, resolution: float, origin: np.ndarray) -> Grid:
-    """The kept grid's facts if they describe this grid, else new facts
-    that replace them.  The new graph is built on the first read, so the
-    last grid's graph is gone by then unless a live world holds it."""
+def keep_grid(key: tuple, build: Callable[[], object]):
+    """The kept grid's planner if it was kept under ``key``, else
+    ``build()``, kept under ``key`` in its place."""
     global _grid
-    key = (resolution, tuple(origin.tolist()), occupancy.shape, occupancy.tobytes())
-    if _grid is None or _grid.key != key:
-        _grid = Grid(occupancy, key)
-    return _grid
+    if _grid is None or _grid[0] != key:
+        _grid = (key, build())
+    return _grid[1]
 
 
 def keep_scene(scene) -> None:
@@ -193,7 +133,7 @@ def pure_answer(key: tuple, compute: Callable, *args):
 
 
 def release_facts() -> None:
-    """Drop the kept grid's facts, the kept scene's answers and the kept
+    """Drop the kept grid's planner, the kept scene's answers and the kept
     answers of content."""
     global _grid, _scene
     _grid = _scene = None

@@ -633,7 +633,7 @@ def run_task(
             target_obj.id == gt_id
             and gt_id in world.objects
             and world.snap_free_cell(world.object(gt_id).centroid[:2])
-            == world.cell_of(world.robot.position)
+            == world.planner.cell_of(world.robot.position)
         )
         return finish(success, shortest)
 

@@ -419,9 +419,10 @@ def _build_mixed(index: int, seed: str, rng: Random, resolution: float) -> Scena
     scene = draft.to_scene()
     start = Pose(np.array([3.5 + _jitter(rng, 0.3), 4.5 + _jitter(rng, 0.3)],
                           dtype=np.float64))
-    # draw displacement events, validating each on the layout's world so
-    # a crowded small carrier never produces an unplaceable scenario
+    # draw displacement events, validating each on the layout's world with the
+    # scenario's config, so a crowded small carrier never makes an unplaceable one
     world = _reachable_world(scene, start)
+    config = CrsgConfig()
     events = []
     for oid in item_ids:
         roll = rng.random()
@@ -434,14 +435,14 @@ def _build_mixed(index: int, seed: str, rng: Random, resolution: float) -> Scena
                                  object_id=oid, target_carrier_id=target,
                                  spot_index=spot)
                 try:
-                    world.apply_displacement(spec, CrsgConfig())
+                    world.apply_displacement(spec, config)
                 except WorldError:
                     continue
                 events.append(spec)
                 break
         elif roll < 0.6:
             spec = EventSpec(trigger="before-episode", kind="remove", object_id=oid)
-            world.apply_displacement(spec, CrsgConfig())
+            world.apply_displacement(spec, config)
             events.append(spec)
 
     n_tasks = rng.randrange(1, min(4, len(item_ids) + 1))
@@ -450,7 +451,7 @@ def _build_mixed(index: int, seed: str, rng: Random, resolution: float) -> Scena
              for oid in chosen]
 
     return Scenario(name=draft.name, mode="mixed", seed=seed, scene=scene,
-                    start_pose=start, events=events, tasks=tasks)
+                    start_pose=start, events=events, tasks=tasks, crsg=config)
 
 
 _BUILDERS = {"single": _build_single, "probe": _build_probe, "mixed": _build_mixed}

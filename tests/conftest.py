@@ -7,6 +7,7 @@ import pytest
 from carriernav import facts
 from carriernav.features import Feature, tokenize
 from carriernav.graph import CrsgConfig, build_crsg, carrying_predicate
+from carriernav.planning import Planner
 from carriernav.scene import scene_from_dict
 from carriernav.world import GridWorld, Pose
 
@@ -105,11 +106,11 @@ def _check_move(key, answer):
 
 def _check_leg(key, answer):
     # a world on the key's grid holding the key's objects, facing its heading
-    _, items, (resolution, origin, shape, occupancy), path, heading, sensor = key
+    _, items, grid, path, heading, sensor = key
+    resolution, origin, shape, occupancy = grid
     world = GridWorld.__new__(GridWorld)
-    world.resolution, world.origin = resolution, np.array(origin)
-    world.height, world.width = shape
-    world.occupancy = np.frombuffer(occupancy, dtype=bool).reshape(shape)
+    world.planner = Planner(np.frombuffer(occupancy, dtype=bool).reshape(shape), resolution,
+                            np.array(origin), grid)
     world._set_objects(dict(items))
     world.robot = Pose(np.zeros(2), 0.0 if heading is None else heading)
     expected, length, pose = oracles.travel_per_cell(world, path, sensor)

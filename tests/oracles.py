@@ -218,7 +218,7 @@ def carriers_reachable_by_distance(scene, start) -> bool:
         world = GridWorld(scene, start_pose=start)
     except WorldError:
         return False
-    dist, index = full_grid_distances(world.occupancy, world.resolution,
+    dist, index = full_grid_distances(world.planner.occupancy, world.planner.resolution,
                                       world.snap_free_cell(start.position))
     for obj in scene.objects.values():
         if obj.box.min[2] <= 0.05:
@@ -677,12 +677,12 @@ def observe_per_cell(world, pose, sensor):
         diff = np.abs((angles - pose.heading + math.pi) % (2.0 * math.pi) - math.pi)
         mask &= (diff <= sensor.fov / 2.0 + 1e-12) | (dists < 1e-12)
     out = []
-    robot_cell = world.cell_of(pose.position)
+    robot_cell = world.planner.cell_of(pose.position)
     for i in np.nonzero(mask)[0]:
         obj = objects[ids[int(i)]]
         if sensor.occlusion:
             try:
-                obj_cell = world.cell_of(obj.centroid[:2])
+                obj_cell = world.planner.cell_of(obj.centroid[:2])
             except WorldError:
                 continue
             if not world._ray_clear(robot_cell, obj_cell):
@@ -709,10 +709,10 @@ def travel_per_cell(world, path, sensor):
                 n_diag += 1
             else:
                 n_axis += 1
-        position = world.cell_center(cell)
+        position = world.planner.cell_center(cell)
         for obs in observe_per_cell(world, Pose(position, heading), sensor):
             seen.setdefault(obs.object_id, obs)
-    return seen, (n_axis + n_diag * SQRT2) * world.resolution, Pose(position, heading)
+    return seen, (n_axis + n_diag * SQRT2) * world.planner.resolution, Pose(position, heading)
 
 
 # --- scoring

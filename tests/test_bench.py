@@ -22,10 +22,11 @@ from carriernav.bench import (
     tasks_sr,
 )
 from carriernav.graph import build_crsg
+from carriernav.planning import WHOLE_GRAPH_CELLS, Planner
 from carriernav.policy import VARIANTS, ActionRecord, EpisodeResult
 from carriernav.priors import KeywordPriorOracle, OracleError
 from carriernav.scenarios import MODES, build_scenario, generate_scenarios, load_scenario
-from carriernav.world import WHOLE_GRAPH_CELLS, GridWorld
+from carriernav.world import GridWorld
 
 from conftest import assert_every_kept_answer_is_its_rule
 from oracles import carried_relation, spl_oracle
@@ -171,14 +172,14 @@ class TestSearchBudget:
         ("single", 0, 0.05), ("probe", 0, 0.05), ("mixed", 0, 0.25), ("mixed", 1, 0.25),
         ("mixed", 4, 0.25), ("probe", 0, 0.25)])
     def test_each_search_is_paid_once(self, monkeypatch, mode, index, resolution):
-        import carriernav.world as world_mod
+        import carriernav.planning as planning_mod
         boxes, searches, zero_legs, grids = {}, [], [], set()
-        real_box_graph, real_dijkstra = GridWorld._box_graph, world_mod.dijkstra
+        real_box_graph, real_dijkstra = Planner._box_graph, planning_mod.dijkstra
         real_init, real_path = GridWorld.__init__, GridWorld.shortest_path
 
         def init(world, *args, **kwargs):
             real_init(world, *args, **kwargs)
-            grids.add(world._grid)
+            grids.add(world.planner)
 
         def box_graph(world, box, *keep):
             graph = real_box_graph(world, box, *keep)
@@ -196,8 +197,8 @@ class TestSearchBudget:
                 zero_legs.append(len(searches) - before)
             return out
 
-        monkeypatch.setattr(GridWorld, "_box_graph", box_graph)
-        monkeypatch.setattr(world_mod, "dijkstra", dijkstra)
+        monkeypatch.setattr(Planner, "_box_graph", box_graph)
+        monkeypatch.setattr(planning_mod, "dijkstra", dijkstra)
         monkeypatch.setattr(GridWorld, "__init__", init)
         monkeypatch.setattr(GridWorld, "shortest_path", shortest_path)
         sc = build_scenario(mode, index, 7, resolution)

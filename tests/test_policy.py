@@ -37,7 +37,7 @@ from carriernav.world import DisplacementEvent, GridWorld, Pose, SensorConfig
 
 import oracles
 from test_update import obs_of
-from test_world import random_world
+from test_world import empty_world, random_blocked
 from conftest import find_object, item_on, obj_dict, scene_dict, table_dict
 
 CFG = PolicyConfig()
@@ -236,19 +236,20 @@ class TestDecide:
         # a search's raw floats for them differ in the last ulp, and the
         # larger one, (10, 2)'s, used to hand the goto to "b"
         _, crsg = world_and_graph
-        w = random_world(Random(0), width=30, height=30, p_block=0.15)
-        source = w.cell_center((0, 0))
+        w = empty_world(30, 30, random_blocked(Random(0), 30, 30, 0.15))
+        center = w.planner.cell_center
+        source = center((0, 0))
         field = w.distance_field(source)
         ends = {"a": (10, 2), "b": (2, 10)}
-        cands = {oid: CandidateTarget(oid, carrier, 0.9, 0.0, [*w.cell_center(ends[oid]), 0.8])
+        cands = {oid: CandidateTarget(oid, carrier, 0.9, 0.0, [*center(ends[oid]), 0.8])
                  for oid, carrier in (("a", "table_0"), ("b", "table_1"))}
         state = NavState(pose=Pose(source), unexplored=["table_0", "table_1"], candidates=cands)
         action = decide(state, crsg, CFG, KeywordPriorOracle(), "red cup", field)
         assert action.candidate.object_id == "a"
         # a distance read is the length of the path the robot would walk
         for cell in ends.values():
-            path, length = w.shortest_path(source, w.cell_center(cell))
-            assert field(w.cell_center(cell)) == length == w.travel(path, SensorConfig()).length
+            path, length = w.shortest_path(source, center(cell))
+            assert field(center(cell)) == length == w.travel(path, SensorConfig()).length
             assert length == 2.7071067811865475
 
     @pytest.mark.parametrize("order", [("cup_a", "cup_b"), ("cup_b", "cup_a")])
@@ -630,9 +631,9 @@ class TestRunTask:
         # starts cold: no earlier world's search is reused.  A wall with a
         # gap at its north end parts the start and table_1 from table_0 and
         # counter_0, so reads across it detour and search
-        import carriernav.world as world_mod
+        import carriernav.planning as planning_mod
         searches, boxes = [], {}
-        real_dijkstra, real_box_graph = world_mod.dijkstra, GridWorld._box_graph
+        real_dijkstra, real_box_graph = planning_mod.dijkstra, planning_mod.Planner._box_graph
 
         def box_graph(w, box, *keep):
             graph = real_box_graph(w, box, *keep)
@@ -646,20 +647,20 @@ class TestRunTask:
             searches.append((source, box, kwargs["limit"]))
             return real_dijkstra(graph, **kwargs)
 
-        monkeypatch.setattr(GridWorld, "_box_graph", box_graph)
-        monkeypatch.setattr(world_mod, "dijkstra", counting)
+        monkeypatch.setattr(planning_mod.Planner, "_box_graph", box_graph)
+        monkeypatch.setattr(planning_mod, "dijkstra", counting)
         scene = policy_scene(blocked=EAST_WALL[:20])
         world = GridWorld(scene, start_pose=Pose([5.0, 4.5]))
-        assert world._grid.searches == {}
+        assert world.planner.searches == {}
         crsg = build_crsg(scene, CrsgConfig())
         world.apply_displacement(DisplacementEvent(
             kind="move", object_id="cup_0", target_carrier_id="table_1"), CrsgConfig())
-        poses = {world.cell_of(world.robot.position)}
+        poses = {world.planner.cell_of(world.robot.position)}
         real_travel = world.travel
 
         def travel(path, sensor):
             log = real_travel(path, sensor)
-            poses.add(world.cell_of(world.robot.position))
+            poses.add(world.planner.cell_of(world.robot.position))
             return log
 
         monkeypatch.setattr(world, "travel", travel)

@@ -125,6 +125,22 @@ def test_no_generated_placement_is_rejected_by_the_carrying_predicate(monkeypatc
     assert len(verdicts) > 100 and all(verdicts)
 
 
+def test_mixed_events_are_validated_with_the_scenario_config(monkeypatch):
+    # every event the generator draws is tried on its world with the config
+    # object the scenario carries, not a fresh default that merely equals it
+    configs = []
+    real = GridWorld.apply_displacement
+    monkeypatch.setattr(GridWorld, "apply_displacement", lambda world, event, config: (
+        configs.append(config) or real(world, event, config)))
+    tried = 0
+    for index in range(4):
+        configs.clear()
+        sc = build_scenario("mixed", index, 1)
+        assert all(config is sc.crsg for config in configs)
+        tried += len(configs)
+    assert tried >= 4
+
+
 class _RecordingDraft(scenarios_mod._SceneDraft):
     """A generator draft that also keeps its wall segments in order, for
     ``oracles.draft_blocked_cells``."""
@@ -357,11 +373,11 @@ def test_reachability_verdicts_on_pocketed_worlds(mode):
     ix, iy = world.snap_free_cell(sc.start_pose.position)
     tree["grid"]["blocked_cells"] += [
         [ix + dx, iy + dy] for dx in range(-2, 3) for dy in range(-2, 3)
-        if max(abs(dx), abs(dy)) == 2 and 0 <= ix + dx < world.width
-        and 0 <= iy + dy < world.height]
+        if max(abs(dx), abs(dy)) == 2 and 0 <= ix + dx < world.planner.width
+        and 0 <= iy + dy < world.planner.height]
     pocketed = scene_from_dict(tree)
     carrier = next(obj for obj in sc.scene.objects.values() if obj.box.min[2] <= 0.05)
-    outside = Pose(world.cell_center(world.snap_free_cell(carrier.centroid[:2])))
+    outside = Pose(world.planner.cell_center(world.snap_free_cell(carrier.centroid[:2])))
     assert [oracles.carriers_reachable_by_distance(pocketed, start)
             for start in (sc.start_pose, outside)] == [False, True]
     with pytest.raises(ScenarioError, match=f"^{pocketed.name}: unreachable layout$"):

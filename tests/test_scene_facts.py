@@ -250,29 +250,29 @@ class TestLifetime:
         assert kept() is None and moved() is None
 
     def test_release_drops_both_slots_and_a_live_world_keeps_its_grid(self, monkeypatch):
-        import carriernav.world as world_mod
+        import carriernav.planning as planning_mod
         # a wall makes the path detour, so it is found by a search
         a, _ = self.scenes(blocked=[(10, iy) for iy in range(12)])
         w = GridWorld(a)
-        ends = w.cell_center((0, 0)), w.cell_center((20, 10))
+        ends = w.planner.cell_center((0, 0)), w.planner.cell_center((20, 10))
         path = w.shortest_path(*ends)
         kept, moved = self.warm(a)
-        grid = w._grid
-        assert facts._grid is grid and grid.searches
+        planner = w.planner
+        assert facts._grid[1] is planner and planner.searches
         searches = []
-        real = world_mod.dijkstra
-        monkeypatch.setattr(world_mod, "dijkstra",
+        real = planning_mod.dijkstra
+        monkeypatch.setattr(planning_mod, "dijkstra",
                             lambda *args, **kw: searches.append(kw) or real(*args, **kw))
         facts.release_facts()
         gc.collect()
         assert facts._grid is None and facts._scene is None
         assert kept() is None and moved() is None
         # the live world still reads the facts of its grid: no search
-        assert w._grid is grid and w.shortest_path(*ends) == path and searches == []
+        assert w.planner is planner and w.shortest_path(*ends) == path and searches == []
         # the next world on the same grid and scene computes its own
         fresh = GridWorld(a)
-        assert fresh._grid is not grid and fresh._grid.graph is None
-        assert facts._grid is fresh._grid and facts._scene.scene is a
+        assert fresh.planner is not planner and "_graph" not in vars(fresh.planner)
+        assert facts._grid[1] is fresh.planner and facts._scene.scene is a
         assert kept_answers() == {}
         assert fresh.shortest_path(*ends) == path and len(searches) == 1
 

@@ -41,17 +41,21 @@ anywhere else in the package bypasses that rule and must fail here.  So
 ``scene.distance`` is the one distance rule: a ``numpy.linalg.norm`` read
 anywhere in the package must fail here.
 
-A distance read is the length of the path the robot would walk, so no
-raw search float leaves the world: a search's distance array is read only
-by ``GridWorld._answers``, which tells ``GridWorld._search`` whether a
-search answers a goal, and ``GridWorld._walk_back``, which walks a path
-over it.  A read of it anywhere else in ``world.py`` must fail here.
+Planning is ``planning.py``, and it reads nothing of the package but the
+kept-grid rule of ``facts`` and the distance rule ``scene.distance``: a
+second import from the package must fail here.  A distance read is the
+length of the path the robot would walk, so no raw search float leaves the
+planner: a search's distance array is read only by ``Planner._answers``,
+which tells ``Planner._search`` whether a search answers a goal, and
+``Planner._walk_back``, which walks a path over it.  A read of it anywhere
+else in ``planning.py`` must fail here.
 
-Planning has one site for each of its rules in ``world.py``: only the box
-builder constructs a ``csr_matrix``, only ``GridWorld._search`` calls
-``dijkstra``, only ``GridWorld.connected`` calls ``connected_components``
-and only the move-table builder tests a diagonal's two orthogonal cells
-(the corner rule).  A second site of any of them must fail here.
+Planning has one site for each of its rules in ``planning.py``: only the
+box builder constructs a ``csr_matrix``, only ``Planner._search`` calls
+``dijkstra``, only the component labels (``Planner._labels``) call
+``connected_components`` and only the move table (``Planner.moves``) tests
+a diagonal's two orthogonal cells (the corner rule).  A second site of any
+of them must fail here.
 
 A graph's construction funnel is a kept answer of the scene's facts,
 ``graph._funnel``, and it is the one caller of the funnel's first two
@@ -79,8 +83,9 @@ import pytest
 import carriernav  # noqa: F401  (loads every module the span table names)
 from carriernav.bench import run_sequence
 from carriernav.features import Feature
+from carriernav.graph import build_crsg
 from carriernav.policy import (VARIANTS, ActionRecord, CandidateTarget, EpisodeResult, Leg,
-                               NavAction, NavState, TransitionInputs)
+                               NavAction, NavState, Task, TransitionInputs)
 from carriernav.scene import Room, _SceneFile, _schema, scene_from_dict
 from carriernav.scenarios import EventSpec, _ScenarioFile, build_scenario
 from carriernav.world import DisplacementEvent, GridWorld, Observation, Pose
@@ -97,8 +102,13 @@ def test_every_traced_layer_exists():
 
 
 def test_every_traced_layer_is_called():
-    # world.observe has no caller in the program, only tests and perfbench
+    # world.observe has no caller in the program, only tests and perfbench.
+    # world.snap_free_cell's one caller is the check that ends a direct leg
+    # to a carrier or orphan target, which no generated task makes, so the
+    # run ends with a task whose target is a carrier
     sc = build_scenario("mixed", 0, 3)
+    carrier = sc.scene.objects[min(build_crsg(sc.scene, sc.crsg).carriers)]
+    sc = dataclasses.replace(sc, tasks=[*sc.tasks, Task(carrier.captions[0], carrier.id)])
     tracer = layers.Tracer()
     tracer.install(layers.RUN_SPANS)
     try:
@@ -600,10 +610,10 @@ def distance_array_reads(source: str) -> list:
     module ``source``.  A distance array is a ``dijkstra(`` call, item 1 of
     the ``(box, dist)`` a ``_search(`` call gives, the second name unpacked
     from one, the third name unpacked from a search entry (``(limit, box,
-    dist, paths)``: a ``.searches`` read, a name bound to one or to a
-    4-tuple, or a parameter a call passes an entry to), item 2 of an entry,
-    a name bound to any of these, or a parameter a call passes one to, a
-    ``*_search(`` call's second item included."""
+    dist, paths)``: a ``.searches`` read, a ``_kept(`` call, a name bound to
+    one or to a 4-tuple, or a parameter a call passes an entry to), item 2
+    of an entry, a name bound to any of these, or a parameter a call passes
+    one to, a ``*_search(`` call's second item included."""
     found = []
 
     def reads_searches(node) -> bool:
@@ -619,8 +629,9 @@ def distance_array_reads(source: str) -> list:
         return False
 
     def is_entry(node, entries) -> bool:
-        return reads_searches(node) or (isinstance(node, ast.Name) and node.id in entries) or (
-            isinstance(node, ast.Tuple) and len(node.elts) == 4)
+        return (reads_searches(node) or call_name(node) == "_kept"
+                or (isinstance(node, ast.Name) and node.id in entries)
+                or (isinstance(node, ast.Tuple) and len(node.elts) == 4))
 
     tree = ast.parse(source)
     # function -> positions of the parameters a call passes an array, or an entry, to
@@ -674,7 +685,7 @@ def distance_array_reads(source: str) -> list:
 def test_only_the_search_and_the_walk_back_read_distances():
     # the search reads its goal's distance in ``_answers``, which gives a
     # bool, and the walk-back walks a path over the array
-    reads = distance_array_reads((ROOT / "src" / "carriernav" / "world.py").read_text())
+    reads = distance_array_reads((ROOT / "src" / "carriernav" / "planning.py").read_text())
     assert reads and {function for function, _ in reads} == {"_answers", "_walk_back"}
 
 
@@ -695,6 +706,8 @@ def test_the_distance_array_guard_sees_every_read():
               "    paths[c] = self._walk_back(*self._search(s, c), s, c)\n"
               "    self.check(entry, s)\n"
               "    return dist[i], far[i], self._grid.searches[s][2][i], entry[2][i], paths[c]\n"
+              "def latest(self, s, i):\n"
+              "    return self._kept(s)[2][i]\n"
               "def _search(self, s, c):\n"
               "    dist = dijkstra(s)\n"
               "    search = (1.0, None, dist, {})\n"
@@ -705,8 +718,8 @@ def test_the_distance_array_guard_sees_every_read():
               "def _walk_back(self, box, dist, s, c):\n"
               "    return dist[c], s[0], box[1]\n")
     assert distance_array_reads(source) == [
-        ("distance", 7), ("peek", 15), ("peek", 15), ("peek", 15), ("peek", 15), ("_search", 19),
-        ("check", 22), ("_walk_back", 24)]
+        ("distance", 7), ("peek", 15), ("peek", 15), ("peek", 15), ("peek", 15), ("latest", 17),
+        ("_search", 21), ("check", 24), ("_walk_back", 26)]
 
 
 def reference_sites(source: str, name: str) -> list:
@@ -769,9 +782,9 @@ def corner_rule_sites(source: str) -> list:
     return found
 
 
-# (what is done, the one function of world.py that may do it)
+# (what is done, the one function of planning.py that may do it)
 PLANNING_OWNERS = (("csr_matrix", "_box_graph"), ("dijkstra", "_search"),
-                   ("connected_components", "connected"), ("corner rule", "_moves"))
+                   ("connected_components", "_labels"), ("corner rule", "moves"))
 
 
 def planning_sites(source: str) -> dict:
@@ -785,7 +798,7 @@ def planning_sites(source: str) -> dict:
 def test_each_planning_rule_has_one_site():
     # one graph builder, one search, one labelling and one movement rule:
     # the move table is the one place a diagonal's corners are tested
-    sites = planning_sites((ROOT / "src" / "carriernav" / "world.py").read_text())
+    sites = planning_sites((ROOT / "src" / "carriernav" / "planning.py").read_text())
     assert sites == {what: [owner] for what, owner in PLANNING_OWNERS}
 
 
@@ -795,9 +808,9 @@ def test_the_planning_guard_sees_a_second_site():
               "    return csr_matrix(box)\n"
               "def _search(self, s):\n"
               "    return dijkstra(self._box_graph(s), indices=0)\n"
-              "def connected(self, a, b):\n"
-              "    return connected_components(self._graph())\n"
-              "def _moves(self):\n"
+              "def _labels(self):\n"
+              "    return connected_components(self._graph)\n"
+              "def moves(self):\n"
               "    return shifted(dx, dy) & shifted(dx, 0) & shifted(0, dy)\n"
               "def _check_moves(self, x, y, dx, dy):\n"
               "    ok = self.free[y, x + dx] and self.free[y + dy, x]\n"
@@ -805,8 +818,45 @@ def test_the_planning_guard_sees_a_second_site():
               "    return ok, sparse.csr_matrix(x), dijkstra(x, indices=1)\n")
     assert planning_sites(source) == {
         "csr_matrix": ["_box_graph", "_check_moves"], "dijkstra": ["_check_moves", "_search"],
-        "connected_components": ["_check_moves", "connected"],
-        "corner rule": ["_check_moves", "_moves"]}
+        "connected_components": ["_check_moves", "_labels"],
+        "corner rule": ["_check_moves", "moves"]}
+
+
+def package_imports(source: str) -> list:
+    """What module ``source`` of the package imports from the package,
+    sorted: ``module.name`` for each name a ``from`` import binds (``name``
+    for ``from . import name``), and the module an ``import`` names."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                if module.split(".")[0] != "carriernav":
+                    continue
+                module = module[len("carriernav."):]
+            found += [f"{module}.{alias.name}" if module else alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] == "carriernav"]
+    return sorted(found)
+
+
+def test_planning_imports_only_the_kept_grid_and_the_distance_rule():
+    source = (ROOT / "src" / "carriernav" / "planning.py").read_text()
+    assert package_imports(source) == ["facts", "scene.distance"]
+
+
+def test_the_import_guard_sees_a_second_import():
+    source = ("import numpy as np\n"
+              "from . import facts\n"
+              "from .scene import MAX_GRID_CELLS, distance\n"
+              "from carriernav.world import GridWorld\n"
+              "import carriernav.graph\n"
+              "def decide_later():\n"
+              "    from .policy import decide\n"
+              "    return decide\n")
+    assert package_imports(source) == ["carriernav.graph", "facts", "policy.decide",
+                                       "scene.MAX_GRID_CELLS", "scene.distance",
+                                       "world.GridWorld"]
 
 
 # the funnel's stages that only ``graph._funnel`` may call

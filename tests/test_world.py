@@ -1,5 +1,6 @@
-"""Simulator checks: planning against an independent Dijkstra, sensing,
-travel bookkeeping and ground-truth displacement."""
+"""Simulator checks: planning against an independent Dijkstra, on planners
+built by worlds or straight from occupancy arrays, sensing, travel
+bookkeeping and ground-truth displacement."""
 
 import gc
 import math
@@ -16,15 +17,14 @@ from scipy.sparse.csgraph import connected_components
 
 from carriernav import facts
 from carriernav.bench import run_sequence
-from carriernav.facts import SEARCHES_PER_GRID, release_facts
+from carriernav.facts import release_facts
 from carriernav.graph import CrsgConfig
+from carriernav.planning import (SEARCHES_PER_GRID, SLACK_CELLS, STEP_ORDER, WHOLE_GRAPH_CELLS,
+                                 Planner)
 from carriernav.policy import VARIANTS
 from carriernav.scenarios import MODES, build_scenario
 from carriernav.scene import Box3, scene_from_dict
 from carriernav.world import (
-    SLACK_CELLS,
-    STEP_ORDER,
-    WHOLE_GRAPH_CELLS,
     DisplacementError,
     DisplacementEvent,
     GridWorld,
@@ -41,32 +41,45 @@ from conftest import (assert_every_kept_answer_is_its_rule, assert_every_write_r
 SQRT2 = math.sqrt(2.0)
 
 
+def grid_scene(width=16, height=12, blocked=(), resolution=0.25, origin=(0.0, 0.0)):
+    """A scene with no objects on a grid with ``blocked`` cells."""
+    return scene_from_dict(scene_dict([], width=width, height=height, resolution=resolution,
+                                      origin=origin, blocked=blocked))
+
+
 def empty_world(width=16, height=12, blocked=(), resolution=0.25, start=None, origin=(0.0, 0.0)):
-    scene = scene_from_dict(scene_dict([], width=width, height=height, resolution=resolution,
-                                       origin=origin, blocked=blocked))
-    return GridWorld(scene, start_pose=start)
+    return GridWorld(grid_scene(width, height, blocked, resolution, origin), start_pose=start)
+
+
+def grid_planner(width=16, height=12, blocked=(), resolution=0.25):
+    """The planner of a grid with ``blocked`` cells, built straight from its
+    occupancy array: no scene and no world."""
+    return Planner.of(oracles.occupancy_per_cell(blocked, width, height), resolution, (0.0, 0.0))
 
 
 def is_free(w, cell):
-    """Whether ``cell`` lies on ``w``'s grid and is not blocked."""
+    """Whether ``cell`` lies on planner ``w``'s grid and is not blocked."""
     ix, iy = cell
     return 0 <= ix < w.width and 0 <= iy < w.height and not w.occupancy[iy, ix]
 
 
-def random_world(rng: Random, width=18, height=14, p_block=0.3, resolution=0.25):
+def random_blocked(rng: Random, width, height, p_block):
+    """Each cell of a grid, blocked with probability ``p_block``; at least
+    one cell is left free."""
     blocked = [(ix, iy) for ix in range(width) for iy in range(height)
                if rng.random() < p_block]
-    # keep at least one free cell
     if len(blocked) == width * height:
         blocked.pop()
-    scene = scene_from_dict(scene_dict([], width=width, height=height,
-                                       resolution=resolution, blocked=blocked))
-    return GridWorld(scene)
+    return blocked
+
+
+def random_planner(rng: Random, width=18, height=14, p_block=0.3, resolution=0.25):
+    return grid_planner(width, height, random_blocked(rng, width, height, p_block), resolution)
 
 
 class TestGridGeometry:
     def test_cell_round_trip(self):
-        w = empty_world()
+        w = grid_planner()
         assert w.cell_of([0.0, 0.0]) == (0, 0)
         assert w.cell_of([0.26, 0.51]) == (1, 2)
         center = w.cell_center((3, 2))
@@ -74,7 +87,7 @@ class TestGridGeometry:
         assert w.cell_of(center) == (3, 2)
 
     def test_cell_of_out_of_bounds_raises(self):
-        w = empty_world()
+        w = grid_planner()
         with pytest.raises(WorldError):
             w.cell_of([-0.1, 0.5])
         with pytest.raises(WorldError):
@@ -99,8 +112,8 @@ class TestGridGeometry:
         # the bits the per-cell scan computes
         rng = Random(resolution)
         for k in range(2, 8):
-            w = empty_world(blocked=[(ix, iy) for ix in range(5, 5 + k) for iy in range(5, 5 + k)],
-                            resolution=resolution)
+            w = grid_planner(blocked=[(ix, iy) for ix in range(5, 5 + k) for iy in range(5, 5 + k)],
+                             resolution=resolution)
             lo, side = 5 * resolution, k * resolution
             for _ in range(40):
                 t = rng.random() * side
@@ -112,7 +125,7 @@ class TestGridGeometry:
     @pytest.mark.parametrize("mode", MODES)
     def test_snap_free_cell_matches_the_ring_search(self, mode, resolution):
         sc = build_scenario(mode, 0, 5, resolution)
-        w = GridWorld(sc.scene, start_pose=sc.start_pose)
+        w = GridWorld(sc.scene, start_pose=sc.start_pose).planner
         rng = Random(f"{mode}/{resolution}")
         lo = w.origin
         hi = w.origin + resolution * np.array([w.width, w.height])
@@ -142,7 +155,7 @@ class TestGridGeometry:
 
     def test_occupancy_is_read_only(self):
         # worlds on one grid share its occupancy array
-        w = empty_world(blocked=[(2, 3), (5, 1)])
+        w = empty_world(blocked=[(2, 3), (5, 1)]).planner
         assert w.occupancy[3, 2] and w.occupancy[1, 5] and w.occupancy.sum() == 2
         with pytest.raises(ValueError):
             w.occupancy[0, 0] = True
@@ -162,14 +175,15 @@ def test_blocked_cells_in_any_order_and_repeats_equal_the_set_rule(data):
     assume(len(set(cells)) < width * height)  # a world needs a free cell
     scene = scene_from_dict(scene_dict([], width=width, height=height, blocked=cells))
     assert scene.to_dict()["grid"]["blocked_cells"] == oracles.sorted_unique_cells(cells)
-    assert np.array_equal(GridWorld(scene).occupancy,
+    assert np.array_equal(GridWorld(scene).planner.occupancy,
                           oracles.occupancy_per_cell(cells, width, height))
 
 
 def walk_back(w, dist, start, goal):
-    """The written tie-break rule re-run on ``dist`` (cell -> meters): from
-    the goal, step to the first allowed ``STEP_ORDER`` neighbour whose
-    distance plus the step equals the current cell's.  Start to goal."""
+    """The written tie-break rule re-run on planner ``w``'s grid and ``dist``
+    (cell -> meters): from the goal, step to the first allowed
+    ``STEP_ORDER`` neighbour whose distance plus the step equals the current
+    cell's.  Start to goal."""
     def allowed(a, b):
         dx, dy = b[0] - a[0], b[1] - a[1]
         return is_free(w, b) and (dx == 0 or dy == 0 or (
@@ -187,10 +201,10 @@ def walk_back(w, dist, start, goal):
 
 
 def walk_length(w, path):
-    """``_path_length`` of ``path``'s step counts: the length ``travel``
+    """``path_length`` of ``path``'s step counts: the length ``travel``
     walks along it, and the distance read of its goal."""
     n_diag = sum(a[0] != b[0] and a[1] != b[1] for a, b in zip(path, path[1:]))
-    return w._path_length(len(path) - 1, n_diag)
+    return w.path_length(len(path) - 1, n_diag)
 
 
 def oracle_read(w, full, index, source, cell):
@@ -205,19 +219,24 @@ def oracle_read(w, full, index, source, cell):
     return walked
 
 
-def pocketed_world(mode, resolution):
-    """A generated world plus a walled-in 3x3 pocket around the free cell
-    farthest from the start, so some free cells are unreachable."""
+def pocketed_scene(mode, resolution):
+    """(scene, start pose): a generated scene plus a walled-in 3x3 pocket
+    around the free cell farthest from the start, so some free cells are
+    unreachable."""
     sc = build_scenario(mode, 0, 5, resolution)
-    w = GridWorld(sc.scene, start_pose=sc.start_pose)
-    start = w.snap_free_cell(w.robot.position)
+    w = GridWorld(sc.scene, start_pose=sc.start_pose).planner
+    start = w.snap_free_cell(sc.start_pose.position)
     full, index = oracles.full_grid_distances(w.occupancy, resolution, start)
     iy, ix = (int(v) for v in np.argwhere(index == int(np.argmax(full)))[0])
     tree = sc.scene.to_dict()
     tree["grid"]["blocked_cells"] += [
         [ix + dx, iy + dy] for dx in range(-2, 3) for dy in range(-2, 3)
         if max(abs(dx), abs(dy)) == 2 and 0 <= ix + dx < w.width and 0 <= iy + dy < w.height]
-    return GridWorld(scene_from_dict(tree), start_pose=sc.start_pose)
+    return scene_from_dict(tree), sc.start_pose
+
+
+def pocketed_world(mode, resolution):
+    return GridWorld(*pocketed_scene(mode, resolution))
 
 
 def sample_cells(rng, mask, k):
@@ -228,7 +247,7 @@ def sample_cells(rng, mask, k):
 
 class TestPlanning:
     def test_trivial_and_straight_paths(self):
-        w = empty_world()
+        w = grid_planner()
         path, length = w.shortest_path([0.125, 0.125], [0.125, 0.125])
         assert path == [(0, 0)] and length == 0.0
         path, length = w.shortest_path([0.125, 0.125], [1.125, 0.125])
@@ -236,20 +255,19 @@ class TestPlanning:
         assert path[0] == (0, 0) and path[-1] == (4, 0)
 
     def test_diagonal_costs_sqrt2(self):
-        w = empty_world()
+        w = grid_planner()
         _, length = w.shortest_path([0.125, 0.125], [1.125, 1.125])
         assert length == pytest.approx(4 * SQRT2 * 0.25)
 
     def test_no_corner_cutting(self):
         # start boxed in by its two orthogonal neighbors: squeezing out
         # through the diagonal gap would be corner cutting
-        w = empty_world(width=3, height=3, blocked=[(1, 0), (0, 1)],
-                        start=Pose([0.125, 0.125]))
+        w = grid_planner(width=3, height=3, blocked=[(1, 0), (0, 1)])
         with pytest.raises(UnreachableGoalError):
             w.shortest_path(w.cell_center((0, 0)), w.cell_center((2, 2)))
 
     def test_detour_around_blocked_diagonal(self):
-        w = empty_world(width=4, height=4, blocked=[(1, 1)])
+        w = grid_planner(width=4, height=4, blocked=[(1, 1)])
         path, length = w.shortest_path(w.cell_center((0, 0)), w.cell_center((2, 2)))
         # every diagonal past the blocked cell is corner cutting, so the
         # detour is four axis steps
@@ -263,14 +281,14 @@ class TestPlanning:
     def test_unreachable_raises(self):
         # wall column splits the grid
         blocked = [(2, iy) for iy in range(6)]
-        w = empty_world(width=6, height=6, blocked=blocked)
+        w = grid_planner(width=6, height=6, blocked=blocked)
         with pytest.raises(UnreachableGoalError):
             w.shortest_path(w.cell_center((0, 0)), w.cell_center((5, 0)))
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_independent_dijkstra(self, seed):
         rng = Random(f"world/{seed}")
-        w = random_world(rng)
+        w = random_planner(rng)
         occ = [[bool(w.occupancy[iy, ix]) for ix in range(w.width)]
                for iy in range(w.height)]
         free = [(ix, iy) for ix in range(w.width) for iy in range(w.height)
@@ -290,7 +308,7 @@ class TestPlanning:
                 assert is_free(w, cell)
 
     def test_symmetric_lengths(self):
-        w = random_world(Random("world/sym"))
+        w = random_planner(Random("world/sym"))
         free = [(ix, iy) for ix in range(w.width) for iy in range(w.height)
                 if is_free(w, (ix, iy))]
         rng = Random(0)
@@ -311,11 +329,12 @@ class TestPlanning:
         blocked = [(ix, iy) for ix in range(18) for iy in range(14) if rng.random() < 0.2]
         w = empty_world(width=18, height=14, blocked=blocked,
                         resolution=rng.choice([0.05, 0.07, 0.1, 0.3]))
-        cells = sample_cells(rng, ~w.occupancy, 10)
+        p = w.planner
+        cells = sample_cells(rng, ~p.occupancy, 10)
         walked = 0
         for a, b in zip(cells, cells[1:]):
             try:
-                path, length = w.shortest_path(w.cell_center(a), w.cell_center(b))
+                path, length = w.shortest_path(p.cell_center(a), p.cell_center(b))
             except UnreachableGoalError:
                 continue
             assert w.travel(path, SensorConfig()).length == length
@@ -325,7 +344,7 @@ class TestPlanning:
     def test_distance_field_matches_independent_dijkstra(self):
         rng = Random("world/field")
         for _ in range(3):
-            w = random_world(rng, p_block=0.25)
+            w = random_planner(rng, p_block=0.25)
             occ = [[bool(w.occupancy[iy, ix]) for ix in range(w.width)]
                    for iy in range(w.height)]
             free = [(ix, iy) for ix in range(w.width) for iy in range(w.height)
@@ -344,7 +363,7 @@ class TestPlanning:
         # steps in any order).  Walking back from the goal, the first
         # STEP_ORDER neighbour on a shortest path wins, so axis steps
         # (tried first) end up next to the goal.
-        w = empty_world(width=8, height=8)
+        w = grid_planner(width=8, height=8)
         a, b = w.cell_center((0, 0)), w.cell_center((4, 2))
         assert w.shortest_path(a, b)[0] == [(0, 0), (1, 1), (2, 2), (3, 2), (4, 2)]
         assert w.shortest_path(b, a)[0] == [(4, 2), (3, 1), (2, 0), (1, 0), (0, 0)]
@@ -352,7 +371,7 @@ class TestPlanning:
     def test_tie_break_rule_against_oracle_distances(self):
         # the written rule, re-run on oracle distances, gives the same paths
         rng = Random("world/tiebreak")
-        w = random_world(rng, p_block=0.2)
+        w = random_planner(rng, p_block=0.2)
         occ = [[bool(w.occupancy[iy, ix]) for ix in range(w.width)]
                for iy in range(w.height)]
         free = [(ix, iy) for ix in range(w.width) for iy in range(w.height)
@@ -368,35 +387,35 @@ class TestPlanning:
 
 
 def counting_searches(monkeypatch):
-    """(source node, limit) of every Dijkstra search the world runs; a
+    """(source node, limit) of every Dijkstra search the planners run; a
     node is ``(iy - y0) * (x1 - x0) + ix - x0`` in the box searched."""
-    import carriernav.world as world_mod
+    import carriernav.planning as planning_mod
     searches = []
-    real = world_mod.dijkstra
-    monkeypatch.setattr(world_mod, "dijkstra", lambda *a, **k: searches.append(
+    real = planning_mod.dijkstra
+    monkeypatch.setattr(planning_mod, "dijkstra", lambda *a, **k: searches.append(
         (k["indices"], k["limit"])) or real(*a, **k))
     return searches
 
 
 def counting_boxes(monkeypatch):
-    """The box of every graph the world builds, the whole grid's included."""
+    """The box of every graph the planners build, the whole grid's included."""
     boxes = []
-    real = GridWorld._box_graph
-    monkeypatch.setattr(GridWorld, "_box_graph",
+    real = Planner._box_graph
+    monkeypatch.setattr(Planner, "_box_graph",
                         lambda w, box, *keep: boxes.append(box) or real(w, box, *keep))
     return boxes
 
 
 def search_read(w, source, cell):
-    """The distance of ``cell`` in the search :meth:`GridWorld._search`
-    gives for the read from ``source`` to ``cell``."""
+    """The distance of ``cell`` in the search :meth:`Planner._search` gives
+    for the read from ``source`` to ``cell``."""
     (x0, y0, x1, _), dist = w._search(source, cell)
     return dist[(cell[1] - y0) * (x1 - x0) + cell[0] - x0]
 
 
 def whole_graph_edges(w, graph):
-    """Moves of ``graph``, a graph over every cell of ``w``'s grid, as a
-    matrix over the free-cell index of ``oracles.one_direction_graph``."""
+    """Moves of ``graph``, a graph over every cell of planner ``w``'s grid,
+    as a matrix over the free-cell index of ``oracles.one_direction_graph``."""
     free = ~w.occupancy
     cells = np.flatnonzero(free)
     n, width = graph.shape[0], len(STEP_ORDER)
@@ -416,8 +435,8 @@ class TestBoundedSearch:
     @pytest.mark.parametrize("resolution", [0.25, 0.05])
     @pytest.mark.parametrize("mode", MODES)
     def test_graph_is_the_former_graph_made_symmetric(self, mode, resolution):
-        w = pocketed_world(mode, resolution)
-        graph = w._graph()
+        w = pocketed_world(mode, resolution).planner
+        graph = w._graph
         old, old_index = oracles.one_direction_graph(w.occupancy, resolution)
         n, width = w.width * w.height, len(STEP_ORDER)
         assert graph.shape == (n, n)
@@ -428,7 +447,7 @@ class TestBoundedSearch:
         # move is not allowed, and the move table holds the same moves
         assert np.array_equal(graph.indptr, np.arange(0, width * n + 1, width))
         iy, ix = np.divmod(np.arange(n), w.width)
-        moves = w._moves().reshape(n, width)
+        moves = w.moves.reshape(n, width)
         for k, (dx, dy) in enumerate(STEP_ORDER):
             nx, ny = ix + dx, iy + dy
             edge = np.zeros(n, dtype=bool)
@@ -452,8 +471,8 @@ class TestBoundedSearch:
     def test_a_box_graph_is_the_whole_graph_cut_to_the_box(self, resolution):
         # slot k of a box cell holds its STEP_ORDER[k] neighbour's node when
         # the whole graph has that move and the neighbour lies in the box
-        w = pocketed_world("mixed", resolution)
-        whole = w._graph()
+        w = pocketed_world("mixed", resolution).planner
+        whole = w._graph
         width = len(STEP_ORDER)
         rng = Random(f"box graph/{resolution}")
         for _ in range(6):
@@ -477,7 +496,7 @@ class TestBoundedSearch:
         # every cell of every path of length at most L between the ends,
         # by the oracle distances from both ends, lies in the box of L
         rng = Random(f"box/{p_block}")
-        w = random_world(rng, width=40, height=30, p_block=p_block)
+        w = random_planner(rng, width=40, height=30, p_block=p_block)
         free = ~w.occupancy
         checked = 0
         for _ in range(12):
@@ -504,10 +523,11 @@ class TestBoundedSearch:
         # so a field and a search read on after later sources have searched;
         # a search is bit-equal to the full search at every cell it reads,
         # and a distance read to the length of the oracle walk-back
-        w = pocketed_world(mode, resolution)
+        world = pocketed_world(mode, resolution)
+        w = world.planner
         rng = Random(f"{mode}/{resolution}/{order}")
         reads = []
-        sources = [w.snap_free_cell(w.robot.position)] + sample_cells(rng, ~w.occupancy, 2)
+        sources = [w.snap_free_cell(world.robot.position)] + sample_cells(rng, ~w.occupancy, 2)
         for source in sources:
             full, index = oracles.full_grid_distances(w.occupancy, resolution, source)
             unreachable = (index >= 0) & np.isinf(full[index])
@@ -515,7 +535,7 @@ class TestBoundedSearch:
             cells = (sample_cells(rng, ~w.occupancy, 40) + sample_cells(rng, unreachable, 2)
                      + [source])
             points = [w.cell_center(c) for c in cells]
-            points += [obj.centroid[:2] for obj in w.objects.values()]
+            points += [obj.centroid[:2] for obj in world.objects.values()]
             # a blocked cell's center reads the free cell nearest it
             points += [w.cell_center(c) for c in sample_cells(rng, w.occupancy, 5)]
             expected = []
@@ -540,12 +560,13 @@ class TestBoundedSearch:
     @pytest.mark.parametrize("resolution", [0.25, 0.05])
     @pytest.mark.parametrize("mode", MODES)
     def test_bounded_paths_equal_the_full_search(self, mode, resolution):
-        w = pocketed_world(mode, resolution)
+        world = pocketed_world(mode, resolution)
+        w = world.planner
         rng = Random(f"{mode}/{resolution}/paths")
-        start = w.snap_free_cell(w.robot.position)
+        start = w.snap_free_cell(world.robot.position)
         full, index = oracles.full_grid_distances(w.occupancy, resolution, start)
         dist = lambda c: full[index[c[1], c[0]]]
-        goals = [w.snap_free_cell(obj.centroid[:2]) for obj in w.objects.values()]
+        goals = [w.snap_free_cell(obj.centroid[:2]) for obj in world.objects.values()]
         goals += sample_cells(rng, ~w.occupancy, 6)
         goals += sample_cells(rng, (index >= 0) & np.isinf(full[index]), 1)
         rng.shuffle(goals)
@@ -566,7 +587,7 @@ class TestBoundedSearch:
         # limit
         searches = counting_searches(monkeypatch)
         boxes = counting_boxes(monkeypatch)
-        w = empty_world(width=64, height=64)
+        w = grid_planner(width=64, height=64)
         assert w.width * w.height >= WHOLE_GRAPH_CELLS
         margin = 1.0 + 1e-9
 
@@ -577,13 +598,13 @@ class TestBoundedSearch:
         # 3.75 cells: one row more, no column more
         assert boxes == [w._box((0, 0), (3, 0), limit((3, 0)))] == [(0, 0, 4, 2)]
         assert searches == [(0, limit((3, 0)))]
-        assert w._grid.searches[(0, 0)][1:3] == (boxes[0], w._grid.searches[(0, 0)][2])
+        assert w.searches[(0, 0)][1:3] == (boxes[0], w.searches[(0, 0)][2])
         # in the box, and in the ellipse the search kept: no search
         assert search_read(w, (0, 0), (2, 0)) == 0.5
         assert len(searches) == 1
         # in the box, but (2, 1) + octile((2, 1), (3, 0)) passes the limit:
         # the search does not vouch for it
-        assert not w._answers(w._grid.searches[(0, 0)], (2, 1))
+        assert not w._answers(w.searches[(0, 0)], (2, 1))
         # outside the box: a search over its own box
         assert search_read(w, (0, 0), (10, 0)) == 2.5
         assert boxes[1] == w._box((0, 0), (10, 0), limit((10, 0))) and len(boxes) == 2
@@ -601,7 +622,7 @@ class TestBoundedSearch:
         assert search_read(w, (0, 0), (63, 63)) == pytest.approx(63 * SQRT2 * 0.25)
         assert searches[3] == (0, math.inf) and boxes[3:] == [(0, 0, 64, 64)]
         assert search_read(w, (0, 0), (0, 63)) == 63 * 0.25 and len(searches) == 4
-        assert w._graph() is w._grid.graph and len(boxes) == 4
+        assert w._graph is vars(w)["_graph"] and len(boxes) == 4
 
     def test_a_long_read_first_allows_slack_cells_of_detour(self, monkeypatch):
         # on a grid of WHOLE_GRAPH_CELLS cells or more, a read shorter than
@@ -611,7 +632,7 @@ class TestBoundedSearch:
         searches = counting_searches(monkeypatch)
         margin = 1.0 + 1e-9
         reach = 8 * SLACK_CELLS
-        w = empty_world(width=reach + 40, height=32)
+        w = grid_planner(width=reach + 40, height=32)
         assert w.width * w.height >= WHOLE_GRAPH_CELLS
         assert search_read(w, (0, 0), (reach - 1, 0)) == (reach - 1) * 0.25
         assert searches == [(0, 1.25 * (reach - 1) * 0.25 * margin)]
@@ -621,7 +642,7 @@ class TestBoundedSearch:
         # a wall across the straight way: the way round its end at row 0
         # is more than SLACK_CELLS cells longer, and less than 1.25 times
         wall = [(reach // 2, iy) for iy in range(1, 32)]
-        w = empty_world(width=reach + 40, height=32, blocked=wall)
+        w = grid_planner(width=reach + 40, height=32, blocked=wall)
         occ = [[bool(w.occupancy[iy, ix]) for ix in range(w.width)] for iy in range(w.height)]
         source, goal = (0, 12), (reach, 12)
         expected = oracles.dijkstra_grid_length(occ, w.resolution, source, goal)
@@ -637,13 +658,13 @@ class TestBoundedSearch:
         # cells searches its whole graph, built once, to each read's limit
         searches = counting_searches(monkeypatch)
         boxes = counting_boxes(monkeypatch)
-        w = empty_world(width=48, height=48)
+        w = grid_planner(width=48, height=48)
         assert w.width * w.height < WHOLE_GRAPH_CELLS
         margin = 1.0 + 1e-9
         assert search_read(w, (0, 0), (3, 0)) == 0.75
         # 1.25 times the octile distance read, node iy * 48 + ix
         assert searches == [(0, 1.25 * 0.75 * margin)]
-        assert math.isinf(w._grid.searches[(0, 0)][2][10])
+        assert math.isinf(w.searches[(0, 0)][2][10])
         assert search_read(w, (0, 0), (2, 1)) == pytest.approx(0.25 + SQRT2 * 0.25)
         assert len(searches) == 1  # nearer than the limit: the search answers
         assert search_read(w, (0, 0), (10, 0)) == 2.5
@@ -664,7 +685,7 @@ class TestBoundedSearch:
         boxes = counting_boxes(monkeypatch)
         side = 64
         wall = [(5, iy) for iy in range(side - 4)]
-        w = empty_world(width=side, height=side, blocked=wall)
+        w = grid_planner(width=side, height=side, blocked=wall)
         occ = [[bool(w.occupancy[iy, ix]) for ix in range(w.width)] for iy in range(w.height)]
         expected = oracles.dijkstra_grid_length(occ, w.resolution, (4, 0), (6, 0))
         assert w.distance_field(w.cell_center((4, 0)))(w.cell_center((6, 0))) == pytest.approx(
@@ -690,14 +711,14 @@ class TestBoundedSearch:
     def test_a_revisited_source_searches_no_more(self, monkeypatch):
         # A -> B -> A: the revisit reads A's own search
         searches = counting_searches(monkeypatch)
-        w = empty_world(width=64, height=64, blocked=[(5, iy) for iy in range(40)])
+        w = grid_planner(width=64, height=64, blocked=[(5, iy) for iy in range(40)])
         a, b = w.cell_center((0, 0)), w.cell_center((30, 30))
         first = w.distance_field(a)(w.cell_center((20, 10)))
         path, length = w.shortest_path(a, w.cell_center((12, 3)))
         w.distance_field(b)(w.cell_center((40, 50)))
         w.shortest_path(b, a)
         n = len(searches)
-        assert set(w._grid.searches) == {(0, 0), (30, 30)}
+        assert set(w.searches) == {(0, 0), (30, 30)}
         assert w.distance_field(a)(w.cell_center((20, 10))) == first
         assert w.shortest_path(a, w.cell_center((12, 3))) == (path, length)
         assert w.distance_field(a)(w.cell_center((12, 3))) == pytest.approx(length, abs=1e-9)
@@ -705,7 +726,7 @@ class TestBoundedSearch:
 
     def test_a_zero_length_leg_runs_no_search(self, monkeypatch):
         searches = counting_searches(monkeypatch)
-        w = empty_world(blocked=[(2, 2)])
+        w = grid_planner(blocked=[(2, 2)])
         # two points of one cell, and a blocked cell's center, which snaps
         # to its west neighbour
         for start, goal in (([0.3, 0.3], [0.45, 0.26]), (w.cell_center((1, 2)),
@@ -719,32 +740,38 @@ class TestBoundedSearch:
     @pytest.mark.parametrize("resolution", [0.25, 0.05])
     @pytest.mark.parametrize("mode", MODES)
     def test_connected_equals_the_full_search(self, mode, resolution):
-        w = pocketed_world(mode, resolution)
+        world = pocketed_world(mode, resolution)
+        w = world.planner
         rng = Random(f"{mode}/{resolution}/connected")
-        start = w.snap_free_cell(w.robot.position)
+        start = w.snap_free_cell(world.robot.position)
         full, index = oracles.full_grid_distances(w.occupancy, resolution, start)
         unreachable = (index >= 0) & np.isinf(full[index])
         cells = sample_cells(rng, ~w.occupancy, 30) + sample_cells(rng, unreachable, 3)
         for ix, iy in cells:
-            got = w.connected(w.robot.position, w.cell_center((ix, iy)))
+            got = w.connected(world.robot.position, w.cell_center((ix, iy)))
             assert got == (not math.isinf(full[index[iy, ix]]))
-            assert w.connected(w.cell_center((ix, iy)), w.robot.position) == got
+            assert w.connected(w.cell_center((ix, iy)), world.robot.position) == got
 
 
-def random_pocketed_world(rng, width, height, p_block):
-    """A random world plus a walled-in 3x3 pocket around a random cell."""
+def random_pocketed_scene(rng, width, height, p_block):
+    """(scene, pocket cell): a random grid plus a walled-in 3x3 pocket around
+    a random cell."""
     cx, cy = rng.randrange(2, width - 2), rng.randrange(2, height - 2)
     blocked = {(ix, iy) for ix in range(width) for iy in range(height) if rng.random() < p_block}
     blocked -= {(cx + dx, cy + dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)}
     blocked |= {(cx + dx, cy + dy) for dx in range(-2, 3) for dy in range(-2, 3)
                 if max(abs(dx), abs(dy)) == 2}
-    return empty_world(width=width, height=height, blocked=sorted(blocked)), (cx, cy)
+    return grid_scene(width=width, height=height, blocked=sorted(blocked)), (cx, cy)
 
 
 class TestBoxSearch:
     """Reads over box graphs against the oracle walk-back over one full
     search: paths and lengths equal whichever box a read searched, grew or
-    found kept, and an unreachable goal grows its box to the whole grid."""
+    found kept, and an unreachable goal grows its box to the whole grid.
+    Here a world builds each planner."""
+
+    def planner(self, scene):
+        return GridWorld(scene).planner
 
     def check_reads(self, monkeypatch, w, sources, goals_of):
         """Read each source's goals as paths and distances against the
@@ -753,16 +780,16 @@ class TestBoxSearch:
         searches = counting_searches(monkeypatch)
         boxes = counting_boxes(monkeypatch)
         grown, kept = [], 0
-        real = GridWorld._search
+        real = Planner._search
 
-        def search(world, source, goal):
+        def search(planner, source, goal):
             before = len(searches)
-            out = real(world, source, goal)
+            out = real(planner, source, goal)
             if len(searches) > before:
                 grown.append(len(searches) - before)
             return out
 
-        monkeypatch.setattr(GridWorld, "_search", search)
+        monkeypatch.setattr(Planner, "_search", search)
         whole = (0, 0, w.width, w.height)
         for source in sources:
             full, index = oracles.full_grid_distances(w.occupancy, w.resolution, source)
@@ -773,7 +800,7 @@ class TestBoxSearch:
                 if math.isinf(dist(goal)):
                     with pytest.raises(UnreachableGoalError):
                         w.shortest_path(w.cell_center(source), w.cell_center(goal))
-                    limit, box, _, _ = w._grid.searches[source]
+                    limit, box, _, _ = w.searches[source]
                     assert math.isinf(limit) and box == whole
                     assert math.isinf(field(w.cell_center(goal)))
                     continue
@@ -789,7 +816,8 @@ class TestBoxSearch:
     @pytest.mark.parametrize("seed", range(3))
     def test_random_grids_with_a_pocket(self, monkeypatch, seed):
         rng = Random(f"box search/{seed}")
-        w, pocket = random_pocketed_world(rng, 96, 80, 0.2)
+        scene, pocket = random_pocketed_scene(rng, 96, 80, 0.2)
+        w = self.planner(scene)
         free = ~w.occupancy
         sources = sample_cells(rng, free, 3)
 
@@ -814,7 +842,7 @@ class TestBoxSearch:
         # within the limit, so every goal it answers, not only the one it
         # was searched for, reads the oracle's distance and walk-back
         rng = Random(f"ellipse search/{seed}")
-        w, _ = random_pocketed_world(rng, 96, 80, 0.2)
+        w = self.planner(random_pocketed_scene(rng, 96, 80, 0.2)[0])
         free = ~w.occupancy
         accepted = refused = 0
         for source in sample_cells(rng, free, 3):
@@ -824,7 +852,7 @@ class TestBoxSearch:
                 if goal == source:
                     continue
                 (x0, y0, x1, y1), dist = w._search(source, goal)
-                search = w._grid.searches[source]
+                search = w.searches[source]
                 for iy in range(y0, y1):
                     for ix in range(x0, x1):
                         cell = (ix, iy)
@@ -844,14 +872,23 @@ class TestBoxSearch:
     @pytest.mark.parametrize("resolution", [0.25, 0.05])
     @pytest.mark.parametrize("mode", MODES)
     def test_generated_scenes(self, monkeypatch, mode, resolution):
-        w = pocketed_world(mode, resolution)
+        scene, start = pocketed_scene(mode, resolution)
+        w = self.planner(scene)
         rng = Random(f"box search/{mode}/{resolution}")
-        points = [w.robot.position] + [obj.centroid[:2] for obj in w.objects.values()]
+        points = [start.position] + [obj.centroid[:2] for obj in scene.objects.values()]
         cells = sorted({w.snap_free_cell(p) for p in points})
         sources = rng.sample(cells, 3)
         grown, _, boxes = self.check_reads(monkeypatch, w, sources, lambda source: cells)
         small = [box for box in boxes if box != (0, 0, w.width, w.height)]
         assert grown and bool(small) == (w.width * w.height >= WHOLE_GRAPH_CELLS)
+
+
+class TestBoxSearchOnAnOccupancyArray(TestBoxSearch):
+    """The same reads on planners built straight from the grid's occupancy
+    array, with no world."""
+
+    def planner(self, scene):
+        return Planner.of(scene.grid.occupancy(), scene.grid.resolution, scene.grid.origin)
 
 
 class TestOctileCertificate:
@@ -865,8 +902,8 @@ class TestOctileCertificate:
         rng = Random(f"certificate/{p_block}/{resolution}")
         answered = refused = 0
         for _ in range(8):
-            w = random_world(rng, width=rng.randint(1, 24), height=rng.randint(1, 24),
-                             p_block=p_block, resolution=resolution)
+            w = random_planner(rng, width=rng.randint(1, 24), height=rng.randint(1, 24),
+                               p_block=p_block, resolution=resolution)
             occupancy, free = w.occupancy.tolist(), ~w.occupancy
             for source in sample_cells(rng, free, min(3, int(free.sum()))):
                 full, index = oracles.full_grid_distances(w.occupancy, resolution, source)
@@ -889,16 +926,16 @@ class TestOctileCertificate:
 
     def test_a_certified_read_runs_no_search_and_is_kept(self, monkeypatch):
         searches = counting_searches(monkeypatch)
-        w = empty_world(width=64, height=64, blocked=[(30, iy) for iy in range(20, 64)])
+        w = grid_planner(width=64, height=64, blocked=[(30, iy) for iy in range(20, 64)])
         a = w.cell_center((0, 0))
         field = w.distance_field(a)
         assert field(w.cell_center((40, 3))) == (37 + 3 * SQRT2) * 0.25
         path, length = w.shortest_path(a, w.cell_center((40, 3)))
         assert searches == [] and length == (37 + 3 * SQRT2) * 0.25
-        assert w._grid.searches[(0, 0)] == (0.0, None, None, {(40, 3): (tuple(path), length)})
+        assert w.searches[(0, 0)] == (0.0, None, None, {(40, 3): (tuple(path), length)})
         # the wall refuses the sweep: the read searches, and its walk is kept
         assert field(w.cell_center((40, 40))) == w.shortest_path(a, w.cell_center((40, 40)))[1]
-        assert len(searches) == 1 and (40, 40) in w._grid.searches[(0, 0)][3]
+        assert len(searches) == 1 and (40, 40) in w.searches[(0, 0)][3]
 
     def test_a_probe_sequence_searches_around_obstacles_only(self, monkeypatch):
         # seed 1's first probe scenario on the 0.05 m grid, all six variants
@@ -906,10 +943,10 @@ class TestOctileCertificate:
         # whole boxes (138,387 cells settled), and 17 over the octile
         # ellipses of their limits, long reads first allowing SLACK_CELLS of
         # detour, which settle fewer than 90,000 cells
-        import carriernav.world as world_mod
+        import carriernav.planning as planning_mod
         release_facts()
         searches, settled = [], []
-        real = world_mod.dijkstra
+        real = planning_mod.dijkstra
 
         def counting(graph, **kwargs):
             dist = real(graph, **kwargs)
@@ -917,7 +954,7 @@ class TestOctileCertificate:
             settled.append(int(np.isfinite(dist).sum()))
             return dist
 
-        monkeypatch.setattr(world_mod, "dijkstra", counting)
+        monkeypatch.setattr(planning_mod, "dijkstra", counting)
         scenario = build_scenario("probe", 0, 1, 0.05)
         for variant in VARIANTS.values():
             run_sequence(scenario, variant)
@@ -941,7 +978,7 @@ def grids_and_reads(draw):
 def test_any_read_sequence_equals_the_full_search(case):
     # distance reads and paths from a few sources, in any order, on any grid
     width, height, blocked, sources, reads = case
-    w = empty_world(width=width, height=height, blocked=blocked)
+    w = grid_planner(width=width, height=height, blocked=blocked)
     fields = [w.distance_field(w.cell_center(s)) for s in sources]
     fulls = [oracles.full_grid_distances(w.occupancy, w.resolution, s) for s in sources]
     for k, cell, as_path in reads:
@@ -961,9 +998,9 @@ def test_any_read_sequence_equals_the_full_search(case):
 
 
 class TestSharedGridFacts:
-    """Worlds built on equal grids share one set of grid facts; worlds on
+    """Worlds built on equal grids share one planner and its facts; worlds on
     grids that differ in anything share none, and only the last grid's
-    facts outlive their worlds."""
+    planner outlives its worlds."""
 
     BLOCKED = [(3, 2), (4, 2), (5, 2), (9, 7), (9, 8), (2, 10)]
 
@@ -974,16 +1011,16 @@ class TestSharedGridFacts:
 
     def test_equal_grids_share_one_graph(self):
         a = self.world()
-        moves, graph = a._moves(), a._graph()
+        moves, graph = a.planner.moves, a.planner._graph
         # an equal grid from another scene object, its cells in another order
         b = self.world(blocked=self.BLOCKED[::-1] + self.BLOCKED[:2])
         for w in (b, self.world()):
-            assert w._grid is a._grid and w._moves() is moves and w._graph() is graph
-            assert w.occupancy is a.occupancy
-        a.distance_field(a.cell_center((0, 0)))(a.cell_center((15, 11)))
-        assert set(b._grid.searches) == {(0, 0)}
-        assert b.snap_free_cell(a.cell_center((4, 2))) == a.snap_free_cell(
-            a.cell_center((4, 2)))
+            assert w.planner is a.planner and w.planner.moves is moves
+            assert w.planner._graph is graph and w.planner.occupancy is a.planner.occupancy
+        center = a.planner.cell_center
+        a.distance_field(center((0, 0)))(center((15, 11)))
+        assert set(b.planner.searches) == {(0, 0)}
+        assert b.snap_free_cell(center((4, 2))) == a.snap_free_cell(center((4, 2)))
 
     @pytest.mark.parametrize("change", [
         {"origin": (0.25, 0.0)}, {"resolution": 0.2}, {"blocked": BLOCKED + [(0, 11)]},
@@ -992,34 +1029,35 @@ class TestSharedGridFacts:
         a = self.world()
         b = self.world(**change)
         for w in (a, b):
-            w.shortest_path(w.cell_center((0, 0)), w.cell_center((12, 9)))
-        assert b._grid is not a._grid and b.occupancy is not a.occupancy
-        assert b._moves() is not a._moves() and b._graph() is not a._graph()
-        assert b._grid.snaps is not a._grid.snaps
-        (_, _, dist_a, _), = a._grid.searches.values()
-        (_, _, dist_b, _), = b._grid.searches.values()
+            w.shortest_path(w.planner.cell_center((0, 0)), w.planner.cell_center((12, 9)))
+        pa, pb = a.planner, b.planner
+        assert pb is not pa and pb.occupancy is not pa.occupancy
+        assert pb.moves is not pa.moves and pb._graph is not pa._graph
+        assert pb.snaps is not pa.snaps
+        (_, _, dist_a, _), = pa.searches.values()
+        (_, _, dist_b, _), = pb.searches.values()
         assert dist_b is not dist_a
 
     def test_another_grid_frees_the_last_grids_facts(self):
         a = self.world()
-        a.shortest_path(a.cell_center((0, 0)), a.cell_center((12, 9)))
-        moves = weakref.ref(a._moves())
-        search = weakref.ref(next(iter(a._grid.searches.values()))[2])
+        a.shortest_path(a.planner.cell_center((0, 0)), a.planner.cell_center((12, 9)))
+        moves = weakref.ref(a.planner.moves)
+        search = weakref.ref(next(iter(a.planner.searches.values()))[2])
         del a
         gc.collect()
         # the last grid's facts outlive its worlds, for the next world on it
         assert moves() is not None
         b = self.world()
-        assert b._moves() is moves()
+        assert b.planner.moves is moves()
         other = self.world(blocked=self.BLOCKED[1:])
         gc.collect()
         assert moves() is not None  # b holds them
         del b
         gc.collect()
         assert moves() is None and search() is None
-        assert self.world(blocked=self.BLOCKED[1:])._grid is other._grid
+        assert self.world(blocked=self.BLOCKED[1:]).planner is other.planner
         release_facts()
-        assert self.world(blocked=self.BLOCKED[1:])._grid is not other._grid
+        assert self.world(blocked=self.BLOCKED[1:]).planner is not other.planner
 
     @pytest.mark.parametrize("resolution", [0.25, 0.05])
     @pytest.mark.parametrize("mode", MODES)
@@ -1046,26 +1084,27 @@ class TestSharedGridFacts:
         warmer = GridWorld(sc.scene, start_pose=sc.start_pose)
         for a, b in pairs[::-3]:  # a few reads, in another order
             warmer.distance_field(b)(a)
-        far_corner = warmer.cell_center((warmer.width - 1, warmer.height - 1))
+        p = warmer.planner
+        far_corner = p.cell_center((p.width - 1, p.height - 1))
         warmer.distance_field(points[0])(far_corner)
         warm = GridWorld(sc.scene, start_pose=sc.start_pose)
-        assert warm._grid is warmer._grid and warm._grid.searches
+        assert warm.planner is p and p.searches
         assert reads(warm) == cold
 
     def test_the_searches_kept_are_capped_and_reads_stay_exact(self, monkeypatch):
         searches = counting_searches(monkeypatch)
         searched = []  # the source of each search
-        real = GridWorld._search
+        real = Planner._search
 
-        def search(world, source, goal):
+        def search(planner, source, goal):
             before = len(searches)
-            out = real(world, source, goal)
+            out = real(planner, source, goal)
             searched.extend([source] * (len(searches) - before))
             return out
 
-        monkeypatch.setattr(GridWorld, "_search", search)
+        monkeypatch.setattr(Planner, "_search", search)
         rng = Random("cap")
-        w = random_world(rng, width=20, height=16, p_block=0.2)
+        w = random_planner(rng, width=20, height=16, p_block=0.2)
         free = ~w.occupancy
         sources = sample_cells(rng, free, SEARCHES_PER_GRID + 6)
         fulls = {s: oracles.full_grid_distances(w.occupancy, w.resolution, s)
@@ -1081,10 +1120,10 @@ class TestSharedGridFacts:
                         _, length = w.shortest_path(w.cell_center(source),
                                                     w.cell_center((ix, iy)))
                         assert length == pytest.approx(full[index[iy, ix]], abs=1e-9)
-                    assert len(w._grid.searches) <= SEARCHES_PER_GRID
+                    assert len(w.searches) <= SEARCHES_PER_GRID
                 read.append(source)
         # the least recently read went first: the kept ones are the latest
-        assert list(w._grid.searches) == read[-SEARCHES_PER_GRID:]
+        assert list(w.searches) == read[-SEARCHES_PER_GRID:]
         # the first turn dropped the first sources read, so the second
         # turn searches them again
         assert set(searched) == set(sources)
@@ -1095,7 +1134,7 @@ class TestSharedGridFacts:
     def test_the_paths_kept_never_outlive_their_search(self, monkeypatch):
         searches = counting_searches(monkeypatch)
         rng = Random("kept paths")
-        w = random_world(rng, width=20, height=16, p_block=0.15)
+        w = random_planner(rng, width=20, height=16, p_block=0.15)
         free = ~w.occupancy
         sources = sample_cells(rng, free, SEARCHES_PER_GRID + 4)
         goals = sample_cells(rng, free, 3)
@@ -1107,24 +1146,24 @@ class TestSharedGridFacts:
                                                           w.cell_center(goal))
                 except UnreachableGoalError:
                     pass
-                kept = w._grid.searches
+                kept = w.searches
                 assert len(kept) <= SEARCHES_PER_GRID
                 # a path is kept only with its source's search, for a goal reached
                 for (start, end), path in reads.items():
                     if start in kept and start != end:
                         assert kept[start][3][end] == (tuple(path[0]), path[1])
         assert len(reads) > 2 * SEARCHES_PER_GRID
-        dropped = [s for s in sources if s not in w._grid.searches]
+        dropped = [s for s in sources if s not in w.searches]
         assert dropped == sources[:4]
         # a dropped source searches and walks anew, to the same path
         n = len(searches)
         goal = next(g for g in goals if (dropped[0], g) in reads and g != dropped[0])
         assert w.shortest_path(w.cell_center(dropped[0]), w.cell_center(goal)) == reads[
             dropped[0], goal]
-        assert len(searches) > n and goal in w._grid.searches[dropped[0]][3]
+        assert len(searches) > n and goal in w.searches[dropped[0]][3]
 
     def test_a_kept_path_is_handed_out_as_a_fresh_list(self):
-        w = empty_world()
+        w = grid_planner()
         a, b = w.cell_center((0, 0)), w.cell_center((12, 9))
         path, length = w.shortest_path(a, b)
         path.append((99, 99))
@@ -1133,12 +1172,12 @@ class TestSharedGridFacts:
 
     def test_an_unreachable_goal_is_not_kept(self, monkeypatch):
         # a wall across the grid: every read raises, and none is kept
-        w = empty_world(blocked=[(8, iy) for iy in range(12)])
+        w = grid_planner(blocked=[(8, iy) for iy in range(12)])
         searches = counting_searches(monkeypatch)
         for _ in range(2):
             with pytest.raises(UnreachableGoalError):
                 w.shortest_path(w.cell_center((0, 0)), w.cell_center((12, 9)))
-        assert w._grid.searches[(0, 0)][3] == {} and len(searches) == 1
+        assert w.searches[(0, 0)][3] == {} and len(searches) == 1
 
 
 def sensing_scene():
@@ -1223,14 +1262,14 @@ class TestTravel:
         path, length = w.shortest_path(w.robot.position, [5.0, 2.0])
         log = assert_travel_matches_oracle(w, path, SensorConfig())
         assert log.length == pytest.approx(length)
-        assert np.allclose(w.robot.position, w.cell_center(path[-1]))
+        assert np.allclose(w.robot.position, w.planner.cell_center(path[-1]))
 
     def test_travel_dedupes_observations(self, monkeypatch):
         w = sensing_world()
         path, _ = w.shortest_path(w.robot.position, [5.0, 2.0])
         first = {}
         for cell in path:  # the full-circle sensor ignores heading
-            for obs in w.observe(Pose(w.cell_center(cell)), SensorConfig()):
+            for obs in w.observe(Pose(w.planner.cell_center(cell)), SensorConfig()):
                 first.setdefault(obs.object_id, obs.mean_depth)
         import carriernav.world as world_mod
         built = []
@@ -1317,9 +1356,9 @@ def assert_observe_matches_oracle(w, pose, sensor):
 
 
 def free_walk(w, rng, n):
-    """n cells from a random free cell, each a random free 8-neighbour of
-    the one before whose diagonal step cuts no corner: the moves travel
-    accepts.  A walk may come back to a cell."""
+    """n cells from a random free cell of planner ``w``'s grid, each a random
+    free 8-neighbour of the one before whose diagonal step cuts no corner:
+    the moves travel accepts.  A walk may come back to a cell."""
     path = sample_cells(rng, ~w.occupancy, 1)
     for _ in range(n - 1):
         x, y = path[-1]
@@ -1340,15 +1379,16 @@ class TestSweptSensing:
     def test_legs_equal_the_per_cell_loop(self, mode, resolution, sensor):
         sc = build_scenario(mode, 0, 5, resolution)
         w = GridWorld(sc.scene, start_pose=sc.start_pose)
+        p = w.planner
         rng = Random(f"{mode}/{resolution}")
         legs = []
-        for a, b in zip(*[iter(sample_cells(rng, ~w.occupancy, 8))] * 2):
+        for a, b in zip(*[iter(sample_cells(rng, ~p.occupancy, 8))] * 2):
             try:
-                legs.append(w.shortest_path(w.cell_center(a), w.cell_center(b))[0])
+                legs.append(w.shortest_path(p.cell_center(a), p.cell_center(b))[0])
             except UnreachableGoalError:
                 pass
-        legs += [free_walk(w, rng, 40) for _ in range(4)]
-        legs += [sample_cells(rng, ~w.occupancy, 1)]
+        legs += [free_walk(p, rng, 40) for _ in range(4)]
+        legs += [sample_cells(rng, ~p.occupancy, 1)]
         assert len(legs) >= 6
         for path in legs:
             assert_travel_matches_oracle(w, path, sensor)
@@ -1378,7 +1418,7 @@ class TestSweptSensing:
         cup = obj_dict("cup_0", ["red cup"], 3.375, 0.625, 0.08, 0.08, 0.0, 0.12)
         w = GridWorld(scene_from_dict(scene_dict([cup], width=28, height=20)),
                       start_pose=Pose([0.125, 0.625]))
-        at = Pose(w.cell_center((3, 2)))
+        at = Pose(w.planner.cell_center((3, 2)))
         assert sightings(assert_observe_matches_oracle(w, at, SensorConfig())) == [("cup_0", 2.5)]
         assert assert_observe_matches_oracle(w, at, SensorConfig(radius=2.4999)) == []
         log = assert_travel_matches_oracle(w, [(ix, 2) for ix in range(8)], SensorConfig())
@@ -1390,9 +1430,10 @@ class TestSweptSensing:
                       start_pose=Pose([0.125, 0.625]))
         narrow = SensorConfig(fov=math.pi / 3)
         # heading west, away from the cup: seen only from its own cell
-        got = assert_observe_matches_oracle(w, Pose(w.cell_center((3, 2)), math.pi), narrow)
+        center = w.planner.cell_center
+        got = assert_observe_matches_oracle(w, Pose(center((3, 2)), math.pi), narrow)
         assert sightings(got) == [("cup_0", 0.0)]
-        assert assert_observe_matches_oracle(w, Pose(w.cell_center((2, 2)), math.pi), narrow) == []
+        assert assert_observe_matches_oracle(w, Pose(center((2, 2)), math.pi), narrow) == []
         log = assert_travel_matches_oracle(w, [(3, 2), (2, 2), (1, 2)], narrow)
         assert sightings(log.observations.values()) == [("cup_0", 0.0)]
 
@@ -1417,7 +1458,7 @@ class TestSweptSensing:
         with pytest.raises(WorldError):
             w.travel([(0, 0), (-1, 0)], SensorConfig())
         with pytest.raises(WorldError):
-            w.travel([(w.width - 1, 0), (w.width, 0)], SensorConfig())
+            w.travel([(w.planner.width - 1, 0), (w.planner.width, 0)], SensorConfig())
 
 
 @pytest.fixture(scope="module")
@@ -1433,9 +1474,9 @@ def walled_world():
        fov=st.sampled_from([2 * math.pi, math.pi, math.pi / 2, math.pi / 3, 0.1]),
        occlusion=st.booleans())
 def test_observe_equals_the_per_cell_rule(walled_world, x, y, heading, radius, fov, occlusion):
-    w = walled_world
-    pose = Pose(w.origin + np.array([x * w.width, y * w.height]) * w.resolution, heading)
-    assert_observe_matches_oracle(w, pose, SensorConfig(radius, fov, occlusion))
+    p = walled_world.planner
+    pose = Pose(p.origin + np.array([x * p.width, y * p.height]) * p.resolution, heading)
+    assert_observe_matches_oracle(walled_world, pose, SensorConfig(radius, fov, occlusion))
 
 
 class TestGroundTruth:
