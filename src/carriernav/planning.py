@@ -9,7 +9,10 @@ distance, and then the same path.  Only the reads it refuses search, each
 over the octile ellipse of its limit in a graph of the box that holds it
 (or, on a small grid, over the whole graph), and a distance read is the
 length of the path, as ``GridWorld.travel`` walks it.  Reachability reads
-the connected components of the whole grid's graph.
+component labels of the free cells, found from their runs with no graph of
+the grid.  No search is unbounded: a read to a goal in another component
+is refused by the labels, and a reachable goal is answered at a finite
+limit.
 
 A :class:`Planner` holds the facts of its grid, which no world changes,
 each computed on its first read: the move table, the whole grid's graph
@@ -224,15 +227,13 @@ class Planner:
         first (:meth:`_certified_walk`), which answers with no search when
         the geodesic equals the octile distance; a goal it refuses is
         searched and walked back at once, so no pair is swept twice while
-        its source is kept.  An unbounded search has refused, or reached,
-        every goal already, so none is swept on it.  An unreachable goal
-        raises and is not kept.
+        its source is kept.  An unreachable goal raises (:meth:`_search`)
+        and is not kept.
         """
-        limit, _, _, paths = self._kept(source)
+        paths = self._kept(source)[3]
         kept = paths.get(goal)
         if kept is None:
-            if not math.isinf(limit):
-                kept = self._certified_walk(source, goal)
+            kept = self._certified_walk(source, goal)
             if kept is None:
                 kept = self._walk_back(*self._search(source, goal), source, goal)
             paths[goal] = kept
@@ -291,7 +292,8 @@ class Planner:
     def _walk_back(self, box: Box, dist: np.ndarray, start_cell: Cell,
                    goal_cell: Cell) -> Tuple[tuple, float]:
         """(path cells, length) from ``start_cell`` to ``goal_cell`` over the
-        distance field ``dist`` of a search from ``start_cell`` over ``box``.
+        distance field ``dist`` of a search from ``start_cell`` over ``box``
+        that answers the goal (:meth:`_answers`).
 
         From the goal, each step goes to the first neighbour in
         ``STEP_ORDER`` that the move table allows, that lies in the box and
@@ -309,8 +311,6 @@ class Planner:
         gx, gy = goal_cell
         bw = x1 - x0
         i = (gy - y0) * bw + gx - x0
-        if not (x0 <= gx < x1 and y0 <= gy < y1) or math.isinf(dist[i]):
-            raise UnreachableGoalError(f"no path from {start_cell} to {goal_cell}")
         # memoryviews read items as Python numbers, much faster than arrays
         dist, moves = memoryview(dist), memoryview(self.moves.reshape(-1))
         slots = [(k, dx, dy, dy * bw + dx, c * self.resolution)
@@ -416,29 +416,40 @@ class Planner:
 
     @cached_property
     def _labels(self) -> np.ndarray:
-        """Connected-component label per cell, node ``iy * width + ix``, of
-        the whole grid's box graph: the kept one (:attr:`_graph`) on a grid
-        of fewer than ``WHOLE_GRAPH_CELLS`` cells, whose searches all read
-        it, or once a search built it; else one built for the labels alone
-        and not kept (a house checked for reachability may never search it).
-        That graph sets the set-up's peak memory on a large grid, but labels
-        without it made the warm passes after it slower: freeing so large a
-        block likely raises glibc's mmap and trim thresholds, so those
-        passes take no minor page faults (ROADMAP "Settled")."""
-        if self.width * self.height < WHOLE_GRAPH_CELLS or "_graph" in self.__dict__:
-            graph = self._graph
-        else:
-            graph = self._box_graph((0, 0, self.width, self.height))
-        # the graph is symmetric, so its strong components are its
-        # components, found without the transpose a weak search builds
-        return connected_components(graph, directed=True, connection="strong")[1]
+        """Component label per cell, node ``iy * width + ix``, -1 for a
+        blocked cell.  Under the move table's corner rule an allowed
+        diagonal joins two cells its two orthogonal cells already join, so
+        the components of the moves are the 4-neighbour components of the
+        free cells.  Each row's free cells split into runs, numbered in
+        grid order, and a free cell right above a free cell joins their two
+        runs: the components of that graph of runs label their cells.  No
+        graph of the cells is built: the labels keep 4 bytes per cell, and
+        take about 1 ms at 96,000 cells and 0.06 s at ``MAX_GRID_CELLS``."""
+        free = ~self.occupancy
+        starts = free.copy()
+        starts[:, 1:] &= ~free[:, :-1]
+        runs = np.cumsum(starts.reshape(-1), dtype=np.int32) - 1
+        # one pair per two runs that touch, at the first cell of the contact:
+        # a run starts only after a blocked cell, which ends a contact
+        joins = free[:-1] & free[1:]
+        joins[:, 1:] &= ~(free[:-1, :-1] & free[1:, :-1])
+        upper = np.flatnonzero(joins)
+        n = int(runs[-1]) + 1
+        graph = csr_matrix((np.ones(len(upper)), (runs[upper], runs[upper + self.width])),
+                           shape=(n, n))
+        labels = connected_components(graph, directed=False)[1][runs]
+        labels[~free.reshape(-1)] = -1
+        return labels
 
     def connected(self, a: Sequence[float], b: Sequence[float]) -> bool:
         """Whether a free-cell path joins the free cells nearest ``a`` and
         ``b``: one lookup of :attr:`_labels`, no search."""
+        return self._joined(self.snap_free_cell(a), self.snap_free_cell(b))
+
+    def _joined(self, a: Cell, b: Cell) -> bool:
+        """Whether free cells ``a`` and ``b`` share a component."""
         labels = self._labels
-        (ax, ay), (bx, by) = self.snap_free_cell(a), self.snap_free_cell(b)
-        return bool(labels[ay * self.width + ax] == labels[by * self.width + bx])
+        return bool(labels[a[1] * self.width + a[0]] == labels[b[1] * self.width + b[0]])
 
     def _octile(self, a: Cell, b: Cell) -> float:
         """Obstacle-free 8-connected distance (m): a lower bound on the geodesic."""
@@ -478,15 +489,12 @@ class Planner:
     def _answers(self, search: tuple, goal: Cell) -> bool:
         """Whether ``search``, ``(limit, box, dist, paths)``, gives ``goal``
         its exact distance with every shortest path among the cells it
-        searched, or shows it unreachable: the goal lies in its box at a
-        distance it kept (:meth:`_search` keeps only such distances).  An
-        unbounded search answers every goal.
+        searched: the goal lies in its box at a distance it kept
+        (:meth:`_search` keeps only such distances).
         """
-        limit, box, dist, _ = search
+        _, box, dist, _ = search
         if box is None:
             return False
-        if math.isinf(limit):
-            return True
         x0, y0, x1, y1 = box
         gx, gy = goal
         return (x0 <= gx < x1 and y0 <= gy < y1
@@ -494,8 +502,8 @@ class Planner:
 
     def _search(self, source: Cell, goal: Cell) -> Tuple[Box, np.ndarray]:
         """(box, distance per cell of the box from ``source``) of a search
-        that answers ``goal`` (:meth:`_answers`): exact at the goal when it
-        is reachable, inf over the whole grid when it is not.
+        that answers ``goal`` (:meth:`_answers`), exact at the goal; a goal
+        in another component raises :class:`UnreachableGoalError`.
         :meth:`_walk` asks only for the goals the octile sweep refuses, and
         only :meth:`_answers` and :meth:`_walk_back` read the distances.
 
@@ -527,10 +535,18 @@ class Planner:
         reads that detour round an obstacle by a few cells.  On a small
         grid a source's limits grow at least twofold: an L under twice the
         kept search's limit is raised to twice it, since the kept search
-        answers every goal a smaller L would.  Once L reaches the octile
-        distance to the grid's farthest corner, the search is unbounded,
-        over the whole grid, so only an inf under an unbounded search means
-        "unreachable".
+        answers every goal a smaller L would.
+
+        No search is unbounded.  Once L reaches the octile distance from
+        ``source`` to the grid's farthest corner, the component labels
+        (:attr:`_labels`) are read: a goal in another component raises,
+        with the latest search kept, and a reachable goal keeps its finite
+        L, doubled until a search answers it.  Labels a grid has built
+        already are read before the first search, so a repeated
+        unreachable read searches nothing.  The corner is the trigger, not
+        the first search, because a planner built cold for a 0.05 m house
+        would pay about 1 ms for labels that its generated reads, all
+        reachable, seldom need: no ``fine-0.05m`` read passes the corner.
 
         A read the kept search (:meth:`_kept`) does not answer searches
         again from ``source``, and a read from a dropped source searches
@@ -550,11 +566,15 @@ class Planner:
                 limit = max(first, 2.0 * kept_limit)
             else:
                 limit = first if 8.0 * slack > octile else (octile + slack) * (1.0 + 1e-9)
+            # labels built already are read before the first search
+            refuse_at = 0.0 if "_labels" in vars(self) else self._octile(source, farthest_corner)
             while True:
-                if limit >= self._octile(source, farthest_corner):
-                    limit, box = math.inf, whole
-                else:
-                    box = whole if small else self._box(source, goal, limit)
+                if limit >= refuse_at:
+                    if not self._joined(source, goal):
+                        self.searches[source] = search
+                        raise UnreachableGoalError(f"no path from {source} to {goal}")
+                    refuse_at = math.inf  # a reachable goal: no second read
+                box = whole if small else self._box(source, goal, limit)
                 x0, y0, x1, _ = box
                 if box == whole:
                     graph = self._graph

@@ -625,7 +625,8 @@ def run_task(
     if state.bypass_target is not None:
         leg = walk_leg(world, crsg, state.bypass_target.centroid, sensor_cfg, match_cfg,
                        crsg_cfg, update=variant.update_graph)
-        if leg is None:
+        if leg is None:  # one action, consumed in place
+            record("direct", target_obj.id, 0.0, unreachable=True)
             return finish(False, shortest)
         traveled += leg.length
         record("direct", target_obj.id, leg.length, leg.reconciled)

@@ -6,7 +6,8 @@ thing under test: path lengths come from a textbook Dijkstra instead of
 the package's scipy search, distance fields from one unbounded search over
 the planner's former one-direction graph instead of searches bounded by a
 limit and a box over its move table, reachability from that search instead of component
-labels, similarities from exact token counts instead of hashed
+labels, component labels from one edge per allowed move instead of runs of
+free cells, similarities from exact token counts instead of hashed
 vectors, cosines from one dot product per call instead of bucket
 supports, embeddings from counts added into the vector one at a time
 instead of counted tokens, the carried relation from a quadratic scan
@@ -27,11 +28,12 @@ from collections import Counter
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from carriernav.features import (cosine, cosine_similarity, embed_text, strip_image_prefix,
                                  token_bucket)
 from carriernav.graph import carrying_predicate, geometric_carrier_filter
+from carriernav.planning import STEP_ORDER
 from carriernav.world import GridWorld, Observation, Pose, WorldError
 
 SQRT2 = math.sqrt(2.0)
@@ -194,6 +196,27 @@ def one_direction_graph(occupancy, resolution: float):
     graph = csr_matrix((np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
                        shape=(n, n))
     return graph, index
+
+
+def move_components(planner) -> np.ndarray:
+    """Component label per cell of ``planner``'s grid, node ``iy * width +
+    ix``, -1 for a blocked cell: the components of a graph built cell by
+    cell, with one edge per (cell, ``STEP_ORDER`` slot) its move table
+    allows."""
+    width, height = planner.width, planner.height
+    moves = planner.moves.tolist()
+    rows, cols = [], []
+    for iy in range(height):
+        for ix in range(width):
+            for k, (dx, dy) in enumerate(STEP_ORDER):
+                if moves[iy][ix][k]:
+                    rows.append(iy * width + ix)
+                    cols.append((iy + dy) * width + ix + dx)
+    n = width * height
+    graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    labels = connected_components(graph, directed=False)[1]
+    labels[planner.occupancy.reshape(-1)] = -1
+    return labels
 
 
 def full_grid_distances(occupancy, resolution: float, source):

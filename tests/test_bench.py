@@ -3,6 +3,7 @@
 import hashlib
 import json
 import logging
+import math
 from collections import Counter
 from random import Random
 
@@ -160,13 +161,13 @@ class TestRunSequence:
 
 class TestSearchBudget:
     """Counts, not timings: the scenario's generation and the six variants'
-    task sequences share one grid.  On a grid of fewer than
-    ``WHOLE_GRAPH_CELLS`` cells they build its whole graph once, which the
-    reachability labels and every search read; on a larger grid they build
-    it once for the labels and once more only when a read's box is the
-    whole grid, and search a graph of each box at most once.  They search
-    no (source, box) pair twice to one limit; a leg whose ends share a
-    cell searches nothing, and no search has limit 0."""
+    task sequences share one grid.  The reachability labels build no graph.
+    On a grid of fewer than ``WHOLE_GRAPH_CELLS`` cells every search reads
+    its whole graph, built once; on a larger grid they build it once only
+    when a read's box is the whole grid, and search a graph of each box at
+    most once.  They search no (source, box) pair twice to one limit; a leg
+    whose ends share a cell searches nothing, and every search has a finite
+    limit above 0."""
 
     @pytest.mark.parametrize("mode,index,resolution", [
         ("single", 0, 0.05), ("probe", 0, 0.05), ("mixed", 0, 0.25), ("mixed", 1, 0.25),
@@ -209,13 +210,13 @@ class TestSearchBudget:
         small = grid.occupancy.size < WHOLE_GRAPH_CELLS
         built = [box for box, _ in boxes.values()]
         searched_whole = any(box == whole for _, box, _ in searches)
-        assert built.count(whole) == 1 + (searched_whole and not small)
+        assert built.count(whole) == searched_whole
         assert zero_legs and set(zero_legs) == {0}
         assert searches and len(set(searches)) == len(searches)
         own = [(node, box) for node, box, _ in searches if box != whole]
         assert len(set(own)) == len(own) == len(built) - built.count(whole)
         assert bool(own) != small
-        assert [s for s in searches if s[2] == 0] == []
+        assert all(0 < limit < math.inf for _, _, limit in searches)
 
 
 @pytest.mark.parametrize("resolution", [0.25, 0.05])

@@ -626,9 +626,9 @@ class TestRunTask:
         # the shortest baseline, the initial candidate distance, the ranking
         # and the leg path read at most one search per pose and box, which
         # only grows (a strictly larger limit) when a read lies beyond it,
-        # even after other poses have searched, and at most one unbounded
-        # search per pose; the Stop step reads nothing.  The world's grid
-        # starts cold: no earlier world's search is reused.  A wall with a
+        # even after other poses have searched, and every limit is finite;
+        # the Stop step reads nothing.  The world's grid starts cold: no
+        # earlier world's search is reused.  A wall with a
         # gap at its north end parts the start and table_1 from table_0 and
         # counter_0, so reads across it detour and search
         import carriernav.planning as planning_mod
@@ -672,8 +672,7 @@ class TestRunTask:
         assert 0 < len({source for source, _ in limits}) <= len(poses)
         for grown in limits.values():
             assert all(a < b for a, b in zip(grown, grown[1:]))
-        assert all(sum(math.isinf(limit) for s, _, limit in searches if s == source) <= 1
-                   for source, _ in limits)
+        assert all(math.isfinite(limit) for _, _, limit in searches)
 
     def test_one_match_per_sighting_per_leg(self, monkeypatch):
         # a leg's sightings are its travel's first sightings plus the visited
@@ -754,15 +753,19 @@ class TestRunTask:
         assert r.actions[0] == "t=0 Explore(table_1) pose=(0.500,0.500) cr=2 ct=1 pr=- leg=0.000000"
         assert r.success
 
-    def test_unreachable_direct_target_fails_without_a_trace(self):
+    def test_unreachable_direct_target_records_one_unreachable_action(self):
         # the query resolves to the walled-off rug while the ground truth is
-        # reachable: the robot does not move and records no action
+        # reachable: the robot does not move and records one direct action,
+        # unreachable, with no leg
         scene = policy_scene(blocked=EAST_WALL)
         world = GridWorld(scene, start_pose=Pose([0.5, 0.5]))
         crsg = build_crsg(scene, CrsgConfig())
         r = run_task(world, crsg, self.task(text="green rug", gt="cup_0"), rng=Random(0))
         assert not r.success
-        assert r.actions == ()
+        assert r.records == (ActionRecord("direct", "rug_0", (0.5, 0.5), len(crsg.carriers), 0,
+                                          None, 0.0, unreachable=True),)
+        assert r.actions == ("t=0 Direct(rug_0) pose=(0.500,0.500) "
+                             f"cr={len(crsg.carriers)} ct=0 pr=- leg=0.000000",)
         assert r.traveled == 0.0
         assert r.shortest == pytest.approx(world.shortest_path([0.5, 0.5], [2.0, 2.0])[1])
         assert np.array_equal(world.robot.position, [0.5, 0.5])

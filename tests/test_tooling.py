@@ -51,11 +51,16 @@ which tells ``Planner._search`` whether a search answers a goal, and
 else in ``planning.py`` must fail here.
 
 Planning has one site for each of its rules in ``planning.py``: only the
-box builder constructs a ``csr_matrix``, only ``Planner._search`` calls
-``dijkstra``, only the component labels (``Planner._labels``) call
-``connected_components`` and only the move table (``Planner.moves``) tests
-a diagonal's two orthogonal cells (the corner rule).  A second site of any
-of them must fail here.
+box builder constructs a ``csr_matrix`` of cells, only the component labels
+(``Planner._labels``) construct one from (data, (rows, cols)) pairs, the
+graph of their runs, and call ``connected_components``, only
+``Planner._search`` calls ``dijkstra`` and only the move table
+(``Planner.moves``) tests a diagonal's two orthogonal cells (the corner
+rule).  A second site of any of them must fail here.
+
+No module of the package imports ``scipy.ndimage``: its import alone adds
+about 5 MB of resident memory, which the component labels, the one place
+that might use it, do without.
 
 A graph's construction funnel is a kept answer of the scene's facts,
 ``graph._funnel``, and it is the one caller of the funnel's first two
@@ -72,6 +77,7 @@ own and must fail here.
 import ast
 import dataclasses
 import sys
+from collections import Counter
 from collections.abc import Mapping
 from pathlib import Path
 from types import MappingProxyType
@@ -782,22 +788,49 @@ def corner_rule_sites(source: str) -> list:
     return found
 
 
-# (what is done, the one function of planning.py that may do it)
-PLANNING_OWNERS = (("csr_matrix", "_box_graph"), ("dijkstra", "_search"),
-                   ("connected_components", "_labels"), ("corner rule", "moves"))
+def pair_graph_sites(source: str) -> list:
+    """(function, line) of each ``csr_matrix`` call in module ``source`` that
+    builds its matrix from (data, (rows, cols)) pairs."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if call_name(node) == "csr_matrix" and node.args:
+            first = node.args[0]
+            if (isinstance(first, ast.Tuple) and len(first.elts) == 2
+                    and isinstance(first.elts[1], ast.Tuple)):
+                found.append((function, node.func.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+# (what is done, the one function of planning.py that may do it): any other
+# ``csr_matrix`` reference is a graph of cells
+PLANNING_OWNERS = (("csr_matrix", "_box_graph"), ("csr_matrix of pairs", "_labels"),
+                   ("dijkstra", "_search"), ("connected_components", "_labels"),
+                   ("corner rule", "moves"))
 
 
 def planning_sites(source: str) -> dict:
     """What each ``PLANNING_OWNERS`` entry names -> the functions of module
     ``source`` that do it."""
-    return {what: sorted({function for function, _ in (
-        corner_rule_sites(source) if what == "corner rule" else reference_sites(source, what))})
+    pairs = Counter(function for function, _ in pair_graph_sites(source))
+    cells = Counter(function for function, _ in reference_sites(source, "csr_matrix")) - pairs
+    sites = {"corner rule": {function for function, _ in corner_rule_sites(source)},
+             "csr_matrix of pairs": set(pairs), "csr_matrix": set(cells)}
+    return {what: sorted(sites[what] if what in sites else {
+        function for function, _ in reference_sites(source, what)})
         for what, _ in PLANNING_OWNERS}
 
 
 def test_each_planning_rule_has_one_site():
-    # one graph builder, one search, one labelling and one movement rule:
-    # the move table is the one place a diagonal's corners are tested
+    # one builder of graphs of cells, one search, one labelling with its
+    # graph of runs, and one movement rule: the move table is the one
+    # place a diagonal's corners are tested
     sites = planning_sites((ROOT / "src" / "carriernav" / "planning.py").read_text())
     assert sites == {what: [owner] for what, owner in PLANNING_OWNERS}
 
@@ -808,18 +841,61 @@ def test_the_planning_guard_sees_a_second_site():
               "    return csr_matrix(box)\n"
               "def _search(self, s):\n"
               "    return dijkstra(self._box_graph(s), indices=0)\n"
-              "def _labels(self):\n"
-              "    return connected_components(self._graph)\n"
+              "def _labels(self, a, b):\n"
+              "    return connected_components(csr_matrix((w, (a, b)), shape=(n, n)))\n"
               "def moves(self):\n"
               "    return shifted(dx, dy) & shifted(dx, 0) & shifted(0, dy)\n"
               "def _check_moves(self, x, y, dx, dy):\n"
               "    ok = self.free[y, x + dx] and self.free[y + dy, x]\n"
               "    labels = sparse.csgraph.connected_components(self._graph())\n"
-              "    return ok, sparse.csr_matrix(x), dijkstra(x, indices=1)\n")
+              "    return ok, sparse.csr_matrix(x), dijkstra(x, indices=1)\n"
+              "def _runs(self, a, b):\n"
+              "    return sparse.csr_matrix((w, (a, b)), shape=(n, n)), csr_matrix((w, a, b))\n")
     assert planning_sites(source) == {
-        "csr_matrix": ["_box_graph", "_check_moves"], "dijkstra": ["_check_moves", "_search"],
+        "csr_matrix": ["_box_graph", "_check_moves", "_runs"],
+        "csr_matrix of pairs": ["_labels", "_runs"], "dijkstra": ["_check_moves", "_search"],
         "connected_components": ["_check_moves", "_labels"],
         "corner rule": ["_check_moves", "moves"]}
+
+
+def ndimage_imports(source: str) -> list:
+    """Lines of module ``source`` that import ``scipy.ndimage`` or one of its
+    names, or read it as an attribute of ``scipy``, which imports it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            module = node.module or ""
+            if module.startswith("scipy.ndimage") or (
+                    module == "scipy" and any(a.name == "ndimage" for a in node.names)):
+                found.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            if any(a.name.startswith("scipy.ndimage") for a in node.names):
+                found.append(node.lineno)
+        elif (isinstance(node, ast.Attribute) and node.attr == "ndimage"
+              and isinstance(node.value, ast.Name) and node.value.id == "scipy"):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_no_module_imports_ndimage():
+    """``scipy.ndimage`` adds about 5 MB of resident memory on import (5.1
+    to 6.3 MB of peak RSS on the 0.25 m benchmark workloads, about 8% of
+    their peak), for labels that runs of free cells give with no import."""
+    sources = sorted((ROOT / "src" / "carriernav").glob("*.py"))
+    assert len(sources) > 10
+    assert {p.name: ndimage_imports(p.read_text()) for p in sources} == {
+        p.name: [] for p in sources}
+
+
+def test_the_ndimage_guard_sees_an_import():
+    source = ("import scipy\n"
+              "import scipy.sparse\n"
+              "from scipy import ndimage\n"
+              "from scipy.ndimage import label\n"
+              "import scipy.ndimage as ndi\n"
+              "def labels(free):\n"
+              "    return scipy.ndimage.label(free)[0]\n")
+    assert ndimage_imports(source) == [3, 4, 5, 7]
 
 
 def package_imports(source: str) -> list:

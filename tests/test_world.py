@@ -408,8 +408,12 @@ def counting_boxes(monkeypatch):
 
 def search_read(w, source, cell):
     """The distance of ``cell`` in the search :meth:`Planner._search` gives
-    for the read from ``source`` to ``cell``."""
-    (x0, y0, x1, _), dist = w._search(source, cell)
+    for the read from ``source`` to ``cell``; inf when it refuses the read
+    as unreachable."""
+    try:
+        (x0, y0, x1, _), dist = w._search(source, cell)
+    except UnreachableGoalError:
+        return math.inf
     return dist[(cell[1] - y0) * (x1 - x0) + cell[0] - x0]
 
 
@@ -582,9 +586,8 @@ class TestBoundedSearch:
 
     def test_searches_stop_at_the_distance_read(self, monkeypatch):
         # on a grid of WHOLE_GRAPH_CELLS cells or more, each search reads
-        # its own box's graph, to its limit, until the limit passes the
-        # farthest corner: then the whole grid's graph, built once, with no
-        # limit
+        # its own box's graph, to its limit, until the box is the whole
+        # grid: then the whole grid's graph, built once, still to its limit
         searches = counting_searches(monkeypatch)
         boxes = counting_boxes(monkeypatch)
         w = grid_planner(width=64, height=64)
@@ -617,10 +620,13 @@ class TestBoundedSearch:
         box = w._box((0, 0), (50, 50), tight)
         assert boxes[2:] == [box] and box != (0, 0, 64, 64)
         assert searches[2] == (0, tight)
-        # 1.25 times the octile distance to (63, 63) passes the farthest
-        # corner's octile distance: the search covers the whole grid
+        # the first limit for (63, 63) passes the farthest corner's octile
+        # distance: the labels join the two ends, the limit stays, and its
+        # box is the whole grid
         assert search_read(w, (0, 0), (63, 63)) == pytest.approx(63 * SQRT2 * 0.25)
-        assert searches[3] == (0, math.inf) and boxes[3:] == [(0, 0, 64, 64)]
+        far = (w._octile((0, 0), (63, 63)) + SLACK_CELLS * 0.25) * margin
+        assert searches[3] == (0, far) and boxes[3:] == [(0, 0, 64, 64)]
+        # (0, 63) lies within that limit
         assert search_read(w, (0, 0), (0, 63)) == 63 * 0.25 and len(searches) == 4
         assert w._graph is vars(w)["_graph"] and len(boxes) == 4
 
@@ -670,11 +676,13 @@ class TestBoundedSearch:
         assert search_read(w, (0, 0), (10, 0)) == 2.5
         # max(2 * limit, 1.25 * octile)
         assert searches[1] == (0, 1.25 * 2.5 * margin)
+        # past the farthest corner the limit stays finite
         assert search_read(w, (0, 0), (47, 47)) == pytest.approx(47 * SQRT2 * 0.25)
-        assert searches[2] == (0, math.inf) and len(searches) == 3
+        assert searches[2] == (0, 1.25 * w._octile((0, 0), (47, 47)) * margin)
+        assert len(searches) == 3
         assert search_read(w, (0, 0), (0, 47)) == 47 * 0.25 and len(searches) == 3
         assert boxes == [(0, 0, 48, 48)]
-        # the labels read the same graph
+        # the labels build no graph
         assert w.connected(w.cell_center((0, 0)), w.cell_center((47, 0)))
         assert boxes == [(0, 0, 48, 48)]
 
@@ -690,20 +698,20 @@ class TestBoundedSearch:
         expected = oracles.dijkstra_grid_length(occ, w.resolution, (4, 0), (6, 0))
         assert w.distance_field(w.cell_center((4, 0)))(w.cell_center((6, 0))) == pytest.approx(
             expected, abs=1e-9)
-        # 1.25 * 0.5 m first, then doubled until the octile distance to the
-        # farthest corner is passed
+        # 1.25 * 0.5 m first, then doubled until the goal is reached: past
+        # the octile distance to the farthest corner the labels join the
+        # two ends, and the limit goes on doubling
         corner = (4 + (side - 5) * SQRT2) * 0.25
         limits, limit = [], 1.25 * 0.5 * (1.0 + 1e-9)
-        while not limits or not math.isinf(limits[-1]):
-            limits.append(math.inf if limit >= corner else limit)
+        while not limits or limits[-1] < expected:
+            limits.append(limit)
             limit *= 2.0
         assert limits[:3] == [pytest.approx(0.625), pytest.approx(1.25), pytest.approx(2.5)]
-        assert limits[-2] < expected
+        assert limits[-2] < corner <= limits[-1]
         assert [limit for _, limit in searches] == limits
-        # each search reads its limit's box, and the unbounded one the
-        # whole grid's graph
-        want = [(0, 0, side, side) if math.isinf(limit) else w._box((4, 0), (6, 0), limit)
-                for limit in limits]
+        # each search reads its limit's box, the last the whole grid's graph
+        want = [w._box((4, 0), (6, 0), limit) for limit in limits]
+        assert want[-1] == (0, 0, side, side)
         assert boxes == want and len(set(want)) == len(want)
         assert [node for node, _ in searches] == [
             (0 - box[1]) * (box[2] - box[0]) + 4 - box[0] for box in want]
@@ -753,6 +761,100 @@ class TestBoundedSearch:
             assert w.connected(w.cell_center((ix, iy)), world.robot.position) == got
 
 
+class TestComponentLabels:
+    """The component labels against ``oracles.move_components``, and the
+    refusal they give an unreachable read on a large grid."""
+
+    @pytest.mark.parametrize("p_block", [0.0, 0.1, 0.3, 0.45, 0.6])
+    def test_labels_split_the_free_cells_as_the_moves_do(self, p_block):
+        rng = Random(f"labels/{p_block}")
+        diagonal_only = 0
+        for width, height in ((1, 1), (1, 9), (9, 1), (2, 2), (18, 14), (40, 30), (64, 50)):
+            w = random_planner(rng, width, height, p_block)
+            got, want = w._labels, oracles.move_components(w)
+            free = ~w.occupancy.reshape(-1)
+            assert got.shape == want.shape and np.all(got[~free] == -1)
+            pairs = set(zip(got[free].tolist(), want[free].tolist()))
+            assert len(pairs) == len(set(got[free].tolist())) == len(set(want[free].tolist()))
+            # free cells that touch only at a corner, both orthogonal cells blocked
+            occ = w.occupancy
+            diagonal_only += int((~occ[:-1, :-1] & ~occ[1:, 1:] & occ[:-1, 1:] & occ[1:, :-1]).sum()
+                                 + (occ[:-1, :-1] & occ[1:, 1:] & ~occ[:-1, 1:] & ~occ[1:, :-1]).sum())
+        assert (diagonal_only > 0) == (p_block > 0.0)
+
+    def test_cells_that_touch_only_at_corners_are_apart(self):
+        # a checkerboard over a free bottom row: its free cells touch each
+        # other only at corners, so each is alone, but for those of the row
+        # right above the bottom row, which join it
+        width, height = 12, 9
+        blocked = [(ix, iy) for ix in range(width) for iy in range(height - 1) if (ix + iy) % 2]
+        w = grid_planner(width, height, blocked)
+        labels, want = w._labels, oracles.move_components(w)
+        free = ~w.occupancy.reshape(-1)
+        assert len(set(labels[free].tolist())) == len(set(want[free].tolist()))
+        bottom = {int(labels[(height - 1) * width + ix]) for ix in range(width)}
+        assert len(bottom) == 1
+        for iy in range(height - 1):
+            for ix in range(width):
+                if not w.occupancy[iy, ix]:
+                    label = int(labels[iy * width + ix])
+                    assert (label in bottom) == (iy == height - 2)
+                    assert w.connected(w.cell_center((ix, iy)),
+                                       w.cell_center((0, height - 1))) == (iy == height - 2)
+        assert len(set(labels[free].tolist())) == 1 + sum(
+            1 for iy in range(height - 2) for ix in range(width) if not (ix + iy) % 2)
+
+    def test_an_unreachable_read_on_a_split_grid_searches_no_whole_grid(self, monkeypatch):
+        # a mostly free grid of WHOLE_GRAPH_CELLS cells or more, split by one
+        # wall: a read across it raises, or reads inf, after searches of
+        # finite limits over box graphs only, and once the labels are built
+        # with no search; the labels build no graph.  Each source reads on
+        # a planner of its own, so each first read searches
+        import carriernav.planning as planning_mod
+        rng = Random("split grid")
+        width, height, wall = 80, 60, 47
+        blocked = set(random_blocked(rng, width, height, 0.05))
+        blocked = sorted(blocked | {(wall, iy) for iy in range(height)})
+        w = grid_planner(width, height, blocked)
+        assert w.width * w.height >= WHOLE_GRAPH_CELLS
+        boxes = counting_boxes(monkeypatch)
+        searches = []
+        real = planning_mod.dijkstra
+
+        def dijkstra(graph, **kwargs):
+            searches.append((graph.shape[0], kwargs["limit"]))
+            return real(graph, **kwargs)
+
+        monkeypatch.setattr(planning_mod, "dijkstra", dijkstra)
+        free = ~w.occupancy
+        left, right, near = free.copy(), free.copy(), free.copy()
+        left[:, wall:] = False
+        right[:, :wall] = False
+        near[:, :wall] = near[:, wall + 4:] = False
+        goals = sample_cells(rng, near, 3) + sample_cells(rng, right, 6)
+        for source in sample_cells(rng, left, 6):
+            release_facts()
+            w = grid_planner(width, height, blocked)
+            field = w.distance_field(w.cell_center(source))
+            for k, goal in enumerate(goals):
+                n = len(searches)
+                with pytest.raises(UnreachableGoalError):
+                    w.shortest_path(w.cell_center(source), w.cell_center(goal))
+                assert math.isinf(field(w.cell_center(goal)))
+                assert "_labels" in vars(w) and (len(searches) > n) == (k == 0)
+            assert "_graph" not in vars(w)
+        assert searches and boxes
+        assert all(n < width * height and math.isfinite(limit) for n, limit in searches)
+        assert (0, 0, width, height) not in boxes
+        # a fresh planner's labels build no graph
+        release_facts()
+        w = grid_planner(width, height, blocked)
+        boxes.clear()
+        assert not w.connected(w.cell_center(goals[0]), w.cell_center((0, 0)))
+        assert w.connected(w.cell_center(goals[0]), w.cell_center(goals[1]))
+        assert boxes == []
+
+
 def random_pocketed_scene(rng, width, height, p_block):
     """(scene, pocket cell): a random grid plus a walled-in 3x3 pocket around
     a random cell."""
@@ -767,8 +869,9 @@ def random_pocketed_scene(rng, width, height, p_block):
 class TestBoxSearch:
     """Reads over box graphs against the oracle walk-back over one full
     search: paths and lengths equal whichever box a read searched, grew or
-    found kept, and an unreachable goal grows its box to the whole grid.
-    Here a world builds each planner."""
+    found kept, an unreachable goal is refused by the component labels and
+    is not kept, and no search is unbounded.  Here a world builds each
+    planner."""
 
     def planner(self, scene):
         return GridWorld(scene).planner
@@ -776,7 +879,7 @@ class TestBoxSearch:
     def check_reads(self, monkeypatch, w, sources, goals_of):
         """Read each source's goals as paths and distances against the
         oracle; returns (searches per read that searched, reads answered by
-        a kept box, boxes built)."""
+        a kept box, boxes built).  Every search has a finite limit."""
         searches = counting_searches(monkeypatch)
         boxes = counting_boxes(monkeypatch)
         grown, kept = [], 0
@@ -790,7 +893,6 @@ class TestBoxSearch:
             return out
 
         monkeypatch.setattr(Planner, "_search", search)
-        whole = (0, 0, w.width, w.height)
         for source in sources:
             full, index = oracles.full_grid_distances(w.occupancy, w.resolution, source)
             dist = lambda c: full[index[c[1], c[0]]]
@@ -800,8 +902,7 @@ class TestBoxSearch:
                 if math.isinf(dist(goal)):
                     with pytest.raises(UnreachableGoalError):
                         w.shortest_path(w.cell_center(source), w.cell_center(goal))
-                    limit, box, _, _ = w.searches[source]
-                    assert math.isinf(limit) and box == whole
+                    assert goal not in w.searches[source][3]
                     assert math.isinf(field(w.cell_center(goal)))
                     continue
                 path, length = w.shortest_path(w.cell_center(source), w.cell_center(goal))
@@ -811,6 +912,7 @@ class TestBoxSearch:
                 if goal != source and w._certified_walk(source, goal) is None and len(
                         grown) == n_before:
                     kept += 1
+        assert all(math.isfinite(limit) for _, limit in searches)
         return grown, kept, boxes
 
     @pytest.mark.parametrize("seed", range(3))
@@ -851,6 +953,10 @@ class TestBoxSearch:
             for goal in sample_cells(rng, free, 6):
                 if goal == source:
                     continue
+                if math.isinf(oracle(goal)):
+                    with pytest.raises(UnreachableGoalError):
+                        w._search(source, goal)
+                    continue
                 (x0, y0, x1, y1), dist = w._search(source, goal)
                 search = w.searches[source]
                 for iy in range(y0, y1):
@@ -864,7 +970,7 @@ class TestBoxSearch:
                         accepted += 1
                         assert dist[(iy - y0) * (x1 - x0) + ix - x0] == pytest.approx(
                             oracle(cell), abs=1e-9)
-                        if accepted % 97 == 0 and not math.isinf(oracle(cell)):
+                        if accepted % 97 == 0:
                             path, _ = w._walk_back((x0, y0, x1, y1), dist, source, cell)
                             assert list(path) == walk_back(w, oracle, source, cell)
         assert accepted > 1000 and refused > 1000
@@ -1171,13 +1277,15 @@ class TestSharedGridFacts:
         assert again == path[:-1] and again_length == length and again is not path
 
     def test_an_unreachable_goal_is_not_kept(self, monkeypatch):
-        # a wall across the grid: every read raises, and none is kept
+        # a wall across the grid: every read raises, and none is kept; the
+        # first limit already passes the farthest corner, so the labels
+        # refuse the read before any search
         w = grid_planner(blocked=[(8, iy) for iy in range(12)])
         searches = counting_searches(monkeypatch)
         for _ in range(2):
             with pytest.raises(UnreachableGoalError):
                 w.shortest_path(w.cell_center((0, 0)), w.cell_center((12, 9)))
-        assert w.searches[(0, 0)][3] == {} and len(searches) == 1
+        assert w.searches[(0, 0)][3] == {} and searches == []
 
 
 def sensing_scene():
