@@ -6,8 +6,8 @@ from its source, and one table of allowed moves holds the movement rule.
 Most reads need no search: in the generated open rooms a sweep of the
 cells between the two ends mostly finds the geodesic equal to the octile
 distance, and then the same path.  Only the reads it refuses search, each
-over the octile ellipse of its limit in a graph of the box that holds it
-(or, on a small grid, over the whole graph), and a distance read is the
+in a graph of the free cells of the octile ellipse of its limit (or, on a
+small grid, of all the grid's free cells), and a distance read is the
 length of the path, as ``GridWorld.travel`` walks it.  Reachability reads
 component labels of the free cells, found from their runs with no graph of
 the grid.  No search is unbounded: a read to a goal in another component
@@ -16,23 +16,22 @@ limit.
 
 A :class:`Planner` holds the facts of its grid, which no world changes,
 each computed on its first read: the move table, the whole grid's graph
-(kept only on a grid small enough that every search reads it, or once a
-read searches it), the component labels, the free cells per line, the snap
-of every point asked for, and each source's latest search with the paths
-read from it, by the sweep or walked back over a search.  Every world built
-on an equal grid (same resolution, origin and occupancy, compared by
-content) shares one planner (:meth:`Planner.of`; ``carriernav.facts`` keeps
-the last grid's only), so the worlds a task sequence builds in one house,
-one per variant, build one move table and search each source once per box.
-A planner keeps the searches of the latest ``SEARCHES_PER_GRID`` sources
-read, a source with paths but no search yet among them, and a path goes
-with its source's search.  Sharing cannot change a result: a snap and a
-component label are pure functions of the grid, a search is read for a goal
-only at a distance it kept, and it keeps one only where every shortest path
-to the cell lies among the cells it searched, the walk-back's matches do
-not depend on the cells searched, and the sweep gives the walk-back's path,
-so a kept path is the one any later search would give.  An unreachable goal
-is not kept.
+(only on a grid small enough that every search reads it), the component
+labels, the free cells per line, the snap of every point asked for, and
+each source's latest search with the paths read from it, by the sweep or
+walked back over a search.  Every world built on an equal grid (same
+resolution, origin and occupancy, compared by content) shares one planner
+(:meth:`Planner.of`; ``carriernav.facts`` keeps the last grid's only), so
+the worlds a task sequence builds in one house, one per variant, build one
+move table and search each source once per box.  A planner keeps the
+searches of the latest ``SEARCHES_PER_GRID`` sources read, a source with
+paths but no search yet among them, and a path goes with its source's
+search.  Sharing cannot change a result: a snap and a component label are
+pure functions of the grid, a search is read for a goal only at a distance
+it kept, and it keeps one only where every shortest path to the cell lies
+among the cells it searched, the walk-back's matches do not depend on the
+cells searched, and the sweep gives the walk-back's path, so a kept path is
+the one any later search would give.  An unreachable goal is not kept.
 """
 
 from __future__ import annotations
@@ -62,12 +61,13 @@ STEP_CELLS: Tuple[float, ...] = tuple(SQRT2 if dx != 0 and dy != 0 else 1.0
                                       for dx, dy in STEP_ORDER)
 # A grid of fewer cells than this searches its whole graph, built once and
 # kept, to each read's limit; a larger grid builds a graph for each read's
-# box.  Each box graph costs about 35 us to build, as much as a Dijkstra
-# call's own overhead.  Planning time per grid size on generated houses,
-# every search over box graphs against every search over the whole graph:
-# the whole graph was 13-21% faster at 2,016 cells, the two were even at
-# 2,880 and 3,150 cells, and box graphs were 8-15% faster at 3,840 cells
-# and more.
+# ellipse.  A graph of a generated 0.25 m house's ellipse costs about 50 us
+# to build, more than a Dijkstra call's own overhead of about 30 us.
+# Planning time per grid size on generated houses, every search over a
+# graph of its box's cells against every search over the whole graph: the
+# whole graph was 13-21% faster at 2,016 cells, the two were even at 2,880
+# and 3,150 cells, and box graphs were 8-15% faster at 3,840 cells and
+# more.  Ellipse graphs on every grid still lost at 0.25 m.
 WHOLE_GRAPH_CELLS = 3000
 # On a grid of WHOLE_GRAPH_CELLS cells or more, a read at least 8 times this
 # many cells long first searches to its octile distance plus this many
@@ -82,11 +82,6 @@ SLACK_CELLS = 8
 # 0.25 m and 0.05 m, all six variants, re-counted with box searches), a
 # source read only by the sweep included, so none of theirs is dropped.
 SEARCHES_PER_GRID = 16
-_STEP_DX = np.array([dx for dx, _ in STEP_ORDER], dtype=np.int32)
-_STEP_DY = np.array([dy for _, dy in STEP_ORDER], dtype=np.int32)
-# (axis, sign) -> the STEP_ORDER slots that step that way along that axis
-_LEAVING = {(axis, sign): np.array([k for k, step in enumerate(STEP_ORDER) if step[axis] == sign])
-            for axis in (0, 1) for sign in (-1, 1)}
 
 
 class WorldError(ValueError):
@@ -365,44 +360,42 @@ class Planner:
         moves.flags.writeable = False
         return moves
 
-    def _box_graph(self, box: Box, keep: Optional[np.ndarray] = None) -> csr_matrix:
-        """Graph over the cells of ``box``: node ``(iy - y0) * (x1 - x0) + ix
-        - x0`` for cell (ix, iy).  Every row has one slot per ``STEP_ORDER``
-        move, in that order, weighted by the step length: the neighbour
-        where the move table allows the move and it stays in the box, else
-        the row's own node, a self-loop that no search can relax.  A
-        blocked cell's row is all self-loops, and so is the row of a cell
-        outside ``keep``, a (box height, box width) bool array when given:
-        a search may reach that cell but leaves it by no move.  The step
-        weights and row pointers are built per call, sized to the box."""
+    def _node_graph(self, box: Box, nodes: np.ndarray) -> csr_matrix:
+        """Graph over the cells of ``box`` that ``nodes``, a (box height, box
+        width) bool array of free cells, holds: node i is its i-th cell in
+        grid order.  Every row has one slot per ``STEP_ORDER`` move, in that
+        order, weighted by the step length: the neighbour's node where the
+        move table allows the move and the neighbour is a node, else the
+        row's own node, a self-loop that no search can relax.  It holds
+        about 100 bytes per node, and its build 4 per cell of the box."""
         x0, y0, x1, y1 = box
-        bw, bh = x1 - x0, y1 - y0
-        n = bw * bh
-        nbrs = self.moves[y0:y1, x0:x1] * (_STEP_DY * bw + _STEP_DX)
-        # moves that leave the box through a side inside the grid are cut
-        if y0 > 0:
-            nbrs[0, :, _LEAVING[1, -1]] = 0
-        if y1 < self.height:
-            nbrs[-1, :, _LEAVING[1, 1]] = 0
-        if x0 > 0:
-            nbrs[:, 0, _LEAVING[0, -1]] = 0
-        if x1 < self.width:
-            nbrs[:, -1, _LEAVING[0, 1]] = 0
-        if keep is not None:
-            nbrs *= keep[:, :, None]
-        nbrs += np.arange(n, dtype=np.int32).reshape(bh, bw, 1)
-        steps = np.tile(np.array(STEP_CELLS) * self.resolution, n)
-        indptr = np.arange(0, len(STEP_ORDER) * n + 1, len(STEP_ORDER), dtype=np.int32)
-        return csr_matrix((steps, nbrs.reshape(-1), indptr), shape=(n, n))
+        bw, bh, width = x1 - x0, y1 - y0, len(STEP_ORDER)
+        n = int(np.count_nonzero(nodes))
+        # node per cell of the box, else -1, and a border of -1: each move is a slice
+        index = np.full((bh + 2, bw + 2), -1, dtype=np.int32)
+        index[1:-1, 1:-1][nodes] = np.arange(n, dtype=np.int32)
+        nbrs = np.empty((n, width), dtype=np.int32)
+        for k, (dx, dy) in enumerate(STEP_ORDER):
+            nbrs[:, k] = index[1 + dy:1 + dy + bh, 1 + dx:1 + dx + bw][nodes]
+        # a cell's 8 move flags read as one 8-byte item, one copy per node
+        allowed = self.moves.view(np.uint64)[y0:y1, x0:x1, 0][nodes].view(bool).reshape(n, width)
+        allowed &= nbrs >= 0
+        # each move not allowed becomes the row's own node
+        own = np.repeat(np.arange(n, dtype=np.int32), width).reshape(n, width)
+        nbrs -= own
+        nbrs *= allowed
+        nbrs += own
+        steps = np.empty((n, width))
+        steps[:] = np.array(STEP_CELLS) * self.resolution
+        indptr = np.arange(0, width * n + 1, width, dtype=np.int32)
+        return csr_matrix((steps.reshape(-1), nbrs.reshape(-1), indptr), shape=(n, n))
 
     @cached_property
     def _graph(self) -> csr_matrix:
-        """The box graph of the whole grid, node ``iy * width + ix``, that a
-        search over the whole grid reads, built on its first read.  It has a
-        row for every cell, blocked ones included: 8 int32 neighbours and 8
-        float64 step weights each, about 100 bytes per cell, so 400 MB on a
-        grid of ``MAX_GRID_CELLS`` however few of its cells are free."""
-        return self._box_graph((0, 0, self.width, self.height))
+        """The graph of the whole grid's free cells (:meth:`_node_graph`),
+        that every search on a grid of fewer than ``WHOLE_GRAPH_CELLS``
+        cells reads, built on its first read and kept with the grid."""
+        return self._node_graph((0, 0, self.width, self.height), ~self.occupancy)
 
     @cached_property
     def _free_lines(self) -> Tuple[List[int], List[int]]:
@@ -510,19 +503,22 @@ class Planner:
         Searches are bounded by a limit L, and one written rule picks the
         graph.  A grid of fewer than ``WHOLE_GRAPH_CELLS`` cells searches
         its whole graph (:attr:`_graph`), kept with the grid, to L: every
-        cell within L gets its distance.  On a small grid a box graph costs
-        more to build than the cells it leaves out save, and a search of the
-        whole graph answers later goals in every direction.  A larger grid
-        searches the octile ellipse of L, the cells x with octile(source, x)
-        + octile(x, goal) <= L, in a graph of the box that holds it
-        (:meth:`_box`, :meth:`_box_graph`); the octile distance is a lower
-        bound on the geodesic, so every path of length at most L between
-        the two ends lies in the ellipse.  Of that search's distances it
-        keeps d(x) only where d(x) + octile(x, goal) <= L, inf elsewhere:
-        then every shortest path to x, and to each cell on it, lies in the
-        ellipse, so every kept distance is exact, and a walk back from x
-        makes the matches a walk over the whole grid's search makes.  A
-        box that is the whole grid searches the whole graph.
+        cell within L gets its distance.  On a small grid a graph per read
+        costs more to build than the cells it leaves out save, and a search
+        of the whole graph answers later goals in every direction.  A larger
+        grid searches the octile ellipse of L, the cells x with
+        octile(source, x) + octile(x, goal) <= L, in a graph of the
+        ellipse's free cells (:meth:`_node_graph`), built for the read, even
+        when the box that holds the ellipse (:meth:`_box`) is the whole
+        grid; the octile distance is a lower bound on the geodesic, so every
+        path of length at most L between the two ends lies in the ellipse.
+        Of that search's distances it keeps d(x) only where d(x) +
+        octile(x, goal) <= L, inf elsewhere: then every shortest path to x,
+        and to each cell on it, lies in the ellipse, so every kept distance
+        is exact, and a walk back from x makes the matches a walk over the
+        whole grid's search makes.  Either graph's distances are spread
+        over the box's cells, inf off its nodes, for :meth:`_answers` and
+        :meth:`_walk_back`.
 
         L is 1.25 * octile(source, goal) plus a 1e-9 relative margin,
         doubled until the search answers.  The octile distance is a lower
@@ -575,19 +571,23 @@ class Planner:
                         raise UnreachableGoalError(f"no path from {source} to {goal}")
                     refuse_at = math.inf  # a reachable goal: no second read
                 box = whole if small else self._box(source, goal, limit)
-                x0, y0, x1, _ = box
-                if box == whole:
+                x0, y0, x1, y1 = box
+                nodes = ~self.occupancy[y0:y1, x0:x1]
+                if small:
                     graph = self._graph
                 else:
                     # in cells; a margin of 2e-9 cells keeps every cell a
                     # kept distance vouches for, whatever the float rounding
                     reach = limit / self.resolution
                     to_goal = self._octiles(goal, box)
-                    graph = self._box_graph(box, self._octiles(source, box) + to_goal
-                                            <= reach + 2e-9)
-                dist = dijkstra(graph, directed=True, limit=limit,
-                                indices=(source[1] - y0) * (x1 - x0) + source[0] - x0)
-                if box != whole:
+                    nodes &= self._octiles(source, box) + to_goal <= reach + 2e-9
+                    graph = self._node_graph(box, nodes)
+                nodes = nodes.reshape(-1)
+                at = (source[1] - y0) * (x1 - x0) + source[0] - x0
+                dist = np.full(nodes.size, math.inf)
+                dist[nodes] = dijkstra(graph, directed=True, limit=limit,
+                                       indices=int(np.count_nonzero(nodes[:at])))
+                if not small:
                     dist[dist / self.resolution + to_goal.reshape(-1) > reach + 1e-9] = math.inf
                 search = (limit, box, dist, paths)
                 if self._answers(search, goal):

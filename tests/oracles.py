@@ -198,21 +198,24 @@ def one_direction_graph(occupancy, resolution: float):
     return graph, index
 
 
+def move_edges(planner) -> list:
+    """(cell, neighbour) of every move ``planner``'s move table allows, read
+    cell by cell, one per (cell, ``STEP_ORDER`` slot), in grid order."""
+    moves = planner.moves.tolist()
+    return [((ix, iy), (ix + dx, iy + dy))
+            for iy in range(planner.height) for ix in range(planner.width)
+            for k, (dx, dy) in enumerate(STEP_ORDER) if moves[iy][ix][k]]
+
+
 def move_components(planner) -> np.ndarray:
     """Component label per cell of ``planner``'s grid, node ``iy * width +
     ix``, -1 for a blocked cell: the components of a graph built cell by
     cell, with one edge per (cell, ``STEP_ORDER`` slot) its move table
-    allows."""
-    width, height = planner.width, planner.height
-    moves = planner.moves.tolist()
-    rows, cols = [], []
-    for iy in range(height):
-        for ix in range(width):
-            for k, (dx, dy) in enumerate(STEP_ORDER):
-                if moves[iy][ix][k]:
-                    rows.append(iy * width + ix)
-                    cols.append((iy + dy) * width + ix + dx)
-    n = width * height
+    allows (:func:`move_edges`)."""
+    width, n = planner.width, planner.width * planner.height
+    edges = move_edges(planner)
+    rows = [iy * width + ix for (ix, iy), _ in edges]
+    cols = [iy * width + ix for _, (ix, iy) in edges]
     graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
     labels = connected_components(graph, directed=False)[1]
     labels[planner.occupancy.reshape(-1)] = -1

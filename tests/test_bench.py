@@ -7,6 +7,7 @@ import math
 from collections import Counter
 from random import Random
 
+import numpy as np
 import pytest
 
 from carriernav import bench, facts, update
@@ -163,32 +164,35 @@ class TestSearchBudget:
     """Counts, not timings: the scenario's generation and the six variants'
     task sequences share one grid.  The reachability labels build no graph.
     On a grid of fewer than ``WHOLE_GRAPH_CELLS`` cells every search reads
-    its whole graph, built once; on a larger grid they build it once only
-    when a read's box is the whole grid, and search a graph of each box at
-    most once.  They search no (source, box) pair twice to one limit; a leg
-    whose ends share a cell searches nothing, and every search has a finite
-    limit above 0."""
+    its whole graph, built once; on a larger grid each search reads a graph
+    of its own, never the whole grid's, and they search no (source, box)
+    pair twice unless the box is the whole grid.  They search no (source,
+    box) pair twice to one limit; a leg whose ends share a cell searches
+    nothing, and every search has a finite limit above 0."""
 
     @pytest.mark.parametrize("mode,index,resolution", [
         ("single", 0, 0.05), ("probe", 0, 0.05), ("mixed", 0, 0.25), ("mixed", 1, 0.25),
         ("mixed", 4, 0.25), ("probe", 0, 0.25)])
     def test_each_search_is_paid_once(self, monkeypatch, mode, index, resolution):
         import carriernav.planning as planning_mod
-        boxes, searches, zero_legs, grids = {}, [], [], set()
-        real_box_graph, real_dijkstra = Planner._box_graph, planning_mod.dijkstra
+        graphs, searches, zero_legs, grids = {}, [], [], set()
+        real_node_graph, real_dijkstra = Planner._node_graph, planning_mod.dijkstra
         real_init, real_path = GridWorld.__init__, GridWorld.shortest_path
 
         def init(world, *args, **kwargs):
             real_init(world, *args, **kwargs)
             grids.add(world.planner)
 
-        def box_graph(world, box, *keep):
-            graph = real_box_graph(world, box, *keep)
-            boxes[id(graph)] = (box, graph)
+        def node_graph(world, box, nodes):
+            graph = real_node_graph(world, box, nodes)
+            graphs[id(graph)] = (box, np.flatnonzero(nodes), graph)
             return graph
 
         def dijkstra(graph, **kwargs):
-            searches.append((kwargs["indices"], boxes[id(graph)][0], kwargs["limit"]))
+            box, cells, _ = graphs[id(graph)]
+            at = int(cells[kwargs["indices"]])
+            source = (box[0] + at % (box[2] - box[0]), box[1] + at // (box[2] - box[0]))
+            searches.append((source, box, kwargs["limit"]))
             return real_dijkstra(graph, **kwargs)
 
         def shortest_path(world, start, goal):
@@ -198,7 +202,7 @@ class TestSearchBudget:
                 zero_legs.append(len(searches) - before)
             return out
 
-        monkeypatch.setattr(Planner, "_box_graph", box_graph)
+        monkeypatch.setattr(Planner, "_node_graph", node_graph)
         monkeypatch.setattr(planning_mod, "dijkstra", dijkstra)
         monkeypatch.setattr(GridWorld, "__init__", init)
         monkeypatch.setattr(GridWorld, "shortest_path", shortest_path)
@@ -208,14 +212,15 @@ class TestSearchBudget:
         (grid,) = grids
         whole = (0, 0, grid.occupancy.shape[1], grid.occupancy.shape[0])
         small = grid.occupancy.size < WHOLE_GRAPH_CELLS
-        built = [box for box, _ in boxes.values()]
-        searched_whole = any(box == whole for _, box, _ in searches)
-        assert built.count(whole) == searched_whole
+        built = [box for box, _, _ in graphs.values()]
         assert zero_legs and set(zero_legs) == {0}
         assert searches and len(set(searches)) == len(searches)
-        own = [(node, box) for node, box, _ in searches if box != whole]
-        assert len(set(own)) == len(own) == len(built) - built.count(whole)
-        assert bool(own) != small
+        if small:
+            assert built == [whole] and all(box == whole for _, box, _ in searches)
+        else:
+            assert len(built) == len(searches) and "_graph" not in vars(grid)
+            own = [(source, box) for source, box, _ in searches if box != whole]
+            assert own and len(set(own)) == len(own)
         assert all(0 < limit < math.inf for _, _, limit in searches)
 
 

@@ -632,22 +632,22 @@ class TestRunTask:
         # gap at its north end parts the start and table_1 from table_0 and
         # counter_0, so reads across it detour and search
         import carriernav.planning as planning_mod
-        searches, boxes = [], {}
-        real_dijkstra, real_box_graph = planning_mod.dijkstra, planning_mod.Planner._box_graph
+        searches, graphs = [], {}
+        real_dijkstra, real_node_graph = planning_mod.dijkstra, planning_mod.Planner._node_graph
 
-        def box_graph(w, box, *keep):
-            graph = real_box_graph(w, box, *keep)
-            boxes[id(graph)] = (box, graph)
+        def node_graph(w, box, nodes):
+            graph = real_node_graph(w, box, nodes)
+            graphs[id(graph)] = (box, np.flatnonzero(nodes), graph)
             return graph
 
         def counting(graph, **kwargs):
-            box = boxes[id(graph)][0]
-            width, node = box[2] - box[0], kwargs["indices"]
-            source = (box[0] + node % width, box[1] + node // width)
+            box, cells, _ = graphs[id(graph)]
+            width, at = box[2] - box[0], int(cells[kwargs["indices"]])
+            source = (box[0] + at % width, box[1] + at // width)
             searches.append((source, box, kwargs["limit"]))
             return real_dijkstra(graph, **kwargs)
 
-        monkeypatch.setattr(planning_mod.Planner, "_box_graph", box_graph)
+        monkeypatch.setattr(planning_mod.Planner, "_node_graph", node_graph)
         monkeypatch.setattr(planning_mod, "dijkstra", counting)
         scene = policy_scene(blocked=EAST_WALL[:20])
         world = GridWorld(scene, start_pose=Pose([5.0, 4.5]))

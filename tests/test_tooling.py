@@ -51,7 +51,8 @@ which tells ``Planner._search`` whether a search answers a goal, and
 else in ``planning.py`` must fail here.
 
 Planning has one site for each of its rules in ``planning.py``: only the
-box builder constructs a ``csr_matrix`` of cells, only the component labels
+graph builder (``Planner._node_graph``) constructs a ``csr_matrix`` of
+cells, whatever cells a search may cross, only the component labels
 (``Planner._labels``) construct one from (data, (rows, cols)) pairs, the
 graph of their runs, and call ``connected_components``, only
 ``Planner._search`` calls ``dijkstra`` and only the move table
@@ -810,7 +811,7 @@ def pair_graph_sites(source: str) -> list:
 
 # (what is done, the one function of planning.py that may do it): any other
 # ``csr_matrix`` reference is a graph of cells
-PLANNING_OWNERS = (("csr_matrix", "_box_graph"), ("csr_matrix of pairs", "_labels"),
+PLANNING_OWNERS = (("csr_matrix", "_node_graph"), ("csr_matrix of pairs", "_labels"),
                    ("dijkstra", "_search"), ("connected_components", "_labels"),
                    ("corner rule", "moves"))
 
@@ -837,10 +838,10 @@ def test_each_planning_rule_has_one_site():
 
 def test_the_planning_guard_sees_a_second_site():
     source = ("from scipy.sparse import csr_matrix\n"
-              "def _box_graph(self, box):\n"
+              "def _node_graph(self, box):\n"
               "    return csr_matrix(box)\n"
               "def _search(self, s):\n"
-              "    return dijkstra(self._box_graph(s), indices=0)\n"
+              "    return dijkstra(self._node_graph(s), indices=0)\n"
               "def _labels(self, a, b):\n"
               "    return connected_components(csr_matrix((w, (a, b)), shape=(n, n)))\n"
               "def moves(self):\n"
@@ -852,7 +853,7 @@ def test_the_planning_guard_sees_a_second_site():
               "def _runs(self, a, b):\n"
               "    return sparse.csr_matrix((w, (a, b)), shape=(n, n)), csr_matrix((w, a, b))\n")
     assert planning_sites(source) == {
-        "csr_matrix": ["_box_graph", "_check_moves", "_runs"],
+        "csr_matrix": ["_check_moves", "_node_graph", "_runs"],
         "csr_matrix of pairs": ["_labels", "_runs"], "dijkstra": ["_check_moves", "_search"],
         "connected_components": ["_check_moves", "_labels"],
         "corner rule": ["_check_moves", "moves"]}

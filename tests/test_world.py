@@ -19,8 +19,8 @@ from carriernav import facts
 from carriernav.bench import run_sequence
 from carriernav.facts import release_facts
 from carriernav.graph import CrsgConfig
-from carriernav.planning import (SEARCHES_PER_GRID, SLACK_CELLS, STEP_ORDER, WHOLE_GRAPH_CELLS,
-                                 Planner)
+from carriernav.planning import (SEARCHES_PER_GRID, SLACK_CELLS, STEP_CELLS, STEP_ORDER,
+                                 WHOLE_GRAPH_CELLS, Planner)
 from carriernav.policy import VARIANTS
 from carriernav.scenarios import MODES, build_scenario
 from carriernav.scene import Box3, scene_from_dict
@@ -388,7 +388,8 @@ class TestPlanning:
 
 def counting_searches(monkeypatch):
     """(source node, limit) of every Dijkstra search the planners run; a
-    node is ``(iy - y0) * (x1 - x0) + ix - x0`` in the box searched."""
+    node is a cell's index among the nodes of the graph searched
+    (:meth:`Planner._node_graph`), in grid order."""
     import carriernav.planning as planning_mod
     searches = []
     real = planning_mod.dijkstra
@@ -397,13 +398,30 @@ def counting_searches(monkeypatch):
     return searches
 
 
+def counting_graphs(monkeypatch):
+    """(box, nodes) of every graph the planners build, the whole grid's
+    included, with ``nodes`` a copy of the builder's node mask."""
+    graphs = []
+    real = Planner._node_graph
+    monkeypatch.setattr(Planner, "_node_graph", lambda w, box, nodes: graphs.append(
+        (box, nodes.copy())) or real(w, box, nodes))
+    return graphs
+
+
 def counting_boxes(monkeypatch):
     """The box of every graph the planners build, the whole grid's included."""
     boxes = []
-    real = Planner._box_graph
-    monkeypatch.setattr(Planner, "_box_graph",
-                        lambda w, box, *keep: boxes.append(box) or real(w, box, *keep))
+    real = Planner._node_graph
+    monkeypatch.setattr(Planner, "_node_graph",
+                        lambda w, box, nodes: boxes.append(box) or real(w, box, nodes))
     return boxes
+
+
+def node_of(box, nodes, cell):
+    """``cell``'s node in a graph over ``nodes`` of ``box``: the number of
+    nodes before it in grid order."""
+    x0, y0, x1, _ = box
+    return int(np.count_nonzero(nodes.reshape(-1)[:(cell[1] - y0) * (x1 - x0) + cell[0] - x0]))
 
 
 def search_read(w, source, cell):
@@ -417,19 +435,12 @@ def search_read(w, source, cell):
     return dist[(cell[1] - y0) * (x1 - x0) + cell[0] - x0]
 
 
-def whole_graph_edges(w, graph):
-    """Moves of ``graph``, a graph over every cell of planner ``w``'s grid,
-    as a matrix over the free-cell index of ``oracles.one_direction_graph``."""
-    free = ~w.occupancy
-    cells = np.flatnonzero(free)
-    n, width = graph.shape[0], len(STEP_ORDER)
-    rows = np.repeat(np.arange(n), width)
+def graph_moves(graph):
+    """The entries of ``graph`` that are not self-loops, as a matrix of its
+    shape."""
+    rows = np.repeat(np.arange(graph.shape[0]), np.diff(graph.indptr))
     moves = rows != graph.indices
-    assert free.ravel()[rows[moves]].all() and free.ravel()[graph.indices[moves]].all()
-    index = np.full(n, -1)
-    index[cells] = np.arange(len(cells))
-    return csr_matrix((graph.data[moves], (index[rows[moves]], index[graph.indices[moves]])),
-                      shape=(len(cells), len(cells)))
+    return csr_matrix((graph.data[moves], (rows[moves], graph.indices[moves])), shape=graph.shape)
 
 
 class TestBoundedSearch:
@@ -442,58 +453,75 @@ class TestBoundedSearch:
         w = pocketed_world(mode, resolution).planner
         graph = w._graph
         old, old_index = oracles.one_direction_graph(w.occupancy, resolution)
-        n, width = w.width * w.height, len(STEP_ORDER)
+        n, width = int(np.count_nonzero(~w.occupancy)), len(STEP_ORDER)
+        # node i is the former graph's free cell i: the moves are both
+        # directions of every former edge
         assert graph.shape == (n, n)
-        # the moves are both directions of every former edge
         sym = old + old.T
-        assert (whole_graph_edges(w, graph) != sym).nnz == 0
-        # every row has one slot per STEP_ORDER move, a self-loop where the
-        # move is not allowed, and the move table holds the same moves
-        assert np.array_equal(graph.indptr, np.arange(0, width * n + 1, width))
-        iy, ix = np.divmod(np.arange(n), w.width)
-        moves = w.moves.reshape(n, width)
+        assert (graph_moves(graph) != sym).nnz == 0
+        # the move table holds the same moves, for every cell of the grid
+        iy, ix = np.divmod(np.arange(w.width * w.height), w.width)
+        moves = w.moves.reshape(-1, width)
+        edges = []
         for k, (dx, dy) in enumerate(STEP_ORDER):
             nx, ny = ix + dx, iy + dy
-            edge = np.zeros(n, dtype=bool)
+            edge = np.zeros(len(ix), dtype=bool)
             inside = (nx >= 0) & (nx < w.width) & (ny >= 0) & (ny < w.height)
             here, there = old_index[iy[inside], ix[inside]], old_index[ny[inside], nx[inside]]
             both = (here >= 0) & (there >= 0)
             edge[np.flatnonzero(inside)[both]] = np.asarray(
                 sym[here[both], there[both]]).ravel() > 0
             assert np.array_equal(moves[:, k], edge)
-            assert np.array_equal(graph.indices[k::width], np.where(edge, ny * w.width + nx,
-                                                                    np.arange(n)))
-            assert np.all(graph.data[k::width] == math.hypot(dx, dy) * resolution)
+            edges.append((edge, np.where(inside, old_index[ny % w.height, nx % w.width], -1)))
+        # every row has one slot per STEP_ORDER move, a self-loop where the
+        # move is not allowed
+        assert np.array_equal(graph.indptr, np.arange(0, width * n + 1, width))
+        free = ~w.occupancy.reshape(-1)
+        for k, (edge, there) in enumerate(edges):
+            assert np.array_equal(graph.indices[k::width],
+                                  np.where(edge[free], there[free], np.arange(n)))
+            assert np.all(graph.data[k::width] == STEP_CELLS[k] * resolution)
         # the self-loops join nothing: the free cells' components are the
         # former graph's
         n_old, want = connected_components(old, directed=False)
-        got = connected_components(graph, directed=False)[1][np.flatnonzero(~w.occupancy)]
+        got = connected_components(graph, directed=False)[1]
         assert n_old > 1  # the pocket
         assert len(set(zip(got.tolist(), want.tolist()))) == n_old == len(set(got.tolist()))
 
     @pytest.mark.parametrize("resolution", [0.25, 0.05])
     def test_a_box_graph_is_the_whole_graph_cut_to_the_box(self, resolution):
-        # slot k of a box cell holds its STEP_ORDER[k] neighbour's node when
-        # the whole graph has that move and the neighbour lies in the box
+        # over any free cells of any box, slot k of a node holds its
+        # STEP_ORDER[k] neighbour's node when the whole graph has that move
+        # and the neighbour is a node, else the node itself
         w = pocketed_world("mixed", resolution).planner
         whole = w._graph
+        free = np.flatnonzero(~w.occupancy)
         width = len(STEP_ORDER)
         rng = Random(f"box graph/{resolution}")
-        for _ in range(6):
-            x0, x1 = sorted(rng.sample(range(w.width + 1), 2))
-            y0, y1 = sorted(rng.sample(range(w.height + 1), 2))
-            graph = w._box_graph((x0, y0, x1, y1))
-            bw, n = x1 - x0, (x1 - x0) * (y1 - y0)
-            assert graph.shape == (n, n)
-            iy, ix = np.divmod(np.arange(n), bw)
-            iy, ix = iy + y0, ix + x0
-            for k, (dx, dy) in enumerate(STEP_ORDER):
-                nx, ny = ix + dx, iy + dy
-                move = whole.indices[(iy * w.width + ix) * width + k] != iy * w.width + ix
-                move &= (x0 <= nx) & (nx < x1) & (y0 <= ny) & (ny < y1)
-                assert np.array_equal(graph.indices[k::width], np.where(
-                    move, (ny - y0) * bw + nx - x0, np.arange(n)))
-                assert np.all(graph.data[k::width] == math.hypot(dx, dy) * resolution)
+        for keep in (1.0, 0.7, 0.3):
+            for _ in range(4):
+                x0, x1 = sorted(rng.sample(range(w.width + 1), 2))
+                y0, y1 = sorted(rng.sample(range(w.height + 1), 2))
+                nodes = ~w.occupancy[y0:y1, x0:x1] & np.array(
+                    [[rng.random() < keep for _ in range(x0, x1)] for _ in range(y0, y1)],
+                    dtype=bool).reshape(y1 - y0, x1 - x0)
+                graph = w._node_graph((x0, y0, x1, y1), nodes)
+                n = int(nodes.sum())
+                assert graph.shape == (n, n)
+                # each node's cell, and its node in the whole graph
+                iy, ix = np.nonzero(nodes)
+                iy, ix = iy + y0, ix + x0
+                at = np.searchsorted(free, iy * w.width + ix)
+                index = np.full((w.height, w.width), -1)
+                index[iy, ix] = np.arange(n)
+                for k, (dx, dy) in enumerate(STEP_ORDER):
+                    nx, ny = ix + dx, iy + dy
+                    move = whole.indices[at * width + k] != at
+                    move &= (x0 <= nx) & (nx < x1) & (y0 <= ny) & (ny < y1)
+                    move[move] &= index[ny[move], nx[move]] >= 0
+                    there = np.where(move, index[ny % w.height, nx % w.width], np.arange(n))
+                    assert np.array_equal(graph.indices[k::width], there)
+                    assert np.all(graph.data[k::width] == STEP_CELLS[k] * resolution)
 
     @pytest.mark.parametrize("p_block", [0.0, 0.2])
     def test_the_box_holds_every_path_within_the_limit(self, p_block):
@@ -586,8 +614,8 @@ class TestBoundedSearch:
 
     def test_searches_stop_at_the_distance_read(self, monkeypatch):
         # on a grid of WHOLE_GRAPH_CELLS cells or more, each search reads
-        # its own box's graph, to its limit, until the box is the whole
-        # grid: then the whole grid's graph, built once, still to its limit
+        # a graph of its own ellipse's free cells, to its limit, even when
+        # its box is the whole grid: the whole grid's graph is never built
         searches = counting_searches(monkeypatch)
         boxes = counting_boxes(monkeypatch)
         w = grid_planner(width=64, height=64)
@@ -626,9 +654,11 @@ class TestBoundedSearch:
         assert search_read(w, (0, 0), (63, 63)) == pytest.approx(63 * SQRT2 * 0.25)
         far = (w._octile((0, 0), (63, 63)) + SLACK_CELLS * 0.25) * margin
         assert searches[3] == (0, far) and boxes[3:] == [(0, 0, 64, 64)]
-        # (0, 63) lies within that limit
-        assert search_read(w, (0, 0), (0, 63)) == 63 * 0.25 and len(searches) == 4
-        assert w._graph is vars(w)["_graph"] and len(boxes) == 4
+        # (0, 63) lies within that limit but off its ellipse: a search of
+        # its own, over its own graph
+        assert not w._answers(w.searches[(0, 0)], (0, 63))
+        assert search_read(w, (0, 0), (0, 63)) == 63 * 0.25 and len(searches) == 5
+        assert len(boxes) == 5 and "_graph" not in vars(w)
 
     def test_a_long_read_first_allows_slack_cells_of_detour(self, monkeypatch):
         # on a grid of WHOLE_GRAPH_CELLS cells or more, a read shorter than
@@ -690,7 +720,7 @@ class TestBoundedSearch:
         # the cell right across a wall is 0.5 m away as the crow flies, but
         # the way round the wall's end is far longer
         searches = counting_searches(monkeypatch)
-        boxes = counting_boxes(monkeypatch)
+        graphs = counting_graphs(monkeypatch)
         side = 64
         wall = [(5, iy) for iy in range(side - 4)]
         w = grid_planner(width=side, height=side, blocked=wall)
@@ -709,12 +739,14 @@ class TestBoundedSearch:
         assert limits[:3] == [pytest.approx(0.625), pytest.approx(1.25), pytest.approx(2.5)]
         assert limits[-2] < corner <= limits[-1]
         assert [limit for _, limit in searches] == limits
-        # each search reads its limit's box, the last the whole grid's graph
+        # each search reads a graph of its limit's box, the last one's box
+        # the whole grid, and starts at the source's node in it
         want = [w._box((4, 0), (6, 0), limit) for limit in limits]
         assert want[-1] == (0, 0, side, side)
-        assert boxes == want and len(set(want)) == len(want)
+        assert [box for box, _ in graphs] == want and len(set(want)) == len(want)
         assert [node for node, _ in searches] == [
-            (0 - box[1]) * (box[2] - box[0]) + 4 - box[0] for box in want]
+            node_of(box, nodes, (4, 0)) for box, nodes in graphs]
+        assert "_graph" not in vars(w)
 
     def test_a_revisited_source_searches_no_more(self, monkeypatch):
         # A -> B -> A: the revisit reads A's own search
@@ -995,6 +1027,107 @@ class TestBoxSearchOnAnOccupancyArray(TestBoxSearch):
 
     def planner(self, scene):
         return Planner.of(scene.grid.occupancy(), scene.grid.resolution, scene.grid.origin)
+
+
+class TestNodeGraphs:
+    """Each search's graph against oracles built cell by cell: its nodes are
+    the free cells of the read's octile ellipse at the search's limit (on a
+    grid of fewer than ``WHOLE_GRAPH_CELLS`` cells, every free cell), its
+    moves are exactly the move table's between two of its nodes
+    (``oracles.move_edges``), each in its ``STEP_ORDER`` slot, and every
+    distance the search keeps is the whole-grid Dijkstra's."""
+
+    def check(self, monkeypatch, w, reads):
+        """Checks every search the ``(source, goal)`` reads run on planner
+        ``w``; returns the number of kept distances checked."""
+        import carriernav.planning as planning_mod
+        built, searched = {}, []
+        real_graph, real_dijkstra = Planner._node_graph, planning_mod.dijkstra
+
+        def node_graph(planner, box, nodes):
+            graph = real_graph(planner, box, nodes)
+            built[id(graph)] = (box, nodes.copy(), graph)
+            return graph
+
+        def dijkstra(graph, **kwargs):
+            searched.append((built[id(graph)], kwargs["indices"], kwargs["limit"]))
+            return real_dijkstra(graph, **kwargs)
+
+        monkeypatch.setattr(Planner, "_node_graph", node_graph)
+        monkeypatch.setattr(planning_mod, "dijkstra", dijkstra)
+        small = w.width * w.height < WHOLE_GRAPH_CELLS
+        free = [(ix, iy) for iy in range(w.height) for ix in range(w.width)
+                if not w.occupancy[iy, ix]]
+        free_x, free_y = (np.array(v) for v in zip(*free))
+
+        def octiles(cell):
+            # to every free cell, in the float operations of the read's mask
+            ax, ay = np.abs(free_x - cell[0]), np.abs(free_y - cell[1])
+            return np.minimum(ax, ay) * (SQRT2 - 2.0) + (ax + ay)
+
+        moves = {}  # cell -> the cells its allowed moves reach
+        for a, b in oracles.move_edges(w):
+            moves.setdefault(a, []).append(b)
+        kept_checked = n_searches = 0
+        for source, goal in reads:
+            full, index = oracles.full_grid_distances(w.occupancy, w.resolution, source)
+            searched.clear()
+            try:
+                (x0, y0, x1, y1), dist = w._search(source, goal)
+            except UnreachableGoalError:
+                assert math.isinf(full[index[goal[1], goal[0]]])
+                continue
+            n_searches += len(searched)
+            for (box, nodes, graph), node, limit in searched:
+                iy, ix = np.nonzero(nodes)
+                cells = list(zip((ix + box[0]).tolist(), (iy + box[1]).tolist()))
+                reach = limit / w.resolution + 2e-9
+                want = free if small else [
+                    free[i] for i in np.flatnonzero(octiles(source) + octiles(goal) <= reach)]
+                assert sorted(cells, key=lambda c: (c[1], c[0])) == cells == want
+                assert graph.shape == (len(cells), len(cells)) and cells[node] == source
+                # slot k of a row holds its STEP_ORDER[k] neighbour or itself
+                slots = graph.indices.reshape(len(cells), len(STEP_ORDER))
+                moved = slots != np.arange(len(cells))[:, None]
+                cx, cy = ix + box[0], iy + box[1]
+                steps = np.array(STEP_ORDER)
+                assert np.array_equal(cx[slots][moved], (cx[:, None] + steps[:, 0])[moved])
+                assert np.array_equal(cy[slots][moved], (cy[:, None] + steps[:, 1])[moved])
+                kept = set(cells)
+                rows, cols = np.nonzero(moved)
+                got = set(zip((cells[i] for i in rows), (cells[j] for j in slots[rows, cols])))
+                assert len(got) == len(rows) and got == {
+                    (a, b) for a in cells for b in moves.get(a, ()) if b in kept}
+            bw = x1 - x0
+            for k in np.flatnonzero(np.isfinite(dist)).tolist():
+                ix, iy = x0 + k % bw, y0 + k // bw
+                assert dist[k] == full[index[iy, ix]]
+                kept_checked += 1
+        assert n_searches > 0
+        return kept_checked
+
+    @pytest.mark.parametrize("size", [(40, 30), (96, 80)])
+    @pytest.mark.parametrize("p_block", [0.05, 0.25])
+    def test_random_grids(self, monkeypatch, size, p_block):
+        rng = Random(f"node graphs/{size}/{p_block}")
+        scene, pocket = random_pocketed_scene(rng, *size, p_block)
+        w = Planner.of(scene.grid.occupancy(), scene.grid.resolution, scene.grid.origin)
+        free = ~w.occupancy
+        reads = [(source, goal) for source in sample_cells(rng, free, 3)
+                 for goal in sample_cells(rng, free, 5) + [pocket] if goal != source]
+        assert self.check(monkeypatch, w, reads) > 100
+
+    @pytest.mark.parametrize("resolution", [0.25, 0.05])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_generated_scenes(self, monkeypatch, mode, resolution):
+        scene, start = pocketed_scene(mode, resolution)
+        w = Planner.of(scene.grid.occupancy(), scene.grid.resolution, scene.grid.origin)
+        rng = Random(f"node graphs/{mode}/{resolution}")
+        cells = sorted({w.snap_free_cell(p) for p in
+                        [start.position] + [obj.centroid[:2] for obj in scene.objects.values()]})
+        reads = [(source, goal) for source in rng.sample(cells, 2)
+                 for goal in rng.sample(cells, 4) if goal != source]
+        assert self.check(monkeypatch, w, reads) > 10
 
 
 class TestOctileCertificate:
