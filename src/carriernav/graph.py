@@ -51,6 +51,10 @@ DEFAULT_CARRIER_REFERENCE = CARRIER_REFERENCE_PHRASE + " " + " ".join(
     " ".join([kind] * 4) for kind in REFERENCE_CARRIER_KINDS
 )
 
+# m, the highest bottom face that still counts as resting on the ground: a
+# carrier's, and a generated scene's blocked footprint's
+GROUND_CONTACT_EPS = 0.05
+
 
 @dataclass(frozen=True)
 class CrsgConfig:
@@ -61,7 +65,7 @@ class CrsgConfig:
     sigma: float = 0.35                 # carrier-similarity threshold
     min_footprint_area: float = 0.10    # m^2
     min_height: float = 0.25            # m
-    ground_contact_eps: float = 0.05    # m, max bottom-face altitude
+    ground_contact_eps: float = GROUND_CONTACT_EPS  # m, max bottom-face altitude
     overlap_rate: float = 0.5           # fraction of the object footprint
     z_gap_max: float = 0.15             # m, resting gap above the top face
     max_carried_footprint: float = 0.25  # m^2

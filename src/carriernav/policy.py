@@ -1,7 +1,8 @@
 """Displaced-object navigation as a finite exploration process.
 
-State is (pose, unexplored carriers, candidate targets, found flag).  The
-policy is a fixed three-rule cascade:
+State is (unexplored carriers, candidate targets, found flag): the
+policy's belief, nothing the world or the graph already owns.  The policy
+is a fixed three-rule cascade:
 
 1. found, or nothing left to explore        -> Stop
 2. any candidate targets                    -> Goto the highest-priority one
@@ -43,7 +44,6 @@ from .update import MatchConfig, apply_update, match_carrier, reconcile_carried
 from .world import (
     GridWorld,
     Observation,
-    Pose,
     SensorConfig,
     UnreachableGoalError,
 )
@@ -119,11 +119,9 @@ class NavAction:
 
 @dataclass(frozen=True)
 class NavState:
-    pose: Pose
     unexplored: Tuple[str, ...]
     candidates: Mapping[str, CandidateTarget]  # read-only
     found: bool = False
-    bypass_target: Optional[ObjectInstance] = None
 
     def __post_init__(self):
         _freeze(self, "unexplored", tuple)
@@ -174,30 +172,20 @@ def effective_beta(query: Query, config: PolicyConfig, variant: VariantSpec) -> 
     return config.beta if query.image is not None else 0.0
 
 
-def init_state(
-    crsg: Crsg,
-    start: Pose,
-    target: ObjectInstance,
-    target_score: float,
-) -> NavState:
+def init_state(crsg: Crsg, target: ObjectInstance, target_score: float) -> NavState:
     """Initial state: all carriers unexplored, the resolved target as the
     sole candidate at its believed position.
 
-    A target that is itself a carrier or an orphan (static furniture) sets
-    ``bypass_target``: there is nothing to search for, the caller should
-    navigate straight to it.  A target with no believed carrier (parked as
-    missing after an update) starts with an empty candidate set.
+    A target no carrier holds starts with an empty candidate set: static
+    furniture (a carrier or an orphan), which the caller walks to
+    directly, and an object parked as missing after an update.
     """
-    unexplored = sorted(crsg.carriers)
-    if target.id in crsg.carriers or target.id in crsg.orphan_objects:
-        return NavState(pose=start, unexplored=unexplored, candidates={}, bypass_target=target)
-
     candidates: Dict[str, CandidateTarget] = {}
     carrier_id = crsg.carrier_of(target.id)
     if carrier_id is not None:
         candidates[target.id] = CandidateTarget(target.id, carrier_id, ss=target_score,
                                                 d_tilde=0.0, position=target.centroid)
-    return NavState(pose=start, unexplored=unexplored, candidates=candidates)
+    return NavState(unexplored=sorted(crsg.carriers), candidates=candidates)
 
 
 def decide(
@@ -318,7 +306,7 @@ def walk_leg(world: GridWorld, crsg: Crsg, dest: Sequence[float], sensor_cfg: Se
     except UnreachableGoalError:
         return None
     log = world.travel(path, sensor_cfg)
-    carried = (world.carried_observations(carrier_id, world.robot, crsg_cfg)
+    carried = (world.carried_observations(carrier_id, crsg_cfg)
                if carrier_id is not None else [])
     observations = dict(log.observations)
     for obs in carried:
@@ -344,12 +332,10 @@ class TransitionInputs:
 
     cr_observed: FrozenSet[str]
     ct_new: Mapping[str, CandidateTarget]
-    ct_star: Mapping[str, CandidateTarget]
 
     def __post_init__(self):
         _freeze(self, "cr_observed", frozenset)
         _freeze(self, "ct_new", _read_only_mapping)
-        _freeze(self, "ct_star", _read_only_mapping)
 
 
 def collect_transition_inputs(
@@ -363,7 +349,7 @@ def collect_transition_inputs(
     """Derive the transition sets from one leg's matched sightings.
 
     - carriers seen with nothing target-like on them become ``cr_observed``
-      (they are pruned without a visit);
+      (the transition prunes them, and their candidates, without a visit);
     - sighted objects on unexplored carriers that look like the target
       (similarity above sigma1) become new candidates.  A sighting of an
       object already tracked supersedes its entry when the carrier
@@ -402,12 +388,7 @@ def collect_transition_inputs(
         for cid in observed_carriers
         if similar_on.get(cid, -math.inf) <= policy_cfg.sigma1
     }
-    ct_star = {
-        oid: cand
-        for oid, cand in state.candidates.items()
-        if cand.carrier_id not in cr_observed
-    }
-    return TransitionInputs(cr_observed=cr_observed, ct_new=ct_new, ct_star=ct_star)
+    return TransitionInputs(cr_observed=cr_observed, ct_new=ct_new)
 
 
 def transition(
@@ -415,13 +396,13 @@ def transition(
     action: NavAction,
     inputs: TransitionInputs,
     confirmed: bool,
-    new_pose: Pose,
 ) -> NavState:
     """Advance the state after executing a non-Stop action.
 
     The visited carrier and every carrier seen without target-like objects
     leave the unexplored set; candidates merge in sightings and drop the
-    visited one; candidates stranded on explored carriers are purged.
+    visited one; candidates stranded on explored or observed carriers are
+    purged.
     """
     if state.found:
         raise PolicyError("no transitions out of a terminal state")
@@ -435,8 +416,7 @@ def transition(
         if cid != visited and cid not in inputs.cr_observed
     ]
 
-    candidates = dict(inputs.ct_star)
-    candidates.update(inputs.ct_new)
+    candidates = {**state.candidates, **inputs.ct_new}
     if action.kind == "goto":
         entry = candidates.get(action.candidate.object_id)
         # a superseding sighting at another carrier survives the visit
@@ -447,12 +427,7 @@ def transition(
         oid: cand for oid, cand in candidates.items() if cand.carrier_id in alive
     }
 
-    return NavState(
-        pose=new_pose,
-        unexplored=new_unexplored,
-        candidates=candidates,
-        found=confirmed,
-    )
+    return NavState(unexplored=new_unexplored, candidates=candidates, found=confirmed)
 
 
 def confirmation_scores(
@@ -591,7 +566,6 @@ def run_task(
     resolves to nothing fails the task with its ground truth's path length
     as ``shortest`` (inf when unreachable).
     """
-    start_pose = world.robot
     records: List[ActionRecord] = []
     traveled = 0.0
 
@@ -605,7 +579,7 @@ def run_task(
     shortest = 0.0
     if gt_id in world.objects:
         try:
-            shortest = world.shortest_path(start_pose.position,
+            shortest = world.shortest_path(world.robot.position,
                                            world.object(gt_id).centroid[:2])[1]
         except UnreachableGoalError:
             return finish(False, math.inf)
@@ -614,7 +588,7 @@ def run_task(
     except QueryError:
         return finish(False, shortest)
 
-    state = init_state(crsg, start_pose, target_obj, score)
+    state = init_state(crsg, target_obj, score)
 
     def record(kind, subject, leg, reconciled=(), priority=None, fallback=False,
                unreachable=False) -> None:
@@ -622,8 +596,9 @@ def run_task(
                                     len(state.candidates), priority, leg, fallback, reconciled,
                                     unreachable))
 
-    if state.bypass_target is not None:
-        leg = walk_leg(world, crsg, state.bypass_target.centroid, sensor_cfg, match_cfg,
+    if target_obj.id in crsg.carriers or target_obj.id in crsg.orphan_objects:
+        # static furniture: nothing to search for, walk straight to it
+        leg = walk_leg(world, crsg, target_obj.centroid, sensor_cfg, match_cfg,
                        crsg_cfg, update=variant.update_graph)
         if leg is None:  # one action, consumed in place
             record("direct", target_obj.id, 0.0, unreachable=True)
@@ -643,7 +618,7 @@ def run_task(
     while True:
         action = decide(
             state, crsg, policy_cfg, prior, task.query.descriptor,
-            world.distance_field(state.pose.position), variant, rng,
+            world.distance_field(world.robot.position), variant, rng,
         )
         if action.kind == "stop":
             record("stop", "", 0.0)
@@ -677,7 +652,7 @@ def run_task(
             except UnreachableGoalError:
                 pass
 
-        state = transition(state, action, inputs, best is not None, world.robot)
+        state = transition(state, action, inputs, best is not None)
         subject = action.candidate.object_id if action.kind == "goto" else action.carrier_id
         record(action.kind, subject, leg_len, leg.reconciled, action.priority, action.fallback,
                unreachable)

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from .features import DEFAULT_EMBEDDING_DIM
-from .graph import CrsgConfig
+from .graph import GROUND_CONTACT_EPS, CrsgConfig
 from .policy import PolicyConfig, PolicyError, Task
 from .priors import AFFINITY_RANKINGS
 from .scene import (Box3, GridSpec, ObjectInstance, Room, SceneError, SceneMap, SceneParseError,
@@ -172,7 +172,7 @@ class _SceneDraft:
         occ = self.walls.copy()
         for obj in self.objects.values():
             lo, hi = obj.box.lo, obj.box.hi
-            if lo[2] <= 0.05:  # clipped to the grid; a stop below 0 would count from the end
+            if lo[2] <= GROUND_CONTACT_EPS:  # clipped to the grid; a stop below 0 would count from the end
                 occ[max(int(lo[0] / res), 0):max(min(math.ceil(hi[0] / res), w), 0),
                     max(int(lo[1] / res), 0):max(min(math.ceil(hi[1] / res), h), 0)] = True
         return np.argwhere(occ)
@@ -232,7 +232,7 @@ def _reachable_world(scene: SceneMap, start: Pose) -> GridWorld:
         pass
     else:
         if all(world.connected(start.position, obj.centroid[:2])
-               for obj in scene.objects.values() if obj.box.min[2] <= 0.05):
+               for obj in scene.objects.values() if obj.box.min[2] <= GROUND_CONTACT_EPS):
             return world
     raise ScenarioError(f"{scene.name}: unreachable layout")
 

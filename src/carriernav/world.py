@@ -343,12 +343,13 @@ class GridWorld:
         carried, _ = assign_carried(bases, [objects[oid] for oid in sorted(objects)], config)
         return {cid: [obj.id for obj in held] for cid, held in carried.items() if held}
 
-    def carried_observations(self, carrier_id: str, pose: Pose, config: CrsgConfig) -> List[Observation]:
-        """Full view of a carrier's current occupants, granted at its side."""
+    def carried_observations(self, carrier_id: str, config: CrsgConfig) -> List[Observation]:
+        """Full view of a carrier's current occupants, granted at its side:
+        each seen at its distance from the robot's pose."""
         out = []
         for oid in self.ground_truth_carried(carrier_id, config):
             obj = self.objects[oid]
-            depth = distance(obj.centroid[:2] - pose.position)
+            depth = distance(obj.centroid[:2] - self.robot.position)
             out.append(Observation(obj, depth))
         return out
 

@@ -16,10 +16,12 @@ from carriernav.policy import (
     ActionRecord,
     CandidateTarget,
     Leg,
+    NavAction,
     NavState,
     PolicyConfig,
     PolicyError,
     Task,
+    TransitionInputs,
     collect_transition_inputs,
     confirm_target,
     confirmation_scores,
@@ -153,30 +155,39 @@ class TestInitState:
     def test_carried_target_seeds_one_candidate(self, world_and_graph):
         world, crsg = world_and_graph
         target = find_object(crsg, "cup_0")
-        state = init_state(crsg, world.robot, target, 0.95)
+        state = init_state(crsg, target, 0.95)
         assert state.unexplored == ("counter_0", "table_0", "table_1")
         assert list(state.candidates) == ["cup_0"]
         cand = state.candidates["cup_0"]
         assert cand.carrier_id == "table_0"
         assert cand.ss == 0.95
         assert cand.d_tilde == 0.0
-        assert state.bypass_target is None
+        # a carried target is searched for: the episode enters the loop
+        r = run_task(world, crsg, Task(query_text="red cup", ground_truth_id="cup_0"),
+                     rng=Random(0))
+        assert [a.kind for a in r.records] == ["goto", "stop"]
+        assert r.success
 
     def test_carrier_target_bypasses_search(self, world_and_graph):
         world, crsg = world_and_graph
-        state = init_state(crsg, world.robot, crsg.carriers["table_1"].object, 1.0)
-        assert state.bypass_target is not None
-        assert state.candidates == {}
+        assert init_state(crsg, crsg.carriers["counter_0"].object, 1.0).candidates == {}
+        r = run_task(world, crsg, Task(query_text="white counter", ground_truth_id="counter_0"),
+                     rng=Random(0))
+        assert [(a.kind, a.subject, a.ct) for a in r.records] == [("direct", "counter_0", 0)]
+        assert r.success
 
     def test_orphan_target_bypasses_search(self, world_and_graph):
         world, crsg = world_and_graph
-        state = init_state(crsg, world.robot, find_object(crsg, "rug_0"), 1.0)
-        assert state.bypass_target is not None
+        assert init_state(crsg, find_object(crsg, "rug_0"), 1.0).candidates == {}
+        r = run_task(world, crsg, Task(query_text="green rug", ground_truth_id="rug_0"),
+                     rng=Random(0))
+        assert [(a.kind, a.subject, a.ct) for a in r.records] == [("direct", "rug_0", 0)]
+        assert r.success
 
     def test_state_rejects_candidates_on_explored_carriers(self):
         cand = CandidateTarget("cup_0", "table_9", 0.9, 0.0, [1.0, 1.0, 0.5])
         with pytest.raises(PolicyError):
-            NavState(pose=Pose([0.0, 0.0]), unexplored=["table_0"],
+            NavState(unexplored=["table_0"],
                      candidates={"cup_0": cand})
 
 
@@ -187,14 +198,14 @@ def euclid_from(pose):
 class TestDecide:
     def test_found_stops(self, world_and_graph):
         world, crsg = world_and_graph
-        state = NavState(pose=world.robot, unexplored=["table_0"], candidates={}, found=True)
+        state = NavState(unexplored=["table_0"], candidates={}, found=True)
         action = decide(state, crsg, CFG, KeywordPriorOracle(), "red cup",
                         euclid_from(world.robot))
         assert action.kind == "stop" and action.carrier_id == "" and action.candidate is None
 
     def test_exhausted_frontier_stops(self, world_and_graph):
         world, crsg = world_and_graph
-        state = NavState(pose=world.robot, unexplored=[], candidates={})
+        state = NavState(unexplored=[], candidates={})
         action = decide(state, crsg, CFG, KeywordPriorOracle(), "red cup",
                         euclid_from(world.robot))
         assert action.kind == "stop"
@@ -203,8 +214,7 @@ class TestDecide:
         world, crsg = world_and_graph
         near_weak = CandidateTarget("cup_x", "table_0", 0.65, 0.0, [2.0, 2.0, 0.8])
         far_strong = CandidateTarget("cup_y", "table_1", 0.99, 0.0, [5.0, 2.0, 0.8])
-        state = NavState(pose=Pose([2.0, 2.0]),
-                         unexplored=["counter_0", "table_0", "table_1"],
+        state = NavState(unexplored=["counter_0", "table_0", "table_1"],
                          candidates={"cup_x": near_weak, "cup_y": far_strong})
         action = decide(state, crsg, CFG, KeywordPriorOracle(), "red cup",
                         euclid_from(Pose([2.0, 2.0])))
@@ -224,8 +234,7 @@ class TestDecide:
         world, crsg = world_and_graph
         twin_b = CandidateTarget("cup_b", "table_0", 0.8, 1.0, [2.0, 2.0, 0.8])
         twin_a = CandidateTarget("cup_a", "table_1", 0.8, 1.0, [2.0, 2.0, 0.8])
-        state = NavState(pose=Pose([0.0, 0.0]),
-                         unexplored=["table_0", "table_1"],
+        state = NavState(unexplored=["table_0", "table_1"],
                          candidates={"cup_b": twin_b, "cup_a": twin_a})
         action = decide(state, crsg, CFG, KeywordPriorOracle(), "red cup",
                         euclid_from(Pose([0.0, 0.0])))
@@ -243,7 +252,7 @@ class TestDecide:
         ends = {"a": (10, 2), "b": (2, 10)}
         cands = {oid: CandidateTarget(oid, carrier, 0.9, 0.0, [*center(ends[oid]), 0.8])
                  for oid, carrier in (("a", "table_0"), ("b", "table_1"))}
-        state = NavState(pose=Pose(source), unexplored=["table_0", "table_1"], candidates=cands)
+        state = NavState(unexplored=["table_0", "table_1"], candidates=cands)
         action = decide(state, crsg, CFG, KeywordPriorOracle(), "red cup", field)
         assert action.candidate.object_id == "a"
         # a distance read is the length of the path the robot would walk
@@ -259,7 +268,7 @@ class TestDecide:
         _, crsg = world_and_graph
         cands = {"cup_a": CandidateTarget("cup_a", "table_0", 0.7, 0.0, [2.0, 2.0, 0.8]),
                  "cup_b": CandidateTarget("cup_b", "table_1", 0.9, 0.0, [5.0, 2.0, 0.8])}
-        state = NavState(pose=Pose([4.0, 2.0]), unexplored=["table_0", "table_1"],
+        state = NavState(unexplored=["table_0", "table_1"],
                          candidates={oid: cands[oid] for oid in order})
         action = decide(state, crsg, PolicyConfig(omega2=0.0), KeywordPriorOracle(), "red cup",
                         lambda pos: math.inf if pos[0] < 3.0 else 1.0)
@@ -268,8 +277,7 @@ class TestDecide:
 
     def test_prior_ranked_exploration(self, world_and_graph):
         world, crsg = world_and_graph
-        state = NavState(pose=world.robot,
-                         unexplored=["counter_0", "table_0", "table_1"], candidates={})
+        state = NavState(unexplored=["counter_0", "table_0", "table_1"], candidates={})
         action = decide(state, crsg, CFG, KeywordPriorOracle(), "red cup",
                         euclid_from(world.robot))
         # cups live on counters first in the affinity table
@@ -279,16 +287,14 @@ class TestDecide:
 
     def test_affinity_rank_ties_break_by_carrier_id(self, world_and_graph):
         world, crsg = world_and_graph
-        state = NavState(pose=world.robot,
-                         unexplored=["table_0", "table_1"], candidates={})
+        state = NavState(unexplored=["table_0", "table_1"], candidates={})
         action = decide(state, crsg, CFG, KeywordPriorOracle(), "red cup",
                         euclid_from(world.robot))
         assert action.carrier_id == "table_0"
 
     def test_random_variant_uses_the_rng(self, world_and_graph):
         world, crsg = world_and_graph
-        state = NavState(pose=world.robot,
-                         unexplored=["counter_0", "table_0", "table_1"], candidates={})
+        state = NavState(unexplored=["counter_0", "table_0", "table_1"], candidates={})
         picks = {
             decide(state, crsg, CFG, KeywordPriorOracle(), "red cup",
                    euclid_from(world.robot), variant=VARIANTS["only-carriers_Random"],
@@ -303,8 +309,7 @@ class TestDecide:
     def test_candidate_blind_variant_ignores_candidates(self, world_and_graph):
         world, crsg = world_and_graph
         cand = CandidateTarget("cup_0", "table_0", 0.99, 0.0, [2.0, 2.0, 0.8])
-        state = NavState(pose=world.robot,
-                         unexplored=["counter_0", "table_0", "table_1"],
+        state = NavState(unexplored=["counter_0", "table_0", "table_1"],
                          candidates={"cup_0": cand})
         action = decide(state, crsg, CFG, KeywordPriorOracle(), "red cup",
                         euclid_from(world.robot), variant=VARIANTS["only-carriers_LLM"])
@@ -318,8 +323,7 @@ class TestDecide:
                 raise OracleError("backend down")
 
         pose = Pose([5.0, 3.5])  # nearest unexplored carrier is table_1
-        state = NavState(pose=pose,
-                         unexplored=["counter_0", "table_0", "table_1"], candidates={})
+        state = NavState(unexplored=["counter_0", "table_0", "table_1"], candidates={})
         action = decide(state, crsg, CFG, FailingOracle(), "red cup", euclid_from(pose))
         assert action.kind == "explore"
         assert action.carrier_id == "table_1"
@@ -328,7 +332,7 @@ class TestDecide:
 
 class TestTransitionInputs:
     def make_state(self, crsg, world, score=0.95):
-        return init_state(crsg, world.robot, find_object(crsg, "cup_0"), score)
+        return init_state(crsg, find_object(crsg, "cup_0"), score)
 
     def test_bare_carrier_sighting_prunes_it(self, world_and_graph):
         world, crsg = world_and_graph
@@ -338,7 +342,9 @@ class TestTransitionInputs:
                                            CFG, CrsgConfig())
         assert inputs.cr_observed == {"table_1"}
         assert inputs.ct_new == {}
-        assert "cup_0" in inputs.ct_star  # candidate elsewhere survives
+        nxt = transition(state, NavAction(kind="explore", carrier_id="counter_0"), inputs, False)
+        assert nxt.unexplored == ("table_0",)
+        assert list(nxt.candidates) == ["cup_0"]  # candidate elsewhere survives
 
     def test_target_like_sighting_spares_the_carrier(self, world_and_graph):
         _, crsg = world_and_graph
@@ -388,7 +394,26 @@ class TestTransitionInputs:
                                            CFG, CrsgConfig())
         # already a candidate on the same carrier: nothing new
         assert inputs.ct_new == {}
-        assert inputs.ct_star["cup_0"].d_tilde == 0.0
+        nxt = transition(state, NavAction(kind="explore", carrier_id="counter_0"), inputs, False)
+        assert nxt.candidates["cup_0"].d_tilde == 0.0
+
+    def test_candidate_resighted_off_an_observed_carrier_moves_with_it(self, world_and_graph):
+        # the cup left table_0 for table_1: table_0 is seen bare, so it is
+        # observed, and the cup's sighting on table_1 carries it over
+        world, crsg = world_and_graph
+        state = self.make_state(crsg, world)
+        world.apply_displacement(DisplacementEvent(
+            kind="move", object_id="cup_0", target_carrier_id="table_1"), CrsgConfig())
+        obs = [obs_of(world.object("table_0"), depth=1.0),
+               obs_of(world.object("cup_0"), depth=1.7)]
+        inputs = collect_transition_inputs(leg_of(obs, crsg), crsg, state, find_object(crsg, "cup_0"),
+                                           CFG, CrsgConfig())
+        assert inputs.cr_observed == {"table_0"}
+        nxt = transition(state, NavAction(kind="explore", carrier_id="counter_0"), inputs, False)
+        assert nxt.unexplored == ("table_1",)
+        assert list(nxt.candidates) == ["cup_0"]
+        assert nxt.candidates["cup_0"].carrier_id == "table_1"
+        assert nxt.candidates["cup_0"].d_tilde == pytest.approx(1.7)
 
 
 @pytest.mark.parametrize("z_gap_max", [0.05, 0.15])
@@ -410,7 +435,7 @@ def test_carrying_rule_follows_the_callers_config(z_gap_max):
     assert {crsg.carrier_of("cup_0")} - {None} == expected
     world = GridWorld(scene, start_pose=Pose([0.5, 0.5]))
     assert world.ground_truth_carried("table_0", cfg) == (["cup_0"] if expected else [])
-    state = NavState(pose=world.robot, unexplored=["table_0"], candidates={})
+    state = NavState(unexplored=["table_0"], candidates={})
     inputs = collect_transition_inputs(leg_of([obs_of(world.object("cup_0"), depth=1.0)], crsg),
                                        crsg, state, world.object("cup_0"), CFG, cfg)
     assert {c.carrier_id for c in inputs.ct_new.values()} == expected
@@ -419,69 +444,54 @@ def test_carrying_rule_follows_the_callers_config(z_gap_max):
 class TestTransition:
     def base_state(self):
         cand = CandidateTarget("cup_0", "table_0", 0.95, 0.0, [2.0, 2.0, 0.8])
-        return NavState(pose=Pose([0.5, 0.5]),
-                        unexplored=["counter_0", "table_0", "table_1"],
+        return NavState(unexplored=["counter_0", "table_0", "table_1"],
                         candidates={"cup_0": cand})
 
     def goto(self, state):
         cand = state.candidates["cup_0"]
-        from carriernav.policy import NavAction
         return NavAction(kind="goto", carrier_id=cand.carrier_id, candidate=cand,
                          priority=priority_score(cand.ss, 1.0, cand.d_tilde, CFG))
 
     def test_visit_consumes_carrier_and_candidate(self):
-        from carriernav.policy import TransitionInputs
         state = self.base_state()
         action = self.goto(state)
-        nxt = transition(state, action,
-                         TransitionInputs(cr_observed=set(), ct_new={}, ct_star=dict(state.candidates)),
-                         confirmed=False, new_pose=Pose([2.0, 2.0]))
+        nxt = transition(state, action, TransitionInputs(cr_observed=set(), ct_new={}),
+                         confirmed=False)
         assert nxt.unexplored == ("counter_0", "table_1")
         assert nxt.candidates == {}
         assert not nxt.found
 
     def test_confirmation_marks_found(self):
-        from carriernav.policy import TransitionInputs
         state = self.base_state()
-        nxt = transition(state, self.goto(state),
-                         TransitionInputs(set(), {}, dict(state.candidates)),
-                         confirmed=True, new_pose=Pose([2.0, 2.0]))
+        nxt = transition(state, self.goto(state), TransitionInputs(set(), {}), confirmed=True)
         assert nxt.found
 
     def test_observed_carriers_are_pruned_with_their_candidates(self):
-        from carriernav.policy import TransitionInputs
         state = self.base_state()
         stray = CandidateTarget("cup_9", "table_1", 0.7, 1.0, [5.0, 2.0, 0.8])
-        state = NavState(pose=state.pose, unexplored=state.unexplored,
+        state = NavState(unexplored=state.unexplored,
                          candidates={**state.candidates, "cup_9": stray})
-        inputs = TransitionInputs(cr_observed={"table_1"}, ct_new={},
-                                  ct_star={"cup_0": state.candidates["cup_0"]})
-        nxt = transition(state, self.goto(state), inputs,
-                         confirmed=False, new_pose=Pose([2.0, 2.0]))
+        inputs = TransitionInputs(cr_observed={"table_1"}, ct_new={})
+        nxt = transition(state, self.goto(state), inputs, confirmed=False)
         assert nxt.unexplored == ("counter_0",)
         assert nxt.candidates == {}
 
     def test_superseding_sighting_survives_the_visit(self):
-        from carriernav.policy import TransitionInputs
         state = self.base_state()
         action = self.goto(state)
         resight = CandidateTarget("cup_0", "table_1", 0.95, 1.5, [5.0, 2.0, 0.8])
-        inputs = TransitionInputs(cr_observed=set(), ct_new={"cup_0": resight},
-                                  ct_star=dict(state.candidates))
-        nxt = transition(state, action, inputs, confirmed=False,
-                         new_pose=Pose([2.0, 2.0]))
+        inputs = TransitionInputs(cr_observed=set(), ct_new={"cup_0": resight})
+        nxt = transition(state, action, inputs, confirmed=False)
         # the fresh sighting on table_1 replaces the stale table_0 belief
         assert nxt.candidates["cup_0"].carrier_id == "table_1"
 
     def test_terminal_states_do_not_transition(self):
-        from carriernav.policy import TransitionInputs, NavAction
         state = self.base_state()
         with pytest.raises(PolicyError):
             transition(dataclasses.replace(state, found=True), self.goto(state),
-                       TransitionInputs(set(), {}, {}), False, Pose([0.0, 0.0]))
+                       TransitionInputs(set(), {}), False)
         with pytest.raises(PolicyError):
-            transition(state, NavAction(kind="stop"), TransitionInputs(set(), {}, {}),
-                       False, Pose([0.0, 0.0]))
+            transition(state, NavAction(kind="stop"), TransitionInputs(set(), {}), False)
 
 
 class TestConfirmation:
@@ -697,8 +707,8 @@ class TestRunTask:
             events.append(("leg", set(log.observations)))
             return log
 
-        def view(carrier_id, pose, config):
-            seen = real_view(carrier_id, pose, config)
+        def view(carrier_id, config):
+            seen = real_view(carrier_id, config)
             events[-1][1].update(o.object_id for o in seen)
             return seen
 

@@ -498,9 +498,8 @@ def test_the_policy_values_are_frozen():
         cand,
         CandidateTarget("cup_1", "table_0", 0.9, 0.0, [1.0, 1.0, 0.5]),
         NavAction(kind="goto", carrier_id="table_0", candidate=cand, priority=2.7),
-        NavState(pose=Pose([0.0, 0.0]), unexplored=["table_0"], candidates={"cup_0": cand}),
-        TransitionInputs(cr_observed={"table_1"}, ct_new={"cup_0": cand},
-                         ct_star={"cup_0": cand}),
+        NavState(unexplored=["table_0"], candidates={"cup_0": cand}),
+        TransitionInputs(cr_observed={"table_1"}, ct_new={"cup_0": cand}),
         Leg(1.0, {"cup_0": sighting}, {"cup_0": None}, [sighting]),
         stop,
         EpisodeResult(task_index=0, success=True, traveled=1.0, shortest=1.0, records=[stop]),

@@ -1765,8 +1765,11 @@ class TestGroundTruth:
     def test_carried_observations_cover_the_carrier(self):
         cfg = CrsgConfig()
         w = sensing_world()
-        obs = w.carried_observations("table_0", Pose([2.0, 3.5]), cfg)
+        obs = w.carried_observations("table_0", cfg)
         assert [o.object_id for o in obs] == ["cup_0"]
+        # each seen from the robot's pose
+        cup = w.object("cup_0").centroid[:2]
+        assert obs[0].mean_depth == float(np.hypot(*(cup - w.robot.position)))
 
     def test_unknown_object_raises(self):
         w = sensing_world()
