@@ -17,9 +17,14 @@ leg senses at the center of every path cell, facing the step to the next
 cell (the last cell keeps the last step's heading), and keeps the first
 sighting of each object: the first cell that sees it, and the depth from
 there.  One array pass over (path cells x objects) finds every first
-sighting of a leg, and ``observe`` is that pass for a single pose.  An
-``Observation`` is the sighted object, as the world held it at that moment,
-plus its depth.
+sighting of a leg, and ``observe`` is that pass for a single pose; a leg
+builds per-cell headings only under a field of view narrower than a full
+circle, the one case that reads them.  An ``Observation`` is the sighted
+object, as the world held it at that moment, plus its depth.
+
+A move seats an object on the first clear spot of its carrier's top,
+``spot_index`` spots into the top's scan, wrapping: the spots are a grid
+over the top, nearest the carrier's centroid first, ties by x, then by y.
 
 Each derived fact is computed once per change to its inputs.  The grid's
 planner and the facts of the scene are kept by ``carriernav.facts``, which
@@ -81,6 +86,12 @@ class SensorConfig:
         if not (0.0 < self.fov <= 2.0 * math.pi + 1e-9):
             raise WorldError(f"sensor fov must be in (0, 2*pi], got {self.fov}")
 
+    @property
+    def narrow(self) -> bool:
+        """Whether the field of view is narrower than a full circle, so
+        that a pose's heading decides what it sees."""
+        return self.fov < 2.0 * math.pi - 1e-9
+
 
 @dataclass(frozen=True)
 class Observation:
@@ -100,9 +111,11 @@ class Observation:
 class DisplacementEvent:
     """Ground-truth scene change.
 
-    ``move`` re-seats ``object_id`` on ``target_carrier_id``, at the free
-    spot ``spot_index`` places along the carrier top's scan (so seeded
-    callers vary placements deterministically); ``remove`` deletes it.
+    ``move`` re-seats ``object_id`` on ``target_carrier_id``, at the first
+    clear spot ``spot_index`` places along the carrier top's scan (nearest
+    the carrier's centroid first, ties by x, then by y), wrapping, so
+    seeded callers vary placements deterministically; ``remove`` deletes
+    it.  ``spot_index`` is any ``int`` but a ``bool``, negative ones too.
     """
 
     kind: str
@@ -117,6 +130,8 @@ class DisplacementEvent:
             raise DisplacementError(f"{self.kind} event needs object_id")
         if self.kind == "move" and not self.target_carrier_id:
             raise DisplacementError("move event needs target_carrier_id")
+        if not isinstance(self.spot_index, int) or isinstance(self.spot_index, bool):
+            raise DisplacementError(f"spot_index must be an int, got {self.spot_index!r}")
 
 
 @dataclass
@@ -232,28 +247,39 @@ class GridWorld:
         """(first sightings, length, final heading) of a leg along ``path``
         from the robot's heading, after checking the path."""
         planner = self.planner
-        cells = np.asarray(path)
-        if cells.ndim != 2 or cells.shape[1] != 2 or cells.dtype.kind not in "iu":
+        try:
+            cells = np.asarray(path)
+            pairs = cells.ndim == 2 and cells.shape[1] == 2 and cells.dtype.kind in "iu"
+        except ValueError:  # cells of unequal lengths
+            pairs = False
+        if not pairs:
             raise WorldError("a path is a sequence of (ix, iy) integer cells")
-        if np.any((cells < 0) | (cells >= (planner.width, planner.height))):
+        cells = cells.astype(np.int64, copy=False)  # unsigned steps back would wrap
+        # read as unsigned, a negative index lies beyond the grid too
+        if (cells.view(np.uint64) >= (planner.width, planner.height)).any():
             raise WorldError("path leaves the grid")
-        self._check_moves(cells)
-        steps = np.diff(cells, axis=0).tolist()
-        headings = [math.atan2(dy, dx) for dx, dy in steps]
-        headings.append(headings[-1] if headings else self.robot.heading)
+        steps = cells[1:] - cells[:-1]
+        self._check_moves(cells, steps)
+        if len(steps):
+            dx, dy = steps[-1].tolist()
+            heading = math.atan2(dy, dx)
+        else:
+            heading = self.robot.heading
+        headings = None
+        if sensor.narrow:
+            headings = [math.atan2(dy, dx) for dx, dy in steps.tolist()]
+            headings.append(heading)
         # cell centers in the float operations of cell_center
         centers = planner.origin + (cells + 0.5) * planner.resolution
         seen = self._first_sightings(centers, headings, path, sensor)
-        n_diag = sum(1 for dx, dy in steps if dx != 0 and dy != 0)
-        return tuple(seen), planner.path_length(len(steps), n_diag), headings[-1]
+        n_diag = int(np.count_nonzero(steps.all(axis=1)))
+        return tuple(seen), planner.path_length(len(steps), n_diag), heading
 
-    def _check_moves(self, cells: np.ndarray) -> None:
+    def _check_moves(self, cells: np.ndarray, steps: np.ndarray) -> None:
         """Raise :class:`WorldError` unless every cell of the (n, 2) on-grid
-        ``cells`` is free and each step to the next is a move the move
-        table allows.  The table allows moves between free cells only, so
-        a path of allowed moves has only free cells."""
-        cells = cells.astype(np.int64, copy=False)  # unsigned steps back would wrap
-        steps = np.diff(cells, axis=0)
+        int64 ``cells`` is free and each of its ``steps`` to the next cell is
+        a move the move table allows.  The table allows moves between free
+        cells only, so a path of allowed moves has only free cells."""
         # a step of more than one cell, or none, reads a slot it may not take
         slots = _STEP_SLOT.take(steps @ (3, 1), mode="wrap")
         allowed = ((np.abs(steps).max(axis=1) == 1)
@@ -267,12 +293,14 @@ class GridWorld:
         raise WorldError(f"path step {cells[k].tolist()} -> {cells[k + 1].tolist()} "
                          f"is not an allowed move")
 
-    def _first_sightings(self, positions: np.ndarray, headings: Sequence[float],
+    def _first_sightings(self, positions: np.ndarray, headings: Optional[Sequence[float]],
                          cells: Sequence[Cell], sensor: SensorConfig) -> List[Observation]:
         """The first sighting of each object from a sequence of poses, in the
         order (pose, id): the one rule of what a pose sees.
 
-        ``positions`` (m, 2), ``headings`` and ``cells`` describe the poses.
+        ``positions`` (m, 2), ``headings`` and ``cells`` describe the poses;
+        the headings are read only under a narrow field of view (they may be
+        None otherwise).
         An object is in view of a pose when its centroid lies within the
         radius and, under a narrower field of view, within half the field
         of the heading (an object at zero distance is always in view); with
@@ -287,10 +315,14 @@ class GridWorld:
         ids, centroids = self._centroids()
         if not ids:
             return []
-        deltas = centroids - positions[:, None, :]
+        # one subtraction per axis: broadcasting the (objects, 2) layout
+        # itself would run one two-element loop per (pose, object)
+        deltas = np.empty((len(positions), len(ids), 2))
+        for k in range(2):
+            np.subtract(centroids[:, k], positions[:, k, None], out=deltas[..., k])
         dists = np.hypot(deltas[..., 0], deltas[..., 1])
         in_view = dists <= sensor.radius
-        if sensor.fov < 2.0 * math.pi - 1e-9:
+        if sensor.narrow:
             angles = np.arctan2(deltas[..., 1], deltas[..., 0])
             heading = np.asarray(headings, dtype=np.float64)[:, None]
             diff = np.abs((angles - heading + math.pi) % (2.0 * math.pi) - math.pi)
@@ -309,7 +341,8 @@ class GridWorld:
                         firsts.append((i, j))
                         break
         else:
-            firsts = zip(in_view[:, cols].argmax(axis=0).tolist(), cols)
+            first = in_view.argmax(axis=0).tolist()
+            firsts = [(first[j], j) for j in cols]
         return [Observation(objects[ids[j]], float(dists[i, j])) for i, j in sorted(firsts)]
 
     # ----- ground truth ---------------------------------------------------
@@ -357,13 +390,15 @@ class GridWorld:
 
     def _free_spot_on(self, carrier: ObjectInstance, extents: np.ndarray,
                       config: CrsgConfig, skip_id: str, start_index: int) -> np.ndarray:
-        """Deterministic spiral scan over the carrier top for a free spot,
-        ``start_index`` spots in, clear of every occupant but ``skip_id``."""
-        half = extents[:2] / 2.0
+        """The first spot of the carrier top's scan, ``start_index`` spots in
+        (wrapping), whose box keeps a 2 cm margin from every occupant but
+        ``skip_id``.  The spots are a grid over the top, clear of its edges
+        by the margin; the scan takes them nearest the carrier's centroid
+        first, ties by x, then by y."""
         margin = 0.02
         # the scan's bounds and size in Python floats, before any array: a
         # far top's bounds may overflow, and a wide one holds too many spots
-        hx, hy = half.tolist()
+        hx, hy = (extents[:2] / 2.0).tolist()
         lo = (carrier.box.lo[0] + hx + margin, carrier.box.lo[1] + hy + margin)
         hi = (carrier.box.hi[0] - hx - margin, carrier.box.hi[1] - hy - margin)
         if hi[0] < lo[0] or hi[1] < lo[1]:
@@ -375,27 +410,25 @@ class GridWorld:
         if not math.isfinite(nx * ny) or math.ceil(nx) * math.ceil(ny) > MAX_GRID_CELLS:
             raise DisplacementError(f"carrier {carrier.id!r} top holds too many spots "
                                     f"to scan ({nx:.3g} x {ny:.3g})")
-        xs, ys = np.meshgrid(np.arange(lo[0], hi[0] + 1e-9, step),
-                             np.arange(lo[1], hi[1] + 1e-9, step), indexing="ij")
-        xs, ys = xs.ravel(), ys.ravel()
-        center = carrier.centroid[:2]
-        # nearest the center first, ties by x then y
-        order = np.lexsort((ys, xs, np.hypot(xs - center[0], ys - center[1])))
-        occupants = [self.objects[oid] for oid in self.ground_truth_carried(carrier.id, config)
-                     if oid != skip_id]
+        xs = np.arange(lo[0], hi[0] + 1e-9, step)
+        ys = np.arange(lo[1], hi[1] + 1e-9, step)
+        cx, cy = carrier.centroid[:2].tolist()
+        # both ranges increase, so a stable sort of the (x, y)-major distances
+        # breaks their ties by x, then by y
+        order = np.argsort(np.hypot((xs - cx)[:, None], (ys - cy)[None, :]).ravel(),
+                           kind="stable")
+        xs, ys, n_y = xs.tolist(), ys.tolist(), len(ys)
+        boxes = [self.objects[oid].box for oid in self.ground_truth_carried(carrier.id, config)
+                 if oid != skip_id]
+        # each occupant's bounds, widened by the margin
+        occupants = [(b.lo[0] - margin, b.hi[0] + margin, b.lo[1] - margin, b.hi[1] + margin)
+                     for b in boxes]
         n = len(order)
         for k in range(n):
-            i = order[(start_index + k) % n]
-            x, y = round(float(xs[i]), 6), round(float(ys[i]), 6)
-            box_min = np.array([x - half[0], y - half[1]])
-            box_max = np.array([x + half[0], y + half[1]])
-            clear = True
-            for occ in occupants:
-                if (box_min[0] < occ.box.max[0] + margin and box_max[0] > occ.box.min[0] - margin
-                        and box_min[1] < occ.box.max[1] + margin and box_max[1] > occ.box.min[1] - margin):
-                    clear = False
-                    break
-            if clear:
+            ix, iy = divmod(order.item((start_index + k) % n), n_y)
+            x, y = round(xs[ix], 6), round(ys[iy], 6)
+            if not any(x - hx < x1 and x + hx > x0 and y - hy < y1 and y + hy > y0
+                       for x0, x1, y0, y1 in occupants):
                 return np.array([x, y])
         raise DisplacementError(f"no free spot on carrier {carrier.id!r}")
 

@@ -34,7 +34,8 @@ from carriernav.features import (cosine, cosine_similarity, embed_text, strip_im
                                  token_bucket)
 from carriernav.graph import carrying_predicate, geometric_carrier_filter
 from carriernav.planning import STEP_ORDER
-from carriernav.world import GridWorld, Observation, Pose, WorldError
+from carriernav.scene import MAX_GRID_CELLS
+from carriernav.world import DisplacementError, GridWorld, Observation, Pose, WorldError
 
 SQRT2 = math.sqrt(2.0)
 
@@ -664,6 +665,50 @@ def free_spot_sorted_tuples(world, carrier, extents, cfg, skip_id="", start_inde
                for occ in occupants):
             return np.array([x, y])
     return None
+
+
+def free_spot_lexsort(world, carrier, extents, cfg, skip_id="", start_index=0):
+    """(x, y) of the first clear spot on ``carrier``, or the
+    ``DisplacementError`` the world raises.
+
+    The placement scan before its one-argsort rewrite, with its refusals:
+    the spots are a ``meshgrid`` of the two ranges, ordered by
+    ``lexsort((ys, xs, distance))`` (nearest the centroid first, ties by x,
+    then by y), and each visited spot is tested as a pair of numpy corners
+    against every other occupant's numpy corners widened by a 2 cm margin.
+    """
+    half = extents[:2] / 2.0
+    margin = 0.02
+    hx, hy = half.tolist()
+    lo = (carrier.box.lo[0] + hx + margin, carrier.box.lo[1] + hy + margin)
+    hi = (carrier.box.hi[0] - hx - margin, carrier.box.hi[1] - hy - margin)
+    if hi[0] < lo[0] or hi[1] < lo[1]:
+        raise DisplacementError(f"object too large for carrier {carrier.id!r} footprint")
+    step = max(0.05, float(min(extents[0], extents[1])) / 2.0)
+    nx, ny = ((hi[k] + 1e-9 - lo[k]) / step for k in range(2))
+    if not math.isfinite(nx * ny) or math.ceil(nx) * math.ceil(ny) > MAX_GRID_CELLS:
+        raise DisplacementError(f"carrier {carrier.id!r} top holds too many spots "
+                                f"to scan ({nx:.3g} x {ny:.3g})")
+    xs, ys = np.meshgrid(np.arange(lo[0], hi[0] + 1e-9, step),
+                         np.arange(lo[1], hi[1] + 1e-9, step), indexing="ij")
+    xs, ys = xs.ravel(), ys.ravel()
+    center = carrier.centroid[:2]
+    order = np.lexsort((ys, xs, np.hypot(xs - center[0], ys - center[1])))
+    occupants = [world.objects[oid]
+                 for oid in ground_truth_carried_per_call(world, carrier.id, cfg)
+                 if oid != skip_id]
+    n = len(order)
+    for k in range(n):
+        i = order[(start_index + k) % n]
+        x, y = round(float(xs[i]), 6), round(float(ys[i]), 6)
+        box_min = np.array([x - half[0], y - half[1]])
+        box_max = np.array([x + half[0], y + half[1]])
+        if all(not (box_min[0] < occ.box.max[0] + margin and box_max[0] > occ.box.min[0] - margin
+                    and box_min[1] < occ.box.max[1] + margin
+                    and box_max[1] > occ.box.min[1] - margin)
+               for occ in occupants):
+            return np.array([x, y])
+    raise DisplacementError(f"no free spot on carrier {carrier.id!r}")
 
 
 def moved_per_call(objects, object_id, target_id, spot_index, cfg):

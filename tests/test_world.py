@@ -22,7 +22,7 @@ from carriernav.graph import CrsgConfig
 from carriernav.planning import (SEARCHES_PER_GRID, SLACK_CELLS, STEP_CELLS, STEP_ORDER,
                                  WHOLE_GRAPH_CELLS, Planner)
 from carriernav.policy import VARIANTS
-from carriernav.scenarios import MODES, build_scenario
+from carriernav.scenarios import MODES, build_scenario, generate_scenarios
 from carriernav.scene import Box3, scene_from_dict
 from carriernav.world import (
     DisplacementError,
@@ -1497,6 +1497,15 @@ class TestSensing:
             SensorConfig(fov=0.0)
 
 
+SENSORS = {
+    "default": SensorConfig(),
+    "fov-half-pi": SensorConfig(fov=math.pi / 2),
+    "fov-third-pi": SensorConfig(fov=math.pi / 3),
+    "occlusion": SensorConfig(occlusion=True),
+    "radius-25": SensorConfig(radius=25.0),
+}
+
+
 class TestTravel:
     def test_travel_moves_robot_and_measures(self):
         w = sensing_world()
@@ -1553,6 +1562,52 @@ class TestTravel:
         assert np.array_equal(w.robot.position, before.position)
         assert w.robot.heading == before.heading
 
+    @pytest.mark.parametrize("path", [
+        [(True, True), (True, False)],  # cells of bools
+        [(1.0, 1.0), (2.0, 1.0)],       # cells of floats
+        [(1, 1, 0), (2, 1, 0)],         # cells of three
+        [(1, 1), (2,)],                 # cells of unequal arity
+    ], ids=["bools", "floats", "triples", "ragged"])
+    def test_a_path_not_of_integer_pairs_raises_its_own_message(self, path):
+        w = sensing_world()
+        with pytest.raises(WorldError, match=r"a path is a sequence of \(ix, iy\) integer cells"):
+            w.travel(path, SensorConfig())
+
+    @pytest.mark.parametrize("sensor", SENSORS.values(), ids=SENSORS.keys())
+    def test_a_path_of_tuples_numpy_rows_or_lists_travels_alike(self, sensor):
+        # each form is read cold: the leg of one form is not kept for the next
+        w = sensing_world()
+        path = w.shortest_path(w.robot.position, [5.0, 2.0])[0]
+        start = w.robot
+        forms = {"tuples": path, "numpy rows": np.array(path, dtype=np.int64),
+                 "numpy int32 rows": np.array(path, dtype=np.int32),
+                 "lists": [list(c) for c in path]}
+        got = {}
+        for name, form in forms.items():
+            release_facts()
+            w.robot = start
+            log = w.travel(form, sensor)
+            got[name] = (sightings(log.observations.values()),
+                         [o.object for o in log.observations.values()], log.length,
+                         w.robot.position.tolist(), w.robot.heading)
+        assert all(value == got["tuples"] for value in got.values())
+        w.robot = start
+        assert_travel_matches_oracle(w, path, sensor)
+
+    def test_a_narrow_field_of_view_reads_each_cells_heading(self):
+        # east along y = 0.625, then one step north: facing east, the far
+        # cup (bearing about 27 degrees at the start) is in a 90 degree view;
+        # facing the last step's north, it is not from any cell of the leg
+        w = sensing_world()
+        path = [(x, 2) for x in range(0, 9)] + [(8, 3)]
+        sensor = SensorConfig(radius=25.0, fov=math.pi / 2)
+        north = {obs.object_id for cell in path
+                 for obs in w.observe(Pose(w.planner.cell_center(cell), math.pi / 2), sensor)}
+        assert "cup_far" not in north
+        log = assert_travel_matches_oracle(w, path, sensor)
+        assert "cup_far" in log.observations
+        assert w.robot.heading == math.pi / 2
+
     def test_the_cells_around_a_malformed_step_travel(self):
         # the same cells as the malformed paths above, stepped one by one
         w = sensing_world()
@@ -1560,15 +1615,6 @@ class TestTravel:
                                            SensorConfig())
         assert log.length == 5 * 0.25
         assert assert_travel_matches_oracle(w, [(1, 1)], SensorConfig()).length == 0.0
-
-
-SENSORS = {
-    "default": SensorConfig(),
-    "fov-half-pi": SensorConfig(fov=math.pi / 2),
-    "fov-third-pi": SensorConfig(fov=math.pi / 3),
-    "occlusion": SensorConfig(occlusion=True),
-    "radius-25": SensorConfig(radius=25.0),
-}
 
 
 def sightings(observations):
@@ -1848,6 +1894,25 @@ class TestDisplacement:
             w.apply_displacement(DisplacementEvent(
                 kind="move", object_id="ghost", target_carrier_id="table_1"), self.CFG)
 
+    @pytest.mark.parametrize("spot_index", [1.5, "2", True, False, None, np.int64(2)],
+                             ids=["float", "str", "True", "False", "None", "numpy-int"])
+    def test_a_spot_index_that_is_not_an_int_is_refused(self, spot_index):
+        with pytest.raises(DisplacementError, match="spot_index must be an int"):
+            DisplacementEvent("move", "cup_0", "table_1", spot_index)
+        with pytest.raises(DisplacementError, match="spot_index must be an int"):
+            DisplacementEvent("remove", "cup_0", spot_index=spot_index)
+
+    def test_any_int_spot_index_wraps(self):
+        # negative and huge indices count round the scan's n spots
+        ev = DisplacementEvent(kind="move", object_id="cup_0", target_carrier_id="table_1")
+        w = self.two_table_world()
+        n = spot_count(w.object("table_1"), w.object("cup_0").box.extents)
+        for k, same in ((-1, n - 1), (-n - 2, n - 2), (10 ** 30, 10 ** 30 % n), (n + 3, 3)):
+            w1, w2 = self.two_table_world(), self.two_table_world()
+            w1.apply_displacement(replace(ev, spot_index=k), self.CFG)
+            w2.apply_displacement(replace(ev, spot_index=same), self.CFG)
+            assert np.array_equal(w1.object("cup_0").box.min, w2.object("cup_0").box.min), k
+
     def test_no_free_spot_raises(self):
         # a carrier already paved edge to edge with trays has no room left
         t0 = table_dict("table_0", 2.0, 2.0)
@@ -2022,3 +2087,91 @@ class TestMemos:
                         got = w._free_spot_on(carrier, extents, cfg, skip_id, k)
                         assert np.array_equal(got, expected), (carrier.id, extents, k)
 
+
+
+def spot_count(carrier, extents):
+    """How many spots the scan of ``carrier``'s top holds for an object of
+    ``extents``: one per step of each axis's range, 2 cm in from the edges."""
+    n = 1
+    step = max(0.05, float(min(extents[0], extents[1])) / 2.0)
+    for k in range(2):
+        half = float(extents[k]) / 2.0
+        lo, hi = carrier.box.lo[k] + half + 0.02, carrier.box.hi[k] - half - 0.02
+        n *= len(np.arange(lo, hi + 1e-9, step))
+    return n
+
+
+class TestSpotOrder:
+    """The placement scan against the meshgrid-and-lexsort scan it replaced
+    (``oracles.free_spot_lexsort``): the same spot, bit for bit, or the same
+    refusal."""
+
+    @staticmethod
+    def assert_same_spot(w, carrier, extents, cfg, skip_id, k):
+        try:
+            expected = oracles.free_spot_lexsort(w, carrier, extents, cfg, skip_id, k)
+        except DisplacementError as exc:
+            with pytest.raises(DisplacementError) as got:
+                w._free_spot_on(carrier, extents, cfg, skip_id, k)
+            assert str(got.value) == str(exc)
+            return
+        got = w._free_spot_on(carrier, extents, cfg, skip_id, k)
+        assert got.tolist() == expected.tolist(), (carrier.id, extents, skip_id, k)
+
+    @pytest.mark.parametrize("resolution", [0.25, 0.05])
+    def test_every_generated_move(self, resolution):
+        # the seed-1 scenarios' events, fired in the order a sequence fires
+        # them; a move depends only on the objects, not on the tasks
+        moves = 0
+        for mode in MODES:
+            for sc in generate_scenarios(mode, 8, 1, resolution=resolution):
+                w = GridWorld(sc.scene, start_pose=sc.start_pose)
+                triggers = ["before-episode"] + [f"after-task-{k}"
+                                                 for k in range(1, len(sc.tasks) + 1)]
+                for event in (e for t in triggers for e in sc.events_for(t)):
+                    if event.kind == "move":
+                        obj = w.object(event.object_id)
+                        self.assert_same_spot(w, w.object(event.target_carrier_id),
+                                              obj.box.extents, sc.crsg, obj.id,
+                                              event.spot_index)
+                        moves += 1
+                    w.apply_displacement(event, sc.crsg)
+        assert moves >= 24
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_tops_with_ties_and_occupants(self, seed):
+        # square and oblong tops on the diagonal x = y, so a square top's
+        # spots mirror in it and their distances tie exactly; each top holds
+        # up to four occupants at random, some across its edges; every
+        # spot_index from -2 to n + 2 over a scan of n spots
+        rng = Random(seed)
+        cfg = CrsgConfig()
+        objs = []
+        for t in range(4):
+            c = 1.5 + 2.5 * t
+            ex = rng.choice([0.6, 0.8, 1.0, 1.2])
+            ey = ex if t % 2 == 0 else rng.choice([0.6, 0.8, 1.0])
+            table = obj_dict(f"table_{t}", ["brown table", "table"], c, c, ex, ey, 0.0, 0.75)
+            objs.append(table)
+            for i in range(rng.randrange(5)):
+                objs.append(item_on(f"item_{t}_{i}", ["red cup"], table,
+                                    dx=rng.uniform(-ex / 2, ex / 2), dy=rng.uniform(-ey / 2, ey / 2),
+                                    ex=rng.choice([0.05, 0.1, 0.2]), ey=rng.choice([0.05, 0.1, 0.2])))
+        w = GridWorld(scene_from_dict(scene_dict(objs, width=44, height=44)))
+        ties = 0
+        for t in range(4):
+            carrier = w.object(f"table_{t}")
+            held = w.ground_truth_carried(carrier.id, cfg)
+            for extents in (np.array([0.2, 0.2, 0.1]), np.array([0.3, 0.3, 0.1]),
+                            np.array([0.3, 0.2, 0.1])):
+                n = spot_count(carrier, extents)
+                xs, ys = np.meshgrid(*(np.arange(carrier.box.lo[k] + extents[k] / 2 + 0.02,
+                                                 carrier.box.hi[k] - extents[k] / 2 - 0.02 + 1e-9,
+                                                 max(0.05, float(min(extents[:2])) / 2.0))
+                                       for k in range(2)), indexing="ij")
+                dists = np.hypot(xs - carrier.centroid[0], ys - carrier.centroid[1]).ravel()
+                ties += dists.size - np.unique(dists).size
+                for skip_id in [""] + held[:1]:
+                    for k in range(-2, n + 3):
+                        self.assert_same_spot(w, carrier, extents, cfg, skip_id, k)
+        assert ties > 0
