@@ -28,19 +28,12 @@ from pathlib import Path
 from random import Random
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .graph import CrsgConfig, build_crsg
-from .policy import (
-    EpisodeResult,
-    VARIANTS,
-    VariantSpec,
-    run_task,
-    walk_leg,
-)
+from .graph import build_crsg
+from .policy import EpisodeResult, VARIANTS, VariantSpec, run_task
 from .priors import CarrierPriorOracle, KeywordPriorOracle
 from .scenarios import Scenario, ScenarioError, load_scenario, scenario_name
 from .scene import write_json
-from .update import MatchConfig
-from .world import GridWorld, SensorConfig
+from .world import GridWorld
 
 
 class BenchError(RuntimeError):
@@ -137,29 +130,6 @@ def run_sequence(
         for event in scenario.events_for(f"after-task-{k + 1}"):
             world.apply_displacement(event, scenario.crsg)
     return results
-
-
-def full_coverage_tour(
-    world: GridWorld,
-    crsg,
-    sensor: SensorConfig = SensorConfig(),
-    match: MatchConfig = MatchConfig(),
-    crsg_cfg: CrsgConfig = CrsgConfig(),
-) -> List[str]:
-    """Visit every carrier in id order, reconciling the graph at each stop.
-
-    Each stop is one :func:`~carriernav.policy.walk_leg`, the same leg an
-    episode walks.  Returns the ids visited.  After the tour
-    the graph's carried relation matches the live world exactly, because
-    every carrier was granted a full carried view at its side.
-    """
-    visited = []
-    for cid in sorted(crsg.carriers):
-        dest = crsg.carriers[cid].object.centroid
-        if walk_leg(world, crsg, dest, sensor, match, crsg_cfg, cid) is None:
-            raise BenchError(f"carrier {cid} unreachable during coverage tour")
-        visited.append(cid)
-    return visited
 
 
 # --- suite runner

@@ -91,15 +91,6 @@ def _embed(tokens: Sequence[str], dim: int) -> Tuple[np.ndarray, int]:
     return vec, support
 
 
-def embed_text(text: str, dim: int = DEFAULT_EMBEDDING_DIM) -> np.ndarray:
-    """Embed ``text`` as an L2-normalized hashed bag-of-words vector.
-
-    Empty or tokenless input returns the all-zero sentinel vector; callers
-    treat that as "no feature" rather than a valid direction.
-    """
-    return _embed(tokenize(text), dim)[0]
-
-
 class Feature(NamedTuple):
     """A feature vector with its L2 norm, zero-sentinel flag and support
     (see the module docstring)."""
@@ -161,8 +152,7 @@ def cosine(a: Feature, b: Feature) -> float:
     with no dot product when their norm product is positive (see the
     module docstring).
 
-    This is the one similarity rule: :func:`cosine_similarity` validates
-    its inputs and then applies it.  The dot is the vector's own ``dot``
+    This is the one similarity rule.  The dot is the vector's own ``dot``
     method; the quotient stays numpy's, so a zero or NaN norm product gives
     an infinite or NaN cosine (with numpy's warning), not a Python
     ``ZeroDivisionError``.
@@ -171,21 +161,6 @@ def cosine(a: Feature, b: Feature) -> float:
     if a.support & b.support or not norms > 0.0:
         return float(a.vec.dot(b.vec) / norms)
     return 0.0
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 1 or b.ndim != 1:
-        raise ValueError("cosine_similarity expects 1-D vectors")
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    if not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
-        raise ValueError("feature vectors must be finite")
-    fa, fb = Feature.of(a), Feature.of(b)
-    if fa.norm == 0.0 or fb.norm == 0.0:
-        raise ValueError("cosine similarity undefined for zero-norm input")
-    return cosine(fa, fb)
 
 
 def is_zero_feature(vec: np.ndarray) -> bool:

@@ -218,9 +218,8 @@ class Room:
     """A frozen value with a read-only polygon, compared and hashed by
     identity like ``ObjectInstance``: field equality would compare arrays.
     ``edges`` holds each edge as a pair of ``(x, y)`` Python-float
-    vertices, the last vertex joined back to the first, as
-    :func:`point_in_polygon` reads them; it is computed once, at
-    construction, so :func:`assign_rooms` reads no array.
+    vertices, the last vertex joined back to the first; it is computed
+    once, at construction, so :func:`assign_rooms` reads no array.
     """
 
     id: str
@@ -409,11 +408,6 @@ def _polygon_self_intersects(poly: np.ndarray) -> bool:
     return False
 
 
-def point_in_polygon(point: Sequence[float], polygon: np.ndarray) -> bool:
-    """Even-odd ray casting; boundary points count as inside."""
-    return _in_polygon(float(point[0]), float(point[1]), _polygon_edges(polygon))
-
-
 def _polygon_edges(polygon: np.ndarray) -> tuple:
     """Each edge of ``polygon`` as a pair of ``(x, y)`` Python-float
     vertices, the last vertex joined back to the first."""
@@ -422,7 +416,8 @@ def _polygon_edges(polygon: np.ndarray) -> tuple:
 
 
 def _in_polygon(x: float, y: float, edges) -> bool:
-    """The ray-casting rule of :func:`point_in_polygon` over ``edges``."""
+    """Whether the polygon of ``edges`` holds ``(x, y)``: even-odd ray
+    casting, with boundary points inside."""
     inside = False
     for (x1, y1), (x2, y2) in edges:
         # on-segment check keeps boundary objects assigned deterministically
@@ -439,7 +434,7 @@ def _in_polygon(x: float, y: float, edges) -> bool:
 
 def assign_rooms(objects: Sequence[ObjectInstance], rooms: Sequence[Room]) -> Dict[str, str]:
     """Map each object id to the room containing its centroid (x, y): the
-    first room, in order, that :func:`point_in_polygon` says holds it.
+    first room, in order, whose ``edges`` hold it (:func:`_in_polygon`).
 
     Rooms are assumed non-overlapping; objects outside every room get the
     ``hallway`` sentinel.  The assignment is total.

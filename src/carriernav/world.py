@@ -54,6 +54,8 @@ from .scene import MAX_GRID_CELLS, Box3, ObjectInstance, SceneMap, _frozen, dist
 _STEP_SLOT = np.full(9, -1)
 _STEP_SLOT[[3 * dx + dy for dx, dy in STEP_ORDER]] = np.arange(len(STEP_ORDER))
 
+_NOT_CELLS = "a path is a sequence of (ix, iy) integer cells"
+
 
 class DisplacementError(WorldError):
     pass
@@ -234,9 +236,13 @@ class GridWorld:
         One leg per (objects, grid, path cells, one-cell heading, sensor)
         is kept with the scene's facts: a kept leg only sets the pose.
         """
-        if len(path) == 0:
+        try:
+            cells = tuple(map(tuple, path))
+            hash(cells)  # the kept leg's key holds them
+        except TypeError:  # a path or cell that is no sequence, or a cell that holds a list
+            raise WorldError(_NOT_CELLS) from None
+        if not cells:
             return TravelLog(observations={}, length=0.0)
-        cells = tuple(map(tuple, path))
         key = ("leg", self._items, self.planner.key, cells,
                self.robot.heading if len(cells) == 1 else None, sensor)
         seen, length, heading = facts.answer(key, self._leg, cells, sensor)
@@ -253,7 +259,7 @@ class GridWorld:
         except ValueError:  # cells of unequal lengths
             pairs = False
         if not pairs:
-            raise WorldError("a path is a sequence of (ix, iy) integer cells")
+            raise WorldError(_NOT_CELLS)
         cells = cells.astype(np.int64, copy=False)  # unsigned steps back would wrap
         # read as unsigned, a negative index lies beyond the grid too
         if (cells.view(np.uint64) >= (planner.width, planner.height)).any():

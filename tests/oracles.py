@@ -16,7 +16,8 @@ time instead of in one pass, blocked cells from sets of tuples instead of
 painted arrays, and the geometry predicates on numpy scalars instead of
 Python floats.  The memos of the world and of a scene's kept facts are checked
 against the rules they replaced, computed afresh on every call.  A bug
-would have to be made twice to go unnoticed.
+would have to be made twice to go unnoticed.  Criterion 8's full-coverage
+tour lives here too: only the tests run it, over the episode's own leg.
 """
 
 from __future__ import annotations
@@ -30,10 +31,11 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from carriernav.features import (cosine, cosine_similarity, embed_text, strip_image_prefix,
+from carriernav.features import (DEFAULT_EMBEDDING_DIM, Feature, cosine, strip_image_prefix,
                                  token_bucket)
 from carriernav.graph import carrying_predicate, geometric_carrier_filter
 from carriernav.planning import STEP_ORDER
+from carriernav.policy import walk_leg
 from carriernav.scene import MAX_GRID_CELLS
 from carriernav.world import DisplacementError, GridWorld, Observation, Pose, WorldError
 
@@ -76,10 +78,11 @@ def bag_cosine(text_a: str, text_b: str) -> float:
 # --- text features, by the rules before a feature knew its buckets
 
 
-def embed_text_accumulating(text: str, dim: int) -> np.ndarray:
-    """``features.embed_text`` before the token path: each token's count
-    added into the vector one at a time, then the vector divided by its
-    ``np.linalg.norm``; no token leaves the zero vector as it is."""
+def embed_text_accumulating(text: str, dim: int = DEFAULT_EMBEDDING_DIM) -> np.ndarray:
+    """The vector of ``features.text_feature`` by the embedder before the
+    token path: each token's count added into the vector one at a time,
+    then the vector divided by its ``np.linalg.norm``; no token leaves the
+    zero vector as it is.  The suite's reference embedder."""
     vec = np.zeros(dim, dtype=np.float64)
     for token in words(text):
         vec[token_bucket(token, dim)] += 1.0
@@ -234,6 +237,20 @@ def carried_relation(crsg) -> dict:
     """Carrier id -> sorted ids of the objects the graph ``crsg`` says it
     carries, read from its one listing, ``Crsg.to_dict()``."""
     return {c["id"]: tuple(c["carried"]) for c in crsg.to_dict()["carriers"]}
+
+
+def full_coverage_tour(world, crsg, sensor, match, crsg_cfg) -> list:
+    """Visit every carrier in id order, reconciling the graph at each stop,
+    and return the ids visited.  Each stop is one ``policy.walk_leg``, the
+    same leg an episode walks, with the carrier's full carried view, so
+    after the tour the graph's carried relation is the live world's."""
+    visited = []
+    for cid in sorted(crsg.carriers):
+        dest = crsg.carriers[cid].object.centroid
+        assert walk_leg(world, crsg, dest, sensor, match, crsg_cfg, cid) is not None, (
+            f"carrier {cid} unreachable during coverage tour")
+        visited.append(cid)
+    return visited
 
 
 def carriers_reachable_by_distance(scene, start) -> bool:
@@ -408,8 +425,8 @@ def carrying_predicate_numpy(carrier, obj, config) -> bool:
 
 
 def point_in_polygon_numpy(point, polygon) -> bool:
-    """``scene.point_in_polygon``: even-odd ray casting; boundary points
-    count as inside."""
+    """Whether ``scene.assign_rooms`` finds ``point`` in a room of
+    ``polygon``: even-odd ray casting; boundary points count as inside."""
     x, y = float(point[0]), float(point[1])
     poly = np.asarray(polygon, dtype=np.float64)
     n = poly.shape[0]
@@ -610,11 +627,11 @@ def compare_images_per_call(candidate_token: str, target_token: str) -> float:
     """The keyword prior's image score before it read kept text features:
     both tokens embedded afresh, 0 when either has no feature, else their
     cosine clamped to [0, 1]."""
-    a = embed_text(strip_image_prefix(candidate_token))
-    b = embed_text(strip_image_prefix(target_token))
+    a = embed_text_accumulating(strip_image_prefix(candidate_token))
+    b = embed_text_accumulating(strip_image_prefix(target_token))
     if not a.any() or not b.any():
         return 0.0
-    return max(0.0, min(1.0, cosine_similarity(a, b)))
+    return max(0.0, min(1.0, cosine(Feature.of(a), Feature.of(b))))
 
 
 def ground_truth_carried_per_call(world, carrier_id, cfg) -> list:

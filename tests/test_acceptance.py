@@ -12,19 +12,13 @@ from time import monotonic
 from mpmath import exp as mp_exp
 from mpmath import mp, mpf
 
-from carriernav.bench import (
-    full_coverage_tour,
-    mean_spl,
-    run_sequence,
-    run_suite,
-    spl,
-)
+from carriernav.bench import mean_spl, run_sequence, run_suite, spl
 from carriernav.graph import CrsgConfig, Query, build_crsg, query_target
 from carriernav.policy import VARIANTS, PolicyConfig, priority_score
 from carriernav.scenarios import build_scenario, generate_scenarios
 from carriernav.world import GridWorld, SensorConfig
 
-from oracles import brute_force_relation, carried_relation, spl_oracle
+from oracles import brute_force_relation, carried_relation, full_coverage_tour, spl_oracle
 from test_graph import random_assignment_scene
 
 

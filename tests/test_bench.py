@@ -4,8 +4,10 @@ import hashlib
 import json
 import logging
 import math
+import re
 import shutil
 from collections import Counter
+from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -16,7 +18,6 @@ from carriernav.bench import (
     BenchError,
     _aggregate,
     episode_seed,
-    full_coverage_tour,
     mean_spl,
     run_sequence,
     run_suite,
@@ -24,6 +25,7 @@ from carriernav.bench import (
     success_rate,
     tasks_sr,
 )
+from carriernav.cli import main
 from carriernav.graph import build_crsg
 from carriernav.planning import WHOLE_GRAPH_CELLS, Planner
 from carriernav.policy import VARIANTS, ActionRecord, EpisodeResult
@@ -32,7 +34,7 @@ from carriernav.scenarios import MODES, build_scenario, generate_scenarios, load
 from carriernav.world import GridWorld
 
 from conftest import assert_every_kept_answer_is_its_rule
-from oracles import carried_relation, spl_oracle
+from oracles import carried_relation, full_coverage_tour, spl_oracle
 
 
 class TestSpl:
@@ -435,24 +437,95 @@ class TestRunSuite:
         assert "time" not in text
 
 
-def test_the_order_of_a_scenes_objects_and_rooms_changes_no_output_byte(tmp_path):
-    # two seed-1 scenarios of each generated mode, as generated and with the
-    # object and room lists of every scene file reversed, run under every
-    # variant: the artifacts are byte-identical
-    plain, flipped = tmp_path / "plain", tmp_path / "reversed"
+def transformed(src, dst, transform):
+    """A copy at ``dst`` of the scenario tree at ``src``, each scene and
+    scenario file's tree passed through ``transform`` in place."""
+    shutil.copytree(src, dst)
+    for path in dst.rglob("*.json"):
+        tree = json.loads(path.read_text())
+        transform(tree)
+        path.write_text(json.dumps(tree))
+    return dst
+
+
+def renaming(rename):
+    """The transform that passes every object id, and every reference to
+    one (a task's ground truth, an event's object and target carrier),
+    through ``rename``."""
+    def transform(tree):
+        for obj in tree.get("objects", ()):
+            obj["id"] = rename(obj["id"])
+        for task in tree.get("tasks", ()):
+            task["ground_truth_id"] = rename(task["ground_truth_id"])
+        for event in tree.get("events", ()):
+            for key in ("object_id", "target_carrier_id"):
+                if event.get(key) is not None:
+                    event[key] = rename(event[key])
+    return transform
+
+
+def traces(d, capsys) -> dict:
+    """(scenario file, variant) -> the ``run-episode --trace`` lines of
+    every scenario under ``d`` and every variant."""
+    out = {}
+    for path in scenario_paths(d):
+        for variant in sorted(VARIANTS):
+            assert main(["run-episode", "--scenario", path, "--variant", variant, "--trace"]) == 0
+            out[Path(path).relative_to(d), variant] = capsys.readouterr().out
+    return out
+
+
+def test_the_order_of_a_scenes_objects_and_rooms_changes_no_output_byte(tmp_path, capsys):
+    # two seed-1 scenarios of each generated mode, as generated, with the
+    # object and room lists of every scene file reversed, and with every
+    # object id prefixed (a renaming that keeps the ids' order), run under
+    # every variant: the artifacts are byte-identical, and the traces equal
+    # once the renaming is applied to them
+    plain = tmp_path / "plain"
     for mode in MODES:
         generate_scenarios(mode, 2, 1, out_dir=str(plain / mode))
-    shutil.copytree(plain, flipped)
-    rooms = 0
-    for scene_file in flipped.rglob("scene_*.json"):
-        tree = json.loads(scene_file.read_text())
-        assert len(tree["objects"]) > 1
-        rooms = max(rooms, len(tree["rooms"]))
-        tree["objects"].reverse()
-        tree["rooms"].reverse()
-        scene_file.write_text(json.dumps(tree))
-    assert rooms > 1
-    for d in (plain, flipped):
+    sizes = []
+
+    def reverse(tree):
+        if "objects" in tree:
+            sizes.append((len(tree["objects"]), len(tree["rooms"])))
+            tree["objects"].reverse()
+            tree["rooms"].reverse()
+
+    flipped = transformed(plain, tmp_path / "reversed", reverse)
+    assert min(n for n, _ in sizes) > 1 and max(r for _, r in sizes) > 1
+    renamed = transformed(plain, tmp_path / "renamed", renaming(lambda oid: "obj-" + oid))
+    for d in (plain, flipped, renamed):
         run_suite(scenario_paths(d), sorted(VARIANTS), out_dir=str(d / "out"))
-    for name in ("results.jsonl", "report.json"):
-        assert (flipped / "out" / name).read_bytes() == (plain / "out" / name).read_bytes()
+    for d in (flipped, renamed):
+        for name in ("results.jsonl", "report.json"):
+            assert (d / "out" / name).read_bytes() == (plain / "out" / name).read_bytes()
+    ids = {obj["id"] for path in plain.rglob("scene_*.json")
+           for obj in json.loads(path.read_text())["objects"]}
+    want = {key: re.sub(r"\w+", lambda m: "obj-" + m[0] if m[0] in ids else m[0], text)
+            for key, text in traces(plain, capsys).items()}
+    assert any("obj-" in text for text in want.values())
+    assert traces(renamed, capsys) == want
+
+
+def test_reversing_the_table_ids_of_probe_moves_only_the_prior(tmp_path):
+    # probe moves every target to its last table id, and the keyword prior
+    # explores its six tied tables in id order: relabelling table_i as
+    # table_{5-i} puts the targets on the prior's first table.  Only the
+    # prior-driven variants may move; only-carriers_Random also moves (its
+    # seeded draws index the unexplored carriers in id order), but by no
+    # rule, so it is not pinned
+    plain = tmp_path / "plain"
+    generate_scenarios("probe", 2, 1, out_dir=str(plain))
+    tables = {f"table_{i}" for i in range(6)}
+    assert all({oid for oid in (obj["id"] for obj in json.loads(path.read_text())["objects"])
+                if oid.startswith("table")} == tables for path in plain.glob("scene_*.json"))
+    mirrored = transformed(plain, tmp_path / "mirrored", renaming(
+        lambda oid: f"table_{5 - int(oid[6:])}" if oid in tables else oid))
+    reports = {d: run_suite(scenario_paths(d), sorted(VARIANTS)) for d in (plain, mirrored)}
+    for variant in ("ours", "ours-Text", "ours-LLM", "no-update"):
+        assert ([row for row in reports[mirrored].rows if row["variant"] == variant]
+                == [row for row in reports[plain].rows if row["variant"] == variant])
+    actions = {d: report.variants["only-carriers_LLM"]["mean_actions"]
+               for d, report in reports.items()}
+    assert (actions[plain], actions[mirrored]) == (7.0, 2.0)

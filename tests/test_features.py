@@ -13,8 +13,6 @@ from carriernav.features import (
     DEFAULT_EMBEDDING_DIM,
     Feature,
     cosine,
-    cosine_similarity,
-    embed_text,
     is_zero_feature,
     strip_image_prefix,
     text_feature,
@@ -66,27 +64,26 @@ def test_generator_vocabulary_is_collision_free():
 
 
 def test_embed_text_is_unit_norm_and_deterministic():
-    v1 = embed_text("red cup on the table")
-    v2 = embed_text("red cup on the table")
-    assert np.array_equal(v1, v2)
+    facts.release_facts()
+    v1 = text_feature("red cup on the table", DEFAULT_EMBEDDING_DIM).vec
+    facts.release_facts()
+    v2 = text_feature("red cup on the table", DEFAULT_EMBEDDING_DIM).vec
+    assert v1 is not v2 and np.array_equal(v1, v2)
     assert math.isclose(float(np.linalg.norm(v1)), 1.0, abs_tol=1e-12)
     assert v1.shape == (DEFAULT_EMBEDDING_DIM,)
     assert np.all(v1 >= 0.0)
 
 
 def test_embed_text_empty_returns_zero_sentinel():
-    v = embed_text("")
-    assert is_zero_feature(v)
-    assert not is_zero_feature(embed_text("cup"))
-    # similarity against the sentinel is undefined; callers must gate on
-    # is_zero_feature instead of relying on a silent zero
-    with pytest.raises(ValueError):
-        cosine_similarity(v, embed_text("cup"))
+    # callers gate on the flag: the sentinel is no direction to compare
+    empty = text_feature("", DEFAULT_EMBEDDING_DIM)
+    assert empty.zero and is_zero_feature(empty.vec) and empty.norm == 0.0
+    assert not text_feature("cup", DEFAULT_EMBEDDING_DIM).zero
 
 
 def test_embed_text_rejects_bad_dim():
     with pytest.raises(ValueError):
-        embed_text("cup", 0)
+        text_feature("cup", 0)
 
 
 # Closed forms: captions are collision-free, so the hashed cosine must
@@ -106,7 +103,8 @@ FROZEN_COSINES = [
 
 @pytest.mark.parametrize("text_a,text_b,expected", FROZEN_COSINES)
 def test_cosine_frozen_values(text_a, text_b, expected):
-    got = cosine_similarity(embed_text(text_a), embed_text(text_b))
+    got = cosine(text_feature(text_a, DEFAULT_EMBEDDING_DIM),
+                 text_feature(text_b, DEFAULT_EMBEDDING_DIM))
     assert got == pytest.approx(expected, abs=1e-12)
     assert got == pytest.approx(oracles.bag_cosine(text_a, text_b), abs=1e-12)
 
@@ -128,10 +126,10 @@ WORDS = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(WORDS, WORDS)
 def test_cosine_symmetric_and_bounded(words_a, words_b):
-    a = embed_text(" ".join(words_a))
-    b = embed_text(" ".join(words_b))
-    s_ab = cosine_similarity(a, b)
-    s_ba = cosine_similarity(b, a)
+    a = text_feature(" ".join(words_a), DEFAULT_EMBEDDING_DIM)
+    b = text_feature(" ".join(words_b), DEFAULT_EMBEDDING_DIM)
+    s_ab = cosine(a, b)
+    s_ba = cosine(b, a)
     assert s_ab == pytest.approx(s_ba, abs=1e-12)
     assert -1e-12 <= s_ab <= 1.0 + 1e-12  # counts are non-negative
     assert s_ab == pytest.approx(
@@ -142,8 +140,8 @@ def test_cosine_symmetric_and_bounded(words_a, words_b):
 @settings(max_examples=40, deadline=None)
 @given(WORDS)
 def test_self_similarity_is_one(ws):
-    v = embed_text(" ".join(ws))
-    assert cosine_similarity(v, v) == pytest.approx(1.0, abs=1e-12)
+    v = text_feature(" ".join(ws), DEFAULT_EMBEDDING_DIM)
+    assert cosine(v, v) == pytest.approx(1.0, abs=1e-12)
 
 
 FINITE = st.floats(min_value=-1e100, max_value=1e100, allow_nan=False, allow_infinity=False)
@@ -157,12 +155,10 @@ def test_stored_norm_cosine_is_bit_equal(pair):
     fa, fb = Feature.of(a), Feature.of(b)
     assert fa.zero == is_zero_feature(a) and fb.zero == is_zero_feature(b)
     assert fa.norm == float(np.linalg.norm(a))
-    if fa.norm == 0.0 or fb.norm == 0.0:
-        with pytest.raises(ValueError):
-            cosine_similarity(a, b)
-    else:
-        # bit for bit, not approximately
-        assert cosine(fa, fb) == cosine_similarity(a, b)
+    if fa.norm > 0.0 and fb.norm > 0.0:
+        # bit for bit, not approximately, against norms computed afresh
+        fresh = float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
+        assert cosine(fa, fb) == fresh
 
 
 def test_strip_image_prefix():
@@ -182,20 +178,13 @@ DIMS = st.sampled_from([1, 2, 3, 7, 16, DEFAULT_EMBEDDING_DIM])
 
 
 @settings(max_examples=300, deadline=None)
-@given(TEXTS, DIMS)
-def test_embed_text_is_the_accumulating_embedder(text, dim):
-    got, want = embed_text(text, dim), oracles.embed_text_accumulating(text, dim)
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-
-@settings(max_examples=300, deadline=None)
 @given(TEXTS, DIMS, st.booleans())
 def test_text_feature_is_the_accumulating_embedder(text, dim, kept):
     # texts kept across examples, or none
     if not kept:
         facts.release_facts()
     got, want = text_feature(text, dim), oracles.embed_text_accumulating(text, dim)
-    assert got.vec.tobytes() == want.tobytes()
+    assert got.vec.dtype == want.dtype and got.vec.tobytes() == want.tobytes()
     assert got.norm.hex() == float(np.linalg.norm(want)).hex()
     assert got.zero == is_zero_feature(want)
     assert got.support == oracles.support_bits(want)

@@ -12,7 +12,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carriernav.cli import main
-from carriernav.features import embed_text
 from carriernav.graph import CrsgConfig, build_crsg, carrying_predicate
 from carriernav.policy import PolicyConfig
 from carriernav.scenarios import (
@@ -555,7 +554,7 @@ def _with_every_object_key(scene: dict) -> dict:
     writer leaves out)."""
     first = scene["objects"][0]
     first["room_id"] = scene["rooms"][0]["id"]
-    first["text_feature"] = first["visual_feature"] = embed_text(
+    first["text_feature"] = first["visual_feature"] = oracles.embed_text_accumulating(
         " ".join(first["captions"]), scene["header"]["embedding_dim"]).tolist()
     return scene
 

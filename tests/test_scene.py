@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carriernav import facts, features
-from carriernav.features import ALL_BUCKETS, embed_text, is_zero_feature, tokenize
+from carriernav.features import ALL_BUCKETS, is_zero_feature, tokenize
 from carriernav.scenarios import MODES, build_scenario
 from carriernav.scene import (
     MAX_EMBEDDING_DIM,
@@ -29,13 +29,13 @@ from carriernav.scene import (
     assign_rooms,
     distance,
     load_scene,
-    point_in_polygon,
     save_scene,
     scene_from_dict,
     write_json,
 )
 
 import oracles
+from oracles import embed_text_accumulating
 from conftest import assert_every_write_raises, golden_scene_dict, obj_dict, scene_dict
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -151,7 +151,7 @@ class TestObjectValue:
                     assert feat.zero == is_zero_feature(vec)
 
     def test_zero_feature_is_flagged(self):
-        obj = make_object(embed_text("!!!"), embed_text("red cup"))
+        obj = make_object(embed_text_accumulating("!!!"), embed_text_accumulating("red cup"))
         assert obj.text.zero and obj.text.norm == 0.0
         assert not obj.visual.zero and obj.visual.norm == pytest.approx(1.0)
 
@@ -160,13 +160,13 @@ class TestObjectValue:
         vec[3] = 1e-200  # not zero, but its squared norm underflows to 0
         assert not is_zero_feature(vec) and float(np.linalg.norm(vec)) == 0.0
         with pytest.raises(SceneValidationError, match="text_feature norm"):
-            make_object(vec, embed_text("red cup"))
+            make_object(vec, embed_text_accumulating("red cup"))
         with pytest.raises(SceneValidationError, match="visual_feature norm"):
-            make_object(embed_text("red cup"), vec.copy())
+            make_object(embed_text_accumulating("red cup"), vec.copy())
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1e200])
     def test_non_finite_feature_or_norm_is_rejected(self, bad):
-        vec = embed_text("red cup").copy()
+        vec = embed_text_accumulating("red cup").copy()
         vec[0] = bad
         with pytest.raises(SceneValidationError):
             make_object(vec)
@@ -180,32 +180,43 @@ class TestObjectValue:
             scene_from_dict(tree)
 
 
+def in_room(point, room: Room) -> bool:
+    """Whether ``assign_rooms`` puts an object centred at ``point`` in ``room``."""
+    obj = SimpleNamespace(id="o", centroid=np.array([point[0], point[1], 0.0]))
+    return assign_rooms([obj], [room])["o"] == room.id
+
+
 class TestPolygon:
-    SQUARE = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 4.0], [0.0, 4.0]])
+    SQUARE = Room("square", np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 4.0], [0.0, 4.0]]))
 
     def test_square_membership(self):
-        assert point_in_polygon([2.0, 2.0], self.SQUARE)
-        assert not point_in_polygon([5.0, 2.0], self.SQUARE)
-        assert not point_in_polygon([-0.1, 2.0], self.SQUARE)
+        assert in_room([2.0, 2.0], self.SQUARE)
+        assert not in_room([5.0, 2.0], self.SQUARE)
+        assert not in_room([-0.1, 2.0], self.SQUARE)
 
     def test_concave_polygon(self):
         # L-shape: the notch at the top right is outside
-        poly = np.array([[0, 0], [4, 0], [4, 2], [2, 2], [2, 4], [0, 4]], dtype=float)
-        assert point_in_polygon([1.0, 3.0], poly)
-        assert point_in_polygon([3.0, 1.0], poly)
-        assert not point_in_polygon([3.0, 3.0], poly)
+        room = Room("l", np.array([[0, 0], [4, 0], [4, 2], [2, 2], [2, 4], [0, 4]], dtype=float))
+        assert in_room([1.0, 3.0], room)
+        assert in_room([3.0, 1.0], room)
+        assert not in_room([3.0, 3.0], room)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_point_in_polygon_is_the_numpy_rule(self, data):
-        # any polygon, and points at a vertex, on an edge and anywhere
+        # any polygon a room accepts, and points at a vertex, on an edge and
+        # anywhere
         n = data.draw(st.integers(3, 6))
         poly = np.array([[data.draw(COORDS), data.draw(COORDS)] for _ in range(n)])
+        try:
+            room = Room("r", poly)
+        except SceneValidationError:  # self-intersecting
+            return
         i = data.draw(st.integers(0, n - 1))
         t = data.draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
         a, b = poly[i], poly[(i + 1) % n]
         for point in (a, a + t * (b - a), [data.draw(COORDS), data.draw(COORDS)]):
-            assert point_in_polygon(point, poly) == oracles.point_in_polygon_numpy(point, poly)
+            assert in_room(point, room) == oracles.point_in_polygon_numpy(point, poly)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), scale=st.sampled_from([1.0, 1e6, -1e6]))
@@ -509,7 +520,8 @@ class TestDerivedFeatures:
     def test_a_feature_that_is_not_derived_is_kept_and_only_it(self, tmp_path):
         scene = scene_from_dict(golden_scene_dict())
         cup = scene.objects["cup_0"]
-        scene.objects["cup_0"] = dataclasses.replace(cup, visual_feature=embed_text("red mug"))
+        scene.objects["cup_0"] = dataclasses.replace(
+            cup, visual_feature=embed_text_accumulating("red mug"))
         save_scene(scene, str(tmp_path / "scene.json"))
         assert written_features(tmp_path / "scene.json") == {
             "table_0": [], "cup_0": ["visual_feature"], "rug_0": []}
@@ -534,7 +546,7 @@ class TestDerivedFeatures:
         tree = golden_scene_dict()
         tree["header"]["feature_mode"] = "embedded"
         for obj in tree["objects"]:  # the very vectors synthesize mode derives
-            obj["text_feature"] = obj["visual_feature"] = embed_text(
+            obj["text_feature"] = obj["visual_feature"] = embed_text_accumulating(
                 " ".join(obj["captions"])).tolist()
         scene = scene_from_dict(tree)
         save_scene(scene, str(tmp_path / "scene.json"))
@@ -568,7 +580,8 @@ def per_entry_floats(obj) -> dict:
         "box": {"min": [float(x) for x in obj.box.min], "max": [float(x) for x in obj.box.max]},
         "centroid": [float(x) for x in obj.centroid],
     }
-    derived = embed_text(" ".join(obj.captions), obj.text_feature.shape[0]).tobytes()
+    derived = embed_text_accumulating(" ".join(obj.captions),
+                                      obj.text_feature.shape[0]).tobytes()
     for name in ("text_feature", "visual_feature"):
         vec = getattr(obj, name)
         if vec.tobytes() != derived:

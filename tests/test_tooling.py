@@ -73,6 +73,13 @@ An episode records each action at one site: ``run_task``'s ``record``, the
 one construction of ``policy.ActionRecord``.  A second construction, a
 call or a reference that calls it later, gives an action a record of its
 own and must fail here.
+
+The package exposes only what its program reads: its submodules are the
+API, and each public module-level function and public method is read by
+some module of the package outside its own definition.  A public name
+that only tests, perfbench or a docstring reads must fail here, unless
+``UNREAD_PUBLIC_NAMES`` names it with its reason; a test's reference
+implementation belongs in ``tests/oracles.py``.
 """
 
 import ast
@@ -87,8 +94,7 @@ from typing import Union, get_args, get_origin, get_type_hints
 import numpy as np
 import pytest
 
-import carriernav  # noqa: F401  (loads every module the span table names)
-from carriernav.bench import run_sequence
+from carriernav.bench import run_sequence  # loads every module the span table names
 from carriernav.features import Feature
 from carriernav.graph import build_crsg
 from carriernav.policy import (VARIANTS, ActionRecord, CandidateTarget, EpisodeResult, Leg,
@@ -1011,3 +1017,81 @@ def test_the_record_guard_sees_every_construction():
               "    kept: Tuple[ActionRecord, ...] = (make(),)\n"
               "    return action_record(2), kept\n")
     assert action_record_sites(source) == [4, 5, 6]
+
+
+# public names no module of the package reads, each with the reason it stays
+UNREAD_PUBLIC_NAMES = {
+    "facts.release_facts": "the documented reset of the kept facts, which the test "
+                           "fixtures call",
+    "world.GridWorld.observe": "perfbench's world.observe span wraps it; it goes with the "
+                               "span table (ROADMAP item 2, Step B)",
+}
+
+
+def unread_public_names(sources: dict) -> list:
+    """Sorted ``module.name`` (``module.Class.name`` for a method) of each
+    public module-level function and public method of ``sources``, module
+    file name -> source, whose name no module reads outside its own
+    definition.  A read is a loaded ``Name`` or ``Attribute`` of that name,
+    so a docstring, a comment, an import or a store is none; names are
+    matched by spelling, not resolved."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    definitions = []
+    for module, tree in trees.items():
+        stem = module.removesuffix(".py")
+        for node in tree.body:
+            if isinstance(node, functions):
+                definitions.append((f"{stem}.{node.name}", node))
+            elif isinstance(node, ast.ClassDef):
+                definitions += [(f"{stem}.{node.name}.{item.name}", item)
+                                for item in node.body if isinstance(item, functions)]
+    reads = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                reads.setdefault(name, []).append(node)
+    unread = []
+    for qualified, definition in definitions:
+        if definition.name.startswith("_"):
+            continue
+        own = {id(node) for node in ast.walk(definition)}
+        if all(id(node) in own for node in reads.get(definition.name, [])):
+            unread.append(qualified)
+    return sorted(unread)
+
+
+def test_every_public_function_and_method_has_a_reader():
+    sources = {p.name: p.read_text() for p in sorted((ROOT / "src" / "carriernav").glob("*.py"))}
+    assert len(sources) > 10
+    assert unread_public_names(sources) == sorted(UNREAD_PUBLIC_NAMES)
+
+
+def test_the_unread_name_guard_sees_every_unread_name():
+    sources = {"a.py": ("def used():\n"
+                        "    return 1\n"
+                        "def recursive(n):\n"
+                        "    \"\"\"Calls used() and Box.stored().\"\"\"\n"
+                        "    return recursive(n - 1)\n"
+                        "def imported():\n"
+                        "    pass\n"
+                        "class Box:\n"
+                        "    def read(self):\n"
+                        "        return self.size()\n"
+                        "    def size(self):\n"
+                        "        return 1\n"
+                        "    def stored(self):\n"
+                        "        pass\n"
+                        "    def _private(self):\n"
+                        "        pass\n"
+                        "def _helper():\n"
+                        "    pass\n"),
+               "b.py": ("from .a import Box, imported, used\n"
+                        "VALUE = used()\n"
+                        "READ = Box().read\n"
+                        "# imported() in a comment\n"
+                        "def set_it(box):\n"
+                        "    box.stored = None\n")}
+    assert unread_public_names(sources) == ["a.Box.stored", "a.imported", "a.recursive",
+                                            "b.set_it"]

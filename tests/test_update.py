@@ -5,7 +5,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from carriernav.features import embed_text
 from carriernav.graph import CrsgConfig, build_crsg
 from carriernav.scene import Box3, ObjectInstance, scene_from_dict
 from carriernav.update import (
@@ -18,6 +17,7 @@ from carriernav.update import (
 )
 from carriernav.world import Observation
 
+from oracles import embed_text_accumulating
 from conftest import find_object, item_on, obj_dict, scene_dict, table_dict
 
 
@@ -27,7 +27,7 @@ def obs_of(obj, depth=1.0, shift=(0.0, 0.0, 0.0), scale=1.0, captions=None):
     half = obj.box.extents * scale / 2.0
     box = Box3(center - half, center + half)
     caps = list(captions) if captions is not None else list(obj.captions)
-    feat = embed_text(" ".join(caps), obj.text_feature.shape[0])
+    feat = embed_text_accumulating(" ".join(caps), obj.text_feature.shape[0])
     seen = ObjectInstance(id=obj.id, captions=caps, box=box, centroid=center,
                           text_feature=feat, visual_feature=feat.copy())
     return Observation(seen, mean_depth=depth)

@@ -1551,6 +1551,9 @@ class TestTravel:
         [(6, 5), (5, 6)],          # the same corner from the other side
         [(1.0, 1.0), (2.0, 1.0)],  # cells that are not integers
         [(1, 1, 0), (2, 1, 0)],    # cells that are not pairs
+        [5, 6],                    # cells that are not sequences
+        [(1, 1), None],            # a cell that is None
+        [[[1], [2]], [[1], [3]]],  # cells of lists
     ])
     def test_a_malformed_path_raises_and_moves_nothing(self, path):
         tree = sensing_scene().to_dict()
@@ -1567,7 +1570,11 @@ class TestTravel:
         [(1.0, 1.0), (2.0, 1.0)],       # cells of floats
         [(1, 1, 0), (2, 1, 0)],         # cells of three
         [(1, 1), (2,)],                 # cells of unequal arity
-    ], ids=["bools", "floats", "triples", "ragged"])
+        [5, 6],                         # cells of ints
+        [(1, 1), None],                 # a cell of None
+        [[[1], [2]], [[1], [3]]],       # cells of lists
+        5,                              # no sequence at all
+    ], ids=["bools", "floats", "triples", "ragged", "ints", "none", "nested", "int"])
     def test_a_path_not_of_integer_pairs_raises_its_own_message(self, path):
         w = sensing_world()
         with pytest.raises(WorldError, match=r"a path is a sequence of \(ix, iy\) integer cells"):
